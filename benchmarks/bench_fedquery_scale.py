@@ -481,7 +481,7 @@ def measure_crashes(seed: int = CRASH_SEED) -> dict:
     and — because every cell's cached partial makes re-asks
     idempotent — lands on a total bit-for-bit equal to the control's.
     The respawn-less region row crashes a regional coordinator with no
-    scheduled restart and leans on root failover (``_respawn_region``)
+    scheduled restart and leans on root failover (``_before_reask``)
     instead. The offline row combines a crash with permanently dark
     cells and must settle to a survivor-exact ``partial``. No journal
     and no coordinator view may ever contain a raw field encoding.

@@ -8,10 +8,16 @@ at a hundred thousand. The tree splits the fan-out two ways:
 * a root :class:`HierarchicalCoordinator` partitions the global roster
   into ~sqrt(N) **contiguous shards** and ships each shard to a
   :class:`RegionalCoordinator` — the root's own work is O(sqrt(N));
-* each region runs the *existing* collect / re-ask / demote / recovery
-  machinery (it subclasses the flat coordinator) over its shard, and
-  ships each cell an O(k) roster **window** — the cell's ring
-  neighbors plus their global positions — instead of the full roster.
+* each region ships each cell of its shard an O(k) roster **window** —
+  the cell's ring neighbors plus their global positions — instead of
+  the full roster.
+
+Both levels *are* the flat coordinator's journalled state machine
+(collect deadline, re-ask, demote, settle, recover, finish, crash and
+resume): a region's children are its shard's cells, the root's
+children are its regions, and each class below overrides only the
+edges where its level differs — what a child is sent, how its reply
+is journalled and folded, and where a settled run reports to.
 
 The privacy argument is the boundary-mask trick: cells mask on the
 **global** ring graph, exactly as the flat path does. Within a shard
@@ -45,34 +51,20 @@ how the roster is sharded.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Any
 
 from ..commons import kernels
 from ..commons.aggregation import _effective_degree, ring_neighbor_positions
-from ..crypto import shamir
 from ..errors import CellOfflineError, ConfigurationError, ProtocolError
-from ..faults.retry import RetryPolicy, schedule_retry
+from ..faults.retry import RetryPolicy
 from ..infrastructure.network import Network
 from ..sim.world import World
-from .coordinator import (
-    _DEMOTED,
-    _PENDING,
-    OUTCOME_ABANDONED,
-    OUTCOME_COMPLETE,
-    OUTCOME_PARTIAL,
-    Coordinator,
-    FedQueryResult,
-    _RunState,
-)
+from .coordinator import Coordinator, FedQueryResult, _RunState
 from .journal import (
-    REC_DEMOTE,
-    REC_DONE,
     REC_MASK,
     REC_MASK_REPORT,
     REC_PARTIAL,
-    REC_RECOVER,
     REC_REPORT,
     REC_START,
     QueryJournal,
@@ -82,12 +74,9 @@ from .spec import (
     MSG_SHARD_PARTIAL,
     MSG_SHARD_PLAN,
     MSG_SHARD_RECOVER,
-    STATUS_DECLINED,
-    STATUS_FLOOR,
     STATUS_OK,
     FedQuerySpec,
     plan_message,
-    recover_message,
     shard_mask_message,
     shard_partial_message,
     shard_plan_message,
@@ -121,14 +110,17 @@ class RegionalCoordinator(Coordinator):
 
     A pure event-driven endpoint — it never drives the world loop (the
     root does). It reuses the superclass's per-cell re-ask ladder,
-    demotion and accounting verbatim; what changes is the edges of the
-    state machine: runs start from a ``fq.shard_plan`` message instead
-    of :meth:`run`, collection settles into a ``fq.shard_partial``
-    report instead of a combine, and recovery is triggered by the
-    root's **global** missing list and settles into a ``fq.shard_mask``
-    report. Both reports are cached and replayed verbatim when the
-    root re-asks, so the root's retry ladder is idempotent.
+    demotion, recovery and accounting verbatim; what changes is the
+    edges of the state machine: runs start from a ``fq.shard_plan``
+    message instead of :meth:`run`, collection settles into a
+    ``fq.shard_partial`` report instead of a combine, and recovery is
+    triggered by the root's **global** missing list and settles into a
+    ``fq.shard_mask`` report. Both reports are cached and replayed
+    verbatim when the root re-asks, so the root's retry ladder is
+    idempotent.
     """
+
+    _EVENTS = "fedquery.shard"
 
     def __init__(self, world: World, network: Network, *, region: int,
                  address: str, **kwargs: Any) -> None:
@@ -163,42 +155,37 @@ class RegionalCoordinator(Coordinator):
             return
         if tag in self._active:
             return  # still collecting; the settle will reply
-        spec = FedQuerySpec.from_wire(message["spec"])
-        shard = list(message["shard"])
-        state = _RunState(
-            tag, spec, shard, message["round_tag"], message["neighbors"]
+        state = self._place(
+            _RunState(
+                tag, FedQuerySpec.from_wire(message["spec"]),
+                list(message["shard"]), message["round_tag"],
+                message["neighbors"],
+            ),
+            message["positions"], message["global_size"],
+            message["reply_to"],
         )
-        state.positions = {
-            name: int(position)
-            for name, position in message["positions"].items()
-        }
-        state.global_size = int(message["global_size"])
-        state.name_at = {
-            position: name for name, position in state.positions.items()
-        }
-        state.root = message["reply_to"]
-        state.recover_targets = []
-        state.reported = (0, 0, 0)
         if _effective_degree(state.global_size, state.neighbors) is None:
             raise ProtocolError(
                 "the coordinator tree needs a k-regular masking graph "
                 "(neighbors < global size - 1)"
             )
-        state.started_at = self.world.now
-        self._active[tag] = state
-        self.journal.append(self._start_record(state))
-        with self._tracer.span(
-            "fedquery.shard.fanout", tag=tag, region=self.region,
-            shard=len(shard),
-        ):
-            for name in shard:
-                self._ship(state, name)
-        if self._notify_phase(state, "fanout"):
-            return  # crashed right after fan-out; restart resumes
-        state.deadline_handle = self.world.loop.schedule_in(
-            self.collect_timeout_s, lambda: self._collect_deadline(state),
-            label=f"fq shard deadline {tag} r{self.region}",
-        )
+        self._admit(state)
+        self._fan_out(state)
+
+    def _place(self, state: _RunState, positions: dict[str, Any],
+               global_size: int, root: str) -> _RunState:
+        """Pin a shard's run state to its place on the global ring."""
+        state.positions = {
+            name: int(position) for name, position in positions.items()
+        }
+        state.global_size = int(global_size)
+        state.name_at = {
+            position: name for name, position in state.positions.items()
+        }
+        state.root = root
+        state.recover_targets = []
+        state.reported = (0, 0, 0)
+        return state
 
     def _start_record(self, state: _RunState) -> dict[str, Any]:
         record = super()._start_record(state)
@@ -208,11 +195,20 @@ class RegionalCoordinator(Coordinator):
         )
         return record
 
+    def _label(self, what: str, state: _RunState,
+               child: str | None = None) -> str:
+        if child is not None:
+            return super()._label(what, state, child)  # a cell, as flat
+        return f"fq shard {what} {state.tag} r{self.region}"
+
+    def _where(self, state: _RunState) -> dict[str, Any]:
+        return {"region": self.region}
+
     # -- windowed fan-out ------------------------------------------------------
 
-    def _plan_for(self, state: _RunState, name: str) -> dict[str, Any]:
+    def _plan_for(self, state: _RunState, child: str) -> dict[str, Any]:
         """An O(k) plan: the cell's ring window, with global positions."""
-        position = state.positions[name]
+        position = state.positions[child]
         degree = _effective_degree(state.global_size, state.neighbors)
         window = ring_neighbor_positions(
             position, state.global_size, degree
@@ -233,30 +229,21 @@ class RegionalCoordinator(Coordinator):
             return
         if state.deadline_handle is not None:
             state.deadline_handle.cancel()
-        ok = state.ok_cells()
-        plan_mix: dict[str, int] = {}
-        for plan in state.plans.values():
-            plan_mix[plan] = plan_mix.get(plan, 0) + 1
+        ok = state.ok_children()
         if state.spec.numeric:
             # Still masked: the shard's boundary edges have no partner
             # in this sum, so the root learns nothing per shard.
-            masked_sum = kernels.accumulate(
-                state.payloads[name]["masked"] for name in ok
-            )
+            masked_sum = kernels.accumulate(state.masked())
             count = len(ok)
             sealed: list[tuple[str, str]] = []
         else:
             masked_sum = None
-            count = sum(state.payloads[name]["count"] for name in ok)
-            sealed = [
-                (name, state.payloads[name]["blob"]) for name in ok
-                if state.payloads[name]["blob"] is not None
-            ]
+            count, sealed = state.released()
         state.phase = "report"
         reply = shard_partial_message(
             state.tag, self.address, self.region,
             statuses=dict(state.status), masked_sum=masked_sum, count=count,
-            sealed=sealed, plan_mix=plan_mix, examined=state.examined,
+            sealed=sealed, plan_mix=state.plan_mix, examined=state.examined,
             messages=state.messages, bytes_=state.bytes, reasks=state.reasks,
         )
         self.journal.append({
@@ -297,43 +284,19 @@ class RegionalCoordinator(Coordinator):
         state = self._active.get(tag)
         if state is None or state.phase != "report":
             return  # unknown tag, or recovery already in flight
-        state.phase = "recover"
-        state.recovery_rounds = 1
         state.missing = list(message["missing"])
+        state.recover_targets = self._relevant_survivors(state)
+        self._start_recovery(state)
+
+    def _relevant_survivors(self, state: _RunState) -> list[str]:
         # Only survivors whose ring neighborhood intersects the missing
         # set are asked; everyone else's net mask is identically zero,
         # so skipping them is bit-for-bit free and keeps recovery
         # traffic proportional to the damage, not the fleet.
-        state.recover_targets = self._relevant_survivors(state)
-        self.journal.append({
-            "type": REC_RECOVER, "tag": tag, "missing": list(state.missing),
-        })
-        if self._notify_phase(state, "recover") or state.phase != "recover":
-            return  # crashed entering recovery; restart resumes it
-        self._events.emit(
-            "fedquery.shard.recover", tag=tag, region=self.region,
-            missing=len(state.missing), survivors=len(state.recover_targets),
-        )
-        if not state.recover_targets:
-            self._masks_complete(state)
-            return
-        for name in state.recover_targets:
-            state.mask_attempts[name] = 1
-            self._ship_recover(
-                state, name,
-                recover_message(tag, 1, state.missing, self.address),
-            )
-        self.world.loop.schedule_in(
-            self.recovery_timeout_s,
-            lambda: self._recovery_deadline(state),
-            label=f"fq shard recover deadline {tag} r{self.region}",
-        )
-
-    def _relevant_survivors(self, state: _RunState) -> list[str]:
         missing = set(state.missing)
         degree = _effective_degree(state.global_size, state.neighbors)
         targets = []
-        for name in state.ok_cells():
+        for name in state.ok_children():
             ring = ring_neighbor_positions(
                 state.positions[name], state.global_size, degree
             )
@@ -341,32 +304,8 @@ class RegionalCoordinator(Coordinator):
                 targets.append(name)
         return targets
 
-    def _recovery_deadline(self, state: _RunState) -> None:
-        if state.phase != "recover":
-            return
-        for name in state.recover_targets:
-            if name not in state.masks:
-                self._reask_mask(state, name)
-
-    def _on_mask(self, state: _RunState, message: dict[str, Any]) -> None:
-        name = message["from"]
-        if state.phase != "recover" or name in state.masks \
-                or name not in state.recover_targets:
-            return
-        size = wire_size(message)
-        self.journal.append({
-            "type": REC_MASK, "tag": state.tag, "from": name,
-            "net_mask": message["net_mask"], "size": size,
-        })
-        if state.phase != "recover":
-            return  # the journal hook crashed us mid-append
-        state.messages += 1
-        state.bytes += size
-        self._bytes_metric.inc(size)
-        state.masks[name] = message["net_mask"]
-        state.view.append(message["net_mask"])
-        if len(state.masks) == len(state.recover_targets):
-            self._masks_complete(state)
+    def _recover_targets(self, state: _RunState) -> list[str]:
+        return state.recover_targets
 
     def _masks_complete(self, state: _RunState) -> None:
         self._report_mask(
@@ -418,32 +357,14 @@ class RegionalCoordinator(Coordinator):
             if mask_report is not None:
                 self._mask_sent[tag] = (start["root"], mask_report["reply"])
                 continue  # terminal for this region
-            state = self._restore_state(start, records)
-            if report is not None:
-                self.views[tag] = state.view
-                if not state.spec.numeric:
-                    continue  # record shards end at the report
-            self._active[tag] = state
-            self._events.emit(
-                "crash.recovered", address=self.address, tag=tag,
-                records=len(records), phase=state.phase,
-            )
-            self._resume(state)
+            self._revive(records)
 
     def _restore_state(self, start: dict[str, Any],
                        records: list[dict[str, Any]]) -> _RunState:
-        state = super()._restore_state(start, records)
-        state.positions = {
-            name: int(position)
-            for name, position in start["positions"].items()
-        }
-        state.global_size = int(start["global_size"])
-        state.name_at = {
-            position: name for name, position in state.positions.items()
-        }
-        state.root = start["root"]
-        state.recover_targets = []
-        state.reported = (0, 0, 0)
+        state = self._place(
+            super()._restore_state(start, records),
+            start["positions"], start["global_size"], start["root"],
+        )
         report = next((r for r in records if r["type"] == REC_REPORT), None)
         if report is not None:
             # The report snapshot is the authoritative accounting at
@@ -459,22 +380,20 @@ class RegionalCoordinator(Coordinator):
             state.reasks = reply["reasks"]
             state.reported = (
                 reply["messages"], reply["bytes"], reply["reasks"])
+            self.views[state.tag] = state.view
             if state.phase == "collect":
-                state.phase = "report"
+                # Record shards have no recovery: they end at the report.
+                state.phase = "report" if state.spec.numeric else "done"
         if state.phase == "recover":
             state.recover_targets = self._relevant_survivors(state)
         return state
 
-    def _recover_targets(self, state: _RunState) -> list[str]:
-        return list(state.recover_targets)
-
     def _resume(self, state: _RunState) -> None:
-        if state.phase == "report":
-            # Settled and reported; waiting on the root's recover list
-            # (or nothing). The root's re-ask ladder replays the cached
-            # report — there is nothing for this region to send.
-            return
-        super()._resume(state)
+        if state.phase != "report":
+            super()._resume(state)
+        # Otherwise: settled and reported, waiting on the root's
+        # recover list. The root's re-ask ladder replays the cached
+        # report — there is nothing for this region to send.
 
 
 class _RootClock:
@@ -502,81 +421,39 @@ class _RootClock:
         if self._depth == 0:
             self.seconds += time.perf_counter() - self._entered
 
-
-class _TreeState:
-    """Mutable per-query bookkeeping at the root (one per run)."""
-
-    def __init__(self, tag: str, spec: FedQuerySpec, roster: list[str],
-                 round_tag: str, neighbors: int,
-                 shards: list[list[str]]) -> None:
-        self.tag = tag
-        self.spec = spec
-        self.roster = roster
-        self.round_tag = round_tag
-        self.neighbors = neighbors
-        self.shards = shards
-        self.starts: list[int] = []
-        start = 0
-        for shard in shards:
-            self.starts.append(start)
-            start += len(shard)
-        self.region_status: dict[int, str] = {
-            region: _PENDING for region in range(len(shards))
-        }
-        self.partials: dict[int, dict[str, Any]] = {}
-        self.attempts: dict[int, int] = {
-            region: 1 for region in range(len(shards))
-        }
-        self.mask_replies: dict[int, dict[str, Any]] = {}
-        self.mask_attempts: dict[int, int] = {}
-        self.statuses: dict[str, str] = {}
-        self.missing: list[str] = []
-        self.phase = "collect"
-        self.view: list[Any] = []
-        self.reasks = 0
-        self.messages = 0  # the ROOT's own traffic, both directions
-        self.bytes = 0
-        self.recovery_rounds = 0
-        self.started_at = 0
-        self.deadline_handle = None
-        self.result: FedQueryResult | None = None
-        # Phases already reported to the fault plane (crash triggers
-        # are per-query, once per phase).
-        self.phases_seen: set[str] = set()
-        # A journaled shard mask failure that must abandon the query
-        # after a restart (the failure beat the crash to the journal).
-        self.failed: str | None = None
-
-    def collected(self) -> bool:
-        return all(
-            status != _PENDING for status in self.region_status.values()
-        )
-
-    def ok_regions(self) -> list[int]:
-        return [
-            region for region in range(len(self.shards))
-            if self.region_status[region] == STATUS_OK
-        ]
+    def timed(self, door: Any) -> Any:
+        """``door``, run under this clock."""
+        def run(*args: Any) -> Any:
+            with self:
+                return door(*args)
+        return run
 
 
-class HierarchicalCoordinator:
+class HierarchicalCoordinator(Coordinator):
     """The root of the coordinator tree.
 
     Owns ``regions`` :class:`RegionalCoordinator` endpoints (addresses
     ``{address}.r{i}``) and, per query, partitions the roster into that
     many contiguous shards — pick ``regions ~ sqrt(N)`` and the root's
     work per query is O(sqrt(N)) messages instead of the flat path's
-    O(N). The rest of the contract matches :class:`Coordinator`:
-    :meth:`run` drives the loop to a bounded horizon (which *includes*
-    the regions' horizons, so no level can hang the tree) and returns a
-    :class:`FedQueryResult` with the same outcomes, plus the tree
-    extras — ``regions``, ``root_messages``, ``root_bytes`` — while
-    ``messages``/``bytes``/``reasks`` aggregate the whole tree.
+    O(N). It is the :class:`Coordinator` state machine with the regions
+    as its children: :meth:`run` drives the loop to a bounded horizon
+    (which *includes* the regions' horizons, so no level can hang the
+    tree) and returns a :class:`FedQueryResult` with the same outcomes,
+    plus the tree extras — ``regions``, ``root_messages``,
+    ``root_bytes`` — while ``messages``/``bytes``/``reasks`` aggregate
+    the whole tree. A region silent past the retry budget is demoted
+    whole; a crashed one is revived by the re-ask that finds it.
 
     The windowed masking graph must be k-regular, so the global roster
     must satisfy ``neighbors < len(roster) - 1``; below that, use the
     flat coordinator (a tree over a roster that small is pointless).
     """
+
+    _TAG = "fqh"
+    _EVENTS = "fedquery.tree"
+    _REASK_STREAM = "fedquery.tree.reask"
+    _PARTIAL, _MASK = MSG_SHARD_PARTIAL, MSG_SHARD_MASK
 
     def __init__(
         self,
@@ -600,22 +477,17 @@ class HierarchicalCoordinator:
         if regions < 1:
             raise ConfigurationError("the tree needs at least one region")
         if collect_timeout_s < 1 or recovery_timeout_s < 1:
+            # Checked here too: before any region claims an address.
             raise ConfigurationError("timeouts must be at least 1 s")
         if _effective_degree(regions + neighbors + 2, neighbors) is None:
             raise ConfigurationError(
                 "neighbors must be an even integer >= 2 for the tree's "
                 "windowed masking graph"
             )
-        self.world = world
-        self.network = network
-        self.address = address
-        self.neighbors = neighbors
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay_s=2.0, multiplier=2.0,
-            max_delay_s=30.0, jitter=0.1,
-        )
-        self.collect_timeout_s = collect_timeout_s
-        self.recovery_timeout_s = recovery_timeout_s
+        # Times every door into the root's own code (see _entered) and
+        # nothing the loop runs in between. Made before the base class
+        # registers the network handler through it.
+        self.clock = _RootClock()
         self.regions = [
             RegionalCoordinator(
                 world, network, region=region,
@@ -627,27 +499,20 @@ class HierarchicalCoordinator:
             )
             for region in range(regions)
         ]
-        self._retry_rng = world.rng(f"fedquery.tree.reask.{address}")
-        self._sequence = 0
-        self._active: dict[str, _TreeState] = {}
+        self._region_at = {region.address: region for region in self.regions}
         # The root's own write-ahead journal (regions each keep their
         # own): a root crash resumes the whole query from here.
-        self.journal = journal if journal is not None else QueryJournal()
-        self.horizon_slack_s = horizon_slack_s
-        self._crashed = False
-        self._results: dict[str, FedQueryResult] = {}
-        self.clock = _RootClock()
-        network.register(
-            address, self._on_message,
+        super().__init__(
+            world, network, address=address, retry_policy=retry_policy,
+            collect_timeout_s=collect_timeout_s,
+            recovery_timeout_s=recovery_timeout_s, neighbors=neighbors,
             latency_ms=latency_ms,
             bandwidth_bytes_per_s=bandwidth_bytes_per_s,
+            journal=journal, horizon_slack_s=horizon_slack_s,
         )
-        if network.fault_injector is not None:
-            network.fault_injector.register_crashable(self)
-        metrics = world.obs.metrics
-        self._events = world.obs.events
-        self._tracer = world.obs.tracer
-        self._shard_plans_metric = metrics.counter(
+
+    def _instruments(self, metrics: Any) -> None:
+        self._plans_metric = metrics.counter(
             "fedquery.tree.shard_plans",
             help="shard plans shipped to regional coordinators")
         self._bytes_metric = metrics.counter(
@@ -658,6 +523,10 @@ class HierarchicalCoordinator:
         self._demotions_metric = metrics.counter(
             "fedquery.tree.demotions",
             help="whole regions demoted after the retry budget")
+        self._partials_metric = metrics.counter(
+            "fedquery.tree.shard_partials",
+            help="shard partials received from regional coordinators",
+            labelnames=("status",))
         self._respawns_metric = metrics.counter(
             "fedquery.tree.respawns",
             help="crashed regional coordinators revived by the root")
@@ -670,249 +539,71 @@ class HierarchicalCoordinator:
     def run(self, spec: FedQuerySpec, roster: list[str], *,
             round_tag: str | None = None) -> FedQueryResult:
         """Execute ``spec`` across ``roster`` through the tree."""
-        if not roster:
-            raise ConfigurationError("the roster needs at least one cell")
-        if len(set(roster)) != len(roster):
-            raise ConfigurationError("roster names must be unique")
-        if _effective_degree(len(roster), self.neighbors) is None:
+        if roster and _effective_degree(len(roster), self.neighbors) is None:
             raise ConfigurationError(
                 f"a roster of {len(roster)} cannot carry a {self.neighbors}-"
                 "regular masking ring; use the flat Coordinator below "
                 f"{self.neighbors + 2} cells"
             )
-        self._sequence += 1
-        tag = f"fqh{self._sequence}|{spec.recipient}|{spec.purpose}"
         clock_before = self.clock.seconds
-        with self.clock:
-            state = _TreeState(
-                tag, spec, list(roster),
-                round_tag if round_tag is not None
-                else f"{spec.recipient}|{spec.purpose}",
-                self.neighbors, partition_shards(roster, len(self.regions)),
-            )
-            state.started_at = self.world.now
-            self._active[tag] = state
-            self.journal.append(self._start_record(state))
-            with self._tracer.span(
-                "fedquery.tree.fanout", tag=tag, transform=spec.transform,
-                roster=len(roster), regions=len(state.shards),
-            ):
-                for region in range(len(state.shards)):
-                    self._ship_shard(state, region)
-            self._notify_phase(state, "fanout")
-            self._events.emit(
-                "fedquery.tree.start", tag=tag, transform=spec.transform,
-                roster=len(roster), regions=len(state.shards),
-            )
-            state.deadline_handle = self.world.loop.schedule_in(
-                self.collect_timeout_s, lambda: self._collect_deadline(state),
-                label=f"fq tree deadline {tag}",
-            )
-        self.world.loop.run_until(self.world.now + self._horizon_s())
-        # Read the reply channel, not the state object: a root crash
-        # and restart mid-query rebuilds _TreeState from the journal,
-        # so the instance created above may not be the one that settled.
-        result = self._results.pop(tag, None)
-        if result is None:
-            raise ProtocolError(f"tree query {tag!r} did not settle")
+        result = super().run(spec, roster, round_tag=round_tag)
         result.root_wall_seconds = self.clock.seconds - clock_before
-        self._active.pop(tag, None)
         return result
 
     def _horizon_s(self) -> int:
         """Bounded horizon for the whole tree: the root's own collect +
-        recovery ladders on top of the slowest region's horizon."""
-        backoff = sum(self.retry_policy.worst_case_delays())
-        deepest = max(
-            (region._horizon_s() for region in self.regions), default=0
-        )
-        return int(
-            2 * (self.collect_timeout_s + self.recovery_timeout_s
-                 + 2 * backoff)
-        ) + deepest + self._crash_slack_s() + 120
-
-    def _crash_slack_s(self) -> int:
-        """Extra horizon covering planned crash downtime plus a fresh
-        collect/recovery episode per restart (the ladder restarts with
-        the process). Region crashes are double-counted — the deepest
-        region's horizon already includes its own slack — which only
-        widens the bound."""
-        slack = self.horizon_slack_s
-        injector = self.network.fault_injector
-        if injector is not None and injector.plan.crashes:
-            episode = int(
-                self.collect_timeout_s + self.recovery_timeout_s
-                + 2 * sum(self.retry_policy.worst_case_delays())
-            )
-            for spec in injector.plan.crashes:
-                slack += (spec.restart_after_s or 0) + episode
-        return slack
-
-    # -- crash and restart -----------------------------------------------------
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    def _notify_phase(self, state: _TreeState, phase: str) -> bool:
-        if phase in state.phases_seen:
-            return False
-        state.phases_seen.add(phase)
-        injector = self.network.fault_injector
-        if injector is None:
-            return False
-        return injector.phase_reached(self.address, phase)
-
-    def crash(self) -> None:
-        """Kill the root: every in-memory tree state dies, the journal
-        survives. Regions are separate processes — they keep running
-        (and their reports to the dark root are simply lost; the resumed
-        root re-asks and they replay from their caches)."""
-        if self._crashed:
-            return
-        self._crashed = True
-        for state in self._active.values():
-            if state.deadline_handle is not None:
-                state.deadline_handle.cancel()
-            state.phase = "crashed"  # neutralizes stale loop callbacks
-        self._active.clear()
-        if self.network.is_online(self.address):
-            self.network.set_online(self.address, False)
-        self._events.emit(
-            "crash.down", address=self.address, journal=len(self.journal),
+        recovery ladders on top of the slowest region's horizon. (The
+        crash slack double-counts region crashes — the deepest region's
+        horizon already includes its own — which only widens the
+        bound.)"""
+        return super()._horizon_s() + max(
+            region._horizon_s() for region in self.regions
         )
 
-    def restart(self) -> None:
-        if not self._crashed:
-            return
-        self._crashed = False
-        if not self.network.is_online(self.address):
-            self.network.set_online(self.address, True)
-        with self.clock:
-            self._replay_journal()
+    def _entered(self, door: Any) -> Any:
+        return self.clock.timed(door)
 
-    def _replay_journal(self) -> None:
-        for tag, records in self.journal.by_tag().items():
-            done = next(
-                (r for r in records if r["type"] == REC_DONE), None)
-            if done is not None:
-                if tag not in self._results:
-                    self._results[tag] = self._result_from_wire(
-                        done["result"])
-                continue
-            if records[0]["type"] != REC_START:
-                continue
-            state = self._restore_state(records[0], records)
-            self._active[tag] = state
-            self._events.emit(
-                "crash.recovered", address=self.address, tag=tag,
-                records=len(records), phase=state.phase,
-            )
-            self._resume(state)
+    # -- the edges: regions as children ----------------------------------------
 
-    def _start_record(self, state: _TreeState) -> dict[str, Any]:
-        return {
-            "type": REC_START, "tag": state.tag,
-            "spec": state.spec.to_wire(), "roster": list(state.roster),
-            "round_tag": state.round_tag, "neighbors": state.neighbors,
-            "regions": len(state.shards), "sequence": self._sequence,
-            "at": state.started_at,
-        }
-
-    def _restore_state(self, start: dict[str, Any],
-                       records: list[dict[str, Any]]) -> _TreeState:
-        roster = list(start["roster"])
-        state = _TreeState(
-            start["tag"], FedQuerySpec.from_wire(start["spec"]), roster,
-            start["round_tag"], int(start["neighbors"]),
-            partition_shards(roster, int(start["regions"])),
+    def _new_state(self, tag: str, spec: FedQuerySpec, roster: list[str],
+                   round_tag: str, neighbors: int | None) -> _RunState:
+        shards = partition_shards(roster, len(self.regions))
+        state = _RunState(
+            tag, spec, roster, round_tag, neighbors,
+            children=[region.address for region in self.regions[:len(shards)]],
         )
-        state.started_at = int(start.get("at", 0))
-        self._sequence = max(self._sequence, int(start.get("sequence", 0)))
-        for record in records[1:]:
-            kind = record["type"]
-            if kind == REC_PARTIAL:
-                region = int(record["region"])
-                message = record["message"]
-                state.region_status[region] = STATUS_OK
-                state.partials[region] = message
-                state.messages += 1
-                state.bytes += record.get("size", 0)
-                if message["masked_sum"] is not None:
-                    state.view.append(message["masked_sum"])
-            elif kind == REC_DEMOTE:
-                state.region_status[int(record["region"])] = _DEMOTED
-            elif kind == REC_RECOVER:
-                state.phase = "recover"
-                state.recovery_rounds = 1
-                state.missing = list(record["missing"])
-            elif kind == REC_MASK:
-                region = int(record["region"])
-                message = record["message"]
-                state.messages += 1
-                state.bytes += record.get("size", 0)
-                if message.get("failure"):
-                    state.failed = message["failure"]
-                else:
-                    state.mask_replies[region] = message
-                    state.view.append(message["net_sum"])
-        if state.phase == "recover":
-            # Rebuild the global statuses the settle computed (the
-            # journal holds every input the settle had).
-            statuses: dict[str, str] = {}
-            for region, shard in enumerate(state.shards):
-                if state.region_status[region] == _DEMOTED:
-                    for name in shard:
-                        statuses[name] = _DEMOTED
-                elif region in state.partials:
-                    statuses.update(state.partials[region]["statuses"])
-            state.statuses = statuses
+        state.shards = dict(zip(state.children, shards))
+        state.starts, start = {}, 0
+        for child, shard in state.shards.items():
+            state.starts[child] = start
+            start += len(shard)
         return state
 
-    def _result_from_wire(self, wire: dict[str, Any]) -> FedQueryResult:
-        sealed = wire.get("sealed_records")
-        if sealed is not None:
-            wire = dict(wire, sealed_records=[
-                (sender, blob) for sender, blob in sealed
-            ])
-        return FedQueryResult(**wire)
+    def _zone(self, state: _RunState, child: str) -> dict[str, int]:
+        """Global positions for a shard plus its ring boundary zones."""
+        size = len(state.roster)
+        degree = _effective_degree(size, state.neighbors)
+        half = degree // 2
+        start = state.starts[child]
+        positions = {}
+        for offset in range(start - half,
+                            start + len(state.shards[child]) + half):
+            position = offset % size
+            positions[state.roster[position]] = position
+        return positions
 
-    def _resume(self, state: _TreeState) -> None:
-        if state.failed:
-            # A shard reported unrecoverable masks just before the
-            # crash: the abandon is already decided, finish it.
-            self._finalize(state, failure=state.failed)
-            return
-        if state.phase == "collect":
-            if state.collected():
-                self._settle(state)
-                return
-            for region in range(len(state.shards)):
-                if state.region_status[region] == _PENDING:
-                    state.attempts[region] = 1  # the ladder restarts too
-                    self._respawn_region(state, region)
-                    self._ship_shard(state, region)
-            state.deadline_handle = self.world.loop.schedule_in(
-                self.collect_timeout_s,
-                lambda: self._collect_deadline(state),
-                label=f"fq tree deadline {state.tag} (resumed)",
-            )
-            return
-        if len(state.mask_replies) >= len(state.ok_regions()):
-            self._finish_numeric(state)
-            return
-        for region in state.ok_regions():
-            if region not in state.mask_replies:
-                state.mask_attempts[region] = 1
-                self._respawn_region(state, region)
-                self._ship_recover(state, region)
-        self.world.loop.schedule_in(
-            self.recovery_timeout_s,
-            lambda: self._recovery_deadline(state),
-            label=f"fq tree recover deadline {state.tag} (resumed)",
+    def _plan_for(self, state: _RunState, child: str) -> dict[str, Any]:
+        return shard_plan_message(
+            state.tag, state.spec, state.shards[child],
+            self._zone(state, child), len(state.roster), self.address,
+            region=self._region_at[child].region,
+            round_tag=state.round_tag, neighbors=state.neighbors,
         )
 
-    def _respawn_region(self, state: _TreeState, region: int) -> None:
+    def _recover_for(self, state: _RunState, child: str) -> dict[str, Any]:
+        return shard_recover_message(state.tag, state.missing, self.address)
+
+    def _before_reask(self, state: _RunState, child: str) -> None:
         """Regional failover: revive a crashed region before re-asking.
 
         The root's retry ladder is the failure detector — a region that
@@ -920,390 +611,81 @@ class HierarchicalCoordinator:
         here, replays its own journal, and answers the re-ask from its
         caches or by re-collecting.
         """
-        endpoint = self.regions[region]
+        endpoint = self._region_at[child]
         if not endpoint.crashed:
             return
         self._respawns_metric.inc()
         self._events.emit(
-            "crash.respawn", address=endpoint.address, region=region,
+            "crash.respawn", address=child, region=endpoint.region,
             tag=state.tag,
         )
         endpoint.restart()
 
-    # -- shard fan-out and region re-asks --------------------------------------
-
-    def _zone(self, state: _TreeState, region: int) -> dict[str, int]:
-        """Global positions for a shard plus its ring boundary zones."""
-        size = len(state.roster)
-        degree = _effective_degree(size, state.neighbors)
-        half = degree // 2
-        start = state.starts[region]
-        positions = {}
-        for offset in range(start - half,
-                            start + len(state.shards[region]) + half):
-            position = offset % size
-            positions[state.roster[position]] = position
-        return positions
-
-    def _ship_shard(self, state: _TreeState, region: int) -> None:
-        message = shard_plan_message(
-            state.tag, state.spec, state.shards[region],
-            self._zone(state, region), len(state.roster), self.address,
-            region=region, round_tag=state.round_tag,
-            neighbors=state.neighbors,
-        )
-        self._bill(state, message)
-        self._shard_plans_metric.inc()
-        try:
-            self.network.send(
-                self.address, self.regions[region].address, message,
-                size_bytes=wire_size(message),
-            )
-        except CellOfflineError:
-            pass  # stays pending; the deadline's re-ask chain owns it
-
-    def _bill(self, state: _TreeState, message: dict[str, Any]) -> None:
-        size = wire_size(message)
-        state.messages += 1
-        state.bytes += size
-        self._bytes_metric.inc(size)
-
-    def _collect_deadline(self, state: _TreeState) -> None:
-        with self.clock:
-            if state.phase != "collect":
-                return
-            for region in range(len(state.shards)):
-                if state.region_status[region] == _PENDING:
-                    self._reask_region(state, region)
-
-    def _reask_region(self, state: _TreeState, region: int) -> None:
-        with self.clock:
-            self._reask_region_clocked(state, region)
-
-    def _reask_region_clocked(self, state: _TreeState, region: int) -> None:
-        if state.phase != "collect" \
-                or state.region_status[region] != _PENDING:
-            return
-        handle = schedule_retry(
-            self.world, self.retry_policy, state.attempts[region],
-            lambda: self._reask_region(state, region),
-            rng=self._retry_rng, label=f"fq region reask {region}",
-        )
-        if handle is None:
-            self._demote_region(state, region)
-            return
-        state.attempts[region] += 1
-        state.reasks += 1
-        self._reasks_metric.inc()
-        self._respawn_region(state, region)
-        self._ship_shard(state, region)
-
-    def _demote_region(self, state: _TreeState, region: int) -> None:
-        # A silent region's cells all become missing: none of their
-        # contributions entered the combine, so their interior mask
-        # edges cancel by absence and only the shard's boundary edges
-        # need survivor recovery — handled by the global missing list.
-        self.journal.append({
-            "type": REC_DEMOTE, "tag": state.tag, "region": region,
-        })
-        if state.phase != "collect":
-            return  # the journal hook crashed us mid-append
-        state.region_status[region] = _DEMOTED
-        self._demotions_metric.inc()
-        self._events.emit(
-            "fedquery.region.demote", tag=state.tag, region=region,
-            cells=len(state.shards[region]), attempts=state.attempts[region],
-        )
-        if state.collected():
-            self._settle(state)
-
-    # -- inbound ---------------------------------------------------------------
-
-    def _on_message(self, sender: str, payload: Any) -> None:
-        with self.clock:
-            if self._crashed:
-                return  # a delivery already in flight when the root died
-            if not isinstance(payload, dict):
-                return
-            state = self._active.get(payload.get("tag"))
-            if state is None:
-                return
-            kind = payload.get("kind")
-            if kind == MSG_SHARD_PARTIAL:
-                self._on_shard_partial(state, payload)
-            elif kind == MSG_SHARD_MASK:
-                self._on_shard_mask(state, payload)
-
-    def _on_shard_partial(self, state: _TreeState,
-                          message: dict[str, Any]) -> None:
-        region = message["region"]
-        if state.phase != "collect" \
-                or state.region_status.get(region) != _PENDING:
-            return  # duplicate, late (post-demotion), or off-tree
-        if self._notify_phase(state, "collect"):
-            return  # crashed mid-collect: this delivery dies unrecorded
-        self.journal.append({
-            "type": REC_PARTIAL, "tag": state.tag, "region": region,
+    def _partial_record(self, state: _RunState,
+                        message: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "type": REC_PARTIAL, "tag": state.tag, "from": message["from"],
             "message": message, "size": wire_size(message),
-        })
-        if state.phase != "collect":
-            return  # the journal hook crashed us mid-append
-        self._bill(state, message)
-        state.region_status[region] = STATUS_OK
-        state.partials[region] = message
+        }
+
+    def _fold_partial(self, state: _RunState,
+                      record: dict[str, Any]) -> None:
+        child, message = record["from"], record["message"]
+        state.status[child] = STATUS_OK
+        state.leaves.update(message["statuses"])
+        state.payloads[child] = {
+            "masked": message["masked_sum"], "count": message["count"],
+            "sealed": message["sealed"],
+        }
+        for plan, count in message["plan_mix"].items():
+            state.plan_mix[plan] = state.plan_mix.get(plan, 0) + count
+        state.examined += message["examined"]
+        self._fold_billing(state, message)
         if message["masked_sum"] is not None:
             state.view.append(message["masked_sum"])
-        if state.collected():
-            self._settle(state)
 
-    def _on_shard_mask(self, state: _TreeState,
-                       message: dict[str, Any]) -> None:
-        region = message["region"]
-        if state.phase != "recover" or region in state.mask_replies \
-                or state.region_status.get(region) != STATUS_OK:
-            return
-        self.journal.append({
-            "type": REC_MASK, "tag": state.tag, "region": region,
+    def _mask_record(self, state: _RunState,
+                     message: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "type": REC_MASK, "tag": state.tag, "from": message["from"],
             "message": message, "size": wire_size(message),
-        })
-        if state.phase != "recover":
-            return  # the journal hook crashed us mid-append
-        self._bill(state, message)
+        }
+
+    def _fold_mask(self, state: _RunState, record: dict[str, Any]) -> None:
+        message = record["message"]
         if message.get("failure"):
-            self._finalize(state, failure=message["failure"])
+            state.failed = message["failure"]
             return
-        state.mask_replies[region] = message
+        state.masks[record["from"]] = message["net_sum"]
         state.view.append(message["net_sum"])
-        if len(state.mask_replies) == len(state.ok_regions()):
-            self._finish_numeric(state)
+        self._fold_billing(state, message)
 
-    # -- settle: merge, recover, finish ----------------------------------------
+    @staticmethod
+    def _fold_billing(state: _RunState, message: dict[str, Any]) -> None:
+        state.sub_messages += message["messages"]
+        state.sub_bytes += message["bytes"]
+        state.sub_reasks += message["reasks"]
 
-    def _settle(self, state: _TreeState) -> None:
-        if state.phase != "collect":
-            return
-        if state.deadline_handle is not None:
-            state.deadline_handle.cancel()
-        statuses: dict[str, str] = {}
-        for region, shard in enumerate(state.shards):
-            if state.region_status[region] == _DEMOTED:
-                for name in shard:
-                    statuses[name] = _DEMOTED
-            else:
-                statuses.update(state.partials[region]["statuses"])
-        state.statuses = statuses
-        ok = [
-            name for name in state.roster if statuses.get(name) == STATUS_OK
-        ]
-        if not ok:
-            self._finalize(state, failure="no-participants")
-            return
-        if len(ok) < state.spec.min_cohort:
-            self._finalize(state, failure="privacy-floor")
-            return
-        if state.spec.numeric:
-            state.missing = [
-                name for name in state.roster
-                if statuses.get(name) != STATUS_OK
-            ]
-            if not state.missing:
-                state.phase = "recover"  # vacuous: nothing to recover
-                if self._notify_phase(state, "recover"):
-                    return  # restart re-settles from the journal
-                self._finish_numeric(state)
-                return
-            self._start_recovery(state)
-        else:
-            self._finish_kanon(state)
+    def _own_share(self, state: _RunState) -> dict[str, Any]:
+        return {
+            "regions": len(state.children),
+            "root_messages": state.messages, "root_bytes": state.bytes,
+        }
 
-    def _start_recovery(self, state: _TreeState) -> None:
-        state.phase = "recover"
-        state.recovery_rounds = 1
-        self.journal.append({
-            "type": REC_RECOVER, "tag": state.tag,
-            "missing": list(state.missing),
-        })
-        if self._notify_phase(state, "recover") \
-                or state.phase != "recover":
-            return  # crashed entering recovery; restart resumes it
+    # -- what the root calls things --------------------------------------------
+
+    def _label(self, what: str, state: _RunState,
+               child: str | None = None) -> str:
+        if child is None:
+            return f"fq tree {what} {state.tag}"
+        return f"fq region {what} {self._region_at[child].region}"
+
+    def _where(self, state: _RunState) -> dict[str, Any]:
+        return {"regions": len(state.children)}
+
+    def _announce_demotion(self, state: _RunState, child: str) -> None:
         self._events.emit(
-            "fedquery.tree.recover", tag=state.tag,
-            missing=len(state.missing), regions=len(state.ok_regions()),
+            "fedquery.region.demote", tag=state.tag,
+            region=self._region_at[child].region,
+            cells=len(state.shards[child]), attempts=state.attempts[child],
         )
-        for region in state.ok_regions():
-            state.mask_attempts[region] = 1
-            self._ship_recover(state, region)
-        self.world.loop.schedule_in(
-            self.recovery_timeout_s,
-            lambda: self._recovery_deadline(state),
-            label=f"fq tree recover deadline {state.tag}",
-        )
-
-    def _ship_recover(self, state: _TreeState, region: int) -> None:
-        message = shard_recover_message(
-            state.tag, state.missing, self.address
-        )
-        self._bill(state, message)
-        try:
-            self.network.send(
-                self.address, self.regions[region].address, message,
-                size_bytes=wire_size(message),
-            )
-        except CellOfflineError:
-            pass
-
-    def _recovery_deadline(self, state: _TreeState) -> None:
-        with self.clock:
-            if state.phase != "recover" or state.result is not None:
-                return
-            for region in state.ok_regions():
-                if region not in state.mask_replies:
-                    self._reask_mask(state, region)
-
-    def _reask_mask(self, state: _TreeState, region: int) -> None:
-        with self.clock:
-            self._reask_mask_clocked(state, region)
-
-    def _reask_mask_clocked(self, state: _TreeState, region: int) -> None:
-        if state.phase != "recover" or state.result is not None \
-                or region in state.mask_replies:
-            return
-        handle = schedule_retry(
-            self.world, self.retry_policy, state.mask_attempts[region],
-            lambda: self._reask_mask(state, region),
-            rng=self._retry_rng, label=f"fq region mask reask {region}",
-        )
-        if handle is None:
-            # A region whose shard sum is in the combine cannot report
-            # its survivors' net masks: nothing releasable remains.
-            self._finalize(state, failure="mask-recovery")
-            return
-        state.mask_attempts[region] += 1
-        state.reasks += 1
-        self._reasks_metric.inc()
-        self._respawn_region(state, region)
-        self._ship_recover(state, region)
-
-    def _finish_numeric(self, state: _TreeState) -> None:
-        if state.result is not None:
-            return
-        # Sum of shard partials + net recovery sums = bit-for-bit the
-        # flat path's total: every interior edge cancelled inside its
-        # shard, every boundary/missing edge cancels across them here.
-        total = kernels.accumulate(
-            [state.partials[region]["masked_sum"]
-             for region in state.ok_regions()]
-            + [reply["net_sum"] for reply in state.mask_replies.values()]
-        )
-        value = shamir.decode_signed(total) / state.spec.scale
-        self._finalize(state, field_total=total, value=value)
-
-    def _finish_kanon(self, state: _TreeState) -> None:
-        released = sum(
-            state.partials[region]["count"]
-            for region in state.ok_regions()
-        )
-        if released < max(state.spec.k, state.spec.min_cohort):
-            self._finalize(state, failure="privacy-floor")
-            return
-        sealed = [
-            (sender, blob)
-            for region in state.ok_regions()
-            for sender, blob in state.partials[region]["sealed"]
-        ]
-        self._finalize(state, sealed_records=sealed)
-
-    def _finalize(
-        self,
-        state: _TreeState,
-        *,
-        failure: str | None = None,
-        field_total: int | None = None,
-        value: float | None = None,
-        sealed_records: list[tuple[str, str]] | None = None,
-    ) -> None:
-        if state.result is not None:
-            return
-        state.phase = "done"
-        counts = {STATUS_DECLINED: 0, STATUS_FLOOR: 0}
-        demoted = []
-        for name in state.roster:
-            status = state.statuses.get(name)
-            if status in counts:
-                counts[status] += 1
-            elif status == _DEMOTED or status is None:
-                demoted.append(name)
-        ok = [
-            name for name in state.roster
-            if state.statuses.get(name) == STATUS_OK
-        ]
-        plan_mix: dict[str, int] = {}
-        examined = 0
-        tree_messages, tree_bytes, tree_reasks = 0, 0, 0
-        for region in state.ok_regions():
-            partial = state.partials[region]
-            for plan, count in partial["plan_mix"].items():
-                plan_mix[plan] = plan_mix.get(plan, 0) + count
-            examined += partial["examined"]
-            tree_messages += partial["messages"]
-            tree_bytes += partial["bytes"]
-            tree_reasks += partial["reasks"]
-        for reply in state.mask_replies.values():
-            tree_messages += reply["messages"]
-            tree_bytes += reply["bytes"]
-            tree_reasks += reply["reasks"]
-        if failure is not None:
-            outcome = OUTCOME_ABANDONED
-        elif demoted:
-            outcome = OUTCOME_PARTIAL
-        else:
-            outcome = OUTCOME_COMPLETE
-        with self._tracer.span(
-            "fedquery.tree.collect", tag=state.tag,
-            transform=state.spec.transform,
-        ) as span:
-            span.annotate(
-                outcome=outcome, participants=len(ok), demoted=len(demoted),
-                regions=len(state.shards), reasks=state.reasks + tree_reasks,
-                waited_s=self.world.now - state.started_at,
-            )
-        self._queries_metric.labels(outcome=outcome).inc()
-        self._events.emit(
-            "fedquery.tree.settle", tag=state.tag, outcome=outcome,
-            participants=len(ok), demoted=len(demoted), failure=failure,
-        )
-        result = FedQueryResult(
-            transform=state.spec.transform,
-            tag=state.tag,
-            roster_size=len(state.roster),
-            participants=len(ok),
-            declined=counts[STATUS_DECLINED],
-            floored=counts[STATUS_FLOOR],
-            demoted=demoted,
-            value=value,
-            field_total=field_total,
-            sealed_records=sealed_records,
-            plan_mix=plan_mix,
-            records_examined=examined,
-            messages=state.messages + tree_messages,
-            bytes=state.bytes + tree_bytes,
-            reasks=state.reasks + tree_reasks,
-            recovery_rounds=state.recovery_rounds,
-            outcome=outcome,
-            failure=failure,
-            completed_at=self.world.now,
-            coordinator_view=state.view,
-            regions=len(state.shards),
-            root_messages=state.messages,
-            root_bytes=state.bytes,
-        )
-        # Journal the terminal record *before* publishing: a crash
-        # between the two republishes from the journal on restart.
-        self.journal.append({
-            "type": REC_DONE, "tag": state.tag, "outcome": outcome,
-            "result": dataclasses.asdict(result),
-        })
-        if self._crashed:
-            return  # died after the durable record; restart republishes
-        state.result = result
-        self._results[state.tag] = result

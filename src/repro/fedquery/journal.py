@@ -2,15 +2,18 @@
 
 The paper parks the coordinator on "highly powerful, highly available
 but untrusted infrastructure" — this module makes the *availability*
-half earned instead of assumed. Every coordinator-class endpoint (the
-flat :class:`~repro.fedquery.coordinator.Coordinator`, each
+half earned instead of assumed. The one coordinator state machine
+(:class:`~repro.fedquery.coordinator.Coordinator` — and with it every
+level that subclasses it: each
 :class:`~repro.fedquery.hierarchy.RegionalCoordinator`, the
-:class:`~repro.fedquery.hierarchy.HierarchicalCoordinator` root, and
-keymgmt's ``DirectoryService``) appends a record *before* acting on
-the event it describes, and on restart rebuilds its run state from the
-journal alone and resumes. Cells' idempotent cached partials (DP noise
-drawn once per query, masks replayed byte-for-byte) make the resumed
-re-asks bit-for-bit safe.
+:class:`~repro.fedquery.hierarchy.HierarchicalCoordinator` root, the
+standing coordinator) and keymgmt's ``DirectoryService`` append a
+record *before* acting on the event it describes, and on restart
+rebuild their run state from the journal alone and resume. The
+coordinator folds replayed records through the same edges its live
+handlers use. Children's idempotent cached replies (DP noise drawn
+once per query, masks and shard reports replayed byte-for-byte) make
+the resumed re-asks bit-for-bit safe.
 
 Privacy contract — the journal is **untrusted storage**: it may only
 ever hold what already crossed the egress gate. Records carry masked

@@ -333,14 +333,11 @@ class StandingCoordinator(Coordinator):
         wtag = window_tag(sub_tag, index)
         if wtag in self._active:
             return  # re-armed twice across a restart
-        wspec = sub.window.windowed_spec(sub.spec, index)
-        state = _RunState(
-            wtag, wspec, list(sub.roster),
-            f"{sub.round_base}|w{index}", sub.neighbors,
+        state = self._new_state(
+            wtag, sub.window.windowed_spec(sub.spec, index),
+            list(sub.roster), f"{sub.round_base}|w{index}", sub.neighbors,
         )
-        state.started_at = self.world.now
-        self._active[wtag] = state
-        self.journal.append(self._start_record(state))
+        self._admit(state)
         if self._notify_phase(state, "fanout"):
             return  # crashed opening the window; restart re-opens it
         _, end_s = sub.window.window_span_s(index)
@@ -357,23 +354,22 @@ class StandingCoordinator(Coordinator):
             super()._on_message(sender, payload)
         if state.phase != "collect":
             return  # an early partial already settled the window
-        state.deadline_handle = self.world.loop.schedule_in(
-            self.collect_timeout_s,
-            lambda: self._collect_deadline(state),
-            label=f"fq deadline {wtag}",
-        )
+        self._arm_collect(state)
 
     def _route_result(self, wtag: str) -> None:
         """Move a settled window's result onto its subscription handle."""
         entry = self._window_of.get(wtag)
         if entry is None:
+            return  # a one-shot run()'s tag: run() pops it itself
+        # Popped before the next early return: a window already routed
+        # must not keep a second coordinator_view alive on the reply
+        # channel.
+        result = self._results.pop(wtag, None)
+        if result is None:
             return
         sub_tag, index = entry
         sub = self._subscriptions.get(sub_tag)
         if sub is None or index in sub.results:
-            return
-        result = self._results.pop(wtag, None)
-        if result is None:
             return
         sub.results[index] = result
         _, end_s = sub.window.window_span_s(index)
@@ -407,6 +403,13 @@ class StandingCoordinator(Coordinator):
     def crash(self) -> None:
         super().crash()
         self._early.clear()
+
+    def _awaited(self, tag: str) -> bool:
+        # A window's result is waited on until it sits on its handle.
+        sub_tag, index = self._window_of.get(tag, (None, None))
+        sub = self._subscriptions.get(sub_tag)
+        return super()._awaited(tag) or (
+            sub is not None and index not in sub.results)
 
     def _replay_journal(self) -> None:
         # Subscriptions first: window-tag results republished below

@@ -202,6 +202,113 @@ class TestCrashAfterEveryJournalRecord:
             assert not raw & journal_elements(journal), crash_index
 
 
+    # -- the same property one level up: the tree's root ---------------------
+
+    def _run_tree(self, crash_index=None):
+        """One query over 12 cells / 3 regions / k=4 with the last cell
+        offline; the root dies right after journal append
+        ``crash_index`` and restarts 30 s later."""
+        from repro.fedquery import QueryJournal
+
+        holder = {}
+
+        def crash_after(index, record):
+            if index != crash_index:
+                return
+            world.loop.schedule_at(
+                world.now, holder["root"].crash, label="test.crash")
+            world.loop.schedule_in(
+                30.0, holder["root"].restart, label="test.restart")
+
+        world, fleet, holder["root"] = _small_fleet(
+            "tree", journal=QueryJournal(on_append=crash_after),
+            horizon_slack_s=300,
+        )
+        result = holder["root"].run(self._spec(), fleet.roster)
+        return fleet, holder["root"], result
+
+    def test_crash_after_each_root_record_always_recovers(self):
+        from repro.crypto import shamir
+        from repro.fedquery import journal_elements
+
+        spec = self._spec()
+        fleet, reference, result = self._run_tree()
+        survivors = fleet.roster[:-1]
+        assert result.outcome == "partial"
+        assert result.demoted == fleet.roster[-1:]
+        records, reference_total = len(reference.journal), result.field_total
+        # start + a partial per region + recover + their masks + done
+        assert records > 2 * len(reference.regions)
+        for crash_index in range(records):
+            fleet, root, result = self._run_tree(crash_index)
+            assert result.outcome == "partial", crash_index
+            assert result.demoted == fleet.roster[-1:], crash_index
+            assert result.field_total == reference_total, crash_index
+            assert result.value == pytest.approx(fleet.ground_truth(
+                spec, roster=survivors), abs=1e-9), crash_index
+            raw = {
+                shamir.encode_signed(round(float(
+                    fleet.catalogs[name].query(spec.local_query()).scalar()
+                ) * spec.scale))
+                for name in fleet.roster
+            }
+            for journal in [root.journal] + [
+                    region.journal for region in root.regions]:
+                assert not raw & journal_elements(journal), crash_index
+
+
+def _small_fleet(topology, seed=41, **coordinator_options):
+    """A 10-cell flat fleet, or 12 cells under a 3-region tree with the
+    last cell offline (so the tree run must recover masks and settle
+    ``partial``). Returns ``(world, fleet, coordinator)``."""
+    from repro.fedquery import (
+        Coordinator,
+        HierarchicalCoordinator,
+        build_fleet,
+        build_fleet_sharded,
+    )
+    from repro.infrastructure import Network
+    from repro.sim import World
+
+    world = World(seed=seed)
+    network = Network(world)
+    if topology == "flat":
+        fleet = build_fleet(world, network, 10, purposes={"load-forecast"},
+                            ring_neighbors=4)
+        coordinator = Coordinator(
+            world, network, neighbors=4, **coordinator_options)
+    else:
+        fleet = build_fleet_sharded(
+            world, network, 12, shards=3, purposes={"load-forecast"},
+            ring_neighbors=4)
+        network.set_online(fleet.roster[-1], False)
+        coordinator = HierarchicalCoordinator(
+            world, network, regions=3, neighbors=4, **coordinator_options)
+    return world, fleet, coordinator
+
+
+class TestReplayRepublishesOnlyAwaitedResults:
+    @pytest.mark.parametrize("topology", ("flat", "tree"))
+    def test_reply_channel_is_empty_after_crash_restart_run(self, topology):
+        # restart() used to republish the ``done`` result of every
+        # query in journal history; nobody pops those, so each pinned a
+        # full coordinator_view for the life of the process
+        import dataclasses
+
+        spec = TestCrashAfterEveryJournalRecord._spec()
+        world, fleet, coordinator = _small_fleet(topology)
+        for index in range(5):
+            coordinator.run(
+                dataclasses.replace(spec, recipient=f"utility-{index}"),
+                fleet.roster)
+        coordinator.crash()
+        coordinator.restart()
+        assert coordinator._results == {}
+        result = coordinator.run(spec, fleet.roster)
+        assert result.value is not None
+        assert coordinator._results == {}
+
+
 class TestDirectoryServiceCrash:
     def _fleet(self, n, seed):
         from repro.crypto.keys import KeyRing

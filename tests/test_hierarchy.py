@@ -250,3 +250,58 @@ class TestRootScaling:
         # Whole-tree accounting still covers the cell fan-out.
         assert result.messages >= 2 * 150
         assert result.root_bytes < result.bytes
+
+
+class TestOneStateMachine:
+    def test_whole_region_offline_settles_like_flat(self):
+        """The root is the flat coordinator's state machine over regions.
+
+        Same fleet, same damage (one whole shard silent, two cells
+        opted out), a record release and an exact aggregate: every
+        field the shared finalize derives from leaf statuses, folded
+        plan mixes and sealed batches must agree between the levels.
+        """
+        purposes = {"load-forecast", "cohort-study"}
+        specs = [
+            FedQuerySpec(
+                recipient="epi-institute", purpose="cohort-study",
+                transform=TRANSFORM_KANON, collection="profile",
+                project=("qi_age", "qi_zip", "disease"), k=4,
+            ),
+            _sum_spec(),
+        ]
+
+        def damage(fleet):
+            for name in (fleet.roster[1], fleet.roster[50]):
+                fleet.agents[name].opt_out(*purposes)
+            return fleet.roster[30:45]  # shard 2 of 4
+
+        world_f, network_f, fleet_f = _flat_fleet(60, purposes=purposes)
+        for name in damage(fleet_f):
+            network_f.set_online(name, False)
+        flat = Coordinator(
+            world_f, network_f, neighbors=8, retry_policy=FAST_RETRIES,
+            collect_timeout_s=5, recovery_timeout_s=5,
+        )
+        world_t, network_t, fleet_t = _tree_fleet(
+            60, shards=4, purposes=purposes)
+        assert damage(fleet_t) == fleet_t.shard_rosters[2]
+        root = _tree(world_t, network_t, 4, collect_timeout_s=40,
+                     recovery_timeout_s=40)
+        network_t.set_online(root.regions[2].address, False)
+
+        for spec in specs:
+            flat_result = flat.run(spec, fleet_f.roster)
+            tree_result = root.run(spec, fleet_t.roster)
+            assert tree_result.outcome == flat_result.outcome == "partial"
+            assert tree_result.failure == flat_result.failure
+            assert tree_result.participants == flat_result.participants == 43
+            assert tree_result.declined == flat_result.declined == 2
+            assert tree_result.floored == flat_result.floored
+            assert sorted(tree_result.demoted) == sorted(flat_result.demoted)
+            assert sorted(tree_result.demoted) == fleet_t.shard_rosters[2]
+            assert tree_result.plan_mix == flat_result.plan_mix
+            assert tree_result.records_examined \
+                == flat_result.records_examined
+            assert tree_result.field_total == flat_result.field_total
+        assert tree_result.field_total is not None

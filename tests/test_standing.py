@@ -118,6 +118,22 @@ class TestStandingQuiet:
                 == (result.value, result.field_total)
             assert sub.settle_lag_s[index] == 0
 
+    def test_inherited_oneshot_run_still_answers(self):
+        """A StandingCoordinator is still a Coordinator: a one-shot
+        ``run()`` tag belongs to no subscription, so window routing
+        must leave its result for ``run()`` to collect."""
+        spec = window_clause().windowed_spec(energy_spec(), 0)
+        world, network, fleet = standing_fleet()
+        world.loop.run_until(WIDTH_S + 10)
+        standing = StandingCoordinator(world, network).run(spec, fleet.roster)
+
+        world2, network2, fleet2 = standing_fleet()
+        world2.loop.run_until(WIDTH_S + 10)
+        plain = Coordinator(world2, network2).run(spec, fleet2.roster)
+        assert standing.outcome == "complete"
+        assert (standing.value, standing.field_total) \
+            == (plain.value, plain.field_total)
+
     def test_dp_draws_fresh_noise_every_window(self):
         window = window_clause()
         spec = energy_spec(TRANSFORM_DP)
@@ -262,6 +278,9 @@ class TestCrashRecovery:
                 world.loop.schedule_in(end_1 + 500, coordinator.restart)
             coordinator.drive()
             assert len(sub.results) == WINDOWS
+            # windows already on the handle are not republished by the
+            # restart (each would pin a coordinator_view forever)
+            assert coordinator._results == {}
             totals[profile] = {
                 index: (result.value, result.field_total)
                 for index, result in sub.results.items()
