@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..crypto import shamir
@@ -116,17 +117,28 @@ def _effective_degree(size: int, neighbors: int | None) -> int | None:
     return neighbors
 
 
+def _masking_positions(position: int, size: int,
+                       degree: int | None) -> list[int]:
+    """The roster positions ``position`` masks against: every other one
+    on the complete graph (``degree`` is ``None``), else its ring."""
+    if degree is None:
+        return [at for at in range(size) if at != position]
+    return ring_neighbor_positions(position, size, degree)
+
+
+def _positioned_peers(
+    nodes: list["AggregationNode"], position: int, degree: int | None,
+) -> list[tuple["AggregationNode", int]]:
+    """``(peer, peer position)`` for each peer ``nodes[position]`` masks
+    against — the edge list the mask core takes."""
+    return [(nodes[at], at)
+            for at in _masking_positions(position, len(nodes), degree)]
+
+
 def _masking_peers(nodes: list["AggregationNode"], position: int,
                    degree: int | None):
     """The peers node ``nodes[position]`` masks against."""
-    if degree is None:
-        node = nodes[position]
-        for peer in nodes:
-            if peer is not node:
-                yield peer
-    else:
-        for peer_position in ring_neighbor_positions(position, len(nodes), degree):
-            yield nodes[peer_position]
+    return [peer for peer, _ in _positioned_peers(nodes, position, degree)]
 
 
 # One-shot flag for the preshared deprecation notice (tests reset it).
@@ -144,26 +156,11 @@ class AggregationNode:
         # then reused across rounds — exactly as a real deployment would.
         self._pairwise_cache: dict[str, bytes] = {}
         self._preshared: bytes | None = None
-        # Bumped whenever this node's key material changes universe
-        # (key rotation); part of the roster-memo token below.
-        self.generation = 0
         # Per-(peer, round) keystream cache: seed plus the expanded
         # field elements. The dropout-recovery round re-reads masks
         # from here instead of re-deriving them.
         self.cache_masks = cache_masks
         self._mask_cache: dict[tuple[str, str], tuple[bytes, list[int]]] = {}
-
-    def roster_token(self):
-        """Hashable identity of this node's key-material universe.
-
-        Two nodes with equal tokens resolve any roster to equivalent
-        peers, so gate-level roster resolution may be memoized under
-        it. ``None`` means resolution through this node must never be
-        cached (per-ring DH nodes: each object is its own universe).
-        """
-        if self._preshared is not None:
-            return ("preshared", self._preshared, self.generation)
-        return None
 
     @classmethod
     def from_cell(cls, cell) -> "AggregationNode":
@@ -314,6 +311,57 @@ class AggregationNode:
                     self._mask_cache[(name, round_tag)] = (seed, elements)
         return [by_name[peer.name] for peer in peers]
 
+    # -- the mask core: every masked transport goes through these two ---------
+
+    def masked_vector(
+        self,
+        position: int,
+        peers: list[tuple["AggregationNode", int]],
+        round_tag: str,
+        base: list[int],
+    ) -> list[int]:
+        """``base`` plus this node's pairwise masks, component-wise.
+
+        ``position`` is this node's roster position and ``peers`` the
+        ``(peer, peer position)`` edges of its masking graph. The one
+        sign convention: of the two ends of an edge, the lower position
+        adds the shared mask and the higher subtracts it, so the masks
+        of every pair that both contribute cancel in the aggregator's
+        sum. One keyed derivation per fresh (pair, round) covers every
+        component (width 1 for a sum, B for a B-bucket histogram).
+        """
+        rows = self.mask_elements_many(
+            [peer for peer, _ in peers], round_tag, len(base)
+        )
+        return kernels.accumulate_columns(
+            base,
+            [row for (_, at), row in zip(peers, rows) if position < at],
+            [row for (_, at), row in zip(peers, rows) if position > at],
+        )
+
+    def unmasking_vector(
+        self,
+        position: int,
+        peers: list[tuple["AggregationNode", int]],
+        round_tag: str,
+        missing: set[str],
+        width: int,
+    ) -> list[int]:
+        """The net term that repairs this node's edges to ``missing`` peers.
+
+        The negation of the masks this node applied against them: the
+        aggregator *adds* it to its running total, and summed over all
+        survivors it cancels exactly the masks applied against peers
+        that never contributed. Revealing it protects nothing — the
+        missing sent no values — and the cached round keystream answers
+        it with zero fresh derivations.
+        """
+        applied = self.masked_vector(
+            position, [entry for entry in peers if entry[0].name in missing],
+            round_tag, [0] * width,
+        )
+        return kernels.accumulate_columns([0] * width, [], [applied])
+
     def pairwise_mask(self, peer: "AggregationNode", round_tag: str,
                       component: int = 0) -> int:
         """The shared mask between this node and ``peer`` for a round."""
@@ -387,6 +435,72 @@ class CleartextSum:
         return result
 
 
+def _masked_rounds(
+    nodes: list[AggregationNode],
+    base_of: Callable[[str], list[int]],
+    width: int,
+    online: set[str] | None,
+    round_tag: str,
+    neighbors: int | None,
+    protocol: str,
+) -> tuple[list[int], AggregationResult]:
+    """The two-round masked protocol at any width, under one span.
+
+    ``base_of(name)`` is a survivor's unmasked ``width``-vector — width
+    1 for a sum, B for a B-bucket histogram. Returns the unmasked
+    column sums and the round's accounting, ``aggregator_view`` holding
+    the vectors as published; the caller fills in ``total``.
+    """
+    with _OBS.tracer.span(
+        "agg.round", protocol=protocol, n=len(nodes), buckets=width,
+        round_tag=round_tag,
+    ) as span:
+        degree = _effective_degree(len(nodes), neighbors)
+        dropped = set() if online is None else {
+            node.name for node in nodes if node.name not in online
+        }
+        survivors = [
+            (position, node, _positioned_peers(nodes, position, degree))
+            for position, node in enumerate(nodes) if node.name not in dropped
+        ]
+        # Round 1: every survivor publishes its masked vector. A cell
+        # does not yet know who else is online, so it masks against
+        # *all* its graph neighbors — dropped edges are repaired in
+        # round 2.
+        published = [
+            node.masked_vector(position, peers, round_tag, base_of(node.name))
+            for position, node, peers in survivors
+        ]
+        sums = kernels.accumulate_columns([0] * width, published, [])
+        messages = len(published)
+        # Round 2 (only if needed): each survivor reveals the masks it
+        # shares with dropped *graph neighbors* — one message per
+        # (survivor, dropped) edge, answered from the cached round
+        # keystream without re-deriving anything.
+        if dropped:
+            with _OBS.tracer.span("agg.recovery", dropped=len(dropped)):
+                reveals = []
+                for position, node, peers in survivors:
+                    reveals.append(node.unmasking_vector(
+                        position, peers, round_tag, dropped, width
+                    ))
+                    messages += sum(peer.name in dropped for peer, _ in peers)
+                sums = kernels.accumulate_columns(sums, reveals, [])
+        span.annotate(dropped=len(dropped), messages=messages)
+    result = AggregationResult(
+        total=0,
+        participants=len(nodes),
+        dropped=len(dropped),
+        messages=messages,
+        bytes=messages * width * _FIELD_ELEMENT_BYTES,
+        rounds=2 if dropped else 1,
+        protocol=protocol,
+        aggregator_view=published,
+    )
+    _record_round(result)
+    return sums, result
+
+
 class MaskedSum:
     """Pairwise-masked aggregation with dropout recovery.
 
@@ -419,97 +533,18 @@ class MaskedSum:
         online: set[str] | None = None,
         round_tag: str = "round-0",
     ) -> AggregationResult:
-        with _OBS.tracer.span(
-            "agg.round", protocol=self.name_with_params, n=len(nodes),
-            round_tag=round_tag,
-        ) as span:
-            result = self._run(nodes, values, online, round_tag)
-            span.annotate(dropped=result.dropped, messages=result.messages)
-        _record_round(result)
-        return result
-
-    def _run(
-        self,
-        nodes: list[AggregationNode],
-        values: dict[str, int],
-        online: set[str] | None,
-        round_tag: str,
-    ) -> AggregationResult:
         if len(nodes) < 2:
             raise ConfigurationError("masked sum needs at least two nodes")
-        online = online if online is not None else {node.name for node in nodes}
-        survivors = [node for node in nodes if node.name in online]
-        dropped = [node for node in nodes if node.name not in online]
-        dropped_names = {node.name for node in dropped}
-        if not survivors:
+        if online is not None and not any(
+                node.name in online for node in nodes):
             raise ProtocolError("all participants dropped out")
-        order = {node.name: position for position, node in enumerate(nodes)}
-        degree = _effective_degree(len(nodes), self.neighbors)
-
-        messages = 0
-        total_bytes = 0
-        # Round 1: every survivor submits its masked value. A cell does
-        # not yet know who else is online, so it masks against *all*
-        # its graph neighbors — dropped edges are repaired in round 2.
-        # Each survivor's masks are derived and applied in one batch
-        # kernel call per roster instead of one field op per peer.
-        masked_submissions = []
-        for node in survivors:
-            position = order[node.name]
-            peers = list(_masking_peers(nodes, position, degree))
-            elements = node.mask_elements_many(peers, round_tag, 1)
-            plus = [row[0] for peer, row in zip(peers, elements)
-                    if position < order[peer.name]]
-            minus = [row[0] for peer, row in zip(peers, elements)
-                     if position > order[peer.name]]
-            masked_submissions.append(kernels.signed_accumulate(
-                shamir.encode_signed(values[node.name]), plus, minus
-            ))
-            messages += 1
-            total_bytes += _FIELD_ELEMENT_BYTES
-        rounds = 1
-
-        total = kernels.accumulate(masked_submissions)
-
-        # Round 2 (only if needed): unmask the dropped cells' edges.
-        # Each survivor reveals only the masks it shares with dropped
-        # *graph neighbors*; the cached round keystream answers without
-        # re-deriving anything.
-        if dropped:
-            rounds += 1
-            with _OBS.tracer.span("agg.recovery", dropped=len(dropped)):
-                reveal_plus: list[int] = []
-                reveal_minus: list[int] = []
-                for node in survivors:
-                    position = order[node.name]
-                    gone_peers = [
-                        gone for gone in _masking_peers(nodes, position, degree)
-                        if gone.name in dropped_names
-                    ]
-                    elements = node.mask_elements_many(
-                        gone_peers, round_tag, 1
-                    )
-                    for gone, row in zip(gone_peers, elements):
-                        if position < order[gone.name]:
-                            reveal_minus.append(row[0])
-                        else:
-                            reveal_plus.append(row[0])
-                        messages += 1  # one revealed mask per (survivor, dropped)
-                        total_bytes += _FIELD_ELEMENT_BYTES
-                total = kernels.signed_accumulate(
-                    total, reveal_plus, reveal_minus
-                )
-
-        return AggregationResult(
-            total=total,
-            participants=len(nodes),
-            dropped=len(dropped),
-            messages=messages,
-            bytes=total_bytes,
-            rounds=rounds,
-            protocol=self.name_with_params,
-            aggregator_view=masked_submissions,
+        sums, result = _masked_rounds(
+            nodes, lambda name: [shamir.encode_signed(values[name])], 1,
+            online, round_tag, self.neighbors, self.name_with_params,
         )
+        result.total = sums[0]
+        result.aggregator_view = [vector[0] for vector in result.aggregator_view]
+        return result
 
 
 class ShamirSum:
@@ -621,94 +656,24 @@ def masked_histogram(
     expansion); ``neighbors=k`` masks over the k-regular ring graph
     instead of the complete graph. Returns ``(counts, accounting)``.
     """
-    with _OBS.tracer.span(
-        "agg.round", protocol="masked-histogram", n=len(nodes),
-        buckets=bucket_count, round_tag=round_tag,
-    ) as span:
-        counts, accounting = _masked_histogram(
-            nodes, bucket_of, bucket_count, online, round_tag, neighbors
-        )
-        span.annotate(dropped=accounting.dropped, messages=accounting.messages)
-    _record_round(accounting)
-    return counts, accounting
-
-
-def _masked_histogram(
-    nodes: list[AggregationNode],
-    bucket_of: dict[str, int],
-    bucket_count: int,
-    online: set[str] | None,
-    round_tag: str,
-    neighbors: int | None,
-) -> tuple[list[int], AggregationResult]:
     if bucket_count < 1:
         raise ConfigurationError("need at least one bucket")
-    online = online if online is not None else {node.name for node in nodes}
-    survivors = [node for node in nodes if node.name in online]
-    dropped = [node for node in nodes if node.name not in online]
-    dropped_names = {node.name for node in dropped}
-    order = {node.name: position for position, node in enumerate(nodes)}
-    degree = _effective_degree(len(nodes), neighbors)
-    messages = 0
-    total_bytes = 0
-    sums = [0] * bucket_count
-    published_vectors: list[list[int]] = []
-    for node in survivors:
-        if not 0 <= bucket_of[node.name] < bucket_count:
+
+    def one_hot(name: str) -> list[int]:
+        if not 0 <= bucket_of[name] < bucket_count:
             raise ConfigurationError(
-                f"bucket {bucket_of[node.name]} out of range for {node.name!r}"
+                f"bucket {bucket_of[name]} out of range for {name!r}"
             )
-        position = order[node.name]
         base = [0] * bucket_count
-        base[bucket_of[node.name]] = 1
-        peers = list(_masking_peers(nodes, position, degree))
-        elements = node.mask_elements_many(peers, round_tag, bucket_count)
-        vector = kernels.accumulate_columns(
-            base,
-            [row for peer, row in zip(peers, elements)
-             if position < order[peer.name]],
-            [row for peer, row in zip(peers, elements)
-             if position > order[peer.name]],
-        )
-        published_vectors.append(vector)
-        messages += 1
-        total_bytes += bucket_count * _FIELD_ELEMENT_BYTES
-    sums = kernels.accumulate_columns(sums, published_vectors, [])
-    rounds = 1
-    if dropped:
-        rounds += 1
-        with _OBS.tracer.span("agg.recovery", dropped=len(dropped)):
-            reveal_plus: list[list[int]] = []
-            reveal_minus: list[list[int]] = []
-            for node in survivors:
-                position = order[node.name]
-                gone_peers = [
-                    gone for gone in _masking_peers(nodes, position, degree)
-                    if gone.name in dropped_names
-                ]
-                # Cached keystream: revealing the whole vector of masks
-                # costs zero fresh derivations.
-                elements = node.mask_elements_many(
-                    gone_peers, round_tag, bucket_count
-                )
-                for gone, row in zip(gone_peers, elements):
-                    if position < order[gone.name]:
-                        reveal_minus.append(row)
-                    else:
-                        reveal_plus.append(row)
-                    messages += 1
-                    total_bytes += bucket_count * _FIELD_ELEMENT_BYTES
-            sums = kernels.accumulate_columns(sums, reveal_plus, reveal_minus)
-    counts = [shamir.decode_signed(component) for component in sums]
-    accounting = AggregationResult(
-        total=sum(counts),
-        participants=len(nodes),
-        dropped=len(dropped),
-        messages=messages,
-        bytes=total_bytes,
-        rounds=rounds,
-        protocol="masked-histogram" if degree is None
+        base[bucket_of[name]] = 1
+        return base
+
+    degree = _effective_degree(len(nodes), neighbors)
+    sums, accounting = _masked_rounds(
+        nodes, one_hot, bucket_count, online, round_tag, neighbors,
+        "masked-histogram" if degree is None
         else f"masked-histogram(k={degree})",
-        aggregator_view=published_vectors,
     )
+    counts = [shamir.decode_signed(component) for component in sums]
+    accounting.total = sum(counts)
     return counts, accounting

@@ -47,7 +47,8 @@ from ..errors import ConfigurationError, ProtocolError, TransientCloudError
 from ..faults.retry import RetryPolicy, retry_call
 from ..infrastructure.cloud import CloudProvider
 from ..sim.world import World
-from .aggregation import AggregationNode, _effective_degree, _masking_peers
+from . import kernels
+from .aggregation import AggregationNode, _effective_degree, _positioned_peers
 
 _FIELD_ELEMENT_BYTES = 16
 
@@ -172,33 +173,10 @@ class AsyncMaskedAggregation:
 
     # -- node-side behaviour --------------------------------------------------
 
-    def _masked_value(self, node: AggregationNode) -> int:
+    def _edges(self, node: AggregationNode):
+        """``node``'s roster position and masking edges, for the core."""
         position = self._order[node.name]
-        masked = shamir.encode_signed(self.values[node.name])
-        for peer in _masking_peers(self.nodes, position, self._degree):
-            mask = node.pairwise_mask(peer, self.round_tag)
-            if position < self._order[peer.name]:
-                masked = (masked + mask) % shamir.PRIME
-            else:
-                masked = (masked - mask) % shamir.PRIME
-        return masked
-
-    def _net_recovery_mask(self, node: AggregationNode, missing: list[str]) -> int:
-        """The signed net mask ``node`` shared with its missing *graph
-        neighbors* (on the complete graph: all missing peers). The
-        cached round keystream answers without fresh derivations."""
-        position = self._order[node.name]
-        missing_set = set(missing)
-        net = 0
-        for gone in _masking_peers(self.nodes, position, self._degree):
-            if gone.name not in missing_set:
-                continue
-            mask = node.pairwise_mask(gone, self.round_tag)
-            if position < self._order[gone.name]:
-                net = (net + mask) % shamir.PRIME
-            else:
-                net = (net - mask) % shamir.PRIME
-        return net
+        return position, _positioned_peers(self.nodes, position, self._degree)
 
     def _submit(self, node: AggregationNode) -> None:
         if self.world.now > self.deadline:
@@ -206,8 +184,12 @@ class AsyncMaskedAggregation:
         with self.world.obs.tracer.span(
             "agg.async.submit", node=node.name, round_tag=self.round_tag
         ):
+            masked = node.masked_vector(
+                *self._edges(node), self.round_tag,
+                [shamir.encode_signed(self.values[node.name])],
+            )[0]
             payload = json.dumps(
-                {"from": node.name, "masked": self._masked_value(node)}
+                {"from": node.name, "masked": masked}
             ).encode()
             try:
                 self._cloud_post(self._contrib_box, node.name, payload)
@@ -247,7 +229,12 @@ class AsyncMaskedAggregation:
             round_index != self._round or node.name not in self._active
         ):
             return  # stale request: a later round superseded this one
-        body = {"from": node.name, "net_mask": self._net_recovery_mask(node, missing)}
+        # The term the aggregator adds to cancel the masks ``node``
+        # shared with its missing *graph neighbors*.
+        net_mask = node.unmasking_vector(
+            *self._edges(node), self.round_tag, set(missing), 1
+        )[0]
+        body = {"from": node.name, "net_mask": net_mask}
         if round_index is not None:
             body["round"] = round_index
         try:
@@ -302,10 +289,7 @@ class AsyncMaskedAggregation:
             set(self._order) - set(self.result.submitted)
         )
         if not self.result.missing:
-            total = 0
-            for masked in self._contributions.values():
-                total = (total + masked) % shamir.PRIME
-            self._finish(total)
+            self._finish(kernels.accumulate(self._contributions.values()))
             return
         if not self.result.submitted:
             if self.recovery_timeout is None:
@@ -321,10 +305,7 @@ class AsyncMaskedAggregation:
     # -- strict (legacy) recovery ---------------------------------------------
 
     def _legacy_recovery(self) -> None:
-        total = 0
-        for masked in self._contributions.values():
-            total = (total + masked) % shamir.PRIME
-        self._recovery_total = total
+        self._recovery_total = kernels.accumulate(self._contributions.values())
         # ask every submitted cell for its net mask with the missing set
         self._recovery_needed = set(self.result.submitted)
         for name in self.result.submitted:
@@ -352,7 +333,7 @@ class AsyncMaskedAggregation:
         for _, payload in messages:
             body = json.loads(payload.decode())
             self._recovery_total = (
-                self._recovery_total - body["net_mask"]
+                self._recovery_total + body["net_mask"]
             ) % shamir.PRIME
             self._recovery_needed.discard(body["from"])
         if not self._recovery_needed:
@@ -431,14 +412,14 @@ class AsyncMaskedAggregation:
             self._round_answers[body["from"]] = body["net_mask"]
         laggards = self._active - set(self._round_answers)
         if not laggards:
-            total = 0
-            for name in self._active:
-                total = (total + self._contributions[name]) % shamir.PRIME
-            for net_mask in self._round_answers.values():
-                total = (total - net_mask) % shamir.PRIME
             self.result.missing = self._current_missing()
             self.result.partial = bool(self.result.demoted)
-            self._finish(total)
+            # One sign convention: contributions and unmasking terms
+            # are all added.
+            self._finish(kernels.accumulate(
+                [self._contributions[name] for name in self._active]
+                + list(self._round_answers.values())
+            ))
             return
         demoted_metric = self.world.obs.metrics.counter(
             "agg.async.demoted",

@@ -13,10 +13,10 @@ This module batches those three steps over whole rosters:
   seeds in one call (the per-block SHA-256 stays in C either way; the
   batching is in the single buffer assembly and the single fold pass);
 * :func:`fold_elements` — 16-byte chunks of one contiguous buffer to
-  field elements in one pass.  When NumPy is available the 128-bit
-  reduction is done as a vectorized Mersenne fold over two 64-bit
-  lanes (2^127 ≡ 1 mod PRIME, so ``x mod PRIME`` is a shift, a mask
-  and one conditional subtract — no per-element big-int ``%``);
+  field elements in one pass.  The 128-bit reduction is a vectorized
+  Mersenne fold over two 64-bit NumPy lanes (2^127 ≡ 1 mod PRIME, so
+  ``x mod PRIME`` is a shift, a mask and one conditional subtract —
+  no per-element big-int ``%``);
 * :func:`accumulate` / :func:`signed_accumulate` /
   :func:`accumulate_columns` — modular accumulation with a *single*
   reduction at the end instead of one ``%`` per element (``sum`` runs
@@ -25,23 +25,15 @@ This module batches those three steps over whole rosters:
 Every kernel is **bit-for-bit identical** to the scalar reference path
 (:func:`expand_stream_reference`, pinned by
 ``tests/test_kernels.py``).  The scalar implementations remain the
-correctness oracle; the batch kernels are the production path.  NumPy
-is optional — without it every kernel falls back to the scalar loop,
-same results, fewer constant factors.
+correctness oracle; the batch kernels are the production path.
 """
 
 from __future__ import annotations
 
+import numpy as _np
+
 from ..crypto import shamir
 from ..crypto.primitives import counter_stream
-
-try:  # pragma: no cover - exercised implicitly by the fallback tests
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the batteries-included image has it
-    _np = None
-    HAVE_NUMPY = False
 
 PRIME = shamir.PRIME
 
@@ -83,12 +75,6 @@ def fold_elements(buffer: bytes) -> list[int]:
     """
     if len(buffer) % _ELEMENT_BYTES:
         raise ValueError("buffer must be a whole number of 16-byte elements")
-    if not HAVE_NUMPY:
-        return [
-            int.from_bytes(buffer[offset:offset + _ELEMENT_BYTES], "big")
-            % PRIME
-            for offset in range(0, len(buffer), _ELEMENT_BYTES)
-        ]
     if not buffer:
         return []
     lanes = _np.frombuffer(buffer, dtype=">u8").reshape(-1, 2)
@@ -153,13 +139,14 @@ def accumulate_columns(
     (row, component) pair.
     """
     width = len(base)
-    for rows in (plus_rows, minus_rows):
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("row width does not match the base vector")
-    plus_cols = zip(*plus_rows) if plus_rows else [()] * width
-    minus_cols = zip(*minus_rows) if minus_rows else [()] * width
-    return [
-        (value + sum(plus) - sum(minus)) % PRIME
-        for value, plus, minus in zip(base, plus_cols, minus_cols)
-    ]
+    plus_cols = zip(*plus_rows, strict=True) if plus_rows else [()] * width
+    minus_cols = zip(*minus_rows, strict=True) if minus_rows else [()] * width
+    try:  # the strict zips check every row against ``width`` in C
+        return [
+            signed_accumulate(value, plus, minus)
+            for value, plus, minus in zip(
+                base, plus_cols, minus_cols, strict=True)
+        ]
+    except ValueError:
+        raise ValueError(
+            "row width does not match the base vector") from None

@@ -19,6 +19,7 @@ averaged to cancel the noise.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from typing import Any, Protocol
 
 from ..commons.aggregation import AggregationNode
@@ -32,6 +33,7 @@ from . import gate
 from .spec import (
     MSG_PLAN,
     MSG_RECOVER,
+    MSG_SUB,
     STATUS_DECLINED,
     STATUS_FLOOR,
     STATUS_OK,
@@ -130,6 +132,12 @@ class CellQueryAgent:
         )
         # tag -> the exact partial message already sent (idempotency).
         self._partials: dict[str, dict[str, Any]] = {}
+        # tag -> the round context of a *contributed* partial: what a
+        # later recovery request masks under.
+        self._rounds: dict[str, dict[str, Any]] = {}
+        # subscription tag -> its incremental window runtime
+        # (:func:`repro.fedquery.standing.handle_subscription`).
+        self._standing: dict[str, Any] = {}
         network.register(
             name, self._on_message,
             latency_ms=latency_ms,
@@ -165,7 +173,7 @@ class CellQueryAgent:
             self._on_plan(payload)
         elif kind == MSG_RECOVER:
             self._on_recover(payload)
-        elif kind == "fq.sub":
+        elif kind == MSG_SUB:
             # Standing subscription: installs the incremental window
             # runtime (lazy import keeps the commons anchor intact).
             from .standing import handle_subscription
@@ -190,101 +198,93 @@ class CellQueryAgent:
             return
         spec = FedQuerySpec.from_wire(message["spec"])
         roster = list(message["roster"])
-        round_tag = message.get("round_tag", tag)
-        neighbors = message.get("neighbors")
-        # Hierarchical plans ship a roster *window* plus global
-        # positions; privacy parameters (cohort floor, DP calibration)
-        # always follow the *global* roster size, so sharding the
-        # fan-out can never weaken them.
-        positions = message.get("positions")
-        global_size = message.get("global_size", len(roster))
+        self._egress(tag, spec, message["reply_to"], {
+            "roster": roster,
+            "round_tag": message.get("round_tag", tag),
+            "neighbors": message.get("neighbors"),
+            # Hierarchical plans ship a roster *window* plus global
+            # positions and the global roster size.
+            "positions": message.get("positions"),
+            "global_size": message.get("global_size", len(roster)),
+        }, lambda: self.source.run_local(spec))
 
+    def _egress(self, tag: str, spec: FedQuerySpec, reply_to: str,
+                context: dict[str, Any],
+                local: Callable[[], tuple[Any, str, int]]) -> None:
+        """The one way out of the cell: decline → cohort floor → DP
+        share → mask or seal → cache → reply.
+
+        ``context`` is the round's masking context, kept for a later
+        recovery request; ``local()`` returns ``(result, plan,
+        examined)`` as :meth:`LocalSource.run_local` does and is only
+        called once the cell has decided to contribute. Privacy
+        parameters (cohort floor, DP calibration) always follow the
+        *global* roster size, so sharding the fan-out can never weaken
+        them.
+        """
+        global_size = context["global_size"]
+        plan, examined, payload = "none", 0, None
         if not self._participates(spec):
-            partial = partial_message(
-                tag, self.name, STATUS_DECLINED, plan="none", examined=0
-            )
+            status = STATUS_DECLINED
         elif not gate.cohort_allows(spec, global_size):
-            partial = partial_message(
-                tag, self.name, STATUS_FLOOR, plan="none", examined=0
-            )
+            status = STATUS_FLOOR
         else:
-            partial = self._compute_partial(
-                tag, spec, roster, round_tag, neighbors,
-                positions=positions, global_size=global_size,
-            )
-        self._partials[tag] = partial
-        # Remember the round context for a later recovery request.
-        self._partials[tag + "|ctx"] = {
-            "roster": roster, "round_tag": round_tag, "neighbors": neighbors,
-            "positions": positions, "global_size": global_size,
-            "contributed": partial["status"] == STATUS_OK,
-        }
-        self._reply(message["reply_to"], partial)
-
-    def _compute_partial(
-        self,
-        tag: str,
-        spec: FedQuerySpec,
-        roster: list[str],
-        round_tag: str,
-        neighbors: int | None,
-        *,
-        positions: dict[str, int] | None = None,
-        global_size: int | None = None,
-    ) -> dict[str, Any]:
-        local, plan, examined = self.source.run_local(spec)
-        participants = global_size if global_size is not None else len(roster)
-        if spec.numeric:
-            contribution = float(local)
-            if spec.transform == TRANSFORM_DP:
-                # Calibrated to the GLOBAL participant count and drawn
-                # exactly once per query (idempotent partial cache), so
-                # the shares across all shards sum to one global
-                # Laplace draw — never one draw per shard.
-                contribution += gate.dp_noise_share(
-                    self._noise_rng, participants=participants,
-                    epsilon=spec.epsilon,
-                )
-            masked = gate.masked_contribution(
-                self.node, self.directory, roster, round_tag,
-                round(contribution * spec.scale), neighbors=neighbors,
-                positions=positions,
-                size=global_size if positions is not None else None,
-            )
-            payload: dict[str, Any] = {"masked": masked}
-        else:
-            rows = list(local)
-            if self.fleet_secret is None:
-                raise ProtocolError(
-                    f"cell {self.name!r} has no fleet secret to seal "
-                    "a record release"
-                )
-            key = gate.recipient_key(spec.recipient, self.fleet_secret)
-            payload = {
-                "count": len(rows),
-                "blob": gate.seal_records(key, rows, tag, self.name)
-                if rows else None,
-            }
-        return partial_message(
-            tag, self.name, STATUS_OK, plan=plan_kind(plan),
-            examined=examined, payload=payload,
+            status = STATUS_OK
+            result, plan, examined = local()
+            plan = plan_kind(plan)
+            if spec.numeric:
+                contribution = float(result)
+                if spec.transform == TRANSFORM_DP:
+                    # Calibrated to the GLOBAL participant count and
+                    # drawn exactly once per query or window (the
+                    # partial cache makes re-asks replays), so the
+                    # shares across all shards sum to one global
+                    # Laplace draw — never one draw per shard.
+                    contribution += gate.dp_noise_share(
+                        self._noise_rng, participants=global_size,
+                        epsilon=spec.epsilon,
+                    )
+                payload = {"masked": gate.masked_contribution(
+                    self.node, self.directory, context["roster"],
+                    context["round_tag"], round(contribution * spec.scale),
+                    neighbors=context["neighbors"],
+                    positions=context["positions"], size=global_size,
+                )}
+            else:
+                rows = list(result)
+                if self.fleet_secret is None:
+                    raise ProtocolError(
+                        f"cell {self.name!r} has no fleet secret to seal "
+                        "a record release"
+                    )
+                key = gate.recipient_key(spec.recipient, self.fleet_secret)
+                payload = {
+                    "count": len(rows),
+                    "blob": gate.seal_records(key, rows, tag, self.name)
+                    if rows else None,
+                }
+        partial = partial_message(
+            tag, self.name, status, plan=plan, examined=examined,
+            payload=payload,
         )
+        self._partials[tag] = partial
+        if status == STATUS_OK:
+            self._rounds[tag] = context
+        self._reply(reply_to, partial)
 
     def _on_recover(self, message: dict[str, Any]) -> None:
         tag = message["tag"]
-        context = self._partials.get(tag + "|ctx")
-        if context is None or not context["contributed"]:
+        context = self._rounds.get(tag)
+        if context is None:
             # Never contributed a value: nothing of ours is in the
             # total, so there is nothing to unmask. Stay silent; the
             # coordinator only queries contributors anyway.
             return
-        positions = context.get("positions")
         net = gate.net_recovery_mask(
             self.node, self.directory, context["roster"],
             context["round_tag"], list(message["missing"]),
             neighbors=context["neighbors"],
-            positions=positions,
-            size=context.get("global_size") if positions is not None else None,
+            positions=context["positions"], size=context["global_size"],
         )
         reply = mask_message(tag, self.name, message["round"], net)
         self._reply(message["reply_to"], reply)

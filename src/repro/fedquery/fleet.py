@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from ..commons.aggregation import (
     AggregationNode,
     _effective_degree,
-    ring_neighbor_positions,
+    _masking_positions,
 )
 from ..crypto.keys import KeyRing
 from ..errors import ConfigurationError
@@ -102,16 +102,12 @@ class Fleet:
                 if node is None:
                     continue  # revoked or departed
                 shard_directory[name] = node
-                if degree is None:
-                    shard_directory.update(nodes)
-                    continue
                 # Cross-shard ring neighbors: the hierarchical path
                 # resolves a boundary peer from this shard's dict, so
                 # its epoch node must already be there.
-                for peer_position in ring_neighbor_positions(
+                for at in _masking_positions(
                         positions[name], len(active), degree):
-                    peer = active[peer_position]
-                    shard_directory[peer] = nodes[peer]
+                    shard_directory[active[at]] = nodes[active[at]]
         for name, agent in self.agents.items():
             node = nodes.get(name)
             if node is not None:

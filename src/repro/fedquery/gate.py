@@ -25,12 +25,11 @@ import json
 import random
 from typing import Any
 
-from ..commons import kernels
 from ..commons.aggregation import (
     AggregationNode,
     _effective_degree,
     _masking_peers,
-    ring_neighbor_positions,
+    _masking_positions,
 )
 from ..commons.dp import gamma_noise_share, laplace_scale
 from ..crypto import aead, shamir
@@ -70,91 +69,59 @@ def _roster_nodes(directory: Directory, roster: list[str]) -> list[AggregationNo
     return nodes
 
 
-# Memoized roster resolution, keyed by (roster token, roster).  Every
-# cell of a fleet resolves the *same* roster for the same query, and
-# repeated queries reuse the same roster — so the per-call name->node
-# walk (O(N) per cell, O(N^2) per fan-out) is paid once per distinct
-# roster instead.  The token (`AggregationNode.roster_token`) names the
-# node's key-material universe — (secret, generation) for preshared
-# nodes, (directory, epoch, generation) for directory-issued epoch
-# nodes — so a key rotation changes the key and stale resolutions can
-# never be served across an epoch.  A `None` token disables memoization
-# (per-ring DH nodes).  Bounded FIFO so ad-hoc test rosters cannot grow
-# it without limit.
-_ROSTER_CACHE: dict[tuple, tuple[
-    list[AggregationNode], dict[str, int]]] = {}
-_ROSTER_CACHE_MAX = 64
-
-
-def _resolved_roster(
+def _ring_peers(
     node: AggregationNode,
     directory: Directory,
     roster: list[str],
-) -> tuple[list[AggregationNode], dict[str, int]]:
-    """Roster names to (nodes, position map), memoized when tokenized."""
-    secret = node._preshared
-    token = node.roster_token()
-    key = None
-    if token is not None:
-        key = (token, tuple(roster))
-        cached = _ROSTER_CACHE.get(key)
-        if cached is not None:
-            return cached
-    order = {name: position for position, name in enumerate(roster)}
-    if secret is None:
-        nodes = _roster_nodes(directory, roster)
-    else:
-        # Preshared fleets can synthesize key material for any name, so
-        # a member absent from this cell's (possibly shard-local)
-        # directory still resolves.  Directory-issued nodes cannot (and
-        # must not — a missing name means no agreed edge): they resolve
-        # strictly through _roster_nodes above.
-        nodes = [
-            directory.get(name)
-            or AggregationNode._with_group_secret(name, secret)
-            for name in roster
-        ]
-    if key is not None:
-        if len(_ROSTER_CACHE) >= _ROSTER_CACHE_MAX:
-            _ROSTER_CACHE.pop(next(iter(_ROSTER_CACHE)))
-        _ROSTER_CACHE[key] = (nodes, order)
-    return nodes, order
-
-
-def _window_peers(
-    node: AggregationNode,
-    directory: Directory,
-    positions: dict[str, int],
-    size: int,
     neighbors: int | None,
+    positions: dict[str, int] | None,
+    size: int | None,
 ) -> tuple[int, list[tuple[AggregationNode, int]]]:
-    """Resolve a cell's ring neighborhood from global positions.
+    """A cell's roster position and the ``(peer, position)`` edges of
+    its masking graph — the one roster→peer resolution.
 
     The hierarchical path ships each cell only a *window* of the
-    global roster — its k ring-neighbors plus itself — together with
-    their global positions and the global roster size.  Masks and
-    signs computed from those positions are identical to the flat
-    path's, so shard partial sums compose to the same global total.
+    global roster — its k ring-neighbors plus itself — with their
+    global ``positions`` and the global roster ``size``; a flat roster
+    is the same case with every position on board. Masks and signs
+    computed from those positions are identical either way, so shard
+    partial sums compose to the flat global total.
     """
-    if node.name not in positions:
-        raise ProtocolError(f"cell {node.name!r} is not on the roster")
-    position = positions[node.name]
+    if positions is not None and size is None:
+        raise ProtocolError("windowed masking needs the global size")
+    try:
+        if positions is None:
+            name_at, size = roster, len(roster)
+            position = roster.index(node.name)
+        else:
+            name_at = {at: name for name, at in positions.items()}
+            position = positions[node.name]
+    except (ValueError, KeyError):
+        raise ProtocolError(
+            f"cell {node.name!r} is not on the roster"
+        ) from None
     degree = _effective_degree(size, neighbors)
-    if degree is None:
+    if degree is None and positions is not None:
         raise ProtocolError(
             "windowed masking needs a k-regular graph (neighbors < size-1)"
         )
-    name_at = {pos: name for name, pos in positions.items()}
     secret = node._preshared
     peers = []
-    for peer_position in ring_neighbor_positions(position, size, degree):
-        name = name_at.get(peer_position)
-        if name is None:
+    # Only the names the cell masks against are looked up.
+    for peer_position in _masking_positions(position, size, degree):
+        try:
+            name = name_at[peer_position]
+        except KeyError:
             raise ProtocolError(
                 f"no roster window entry for ring position {peer_position}"
-            )
+            ) from None
         peer = directory.get(name)
         if peer is None:
+            # Preshared fleets can synthesize key material for any
+            # name, so a peer absent from this cell's (possibly
+            # shard-local) directory still resolves. Directory-issued
+            # nodes cannot (and must not — a missing name means no
+            # agreed edge).
             if secret is None:
                 raise ProtocolError(
                     f"no key material for roster member {name!r}"
@@ -163,23 +130,6 @@ def _window_peers(
             directory[name] = peer  # cache the stub for later rounds
         peers.append((peer, peer_position))
     return position, peers
-
-
-def _masking_terms(
-    node: AggregationNode,
-    position: int,
-    peers: list[tuple[AggregationNode, int]],
-    round_tag: str,
-) -> tuple[list[int], list[int]]:
-    """All pairwise masks for one cell, split by sign, in one batch."""
-    elements = node.mask_elements_many(
-        [peer for peer, _ in peers], round_tag, 1
-    )
-    plus = [row[0] for (_, peer_position), row in zip(peers, elements)
-            if position < peer_position]
-    minus = [row[0] for (_, peer_position), row in zip(peers, elements)
-             if position > peer_position]
-    return plus, minus
 
 
 def masked_contribution(
@@ -196,37 +146,22 @@ def masked_contribution(
     """``encode_signed(value)`` plus this cell's pairwise masks.
 
     Signs follow roster position exactly as :class:`MaskedSum` follows
-    node-list position: the lower-positioned end adds, the higher end
-    subtracts, so the masks of every online pair cancel in the
-    coordinator's sum. A roster of one has no peers — the "mask" is
-    just the field encoding (the legacy single-member path).
+    node-list position — both call the one mask core,
+    :meth:`AggregationNode.masked_vector` — so the masks of every
+    online pair cancel in the coordinator's sum. A roster of one has
+    no peers: the "mask" is just the field encoding.
 
     With ``positions``/``size`` the cell masks from a roster *window*
-    (the hierarchical path): ``roster`` then only needs to cover the
-    cell's ring neighborhood, signs follow the supplied global
-    positions, and the result is bit-for-bit what the flat path would
-    compute over the full roster.  Masks are derived and applied in
-    one batch-kernel pass per roster; the per-element scalar loop
-    survives as :func:`masked_contribution_reference`.
+    (see :func:`_ring_peers`), bit-for-bit what the flat path computes
+    over the full roster. The per-element scalar loop survives as
+    :func:`masked_contribution_reference`.
     """
-    if positions is not None:
-        if size is None:
-            raise ProtocolError("windowed masking needs the global size")
-        position, peers = _window_peers(
-            node, directory, positions, size, neighbors
-        )
-    else:
-        nodes, order = _resolved_roster(node, directory, roster)
-        if node.name not in order:
-            raise ProtocolError(f"cell {node.name!r} is not on the roster")
-        position = order[node.name]
-        degree = _effective_degree(len(roster), neighbors)
-        peers = [
-            (peer, order[peer.name])
-            for peer in _masking_peers(nodes, position, degree)
-        ]
-    plus, minus = _masking_terms(node, position, peers, round_tag)
-    return kernels.signed_accumulate(shamir.encode_signed(value), plus, minus)
+    position, peers = _ring_peers(
+        node, directory, roster, neighbors, positions, size
+    )
+    return node.masked_vector(
+        position, peers, round_tag, [shamir.encode_signed(value)]
+    )[0]
 
 
 def masked_contribution_reference(
@@ -271,33 +206,16 @@ def net_recovery_mask(
 ) -> int:
     """The survivor's net unmasking term for a set of missing cells.
 
-    The coordinator adds this (mod PRIME) to its running total; summed
-    over all survivors it cancels exactly the masks the survivors
-    applied against cells that never contributed. Revealing it protects
-    nothing — the missing cells sent no values. Reads the cached round
-    keystream, so recovery costs zero fresh derivations.  Accepts the
-    same ``positions``/``size`` window form as
-    :func:`masked_contribution`.
+    The coordinator adds this (mod PRIME) to its running total; see
+    :meth:`AggregationNode.unmasking_vector`. Accepts the same
+    ``positions``/``size`` window form as :func:`masked_contribution`.
     """
-    if positions is not None:
-        if size is None:
-            raise ProtocolError("windowed masking needs the global size")
-        position, peers = _window_peers(
-            node, directory, positions, size, neighbors
-        )
-    else:
-        nodes, order = _resolved_roster(node, directory, roster)
-        position = order[node.name]
-        degree = _effective_degree(len(roster), neighbors)
-        peers = [
-            (peer, order[peer.name])
-            for peer in _masking_peers(nodes, position, degree)
-        ]
-    missing_set = set(missing)
-    gone = [entry for entry in peers if entry[0].name in missing_set]
-    plus, minus = _masking_terms(node, position, gone, round_tag)
-    # Signs invert: the survivor *removes* the masks it applied.
-    return kernels.signed_accumulate(0, minus, plus)
+    position, peers = _ring_peers(
+        node, directory, roster, neighbors, positions, size
+    )
+    return node.unmasking_vector(
+        position, peers, round_tag, set(missing), 1
+    )[0]
 
 
 def net_recovery_mask_reference(

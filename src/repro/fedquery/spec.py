@@ -218,6 +218,8 @@ MSG_PLAN = "fq.plan"
 MSG_PARTIAL = "fq.partial"
 MSG_RECOVER = "fq.recover"
 MSG_MASK = "fq.mask"
+#: Standing-subscription fan-out (:mod:`repro.fedquery.standing`).
+MSG_SUB = "fq.sub"
 
 # Hierarchical (coordinator-tree) message kinds: root <-> regional
 # sub-coordinators. Everything in them is already transformed by the

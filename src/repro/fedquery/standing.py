@@ -39,30 +39,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CellOfflineError, ConfigurationError, ProtocolError
 from ..store.query import And, Between, Predicate, TruePredicate
 from ..streams import Sample, StreamPipeline, WindowAggregate
-from . import gate
 from .coordinator import Coordinator, FedQueryResult, _RunState
 from .journal import REC_DONE
-from .spec import (
-    STATUS_DECLINED,
-    STATUS_FLOOR,
-    STATUS_OK,
-    TRANSFORM_DP,
-    TRANSFORM_KANON,
-    FedQuerySpec,
-    partial_message,
-    plan_kind,
-    wire_size,
-)
+from .spec import MSG_SUB, TRANSFORM_KANON, FedQuerySpec, wire_size
 
 if TYPE_CHECKING:
     from .cell import CellQueryAgent
-
-MSG_SUB = "fq.sub"
 
 #: Journal record type for a standing subscription's durable state.
 REC_SUBSCRIBE = "subscribe"
@@ -448,18 +436,8 @@ def handle_subscription(agent: "CellQueryAgent",
                         message: dict[str, Any]) -> None:
     """Install a standing subscription on a cell (MSG_SUB handler)."""
     tag = message["tag"]
-    standing = agent.__dict__.setdefault("_standing", {})
-    if tag in standing:
-        return  # duplicate delivery: the schedule is already armed
-    standing[tag] = _CellSubscription(
-        agent, tag,
-        FedQuerySpec.from_wire(message["spec"]),
-        WindowClause.from_wire(message["window"]),
-        list(message["roster"]),
-        message["round_base"],
-        message.get("neighbors"),
-        message["reply_to"],
-    )
+    if tag not in agent._standing:  # else a duplicate: already armed
+        agent._standing[tag] = _CellSubscription(agent, message)
 
 
 class _CellSubscription:
@@ -476,18 +454,21 @@ class _CellSubscription:
     documented contract of the standing path.
     """
 
-    def __init__(self, agent: "CellQueryAgent", tag: str,
-                 spec: FedQuerySpec, window: WindowClause,
-                 roster: list[str], round_base: str,
-                 neighbors: int | None, reply_to: str) -> None:
+    def __init__(self, agent: "CellQueryAgent",
+                 message: dict[str, Any]) -> None:
         self.agent = agent
-        self.tag = tag
-        self.spec = spec
-        self.window = window
-        self.roster = roster
-        self.round_base = round_base
-        self.neighbors = neighbors
-        self.reply_to = reply_to
+        self.tag = tag = message["tag"]
+        self.spec = spec = FedQuerySpec.from_wire(message["spec"])
+        self.window = window = WindowClause.from_wire(message["window"])
+        self.round_base = message["round_base"]
+        self.reply_to = message["reply_to"]
+        # The masking context every window shares; each close adds its
+        # own round tag.
+        self._context = {
+            "roster": list(message["roster"]),
+            "neighbors": message.get("neighbors"),
+            "positions": None, "global_size": len(message["roster"]),
+        }
         self._watermark_units = window.origin_s // window.field_seconds
         self._pipeline: StreamPipeline | None = None
         if spec.numeric:
@@ -510,68 +491,19 @@ class _CellSubscription:
         if wtag in agent._partials:
             return  # a coordinator plan re-ask already computed it
         wspec = self.window.windowed_spec(self.spec, index)
-        if not agent._participates(wspec):
-            # Re-evaluated at every close: an opt-out or a UCON
-            # condition flipping mid-subscription declines from the
-            # next window on.
-            partial = partial_message(
-                wtag, agent.name, STATUS_DECLINED, plan="none", examined=0)
-        elif not gate.cohort_allows(wspec, len(self.roster)):
-            partial = partial_message(
-                wtag, agent.name, STATUS_FLOOR, plan="none", examined=0)
+        if self.spec.numeric:
+            local = partial(self._window_value, index)
         else:
-            partial = self._window_partial(wtag, wspec, index)
-        agent._partials[wtag] = partial
-        agent._partials[wtag + "|ctx"] = {
-            "roster": list(self.roster),
-            "round_tag": f"{self.round_base}|w{index}",
-            "neighbors": self.neighbors,
-            "positions": None, "global_size": len(self.roster),
-            "contributed": partial["status"] == STATUS_OK,
-        }
-        agent._reply(self.reply_to, partial)
-
-    def _window_partial(self, wtag: str, wspec: FedQuerySpec,
-                        index: int) -> dict[str, Any]:
-        agent = self.agent
-        if not self.spec.numeric:
-            # Record windows are not incremental: the sealed release
-            # is the window's matching rows, bound to the window tag.
-            rows, plan, examined = agent.source.run_local(wspec)
-            rows = list(rows)
-            if agent.fleet_secret is None:
-                raise ProtocolError(
-                    f"cell {agent.name!r} has no fleet secret to seal "
-                    "a record release"
-                )
-            key = gate.recipient_key(self.spec.recipient, agent.fleet_secret)
-            payload: dict[str, Any] = {
-                "count": len(rows),
-                "blob": gate.seal_records(key, rows, wtag, agent.name)
-                if rows else None,
-            }
-            return partial_message(
-                wtag, agent.name, STATUS_OK, plan=plan_kind(plan),
-                examined=examined, payload=payload,
-            )
-        value, plan, examined = self._window_value(index)
-        contribution = float(value)
-        if self.spec.transform == TRANSFORM_DP:
-            # Fresh draw per window (never re-drawn for the same
-            # window: the partial cache makes re-asks replays).
-            contribution += gate.dp_noise_share(
-                agent._noise_rng, participants=len(self.roster),
-                epsilon=self.spec.epsilon,
-            )
-        masked = gate.masked_contribution(
-            agent.node, agent.directory, self.roster,
-            f"{self.round_base}|w{index}",
-            round(contribution * self.spec.scale), neighbors=self.neighbors,
-        )
-        return partial_message(
-            wtag, agent.name, STATUS_OK, plan=plan_kind(plan),
-            examined=examined, payload={"masked": masked},
-        )
+            # Record windows are not incremental: the sealed release is
+            # the window's matching rows, bound to the window tag.
+            local = partial(agent.source.run_local, wspec)
+        # The cell's one egress ladder, re-run at every close: an
+        # opt-out or a UCON condition flipping mid-subscription declines
+        # from the next window on, the cohort floor is re-checked, and
+        # the per-window tags make the masks and the DP draw fresh.
+        agent._egress(wtag, wspec, self.reply_to, {
+            **self._context, "round_tag": f"{self.round_base}|w{index}",
+        }, local)
 
     def _window_value(self, index: int) -> tuple[float, str, int]:
         """Advance the watermark and close window ``index`` exactly."""

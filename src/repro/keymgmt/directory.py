@@ -38,13 +38,12 @@ sweeps), with the same lifecycle semantics.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from ..commons.aggregation import (
     AggregationNode,
     _effective_degree,
-    ring_neighbor_positions,
+    _masking_positions,
 )
 from ..crypto.keys import KeyRing, generate_exchange_keypair
 from ..crypto.primitives import hkdf, sha256
@@ -68,9 +67,6 @@ _REVOCATIONS = _OBS.metrics.counter(
 _KEYS_ISSUED = _OBS.metrics.counter(
     "keymgmt.keys_issued", help="per-edge epoch mask keys issued to nodes")
 
-# Process-wide directory identities for the gate's roster-memo token.
-_DIRECTORY_IDS = itertools.count(1)
-
 AGREEMENT_X3DH = "x3dh"
 AGREEMENT_HASHED = "hashed"
 
@@ -79,17 +75,15 @@ class EpochNode(AggregationNode):
     """An aggregation node masking from directory-issued epoch keys.
 
     Key material is a frozen snapshot: the per-ring-neighbor mask keys
-    of one (epoch, generation). The directory issues a *fresh* node
-    per epoch — reusing an old node after a rotation would serve stale
-    masks out of its per-round cache.
+    of one epoch. The directory issues a *fresh* node per epoch —
+    reusing an old node after a rotation would serve stale masks out of
+    its per-round cache.
     """
 
-    def __init__(self, name: str, epoch: int, generation: int,
-                 directory_token: int, epoch_keys: dict[str, bytes]) -> None:
+    def __init__(self, name: str, epoch: int,
+                 epoch_keys: dict[str, bytes]) -> None:
         super().__init__(name, None)
         self.epoch = epoch
-        self.generation = generation
-        self._directory_token = directory_token
         self._epoch_keys = epoch_keys
 
     def _pairwise_key_for(self, peer: AggregationNode) -> bytes:
@@ -100,9 +94,6 @@ class EpochNode(AggregationNode):
                 f"{peer.name!r} (not a ring neighbor, or revoked)"
             )
         return key
-
-    def roster_token(self):
-        return ("epoch", self._directory_token, self.epoch, self.generation)
 
 
 class _Member:
@@ -132,14 +123,13 @@ class KeyDirectory:
         if agreement == AGREEMENT_X3DH and group_secret is not None:
             raise ConfigurationError(
                 "x3dh agreement takes no group secret")
-        self.token = next(_DIRECTORY_IDS)
         self.neighbors = neighbors
         self.agreement = agreement
         self._group_secret = group_secret
         self._rng = rng
         self.epoch = 0
-        #: Bumped on every membership change and epoch advance; part of
-        #: every issued node's roster-memo token.
+        #: Bumped on every membership change and epoch advance; rotation
+        #: notices carry it.
         self.generation = 0
         self.active = False
         self.revoked: set[str] = set()
@@ -185,29 +175,21 @@ class KeyDirectory:
         if names is None:
             names = self.roster()
         degree = _effective_degree(len(names), self.neighbors)
-        if degree is None:
-            return [peer for peer in names if peer != name]
         position = (positions[name] if positions is not None
                     else names.index(name))
-        return [names[p]
-                for p in ring_neighbor_positions(position, len(names), degree)]
+        return [names[at]
+                for at in _masking_positions(position, len(names), degree)]
 
     def edges(self) -> list[tuple[str, str]]:
         """Current ring edges as (lower-position, higher-position) names."""
         names = self.roster()
         degree = _effective_degree(len(names), self.neighbors)
-        result = []
-        if degree is None:
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    result.append((a, b))
-            return result
-        for position, name in enumerate(names):
-            for peer_position in ring_neighbor_positions(
-                    position, len(names), degree):
-                if position < peer_position:
-                    result.append((name, names[peer_position]))
-        return result
+        return [
+            (name, names[at])
+            for position, name in enumerate(names)
+            for at in _masking_positions(position, len(names), degree)
+            if position < at
+        ]
 
     # -- membership events -------------------------------------------------
 
@@ -384,7 +366,7 @@ class KeyDirectory:
     # -- key issue ---------------------------------------------------------
 
     def issue_node(self, name: str) -> EpochNode:
-        """A fresh masking node for the current (epoch, generation).
+        """A fresh masking node for the current epoch.
 
         Raises for revoked/unknown members and when any of the member's
         ring edges is still awaiting its asynchronous completion.
@@ -405,8 +387,7 @@ class KeyDirectory:
             peer: hkdf(member.chains[peer], "km-mask") for peer in peers
         }
         _KEYS_ISSUED.inc(len(epoch_keys))
-        return EpochNode(name, self.epoch, self.generation, self.token,
-                         epoch_keys)
+        return EpochNode(name, self.epoch, epoch_keys)
 
     def issue_all(self) -> dict[str, EpochNode]:
         """Fresh nodes for the whole active roster."""

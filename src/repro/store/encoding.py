@@ -15,9 +15,9 @@ Two encode/decode paths share this format, same pattern as
 * the **scalar reference** (:func:`encode_record` /
   :func:`decode_record`) — one record at a time, the semantic oracle;
 * the **columnar batch path** (:func:`encode_records`,
-  :func:`encode_frames`, :func:`decode_page`) — numpy-backed when
-  available, operating on a page's or a batch's worth of records as
-  per-field typed arrays (:class:`ColumnBatch`). It is pinned
+  :func:`encode_frames`, :func:`decode_page`) — numpy-backed,
+  operating on a page's or a batch's worth of records as per-field
+  typed arrays (:class:`ColumnBatch`). It is pinned
   bit-for-bit to the scalar path: batch-encoded payloads are byte
   identical and batch-decoded records compare equal, for every value
   tag. Batches that do not fit the vectorized lane (mixed schemas,
@@ -30,15 +30,9 @@ from __future__ import annotations
 
 import struct
 
+import numpy as _np
+
 from ..errors import StorageError
-
-try:  # numpy accelerates the columnar lane; the scalar lane needs nothing
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-    HAVE_NUMPY = False
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -212,8 +206,6 @@ class ColumnBatch:
         producer already holds. ``row()``/``rows()`` still materialize
         records equal to what the scalar path would have seen.
         """
-        if not HAVE_NUMPY:
-            raise StorageError("ColumnBatch.from_arrays requires numpy")
         consts = consts or {}
         columns: dict[str, list] = {}
         numeric: dict[str, tuple] = {}
@@ -314,7 +306,7 @@ class ColumnBatch:
             return self._numeric[name]
         view = None
         column = self.columns.get(name)
-        if column is not None and HAVE_NUMPY:
+        if column is not None:
             kinds = set(map(type, column))
             if kinds == {int}:
                 try:
@@ -368,8 +360,6 @@ def lane_plan(records: list[Record]) -> _LanePlan | None:
     str/bytes/None/bool. ``type() is`` checks keep bools and subclasses
     out of the numeric lanes — they encode differently.
     """
-    if not HAVE_NUMPY:
-        return None
     count = len(records)
     if count < COLUMNAR_MIN_BATCH:
         return None
@@ -422,7 +412,7 @@ def lane_plan_for_batch(batch: ColumnBatch, start: int = 0,
     shape. The resulting plan encodes bit-identically to
     :func:`lane_plan` over ``batch.rows()[start:end]``.
     """
-    if not HAVE_NUMPY or batch.scalar_rows or not batch.fields:
+    if batch.scalar_rows or not batch.fields:
         return None
     if end is None:
         end = batch.count
@@ -709,7 +699,7 @@ def decode_page(payloads: list[bytes], *,
     :func:`decode_record`, errors included.
     """
     count = len(payloads)
-    if not HAVE_NUMPY or count < COLUMNAR_MIN_BATCH:
+    if count < COLUMNAR_MIN_BATCH:
         return ColumnBatch.from_records(
             [decode_record(p, context=context) for p in payloads]
         )

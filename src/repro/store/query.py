@@ -13,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..errors import QueryError
-from .encoding import HAVE_NUMPY, ColumnBatch, Record, Value
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised on minimal installs
-    _np = None
+from ..errors import QueryError
+from .encoding import ColumnBatch, Record, Value
 
 # Integers up to 2**53 convert to float64 exactly; beyond that numpy's
 # int->float promotion in mixed compares diverges from Python's exact
@@ -69,7 +66,7 @@ def _eq_mask(batch: ColumnBatch, field: str, value: Value):
     """Vectorized ``column == value`` mask, or ``None`` when the
     comparison cannot be proven exact (non-numeric columns, bools,
     values outside the column dtype's exact range)."""
-    if not HAVE_NUMPY or not batch.fields:
+    if not batch.fields:
         return None
     if field not in batch.fields:
         # record.get() is None at every columnar row
@@ -140,7 +137,7 @@ class Between(Predicate):
         return True
 
     def matches_batch(self, batch: ColumnBatch):
-        if not HAVE_NUMPY or not batch.fields:
+        if not batch.fields:
             return None
         if self.field not in batch.fields:
             return _np.zeros(batch.count, dtype=bool)
@@ -182,7 +179,7 @@ class Contains(Predicate):
         return isinstance(value, str) and self.needle in value
 
     def matches_batch(self, batch: ColumnBatch):
-        if not HAVE_NUMPY or not batch.fields:
+        if not batch.fields:
             return None
         if self.field not in batch.fields:
             return _np.zeros(batch.count, dtype=bool)  # None is not a str
@@ -210,7 +207,7 @@ class HasKeyword(Predicate):
         return all(term.lower() in tokens for term in self.terms)
 
     def matches_batch(self, batch: ColumnBatch):
-        if not HAVE_NUMPY or not batch.fields:
+        if not batch.fields:
             return None
         if self.field not in batch.fields:
             return _np.zeros(batch.count, dtype=bool)  # None is not a str
@@ -280,8 +277,6 @@ class TruePredicate(Predicate):
         return True
 
     def matches_batch(self, batch: ColumnBatch):
-        if not HAVE_NUMPY:
-            return None
         return _np.ones(batch.count, dtype=bool)
 
 

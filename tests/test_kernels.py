@@ -8,6 +8,7 @@ seeds, roster sizes, masking degrees, dropout patterns, and both the
 scalar-sum and histogram shapes.
 """
 
+import json
 import random
 
 import pytest
@@ -19,8 +20,21 @@ from repro.commons.aggregation import (
     masked_histogram,
     ring_neighbor_positions,
 )
+from repro.commons.async_aggregation import AsyncMaskedAggregation
 from repro.crypto import primitives, shamir
-from repro.fedquery import gate
+from repro.errors import ProtocolError
+from repro.faults.retry import RetryPolicy
+from repro.fedquery import (
+    TRANSFORM_EXACT,
+    CellQueryAgent,
+    Coordinator,
+    FedQuerySpec,
+    ValueSource,
+    gate,
+)
+from repro.infrastructure import CloudProvider
+from repro.infrastructure.network import Network
+from repro.sim import World
 
 SECRET = b"kernel-equivalence-secret"
 
@@ -255,6 +269,52 @@ class TestGateKernelEquivalence:
                 neighbors=None, positions=positions, size=4,
             )
 
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_outsider_node_is_rejected_by_both_functions(self, windowed):
+        """One resolution path, one "not on the roster" check: the
+        recovery side used to leak a bare ``KeyError`` on flat rosters."""
+        names, directory = _fleet(8)
+        outsider = AggregationNode.preshared("zz", SECRET)
+        form = {}
+        if windowed:
+            form = {"positions": {name: at for at, name in enumerate(names)},
+                    "size": len(names)}
+        with pytest.raises(ProtocolError, match="not on the roster"):
+            gate.masked_contribution(
+                outsider, directory, names, "tag-out", 1, neighbors=4, **form)
+        with pytest.raises(ProtocolError, match="not on the roster"):
+            gate.net_recovery_mask(
+                outsider, directory, names, "tag-out", [names[0]],
+                neighbors=4, **form)
+
+    def test_ring_peer_without_key_material_is_rejected(self):
+        """A non-preshared node cannot synthesize a peer's keys. Only
+        the k ring peers whose keys are actually used are looked up, so
+        it is a missing *peer* that raises — a roster member outside
+        the cell's ring is never resolved and may be absent."""
+        rng = random.Random(3)
+        names = [f"dh-{index}" for index in range(8)]
+        directory = {
+            name: AggregationNode.standalone(name, rng) for name in names
+        }
+        node = directory[names[0]]
+        # k=2: dh-0 masks against dh-1 and dh-7 only.
+        beyond_the_ring = dict(directory)
+        del beyond_the_ring[names[4]]
+        assert gate.masked_contribution(
+            node, beyond_the_ring, names, "tag-dh", 5, neighbors=2,
+        ) == gate.masked_contribution_reference(
+            node, directory, names, "tag-dh", 5, neighbors=2,
+        )
+        missing_peer = dict(directory)
+        del missing_peer[names[1]]
+        with pytest.raises(ProtocolError, match="no key material"):
+            gate.masked_contribution(
+                node, missing_peer, names, "tag-dh", 5, neighbors=2)
+        with pytest.raises(ProtocolError, match="no key material"):
+            gate.net_recovery_mask(
+                node, missing_peer, names, "tag-dh", [names[1]], neighbors=2)
+
 
 def _masked_round(size, neighbors, dropouts, seed, width=None):
     """One masked round (batch path) checked against the plain sum."""
@@ -297,3 +357,139 @@ class TestMaskedSumShapes:
     ])
     def test_histogram_shape_is_exact(self, size, neighbors, dropouts, seed):
         _masked_round(size, neighbors, dropouts, seed, width=6)
+
+
+class TestOneMaskCoreAcrossTransports:
+    """The same nodes, values, round tag and dropout set through every
+    masked transport: each one publishes element-for-element what the
+    scalar gate reference computes, because each one calls the one
+    mask core (``AggregationNode.masked_vector``/``unmasking_vector``).
+    Every cell holds the value 1, so a one-bucket histogram carries the
+    same contributions as the three sum transports."""
+
+    SIZE = 9
+    ROUND_TAG = "pin|one-core"  # the Coordinator's "<recipient>|<purpose>"
+
+    def _nodes(self, names):
+        # Fresh nodes per transport: no transport may lean on a mask
+        # cache another one warmed.
+        return [AggregationNode.preshared(name, SECRET) for name in names]
+
+    def _async(self, names, values, dropped, neighbors):
+        world = World(seed=17)
+        cloud = CloudProvider(world)
+        wake_times = {
+            name: [] if name in dropped else [100 + at, 5000 + at]
+            for at, name in enumerate(names)
+        }
+        protocol = AsyncMaskedAggregation(
+            world, cloud, self._nodes(names), values,
+            round_tag=self.ROUND_TAG, deadline=3600, wake_times=wake_times,
+            neighbors=neighbors,
+        )
+        # Read the mailboxes the way the untrusted cloud sees them.
+        posted = {"contrib": {}, "recovery": {}}
+        post = cloud.post_message
+
+        def recording_post(mailbox, sender, payload):
+            body = json.loads(payload.decode())
+            posted[mailbox.rsplit("/", 1)[1]][sender] = body
+            post(mailbox, sender, payload)
+
+        cloud.post_message = recording_post
+        protocol.start()
+        world.loop.run_until(10_000)
+        assert protocol.result.complete
+        return (
+            {name: body["masked"] for name, body in posted["contrib"].items()},
+            {name: body["net_mask"]
+             for name, body in posted["recovery"].items()},
+            protocol.result.total,
+        )
+
+    def _coordinator(self, names, dropped, neighbors):
+        world = World(seed=17)
+        network = Network(world)
+        nodes = self._nodes(names)
+        directory = {node.name: node for node in nodes}
+        for node in nodes:
+            CellQueryAgent(
+                world, network, node.name, node, ValueSource(1.0),
+                purposes={"one-core"}, directory=directory,
+            )
+        for name in dropped:
+            network.set_online(name, False)
+        coordinator = Coordinator(
+            world, network, neighbors=neighbors, collect_timeout_s=10,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=2.0,
+                                     jitter=0.0),
+        )
+        spec = FedQuerySpec(
+            recipient="pin", purpose="one-core", transform=TRANSFORM_EXACT,
+            collection="member", min_cohort=1,
+        )
+        result = coordinator.run(spec, names, round_tag=self.ROUND_TAG)
+        records = coordinator.journal.records()
+        return (
+            {r["from"]: r["payload"]["masked"]
+             for r in records if r["type"] == "partial"},
+            {r["from"]: r["net_mask"]
+             for r in records if r["type"] == "mask"},
+            result.field_total,
+        )
+
+    @pytest.mark.parametrize("neighbors", [None, 4])
+    @pytest.mark.parametrize("dropouts", [0, 2])
+    def test_every_transport_publishes_the_reference_elements(
+            self, neighbors, dropouts):
+        rng = random.Random(100 + dropouts)
+        names = [f"pin-{index}" for index in range(self.SIZE)]
+        dropped = set(rng.sample(names, dropouts))
+        survivors = [name for name in names if name not in dropped]
+        online = set(survivors)
+        values = {name: 1 for name in names}
+
+        oracle = {node.name: node for node in self._nodes(names)}
+        expected = {
+            name: gate.masked_contribution_reference(
+                oracle[name], oracle, names, self.ROUND_TAG, 1,
+                neighbors=neighbors)
+            for name in survivors
+        }
+        expected_recovery = {
+            name: gate.net_recovery_mask_reference(
+                oracle[name], oracle, names, self.ROUND_TAG, sorted(dropped),
+                neighbors=neighbors)
+            for name in survivors
+        } if dropped else {}
+        expected_total = shamir.encode_signed(len(survivors))
+        in_order = [expected[name] for name in survivors]
+
+        summed = MaskedSum(neighbors=neighbors).run(
+            self._nodes(names), values, online=online,
+            round_tag=self.ROUND_TAG)
+        assert summed.aggregator_view == in_order
+
+        counts, histogram = masked_histogram(
+            self._nodes(names), {name: 0 for name in names}, 1,
+            online=online, round_tag=self.ROUND_TAG, neighbors=neighbors)
+        assert histogram.aggregator_view == [[e] for e in in_order]
+
+        async_masked, async_recovery, async_total = self._async(
+            names, values, dropped, neighbors)
+        assert async_masked == expected
+        assert async_recovery == expected_recovery
+
+        fq_masked, fq_recovery, fq_total = self._coordinator(
+            names, dropped, neighbors)
+        assert fq_masked == expected
+        assert fq_recovery == expected_recovery
+
+        assert summed.total == async_total == fq_total == expected_total
+        assert counts == [len(survivors)]
+        assert shamir.encode_signed(histogram.total) == expected_total
+        # The repaired total is the published elements plus the summed
+        # recovery terms — the term the aggregator *adds*.
+        assert kernels.accumulate(
+            list(expected.values()) + list(expected_recovery.values())
+        ) == expected_total

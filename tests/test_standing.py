@@ -1,5 +1,7 @@
 """Tests for standing federated queries (windowed subscriptions)."""
 
+import json
+
 import pytest
 
 from repro.commons.anonymize import is_k_anonymous
@@ -16,8 +18,17 @@ from repro.fedquery import (
     run_traffic,
     seed_stream_data,
     tenant_specs,
+    window_tag,
 )
-from repro.fedquery.spec import TRANSFORM_DP, TRANSFORM_EXACT, TRANSFORM_KANON
+from repro.fedquery import gate
+from repro.fedquery.spec import (
+    TRANSFORM_DP,
+    TRANSFORM_EXACT,
+    TRANSFORM_KANON,
+    plan_message,
+    wire_size,
+)
+from repro.fedquery.standing import sub_message
 from repro.infrastructure.network import Network
 from repro.sim.world import World
 from repro.store.query import Between
@@ -340,3 +351,105 @@ class TestTraffic:
             truth = fleet.ground_truth(window.windowed_spec(spec, index))
             assert sub.results[index].value == pytest.approx(
                 truth, abs=1e-6)
+
+
+class TestOneEgress:
+    """A window close and a one-shot plan leave the cell by the same
+    ladder (``CellQueryAgent._egress``): only where the local value
+    comes from differs, so for the same window tag and round tag the
+    two partials are the same bytes."""
+
+    SUB_TAG = "sub1|utility|load-forecast"
+    ROUND_BASE = "pin-egress"
+
+    def _cell(self, n_cells=6, opted_out=False):
+        world, network, fleet = standing_fleet(n_cells=n_cells)
+        inbox = []
+        network.register("sink", lambda sender, payload: inbox.append(payload))
+        agent = fleet.agents[fleet.roster[1]]
+        if opted_out:
+            agent.opt_out("load-forecast", "cohort-release")
+        return world, network, fleet, agent, inbox
+
+    def _deliver(self, world, network, agent, message, until):
+        network.send("sink", agent.name, message,
+                     size_bytes=wire_size(message))
+        world.loop.run_until(until)
+
+    def _window_partial(self, spec, index, **cell):
+        window = window_clause()
+        world, network, fleet, agent, inbox = self._cell(**cell)
+        self._deliver(world, network, agent, sub_message(
+            self.SUB_TAG, spec, window, fleet.roster, "sink",
+            round_base=self.ROUND_BASE,
+        ), window.window_span_s(index)[1] + 5)
+        wtag = window_tag(self.SUB_TAG, index)
+        (partial,) = [m for m in inbox if m["tag"] == wtag]
+        assert partial is agent._partials[wtag]
+        return partial
+
+    def _plan_partial(self, spec, index, **cell):
+        window = window_clause()
+        world, network, fleet, agent, inbox = self._cell(**cell)
+        end_s = window.window_span_s(index)[1]
+        world.loop.run_until(end_s)
+        self._deliver(world, network, agent, plan_message(
+            window_tag(self.SUB_TAG, index),
+            window.windowed_spec(spec, index), fleet.roster, "sink",
+            round_tag=f"{self.ROUND_BASE}|w{index}",
+        ), end_s + 5)
+        (partial,) = inbox
+        return partial
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("case", [
+        "aggregate-exact", "records-kanon", "opted-out", "below-floor",
+    ])
+    def test_window_close_and_plan_emit_the_same_bytes(self, case, index):
+        spec, cell, status = energy_spec(), {}, "ok"
+        if case == "records-kanon":
+            spec = FedQuerySpec(
+                recipient="agency", purpose="cohort-release",
+                transform=TRANSFORM_KANON, collection="employment",
+                project=("qi_age", "qi_zip", "sector"), k=3,
+            )
+        elif case == "opted-out":
+            cell, status = {"opted_out": True}, "declined"
+        elif case == "below-floor":
+            spec, status = energy_spec(min_cohort=7), "floor"
+        closed = self._window_partial(spec, index, **cell)
+        planned = self._plan_partial(spec, index, **cell)
+        assert closed["status"] == planned["status"] == status
+        assert json.dumps(closed, sort_keys=True) \
+            == json.dumps(planned, sort_keys=True)
+
+    def test_dp_share_is_drawn_once_per_cell_and_window(self, monkeypatch):
+        draws = []
+        draw = gate.dp_noise_share
+
+        def counting_draw(*args, **kwargs):
+            draws.append(kwargs["participants"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(gate, "dp_noise_share", counting_draw)
+        spec = energy_spec(TRANSFORM_DP)
+        window = window_clause()
+        world, network, fleet, agent, inbox = self._cell()
+        self._deliver(world, network, agent, sub_message(
+            self.SUB_TAG, spec, window, fleet.roster, "sink",
+            round_base=self.ROUND_BASE,
+        ), window.window_span_s(0)[1] + 5)
+        assert len(draws) == 1
+        # A coordinator plan re-ask after the close replays the cached
+        # bytes: no second draw to average the noise away with.
+        self._deliver(world, network, agent, plan_message(
+            window_tag(self.SUB_TAG, 0), window.windowed_spec(spec, 0),
+            fleet.roster, "sink", round_tag=f"{self.ROUND_BASE}|w0",
+        ), window.window_span_s(0)[1] + 10)
+        closed, replayed = inbox
+        assert json.dumps(closed, sort_keys=True) \
+            == json.dumps(replayed, sort_keys=True)
+        assert len(draws) == 1
+        world.loop.run_until(window.window_span_s(1)[1] + 5)
+        assert len(draws) == 2 and len(inbox) == 3
+        assert inbox[2]["payload"] != closed["payload"]

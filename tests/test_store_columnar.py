@@ -14,6 +14,7 @@ record encoding — it distinguishes ``1``/``1.0``/``True``, ``0.0`` and
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.crypto.aead import (
@@ -39,18 +40,12 @@ from repro.store import (
 )
 from repro.store.encoding import (
     COLUMNAR_MIN_BATCH,
-    HAVE_NUMPY,
     ColumnBatch,
     decode_page,
     encode_records,
 )
 from repro.store.query import MATCH_ALL, And, Contains, Ne, Not, Or
 from repro.store.zonemap import BlockSummary
-
-if HAVE_NUMPY:
-    import numpy as np
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 
 TIMINGS = FlashTimings(
     page_size=256, pages_per_block=4,
@@ -188,7 +183,6 @@ def random_predicate(rng, depth=0):
     return (And if kind == 9 else Or)(*children)
 
 
-@needs_numpy
 class TestMatchesBatch:
     def test_mask_equals_scalar_matches(self):
         rng = random.Random(4096)
@@ -239,7 +233,6 @@ class TestMatchesBatch:
 # -- from_arrays and insert_batch --------------------------------------------
 
 
-@needs_numpy
 class TestFromArrays:
     def test_rows_match_dict_rows(self):
         count = 40
@@ -280,12 +273,7 @@ class TestFromArrays:
         with pytest.raises(StorageError):
             ColumnBatch.from_arrays({"t": good}, consts={"n": 7})
 
-    def test_requires_numpy_flag(self):
-        # the guard itself: documented to raise when numpy is missing
-        assert HAVE_NUMPY
 
-
-@needs_numpy
 class TestInsertBatchEquivalence:
     def _ab_stores(self):
         flash_scalar, flash_columnar = make_flash(), make_flash()
@@ -393,7 +381,6 @@ class TestInsertBatchEquivalence:
 # -- scan and query equivalence ----------------------------------------------
 
 
-@needs_numpy
 class TestScanEquivalence:
     def _loaded_store(self):
         store = LogStructuredStore(make_flash())
@@ -428,7 +415,6 @@ class TestScanEquivalence:
         assert flattened == list(store.scan_range("t", 100, 180))
 
 
-@needs_numpy
 class TestCatalogColumnarEquivalence:
     def _catalog(self, columnar):
         catalog = Catalog(make_flash(1024), columnar=columnar)
