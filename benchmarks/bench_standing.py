@@ -5,7 +5,9 @@ hundreds of concurrent durable subscriptions, mixed energy and
 employment tenants, against one store-backed fleet on one simulated
 network — and records the rows the "continuous analytics" claim
 needs: windows settled per second, coordinator messages and bytes per
-window per subscription, the transform mix, a quiet fault-control row
+window per subscription, store queries per cell per window close (the
+shared window feed: one per stream collection, whatever the tenant
+count), the transform mix, a quiet fault-control row
 that must sit at zero faults and zero re-asks, and a leakage audit
 proving the write-ahead journal holds only gate-transformed window
 deltas (masked field elements and sealed blobs — never a raw window
@@ -169,6 +171,7 @@ def measure_multi_tenant(n_cells: int, tenants: int, windows: int,
         mix[spec.transform] = mix.get(spec.transform, 0) + 1
         domains[spec.collection] = domains.get(spec.collection, 0) + 1
     faults = _counter_total(world.obs.metrics, "faults.injected")
+    pulls = _counter_total(world.obs.metrics, "fedquery.standing.feed_pulls")
     return {
         "cells": n_cells,
         "subscriptions": report.subscriptions,
@@ -184,6 +187,9 @@ def measure_multi_tenant(n_cells: int, tenants: int, windows: int,
             report.messages_per_window, 2),
         "bytes_per_window_per_subscription": round(
             report.bytes_per_window, 1),
+        # One window-feed pull per stream collection per cell per
+        # close, however many tenants read it (a count, not a timing).
+        "store_queries_per_cell_per_close": pulls / (n_cells * windows),
         "subscribe_messages": report.sub_messages,
         "subscribe_bytes": report.sub_bytes,
         "max_settle_lag_s": report.max_settle_lag_s,
@@ -330,6 +336,9 @@ def test_standing_smoke():
     assert control["reasks"] == 0
     # quiet path: one spontaneous delta per cell per window, zero plans
     assert tenants["messages_per_window_per_subscription"] == SMOKE_CELLS
+    # and one store pull per stream collection per cell per close
+    assert tenants["store_queries_per_cell_per_close"] \
+        == len(tenants["domain_mix"])
     audit = tenants["leakage_audit"]
     assert audit["only_gate_transformed_deltas"]
     assert audit["ungated_partials"] == 0
@@ -358,6 +367,8 @@ def test_standing_smoke():
     }
     assert len(tracked_tenants["domain_mix"]) == 2
     assert tracked_tenants["no_fault_path_clean"]
+    assert tracked_tenants["store_queries_per_cell_per_close"] \
+        == len(tracked_tenants["domain_mix"])
     tracked_control = tracked_tenants["fault_control"]
     assert tracked_control["faults_injected"] == 0
     assert tracked_control["messages_lost"] == 0

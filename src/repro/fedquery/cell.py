@@ -135,9 +135,10 @@ class CellQueryAgent:
         # tag -> the round context of a *contributed* partial: what a
         # later recovery request masks under.
         self._rounds: dict[str, dict[str, Any]] = {}
-        # subscription tag -> its incremental window runtime
+        # The cell's standing runtime (window feeds + live
+        # subscriptions), created by the first ``fq.sub``
         # (:func:`repro.fedquery.standing.handle_subscription`).
-        self._standing: dict[str, Any] = {}
+        self._standing: Any = None
         network.register(
             name, self._on_message,
             latency_ms=latency_ms,

@@ -6,10 +6,16 @@ eligibility counts every reporting period. This module compiles a
 :class:`~repro.fedquery.spec.FedQuerySpec` plus a :class:`WindowClause`
 (tumbling or sliding, sim-time aligned) into a **durable subscription**:
 
-* Cell side — each subscribed cell runs an *incremental* window over
-  the bounded-memory :mod:`repro.streams` operators, fed by its own
-  store's scan path. At every window close it re-evaluates its opt-in
-  and UCON policy, re-checks the cohort floor, and releases only an
+* Cell side — each subscribed cell does its standing work once per
+  close, not once per tenant: one loop event per distinct close time
+  walks the cell's live subscriptions, and all of them read the rows
+  that arrived since the last close from one shared **window feed**
+  per ``(collection, time_field, field_seconds)`` — a single store
+  pull per cell per close. Numeric tenants push their matching rows
+  through an *incremental* window over the bounded-memory
+  :mod:`repro.streams` operators; record tenants release the window's
+  rows. At every window close the cell re-evaluates its opt-in and
+  UCON policy, re-checks the cohort floor, and releases only an
   egress-gated *delta*: a masked field element under a **fresh
   per-window round tag** (so mask keystreams never repeat across
   windows, and compose with the keymgmt epoch ratchet), with a fresh
@@ -31,8 +37,12 @@ per-window total equals re-running the equivalent one-shot windowed
 path pushes matched rows through :class:`~repro.streams.operators.
 WindowAggregate` in the store's matched order and accumulates
 left-to-right from int 0 — exactly ``Aggregate.compute`` — and
-requires only that rows are ingested in event-time order (the traffic
-generator's contract; see ``docs/fedquery.md``).
+requires only that rows are ingested in event-time order (the
+**ordered-ingest contract**: the traffic generator's; a row older than
+a feed's watermark is never seen — see :class:`_WindowFeed` and
+``docs/fedquery.md``). What a cell retains for all of this is bounded
+by the widest live window (the feed's **retention bound**), and a
+subscription's cell runtime is released with its last window.
 """
 
 from __future__ import annotations
@@ -47,7 +57,13 @@ from ..store.query import And, Between, Predicate, TruePredicate
 from ..streams import Sample, StreamPipeline, WindowAggregate
 from .coordinator import Coordinator, FedQueryResult, _RunState
 from .journal import REC_DONE
-from .spec import MSG_SUB, TRANSFORM_KANON, FedQuerySpec, wire_size
+from .spec import (
+    MSG_SUB,
+    TRANSFORM_KANON,
+    FedQuerySpec,
+    plan_kind,
+    wire_size,
+)
 
 if TYPE_CHECKING:
     from .cell import CellQueryAgent
@@ -435,31 +451,227 @@ class StandingCoordinator(Coordinator):
 def handle_subscription(agent: "CellQueryAgent",
                         message: dict[str, Any]) -> None:
     """Install a standing subscription on a cell (MSG_SUB handler)."""
-    tag = message["tag"]
-    if tag not in agent._standing:  # else a duplicate: already armed
-        agent._standing[tag] = _CellSubscription(agent, message)
+    if agent._standing is None:
+        agent._standing = _CellStanding(agent)
+    agent._standing.install(message)
+
+
+class _CellStanding:
+    """One cell's standing runtime: window feeds, live subscriptions
+    and the close ticks that drive them.
+
+    The cell does its standing work once per close time, not once per
+    tenant: one loop event per distinct close time (armed lazily — each
+    tick arms the next close of every subscription it walked, so a
+    cell holds at most one pending event per distinct upcoming close,
+    never ``windows x subscriptions``) walks the live subscriptions in
+    install order, and all of them read the rows that arrived since
+    the last close from the shared :class:`_WindowFeed` of their
+    ``(collection, time_field, field_seconds)``.
+
+    A subscription's runtime is released when its last window closes;
+    a feed goes with its last reader.
+    """
+
+    def __init__(self, agent: "CellQueryAgent") -> None:
+        self.agent = agent
+        # Live subscriptions by tag, in install order.
+        self.subscriptions: dict[str, _CellSubscription] = {}
+        self.feeds: dict[tuple[str, str, int], _WindowFeed] = {}
+        # Close times that already have a loop event pending.
+        self._armed: set[int] = set()
+        metrics = agent.world.obs.metrics
+        self.pulls = metrics.counter(
+            "fedquery.standing.feed_pulls",
+            help="window-feed store pulls by plan kind",
+            labelnames=("plan",))
+        self.examined = metrics.counter(
+            "fedquery.standing.feed_rows_examined",
+            help="store records examined by window-feed pulls")
+        self.consumed = metrics.counter(
+            "fedquery.standing.rows_consumed",
+            help="feed rows read by subscriptions (before their own "
+                 "predicate)")
+        self._retained = metrics.gauge(
+            "fedquery.standing.feed_rows",
+            help="rows retained in a cell's window feeds after a close",
+            labelnames=("cell",)).labels(cell=agent.name)
+
+    def install(self, message: dict[str, Any]) -> None:
+        tag = message["tag"]
+        window = WindowClause.from_wire(message["window"])
+        if tag in self.subscriptions or window_tag(
+                tag, window.windows - 1) in self.agent._partials:
+            # A duplicate (already armed), or late for a subscription
+            # whose last window this cell already answered: its runtime
+            # was released and every window replays from the cache.
+            return
+        spec = FedQuerySpec.from_wire(message["spec"])
+        key = (spec.collection, window.time_field, window.field_seconds)
+        feed = self.feeds.get(key)
+        if feed is None:
+            feed = self.feeds[key] = _WindowFeed(
+                self, spec.collection, window.time_field)
+        sub = _CellSubscription(self.agent, message, spec, window, feed)
+        self.subscriptions[tag] = sub
+        self._arm(sub.next_close_s)
+
+    def _arm(self, close_s: int) -> None:
+        at = max(close_s, self.agent.world.now)  # overdue closes run now
+        if at in self._armed:
+            return
+        self._armed.add(at)
+        self.agent.world.loop.schedule_at(
+            at, partial(self._tick, at),
+            label=f"fq window close {self.agent.name} @{at}",
+        )
+
+    def _tick(self, at: int) -> None:
+        self._armed.discard(at)
+        for sub in list(self.subscriptions.values()):
+            sub.close_due(at)
+            if sub.finished:
+                del self.subscriptions[sub.tag]
+                sub.feed.readers.remove(sub)
+            else:
+                self._arm(sub.next_close_s)
+        retained = 0
+        for key, feed in list(self.feeds.items()):
+            if feed.readers:
+                retained += feed.trim()
+            else:
+                del self.feeds[key]
+        self._retained.set(retained)
+
+
+@dataclass
+class _Pull:
+    """One store pull: the rows of time units ``[low, high)`` in
+    store-matched order, with the plan accounting of the query."""
+
+    low: int
+    high: int
+    rows: list[dict[str, Any]]
+    plan: str
+    examined: int
+
+
+class _WindowFeed:
+    """The rows of one ``(collection, time_field, field_seconds)`` that
+    a cell's live subscriptions can still need, fetched once.
+
+    The feed covers a contiguous range of time units ``[low, high)``
+    as a list of :class:`_Pull` segments. A read up to ``end > high``
+    makes ONE ``source.run_local`` pull of ``Between(time_field, high,
+    end-1)`` — no tenant predicate, no projection, so the store's plan
+    selection rides zone maps and range indexes on the time field — and
+    every other subscription closing at that boundary reads the same
+    rows. A reader whose range starts below ``low`` (a subscription
+    installed after its first windows ended) extends the same feed
+    downward with one more pull.
+
+    **Ordered-ingest contract.** Rows must be ingested in event-time
+    order: a row whose time unit is below ``high`` when it arrives is
+    never seen by the feed, and the store-matched order of the pulls is
+    the one-shot windowed query's only under that order.
+
+    **Retention bound.** :meth:`trim` (after every close tick) drops
+    everything below the lowest reader cursor; a reader's cursor never
+    trails the start of its next window, so the feed holds at most the
+    rows of the widest live window.
+    """
+
+    def __init__(self, runtime: _CellStanding, collection: str,
+                 time_field: str) -> None:
+        self.runtime = runtime
+        self.time_field = time_field
+        self.readers: list[_CellSubscription] = []
+        self._fetch = FedQuerySpec(
+            recipient="window-feed", purpose="window-feed",
+            transform=TRANSFORM_KANON, collection=collection,
+        )
+        # Contiguous and ascending: covers [pulls[0].low, pulls[-1].high).
+        self._pulls: list[_Pull] = []
+
+    def _pull(self, low: int, high: int) -> _Pull:
+        runtime = self.runtime
+        rows, plan, examined = runtime.agent.source.run_local(
+            dataclasses.replace(
+                self._fetch, where=Between(self.time_field, low, high - 1)))
+        runtime.pulls.labels(plan=plan_kind(plan)).inc()
+        runtime.examined.inc(examined)
+        return _Pull(low, high, rows, plan, examined)
+
+    def read(self, low: int,
+             high: int) -> tuple[list[dict[str, Any]], str, int]:
+        """The rows of time units ``[low, high)`` in store-matched
+        order, plus the plan and the records examined by the pull(s)
+        that covered the range (the last pull's plan when several did).
+        Returned rows are shared between readers: copy, never mutate."""
+        if high <= low:
+            return [], "none", 0
+        pulls = self._pulls
+        if not pulls:
+            pulls.append(self._pull(low, high))
+        else:
+            if low < pulls[0].low:
+                pulls.insert(0, self._pull(low, pulls[0].low))
+            if high > pulls[-1].high:
+                pulls.append(self._pull(pulls[-1].high, high))
+        rows: list[dict[str, Any]] = []
+        plan, examined = "none", 0
+        for pull in pulls:
+            if pull.high <= low or pull.low >= high:
+                continue
+            plan = pull.plan
+            examined += pull.examined
+            if low <= pull.low and pull.high <= high:
+                rows.extend(pull.rows)
+            else:
+                within = Between(self.time_field, low, high - 1)
+                rows.extend(row for row in pull.rows if within.matches(row))
+        self.runtime.consumed.inc(len(rows))
+        return rows, plan, examined
+
+    def trim(self) -> int:
+        """Drop what no reader can still need; returns rows retained."""
+        floor = min(reader.cursor for reader in self.readers)
+        kept = []
+        for pull in self._pulls:
+            if pull.high <= floor:
+                continue
+            if pull.low < floor:
+                within = Between(self.time_field, floor, None)
+                pull = dataclasses.replace(pull, low=floor, rows=[
+                    row for row in pull.rows if within.matches(row)])
+            kept.append(pull)
+        self._pulls = kept
+        return sum(len(pull.rows) for pull in kept)
 
 
 class _CellSubscription:
-    """One cell's incremental runtime for one subscription.
+    """One cell's runtime for one subscription: everything that is
+    per-(subscription, window) and nothing that can be shared.
 
-    Holds a :class:`~repro.streams.StreamPipeline` with a single
-    :class:`~repro.streams.WindowAggregate` plus an event-time
-    watermark: every window close scans only the rows the watermark
-    has not covered yet (through the store's normal plan selection —
-    the ``Between`` bound rides zone maps and range indexes), pushes
-    them through the window operator in matched order, and closes the
-    window at its boundary. New rows must be ingested in event-time
-    order for the matched order to equal the one-shot query's — the
-    documented contract of the standing path.
+    Numeric tenants keep a :class:`~repro.streams.StreamPipeline` with
+    a single :class:`~repro.streams.WindowAggregate`; at every close
+    they read the feed rows their ``cursor`` has not covered yet,
+    filter them with their own ``spec.where.matches`` and push them
+    through the window operator in store-matched order.
+    ``records-kanon`` tenants are not incremental: they release the
+    closing window's rows, filtered and projected. Either way the
+    close goes out through ``CellQueryAgent._egress`` under the
+    window's own tag and round tag.
     """
 
-    def __init__(self, agent: "CellQueryAgent",
-                 message: dict[str, Any]) -> None:
+    def __init__(self, agent: "CellQueryAgent", message: dict[str, Any],
+                 spec: FedQuerySpec, window: WindowClause,
+                 feed: _WindowFeed) -> None:
         self.agent = agent
-        self.tag = tag = message["tag"]
-        self.spec = spec = FedQuerySpec.from_wire(message["spec"])
-        self.window = window = WindowClause.from_wire(message["window"])
+        self.tag = message["tag"]
+        self.spec = spec
+        self.window = window
+        self.feed = feed
         self.round_base = message["round_base"]
         self.reply_to = message["reply_to"]
         # The masking context every window shares; each close adds its
@@ -469,73 +681,80 @@ class _CellSubscription:
             "neighbors": message.get("neighbors"),
             "positions": None, "global_size": len(message["roster"]),
         }
-        self._watermark_units = window.origin_s // window.field_seconds
+        self._next = 0  # the next window to close
+        # The lowest time unit this subscription can still need from
+        # the feed: what its pipeline has not consumed, and never below
+        # the start of its next window.
+        self.cursor = window.origin_s // window.field_seconds
         self._pipeline: StreamPipeline | None = None
         if spec.numeric:
             self._pipeline = StreamPipeline([WindowAggregate(
                 window.width_s, slide=window.slide,
                 aggregate=spec.aggregate, origin=window.origin_s,
             )])
-        now = agent.world.now
-        for index in range(window.windows):
-            _, end_s = window.window_span_s(index)
-            agent.world.loop.schedule_in(
-                max(0, end_s - now),
-                lambda i=index: self.close_window(i),
-                label=f"fq window close {tag}|w{index} {agent.name}",
-            )
+        feed.readers.append(self)
 
-    def close_window(self, index: int) -> None:
+    @property
+    def finished(self) -> bool:
+        return self._next >= self.window.windows
+
+    @property
+    def next_close_s(self) -> int:
+        return self.window.window_span_s(self._next)[1]
+
+    def close_due(self, now: int) -> None:
+        """Close, in order, every window that ended at or before ``now``."""
+        while not self.finished and self.next_close_s <= now:
+            self._close(self._next)
+            self._next += 1
+
+    def _close(self, index: int) -> None:
         agent = self.agent
         wtag = window_tag(self.tag, index)
-        if wtag in agent._partials:
-            return  # a coordinator plan re-ask already computed it
-        wspec = self.window.windowed_spec(self.spec, index)
-        if self.spec.numeric:
-            local = partial(self._window_value, index)
-        else:
-            # Record windows are not incremental: the sealed release is
-            # the window's matching rows, bound to the window tag.
-            local = partial(agent.source.run_local, wspec)
-        # The cell's one egress ladder, re-run at every close: an
-        # opt-out or a UCON condition flipping mid-subscription declines
-        # from the next window on, the cohort floor is re-checked, and
-        # the per-window tags make the masks and the DP draw fresh.
-        agent._egress(wtag, wspec, self.reply_to, {
-            **self._context, "round_tag": f"{self.round_base}|w{index}",
-        }, local)
+        if wtag not in agent._partials:  # else a plan re-ask beat the close
+            # The cell's one egress ladder, re-run at every close: an
+            # opt-out or a UCON condition flipping mid-subscription
+            # declines from the next window on, the cohort floor is
+            # re-checked, and the per-window tags make the masks and
+            # the DP draw fresh. The ladder reads nothing
+            # window-dependent off the spec; the window is in ``local``.
+            agent._egress(wtag, self.spec, self.reply_to, {
+                **self._context, "round_tag": f"{self.round_base}|w{index}",
+            }, partial(self._window_local, index))
+        # Answered, declined or replayed: no later window reaches below
+        # the next window's start, so the feed may let go of it.
+        self.cursor = max(self.cursor, self.window.window_bounds(index + 1)[0])
 
-    def _window_value(self, index: int) -> tuple[float, str, int]:
-        """Advance the watermark and close window ``index`` exactly."""
-        window = self.window
+    def _window_local(self, index: int) -> tuple[Any, str, int]:
+        """Window ``index``'s local result, read off the shared feed."""
+        window, spec = self.window, self.spec
         start_s, end_s = window.window_span_s(index)
-        end_units = end_s // window.field_seconds
-        plan, examined = "none", 0
-        if end_units > self._watermark_units:
-            bounded = Between(
-                window.time_field, self._watermark_units, end_units - 1)
-            where: Predicate = bounded \
-                if isinstance(self.spec.where, TruePredicate) \
-                else And(self.spec.where, bounded)
-            fetch = dataclasses.replace(
-                self.spec, transform=TRANSFORM_KANON, where=where,
-                project=None,
-            )
-            rows, plan, examined = self.agent.source.run_local(fetch)
-            pipeline = self._pipeline
-            count_all = self.spec.aggregate == "count"
-            for row in rows:
-                timestamp = int(row[window.time_field]) * window.field_seconds
-                if count_all:
-                    pipeline.push(Sample(timestamp, 1.0))
-                    continue
-                value = row.get(self.spec.value_field)
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float)):
-                    continue  # Aggregate.compute's exact filter
-                pipeline.push(Sample(timestamp, float(value)))
-            self._watermark_units = end_units
-        closed = self._pipeline.close_until(end_s)
+        low, high = window.window_bounds(index)
+        if self._pipeline is None:
+            rows, plan, examined = self.feed.read(low, high + 1)
+            fields = spec.project
+            return [
+                dict(row) if fields is None
+                else {name: row.get(name) for name in fields}
+                for row in rows if spec.where.matches(row)
+            ], plan, examined
+        rows, plan, examined = self.feed.read(self.cursor, high + 1)
+        self.cursor = max(self.cursor, high + 1)
+        pipeline = self._pipeline
+        count_all = spec.aggregate == "count"
+        for row in rows:
+            if not spec.where.matches(row):
+                continue
+            timestamp = int(row[window.time_field]) * window.field_seconds
+            if count_all:
+                pipeline.push(Sample(timestamp, 1.0))
+                continue
+            value = row.get(spec.value_field)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float)):
+                continue  # Aggregate.compute's exact filter
+            pipeline.push(Sample(timestamp, float(value)))
+        closed = pipeline.close_until(end_s)
         value = next(
             (sample.value for sample in closed
              if sample.timestamp == start_s),

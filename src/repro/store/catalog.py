@@ -243,10 +243,16 @@ class Collection:
         if isinstance(predicate, Eq) and predicate.value is not None:
             return predicate.field, predicate.value, predicate.value
         if isinstance(predicate, And):
-            for child in predicate.children:
-                hint = self._range_hint(child)
-                if hint is not None:
-                    return hint
+            # Any child's hint is a valid pre-filter; take the one whose
+            # zone maps admit the fewest blocks (ties: the first).
+            hints = [
+                hint for hint in map(self._range_hint, predicate.children)
+                if hint is not None
+            ]
+            if len(hints) > 1:
+                return min(
+                    hints, key=lambda hint: self._store.blocks_admitted(*hint))
+            return hints[0] if hints else None
         return None
 
 

@@ -990,6 +990,16 @@ class LogStructuredStore:
     def columnar_enabled(self) -> bool:
         return self._columnar
 
+    def blocks_admitted(self, field: str, low: Value = None,
+                        high: Value = None) -> int:
+        """How many summarized blocks a zone-map scan of ``low <=
+        record[field] <= high`` would have to read — the planner's
+        selectivity estimate when several range hints are available."""
+        return sum(
+            summary.admits(field, low, high)
+            for summary in self._summaries.values()
+        )
+
     def _locations_by_page(self, buffered_ids, prune, field, low, high):
         """Group flash-resident directory entries by page, applying
         zone-map block pruning with one ``admits`` verdict per block

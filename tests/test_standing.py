@@ -453,3 +453,291 @@ class TestOneEgress:
         world.loop.run_until(window.window_span_s(1)[1] + 5)
         assert len(draws) == 2 and len(inbox) == 3
         assert inbox[2]["payload"] != closed["payload"]
+
+
+# -- the shared window feed -----------------------------------------------------
+
+FEED_UNITS = 12
+
+
+def feed_fleet(seed=0, n_cells=6, units=FEED_UNITS):
+    from repro.fedquery import TRAFFIC_PURPOSES
+
+    world = World(seed=seed)
+    network = Network(world)
+    fleet = build_fleet(
+        world, network, n_cells, purposes=set(TRAFFIC_PURPOSES))
+    seed_stream_data(fleet, units=units, field_seconds=FIELD_SECONDS)
+    return world, network, fleet
+
+
+def metric(world, name):
+    return world.obs.export()["metrics"][name]
+
+
+def feed_pulls(world):
+    return sum(
+        metric(world, "fedquery.standing.feed_pulls")["labels"].values())
+
+
+class TestWindowFeed:
+    """One store pull per cell per feed per close, whatever the number
+    of tenants; every per-(subscription, window) guarantee unchanged."""
+
+    @pytest.mark.parametrize("tenants", [1, 4, 16])
+    def test_store_queries_per_close_follow_feeds_not_tenants(
+            self, tenants, monkeypatch):
+        from repro.store.catalog import Catalog
+
+        calls = []
+        query = Catalog.query
+
+        def counting_query(catalog, spec):
+            calls.append(id(catalog))
+            return query(catalog, spec)
+
+        monkeypatch.setattr(Catalog, "query", counting_query)
+        window = window_clause()
+        specs = tenant_specs(tenants)
+        feeds = len({spec.collection for spec in specs})
+        assert feeds == min(tenants, 2)
+        world, network, fleet = feed_fleet(n_cells=4, units=UNITS)
+        coordinator = StandingCoordinator(world, network)
+        subs = [coordinator.subscribe(spec, fleet.roster, window)
+                for spec in specs]
+        for index in range(WINDOWS):
+            before = len(calls)
+            world.loop.run_until(window.window_span_s(index)[1] + 5)
+            closing = calls[before:]
+            assert len(closing) == feeds * len(fleet.roster)
+            assert all(closing.count(id(catalog)) == feeds
+                       for catalog in fleet.catalogs.values())
+        coordinator.drive()
+        assert all(sub.complete for sub in subs)
+        assert feed_pulls(world) == len(calls)
+
+    MIXED = (
+        # spec, clause overrides
+        (energy_spec(recipient="u-tumbling"), dict(windows=4)),
+        (energy_spec(recipient="u-sliding",
+                     where=Between("watts", 100.0, 400.0)),
+         dict(windows=8, slide_s=300)),
+        (energy_spec(recipient="u-offset"),
+         dict(width_s=600, windows=5, origin_s=300)),
+        (FedQuerySpec(
+            recipient="a-hours", purpose="employment-stats",
+            transform=TRANSFORM_EXACT, collection="employment",
+            value_field="hours", scale=10),
+         dict(windows=5, slide_s=600, origin_s=300)),
+        (FedQuerySpec(
+            recipient="a-audit", purpose="eligibility-audit",
+            transform=TRANSFORM_EXACT, collection="employment",
+            where=Between("hours", 0.0, 1e9), aggregate="count"),
+         dict(windows=4)),
+        (FedQuerySpec(
+            recipient="a-release", purpose="cohort-release",
+            transform=TRANSFORM_KANON, collection="employment",
+            project=("qi_age", "qi_zip", "sector"), k=2),
+         dict(windows=5, slide_s=600, origin_s=300)),
+    )
+
+    def test_mixed_clauses_on_one_fleet_pinned_to_oneshot(self):
+        """Tumbling and sliding clauses at two origins share the same
+        two feeds; every exact window total is bit-for-bit the one-shot
+        windowed query and every record release is the one-shot rows."""
+        tenants = [(spec, window_clause(**clause))
+                   for spec, clause in self.MIXED]
+        world, network, fleet = feed_fleet()
+        coordinator = StandingCoordinator(world, network)
+        subs = [coordinator.subscribe(spec, fleet.roster, clause)
+                for spec, clause in tenants]
+        coordinator.drive()
+        assert all(len(fleet.agents[name]._standing.feeds) == 0
+                   for name in fleet.roster)  # all released at the end
+
+        world2, network2, fleet2 = feed_fleet()
+        world2.loop.run_until(FEED_UNITS * FIELD_SECONDS + 10)
+        oneshot = Coordinator(world2, network2, address="fq-oneshot")
+        for sub, (spec, clause) in zip(subs, tenants):
+            assert sub.complete
+            key = recipient_key(spec.recipient, fleet.secret)
+            for index in range(clause.windows):
+                expected = oneshot.run(
+                    clause.windowed_spec(spec, index), fleet2.roster)
+                standing = sub.results[index]
+                assert standing.outcome == expected.outcome == "complete"
+                if spec.numeric:
+                    assert (standing.value, standing.field_total) \
+                        == (expected.value, expected.field_total)
+                    continue
+                released, oracle = (
+                    {cell: sorted(json.dumps(row, sort_keys=True)
+                                  for row in gate.open_records(key, blob))
+                     for cell, blob in result.sealed_records}
+                    for result in (standing, expected)
+                )
+                assert released == oracle
+                assert any(released.values())
+
+    # -- cell-level probes (one agent, a sink for its partials) -------------
+
+    SUB_A = "sub1|agency|cohort-release"
+    SUB_B = "sub2|agency|employment-stats"
+    HOURS = FedQuerySpec(
+        recipient="agency", purpose="employment-stats",
+        transform=TRANSFORM_EXACT, collection="employment",
+        value_field="hours", scale=10,
+    )
+    RELEASE = FedQuerySpec(
+        recipient="agency", purpose="cohort-release",
+        transform=TRANSFORM_KANON, collection="employment",
+        project=("qi_age", "qi_zip", "sector"), k=2,
+    )
+
+    def _cell(self):
+        world, network, fleet = feed_fleet()
+        inbox = []
+        network.register("sink", lambda sender, payload: inbox.append(payload))
+        return world, network, fleet, fleet.agents[fleet.roster[1]], inbox
+
+    def _send(self, network, agent, message):
+        network.send("sink", agent.name, message,
+                     size_bytes=wire_size(message))
+
+    def _subscribe(self, network, fleet, agent, tag, spec, clause):
+        self._send(network, agent, sub_message(
+            tag, spec, clause, fleet.roster, "sink", round_base=tag))
+
+    def test_late_subscriber_extends_the_feed_downward(self):
+        """A tenant installed two windows after another reads the same
+        feed; the rows its overdue windows need were already let go, so
+        the feed is extended downward — to the same values the tenant
+        gets when it subscribes alone and on time."""
+        clause = window_clause(windows=4)
+        world, network, fleet, agent, inbox = self._cell()
+        # A sliding record tenant keeps the feed populated.
+        self._subscribe(network, fleet, agent, self.SUB_A, self.RELEASE,
+                        window_clause(windows=10, slide_s=300))
+        world.loop.run_until(2 * WIDTH_S + 50)
+        feed = agent._standing.feeds["employment", "t", FIELD_SECONDS]
+        assert feed._pulls and feed._pulls[0].low > 0
+        before = feed_pulls(world)
+        self._subscribe(network, fleet, agent, self.SUB_B, self.HOURS, clause)
+        world.loop.run_until(2 * WIDTH_S + 60)
+        # windows 0 and 1 closed at once, off the same feed, for ONE
+        # more pull: the range below the retained rows
+        assert agent._standing.feeds[
+            "employment", "t", FIELD_SECONDS] is feed
+        assert len(feed.readers) == 2
+        assert feed_pulls(world) == before + 1
+        world.loop.run_until(4 * WIDTH_S + 5)
+        late = {m["tag"]: m["payload"] for m in inbox
+                if m["tag"].startswith(self.SUB_B)}
+
+        world2, network2, fleet2, agent2, inbox2 = self._cell()
+        self._subscribe(network2, fleet2, agent2, self.SUB_B, self.HOURS,
+                        clause)
+        world2.loop.run_until(4 * WIDTH_S + 5)
+        alone = {m["tag"]: m["payload"] for m in inbox2}
+        assert len(alone) == clause.windows
+        assert late == alone
+
+    def test_plan_reask_that_beats_a_close_replays_and_next_is_exact(self):
+        clause = window_clause()
+        spec = energy_spec()
+        tag = TestOneEgress.SUB_TAG
+        world, network, fleet, agent, inbox = self._cell()
+        self._subscribe(network, fleet, agent, tag, spec, clause)
+        plan = plan_message(
+            window_tag(tag, 0), clause.windowed_spec(spec, 0),
+            fleet.roster, "sink", round_tag=f"{tag}|w0")
+        world.loop.run_until(WIDTH_S - 1)  # the window's last rows are in
+        self._send(network, agent, plan)
+        world.loop.run_until(WIDTH_S - 1)
+        assert len(inbox) == 1  # answered by the plan, before the close
+        world.loop.run_until(WIDTH_S + 5)
+        assert len(inbox) == 1  # the close found it answered
+        self._send(network, agent, plan)
+        world.loop.run_until(WIDTH_S + 10)
+        assert json.dumps(inbox[1], sort_keys=True) \
+            == json.dumps(inbox[0], sort_keys=True)
+        world.loop.run_until(2 * WIDTH_S + 5)
+
+        # window 1 is the bytes a cell that closed window 0 itself emits
+        world2, network2, fleet2, agent2, inbox2 = self._cell()
+        self._subscribe(network2, fleet2, agent2, tag, spec, clause)
+        world2.loop.run_until(2 * WIDTH_S + 5)
+        assert [m["tag"] for m in inbox2] == [
+            window_tag(tag, 0), window_tag(tag, 1)]
+        assert json.dumps(inbox[2], sort_keys=True) \
+            == json.dumps(inbox2[1], sort_keys=True)
+        assert inbox[0]["payload"] == inbox2[0]["payload"]
+
+    def test_runtime_released_after_last_window_and_late_sub_is_noop(self):
+        clause = window_clause()
+        tag = TestOneEgress.SUB_TAG
+        world, network, fleet, agent, inbox = self._cell()
+        self._subscribe(network, fleet, agent, tag, energy_spec(), clause)
+        world.loop.run_until(WIDTH_S + 5)
+        runtime = agent._standing
+        assert list(runtime.subscriptions) == [tag] and runtime.feeds
+        # a duplicate of a live subscription: already armed
+        self._subscribe(network, fleet, agent, tag, energy_spec(), clause)
+        world.loop.run_until(WINDOWS * WIDTH_S + 5)
+        assert len(inbox) == WINDOWS
+        assert not runtime.subscriptions and not runtime.feeds
+        assert not runtime._armed
+        # a late duplicate of the finished subscription: nothing to do
+        pending = world.loop.pending
+        self._subscribe(network, fleet, agent, tag, energy_spec(), clause)
+        world.loop.run_until(WINDOWS * WIDTH_S + 10)
+        assert not runtime.subscriptions and not runtime.feeds
+        assert world.loop.pending == pending
+        assert len(inbox) == WINDOWS
+
+    def test_feed_rows_stay_within_the_widest_live_window(self):
+        """The retention bound, read from the exported gauge after
+        every close: per cell at most rows-per-unit x the widest live
+        window (two stream collections, at most one row per unit
+        each), and nothing once every subscription has finished."""
+        tenants = [(spec, window_clause(**clause))
+                   for spec, clause in self.MIXED]
+        widest_units = max(
+            clause.width_s for _, clause in tenants) // FIELD_SECONDS
+        world, network, fleet = feed_fleet()
+        coordinator = StandingCoordinator(world, network)
+        for spec, clause in tenants:
+            coordinator.subscribe(spec, fleet.roster, clause)
+        peaks = []
+        for unit in range(1, FEED_UNITS + 1):
+            world.loop.run_until(unit * FIELD_SECONDS + 1)
+            retained = metric(
+                world, "fedquery.standing.feed_rows")["labels"]
+            assert set(retained) == set(fleet.roster)
+            assert max(retained.values()) <= 2 * widest_units
+            peaks.append(max(retained.values()))
+        assert max(peaks) > 0  # the sliding tenants do retain rows
+        coordinator.drive()
+        retained = metric(world, "fedquery.standing.feed_rows")["labels"]
+        assert set(retained.values()) == {0}
+
+    def test_feed_counters_survive_an_in_place_reset(self):
+        """``obs.reset()`` zeroes instruments in place (what
+        ``tests/conftest.py`` does to the default scope); the feed binds
+        instruments, not values, so it keeps counting afterwards."""
+        window = window_clause()
+        world, network, fleet = feed_fleet(n_cells=4, units=UNITS)
+        coordinator = StandingCoordinator(world, network)
+        for spec in tenant_specs(4):
+            coordinator.subscribe(spec, fleet.roster, window)
+        world.loop.run_until(WIDTH_S + 5)
+        first = feed_pulls(world)
+        assert first == 2 * len(fleet.roster)
+        assert metric(
+            world, "fedquery.standing.feed_rows_examined")["value"] > 0
+        world.obs.reset()
+        world.loop.run_until(2 * WIDTH_S + 5)
+        assert feed_pulls(world) == first
+        assert set(metric(world, "fedquery.standing.feed_pulls")["labels"]) \
+            <= {"index", "zonemap", "scan"}
+        assert metric(world, "fedquery.standing.rows_consumed")["value"] > 0

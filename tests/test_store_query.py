@@ -227,6 +227,39 @@ class TestQueryExecution:
         assert result.plan in ("index:kind", "range:timestamp")
         assert {row["title"] for row in result} == {"mountain", "family"}
 
+    def test_and_prunes_on_the_most_selective_zonemap_hint(self):
+        """Either child of an ``And`` is a valid zone-map hint; the
+        planner must take the one that admits the fewest blocks, not
+        the first. ``approved`` is 0/1 in every block (admits all),
+        ``t`` is append-ordered (admits one or two)."""
+        small = FlashTimings(
+            page_size=512, pages_per_block=16,
+            read_page_us=25.0, write_page_us=200.0, erase_block_us=1500.0,
+        )
+        catalog = Catalog(NandFlash(small, capacity_bytes=128 * 1024))
+        rows = catalog.collection("rows")
+        rows.insert_many(
+            (f"r{t}", {"t": t, "approved": t % 2, "hours": 30.0 + t % 7})
+            for t in range(1200)
+        )
+        catalog.store.flush()
+        flag, span = Eq("approved", 1), Between("t", 600, 629)
+        by_flag = catalog.query(Query("rows", where=flag))
+        assert by_flag.plan == "zonemap:approved"
+        results = [
+            catalog.query(Query("rows", where=And(*children)))
+            for children in ((flag, span), (span, flag))
+        ]
+        for result in results:
+            assert result.plan == "zonemap:t"
+            assert len(result) == 15
+            assert result.records_examined == results[0].records_examined
+            assert result.flash_reads == results[0].flash_reads
+        assert results[0].records_examined < by_flag.records_examined / 4
+        # a lone hint plans exactly as before
+        assert catalog.query(Query("rows", where=span)).records_examined \
+            == results[0].records_examined
+
     def test_or_falls_back_to_scan(self):
         result = seeded_catalog().query(
             Query("documents", where=Or(Eq("kind", "mail"), Eq("kind", "bill")))

@@ -32,10 +32,11 @@ metrics against the tracked claims within explicit tolerances:
   must match the tracked rows bit-for-bit.
 * **standing queries** — the multi-tenant smoke mix must settle every
   window on the quiet path (zero faults, zero re-asks), keep the
-  deterministic one-delta-per-cell-per-window message rate, hold only
-  gate-transformed deltas in the journal, and recover a window missed
-  across a coordinator crash to the control's exact totals with the
-  tracked recovery latency.
+  deterministic one-delta-per-cell-per-window message rate, make one
+  store query per stream collection per cell per close whatever the
+  tenant count, hold only gate-transformed deltas in the journal, and
+  recover a window missed across a coordinator crash to the control's
+  exact totals with the tracked recovery latency.
 
 Exit status 0 means every gate passed; 1 means a regression (or a
 missing/ill-formed tracked file). Run from anywhere:
@@ -494,6 +495,16 @@ def gate_standing(gate: Gate, tracked: dict) -> None:
         tracked_tenants["messages_per_window_per_subscription"]
         / tracked_tenants["cells"],
         RATE_BAND,
+    )
+    # One shared window-feed pull per stream collection per cell per
+    # close — a count that must not depend on SMOKE_TENANTS.
+    gate.check(
+        "standing store queries per cell per close (live)",
+        f"{tenants['store_queries_per_cell_per_close']:g} vs "
+        f"{len(tenants['domain_mix'])} stream collections, "
+        f"{SMOKE_TENANTS} tenants",
+        tenants["store_queries_per_cell_per_close"]
+        == len(tenants["domain_mix"]),
     )
     gate.check(
         "standing journal holds only gated deltas (live)",
