@@ -107,9 +107,12 @@ class Collection:
     def insert(self, record_id: str, record: Record) -> None:
         """Insert or replace a record and maintain indexes."""
         full_id = self._full_id(record_id)
-        if self._store.contains(full_id):
-            self._unindex(full_id, self._store.get(full_id))
-        self._store.put(full_id, record)
+        previous = (
+            self._store.get(full_id) if self._store.contains(full_id) else None
+        )
+        self._store.put(full_id, record)  # may refuse: indexes untouched
+        if previous is not None:
+            self._unindex(full_id, previous)
         self._index(full_id, record)
 
     def insert_many(self, items: Iterable[tuple[str, Record]]) -> int:
@@ -122,18 +125,31 @@ class Collection:
         sequential path would), but pays the per-record catalog
         overhead once per batch: ordered indexes extend-and-sort
         instead of insorting each posting. Returns the number of
-        records appended to the log.
+        records appended to the log. If the store refuses a record
+        mid-batch, the indexes still follow exactly the leading records
+        it took (``inserts`` counts them) before the error propagates.
         """
         items = [(self._full_id(record_id), record) for record_id, record in items]
+        replaced: dict[str, Record] = {}
+        for full_id, _ in items:
+            if full_id not in replaced and self._store.contains(full_id):
+                replaced[full_id] = self._store.get(full_id)
+        before = self._store.inserts
+        try:
+            return self._store.insert_many(items)
+        finally:
+            self._index_many(items[: self._store.inserts - before], replaced)
+
+    def _index_many(self, items: list[tuple[str, Record]],
+                    replaced: dict[str, Record]) -> None:
+        """Bulk index maintenance for records the store has taken;
+        ``replaced`` holds the versions they superseded."""
         pending: dict[str, Record] = {}
         for full_id, record in items:
-            previous = pending.get(full_id)
+            previous = pending.get(full_id, replaced.get(full_id))
             if previous is not None:
                 self._unindex(full_id, previous)
-            elif self._store.contains(full_id):
-                self._unindex(full_id, self._store.get(full_id))
             pending[full_id] = record
-        count = self._store.insert_many(items)
         for field, index in self._hash_indexes.items():
             index.add_many(
                 (full_id, record[field])
@@ -150,7 +166,6 @@ class Collection:
             for full_id, record in pending.items():
                 if field in record:
                     index.add(full_id, record[field])
-        return count
 
     def get(self, record_id: str) -> Record:
         return self._store.get(self._full_id(record_id))
@@ -266,7 +281,6 @@ class Catalog:
         *,
         page_cache_bytes: int | None = None,
         zone_maps: bool = True,
-        columnar: bool = True,
         checkpoint_blocks: int = 0,
         checkpoint_interval_pages: int | None = None,
     ) -> None:
@@ -277,7 +291,6 @@ class Catalog:
             ram_budget_bytes=ram_budget,
             page_cache_bytes=page_cache_bytes,
             zone_maps=zone_maps,
-            columnar=columnar,
             checkpoint_blocks=checkpoint_blocks,
             checkpoint_interval_pages=checkpoint_interval_pages,
         )
@@ -308,12 +321,10 @@ class Catalog:
             raise QueryError(f"unknown collection {query.collection!r}")
         collection = self._collections[query.collection]
         flash = self.store.flash
-        columnar = self.store.columnar_enabled
 
         def batch_chunks(field=None, low=None, high=None):
-            """Prefix-filtered (keep, batch) chunks from the columnar
-            scan — the same row set, in the same order, as the scalar
-            scan/scan_range generators."""
+            """Prefix-filtered (keep, batch) chunks off the columnar
+            scan — the row set, in the order, ``scan_range`` yields."""
             prefix = collection._prefix
             chunks = []
             for chunk_ids, batch in self.store.scan_batches(field, low, high):
@@ -331,48 +342,25 @@ class Catalog:
         def fetch_candidates(predicate: Predicate):
             before = flash.reads
             ids, plan = collection._candidate_ids(predicate)
-            if ids is None:
-                # No index applies; before surrendering to a full scan,
-                # try zone-map block pruning on a range/equality
-                # constraint. scan_range yields a block-granular
-                # superset that execute() re-filters, exactly like
-                # index candidates.
-                hint = (
-                    collection._range_hint(predicate)
-                    if self.store.zone_maps_enabled else None
-                )
-                if hint is not None:
-                    hint_field, low, high = hint
-                    if columnar:
-                        chunks = batch_chunks(hint_field, low, high)
-                        return (
-                            chunks, f"zonemap:{hint_field}",
-                            flash.reads - before,
-                        )
-                    prefix = collection._prefix
-                    records = [
-                        record
-                        for full_id, record in self.store.scan_range(
-                            hint_field, low, high
-                        )
-                        if full_id.startswith(prefix)
-                    ]
-                    return records, f"zonemap:{hint_field}", flash.reads - before
+            if ids is not None:
+                records = self.store.get_many(sorted(ids))
+                return records, plan, flash.reads - before
+            # No index applies; before surrendering to a full scan, try
+            # zone-map block pruning on a range/equality constraint. The
+            # pruned scan yields a block-granular superset that
+            # execute() re-filters, exactly like index candidates.
+            hint = (
+                collection._range_hint(predicate)
+                if self.store.zone_maps_enabled else None
+            )
+            if hint is None:
                 return None, "scan", 0
-            records = self.store.get_many(sorted(ids))
-            return records, plan, flash.reads - before
+            chunks = batch_chunks(*hint)
+            return chunks, f"zonemap:{hint[0]}", flash.reads - before
 
         def fetch_all():
             before = flash.reads
-            if columnar:
-                return batch_chunks(), flash.reads - before
-            prefix = collection._prefix
-            records = [
-                record
-                for full_id, record in self.store.scan()
-                if full_id.startswith(prefix)
-            ]
-            return records, flash.reads - before
+            return batch_chunks(), flash.reads - before
 
         result = execute(query, fetch_candidates, fetch_all)
         if self.profile is not None:

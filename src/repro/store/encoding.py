@@ -548,9 +548,9 @@ class FrameRun:
     """One constant-layout run of encoded log frames.
 
     ``blob`` holds ``count`` back-to-back frames of ``frame_len`` bytes
-    each, byte-identical to ``LogStructuredStore._frame`` output for the
-    same (kind, id, record) triples. ``payload_offset`` is where the
-    encoded record starts inside each frame."""
+    each, byte-identical to the frames ``LogStructuredStore._append``
+    buffers for the same (kind, id, record) triples. ``payload_offset``
+    is where the encoded record starts inside each frame."""
 
     __slots__ = ("start", "count", "frame_len", "payload_len",
                  "payload_offset", "blob")
@@ -571,9 +571,9 @@ def encode_frame_runs(kind: int, record_ids: list[str],
     """Vectorized log-frame assembly for a whole batch.
 
     Returns ``None`` when the batch does not fit the columnar lane (the
-    caller runs its scalar loop). Otherwise the concatenation of the
-    returned runs' blobs equals ``b"".join(_frame(kind, id, payload))``
-    over the batch, bit for bit.
+    caller takes the ``put`` loop). Otherwise the concatenation of the
+    returned runs' blobs equals the frames that loop would buffer for
+    the batch, bit for bit.
     """
     if plan is None:
         plan = lane_plan(records)

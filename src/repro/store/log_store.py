@@ -4,33 +4,39 @@ Embedded secure microcontrollers cannot update flash in place, so the
 store is append-only: inserts and deletes are log entries packed into
 pages, written strictly sequentially. A RAM-resident directory maps
 record ids to their latest log location; compaction rewrites live
-records into fresh blocks and erases the old ones.
+records into fresh blocks and erases the old ones. Every operation has
+a flash cost visible in the device counters, and the RAM the store
+holds is bounded by the profile's budget.
 
-This is the layer that makes experiment E8 meaningful: every operation
-has a flash cost visible in the device counters, and the RAM directory
-is bounded by the profile's RAM budget.
+Each store decision is written once:
 
-The 1 Hz Linky vertical (86,400 records/day through one cell) adds the
-scaling machinery embedded PDS engines rely on:
+* **write path** — ``_commit_page`` is the one routine through which a
+  data page reaches flash (allocate, sequence, program, cache, summary,
+  integrity tag, directory apply, flush counter, checkpoint trigger)
+  and ``_apply_entries`` is what a page's entries do to the directory,
+  the live counts and the zone map, at commit and at replay alike. The
+  single-record API (``put``, ``delete``, compaction) frames entries
+  through one appender; the batch API (``insert_many``,
+  ``insert_batch``) runs one chunk loop whose one lane decision sends
+  a chunk through the columnar frame encoder or through ``put`` — the
+  flash image is the same, bit for bit.
+* **read path** — one page walk (group the directory by page, zone-map
+  prune, pages in order, entries by offset) serves ``scan`` /
+  ``scan_range`` (per-record decode, the reference), ``scan_batches``
+  (chunked :func:`~repro.store.encoding.decode_page`) and
+  ``get_many``; one wrapper names record, page, block and offset on
+  any decode failure.
 
-* **batch ingest** — :meth:`insert_many` coalesces encoded records
-  through the page buffer and pays one flash program per *page*, with
-  none of the per-record call overhead of :meth:`put`;
-* **page cache** — an optional bounded LRU
-  (:class:`~repro.store.page_cache.PageCache`) over device reads,
-  invalidated by block erases through the device's erase listener;
-* **zone maps** — per-block :class:`~repro.store.zonemap.BlockSummary`
-  records (min/max sequence + field bounds, written at flush) let
-  :meth:`scan_range` skip provably dead blocks;
-* **checkpointed recovery** — :meth:`checkpoint` persists the
-  directory and zone maps into a reserved flash region, so a reboot
-  replays only the pages written since, not the whole log.
+Around them: an optional bounded LRU page cache, per-block zone maps
+(:mod:`~repro.store.zonemap`), and directory checkpoints in a reserved
+region so a reboot replays only the pages written since.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -79,15 +85,25 @@ class _BatchRows:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index: int) -> Record:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, _ = index.indices(self._count)
+            return _BatchRows(self._batch, self._base + start, stop - start)
         return self._batch.row(self._base + index)
+
+    def lane_plan(self):
+        """:func:`encoding.lane_plan` of these rows, classified from
+        the batch's arrays instead of per-record gathers."""
+        return lane_plan_for_batch(
+            self._batch, self._base, self._base + self._count)
+
 
 # Store instruments live on the process-default scope (stores have no
 # world). Bind the instruments, not their values: the test fixture
 # resets the registry in place between tests.
 _OBS = _obs_default()
 _FLUSHES = _OBS.metrics.counter(
-    "store.flush", help="page-buffer flushes (one flash page program each)")
+    "store.flush", help="data pages committed (one flash page program each)")
 _COMPACTIONS = _OBS.metrics.counter(
     "store.compaction", help="compaction passes (full or incremental)")
 _RECOVERY_PAGES = _OBS.metrics.counter(
@@ -95,6 +111,17 @@ _RECOVERY_PAGES = _OBS.metrics.counter(
     help="log pages replayed rebuilding directories after reboot")
 _CHECKPOINTS = _OBS.metrics.counter(
     "store.checkpoints", help="directory checkpoints written to flash")
+_INGEST_CHUNKS = _OBS.metrics.counter(
+    "store.ingest.chunks", labelnames=("lane", "reason"),
+    help="batch-ingest chunks by the lane the one lane decision chose "
+         "(columnar|scalar) and why (ok|small_batch|no_plan|ram_headroom|"
+         "oversize_frame)")
+_DECODE_ROWS = _OBS.metrics.counter(
+    "store.decode.rows", labelnames=("lane",),
+    help="rows scan_batches decoded, by decode_page lane (scalar = rows "
+         "that fell back to decode_record)")
+_DECODE_SCALAR = _DECODE_ROWS.labels(lane="scalar")
+_DECODE_COLUMNAR = _DECODE_ROWS.labels(lane="columnar")
 
 _CKPT_MAGIC = b"\xc4\x4b"
 _CKPT_HEADER_BYTES = 16  # magic(2) + id(8) + chunk(2) + total(2) + length(2)
@@ -122,20 +149,28 @@ class LogStructuredStore:
     keyed by a caller-supplied string id. A record must fit in one
     flash page after encoding.
 
+    :meth:`put` / :meth:`get` / :meth:`scan` / :meth:`scan_range` are
+    the single-record API and the reference: whatever the batch calls
+    (:meth:`insert_many`, :meth:`insert_batch`, :meth:`scan_batches`,
+    :meth:`get_many`) do must leave the flash image a ``put`` loop
+    would and return the rows a ``scan`` would. Which encoder a batch
+    chunk takes is decided from the chunk alone (size, schema, RAM
+    headroom, frame size) and counted in ``store.ingest.chunks``.
+
     ``page_cache_bytes`` enables the bounded LRU page cache;
     ``checkpoint_blocks`` reserves that many blocks (an even count) at
     the end of the device for directory checkpoints, written on demand
     via :meth:`checkpoint` or automatically every
-    ``checkpoint_interval_pages`` flushed pages; ``zone_maps=False``
+    ``checkpoint_interval_pages`` committed pages; ``zone_maps=False``
     turns off field summaries (block fingerprints are kept regardless —
-    incremental recovery needs them).
+    incremental recovery needs them); ``integrity_key`` adds one HMAC
+    tag per data page, verified on every page read.
     """
 
     def __init__(self, flash: NandFlash, ram_budget_bytes: int | None = None,
                  *, page_cache_bytes: int | None = None,
                  zone_maps: bool = True, checkpoint_blocks: int = 0,
                  checkpoint_interval_pages: int | None = None,
-                 columnar: bool = True,
                  integrity_key: bytes | None = None) -> None:
         self.flash = flash
         self._page_size = flash.timings.page_size
@@ -162,7 +197,8 @@ class LogStructuredStore:
         # id -> (page, offset, length); None means deleted
         self._directory: dict[str, tuple[int, int, int]] = {}
         self._buffer = bytearray()
-        # id, kind, payload offset, payload length, record (for zone maps)
+        # id, kind, payload offset on the page-to-be, payload length,
+        # record (inserts carry theirs: zone maps fold it at the flush)
         self._buffer_entries: list[
             tuple[str, int, int, int, Record | None]
         ] = []
@@ -189,9 +225,6 @@ class LogStructuredStore:
         # a rebooted cell can rebuild its RAM directory by log replay.
         self._page_sequence = 0
         self._ram_budget = ram_budget_bytes
-        # Columnar batch ingest/scan (scalar paths stay pinned; the
-        # fused path produces a byte-identical flash image).
-        self._columnar = columnar
         self._batch_scratch_bytes = 0
         # Optional page-granular integrity: one HMAC tag per flushed
         # data page, RAM-resident, verified on every page read. One
@@ -255,10 +288,10 @@ class LogStructuredStore:
             + self._batch_scratch_bytes + self.integrity_ram_bytes
         )
 
-    def _check_ram(self) -> None:
+    def _check_ram(self, growth: int = 0) -> None:
         if self._ram_budget is None:
             return
-        held = (
+        held = growth + (
             self.directory_ram_bytes + self.summaries_ram_bytes
             + self.integrity_ram_bytes
         )
@@ -295,89 +328,97 @@ class LogStructuredStore:
                 )
         return data
 
-    def _note_page_tag(self, page: int, page_data: bytes) -> None:
-        """Tag one flushed page (reads return the padded image)."""
-        padded = page_data.ljust(self._page_size, b"\xff")
-        self._page_tags[page] = self._hmac(
-            self._integrity_key, page.to_bytes(4, "big") + padded
-        )
-
-    # -- log entry framing ----------------------------------------------------
-
-    @staticmethod
-    def _frame(kind: int, record_id: str, payload: bytes) -> bytes:
-        id_bytes = record_id.encode()
-        return (
-            bytes([kind])
-            + len(id_bytes).to_bytes(2, "big")
-            + id_bytes
-            + len(payload).to_bytes(2, "big")
-            + payload
-        )
+    # -- the write path ---------------------------------------------------------
 
     _PAGE_HEADER_BYTES = 8
 
-    def _block_summary(self, block: int) -> BlockSummary:
-        summary = self._summaries.get(block)
-        if summary is None:
-            summary = self._summaries[block] = BlockSummary()
+    def _note_page(self, page: int, page_data: bytes,
+                   sequence: int) -> BlockSummary:
+        """Fingerprint (and tag) one data page, at commit or replay."""
+        summary = self._summaries.setdefault(
+            page // self._pages_per_block, BlockSummary())
+        summary.note_page(sequence)
+        if self._integrity_key is not None:
+            # reads return the padded image, so that is what is tagged
+            padded = page_data.ljust(self._page_size, b"\xff")
+            self._page_tags[page] = self._hmac(
+                self._integrity_key, page.to_bytes(4, "big") + padded)
         return summary
 
-    def _flush_buffer(self) -> None:
-        if not self._buffer_entries:
-            return
+    def _commit_page(self, body: bytes, apply, fold_pending=None) -> None:
+        """The one routine through which a data page reaches flash.
+
+        Allocate, sequence, program, note the write in the cache,
+        fingerprint and tag the page, then ``apply(page, summary)`` —
+        the caller's directory apply — and only then count the flush
+        and, when the interval is due, checkpoint. ``fold_pending`` is
+        the fused path handing over the zone folds it still holds: a
+        checkpoint serializes the summaries, so they must land first
+        or recovered blocks would carry under-approximate (unsafe)
+        bounds.
+        """
         page = self._allocate_page()
         self._page_sequence += 1
-        page_data = self._page_sequence.to_bytes(self._PAGE_HEADER_BYTES, "big")
-        page_data += bytes(self._buffer)
+        page_data = self._page_sequence.to_bytes(
+            self._PAGE_HEADER_BYTES, "big") + body
         self.flash.write_page(page, page_data)
         if self.page_cache is not None:
             self.page_cache.note_write(page, page_data)
-        block = page // self._pages_per_block
-        summary = self._block_summary(block)
-        summary.note_page(self._page_sequence)
-        if self._integrity_key is not None:
-            self._note_page_tag(page, page_data)
-        directory = self._directory
-        live = self._live_per_block
-        header = self._PAGE_HEADER_BYTES
-        for record_id, kind, offset, length, record in self._buffer_entries:
-            if kind == _ENTRY_INSERT:
-                self._retire(record_id)
-                directory[record_id] = (page, offset + header, length)
-                live[block] = live.get(block, 0) + 1
-                if self._zone_maps:
-                    if record is None:
-                        record = decode_record(
-                            bytes(self._buffer[offset : offset + length]),
-                            context="page buffer",
-                        )
-                    summary.note_record(record)
-            else:
-                self._retire(record_id)
-                directory.pop(record_id, None)
-        self._buffer = bytearray()
-        self._buffer_entries = []
-        self._buffered = {}
+        apply(page, self._note_page(page, page_data, self._page_sequence))
         _FLUSHES.inc()
         self._pages_since_checkpoint += 1
         if (
             self._checkpoint_interval is not None
             and self._pages_since_checkpoint >= self._checkpoint_interval
         ):
+            if fold_pending is not None:
+                fold_pending()
             self.checkpoint()
 
-    def _retire(self, record_id: str) -> None:
-        """Decrement the live count of the block holding the old version."""
-        location = self._directory.get(record_id)
-        if location is None:
-            return
-        old_block = location[0] // self._pages_per_block
-        remaining = self._live_per_block.get(old_block, 0) - 1
-        if remaining > 0:
-            self._live_per_block[old_block] = remaining
-        else:
-            self._live_per_block.pop(old_block, None)
+    def _apply_entries(self, page: int, summary: BlockSummary,
+                       entries) -> None:
+        """The one directory apply: what a page's log entries do to the
+        directory, the live counts and the zone map, in log order.
+
+        ``entries`` yields ``(record_id, kind, offset, length, record)``
+        with ``offset`` the payload's position on the page; a ``None``
+        record folds nothing (deletes, and inserts whose fields the
+        fused path folds by column).
+        """
+        pages_per_block = self._pages_per_block
+        block = page // pages_per_block
+        directory = self._directory
+        live = self._live_per_block
+        zone_maps = self._zone_maps
+        for record_id, kind, offset, length, record in entries:
+            old = directory.get(record_id)
+            if old is not None:  # retire the superseded version
+                old_block = old[0] // pages_per_block
+                remaining = live.get(old_block, 0) - 1
+                if remaining > 0:
+                    live[old_block] = remaining
+                else:
+                    live.pop(old_block, None)
+            if kind == _ENTRY_INSERT:
+                directory[record_id] = (page, offset, length)
+                live[block] = live.get(block, 0) + 1
+                if zone_maps and record is not None:
+                    summary.note_record(record)
+            elif old is not None:
+                del directory[record_id]
+
+    def _flush_buffer(self) -> None:
+        if self._buffer_entries:
+            self._commit_page(bytes(self._buffer), self._apply_buffer)
+
+    def _apply_buffer(self, page: int, summary: BlockSummary) -> None:
+        # Empty the buffer first: a checkpoint the commit triggers
+        # flushes again and must find nothing left to write.
+        entries = self._buffer_entries
+        self._buffer = bytearray()
+        self._buffer_entries = []
+        self._buffered = {}
+        self._apply_entries(page, summary, entries)
 
     def _allocate_page(self) -> int:
         pages_per_block = self._pages_per_block
@@ -397,8 +438,19 @@ class LogStructuredStore:
 
     def _append(self, kind: int, record_id: str, payload: bytes,
                 record: Record | None = None) -> None:
-        frame = self._frame(kind, record_id, payload)
-        usable = self._page_size - self._PAGE_HEADER_BYTES
+        """The one scalar appender: frame one log entry (``kind | id
+        length | id | payload length | payload``) into the page buffer,
+        flushing first when it would not fit."""
+        id_bytes = record_id.encode()
+        frame = (
+            bytes([kind])
+            + len(id_bytes).to_bytes(2, "big")
+            + id_bytes
+            + len(payload).to_bytes(2, "big")
+            + payload
+        )
+        header = self._PAGE_HEADER_BYTES
+        usable = self._page_size - header
         if len(frame) > usable:
             raise StorageError(
                 f"record {record_id!r} ({len(frame)} bytes framed) exceeds "
@@ -406,14 +458,15 @@ class LogStructuredStore:
             )
         if len(self._buffer) + len(frame) > usable:
             self._flush_buffer()
-        offset = len(self._buffer)
-        self._buffer.extend(frame)
-        payload_offset = offset + 1 + 2 + len(record_id.encode()) + 2
-        self._buffer_entries.append(
-            (record_id, kind, payload_offset, len(payload), record)
-        )
-        self._buffered[record_id] = len(self._buffer_entries) - 1
-        self._check_ram()
+        # Checked before the entry is held, so a refused append (like an
+        # oversize or device-full one) leaves the store without it.
+        self._check_ram(len(frame) + self._BUFFER_ENTRY_BYTES)
+        self._buffered[record_id] = len(self._buffer_entries)
+        self._buffer_entries.append((
+            record_id, kind, header + len(self._buffer) + 5 + len(id_bytes),
+            len(payload), record,
+        ))
+        self._buffer += frame
 
     # -- public API ---------------------------------------------------------
 
@@ -422,103 +475,19 @@ class LogStructuredStore:
         self._append(_ENTRY_INSERT, record_id, encode_record(record), record)
         self.inserts += 1
 
-    _COLUMNAR_CHUNK_RECORDS = 16384
-
     def insert_many(self, items: Iterable[tuple[str, Record]]) -> int:
         """Batch ingest: append many records with page-granular cost.
 
         Produces the *identical* flash image a sequence of :meth:`put`
         calls would (same framing, same page boundaries, same sequence
         numbers) — the batch ingest benchmark proves this bit-for-bit —
-        but skips the per-record call overhead. Uniform-schema batches
-        take the columnar lane (see :func:`encoding.encode_frame_runs`):
-        frames are assembled as numpy matrices per constant-layout run,
-        full pages are committed straight from the run blobs without
-        passing through the byte-wise page buffer, and zone maps fold
-        whole column slices per page. Batches (or chunks) the lane
-        rejects fall back to the scalar loop, whose behaviour is
-        unchanged. Returns the number of records appended.
+        but skips the per-record call overhead wherever a chunk fits
+        the columnar lane (see :meth:`_ingest`). Returns the number of
+        records appended. If it raises, ``inserts`` has still counted
+        exactly the leading records the store now holds.
         """
-        if not isinstance(items, list):
-            items = list(items)
-        appended = 0
-        position = 0
-        total = len(items)
-        while self._columnar and total - position >= COLUMNAR_MIN_BATCH:
-            chunk = self._columnar_chunk_size(items[position])
-            if chunk < COLUMNAR_MIN_BATCH:
-                break
-            part = items[position : position + chunk]
-            record_ids, records = zip(*part)
-            plan = lane_plan(records)
-            runs = (
-                encode_frame_runs(_ENTRY_INSERT, record_ids, records, plan)
-                if plan is not None else None
-            )
-            if runs is None or not self._commit_frame_runs(
-                record_ids, records, runs, plan
-            ):
-                break  # this chunk (and the rest) goes through the scalar loop
-            appended += len(part)
-            position += len(part)
-        if position < total:
-            appended += self._insert_scalar(
-                items[position:] if position else items
-            )
-        self.inserts += appended
-        self._check_ram()
-        return appended
-
-    def _insert_scalar(self, items: list[tuple[str, Record]]) -> int:
-        """The pinned per-record ingest loop (reference behaviour)."""
-        usable = self._page_size - self._PAGE_HEADER_BYTES
-        buffer = self._buffer
-        entries = self._buffer_entries
-        buffered = self._buffered
-        count = 0
-        for record_id, record in items:
-            payload = encode_record(record)
-            id_bytes = record_id.encode()
-            frame_length = 5 + len(id_bytes) + len(payload)
-            if frame_length > usable:
-                raise StorageError(
-                    f"record {record_id!r} ({frame_length} bytes framed) "
-                    f"exceeds usable page size {usable}"
-                )
-            if len(buffer) + frame_length > usable:
-                self._flush_buffer()
-                self._check_ram()
-                buffer = self._buffer
-                entries = self._buffer_entries
-                buffered = self._buffered
-            offset = len(buffer)
-            buffer += (
-                b"\x01"
-                + len(id_bytes).to_bytes(2, "big")
-                + id_bytes
-                + len(payload).to_bytes(2, "big")
-                + payload
-            )
-            entries.append(
-                (record_id, _ENTRY_INSERT, offset + 5 + len(id_bytes),
-                 len(payload), record)
-            )
-            buffered[record_id] = len(entries) - 1
-            count += 1
-        return count
-
-    def _columnar_chunk_size(self, first_item: tuple[str, Record]) -> int:
-        """Records per fused chunk, bounded by the RAM budget headroom
-        so batch scratch (frame blobs + column arrays) stays a small
-        fraction of what the budget has left. Unbudgeted stores use the
-        fixed chunk size."""
-        headroom = self._ram_headroom()
-        if headroom is None:
-            return self._COLUMNAR_CHUNK_RECORDS
-        record_id, record = first_item
-        frame_estimate = 5 + len(record_id.encode()) + len(encode_record(record))
-        per_record = 2 * frame_estimate + 88  # blob + matrix + directory growth
-        return min(self._COLUMNAR_CHUNK_RECORDS, headroom // (4 * per_record))
+        record_ids, records = tuple(zip(*items)) or ((), ())
+        return self._ingest(record_ids, records, lane_plan)
 
     def insert_batch(self, record_ids: list[str],
                      batch: ColumnBatch) -> int:
@@ -531,295 +500,255 @@ class LogStructuredStore:
         fused page commit — same flash image as
         ``insert_many(zip(record_ids, batch.rows()))``, bit for bit,
         but without the per-record encode, gather, and type-scan costs.
-        Batches the vectorized lane rejects fall back to
-        :meth:`insert_many` over materialized rows. Returns the number
-        of records appended.
+        Returns the number of records appended.
         """
         if not isinstance(record_ids, list):
             record_ids = list(record_ids)
-        total = batch.count
-        if len(record_ids) != total:
+        if len(record_ids) != batch.count:
             raise StorageError(
-                f"{len(record_ids)} record ids for {total} batch rows")
-        fused = 0
+                f"{len(record_ids)} record ids for {batch.count} batch rows")
+        return self._ingest(
+            record_ids, _BatchRows(batch, 0, batch.count), _BatchRows.lane_plan)
+
+    _CHUNK_RECORDS = 16384
+
+    def _ingest(self, record_ids, rows, plan_of) -> int:
+        """The one chunk loop behind :meth:`insert_many` and
+        :meth:`insert_batch`, which differ only in how a chunk's rows
+        and lane plan are obtained (``rows[a:b]``, ``plan_of(rows)``).
+
+        Each chunk takes the lane :meth:`_choose_lane` picks: the
+        columnar lane assembles frames as numpy matrices per
+        constant-layout run and commits full pages straight from the
+        run blobs; the scalar lane is a :meth:`put` loop.
+        """
+        before = self.inserts
         position = 0
-        fast = None
-        if self._columnar and total >= COLUMNAR_MIN_BATCH:
-            # One append-only verdict for the whole batch: globally
-            # unique ids disjoint from the directory and write buffer
-            # stay collision-free across every chunk.
-            unique = set(record_ids)
-            if (
-                len(unique) == total
-                and self._directory.keys().isdisjoint(unique)
-                and self._buffered.keys().isdisjoint(unique)
-            ):
-                fast = True
-        while self._columnar and total - position >= COLUMNAR_MIN_BATCH:
-            chunk = self._batch_chunk_size(record_ids, batch, position)
-            if chunk < COLUMNAR_MIN_BATCH:
-                break
-            end = min(position + chunk, total)
-            plan = lane_plan_for_batch(batch, position, end)
-            if plan is None:
-                break
-            ids_slice = record_ids[position:end]
-            rows = _BatchRows(batch, position, end - position)
-            runs = encode_frame_runs(_ENTRY_INSERT, ids_slice, rows, plan)
-            if runs is None or not self._commit_frame_runs(
-                ids_slice, rows, runs, plan, fast
-            ):
-                break
-            fused += end - position
-            position = end
-        self.inserts += fused
+        while position < len(record_ids):
+            chunk_ids, chunk, reason, plan, runs = self._choose_lane(
+                record_ids, rows, position, plan_of)
+            _INGEST_CHUNKS.labels(
+                lane="scalar" if runs is None else "columnar", reason=reason,
+            ).inc()
+            if runs is None:
+                for record_id, record in zip(chunk_ids, chunk):
+                    self.put(record_id, record)
+            else:
+                self._commit_frame_runs(chunk_ids, chunk, runs, plan)
+            position += len(chunk_ids)
         self._check_ram()
-        appended = fused
-        if position < total:
-            appended += self.insert_many(
-                [(record_ids[index], batch.row(index))
-                 for index in range(position, total)]
-            )
-        return appended
+        return self.inserts - before
 
-    def _batch_chunk_size(self, record_ids, batch, position) -> int:
-        """:meth:`_columnar_chunk_size` for a ColumnBatch slice."""
+    def _choose_lane(self, record_ids, rows, position, plan_of):
+        """The one lane decision, taken from what the store observes.
+
+        Returns ``(ids, rows, reason, plan, runs)`` for the chunk starting
+        at ``position``; ``runs`` is ``None`` on the scalar lane. Columnar
+        needs at least ``COLUMNAR_MIN_BATCH`` records, RAM headroom for
+        that many (batch scratch — frame blobs + column arrays — stays
+        a small fraction of what the budget has left; unbudgeted stores
+        use the fixed chunk size), a uniform schema the encoder has a
+        plan for, and frames that fit a page (an oversize record is
+        left to ``put`` to name in its error).
+        """
+        remaining = len(record_ids) - position
+        fit = self._CHUNK_RECORDS
         headroom = self._ram_headroom()
-        if headroom is None:
-            return self._COLUMNAR_CHUNK_RECORDS
-        record_id = record_ids[position]
-        record = batch.row(position)
-        frame_estimate = 5 + len(record_id.encode()) + len(encode_record(record))
-        per_record = 2 * frame_estimate + 88  # blob + matrix + directory growth
-        return min(self._COLUMNAR_CHUNK_RECORDS, headroom // (4 * per_record))
+        if headroom is not None and remaining >= COLUMNAR_MIN_BATCH:
+            frame_estimate = 5 + len(record_ids[position].encode()) + len(
+                encode_record(rows[position]))
+            per_record = 2 * frame_estimate + 88  # blob + matrix + directory growth
+            fit = min(fit, headroom // (4 * per_record))
+        if min(remaining, fit) < COLUMNAR_MIN_BATCH:
+            # a put loop needs no scratch: it takes the rest in one go
+            reason = ("small_batch" if remaining < COLUMNAR_MIN_BATCH
+                      else "ram_headroom")
+            return record_ids[position:], rows[position:], reason, None, None
+        chunk_ids = record_ids[position : position + fit]
+        chunk = rows[position : position + fit]
+        plan = plan_of(chunk)
+        runs = None if plan is None else encode_frame_runs(
+            _ENTRY_INSERT, chunk_ids, chunk, plan)
+        if runs is None:
+            return chunk_ids, chunk, "no_plan", None, None
+        usable = self._page_size - self._PAGE_HEADER_BYTES
+        if any(run.frame_len > usable for run in runs):
+            return chunk_ids, chunk, "oversize_frame", None, None
+        return chunk_ids, chunk, "ok", plan, runs
 
-    def _commit_frame_runs(self, record_ids, records, runs, plan,
-                           fast: bool | None = None) -> bool:
+    def _buffer_frames(self, record_ids, records, run, first: int,
+                       take: int) -> None:
+        """Buffer ``take`` pre-encoded frames of ``run`` that the caller
+        knows fit, with their records (zone maps fold them at the
+        flush, like :meth:`_append`'s entries)."""
+        buffer = self._buffer
+        entries = self._buffer_entries
+        buffered = self._buffered
+        frame_len = run.frame_len
+        offset = self._PAGE_HEADER_BYTES + len(buffer) + run.payload_offset
+        buffer += run.blob[first * frame_len : (first + take) * frame_len]
+        for index in range(run.start + first, run.start + first + take):
+            record_id = record_ids[index]
+            buffered[record_id] = len(entries)
+            entries.append(
+                (record_id, _ENTRY_INSERT, offset, run.payload_len,
+                 records[index])
+            )
+            offset += frame_len
+        self.inserts += take
+
+    def _commit_frame_runs(self, record_ids, records, runs, plan) -> None:
         """Drive pre-encoded frame runs through buffer and fused pages.
 
-        Replays exactly the scalar loop's page layout: head frames top
-        up the current write buffer, maximal full pages are written
+        Replays exactly the ``put`` loop's page layout: head frames top
+        up the current write buffer, maximal full pages are committed
         straight from the run blobs, and the tail (anything after the
         last page boundary, including an exactly-full final page) stays
-        buffered. Returns False — having written nothing — when a frame
-        exceeds the page, so the scalar loop can raise its per-record
-        error.
+        buffered. ``inserts`` advances as records are buffered or
+        committed, so it is right wherever a commit raises.
         """
         usable = self._page_size - self._PAGE_HEADER_BYTES
-        for run in runs:
-            if run.frame_len > usable:
-                return False
-        scratch = 48 * len(records)
-        for run in runs:
-            scratch += 2 * len(run.blob)
-        self._batch_scratch_bytes = scratch
-        # Append-only fast path: when no id in the chunk collides with
-        # the directory, the write buffer, or another chunk id, page
-        # commits need no retire interleave — the directory takes one
-        # C-speed bulk update per page instead of a per-record loop.
-        # ``insert_batch`` pre-computes the verdict once per batch.
-        if fast is None:
-            unique = set(record_ids)
-            fast = (
-                len(unique) == len(record_ids)
-                and self._directory.keys().isdisjoint(unique)
-                and self._buffered.keys().isdisjoint(unique)
-            )
-        try:
-            self._commit_frame_stream(
-                record_ids, records, runs, plan, usable, fast
-            )
-        finally:
-            self._batch_scratch_bytes = 0
-        return True
-
-    def _commit_frame_stream(self, record_ids, records, runs, plan,
-                             usable, fast) -> None:
+        directory = self._directory
+        live = self._live_per_block
+        self._batch_scratch_bytes = 48 * len(records) + sum(
+            2 * len(run.blob) for run in runs)
+        # The directory apply's single specialisation: when no id in
+        # the chunk collides with the directory, the write buffer, or
+        # another chunk id, nothing is retired — the directory takes a
+        # C-speed bulk update per run slice, not a per-record loop.
+        unique = set(record_ids)
+        append_only = (
+            len(unique) == len(record_ids)
+            and directory.keys().isdisjoint(unique)
+            and self._buffered.keys().isdisjoint(unique)
+        )
         run_index = 0
         in_run = 0  # frames already consumed from runs[run_index]
         n_runs = len(runs)
-        buffer = self._buffer
-        entries = self._buffer_entries
-        buffered = self._buffered
-        # Phase A: top up a non-empty write buffer frame by frame, just
-        # like the scalar loop, until it flushes (or the batch ends).
-        while run_index < n_runs and buffer:
-            run = runs[run_index]
-            frame_len = run.frame_len
-            if len(buffer) + frame_len > usable:
-                self._flush_buffer()
-                self._check_ram()
-                buffer = self._buffer
-                entries = self._buffer_entries
-                buffered = self._buffered
-                break
-            offset = len(buffer)
-            blob_at = in_run * frame_len
-            buffer += run.blob[blob_at : blob_at + frame_len]
-            index = run.start + in_run
-            entries.append(
-                (record_ids[index], _ENTRY_INSERT,
-                 offset + run.payload_offset, run.payload_len,
-                 records[index])
-            )
-            buffered[record_ids[index]] = len(entries) - 1
-            in_run += 1
-            if in_run == run.count:
+        try:
+            # Head: top up a non-empty write buffer until the next
+            # frame does not fit and it flushes (or the batch ends).
+            while run_index < n_runs and self._buffer:
+                run = runs[run_index]
+                take = min((usable - len(self._buffer)) // run.frame_len,
+                           run.count - in_run)
+                self._buffer_frames(record_ids, records, run, in_run, take)
+                in_run += take
+                if in_run < run.count:
+                    self._flush_buffer()
+                    self._check_ram()
+                    break
                 run_index += 1
                 in_run = 0
-        # Per-field column accessors for the fused zone-map fold. A
-        # chunk-level NaN sweep (vectorized ``arr != arr``) lets pages
-        # of NaN-free float columns take the clean min/max fold.
-        zone_columns: list[tuple[str, str, object, object]] = []
-        if self._zone_maps and run_index < n_runs:
-            for name in plan.names:
-                kind = plan.kinds[name]
-                if kind == "c":
-                    zone_columns.append((name, "c", [records[0][name]], None))
-                elif kind == "f":
-                    arr = plan.arrays[name]
-                    flags = arr != arr
-                    zone_columns.append(
-                        (name, "f", arr, flags if flags.any() else None)
-                    )
-                else:
-                    zone_columns.append((name, "i", plan.arrays[name], None))
-        # Phase B: commit maximal pages straight from the run blobs.
-        # Zone folds are deferred into ``zone_spans`` and applied per
-        # block (and before any mid-chunk checkpoint) — see
-        # :meth:`_fold_zone_spans` for the equivalence argument.
-        header = self._PAGE_HEADER_BYTES
-        directory = self._directory
-        live = self._live_per_block
-        zone_spans: list[tuple[object, int, int]] = []
-        while run_index < n_runs:
-            parts: list[tuple[object, int, int]] = []  # run, start, count
-            fill = 0
-            scan_run = run_index
-            scan_in = in_run
-            while scan_run < n_runs:
-                run = runs[scan_run]
-                fit = (usable - fill) // run.frame_len
-                remaining = run.count - scan_in
-                take = remaining if remaining < fit else fit
-                if take <= 0:
-                    break
-                parts.append((run, scan_in, take))
-                fill += take * run.frame_len
-                scan_in += take
-                if scan_in == run.count:
-                    scan_run += 1
-                    scan_in = 0
-            if scan_run >= n_runs:
-                break  # tail stays buffered (even an exactly-full page)
-            page = self._allocate_page()
-            self._page_sequence += 1
-            sequence = self._page_sequence
-            pieces = [sequence.to_bytes(header, "big")]
-            for run, start_in, take in parts:
-                blob_at = start_in * run.frame_len
-                pieces.append(
-                    run.blob[blob_at : blob_at + take * run.frame_len]
-                )
-            page_data = b"".join(pieces)
-            self.flash.write_page(page, page_data)
-            if self.page_cache is not None:
-                self.page_cache.note_write(page, page_data)
-            block = page // self._pages_per_block
-            summary = self._block_summary(block)
-            summary.note_page(sequence)
-            if self._integrity_key is not None:
-                self._note_page_tag(page, page_data)
-            offset = header
-            if fast:
-                on_page = 0
-                for run, start_in, take in parts:
-                    frame_len = run.frame_len
-                    value_at = offset + run.payload_offset
-                    base = run.start + start_in
-                    directory.update(zip(
-                        record_ids[base : base + take],
-                        zip(repeat(page),
-                            range(value_at, value_at + take * frame_len,
-                                  frame_len),
-                            repeat(run.payload_len)),
-                    ))
-                    offset += take * frame_len
-                    on_page += take
-                live[block] = live.get(block, 0) + on_page
-            else:
-                # Replacement-capable slow path: live-count increments
-                # are deferred in ``pending`` and flushed before any
-                # retire, so an intra-page duplicate id sees the earlier
-                # occurrences' counts, exactly as the sequential
-                # retire/set/increment interleave would.
-                pending = 0
-                for run, start_in, take in parts:
-                    frame_len = run.frame_len
-                    payload_len = run.payload_len
-                    value_at = offset + run.payload_offset
-                    base = run.start + start_in
-                    for record_id in record_ids[base : base + take]:
-                        if record_id in directory:
-                            if pending:
-                                live[block] = live.get(block, 0) + pending
-                                pending = 0
-                            self._retire(record_id)
-                        directory[record_id] = (page, value_at, payload_len)
-                        value_at += frame_len
-                        pending += 1
-                    offset += take * frame_len
-                if pending:
-                    live[block] = live.get(block, 0) + pending
-            if zone_columns:
-                first_run, first_in, _ = parts[0]
-                last_run, last_in, last_take = parts[-1]
-                zone_spans.append((
-                    summary,
-                    first_run.start + first_in,
-                    last_run.start + last_in + last_take,
-                ))
-            _FLUSHES.inc()
-            self._pages_since_checkpoint += 1
-            if (
-                self._checkpoint_interval is not None
-                and self._pages_since_checkpoint >= self._checkpoint_interval
-            ):
-                # The checkpoint serializes zone summaries: pending
-                # folds must land first or recovered blocks would carry
-                # under-approximate (unsafe) bounds.
+            # Zone folds of committed pages are deferred into
+            # ``zone_spans`` and applied per block (and before any
+            # mid-chunk checkpoint) — see :meth:`_fold_zone_spans`.
+            zone_columns = (
+                self._zone_columns(plan, records)
+                if self._zone_maps and run_index < n_runs else []
+            )
+            zone_spans: list[tuple[object, int, int]] = []
+
+            def fold_pending() -> None:
                 if zone_spans:
                     self._fold_zone_spans(zone_columns, zone_spans)
-                    zone_spans = []
-                self.checkpoint()
-            self._check_ram()
-            run_index, in_run = scan_run, scan_in
-        if zone_spans:
-            self._fold_zone_spans(zone_columns, zone_spans)
-        # Phase C: buffer the tail frames with their original records
-        # (zone maps fold them at the next flush, like scalar entries).
-        buffer = self._buffer
-        entries = self._buffer_entries
-        buffered = self._buffered
-        while run_index < n_runs:
-            run = runs[run_index]
-            frame_len = run.frame_len
-            take = run.count - in_run
-            blob_at = in_run * frame_len
-            offset = len(buffer)
-            buffer += run.blob[blob_at : blob_at + take * frame_len]
-            base = run.start + in_run
-            for j in range(take):
-                index = base + j
-                entries.append(
-                    (record_ids[index], _ENTRY_INSERT,
-                     offset + run.payload_offset, run.payload_len,
-                     records[index])
+                    zone_spans.clear()
+
+            def apply_parts(page, summary, parts) -> None:
+                offset = self._PAGE_HEADER_BYTES
+                on_page = 0
+                for run, start_in, take in parts:
+                    base = run.start + start_in
+                    ids = record_ids[base : base + take]
+                    value_at = offset + run.payload_offset
+                    offsets = range(
+                        value_at, value_at + take * run.frame_len,
+                        run.frame_len)
+                    if append_only:
+                        directory.update(zip(ids, zip(
+                            repeat(page), offsets, repeat(run.payload_len))))
+                    else:
+                        self._apply_entries(page, summary, zip(
+                            ids, repeat(_ENTRY_INSERT), offsets,
+                            repeat(run.payload_len), repeat(None)))
+                    offset += take * run.frame_len
+                    on_page += take
+                if append_only:
+                    block = page // self._pages_per_block
+                    live[block] = live.get(block, 0) + on_page
+                self.inserts += on_page
+                if zone_columns:
+                    first_run, first_in, _ = parts[0]
+                    last_run, last_in, last_take = parts[-1]
+                    zone_spans.append((
+                        summary,
+                        first_run.start + first_in,
+                        last_run.start + last_in + last_take,
+                    ))
+
+            # Body: commit maximal pages straight from the run blobs.
+            while run_index < n_runs:
+                parts: list[tuple[object, int, int]] = []  # run, start, count
+                fill = 0
+                scan_run = run_index
+                scan_in = in_run
+                while scan_run < n_runs:
+                    run = runs[scan_run]
+                    fit = (usable - fill) // run.frame_len
+                    remaining = run.count - scan_in
+                    take = remaining if remaining < fit else fit
+                    if take <= 0:
+                        break
+                    parts.append((run, scan_in, take))
+                    fill += take * run.frame_len
+                    scan_in += take
+                    if scan_in == run.count:
+                        scan_run += 1
+                        scan_in = 0
+                if scan_run >= n_runs:
+                    break  # tail stays buffered (even an exactly-full page)
+                body = b"".join(
+                    run.blob[start_in * run.frame_len
+                             : (start_in + take) * run.frame_len]
+                    for run, start_in, take in parts
                 )
-                buffered[record_ids[index]] = len(entries) - 1
-                offset += frame_len
-            run_index += 1
-            in_run = 0
+                self._commit_page(
+                    body,
+                    lambda page, summary: apply_parts(page, summary, parts),
+                    fold_pending,
+                )
+                self._check_ram()
+                run_index, in_run = scan_run, scan_in
+            fold_pending()
+            # Tail: buffer what is left after the last page boundary.
+            while run_index < n_runs:
+                run = runs[run_index]
+                self._buffer_frames(
+                    record_ids, records, run, in_run, run.count - in_run)
+                run_index += 1
+                in_run = 0
+        finally:
+            self._batch_scratch_bytes = 0
+
+    @staticmethod
+    def _zone_columns(plan, records) -> list[tuple[str, str, object, object]]:
+        """Per-field column accessors for the fused zone-map fold. A
+        chunk-level NaN sweep (vectorized ``arr != arr``) lets pages of
+        NaN-free float columns take the clean min/max fold."""
+        zone_columns = []
+        for name in plan.names:
+            kind = plan.kinds[name]
+            if kind == "c":
+                zone_columns.append((name, "c", [records[0][name]], None))
+            elif kind == "f":
+                arr = plan.arrays[name]
+                flags = arr != arr
+                zone_columns.append(
+                    (name, "f", arr, flags if flags.any() else None)
+                )
+            else:
+                zone_columns.append((name, "i", plan.arrays[name], None))
+        return zone_columns
 
     def _fold_zone_spans(self, zone_columns, zone_spans) -> None:
         """Fold committed pages' column slices into block summaries,
@@ -882,63 +811,6 @@ class LogStructuredStore:
             return self._buffer_entries[index][1] == _ENTRY_INSERT
         return record_id in self._directory
 
-    def get(self, record_id: str) -> Record:
-        """Fetch the latest version of a record (one page read, unless
-        the record is still in the write buffer)."""
-        index = self._buffered.get(record_id)
-        if index is not None:
-            _, kind, offset, length, _ = self._buffer_entries[index]
-            if kind == _ENTRY_DELETE:
-                raise NotFoundError(f"no record {record_id!r}")
-            return decode_record(
-                bytes(self._buffer[offset : offset + length]),
-                context="write buffer",
-            )
-        location = self._directory.get(record_id)
-        if location is None:
-            raise NotFoundError(f"no record {record_id!r}")
-        page, offset, length = location
-        data = self._read_page(page)
-        try:
-            return decode_record(data[offset : offset + length])
-        except StorageError as error:
-            raise StorageError(
-                f"{error} [record {record_id!r} page {page} block "
-                f"{page // self._pages_per_block} offset {offset}]"
-            ) from error
-
-    def get_many(self, record_ids: list[str]) -> list[Record]:
-        """Fetch several records, reading each flash page at most once.
-
-        This is what an index-driven fetch uses: postings that share a
-        page cost a single page read.
-        """
-        buffered = [record_id for record_id in record_ids
-                    if record_id in self._buffered]
-        flushed = [record_id for record_id in record_ids
-                   if record_id not in self._buffered]
-        page_cache: dict[int, bytes] = {}
-        results: dict[str, Record] = {}
-        for record_id in flushed:
-            location = self._directory.get(record_id)
-            if location is None:
-                raise NotFoundError(f"no record {record_id!r}")
-            page, offset, length = location
-            if page not in page_cache:
-                page_cache[page] = self._read_page(page)
-            try:
-                results[record_id] = decode_record(
-                    page_cache[page][offset : offset + length]
-                )
-            except StorageError as error:
-                raise StorageError(
-                    f"{error} [record {record_id!r} page {page} block "
-                    f"{page // self._pages_per_block} offset {offset}]"
-                ) from error
-        for record_id in buffered:
-            results[record_id] = self.get(record_id)
-        return [results[record_id] for record_id in record_ids]
-
     def flush(self) -> None:
         """Force buffered entries to flash (partial page write)."""
         self._flush_buffer()
@@ -953,42 +825,111 @@ class LogStructuredStore:
                 ids.discard(entry_id)
         return sorted(ids)
 
+    # -- the read path ----------------------------------------------------------
+
+    def _decode_at(self, data: bytes, record_id: str, page: int,
+                   offset: int, length: int) -> Record:
+        """Decode one record off a page image; the one place a decode
+        failure learns which record, page, block and offset it was."""
+        try:
+            return decode_record(data[offset : offset + length])
+        except StorageError as error:
+            raise StorageError(
+                f"{error} [record {record_id!r} page {page} block "
+                f"{page // self._pages_per_block} offset {offset}]"
+            ) from error
+
+    def _locations_by_page(self, field: str | None = None,
+                           low: Value = None, high: Value = None):
+        """Group flash-resident directory entries by page, dropping the
+        pages of blocks whose zone map proves no record can satisfy
+        ``low <= record[field] <= high`` (one ``admits`` verdict per
+        block: it is a pure function of the block summary)."""
+        rejected: set[int] = set()
+        if self._zone_maps and field is not None:
+            rejected = {
+                block for block, summary in self._summaries.items()
+                if not summary.admits(field, low, high)
+            }
+        pages_per_block = self._pages_per_block
+        buffered = self._buffered
+        by_page: dict[int, list[tuple[str, int, int]]] = {}
+        for record_id, (page, offset, length) in self._directory.items():
+            if record_id in buffered or page // pages_per_block in rejected:
+                continue
+            by_page.setdefault(page, []).append((record_id, offset, length))
+        return by_page
+
+    def _walk_pages(self, by_page):
+        """The one page walk: pages in order, each read once, its
+        ``(record_id, offset, length)`` entries in log order."""
+        for page in sorted(by_page):
+            yield page, self._read_page(page), sorted(
+                by_page[page], key=itemgetter(1))
+
+    def _buffered_tail(self, entry_ids: list[str]) -> list[tuple[str, Record]]:
+        """Live records among the ids a scan found buffered at its start."""
+        return [
+            (entry_id, self.get(entry_id))
+            for entry_id in entry_ids if self.contains(entry_id)
+        ]
+
+    def get(self, record_id: str) -> Record:
+        """Fetch the latest version of a record (one page read, unless
+        the record is still in the write buffer)."""
+        index = self._buffered.get(record_id)
+        if index is not None:
+            _, kind, offset, length, _ = self._buffer_entries[index]
+            if kind == _ENTRY_DELETE:
+                raise NotFoundError(f"no record {record_id!r}")
+            offset -= self._PAGE_HEADER_BYTES
+            return decode_record(
+                bytes(self._buffer[offset : offset + length]),
+                context="write buffer",
+            )
+        location = self._directory.get(record_id)
+        if location is None:
+            raise NotFoundError(f"no record {record_id!r}")
+        page, offset, length = location
+        return self._decode_at(
+            self._read_page(page), record_id, page, offset, length)
+
+    def get_many(self, record_ids: list[str]) -> list[Record]:
+        """Fetch several records, reading each flash page at most once.
+
+        This is what an index-driven fetch uses: postings that share a
+        page cost a single page read.
+        """
+        results: dict[str, Record] = {}
+        by_page: dict[int, list[tuple[str, int, int]]] = {}
+        for record_id in record_ids:
+            if record_id in self._buffered:
+                results[record_id] = self.get(record_id)
+                continue
+            location = self._directory.get(record_id)
+            if location is None:
+                raise NotFoundError(f"no record {record_id!r}")
+            by_page.setdefault(location[0], []).append(
+                (record_id, location[1], location[2]))
+        for page, data, entries in self._walk_pages(by_page):
+            for record_id, offset, length in entries:
+                results[record_id] = self._decode_at(
+                    data, record_id, page, offset, length)
+        return [results[record_id] for record_id in record_ids]
+
     def scan(self) -> Iterator[tuple[str, Record]]:
         """Iterate ``(record_id, record)`` over all live records.
 
         Reads each flash page at most once (records are grouped by
         page), so this is the honest full-scan baseline that E8
-        compares against index lookups.
+        compares against index lookups — :meth:`scan_range` with
+        nothing to prune on.
         """
-        buffered_ids = set(self._buffered)
-        by_page: dict[int, list[tuple[str, int, int]]] = {}
-        for record_id, (page, offset, length) in self._directory.items():
-            if record_id not in buffered_ids:
-                by_page.setdefault(page, []).append((record_id, offset, length))
-        for page in sorted(by_page):
-            data = self._read_page(page)
-            for record_id, offset, length in sorted(by_page[page], key=lambda e: e[1]):
-                try:
-                    record = decode_record(data[offset : offset + length])
-                except StorageError as error:
-                    raise StorageError(
-                        f"{error} [page {page} block "
-                        f"{page // self._pages_per_block} offset {offset}]"
-                    ) from error
-                yield record_id, record
-        for entry_id in sorted(buffered_ids):
-            if self.contains(entry_id):
-                yield entry_id, self.get(entry_id)
-
-    # -- zone-map-pruned scans ------------------------------------------------
+        return self.scan_range(None)
 
     @property
     def zone_maps_enabled(self) -> bool:
         return self._zone_maps
-
-    @property
-    def columnar_enabled(self) -> bool:
-        return self._columnar
 
     def blocks_admitted(self, field: str, low: Value = None,
                         high: Value = None) -> int:
@@ -1000,119 +941,74 @@ class LogStructuredStore:
             for summary in self._summaries.values()
         )
 
-    def _locations_by_page(self, buffered_ids, prune, field, low, high):
-        """Group flash-resident directory entries by page, applying
-        zone-map block pruning with one ``admits`` verdict per block
-        (the verdict is a pure function of the block summary)."""
-        by_page: dict[int, list[tuple[str, int, int]]] = {}
-        if prune:
-            pages_per_block = self._pages_per_block
-            summaries = self._summaries
-            admitted: dict[int, bool] = {}
-            for record_id, (page, offset, length) in self._directory.items():
-                if record_id in buffered_ids:
-                    continue
-                block = page // pages_per_block
-                verdict = admitted.get(block)
-                if verdict is None:
-                    summary = summaries.get(block)
-                    verdict = (
-                        summary is None or summary.admits(field, low, high)
-                    )
-                    admitted[block] = verdict
-                if not verdict:
-                    continue
-                by_page.setdefault(page, []).append(
-                    (record_id, offset, length))
-        else:
-            for record_id, (page, offset, length) in self._directory.items():
-                if record_id in buffered_ids:
-                    continue
-                by_page.setdefault(page, []).append(
-                    (record_id, offset, length))
-        return by_page
-
-    def scan_range(self, field: str, low: Value = None,
+    def scan_range(self, field: str | None, low: Value = None,
                    high: Value = None) -> Iterator[tuple[str, Record]]:
         """Skip-scan: like :meth:`scan`, but pages of blocks whose zone
         map proves no record can satisfy ``low <= record[field] <=
         high`` are never read. Yields a *superset* of the matching
         records (block granularity) — callers re-filter, exactly as
-        they re-filter index candidates. Falls back to a plain scan
-        when zone maps are disabled.
+        they re-filter index candidates. A plain scan when zone maps
+        are disabled or ``field`` is ``None``.
         """
-        buffered_ids = set(self._buffered)
-        by_page = self._locations_by_page(
-            buffered_ids, self._zone_maps, field, low, high
-        )
-        for page in sorted(by_page):
-            data = self._read_page(page)
-            for record_id, offset, length in sorted(by_page[page], key=lambda e: e[1]):
-                try:
-                    record = decode_record(data[offset : offset + length])
-                except StorageError as error:
-                    raise StorageError(
-                        f"{error} [page {page} block "
-                        f"{page // self._pages_per_block} offset {offset}]"
-                    ) from error
-                yield record_id, record
-        for entry_id in sorted(buffered_ids):
-            if self.contains(entry_id):
-                yield entry_id, self.get(entry_id)
+        tail = sorted(self._buffered)
+        for page, data, entries in self._walk_pages(
+            self._locations_by_page(field, low, high)
+        ):
+            for record_id, offset, length in entries:
+                yield record_id, self._decode_at(
+                    data, record_id, page, offset, length)
+        yield from self._buffered_tail(tail)
+
+    _SCAN_CHUNK_PAGES = 64
 
     def scan_batches(
         self, field: str | None = None, low: Value = None, high: Value = None,
-        *, chunk_pages: int = 64,
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
         """Columnar scan: yield ``(record_ids, ColumnBatch)`` chunks.
 
-        Covers exactly what :meth:`scan` (or, with ``field``,
-        :meth:`scan_range`) yields — same records, same order, same
-        page reads, same zone-map pruning — but decodes a chunk of
-        pages at a time through :func:`encoding.decode_page`, so
-        uniform frames become column slices instead of per-record
-        dicts. The buffered tail arrives as one final scalar batch.
-        Chunk size shrinks with the RAM budget headroom so decode
-        scratch stays charged but bounded.
+        Covers exactly what :meth:`scan_range` yields — same records,
+        same order, same page reads, same zone-map pruning — but
+        decodes a chunk of pages at a time through
+        :func:`encoding.decode_page`, so uniform frames become column
+        slices instead of per-record dicts. The buffered tail arrives
+        as one final scalar batch. Chunk size shrinks with the RAM
+        budget headroom so decode scratch stays charged but bounded.
         """
+        at_once = self._SCAN_CHUNK_PAGES
         headroom = self._ram_headroom()
         if headroom is not None:
-            chunk_pages = max(
-                1, min(chunk_pages, headroom // (4 * self._page_size))
-            )
-        buffered_ids = set(self._buffered)
-        by_page = self._locations_by_page(
-            buffered_ids, self._zone_maps and field is not None,
-            field, low, high,
-        )
-        pages = sorted(by_page)
-        for chunk_at in range(0, len(pages), chunk_pages):
-            chunk = pages[chunk_at : chunk_at + chunk_pages]
+            at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
+        tail = sorted(self._buffered)
+        walk = self._walk_pages(self._locations_by_page(field, low, high))
+        while chunk := list(islice(walk, at_once)):
             self._batch_scratch_bytes = 3 * len(chunk) * self._page_size
             try:
-                record_ids: list[str] = []
-                payloads: list[bytes] = []
-                for page in chunk:
-                    data = self._read_page(page)
-                    for record_id, offset, length in sorted(
-                        by_page[page], key=lambda e: e[1]
-                    ):
-                        record_ids.append(record_id)
-                        payloads.append(data[offset : offset + length])
-                batch = decode_page(
-                    payloads,
-                    context=f"pages {chunk[0]}..{chunk[-1]}",
-                )
+                record_ids = [
+                    entry[0] for _, _, entries in chunk for entry in entries
+                ]
+                try:
+                    batch = decode_page([
+                        data[offset : offset + length]
+                        for _, data, entries in chunk
+                        for _, offset, length in entries
+                    ])
+                except StorageError:
+                    # Error path only: decode record by record so the
+                    # failure is located like every other read's.
+                    for page, data, entries in chunk:
+                        for record_id, offset, length in entries:
+                            self._decode_at(
+                                data, record_id, page, offset, length)
+                    raise
             finally:
                 self._batch_scratch_bytes = 0
+            _DECODE_SCALAR.inc(len(batch.scalar_rows))
+            _DECODE_COLUMNAR.inc(batch.count - len(batch.scalar_rows))
             yield record_ids, batch
-        tail_ids = [
-            entry_id for entry_id in sorted(buffered_ids)
-            if self.contains(entry_id)
-        ]
-        if tail_ids:
-            tail_records = [self.get(entry_id) for entry_id in tail_ids]
-            yield tail_ids, ColumnBatch.from_records(tail_records)
+        tail_rows = self._buffered_tail(tail)
+        if tail_rows:
+            tail_ids, records = zip(*tail_rows)
+            yield list(tail_ids), ColumnBatch.from_records(list(records))
 
     def __len__(self) -> int:
         return len(self.record_ids())
@@ -1335,24 +1231,19 @@ class LogStructuredStore:
         if not self._ckpt_region_known:
             # Fresh store over a device of unknown history: wipe the
             # whole region so stale checkpoints cannot shadow this one.
-            for block in range(self._region_start_block, self.flash.block_count):
-                first_page = block * self._pages_per_block
-                if any(
-                    self.flash.is_written(page)
-                    for page in range(first_page, first_page + self._pages_per_block)
-                ):
-                    self.flash.erase_block(block)
+            stale = range(self._region_start_block, self.flash.block_count)
             self._ckpt_region_known = True
             target = 0
         else:
             target = 1 - self._ckpt_half
-            for block in self._half_blocks(target):
-                first_page = block * self._pages_per_block
-                if any(
-                    self.flash.is_written(page)
-                    for page in range(first_page, first_page + self._pages_per_block)
-                ):
-                    self.flash.erase_block(block)
+            stale = self._half_blocks(target)
+        for block in stale:
+            first_page = block * self._pages_per_block
+            if any(
+                self.flash.is_written(page)
+                for page in range(first_page, first_page + self._pages_per_block)
+            ):
+                self.flash.erase_block(block)
         self._checkpoint_counter += 1
         target_blocks = list(self._half_blocks(target))
         for index, chunk in enumerate(chunks):
@@ -1426,7 +1317,6 @@ class LogStructuredStore:
                 checkpoint_blocks: int = 0,
                 checkpoint_interval_pages: int | None = None,
                 use_checkpoint: bool = True,
-                columnar: bool = True,
                 integrity_key: bytes | None = None) -> "LogStructuredStore":
         """Rebuild a store from a flash device after a reboot.
 
@@ -1447,7 +1337,7 @@ class LogStructuredStore:
             page_cache_bytes=page_cache_bytes, zone_maps=zone_maps,
             checkpoint_blocks=checkpoint_blocks,
             checkpoint_interval_pages=checkpoint_interval_pages,
-            columnar=columnar, integrity_key=integrity_key,
+            integrity_key=integrity_key,
         )
         pages_per_block = flash.timings.pages_per_block
         header = cls._PAGE_HEADER_BYTES
@@ -1564,14 +1454,17 @@ class LogStructuredStore:
         return store
 
     def _replay_page(self, page: int, data: bytes, sequence: int) -> None:
-        """Apply one page's log entries to the directory (and fold the
-        page into its block's zone map)."""
+        """Apply one programmed page's log entries, parsed back off its
+        image, exactly as its commit applied them."""
+        self._apply_entries(
+            page, self._note_page(page, data, sequence),
+            self._page_entries(page, data),
+        )
+
+    def _page_entries(self, page: int, data: bytes):
+        """Parse a page image back into :meth:`_apply_entries` entries
+        (inserts carry their decoded record when zone maps want it)."""
         offset = self._PAGE_HEADER_BYTES
-        block = page // self._pages_per_block
-        summary = self._block_summary(block)
-        summary.note_page(sequence)
-        if self._integrity_key is not None:
-            self._note_page_tag(page, data)
         while offset + 5 <= len(data):
             kind = data[offset]
             if kind not in (_ENTRY_INSERT, _ENTRY_DELETE):
@@ -1585,26 +1478,9 @@ class LogStructuredStore:
             if payload_start + payload_length > len(data):
                 break  # torn write: ignore the partial tail entry
             record_id = data[id_start : id_start + id_length].decode()
-            if kind == _ENTRY_INSERT:
-                self._retire(record_id)
-                self._directory[record_id] = (
-                    page, payload_start, payload_length,
-                )
-                self._live_per_block[block] = (
-                    self._live_per_block.get(block, 0) + 1
-                )
-                if self._zone_maps:
-                    try:
-                        replayed = decode_record(
-                            data[payload_start : payload_start + payload_length]
-                        )
-                    except StorageError as error:
-                        raise StorageError(
-                            f"{error} [replay page {page} block {block} "
-                            f"offset {payload_start}]"
-                        ) from error
-                    summary.note_record(replayed)
-            else:
-                self._retire(record_id)
-                self._directory.pop(record_id, None)
+            record = None
+            if kind == _ENTRY_INSERT and self._zone_maps:
+                record = self._decode_at(
+                    data, record_id, page, payload_start, payload_length)
+            yield record_id, kind, payload_start, payload_length, record
             offset = payload_start + payload_length

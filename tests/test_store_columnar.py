@@ -1,5 +1,10 @@
 """Property tests pinning the columnar batch path to the scalar path.
 
+The store-level reference is the single-record API — a ``put`` loop for
+the flash image, ``scan``/``scan_range`` for rows — and, for catalog
+queries, an oracle that never touches the store: the inserted dicts
+filtered with ``Predicate.matches``.
+
 Every vectorized surface added by the columnar record path must be
 *observationally identical* to the per-record reference it replaces:
 ``encode_records`` to ``encode_record``, ``decode_page`` rows to
@@ -25,8 +30,9 @@ from repro.crypto.aead import (
     unpack_frames,
 )
 from repro.crypto.primitives import hmac_invocations
-from repro.errors import IntegrityError, StorageError
+from repro.errors import CapacityError, IntegrityError, StorageError
 from repro.hardware import FlashTimings, NandFlash
+from repro.obs import get_default
 from repro.policy import DataEnvelope, private_policy
 from repro.store import (
     Between,
@@ -274,11 +280,17 @@ class TestFromArrays:
             ColumnBatch.from_arrays({"t": good}, consts={"n": 7})
 
 
+def put_all(store, ids, records):
+    """The reference ingest: one ``put`` per record."""
+    for record_id, record in zip(ids, records):
+        store.put(record_id, record)
+
+
 class TestInsertBatchEquivalence:
     def _ab_stores(self):
         flash_scalar, flash_columnar = make_flash(), make_flash()
         return (
-            LogStructuredStore(flash_scalar, columnar=False), flash_scalar,
+            LogStructuredStore(flash_scalar), flash_scalar,
             LogStructuredStore(flash_columnar), flash_columnar,
         )
 
@@ -300,7 +312,7 @@ class TestInsertBatchEquivalence:
         ids = [f"r{index:05d}" for index in range(count)]
         batch = ColumnBatch.from_arrays({"t": t, "w": w}, consts={"unit": "W"})
         scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
-        scalar.insert_many(list(zip(ids, batch.rows())))
+        put_all(scalar, ids, batch.rows())
         assert columnar.insert_batch(ids, batch) == count
         assert columnar.inserts == scalar.inserts == count
         self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
@@ -318,7 +330,7 @@ class TestInsertBatchEquivalence:
         ids = [f"n{index:04d}" for index in range(count)]
         batch = ColumnBatch.from_arrays({"t": t, "w": w})
         scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
-        scalar.insert_many(list(zip(ids, batch.rows())))
+        put_all(scalar, ids, batch.rows())
         columnar.insert_batch(ids, batch)
         self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
 
@@ -328,7 +340,7 @@ class TestInsertBatchEquivalence:
         ids = [f"d{index % 40:03d}" for index in range(count)]  # heavy dups
         batch = ColumnBatch.from_arrays({"t": t})
         scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
-        scalar.insert_many(list(zip(ids, batch.rows())))
+        put_all(scalar, ids, batch.rows())
         columnar.insert_batch(ids, batch)
         self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
 
@@ -337,8 +349,32 @@ class TestInsertBatchEquivalence:
         batch = ColumnBatch.from_arrays({"t": np.arange(count, dtype=np.int64)})
         scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
         ids = [f"s{index}" for index in range(count)]
-        scalar.insert_many(list(zip(ids, batch.rows())))
+        put_all(scalar, ids, batch.rows())
         columnar.insert_batch(ids, batch)
+        self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
+
+    def test_insert_many_below_min_batch_equals_put_loop(self):
+        ids = [f"s{index:02d}" for index in range(COLUMNAR_MIN_BATCH - 1)]
+        records = [{"t": index, "w": index / 4} for index in range(len(ids))]
+        scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
+        put_all(scalar, ids, records)
+        assert columnar.insert_many(zip(ids, records)) == len(ids)
+        assert columnar.inserts == scalar.inserts
+        self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
+
+    def test_insert_many_mixed_schema_equals_put_loop(self):
+        # ragged schema: the lane has no plan, every record goes via put
+        rng = random.Random(40)
+        ids = [f"x{index:02d}" for index in range(40)]
+        records = [
+            {"t": index} if index % 3 else {"t": index, "note": "beach"}
+            for index in range(40)
+        ]
+        rng.shuffle(records)
+        scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
+        put_all(scalar, ids, records)
+        assert columnar.insert_many(zip(ids, records)) == len(ids)
+        assert columnar.inserts == scalar.inserts
         self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
 
     def test_id_count_mismatch_raises(self):
@@ -356,16 +392,15 @@ class TestInsertBatchEquivalence:
         ids = [f"c{index:04d}" for index in range(count)]
         batch = ColumnBatch.from_arrays({"t": t, "w": w})
 
-        def store_with_checkpoints(columnar):
+        def store_with_checkpoints():
             flash = make_flash(1024)
             return LogStructuredStore(
-                flash, columnar=columnar, checkpoint_blocks=32,
-                checkpoint_interval_pages=8,
+                flash, checkpoint_blocks=32, checkpoint_interval_pages=8,
             ), flash
 
-        scalar, flash_scalar = store_with_checkpoints(False)
-        columnar, flash_columnar = store_with_checkpoints(True)
-        scalar.insert_many(list(zip(ids, batch.rows())))
+        scalar, flash_scalar = store_with_checkpoints()
+        columnar, flash_columnar = store_with_checkpoints()
+        put_all(scalar, ids, batch.rows())
         columnar.insert_batch(ids, batch)
         scalar.flush()
         columnar.flush()
@@ -416,49 +451,214 @@ class TestScanEquivalence:
 
 
 class TestCatalogColumnarEquivalence:
-    def _catalog(self, columnar):
-        catalog = Catalog(make_flash(1024), columnar=columnar)
+    METER = 300
+
+    def _catalog(self):
+        """A loaded catalog plus the dicts that went into "meter"."""
+        catalog = Catalog(make_flash(1024))
         meter = catalog.collection("meter")
         other = catalog.collection("other")
         rng = random.Random(99)
+        inserted = [
+            {"t": index, "w": rng.uniform(-5, 5),
+             "note": rng.choice(["beach day", "family trip", "work"])}
+            for index in range(self.METER)
+        ]
         meter.insert_many(
-            (f"m{index:04d}",
-             {"t": index, "w": rng.uniform(-5, 5),
-              "note": rng.choice(["beach day", "family trip", "work"])})
-            for index in range(300)
+            (f"m{index:04d}", record) for index, record in enumerate(inserted)
         )
         other.insert_many(
             (f"o{index:03d}", {"t": index * 2, "w": 0.5}) for index in range(50)
         )
         catalog.store.flush()
-        return catalog
+        return catalog, inserted
+
+    @staticmethod
+    def _oracle(inserted, query):
+        """What the query means, computed without the store."""
+        rows = [dict(record) for record in inserted
+                if query.where.matches(record)]
+        if query.order_by is not None:
+            rows.sort(key=lambda row: row[query.order_by],
+                      reverse=query.descending)
+        if query.limit is not None:
+            rows = rows[: query.limit]
+        if query.project is not None:
+            rows = [{name: row.get(name) for name in query.project}
+                    for row in rows]
+        return rows
 
     def test_query_shapes_identical(self):
-        scalar = self._catalog(columnar=False)
-        columnar = self._catalog(columnar=True)
-        assert columnar.store.columnar_enabled
-        assert not scalar.store.columnar_enabled
+        catalog, inserted = self._catalog()
         queries = [
-            Query("meter", where=Between("t", 40, 90)),
-            Query("meter", where=Between("w", -1.0, 1.0), order_by="t"),
-            Query("meter", where=Eq("t", 7)),
-            Query("meter", where=Ne("note", "work")),
-            Query("meter", where=And(Between("t", 0, 200),
-                                     Between("w", 0.0, 5.0))),
-            Query("meter", where=Or(Eq("t", 3), Eq("t", 250))),
-            Query("meter", where=Not(Between("t", 10, 290))),
-            Query("meter", where=Contains("note", "beach")),
-            Query("meter", where=HasKeyword("note", ("family",))),
-            Query("meter"),
-            Query("meter", where=Between("t", 100, 120), project=["w"]),
-            Query("meter", where=Between("t", 0, 50), limit=7, order_by="t"),
+            (Query("meter", where=Between("t", 40, 90)), "zonemap:t"),
+            (Query("meter", where=Between("w", -1.0, 1.0), order_by="t"),
+             "zonemap:w"),
+            (Query("meter", where=Eq("t", 7)), "zonemap:t"),
+            (Query("meter", where=Ne("note", "work")), "scan"),
+            (Query("meter", where=And(Between("t", 0, 200),
+                                      Between("w", 0.0, 5.0))), "zonemap:t"),
+            (Query("meter", where=Or(Eq("t", 3), Eq("t", 250))), "scan"),
+            (Query("meter", where=Not(Between("t", 10, 290))), "scan"),
+            (Query("meter", where=Contains("note", "beach")), "scan"),
+            (Query("meter", where=HasKeyword("note", ("family",))), "scan"),
+            (Query("meter"), "scan"),
+            (Query("meter", where=Between("t", 100, 120), project=["w"]),
+             "zonemap:t"),
+            (Query("meter", where=Between("t", 0, 50), limit=7, order_by="t"),
+             "zonemap:t"),
         ]
-        for query in queries:
-            a = scalar.query(query)
-            b = columnar.query(query)
-            assert b.rows == a.rows, query
-            assert b.plan == a.plan, query
-            assert b.records_examined == a.records_examined, query
+        store = catalog.store
+        for query, plan in queries:
+            result = catalog.query(query)
+            assert result.rows == self._oracle(inserted, query), query
+            assert result.plan == plan, query
+            if plan == "scan":
+                assert result.records_examined == self.METER, query
+            else:
+                hint = catalog.collection("meter")._range_hint(query.where)
+                assert f"zonemap:{hint[0]}" == plan
+                assert result.records_examined == sum(
+                    full_id.startswith("meter/")
+                    for full_id, _ in store.scan_range(*hint)
+                ), query
+        narrow = catalog.query(queries[0][0])
+        assert len(narrow.rows) <= narrow.records_examined < self.METER
+
+
+# -- failures: located corruption, consistent partial ingest -------------------
+
+
+class TestCorruptionLocated:
+    def test_scan_and_query_name_the_same_record(self):
+        """One bad byte in one flushed page: every read path names the
+        record, page, block and offset — not a 64-page chunk."""
+        flash = make_flash(1024)
+        catalog = Catalog(flash)
+        notes = catalog.collection("notes")
+        notes.insert_many(
+            (f"n{index:04d}", {"t": index, "note": "beach"})
+            for index in range(600)
+        )
+        catalog.store.flush()
+        store = catalog.store
+        victim = "notes/n0333"
+        page, offset, length = store._directory[victim]
+        image = bytearray(flash._pages[page])
+        at = image.index(b"beach", offset, offset + length)
+        image[at] = 0xFF  # not UTF-8
+        flash._pages[page] = bytes(image)
+        block = page // TIMINGS.pages_per_block
+        where = f"[record {victim!r} page {page} block {block} offset {offset}]"
+        reads = {
+            "scan": lambda: list(store.scan()),
+            "scan_range": lambda: list(store.scan_range("t", 300, 400)),
+            "scan_batches": lambda: list(store.scan_batches()),
+            "get": lambda: store.get(victim),
+            "get_many": lambda: store.get_many([victim, "notes/n0001"]),
+            "query": lambda: catalog.query(
+                Query("notes", where=Contains("note", "bea"))),
+            "query zonemap": lambda: catalog.query(
+                Query("notes", where=Between("t", 300, 400))),
+        }
+        for name, read in reads.items():
+            with pytest.raises(StorageError) as caught:
+                read()
+            assert str(caught.value).endswith(where), (name, caught.value)
+
+
+def counter_labels(name):
+    """Non-zero children of a labelled counter on the default scope."""
+    snapshot = get_default().metrics.get(name).snapshot()
+    return {key: value for key, value in snapshot.get("labels", {}).items()
+            if value}
+
+
+def agreement(collection, field="t"):
+    """Ids the store holds, ids the ordered index returns, the counter."""
+    store = collection._store
+    held = sorted(store.record_ids())
+    indexed = sorted(collection._ordered_indexes[field].range(None, None))
+    return held, indexed, store.inserts
+
+
+class TestFailedInsertManyStaysConsistent:
+    """When insert_many raises, every record the store holds is counted
+    and indexed, and nothing it does not hold is."""
+
+    @pytest.mark.parametrize("count", [5, 40])
+    def test_oversize_record_mid_batch(self, count):
+        catalog = Catalog(make_flash())
+        rows = catalog.collection("rows")
+        rows.create_ordered_index("t")
+        items = [(f"r{index:03d}", {"t": index}) for index in range(count)]
+        middle = count // 2
+        items[middle] = (items[middle][0], {"t": middle, "blob": "x" * 300})
+        with pytest.raises(StorageError):
+            rows.insert_many(items)
+        held, indexed, inserts = agreement(rows)
+        assert held == indexed == [f"rows/r{index:03d}" for index in range(middle)]
+        assert inserts == middle
+        result = catalog.query(Query("rows", where=Between("t", 0, count)))
+        assert result.plan == "range:t" and len(result.rows) == middle
+        assert len(list(catalog.store.scan())) == middle
+
+    def test_store_counter_without_a_catalog(self):
+        store = LogStructuredStore(make_flash())
+        items = [(f"r{index}", {"t": index}) for index in range(40)]
+        items[20] = ("r20", {"blob": "x" * 300})
+        with pytest.raises(StorageError):
+            store.insert_many(items)
+        assert store.inserts == len(store) == 20
+
+    def test_device_full_mid_batch_on_the_columnar_lane(self):
+        catalog = Catalog(make_flash(pages=16))
+        rows = catalog.collection("rows")
+        rows.create_ordered_index("t")
+        rows.insert("old", {"t": -1, "w": 0.5})
+        items = [(f"r{index:04d}", {"t": index, "w": 0.5})
+                 for index in range(2000)]
+        items.append(("old", {"t": 5000, "w": 0.5}))  # never reached
+        with pytest.raises(CapacityError):
+            rows.insert_many(items)
+        assert counter_labels("store.ingest.chunks") == {"columnar|ok": 1}
+        held, indexed, inserts = agreement(rows)
+        assert held == indexed
+        assert 1 < len(held) < len(items) and inserts == len(held)
+        assert "rows/old" in held
+        assert catalog.query(
+            Query("rows", where=Between("t", -1, -1), project=["t"])
+        ).rows == [{"t": -1}]
+        # the held records are the leading ones, intact
+        taken = dict(items[: len(held) - 1])
+        for full_id, record in catalog.store.scan():
+            if full_id != "rows/old":
+                assert record == taken[full_id.removeprefix("rows/")]
+
+
+class TestLaneCounters:
+    def test_every_chunk_is_counted_with_its_reason(self):
+        uniform = [(f"u{index:03d}", {"t": index}) for index in range(64)]
+        store = LogStructuredStore(make_flash())
+        store.insert_many(uniform)                                   # ok
+        store.insert_many(uniform[:5])                               # small
+        store.insert_many(
+            [(f"m{index}", {"t": index} if index % 2 else {"w": 1.0})
+             for index in range(32)])                                # no plan
+        with pytest.raises(StorageError):
+            store.insert_many(
+                [(f"b{index}", {"blob": "x" * 300}) for index in range(16)])
+        tight = LogStructuredStore(make_flash(), ram_budget_bytes=6000)
+        tight.insert_many(uniform[:20])                              # headroom
+        assert counter_labels("store.ingest.chunks") == {
+            "columnar|ok": 1, "scalar|small_batch": 1, "scalar|no_plan": 1,
+            "scalar|oversize_frame": 1, "scalar|ram_headroom": 1,
+        }
+        store.flush()
+        rows = sum(batch.count for _, batch in store.scan_batches())
+        decoded = counter_labels("store.decode.rows")
+        assert sum(decoded.values()) == rows == len(store)
+        assert decoded["columnar"] >= 64 and decoded["scalar"] >= 1
 
 
 # -- zone-map fold properties -------------------------------------------------
