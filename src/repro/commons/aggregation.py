@@ -56,7 +56,13 @@ from dataclasses import dataclass, field
 
 from ..crypto import shamir
 from ..crypto.keys import KeyRing
-from ..crypto.primitives import KEY_SIZE, counter_stream, hmac_sha256, sha256
+from ..crypto.primitives import (
+    KEY_SIZE,
+    HmacKey,
+    counter_stream,
+    hmac_sha256,
+    sha256,
+)
 from ..errors import ConfigurationError, ProtocolError
 from ..obs import get_default as _obs_default
 from . import kernels
@@ -75,6 +81,14 @@ _MESSAGES = _OBS.metrics.counter(
     "agg.messages", help="aggregation protocol messages")
 _BYTES = _OBS.metrics.counter(
     "agg.bytes", help="aggregation protocol payload bytes")
+# The mask memo's lane, counted once per batch call (never per peer):
+# a row is ``derived`` when it paid its keyed derivation in this call,
+# ``cached`` when the (peer, round) memo already held its seed.
+_MASK_ROWS = _OBS.metrics.counter(
+    "agg.mask_rows", help="pairwise mask rows by where they came from",
+    labelnames=("source",))
+_ROWS_DERIVED = _MASK_ROWS.labels(source="derived")
+_ROWS_CACHED = _MASK_ROWS.labels(source="cached")
 
 
 def _record_round(result: "AggregationResult") -> None:
@@ -155,6 +169,12 @@ class AggregationNode:
         # Pairwise keys are established once per peer (one DH exchange),
         # then reused across rounds — exactly as a real deployment would.
         self._pairwise_cache: dict[str, bytes] = {}
+        # The same keys with their HMAC key blocks already absorbed:
+        # what a round's mask derivation tags under. One per peer this
+        # node ever masked against — at most the ring degree k — and
+        # never older than its key: a rotated key arrives in a fresh
+        # node (see ``keymgmt.directory.EpochNode``).
+        self._mask_keys: dict[str, HmacKey] = {}
         self._preshared: bytes | None = None
         # Per-(peer, round) keystream cache: seed plus the expanded
         # field elements. The dropout-recovery round re-reads masks
@@ -282,34 +302,48 @@ class AggregationNode:
         The vectorized counterpart of calling :meth:`mask_elements`
         per peer: cached (peer, round) keystreams are reused, every
         missing one is derived (one HMAC per fresh pair — the keyed
-        derivation count is identical to the scalar path) and expanded
-        in a single :func:`~repro.commons.kernels.expand_streams`
-        pass.  Returns the element lists aligned with ``peers``,
-        bit-for-bit equal to the scalar loop.
+        derivation count is identical to the scalar path, tagged under
+        the peer's :class:`~repro.crypto.primitives.HmacKey`) and
+        expanded in a single
+        :func:`~repro.commons.kernels.expand_streams` pass.  Returns
+        the element lists aligned with ``peers``, bit-for-bit equal to
+        the scalar loop.
         """
-        by_name: dict[str, list[int]] = {}
-        fresh_names: list[str] = []
-        fresh_seeds: list[bytes] = []
-        for peer in peers:
-            cached = self._mask_cache.get((peer.name, round_tag))
-            if cached is not None and len(cached[1]) >= count:
-                elements = cached[1]
-                by_name[peer.name] = (
-                    elements if len(elements) == count else elements[:count]
-                )
-                continue
-            seed = cached[0] if cached is not None else hmac_sha256(
-                self._pairwise_key_for(peer), f"mask|{round_tag}".encode()
-            )
-            fresh_names.append(peer.name)
-            fresh_seeds.append(seed)
-        if fresh_seeds:
-            expanded = kernels.expand_streams(fresh_seeds, count)
-            for name, seed, elements in zip(fresh_names, fresh_seeds, expanded):
-                by_name[name] = elements
+        label = f"mask|{round_tag}".encode()
+        cache, mask_keys = self._mask_cache, self._mask_keys
+        rows: list[list[int]] = [[]] * len(peers)
+        fresh: list[int] = []  # indexes into peers/rows still to expand
+        seeds: list[bytes] = []
+        derived = 0
+        for index, peer in enumerate(peers):
+            name = peer.name
+            cached = cache.get((name, round_tag))
+            if cached is not None:
+                seed, elements = cached
+                if len(elements) >= count:
+                    rows[index] = (
+                        elements if len(elements) == count
+                        else elements[:count]
+                    )
+                    continue
+            else:
+                key = mask_keys.get(name)
+                if key is None:
+                    key = mask_keys[name] = HmacKey(
+                        self._pairwise_key_for(peer))
+                seed = key.tag(label)
+                derived += 1
+            fresh.append(index)
+            seeds.append(seed)
+        if seeds:
+            expanded = kernels.expand_streams(seeds, count)
+            for index, seed, elements in zip(fresh, seeds, expanded):
+                rows[index] = elements
                 if self.cache_masks:
-                    self._mask_cache[(name, round_tag)] = (seed, elements)
-        return [by_name[peer.name] for peer in peers]
+                    cache[(peers[index].name, round_tag)] = (seed, elements)
+        _ROWS_DERIVED.inc(derived)
+        _ROWS_CACHED.inc(len(peers) - derived)
+        return rows
 
     # -- the mask core: every masked transport goes through these two ---------
 

@@ -13,7 +13,8 @@ Contents:
 
 * XTEA block cipher (64-bit block, 128-bit key, 64 rounds) and a CTR
   mode keystream built on it.
-* HMAC-SHA256 (delegating to the standard library).
+* HMAC-SHA256 (delegating to the standard library), and the same tag
+  from a key whose padded blocks are absorbed once (:class:`HmacKey`).
 * HKDF-style key derivation.
 """
 
@@ -124,8 +125,35 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return _hmac.new(key, message, hashlib.sha256).digest()
 
 
+class HmacKey:
+    """HMAC-SHA256 under one key, for many messages.
+
+    :func:`hmac_sha256` re-hashes both padded-key blocks on every call
+    (four SHA-256 compressions for a short message). A long-lived key
+    — a ring edge's pairwise key, tagged once per round — is absorbed
+    here once, into a standard-library HMAC object; :meth:`tag` copies
+    that state and pays only the two compressions that depend on the
+    message. Tags are :func:`hmac_sha256`'s, and every tag counts once
+    on ``crypto.hmac.calls``, so the derivation oracle cannot tell the
+    two apart.
+    """
+
+    __slots__ = ("_keyed",)
+
+    def __init__(self, key: bytes) -> None:
+        self._keyed = _hmac.new(key, digestmod=hashlib.sha256)
+
+    def tag(self, message: bytes) -> bytes:
+        """HMAC-SHA256 tag of ``message`` under this key."""
+        _HMAC_CALLS.value += 1
+        keyed = self._keyed.copy()
+        keyed.update(message)
+        return keyed.digest()
+
+
 def hmac_invocations() -> int:
-    """Count of :func:`hmac_sha256` calls (backward-compatible shim).
+    """Count of :func:`hmac_sha256` calls and :class:`HmacKey` tags
+    (backward-compatible shim).
 
     Instrumentation hook for the aggregation benchmarks and tests:
     snapshot it before and after a protocol run to count how many key

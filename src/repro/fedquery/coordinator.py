@@ -137,6 +137,7 @@ class _RunState:
         self.neighbors = neighbors
         self.children = roster if children is None else children
         self.status: dict[str, str] = dict.fromkeys(self.children, _PENDING)
+        self.pending = len(self.status)  # children still _PENDING
         self.attempts: dict[str, int] = dict.fromkeys(self.children, 1)
         # cell -> the collect status it reported. A cell with no entry
         # once every child is resolved was demoted — by itself, or with
@@ -170,12 +171,23 @@ class _RunState:
         # must be abandoned — also after a restart, when the report
         # beat the crash to the journal.
         self.failed: str | None = None
+        # The plan every child is sent when it does not depend on the
+        # child (built lazily, so a state rebuilt from the journal
+        # rebuilds it on its first re-ask).
+        self.plan: dict[str, Any] | None = None
 
     def resolved(self, child: str) -> bool:
         return self.status[child] != _PENDING
 
+    def resolve(self, child: str, status: str) -> None:
+        """Record ``child``'s terminal collect status — the one place
+        ``status`` is written, so ``pending`` stays its count."""
+        if self.status[child] == _PENDING:
+            self.pending -= 1
+        self.status[child] = status
+
     def collected(self) -> bool:
-        return all(status != _PENDING for status in self.status.values())
+        return self.pending == 0
 
     def ok_children(self) -> list[str]:
         return [
@@ -546,7 +558,7 @@ class Coordinator:
                 else:
                     self._fold_mask(state, record)
             elif kind == REC_DEMOTE:
-                state.status[record["child"]] = _DEMOTED
+                state.resolve(record["child"], _DEMOTED)
             elif kind == REC_RECOVER:
                 state.phase = "recover"
                 state.recovery_rounds = 1
@@ -579,13 +591,17 @@ class Coordinator:
     # -- fan-out and re-asks ---------------------------------------------------
 
     def _plan_for(self, state: _RunState, child: str) -> dict[str, Any]:
-        """The plan message for one child. The tree's regions override
-        this to ship an O(k) roster *window* instead of the full
-        roster, its root to ship a whole shard."""
-        return plan_message(
-            state.tag, state.spec, state.roster, self.address,
-            round_tag=state.round_tag, neighbors=state.neighbors,
-        )
+        """The plan message for one child. Here it does not depend on
+        the child: one message object, built and sized once per run
+        state, goes to every child and every re-ask. The tree's regions
+        override this to ship an O(k) roster *window* instead of the
+        full roster, its root to ship a whole shard."""
+        if state.plan is None:
+            state.plan = plan_message(
+                state.tag, state.spec, state.roster, self.address,
+                round_tag=state.round_tag, neighbors=state.neighbors,
+            )
+        return state.plan
 
     def _recover_for(self, state: _RunState, child: str) -> dict[str, Any]:
         """The recovery request for one child (see :meth:`_plan_for`)."""
@@ -648,7 +664,7 @@ class Coordinator:
         })
         if state.phase != "collect":
             return  # the journal hook crashed us mid-append
-        state.status[child] = _DEMOTED
+        state.resolve(child, _DEMOTED)
         self._demotions_metric.inc()
         self._announce_demotion(state, child)
         if state.collected():
@@ -705,7 +721,8 @@ class Coordinator:
                       record: dict[str, Any]) -> None:
         """Fold one journalled collect reply into the run state."""
         child, status = record["from"], record["status"]
-        state.status[child] = state.leaves[child] = status
+        state.resolve(child, status)
+        state.leaves[child] = status
         if status != STATUS_OK:
             return
         payload = record["payload"]

@@ -631,7 +631,7 @@ class HierarchicalCoordinator(Coordinator):
     def _fold_partial(self, state: _RunState,
                       record: dict[str, Any]) -> None:
         child, message = record["from"], record["message"]
-        state.status[child] = STATUS_OK
+        state.resolve(child, STATUS_OK)
         state.leaves.update(message["statuses"])
         state.payloads[child] = {
             "masked": message["masked_sum"], "count": message["count"],

@@ -178,20 +178,30 @@ class FedQuerySpec:
         )
 
     def to_wire(self) -> dict[str, Any]:
-        return {
-            "recipient": self.recipient,
-            "purpose": self.purpose,
-            "transform": self.transform,
-            "collection": self.collection,
-            "where": predicate_to_wire(self.where),
-            "value_field": self.value_field,
-            "aggregate": self.aggregate,
-            "project": list(self.project) if self.project is not None else None,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "scale": self.scale,
-            "min_cohort": self.min_cohort,
-        }
+        """The spec's wire form, built once per (frozen) instance.
+
+        Every message and journal record of a run carries the same
+        dict: treat it as read-only, like the messages themselves.
+        """
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            wire = {
+                "recipient": self.recipient,
+                "purpose": self.purpose,
+                "transform": self.transform,
+                "collection": self.collection,
+                "where": predicate_to_wire(self.where),
+                "value_field": self.value_field,
+                "aggregate": self.aggregate,
+                "project": list(self.project)
+                if self.project is not None else None,
+                "epsilon": self.epsilon,
+                "k": self.k,
+                "scale": self.scale,
+                "min_cohort": self.min_cohort,
+            }
+            object.__setattr__(self, "_wire", wire)
+        return wire
 
     @classmethod
     def from_wire(cls, data: dict[str, Any]) -> "FedQuerySpec":
@@ -237,6 +247,28 @@ STATUS_FLOOR = "floor"
 PARTIAL_STATUSES = (STATUS_OK, STATUS_DECLINED, STATUS_FLOOR)
 
 
+class WireMessage(dict):
+    """A built wire message: a plain JSON dict that carries its size.
+
+    Every ``*_message`` builder returns one. :func:`wire_size`
+    serialises it at most once — where it is first sized, normally the
+    sender's ``send`` — and the number then travels with the object
+    (the simulated network delivers payloads by reference), so the
+    receiver's journal record and a re-ask's replay reuse it. A built
+    message is therefore **read-only after its first send**;
+    ``dict(message)`` is a plain, unsized copy for anyone who needs to
+    edit one. Assigning a key forgets the size, so the one edit that
+    is easy to make by accident is re-measured, not billed stale; an
+    edit inside a nested value is not seen.
+    """
+
+    __slots__ = ("wire_bytes",)
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        super().__setitem__(key, value)
+        self.wire_bytes = None
+
+
 def plan_message(tag: str, spec: FedQuerySpec, roster: list[str],
                  reply_to: str, *, round_tag: str | None = None,
                  neighbors: int | None = None,
@@ -268,7 +300,7 @@ def plan_message(tag: str, spec: FedQuerySpec, roster: list[str],
         message["positions"] = dict(positions)
     if global_size is not None:
         message["global_size"] = global_size
-    return message
+    return WireMessage(message)
 
 
 def partial_message(tag: str, sender: str, status: str, plan: str,
@@ -276,26 +308,26 @@ def partial_message(tag: str, sender: str, status: str, plan: str,
     """A cell's reply: its transformed partial plus plan accounting."""
     if status not in PARTIAL_STATUSES:
         raise ConfigurationError(f"unknown partial status {status!r}")
-    return {
+    return WireMessage({
         "kind": MSG_PARTIAL, "tag": tag, "from": sender, "status": status,
         "plan": plan, "examined": examined, "payload": payload,
-    }
+    })
 
 
 def recover_message(tag: str, round_index: int, missing: list[str],
                     reply_to: str) -> dict[str, Any]:
-    return {
+    return WireMessage({
         "kind": MSG_RECOVER, "tag": tag, "round": round_index,
         "missing": list(missing), "reply_to": reply_to,
-    }
+    })
 
 
 def mask_message(tag: str, sender: str, round_index: int,
                  net_mask: int) -> dict[str, Any]:
-    return {
+    return WireMessage({
         "kind": MSG_MASK, "tag": tag, "from": sender, "round": round_index,
         "net_mask": net_mask,
-    }
+    })
 
 
 # -- hierarchical wire messages ----------------------------------------------
@@ -320,12 +352,12 @@ def shard_plan_message(
     positions on either side of the shard) so the region can build
     each member's roster window without ever holding the full roster.
     """
-    return {
+    return WireMessage({
         "kind": MSG_SHARD_PLAN, "tag": tag, "spec": spec.to_wire(),
         "shard": list(shard), "positions": dict(positions),
         "global_size": global_size, "reply_to": reply_to,
         "region": region, "round_tag": round_tag, "neighbors": neighbors,
-    }
+    })
 
 
 def shard_partial_message(
@@ -351,23 +383,23 @@ def shard_partial_message(
     each member's terminal collect status so the root can compile the
     global missing set and the result accounting.
     """
-    return {
+    return WireMessage({
         "kind": MSG_SHARD_PARTIAL, "tag": tag, "from": sender,
         "region": region, "statuses": dict(statuses),
         "masked_sum": masked_sum, "count": count,
         "sealed": [list(item) for item in sealed],
         "plan_mix": dict(plan_mix), "examined": examined,
         "messages": messages, "bytes": bytes_, "reasks": reasks,
-    }
+    })
 
 
 def shard_recover_message(tag: str, missing: list[str],
                           reply_to: str) -> dict[str, Any]:
     """Root -> regions: cancel these cells' edges (global missing set)."""
-    return {
+    return WireMessage({
         "kind": MSG_SHARD_RECOVER, "tag": tag, "missing": list(missing),
         "reply_to": reply_to,
-    }
+    })
 
 
 def shard_mask_message(tag: str, sender: str, region: int, *,
@@ -381,16 +413,26 @@ def shard_mask_message(tag: str, sender: str, region: int, *,
     exhausted its re-ask budget — the root must abandon, exactly as
     the flat coordinator does when masks are unrecoverable).
     """
-    return {
+    return WireMessage({
         "kind": MSG_SHARD_MASK, "tag": tag, "from": sender,
         "region": region, "net_sum": net_sum, "reasks": reasks,
         "messages": messages, "bytes": bytes_, "failure": failure,
-    }
+    })
 
 
 def wire_size(message: dict[str, Any]) -> int:
-    """Serialized size of a message, for network billing."""
-    return len(json.dumps(message, separators=(",", ":")).encode())
+    """Serialized (compact JSON) size of a message, for network billing.
+
+    A :class:`WireMessage` is serialised the first time it is sized
+    and answers from its slot afterwards; any other dict is serialised
+    on every call.
+    """
+    size = getattr(message, "wire_bytes", None)
+    if size is None:
+        size = len(json.dumps(message, separators=(",", ":")).encode())
+        if isinstance(message, WireMessage):
+            message.wire_bytes = size
+    return size
 
 
 def plan_kind(plan: str) -> str:

@@ -61,6 +61,7 @@ from .spec import (
     MSG_SUB,
     TRANSFORM_KANON,
     FedQuerySpec,
+    WireMessage,
     plan_kind,
     wire_size,
 )
@@ -162,12 +163,12 @@ def sub_message(tag: str, spec: FedQuerySpec, window: WindowClause,
     subscription or two tenants sharing a recipient and purpose would
     reuse keystreams across different values.
     """
-    return {
+    return WireMessage({
         "kind": MSG_SUB, "tag": tag, "spec": spec.to_wire(),
         "window": window.to_wire(), "roster": list(roster),
         "reply_to": reply_to, "round_base": round_base,
         "neighbors": neighbors,
-    }
+    })
 
 
 def window_tag(sub_tag: str, index: int) -> str:

@@ -35,6 +35,8 @@ from typing import Any
 
 from ..errors import CellOfflineError, ProtocolError
 from ..faults.retry import RetryPolicy, schedule_retry
+from ..fedquery.journal import QueryJournal
+from ..fedquery.spec import wire_size
 from ..infrastructure.network import Network
 from ..sim.world import World
 from .directory import KeyDirectory
@@ -63,11 +65,6 @@ def ack_message(tag: str, name: str, epoch: int) -> dict[str, Any]:
     return {"kind": MSG_ACK, "tag": tag, "name": name, "epoch": epoch}
 
 
-def _wire_size(message: dict[str, Any]) -> int:
-    import json
-    return len(json.dumps(message, separators=(",", ":")))
-
-
 class KeyClient:
     """A member cell's lifecycle endpoint: tracks the current epoch."""
 
@@ -92,7 +89,7 @@ class KeyClient:
         ack = ack_message(payload["tag"], self.name, self.epoch)
         try:
             self.network.send(self.name, source, ack,
-                              size_bytes=_wire_size(ack))
+                              size_bytes=wire_size(ack))
         except CellOfflineError:
             pass  # the retry ladder will re-elicit the ack
 
@@ -134,13 +131,7 @@ class DirectoryService:
         self.retry_policy = retry_policy
         self.ack_timeout_s = ack_timeout_s
         self.rotations: dict[str, RotationStatus] = {}
-        if journal is None:
-            # Lazy import: fedquery is a sibling package and the
-            # journal module is dependency-free, but importing it at
-            # module scope would couple the two packages' import order.
-            from ..fedquery.journal import QueryJournal
-            journal = QueryJournal()
-        self.journal = journal
+        self.journal = journal if journal is not None else QueryJournal()
         self._crashed = False
         self._rng = world.rng(f"keymgmt.service.{address}")
         self._notices = world.obs.metrics.counter(
@@ -215,7 +206,7 @@ class DirectoryService:
         message = rotate_message(status.tag, status.epoch,
                                  self.directory.generation, status.revoked,
                                  status.reason)
-        size = _wire_size(message)
+        size = wire_size(message)
         for name in sorted(status.pending):
             self._notices.labels(kind=status.reason).inc()
             try:

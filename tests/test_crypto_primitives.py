@@ -19,6 +19,7 @@ from repro.crypto import (
     xtea_encrypt_block,
 )
 from repro.crypto.primitives import (
+    HmacKey,
     counter_stream,
     ctr_keystream,
     hmac_invocations,
@@ -133,6 +134,38 @@ class TestMacAndKdf:
     def test_hkdf_long_output_prefix_differs_from_short(self):
         # expand construction: longer request extends, first bytes match
         assert hkdf(KEY, "p", 64)[:16] == hkdf(KEY, "p", 16)
+
+
+class TestHmacKey:
+    """The keyed state is bit-for-bit ``hmac_sha256`` and counts alike."""
+
+    MESSAGES = (b"", b"mask|utility|load-forecast", b"m" * 63, b"m" * 64,
+                b"m" * 65, bytes(range(256)) * 40)
+
+    @pytest.mark.parametrize("length", [0, 16, 32, 64, 65, 200])
+    def test_tags_equal_hmac_sha256(self, length):
+        key = bytes((7 * index + length) % 256 for index in range(length))
+        keyed = HmacKey(key)
+        for message in self.MESSAGES:
+            assert keyed.tag(message) == hmac_sha256(key, message)
+
+    def test_one_key_tags_many_messages_independently(self):
+        keyed = HmacKey(KEY)
+        first = keyed.tag(b"round-1")
+        assert keyed.tag(b"round-2") == hmac_sha256(KEY, b"round-2")
+        assert keyed.tag(b"round-1") == first  # no state leaks between tags
+
+    def test_every_tag_counts_once_on_the_derivation_oracle(self):
+        before = hmac_invocations()
+        keyed = HmacKey(KEY)
+        assert hmac_invocations() == before  # absorbing the key is free
+        for count, message in enumerate(self.MESSAGES, start=1):
+            keyed.tag(message)
+            assert hmac_invocations() == before + count
+
+    @given(key=st.binary(max_size=150), message=st.binary(max_size=300))
+    def test_equivalence_property(self, key, message):
+        assert HmacKey(key).tag(message) == hmac_sha256(key, message)
 
 
 class TestAead:

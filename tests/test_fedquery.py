@@ -12,6 +12,7 @@ from repro.commons.orchestrator import (
     GlobalQuery,
 )
 from repro.crypto import shamir
+from repro.crypto.primitives import hmac_invocations
 from repro.errors import ConfigurationError, IntegrityError, ProtocolError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -35,6 +36,7 @@ from repro.fedquery.spec import (
     wire_size,
 )
 from repro.infrastructure.network import Network
+from repro.obs import get_default
 from repro.policy.ucon import Grant, RIGHT_AGGREGATE, UsagePolicy
 from repro.sim.rng import SeedSequence
 from repro.sim.world import World
@@ -342,6 +344,39 @@ class TestEngineQuiet:
         # The DP noise share was drawn exactly once: re-asks cannot be
         # averaged to strip the noise.
         assert agent._noise_rng.getstate() == drawn_once
+
+
+class TestMaskMemoLane:
+    """``agg.mask_rows{source}``: the mask memo's hit/miss lane."""
+
+    def _run(self, offline):
+        world, network, fleet = _quiet_fleet(12)
+        if offline:
+            network.set_online(fleet.roster[5], False)
+        coordinator = Coordinator(
+            world, network, neighbors=4, collect_timeout_s=5,
+            recovery_timeout_s=5,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=1.0,
+                                     jitter=0.0),
+        )
+        result = coordinator.run(_evening_spec(), fleet.roster)
+        rows = get_default().metrics.get("agg.mask_rows").snapshot()
+        return result, rows["labels"]
+
+    def test_quiet_query_derives_every_row(self):
+        result, rows = self._run(offline=False)
+        assert result.outcome == "complete"
+        assert rows == {"cached": 0, "derived": 12 * 4}
+        assert hmac_invocations() == 12 * 4
+
+    def test_recovery_round_reads_every_row_from_the_memo(self):
+        result, rows = self._run(offline=True)
+        assert result.outcome == "partial" and result.recovery_rounds == 1
+        # Collect: eleven survivors derive their four ring rows each.
+        # Recovery: the missing cell's four ring neighbours each reveal
+        # one row, all from the round memo — no new derivation.
+        assert rows == {"cached": 4, "derived": 11 * 4}
+        assert hmac_invocations() == 11 * 4
 
 
 class TestOrchestratorEquivalence:

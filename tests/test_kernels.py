@@ -34,6 +34,7 @@ from repro.fedquery import (
 )
 from repro.infrastructure import CloudProvider
 from repro.infrastructure.network import Network
+from repro.obs import get_default
 from repro.sim import World
 
 SECRET = b"kernel-equivalence-secret"
@@ -166,6 +167,44 @@ class TestBatchMaskDerivation:
         assert primitives.hmac_invocations() == before  # cached seeds
         assert [row[:2] for row in widened] == \
             node.mask_elements_many(peers, "round-B", 2)
+
+    def test_half_warm_cache_rows_stay_aligned_with_peers(self):
+        names, directory = _fleet(13)
+        node = directory[names[0]]
+        peers = [directory[name] for name in names[1:]]
+        # Warm every other peer (one of them wider than asked below, one
+        # narrower), so cached and fresh rows interleave.
+        node.mask_elements_many(peers[0::4], "round-C", 6)
+        node.mask_elements_many(peers[2::4], "round-C", 1)
+        scalar_node = AggregationNode.preshared(names[0], SECRET)
+        scalar = [
+            scalar_node.mask_elements(peer, "round-C", 3) for peer in peers
+        ]
+        before = primitives.hmac_invocations()
+        rows = node.mask_elements_many(peers, "round-C", 3)
+        assert rows == scalar
+        # Only the cold half pays a keyed derivation; the narrow rows
+        # re-expand from their cached seed.
+        assert primitives.hmac_invocations() - before == len(peers[1::2])
+        shuffled = peers[::-1]
+        assert node.mask_elements_many(shuffled, "round-C", 3) == scalar[::-1]
+
+    def test_mask_rows_counter_tells_derived_from_cached(self):
+        rows_metric = get_default().metrics.get("agg.mask_rows")
+        names, directory = _fleet(9)
+        node = directory[names[0]]
+        peers = [directory[name] for name in names[1:]]
+        node.mask_elements_many(peers[:3], "round-D", 2)
+        assert rows_metric.snapshot()["labels"] == {
+            "cached": 0, "derived": 3}
+        node.mask_elements_many(peers, "round-D", 2)
+        assert rows_metric.snapshot()["labels"] == {
+            "cached": 3, "derived": 3 + 5}
+        node.mask_elements_many(peers, "round-D", 4)  # wider: seeds cached
+        assert rows_metric.snapshot()["labels"] == {
+            "cached": 3 + 8, "derived": 8}
+        assert rows_metric.snapshot()["labels"]["derived"] == \
+            primitives.hmac_invocations()
 
 
 # Roster sizes exercising every graph shape: the 2-cell pair, the

@@ -383,6 +383,29 @@ class TestGateMemoUnderRotation:
         assert after.outcome == "complete"
         assert after.field_total == before.field_total
 
+    def test_rotated_keys_mask_differently_under_the_same_round_tag(self):
+        # Both runs mask under the same round tag ("recipient|purpose"),
+        # so only the epoch keys tell them apart: a node's keyed HMAC
+        # state (and its round memo) must die with its epoch's node.
+        world = World(seed=5)
+        network = Network(world)
+        fleet = build_fleet(world, network, 24, key_lifecycle=True,
+                            ring_neighbors=8)
+        coordinator = Coordinator(world, network, neighbors=8)
+        before = coordinator.run(SPEC, fleet.roster)
+        stale = {name: agent.node for name, agent in fleet.agents.items()}
+        fleet.advance_epoch()
+        after = coordinator.run(SPEC, fleet.roster)
+        assert after.field_total == before.field_total  # still cancel
+        masked_before = [view["masked"] for view in before.coordinator_view]
+        masked_after = [view["masked"] for view in after.coordinator_view]
+        assert len(masked_after) == len(masked_before) == 24
+        assert not set(masked_after) & set(masked_before)
+        for name, agent in fleet.agents.items():
+            assert agent.node is not stale[name]
+            assert len(agent.node._mask_keys) == 8  # the ring degree
+            assert len(stale[name]._mask_keys) == 8
+
 
 class TestPresharedDeprecation:
     """Satellite (b): one warning per process, pointing at keymgmt."""
