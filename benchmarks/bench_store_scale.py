@@ -36,7 +36,14 @@ import numpy as np
 
 from repro.hardware import SMART_TOKEN, SMARTPHONE, NandFlash
 from repro.obs import get_default
-from repro.store import Between, Catalog, LogStructuredStore, Query
+from repro.store import (
+    Aggregate,
+    Between,
+    Catalog,
+    LogStructuredStore,
+    OrderedIndex,
+    Query,
+)
 from repro.store.encoding import ColumnBatch
 from repro.workloads.energy import HouseholdSimulator
 
@@ -226,7 +233,9 @@ def measure_columnar(day_trace, window_s: int, reps: int = 5) -> dict:
     arrays; ``scan`` vs full ``scan_batches``; ``scan_range`` +
     per-record ``matches`` vs the vectorized ``Between`` mask; and, for
     the catalog queries, ``scan_range`` + ``matches`` with the query's
-    order and projection vs ``Catalog.query``.
+    order and projection vs ``Catalog.query`` (zone-map plans), and an
+    ordered index's ``range`` + ``get_many`` + ``matches`` +
+    ``Aggregate.compute`` vs ``Catalog.query`` (index plans).
     Device time cannot distinguish the two sides — the flash images are
     bit-for-bit identical (asserted here) — so these rows are
     wall-clock, unlike the ingest headline.
@@ -353,28 +362,58 @@ def measure_columnar(day_trace, window_s: int, reps: int = 5) -> dict:
                     for row in rows]
         return rows[: query.limit], examined
 
+    # index plans: the same day behind an ordered index on ``t``; the
+    # reference is the row-at-a-time index fetch (range() -> get_many
+    # -> per-record matches -> Aggregate.compute's Python sum)
+    indexed, _ = _meter_catalog(day_trace)
+    by_time = OrderedIndex("t")
+    by_time.add_many(
+        (f"meter/{record_id}", record["t"]) for record_id, record in records)
+
+    def reference_index_query(query):
+        fetched = indexed.store.get_many(
+            sorted(by_time.range(query.where.low, query.where.high)))
+        rows = [dict(record) for record in fetched
+                if query.where.matches(record)]
+        if query.aggregates:
+            rows = [{f"{aggregate.function}({aggregate.field})":
+                     aggregate.compute(rows)
+                     for aggregate in query.aggregates}]
+        return rows, len(fetched)
+
     window_query = Query("meter", where=Between("t", low, high))
-    wide_query = Query("meter", where=Between("w", 100.0, 1500.0))
+    cases = (
+        ("window", window_query, catalog, reference_query, "zonemap:t"),
+        ("wide", Query("meter", where=Between("w", 100.0, 1500.0)),
+         catalog, reference_query, "zonemap:w"),
+        ("index_window", window_query, indexed, reference_index_query,
+         "range:t"),
+        ("index_sum", Query(
+            "meter", where=Between("t", low, low + 6 * window_s - 1),
+            aggregates=[Aggregate("sum", "w")]),
+         indexed, reference_index_query, "range:t"),
+    )
     query_rows = {}
-    for name, query in (("window", window_query), ("wide", wide_query)):
-        scalar_wall = columnar_query_wall = math.inf
+    for name, query, queried, reference, plan in cases:
+        # (names of their own: the ingest row above still reads its walls)
+        reference_wall = query_wall = math.inf
         for _ in range(reps):
             started = time.perf_counter()
-            reference_rows, examined = reference_query(query)
-            scalar_wall = min(scalar_wall, time.perf_counter() - started)
+            reference_rows, examined = reference(query)
+            reference_wall = min(reference_wall, time.perf_counter() - started)
             started = time.perf_counter()
-            result = catalog.query(query)
-            columnar_query_wall = min(
-                columnar_query_wall, time.perf_counter() - started)
+            result = queried.query(query)
+            query_wall = min(query_wall, time.perf_counter() - started)
         query_rows[name] = {
             "rows": len(result.rows),
+            "records_examined": examined,
             "plan": result.plan,
-            "scalar_wall_ms": round(scalar_wall * 1e3, 3),
-            "columnar_wall_ms": round(columnar_query_wall * 1e3, 3),
-            "speedup_wall": round(scalar_wall / columnar_query_wall, 2),
+            "scalar_wall_ms": round(reference_wall * 1e3, 3),
+            "columnar_wall_ms": round(query_wall * 1e3, 3),
+            "speedup_wall": round(reference_wall / query_wall, 2),
             "results_identical": (
-                result.rows == reference_rows
-                and result.plan == f"zonemap:{query.where.field}"
+                result.rows == reference_rows  # in order; sums bit-equal
+                and result.plan == plan
                 and result.records_examined == examined
             ),
         }

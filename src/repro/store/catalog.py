@@ -8,6 +8,8 @@ declared hash- or range-indexed, and queries route through
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import lt
 from typing import Iterable
 
 from ..errors import ConfigurationError, NotFoundError, QueryError
@@ -221,25 +223,35 @@ class Collection:
 
     # -- planner hooks -----------------------------------------------------------
 
-    def _candidate_ids(self, predicate: Predicate) -> tuple[set[str] | None, str]:
-        """Candidate full-ids from indexes, or (None, "scan")."""
-        if isinstance(predicate, Eq) and predicate.field in self._hash_indexes:
+    def _candidate_ids(
+        self, predicate: Predicate,
+    ) -> tuple[set[str] | list[str] | None, str]:
+        """Candidate full-ids (distinct) from indexes, or (None, "scan")."""
+        if (isinstance(predicate, Eq) and predicate.value is not None
+                and predicate.field in self._hash_indexes):
+            # (``Eq(field, None)`` also matches records without the
+            # field, which no index lists.)
             return (
                 self._hash_indexes[predicate.field].lookup(predicate.value),
                 f"index:{predicate.field}",
             )
         if isinstance(predicate, Between) and predicate.field in self._ordered_indexes:
-            ids = self._ordered_indexes[predicate.field].range(
-                predicate.low, predicate.high
-            )
-            return set(ids), f"range:{predicate.field}"
+            try:
+                ids = self._ordered_indexes[predicate.field].range(
+                    predicate.low, predicate.high
+                )
+            except TypeError:
+                # A bound that cannot be ordered against the entries:
+                # no index; the zone-map/scan plan answers (no rows).
+                return None, "scan"
+            return ids, f"range:{predicate.field}"
         if isinstance(predicate, HasKeyword) and predicate.field in self._keyword_indexes:
             ids = self._keyword_indexes[predicate.field].lookup_all(
                 list(predicate.terms)
             )
             return ids, f"keyword:{predicate.field}"
         if isinstance(predicate, And):
-            best: tuple[set[str], str] | None = None
+            best = None
             for child in predicate.children:
                 candidate, plan = self._candidate_ids(child)
                 if candidate is None:
@@ -269,6 +281,24 @@ class Collection:
                     hints, key=lambda hint: self._store.blocks_admitted(*hint))
             return hints[0] if hints else None
         return None
+
+
+def _index_candidates(fetched) -> BatchCandidates:
+    """An index fetch's ``(record_ids, batch)`` chunks as candidates.
+    Index plans return rows in ascending id order: when the log does
+    not already hold them that way, ``execute`` gets the ids to sort
+    by."""
+    chunks = []
+    ascending = True
+    previous = ""
+    for chunk_ids, batch in fetched:
+        chunks.append((None, batch))
+        ascending = ascending and previous < chunk_ids[0] and all(
+            map(lt, chunk_ids, islice(chunk_ids, 1, None)))
+        previous = chunk_ids[-1]
+    if ascending:
+        return BatchCandidates(chunks)
+    return BatchCandidates(chunks, [chunk_ids for chunk_ids, _ in fetched])
 
 
 class Catalog:
@@ -343,8 +373,8 @@ class Catalog:
             before = flash.reads
             ids, plan = collection._candidate_ids(predicate)
             if ids is not None:
-                records = self.store.get_many(sorted(ids))
-                return records, plan, flash.reads - before
+                candidates = _index_candidates(self.store.fetch_batches(ids))
+                return candidates, plan, flash.reads - before
             # No index applies; before surrendering to a full scan, try
             # zone-map block pruning on a range/equality constraint. The
             # pruned scan yields a block-granular superset that

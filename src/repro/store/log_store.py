@@ -22,10 +22,10 @@ Each store decision is written once:
   flash image is the same, bit for bit.
 * **read path** — one page walk (group the directory by page, zone-map
   prune, pages in order, entries by offset) serves ``scan`` /
-  ``scan_range`` (per-record decode, the reference), ``scan_batches``
-  (chunked :func:`~repro.store.encoding.decode_page`) and
-  ``get_many``; one wrapper names record, page, block and offset on
-  any decode failure.
+  ``scan_range`` (per-record decode, the reference) and one chunk
+  decoder (pages through :func:`~repro.store.encoding.decode_page`)
+  behind ``scan_batches``, ``fetch_batches`` and ``get_many``; one
+  wrapper names record, page, block and offset on any decode failure.
 
 Around them: an optional bounded LRU page cache, per-block zone maps
 (:mod:`~repro.store.zonemap`), and directory checkpoints in a reserved
@@ -118,8 +118,8 @@ _INGEST_CHUNKS = _OBS.metrics.counter(
          "oversize_frame)")
 _DECODE_ROWS = _OBS.metrics.counter(
     "store.decode.rows", labelnames=("lane",),
-    help="rows scan_batches decoded, by decode_page lane (scalar = rows "
-         "that fell back to decode_record)")
+    help="rows the chunk decoder (scans and index fetches) decoded, by "
+         "decode_page lane (scalar = rows that fell back to decode_record)")
 _DECODE_SCALAR = _DECODE_ROWS.labels(lane="scalar")
 _DECODE_COLUMNAR = _DECODE_ROWS.labels(lane="columnar")
 
@@ -894,27 +894,44 @@ class LogStructuredStore:
         return self._decode_at(
             self._read_page(page), record_id, page, offset, length)
 
-    def get_many(self, record_ids: list[str]) -> list[Record]:
-        """Fetch several records, reading each flash page at most once.
+    def fetch_batches(
+        self, record_ids: Iterable[str],
+    ) -> list[tuple[list[str], ColumnBatch]]:
+        """Columnar point fetch: ``(record_ids, ColumnBatch)`` chunks
+        holding exactly the named records.
 
-        This is what an index-driven fetch uses: postings that share a
-        page cost a single page read.
+        This is what an index-driven fetch uses. Flash-resident records
+        arrive like :meth:`scan_batches` chunks — each page read once,
+        pages in order, entries in log order, through the same chunk
+        decoder — and records still in the write buffer as one final
+        scalar batch. An unknown (or deleted-in-buffer) id raises
+        :class:`NotFoundError` before any page is read.
         """
-        results: dict[str, Record] = {}
+        buffered = self._buffered
+        directory = self._directory
         by_page: dict[int, list[tuple[str, int, int]]] = {}
+        tail: list[tuple[str, Record]] = []
         for record_id in record_ids:
-            if record_id in self._buffered:
-                results[record_id] = self.get(record_id)
+            if record_id in buffered:
+                tail.append((record_id, self.get(record_id)))
                 continue
-            location = self._directory.get(record_id)
+            location = directory.get(record_id)
             if location is None:
                 raise NotFoundError(f"no record {record_id!r}")
             by_page.setdefault(location[0], []).append(
                 (record_id, location[1], location[2]))
-        for page, data, entries in self._walk_pages(by_page):
-            for record_id, offset, length in entries:
-                results[record_id] = self._decode_at(
-                    data, record_id, page, offset, length)
+        chunks = list(self._decode_chunks(by_page))
+        if tail:
+            chunks.append(self._tail_chunk(tail))
+        return chunks
+
+    def get_many(self, record_ids: list[str]) -> list[Record]:
+        """Fetch several records, reading each flash page at most once:
+        :meth:`fetch_batches` unpacked into request order (a repeated
+        id repeats its record)."""
+        results: dict[str, Record] = {}
+        for chunk_ids, batch in self.fetch_batches(record_ids):
+            results.update(zip(chunk_ids, batch.rows()))
         return [results[record_id] for record_id in record_ids]
 
     def scan(self) -> Iterator[tuple[str, Record]]:
@@ -971,15 +988,33 @@ class LogStructuredStore:
         decodes a chunk of pages at a time through
         :func:`encoding.decode_page`, so uniform frames become column
         slices instead of per-record dicts. The buffered tail arrives
-        as one final scalar batch. Chunk size shrinks with the RAM
-        budget headroom so decode scratch stays charged but bounded.
+        as one final scalar batch.
         """
+        tail = sorted(self._buffered)
+        yield from self._decode_chunks(
+            self._locations_by_page(field, low, high))
+        tail_rows = self._buffered_tail(tail)
+        if tail_rows:
+            yield self._tail_chunk(tail_rows)
+
+    @staticmethod
+    def _tail_chunk(rows: list[tuple[str, Record]]):
+        """Write-buffer records as a scalar ``(record_ids, batch)``."""
+        tail_ids, records = zip(*rows)
+        return list(tail_ids), ColumnBatch.from_records(list(records))
+
+    def _decode_chunks(
+        self, by_page: dict[int, list[tuple[str, int, int]]],
+    ) -> Iterator[tuple[list[str], ColumnBatch]]:
+        """The one chunk decoder: walk ``by_page`` a chunk of pages at
+        a time through :func:`encoding.decode_page`. Chunk size shrinks
+        with the RAM budget headroom so decode scratch stays charged
+        but bounded."""
         at_once = self._SCAN_CHUNK_PAGES
         headroom = self._ram_headroom()
         if headroom is not None:
             at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
-        tail = sorted(self._buffered)
-        walk = self._walk_pages(self._locations_by_page(field, low, high))
+        walk = self._walk_pages(by_page)
         while chunk := list(islice(walk, at_once)):
             self._batch_scratch_bytes = 3 * len(chunk) * self._page_size
             try:
@@ -1005,10 +1040,6 @@ class LogStructuredStore:
             _DECODE_SCALAR.inc(len(batch.scalar_rows))
             _DECODE_COLUMNAR.inc(batch.count - len(batch.scalar_rows))
             yield record_ids, batch
-        tail_rows = self._buffered_tail(tail)
-        if tail_rows:
-            tail_ids, records = zip(*tail_rows)
-            yield list(tail_ids), ColumnBatch.from_records(list(records))
 
     def __len__(self) -> int:
         return len(self.record_ids())

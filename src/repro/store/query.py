@@ -16,6 +16,7 @@ from typing import Any, Callable
 import numpy as _np
 
 from ..errors import QueryError
+from ..obs import get_default as _obs_default
 from .encoding import ColumnBatch, Record, Value
 
 # Integers up to 2**53 convert to float64 exactly; beyond that numpy's
@@ -319,9 +320,17 @@ class Aggregate:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             values.append(float(value))
+        return self.fold(values)
+
+    def fold(self, values: list[float]) -> float:
+        """The aggregate of the field's numeric ``values``, in order."""
         if not values and self.function in ("min", "max"):
             raise QueryError(f"{self.function} over empty/non-numeric field {self.field!r}")
         return _AGGREGATORS[self.function](values)
+
+    @property
+    def label(self) -> str:
+        return f"{self.function}({self.field})"
 
 
 # -- query and result ---------------------------------------------------------
@@ -364,57 +373,129 @@ class QueryResult:
 
 
 class BatchCandidates:
-    """Candidate rows delivered as columnar chunks.
+    """Candidate rows delivered as columnar chunks: the one shape
+    :func:`execute` takes, whatever the plan.
 
     ``chunks`` is a list of ``(keep, batch)`` pairs: ``batch`` is a
     :class:`ColumnBatch` and ``keep`` the row indexes to consider
-    (``None`` = every row). The catalog's scan paths hand these to
-    :func:`execute`, which filters them vectorized and materializes
-    record dicts only for matching rows.
+    (``None`` = every row). Matching rows come back in chunk order
+    unless ``ids`` is given: one list of record ids per chunk (aligned
+    with the batch's rows), by which the matches are then sorted — the
+    index plans' ascending-id contract, passed only when the chunks do
+    not already ascend.
     """
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "ids")
 
-    def __init__(self, chunks) -> None:
+    def __init__(self, chunks, ids=None) -> None:
         self.chunks = chunks
+        self.ids = ids
 
 
-def _filter_batches(where: Predicate, candidates: BatchCandidates):
-    """Vectorized equivalent of ``[r for r in rows if where.matches(r)]``
-    over columnar chunks; returns ``(matched_records, examined)``."""
+_AGGREGATE_LANE = _obs_default().metrics.counter(
+    "store.query.aggregate", labelnames=("lane", "reason"),
+    help="aggregate queries by where the values came from (folded off the "
+         "columns | materialised rows) and why (ok|group_by|predicate|"
+         "non_numeric|scalar_rows)")
+# keyed by what ``_fold_decline`` answers (None: it folds)
+_AGGREGATE_LANES = {
+    None: _AGGREGATE_LANE.labels(lane="folded", reason="ok"),
+    **{reason: _AGGREGATE_LANE.labels(lane="materialised", reason=reason)
+       for reason in ("group_by", "predicate", "non_numeric", "scalar_rows")},
+}
+
+
+def _hits(keep, mask):
+    """Row indexes (an array, candidate order) of a chunk that pass
+    its mask."""
+    if keep is None:
+        return _np.flatnonzero(mask)
+    keep = _np.asarray(keep)
+    return keep[mask[keep]]
+
+
+def _in_id_order(candidates: BatchCandidates, hits, values: list) -> list:
+    """``values`` — one per hit, in chunk order (``hits`` holds each
+    chunk's matching row indexes) — sorted by record id when the
+    candidates ask for that."""
+    if candidates.ids is None:
+        return values
+    ids = [chunk_ids[index]
+           for chunk_ids, chunk_hits in zip(candidates.ids, hits)
+           for index in chunk_hits]
+    return [values[at] for at in sorted(range(len(ids)), key=ids.__getitem__)]
+
+
+def _filter_batches(where: Predicate, candidates: BatchCandidates,
+                    masks: list) -> list[Record]:
+    """``[r for r in rows if where.matches(r)]`` over columnar chunks
+    (``masks`` holds each chunk's ``matches_batch`` verdict), every
+    matching row materialised exactly once."""
     matched: list[Record] = []
-    examined = 0
-    for keep, batch in candidates.chunks:
-        examined += batch.count if keep is None else len(keep)
-        mask = where.matches_batch(batch)
-        row = batch.row
-        if mask is None:
-            indexes = range(batch.count) if keep is None else keep
-            for index in indexes:
-                record = row(index)
-                if where.matches(record):
-                    matched.append(record)
-            continue
+    hits = []
+    for (keep, batch), mask in zip(candidates.chunks, masks):
         scalar_rows = batch.scalar_rows
-        if keep is None and not scalar_rows:
-            matched.extend(
-                row(index) for index in _np.flatnonzero(mask).tolist()
-            )
+        row = batch.row
+        if mask is not None and not scalar_rows:
+            hits.append(chunk_hits := _hits(keep, mask).tolist())
+            matched.extend(batch.rows() if len(chunk_hits) == batch.count
+                           else map(row, chunk_hits))
             continue
-        indexes = range(batch.count) if keep is None else keep
-        for index in indexes:
-            if index in scalar_rows:
-                record = scalar_rows[index]
-                if where.matches(record):
-                    matched.append(record)
+        hits.append(chunk_hits := [])
+        for index in range(batch.count) if keep is None else keep:
+            if mask is None or index in scalar_rows:
+                record = row(index)  # the vector lane declined this row
+                if not where.matches(record):
+                    continue
             elif mask[index]:
-                matched.append(row(index))
-    return matched, examined
+                record = row(index)
+            else:
+                continue
+            chunk_hits.append(index)
+            matched.append(record)
+    return _in_id_order(candidates, hits, matched)
 
 
-def _project(record: Record, fields: list[str] | None) -> dict[str, Any]:
-    if fields is None:
-        return dict(record)
+def _fold_decline(query: Query, chunks, masks) -> str | None:
+    """Why an aggregate query must materialise its rows (``None``: it
+    can fold off the columns)."""
+    if query.group_by is not None:
+        return "group_by"
+    for (_, batch), mask in zip(chunks, masks):
+        if batch.scalar_rows:
+            return "scalar_rows"
+        if mask is None:
+            return "predicate"
+    for aggregate in query.aggregates:  # views cost a column pass: last
+        if aggregate.function != "count" and not all(
+                batch.numeric_view(aggregate.field) for _, batch in chunks):
+            return "non_numeric"  # absent, mixed-type or bool column
+    return None
+
+
+def _fold_batches(query: Query, candidates: BatchCandidates,
+                  masks: list) -> dict[str, Any]:
+    """The ungrouped aggregate row straight off the matched column
+    slices: the values :meth:`Aggregate.compute` would pull out of the
+    materialised rows, in the same order, through the same fold."""
+    chunks = candidates.chunks
+    hits = [_hits(keep, mask) for (keep, _), mask in zip(chunks, masks)]
+    row = {}
+    for aggregate in query.aggregates:
+        if aggregate.function == "count":
+            row[aggregate.label] = float(sum(map(len, hits)))
+            continue
+        values: list[float] = []
+        for (_, batch), chunk_hits in zip(chunks, hits):
+            kind, column = batch.numeric_view(aggregate.field)
+            picked = column[chunk_hits].tolist()
+            values.extend(picked if kind == "f" else map(float, picked))
+        row[aggregate.label] = aggregate.fold(_in_id_order(
+            candidates, (chunk_hits.tolist() for chunk_hits in hits), values))
+    return row
+
+
+def _project(record: Record, fields: list[str]) -> dict[str, Any]:
     return {name: record.get(name) for name in fields}
 
 
@@ -433,30 +514,42 @@ def _apply_order_limit(rows: list[dict[str, Any]], query: Query) -> list[dict[st
 def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
     """Run ``query`` against a collection.
 
-    ``fetch_candidates(predicate)`` returns ``(records, plan)`` where
-    ``records`` may be a superset filtered again here (indexes are a
-    pre-filter); ``fetch_all()`` returns every record. Both are
-    supplied by the catalog, which also exposes flash counters.
+    ``fetch_candidates(predicate)`` returns ``(candidates, plan,
+    flash_reads)`` where ``candidates`` is a :class:`BatchCandidates`
+    that may hold a superset, filtered again here (indexes and zone
+    maps are pre-filters), or ``None`` when no plan applies;
+    ``fetch_all()`` returns every record the same way. Both are
+    supplied by the catalog. The rows handed back are this query's own:
+    each was built once, from a batch nothing else holds.
     """
     candidates, plan, flash_reads = fetch_candidates(query.where)
     if candidates is None:
         candidates, flash_reads = fetch_all()
         plan = "scan"
-    if isinstance(candidates, BatchCandidates):
-        matched, examined = _filter_batches(query.where, candidates)
-    else:
-        matched = [
-            record for record in candidates if query.where.matches(record)
-        ]
-        examined = len(candidates)
+    chunks = candidates.chunks
+    where = query.where
+    masks = []
+    examined = 0
+    for keep, batch in chunks:
+        masks.append(where.matches_batch(batch))
+        examined += batch.count if keep is None else len(keep)
 
     if query.aggregates:
-        rows = _apply_order_limit(_aggregate_rows(query, matched), query)
+        decline = _fold_decline(query, chunks, masks)
+        _AGGREGATE_LANES[decline].inc()
+        if decline is None:
+            rows = [_fold_batches(query, candidates, masks)]
+        else:
+            rows = _aggregate_rows(
+                query, _filter_batches(where, candidates, masks))
+        rows = _apply_order_limit(rows, query)
     else:
         # Order and limit on full records, then project, so a query may
         # sort by a field it does not return.
-        ordered = _apply_order_limit([dict(record) for record in matched], query)
-        rows = [_project(record, query.project) for record in ordered]
+        rows = _apply_order_limit(
+            _filter_batches(where, candidates, masks), query)
+        if query.project is not None:
+            rows = [_project(record, query.project) for record in rows]
     return QueryResult(
         rows=rows, plan=plan, records_examined=examined, flash_reads=flash_reads
     )
@@ -465,11 +558,10 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
 def _aggregate_rows(query: Query, matched: list[Record]) -> list[dict[str, Any]]:
     aggregates = query.aggregates or []
     if query.group_by is None:
-        row = {
-            f"{aggregate.function}({aggregate.field})": aggregate.compute(matched)
+        return [{
+            aggregate.label: aggregate.compute(matched)
             for aggregate in aggregates
-        }
-        return [row]
+        }]
     groups: dict[Value, list[Record]] = {}
     for record in matched:
         groups.setdefault(record.get(query.group_by), []).append(record)
@@ -477,8 +569,6 @@ def _aggregate_rows(query: Query, matched: list[Record]) -> list[dict[str, Any]]
     for group_key in sorted(groups, key=lambda value: (value is None, str(value))):
         row: dict[str, Any] = {query.group_by: group_key}
         for aggregate in aggregates:
-            row[f"{aggregate.function}({aggregate.field})"] = aggregate.compute(
-                groups[group_key]
-            )
+            row[aggregate.label] = aggregate.compute(groups[group_key])
         rows.append(row)
     return rows

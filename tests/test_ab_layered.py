@@ -170,3 +170,68 @@ class TestReport:
         rows = ab_layered.summarise(results, declared)
         assert [row["metric"] for row in rows] == names
         assert {row["verdict"] for row in rows} == {"ok"}
+
+
+def _traced(**values):
+    """A canned ``--trace 1`` result: per-layer metrics only."""
+    units = {"log_store.get_ms": "ms", "network.send_self_ms": "ms",
+             "flash.device_ms": "dev_ms", "catalog.plan_share.index": "ratio",
+             "log_store.ram_bytes": "B"}
+    return {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+        name: {"value": value, "unit": units.get(name, "count")}
+        for name, value in values.items()}}
+
+
+class TestLayers:
+    PARENT = _traced(**{
+        "log_store.get_ms": 36.9, "encoding.decode_record_calls": 6132.0,
+        "flash.page_reads": 569.17, "flash.device_ms": 14.229,
+        "catalog.plan_share.index": 0.778, "network.send_self_ms": 0.5,
+        "page_cache.evictions": 56789, "sim.loop_self_ms": 0.0,
+        "log_store.ram_bytes": 8572924,
+    })
+
+    def test_only_differing_metrics_are_listed_with_their_ratio(self):
+        change = _traced(**{
+            **{name: metric["value"]
+               for name, metric in self.PARENT["metrics"].items()},
+            "log_store.get_ms": 0.0369, "encoding.decode_record_calls": 15.33,
+            "network.send_self_ms": 0.4,
+        })
+        rows = ab_layered.layer_rows(self.PARENT, change)
+        assert [row["metric"] for row in rows] == [
+            "log_store.get_ms", "encoding.decode_record_calls",
+            "network.send_self_ms"]
+        assert rows[0]["ratio"] == pytest.approx(0.001)
+        assert (rows[1]["parent"], rows[1]["change"]) == (6132.0, 15.33)
+        # *_calls is host-clock-free; a wall time under network.* is not
+        assert [row["clock_free"] for row in rows] == [False, True, False]
+        report = ab_layered.format_layers("store_query", rows).splitlines()
+        assert report[0] == (
+            f"layers: store_query --trace 1 --seed {ab_layered.LAYERS_SEED}")
+        assert report[3] == "| log_store.get_ms | ms | 36.9 | 0.0369 | 0.001 |"
+        assert report[-1] == ("MOVED store_query encoding.decode_record_calls"
+                              ": 6132.0 -> 15.33")
+
+    def test_device_time_and_plan_shares_are_counters_that_must_not_move(self):
+        change = _traced(**{
+            **{name: metric["value"]
+               for name, metric in self.PARENT["metrics"].items()},
+            "flash.device_ms": 14.3, "catalog.plan_share.index": 0.7,
+            "page_cache.evictions": 56790, "log_store.ram_bytes": 1,
+        })
+        rows = ab_layered.layer_rows(self.PARENT, change)
+        assert len(rows) == 4 and all(row["clock_free"] for row in rows)
+
+    def test_identical_runs_report_nothing_moved(self):
+        rows = ab_layered.layer_rows(self.PARENT, self.PARENT)
+        assert rows == []
+        assert ab_layered.format_layers("flat_quiet", rows).splitlines()[-1] \
+            == "host-clock-free counters: none moved (flat_quiet)"
+
+    def test_a_zero_parent_value_and_a_missing_metric_do_not_crash(self):
+        change = _traced(**{"sim.loop_self_ms": 0.25})
+        (row,) = ab_layered.layer_rows(self.PARENT, change)
+        assert row["metric"] == "sim.loop_self_ms"
+        assert row["ratio"] != row["ratio"]  # NaN: nothing to divide by
+        assert "nan" in ab_layered.format_layers("flat_quiet", [row])

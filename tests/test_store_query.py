@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, NotFoundError, QueryError
 from repro.hardware import FlashTimings, NandFlash
+from repro.obs import get_default
 from repro.store import (
     Aggregate,
     And,
@@ -401,3 +402,130 @@ class TestAggregation:
         assert row["count(*)"] == len(values)
         assert row["sum(v)"] == sum(values)
         assert row["avg(v)"] == pytest.approx(sum(values) / len(values))
+
+
+def meter_catalog(indexed, rows=120):
+    """A flushed single-collection catalog of uniform meter rows."""
+    catalog = make_catalog()
+    meter = catalog.collection("m")
+    if indexed:
+        meter.create_ordered_index("t")
+    meter.insert_many(
+        (f"{index:04d}", {"t": index * 60, "w": index / 8, "on": True})
+        for index in range(rows))
+    catalog.store.flush()
+    return catalog
+
+
+class TestIndexDeclinesWhatItCannotOrder:
+    """A bound the index cannot compare against its entries is the
+    zone-map/scan plan's to answer (with no rows), never a TypeError."""
+
+    @pytest.mark.parametrize("where", [
+        Between("t", "a", "b"), Between("t", "a"), Between("t", high="b"),
+        And(Between("t", "a", "b"), Eq("w", 1.0)),
+    ])
+    def test_mistyped_bound_matches_nothing_on_both_catalogs(self, where):
+        for indexed in (True, False):
+            result = meter_catalog(indexed).query(Query("m", where=where))
+            assert (result.plan, result.rows) == ("zonemap:t", []), indexed
+
+    def test_float_bounds_on_an_int_index_still_use_it(self):
+        where = Between("t", 0.5, 120.5)
+        indexed = meter_catalog(True).query(Query("m", where=where))
+        scanned = meter_catalog(False).query(Query("m", where=where))
+        assert (indexed.plan, scanned.plan) == ("range:t", "zonemap:t")
+        assert indexed.rows == scanned.rows
+        assert [row["t"] for row in indexed.rows] == [60, 120]
+
+    def test_eq_none_also_matches_records_without_the_field(self):
+        catalog = make_catalog()
+        notes = catalog.collection("notes")
+        notes.create_hash_index("tag")
+        notes.insert("a", {"tag": None})
+        notes.insert("b", {"body": "untagged"})
+        notes.insert("c", {"tag": "x"})
+        result = catalog.query(Query("notes", where=Eq("tag", None)))
+        assert result.plan == "scan"
+        assert result.rows == [{"tag": None}, {"body": "untagged"}]
+        assert catalog.query(
+            Query("notes", where=Eq("tag", "x"))).plan == "index:tag"
+
+
+def counter_labels(name):
+    snapshot = get_default().metrics.get(name).snapshot()
+    return {key: value for key, value in snapshot.get("labels", {}).items()
+            if value}
+
+
+class TestAggregateLaneIsCounted:
+    def test_one_labelled_increment_per_aggregate_query(self):
+        catalog = meter_catalog(True)
+        window = Between("t", 600, 3600)  # 51 rows: the vector lane
+        runs = [
+            ("folded|ok", Query("m", where=window, aggregates=[
+                Aggregate("sum", "w"), Aggregate("count"),
+                Aggregate("max", "t")])),
+            ("materialised|group_by", Query(
+                "m", where=window, aggregates=[Aggregate("sum", "w")],
+                group_by="on")),
+            ("materialised|predicate", Query(
+                "m", where=And(window, Contains("w", "x")),
+                aggregates=[Aggregate("sum", "w")])),
+            ("materialised|non_numeric", Query(
+                "m", where=window, aggregates=[Aggregate("sum", "on")])),
+            ("materialised|scalar_rows", Query(  # 3 rows: decoded scalar
+                "m", where=Between("t", 60, 180),
+                aggregates=[Aggregate("sum", "w")])),
+        ]
+        expected = {}
+        for label, query in runs:
+            result = catalog.query(query)
+            assert result.plan == "range:t"
+            rows = catalog.query(Query("m", where=query.where)).rows
+            if query.group_by is None:
+                assert result.rows == [{
+                    f"{a.function}({a.field})": a.compute(rows)
+                    for a in query.aggregates}]
+            expected[label] = expected.get(label, 0) + 1
+            assert counter_labels("store.query.aggregate") == expected
+        # the index fetches went through the one chunk decoder
+        decoded = counter_labels("store.decode.rows")
+        assert decoded == {"columnar": 8 * 51, "scalar": 2 * 3}
+        catalog.query(Query("m", where=window))  # no aggregate: no count
+        assert counter_labels("store.query.aggregate") == expected
+
+
+class TestResultRowsArePrivate:
+    """Rows are built once, from a batch nothing else holds: mutating
+    one result reaches neither a second run nor the page cache."""
+
+    @pytest.mark.parametrize("where, plan", [
+        (Between("t", 600, 3600), "range:t"),       # columnar chunk
+        (Between("t", 60, 180), "range:t"),         # scalar rows
+        (Between("w", 1.0, 9.0), "zonemap:w"),
+        (Ne("w", -1.0), "scan"),
+    ])
+    def test_mutating_a_result_changes_nothing_else(self, where, plan):
+        flash = NandFlash(TIMINGS, capacity_bytes=512 * TIMINGS.page_size)
+        catalog = Catalog(flash, page_cache_bytes=64 * TIMINGS.page_size)
+        meter = catalog.collection("m")
+        meter.create_ordered_index("t")
+        meter.insert_many(
+            (f"{index:04d}", {"t": index * 60, "w": index / 8, "tags": "a"})
+            for index in range(120))
+        meter.insert("9999", {"t": 720, "w": 2.0, "tags": "buffered"})
+        query = Query("m", where=where)
+        first = catalog.query(query)
+        assert first.plan == plan and first.rows
+        pristine = [dict(row) for row in first.rows]
+        cached = dict(catalog.store.page_cache._pages)
+        for row in first.rows:
+            row["w"] = "mutated"
+            row["extra"] = 1
+            del row["t"]
+        assert catalog.query(query).rows == pristine
+        assert catalog.store.page_cache._pages == cached
+        assert meter.get("9999") == {"t": 720, "w": 2.0, "tags": "buffered"}
+        assert all(a is not b for a, b in
+                   zip(catalog.query(query).rows, catalog.query(query).rows))

@@ -23,6 +23,12 @@ followed by one line for every metric outside its ``BENCHMARK.json``
 bound and every run with ``failed > 0`` or ``correct`` false. Exit
 status 1 if there is any such line.
 
+``--layers`` adds the "trace says why" table: after the pairs, one
+``--trace 1`` run per side and workload at seed ``LAYERS_SEED``, every
+per-layer metric whose value differs (parent, change, ratio) and,
+apart, the host-clock-free counters among them — those must not move
+unless the change meant them to. It never changes the exit status.
+
 The benchmark is only ever *run*: nothing under ``benchmarks/layered``
 is imported or edited, and the bounds are read from the change
 checkout's ``BENCHMARK.json``.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import json
 import pathlib
 import statistics
@@ -45,6 +52,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: One run: the last stdout line of ``run.py`` in the driver's form.
 Run = dict[str, Any]
+
+#: The seed of the one traced run per side that ``--layers`` compares.
+LAYERS_SEED = 2013
+#: Per-layer metrics no host clock feeds: equal seeds give equal values.
+CLOCK_FREE = (
+    "flash.*", "page_cache.*", "network.*", "crypto.hmac_calls", "*_calls",
+    "catalog.records_examined", "catalog.rows_returned",
+    "catalog.examined_per_row", "catalog.plan_share.*",
+    "log_store.ram_bytes", "log_store.pages_used",
+    "harness.wire_bytes_per_op",
+)
 
 
 # -- running -----------------------------------------------------------------
@@ -76,11 +94,11 @@ def checkout(target: str) -> Iterator[pathlib.Path]:
 
 
 def run_once(tree: pathlib.Path, command: list[str], workload: str,
-             seed: int, seconds: float) -> Run:
-    """One untraced benchmark run in ``tree``; its parsed result."""
+             seed: int, seconds: float, trace: int = 0) -> Run:
+    """One benchmark run in ``tree``; its parsed result."""
     finished = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False,
     )
     lines = finished.stdout.strip().splitlines()
@@ -223,6 +241,49 @@ def flags(rows: list[dict[str, Any]]) -> list[str]:
     ]
 
 
+# -- the per-layer comparison -------------------------------------------------
+
+
+def layer_rows(parent: Run, change: Run) -> list[dict[str, Any]]:
+    """One row per per-layer metric whose value differs between two
+    traced runs; ``clock_free`` marks the counters no host clock feeds
+    (a wall-time metric that happens to match a pattern is not one)."""
+    rows = []
+    for name, before in parent["metrics"].items():
+        after = change["metrics"].get(name)
+        if after is None or after["value"] == before["value"]:
+            continue
+        unit = before.get("unit", "")
+        rows.append({
+            "metric": name, "unit": unit,
+            "parent": before["value"], "change": after["value"],
+            "ratio": after["value"] / before["value"]
+            if before["value"] else float("nan"),
+            "clock_free": unit not in ("ms", "s") and any(
+                fnmatch.fnmatchcase(name, pattern) for pattern in CLOCK_FREE),
+        })
+    return rows
+
+
+def format_layers(workload: str, rows: list[dict[str, Any]]) -> str:
+    lines = [
+        f"layers: {workload} --trace 1 --seed {LAYERS_SEED}",
+        "| metric | unit | parent | change | ratio |",
+        "|---|---|---|---|---|",
+    ]
+    lines += [
+        f"| {row['metric']} | {row['unit']} | {_number(row['parent'])} "
+        f"| {_number(row['change'])} | {row['ratio']:.3f} |"
+        for row in rows
+    ]
+    moved = [row for row in rows if row["clock_free"]]
+    lines += [
+        f"MOVED {workload} {row['metric']}: {row['parent']!r} -> "
+        f"{row['change']!r}" for row in moved
+    ] or [f"host-clock-free counters: none moved ({workload})"]
+    return "\n".join(lines)
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -239,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", default=None,
                         help="also write every run and row here as JSON")
+    parser.add_argument("--layers", action="store_true",
+                        help="then one traced run per side: the per-layer "
+                             "metrics that differ")
     args = parser.parse_args(argv)
     with checkout(args.parent) as parent, checkout(args.change) as change:
         benchmark = json.loads((change / "BENCHMARK.json").read_text())
@@ -248,11 +312,21 @@ def main(argv: list[str] | None = None) -> int:
             parent, change, benchmark["command"], workloads, args.pairs,
             args.seed, benchmark["run_seconds"],
         )
+        layers = {}
+        for workload in workloads if args.layers else []:
+            traced = [
+                run_once(tree, benchmark["command"], workload, LAYERS_SEED,
+                         benchmark["run_seconds"], trace=1)
+                for tree in (parent, change)
+            ]
+            layers[workload] = layer_rows(*traced)
     rows = summarise(results, benchmark)
     if args.out:
-        pathlib.Path(args.out).write_text(
-            json.dumps({"results": results, "rows": rows}, indent=1))
+        pathlib.Path(args.out).write_text(json.dumps(
+            {"results": results, "rows": rows, "layers": layers}, indent=1))
     print(format_table(rows))
+    for workload, differing in layers.items():
+        print(format_layers(workload, differing))
     problems = flags(rows) + failures(results)
     for line in problems:
         print("FLAG", line)
