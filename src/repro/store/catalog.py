@@ -296,9 +296,8 @@ def _index_candidates(fetched) -> BatchCandidates:
         ascending = ascending and previous < chunk_ids[0] and all(
             map(lt, chunk_ids, islice(chunk_ids, 1, None)))
         previous = chunk_ids[-1]
-    if ascending:
-        return BatchCandidates(chunks)
-    return BatchCandidates(chunks, [chunk_ids for chunk_ids, _ in fetched])
+    return BatchCandidates(chunks, None if ascending else [
+        chunk_ids for chunk_ids, _ in fetched])
 
 
 class Catalog:

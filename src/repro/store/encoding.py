@@ -286,8 +286,6 @@ class ColumnBatch:
                 dict(zip(names, values))
                 for values in zip(*(self.columns[name] for name in names))
             ]
-        if len(self.scalar_rows) == self.count:
-            return list(map(self.scalar_rows.__getitem__, range(self.count)))
         return [self.row(index) for index in range(self.count)]
 
     def scalar_indices(self):
