@@ -43,6 +43,7 @@ from repro.store import (
     LogStructuredStore,
     OrderedIndex,
     Query,
+    encode_record,
 )
 from repro.store.encoding import ColumnBatch
 from repro.workloads.energy import HouseholdSimulator
@@ -640,6 +641,122 @@ def measure_recovery(day_trace, checkpoint_blocks: int,
     }
 
 
+# -- checkpoint cadence --------------------------------------------------------
+
+
+def _scan_digest(store: LogStructuredStore) -> str:
+    digest = hashlib.sha256()
+    for record_id, record in store.scan():
+        digest.update(repr((record_id, sorted(record.items()))).encode())
+    return digest.hexdigest()
+
+
+def _checkpoints_written() -> dict[str, int]:
+    """``store.checkpoints`` so far, by ``kind|reason`` label."""
+    return dict(
+        OBS.metrics.get("store.checkpoints").snapshot().get("labels", {}))
+
+
+def measure_checkpoint_cadence(day_trace, sample_period: int) -> dict:
+    """What checkpointing one day of ingest costs, at two cadences.
+
+    ``six_hourly`` calls ``checkpoint()`` at 03:00, 09:00, 15:00 and
+    21:00 (so the reboot replays three hours of log); ``interval_64``
+    lets ``checkpoint_interval_pages=64`` do it. A checkpoint after
+    the first is a delta that costs what changed, so the pages of all
+    of them together stay near one full image of the final directory —
+    the bound ``tools/bench_gate.py`` holds them to. Everything but
+    the wall time is deterministic.
+    """
+    records = day_trace.records()
+    per_hour = 3600 // sample_period
+    user_bytes = sum(len(encode_record(record)) for _, record in records)
+    # either half holds a full image (32 bytes a record bounds an
+    # entry) and a day of deltas beside it
+    half_blocks = math.ceil(
+        2.5 * len(records) * 32 / PAGE / TIMINGS.pages_per_block) + 1
+    checkpoint_blocks = 2 * half_blocks
+    rows = {}
+    for name, interval in (("six_hourly", None), ("interval_64", 64)):
+        flash = _flash_for(
+            _frame_estimate(records), checkpoint_blocks=checkpoint_blocks)
+        store = LogStructuredStore(
+            flash, checkpoint_blocks=checkpoint_blocks,
+            checkpoint_interval_pages=interval)
+        written_before = _checkpoints_written()
+        pages: list[int] = []
+        walls: list[float] = []
+        checkpoint = store.checkpoint
+
+        def timed_checkpoint() -> int:
+            started = time.perf_counter()
+            programmed = checkpoint()
+            walls.append(time.perf_counter() - started)
+            pages.append(programmed)
+            return programmed
+
+        store.checkpoint = timed_checkpoint  # the interval trigger calls it too
+        for hour in range(24):
+            store.insert_many(records[hour * per_hour:(hour + 1) * per_hour])
+            store.flush()
+            if interval is None and hour % 6 == 2:
+                store.checkpoint()
+        written = {
+            label: count - written_before.get(label, 0)
+            for label, count in _checkpoints_written().items()
+            if count > written_before.get(label, 0)
+        }
+        region = range(flash.block_count - checkpoint_blocks, flash.block_count)
+        flash_bytes = flash.writes * PAGE
+        rebooted = LogStructuredStore.recover(
+            flash, checkpoint_blocks=checkpoint_blocks)
+        replayed = LogStructuredStore.recover(
+            flash, checkpoint_blocks=checkpoint_blocks, use_checkpoint=False)
+        stats = rebooted.last_recovery
+        identical = (
+            rebooted.record_ids() == replayed.record_ids()
+            == store.record_ids()
+            and _scan_digest(rebooted) == _scan_digest(replayed)
+        )
+        # one full image of the final directory: what every checkpoint
+        # cost before deltas (the full-replay store must write a base)
+        full_image_pages = replayed.checkpoint()
+        rows[name] = {
+            "checkpoint_interval_pages": interval,
+            "checkpoints": sum(written.values()),
+            "checkpoints_by_kind": dict(sorted(written.items())),
+            "checkpoint_pages_total": sum(pages),
+            "checkpoint_pages_max": max(pages),
+            "full_image_pages": full_image_pages,
+            "pages_over_one_full_image": round(
+                sum(pages) / full_image_pages, 3),
+            "flash_bytes_per_user_byte": round(flash_bytes / user_bytes, 3),
+            "region_block_erases": sum(
+                flash.erase_counts.get(block, 0) for block in region),
+            "region_max_wear": max(
+                flash.erase_counts.get(block, 0) for block in region),
+            "reboot": {
+                "checkpoint_segments": stats.checkpoint_segments,
+                "checkpoint_pages_read": stats.checkpoint_pages_read,
+                "pages_replayed": stats.pages_replayed,
+            },
+            "recovered_identical": identical,
+            "wall_ms_per_checkpoint": round(
+                1000.0 * sum(walls) / len(walls), 3),
+        }
+    return {
+        "records": len(records),
+        "checkpoint_blocks": checkpoint_blocks,
+        "rows": rows,
+        "total_pages_within_1_25x_full_image": all(
+            row["checkpoint_pages_total"] <= 1.25 * row["full_image_pages"]
+            for row in rows.values()
+        ),
+        "recovered_identical": all(
+            row["recovered_identical"] for row in rows.values()),
+    }
+
+
 # -- observability + fault control -------------------------------------------
 
 
@@ -753,6 +870,7 @@ def build_report(sample_period: int = FULL_SAMPLE_PERIOD,
         "queries": measure_queries(day, query_window_s),
         "page_cache": measure_cache(day, query_window_s, cache_pages),
         "recovery": measure_recovery(day, checkpoint_blocks, sample_period),
+        "checkpoint_cadence": measure_checkpoint_cadence(day, sample_period),
         "fault_control": _fault_control_section(),
     }
     report["observability"] = _observability_section()
@@ -822,6 +940,17 @@ def test_store_scale_smoke():
     assert recovery["full_replay"]["mode"] == "full"
     assert recovery["maintenance"]["pages_reclaimed"] > 0
 
+    cadence = report["checkpoint_cadence"]
+    assert cadence["recovered_identical"]
+    assert cadence["total_pages_within_1_25x_full_image"]
+    for row in cadence["rows"].values():
+        kinds = row["checkpoints_by_kind"]
+        assert kinds["base|first"] == 1
+        assert kinds["delta|ok"] == row["checkpoints"] - 1 >= 3
+        assert row["region_block_erases"] == 0
+        assert row["reboot"]["checkpoint_segments"] == row["checkpoints"]
+        assert row["checkpoint_pages_max"] < row["full_image_pages"]
+
     observability = report["observability"]
     assert observability["schema"] == 1
     metrics = observability["metrics"]
@@ -853,6 +982,8 @@ def test_store_scale_smoke():
     assert tracked["queries"]["results_identical"]
     assert tracked["recovery"]["incremental_replays_fewer_pages"]
     assert tracked["recovery"]["recovered_state_identical"]
+    assert tracked["checkpoint_cadence"]["recovered_identical"]
+    assert tracked["checkpoint_cadence"]["total_pages_within_1_25x_full_image"]
     assert tracked["page_cache"]["hit_ratio"] > 0
     assert tracked["observability"]["schema"] == 1
     assert tracked["fault_control"]["no_fault_path_clean"]

@@ -14,7 +14,12 @@ Each store decision is written once:
   data page reaches flash (allocate, sequence, program, cache, summary,
   integrity tag, directory apply, flush counter, checkpoint trigger)
   and ``_apply_entries`` is what a page's entries do to the directory,
-  the live counts and the zone map, at commit and at replay alike. The
+  the live counts and the zone map, at commit and at replay alike.
+  Those same places record what the next checkpoint delta must carry:
+  ``_apply_entries`` (and its ``append_only`` bulk form in
+  ``_commit_frame_runs``) the ids it added, replaced or deleted,
+  ``_note_page`` and ``_erase_block`` the blocks whose live count or
+  zone map moved. The
   single-record API (``put``, ``delete``, compaction) frames entries
   through one appender; the batch API (``insert_many``,
   ``insert_batch``) runs one chunk loop whose one lane decision sends
@@ -28,15 +33,17 @@ Each store decision is written once:
   wrapper names record, page, block and offset on any decode failure.
 
 Around them: an optional bounded LRU page cache, per-block zone maps
-(:mod:`~repro.store.zonemap`), and directory checkpoints in a reserved
-region so a reboot replays only the pages written since.
+(:mod:`~repro.store.zonemap`), and a chain of checkpoint segments (one
+base, then deltas that cost what changed) in a reserved region so a
+reboot replays only the pages written since the last of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
+from struct import Struct
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -110,7 +117,12 @@ _RECOVERY_PAGES = _OBS.metrics.counter(
     "store.recovery_pages",
     help="log pages replayed rebuilding directories after reboot")
 _CHECKPOINTS = _OBS.metrics.counter(
-    "store.checkpoints", help="directory checkpoints written to flash")
+    "store.checkpoints", labelnames=("kind", "reason"),
+    help="checkpoint segments written, by kind (base|delta) and why: a "
+         "delta is ok; a base is first|half_full|compacted|reboot")
+_CHECKPOINT_PAGES = _OBS.metrics.counter(
+    "store.checkpoint_pages",
+    help="checkpoint-region pages programmed (one flash program each)")
 _INGEST_CHUNKS = _OBS.metrics.counter(
     "store.ingest.chunks", labelnames=("lane", "reason"),
     help="batch-ingest chunks by the lane the one lane decision chose "
@@ -125,6 +137,13 @@ _DECODE_COLUMNAR = _DECODE_ROWS.labels(lane="columnar")
 
 _CKPT_MAGIC = b"\xc4\x4b"
 _CKPT_HEADER_BYTES = 16  # magic(2) + id(8) + chunk(2) + total(2) + length(2)
+# A checkpoint segment's payload: a base holds the whole state, a delta
+# what changed since the segment before it in the chain.
+_CKPT_BASE = b"CKP1"
+_CKPT_DELTA = b"CKD1"
+_CKPT_LOCATION = Struct(">IHH")  # page, offset, length of a directory entry
+# A delta's directory entry for an id that is gone: no such page exists.
+_CKPT_TOMBSTONE = (0xFFFFFFFF, 0, 0)
 
 
 @dataclass
@@ -136,6 +155,7 @@ class RecoveryStats:
     checkpoint_pages_read: int = 0
     probe_reads: int = 0
     checkpoint_seq: int = 0
+    checkpoint_segments: int = 0  # chain length folded: the base + deltas
 
     @property
     def total_pages_read(self) -> int:
@@ -159,7 +179,7 @@ class LogStructuredStore:
 
     ``page_cache_bytes`` enables the bounded LRU page cache;
     ``checkpoint_blocks`` reserves that many blocks (an even count) at
-    the end of the device for directory checkpoints, written on demand
+    the end of the device for checkpoint segments, written on demand
     via :meth:`checkpoint` or automatically every
     ``checkpoint_interval_pages`` committed pages; ``zone_maps=False``
     turns off field summaries (block fingerprints are kept regardless —
@@ -188,11 +208,22 @@ class LogStructuredStore:
         self._checkpoint_interval = checkpoint_interval_pages
         self._pages_since_checkpoint = 0
         self._checkpoint_counter = 0
-        # A/B halves of the reserved region; the next checkpoint goes
-        # to 1 - _ckpt_half. Unknown region state (fresh store over a
-        # used device) is wiped before the first write.
+        # A/B halves of the reserved region: the chain grows in
+        # _ckpt_half from _ckpt_next_page on; a base goes to the other
+        # half. Unknown region state (fresh store over a used device)
+        # is wiped before the first write.
         self._ckpt_half = 1
+        self._ckpt_next_page = 0
         self._ckpt_region_known = False
+        # Why the next checkpoint must be a base (None: a delta will
+        # do), and — only while a delta will do — what it must carry
+        # since the last segment: new ids are the directory's own tail
+        # (a dict keeps insertion order), so they are only counted;
+        # replaced and deleted ids and touched blocks are held.
+        self._ckpt_base_reason: str | None = "first"
+        self._delta_appended = 0
+        self._delta_ids: dict[str, None] | None = None
+        self._delta_blocks: set[int] | None = None
         self.checkpoints_written = 0
         # id -> (page, offset, length); None means deleted
         self._directory: dict[str, tuple[int, int, int]] = {}
@@ -244,18 +275,26 @@ class LogStructuredStore:
 
     _DIRECTORY_ENTRY_BYTES = 48  # id hash + location tuple, order of magnitude
     _BUFFER_ENTRY_BYTES = 24  # entry tuple + buffered-id slot
+    _DELTA_ENTRY_BYTES = 16  # one tracked id or block: hash + reference
 
     @property
     def directory_ram_bytes(self) -> int:
         """Approximate RAM held by the directory *plus* the unflushed
         page buffer and its entry table — buffered-but-unflushed data
         counts against the budget exactly like flushed directory
-        entries, so the bound cannot be dodged by never flushing."""
-        return (
+        entries, so the bound cannot be dodged by never flushing —
+        *plus* the replaced or deleted ids and the blocks tracked for
+        the next checkpoint delta, bounded by what was applied since
+        the last segment and released when it is written."""
+        held = (
             len(self._directory) * self._DIRECTORY_ENTRY_BYTES
             + len(self._buffer)
             + len(self._buffer_entries) * self._BUFFER_ENTRY_BYTES
         )
+        if self._delta_ids is not None:
+            held += self._DELTA_ENTRY_BYTES * (
+                len(self._delta_ids) + len(self._delta_blocks))
+        return held
 
     @property
     def summaries_ram_bytes(self) -> int:
@@ -272,10 +311,12 @@ class LogStructuredStore:
     @property
     def batch_scratch_bytes(self) -> int:
         """Transient RAM held by in-flight columnar batch buffers
-        (encode blobs, column arrays, decode chunks). Non-zero only
-        while a batch operation runs; the columnar paths size their
-        chunks from the budget headroom so scratch never triggers a
-        :class:`CapacityError` the scalar path would not have raised."""
+        (encode blobs, column arrays, decode chunks) and by a
+        checkpoint segment being serialized. Non-zero only while a
+        batch operation or :meth:`checkpoint` runs; the columnar paths
+        size their chunks from the budget headroom so scratch never
+        triggers a :class:`CapacityError` the scalar path would not
+        have raised."""
         return self._batch_scratch_bytes
 
     @property
@@ -335,8 +376,10 @@ class LogStructuredStore:
     def _note_page(self, page: int, page_data: bytes,
                    sequence: int) -> BlockSummary:
         """Fingerprint (and tag) one data page, at commit or replay."""
-        summary = self._summaries.setdefault(
-            page // self._pages_per_block, BlockSummary())
+        block = page // self._pages_per_block
+        if self._delta_blocks is not None:
+            self._delta_blocks.add(block)
+        summary = self._summaries.setdefault(block, BlockSummary())
         summary.note_page(sequence)
         if self._integrity_key is not None:
             # reads return the padded image, so that is what is tagged
@@ -383,13 +426,17 @@ class LogStructuredStore:
         ``entries`` yields ``(record_id, kind, offset, length, record)``
         with ``offset`` the payload's position on the page; a ``None``
         record folds nothing (deletes, and inserts whose fields the
-        fused path folds by column).
+        fused path folds by column). While a checkpoint delta is
+        possible, what it must carry is noted: a new id by count (it
+        joins the directory's tail), a replaced or deleted id and the
+        block that loses its live record by name.
         """
         pages_per_block = self._pages_per_block
         block = page // pages_per_block
         directory = self._directory
         live = self._live_per_block
         zone_maps = self._zone_maps
+        delta_ids = self._delta_ids
         for record_id, kind, offset, length, record in entries:
             old = directory.get(record_id)
             if old is not None:  # retire the superseded version
@@ -399,6 +446,11 @@ class LogStructuredStore:
                     live[old_block] = remaining
                 else:
                     live.pop(old_block, None)
+                if delta_ids is not None:
+                    delta_ids[record_id] = None
+                    self._delta_blocks.add(old_block)
+            elif delta_ids is not None and kind == _ENTRY_INSERT:
+                self._delta_appended += 1
             if kind == _ENTRY_INSERT:
                 directory[record_id] = (page, offset, length)
                 live[block] = live.get(block, 0) + 1
@@ -667,6 +719,7 @@ class LogStructuredStore:
                     if append_only:
                         directory.update(zip(ids, zip(
                             repeat(page), offsets, repeat(run.payload_len))))
+                        self._delta_appended += take
                     else:
                         self._apply_entries(page, summary, zip(
                             ids, repeat(_ENTRY_INSERT), offsets,
@@ -1064,6 +1117,8 @@ class LogStructuredStore:
         invalidates itself through the device's erase listener)."""
         self.flash.erase_block(block)
         self._summaries.pop(block, None)
+        if self._delta_blocks is not None:
+            self._delta_blocks.add(block)
         if self._page_tags:
             first_page = block * self._pages_per_block
             for page in range(first_page, first_page + self._pages_per_block):
@@ -1081,6 +1136,8 @@ class LogStructuredStore:
         """
         self._flush_buffer()
         live = [(record_id, self.get(record_id)) for record_id in self.record_ids()]
+        # Clearing the directory is the one thing a delta cannot say.
+        self._track_delta(self._ckpt_base_reason or "compacted")
         used = self._used_blocks()
         for block in used:
             self._erase_block(block)
@@ -1140,7 +1197,7 @@ class LogStructuredStore:
             _COMPACTIONS.inc()
         return reclaimed
 
-    # -- directory checkpoints -------------------------------------------------
+    # -- checkpoint segments -----------------------------------------------------
 
     @property
     def _region_start_block(self) -> int:
@@ -1151,192 +1208,296 @@ class LogStructuredStore:
         start = self._region_start_block + half * half_size
         return range(start, start + half_size)
 
-    def _serialize_checkpoint(self) -> bytes:
-        directory_blob = bytearray()
-        for record_id, (page, offset, length) in self._directory.items():
+    @property
+    def _half_pages(self) -> int:
+        return (self._checkpoint_blocks // 2) * self._pages_per_block
+
+    def _track_delta(self, base_reason: str | None) -> None:
+        """Set why the next checkpoint must be a base (``None``: a
+        delta will do) and restart what a delta would carry — tracked
+        only while one is possible, so a store with no region, or with
+        a base due, holds nothing."""
+        self._ckpt_base_reason = base_reason
+        self._delta_appended = 0
+        tracking = base_reason is None and self._checkpoint_blocks > 0
+        self._delta_ids = {} if tracking else None
+        self._delta_blocks = set() if tracking else None
+
+    def _serialize_checkpoint(self, base: bool) -> bytearray:
+        """One segment's payload. A delta carries the directory entries
+        applied since the segment before it — the ids new since then
+        are the last ones the directory took (any older id a deletion
+        lets into that tail rides along unchanged), the replaced or
+        deleted ones were noted (a tombstone for an id that is gone) —
+        and the live count and zone map of every block touched or
+        erased since (a zero count, an empty map, for what is gone);
+        a base is the segment whose change set is everything."""
+        directory = self._directory
+        if base:
+            magic = _CKPT_BASE
+            entries = directory.items()
+            live_blocks = sorted(self._live_per_block)
+            zone_blocks = sorted(self._summaries)
+        else:
+            magic = _CKPT_DELTA
+            entries = chain(
+                islice(reversed(directory.items()), self._delta_appended),
+                ((record_id, directory.get(record_id, _CKPT_TOMBSTONE))
+                 for record_id in self._delta_ids),
+            )
+            live_blocks = zone_blocks = sorted(self._delta_blocks)
+        payload = bytearray(magic + self._page_sequence.to_bytes(8, "big"))
+
+        def open_blob() -> int:
+            payload.extend(bytes(8))  # its length, known at the close
+            return len(payload)
+
+        def close_blob(start: int) -> None:
+            payload[start - 8 : start] = (
+                len(payload) - start).to_bytes(8, "big")
+
+        pack_location = _CKPT_LOCATION.pack
+        start = open_blob()
+        for record_id, location in entries:
             id_bytes = record_id.encode()
-            directory_blob += len(id_bytes).to_bytes(2, "big") + id_bytes
-            directory_blob += page.to_bytes(4, "big")
-            directory_blob += offset.to_bytes(2, "big")
-            directory_blob += length.to_bytes(2, "big")
-        live_blob = bytearray()
-        for block, count in sorted(self._live_per_block.items()):
-            live_blob += block.to_bytes(4, "big") + count.to_bytes(4, "big")
-        zone_blob = bytearray()
-        for block, summary in sorted(self._summaries.items()):
-            encoded = encode_record(summary.to_record())
-            zone_blob += block.to_bytes(4, "big")
-            zone_blob += len(encoded).to_bytes(4, "big")
-            zone_blob += encoded
-        parts = [b"CKP1", self._page_sequence.to_bytes(8, "big")]
-        for blob in (directory_blob, live_blob, zone_blob):
-            parts.append(len(blob).to_bytes(8, "big"))
-            parts.append(bytes(blob))
-        return b"".join(parts)
+            payload += (len(id_bytes).to_bytes(2, "big") + id_bytes
+                        + pack_location(*location))
+        close_blob(start)
+        live = self._live_per_block
+        start = open_blob()
+        for block in live_blocks:
+            payload += (block.to_bytes(4, "big")
+                        + live.get(block, 0).to_bytes(4, "big"))
+        close_blob(start)
+        start = open_blob()
+        for block in zone_blocks:
+            summary = self._summaries.get(block)
+            encoded = (b"" if summary is None
+                       else encode_record(summary.to_record()))
+            payload += (block.to_bytes(4, "big")
+                        + len(encoded).to_bytes(4, "big") + encoded)
+        close_blob(start)
+        return payload
 
     @staticmethod
-    def _parse_checkpoint(payload: bytes) -> dict:
-        if payload[:4] != b"CKP1":
+    def _parse_checkpoint(payload: bytes,
+                          directory: dict[str, tuple[int, int, int]],
+                          live: dict[int, int],
+                          summaries: dict[int, BlockSummary]) -> int:
+        """Fold one segment's payload into the state the segments
+        before it left (empty dicts for a base) and return the page
+        sequence it was taken at: entries overwrite, a tombstone, a
+        zero live count and an empty zone map remove."""
+        if payload[:4] not in (_CKPT_BASE, _CKPT_DELTA):
             raise StorageError("malformed checkpoint payload")
         sequence = int.from_bytes(payload[4:12], "big")
         cursor = 12
 
-        def take_blob() -> bytes:
+        def take_blob() -> tuple[int, int]:
             nonlocal cursor
-            length = int.from_bytes(payload[cursor : cursor + 8], "big")
-            cursor += 8
-            blob = payload[cursor : cursor + length]
-            if len(blob) != length:
+            start = cursor + 8
+            end = start + int.from_bytes(payload[cursor:start], "big")
+            if end > len(payload):
                 raise StorageError("truncated checkpoint payload")
-            cursor += length
-            return blob
+            cursor = end
+            return start, end
 
-        directory_blob = take_blob()
-        live_blob = take_blob()
-        zone_blob = take_blob()
-        directory: dict[str, tuple[int, int, int]] = {}
-        position = 0
-        while position < len(directory_blob):
-            id_length = int.from_bytes(
-                directory_blob[position : position + 2], "big")
-            position += 2
-            record_id = directory_blob[position : position + id_length].decode()
-            position += id_length
-            page = int.from_bytes(directory_blob[position : position + 4], "big")
-            offset = int.from_bytes(
-                directory_blob[position + 4 : position + 6], "big")
-            length = int.from_bytes(
-                directory_blob[position + 6 : position + 8], "big")
+        position, end = take_blob()
+        unpack_location = _CKPT_LOCATION.unpack_from
+        while position < end:
+            id_end = position + 2 + int.from_bytes(
+                payload[position : position + 2], "big")
+            record_id = payload[position + 2 : id_end].decode()
+            location = unpack_location(payload, id_end)
+            if location == _CKPT_TOMBSTONE:
+                directory.pop(record_id, None)
+            else:
+                directory[record_id] = location
+            position = id_end + 8
+        position, end = take_blob()
+        for position in range(position, end, 8):
+            block = int.from_bytes(payload[position : position + 4], "big")
+            count = int.from_bytes(payload[position + 4 : position + 8], "big")
+            if count:
+                live[block] = count
+            else:
+                live.pop(block, None)
+        position, end = take_blob()
+        while position < end:
+            block = int.from_bytes(payload[position : position + 4], "big")
+            length = int.from_bytes(payload[position + 4 : position + 8], "big")
             position += 8
-            directory[record_id] = (page, offset, length)
-        live: dict[int, int] = {}
-        for position in range(0, len(live_blob), 8):
-            block = int.from_bytes(live_blob[position : position + 4], "big")
-            live[block] = int.from_bytes(
-                live_blob[position + 4 : position + 8], "big")
-        summaries: dict[int, BlockSummary] = {}
-        position = 0
-        while position < len(zone_blob):
-            block = int.from_bytes(zone_blob[position : position + 4], "big")
-            length = int.from_bytes(zone_blob[position + 4 : position + 8], "big")
-            position += 8
-            summaries[block] = BlockSummary.from_record(
-                decode_record(
-                    bytes(zone_blob[position : position + length]),
-                    context=f"checkpoint zone map block {block}",
+            if length:
+                summaries[block] = BlockSummary.from_record(
+                    decode_record(
+                        bytes(payload[position : position + length]),
+                        context=f"checkpoint zone map block {block}",
+                    )
                 )
-            )
+            else:
+                summaries.pop(block, None)
             position += length
-        return {
-            "seq": sequence, "directory": directory,
-            "live": live, "summaries": summaries,
-        }
+        return sequence
 
     def checkpoint(self) -> int:
-        """Persist the directory, live counts and zone maps into the
-        reserved checkpoint region; returns the pages written.
+        """Persist what the directory, live counts and zone maps have
+        become into the reserved checkpoint region; returns the pages
+        written.
 
-        Alternates between the region's two halves (A/B), erasing the
-        target half first, so a crash mid-write always leaves the
-        previous complete checkpoint intact. Reboot recovery then
-        replays only pages written after the checkpoint's sequence
-        number (see :meth:`recover`).
+        The region holds a chain: one base segment (the whole state)
+        and, on the next free pages of the same half, delta segments
+        that each carry only what changed since the segment before.
+        A base is written — into the *other* half, erased first, so
+        the previous complete chain survives a crash mid-write — only
+        when a delta cannot do: the first checkpoint, no room left in
+        the half, a :meth:`compact` since, or a chain found (or left)
+        cut short. Reboot recovery folds the chain and replays only
+        pages written after its last segment (see :meth:`recover`).
         """
         if not self._checkpoint_blocks:
             raise ConfigurationError(
                 "store was built without a checkpoint region"
             )
         self._flush_buffer()
-        payload = self._serialize_checkpoint()
-        chunk_capacity = self._page_size - _CKPT_HEADER_BYTES
-        chunks = [
-            payload[position : position + chunk_capacity]
-            for position in range(0, len(payload), chunk_capacity)
-        ] or [b""]
-        half_pages = (self._checkpoint_blocks // 2) * self._pages_per_block
-        if len(chunks) > half_pages:
-            raise StorageError(
-                f"checkpoint needs {len(chunks)} pages but each half of the "
-                f"region holds {half_pages}; grow checkpoint_blocks"
-            )
-        if not self._ckpt_region_known:
-            # Fresh store over a device of unknown history: wipe the
-            # whole region so stale checkpoints cannot shadow this one.
-            stale = range(self._region_start_block, self.flash.block_count)
-            self._ckpt_region_known = True
-            target = 0
+        capacity = self._page_size - _CKPT_HEADER_BYTES
+        # a mid-chunk checkpoint runs inside a batch's own scratch
+        scratch = self._batch_scratch_bytes
+
+        def segment(base: bool) -> tuple[bytearray, int]:
+            payload = self._serialize_checkpoint(base)
+            self._batch_scratch_bytes = scratch + len(payload)
+            return payload, -(-len(payload) // capacity)
+
+        reason = self._ckpt_base_reason
+        try:
+            payload, pages = segment(reason is not None)
+            if (reason is None
+                    and self._ckpt_next_page + pages > self._half_pages):
+                reason = "half_full"
+                payload, pages = segment(True)
+            if pages > self._half_pages:
+                raise StorageError(
+                    f"checkpoint needs {pages} pages but each half of the "
+                    f"region holds {self._half_pages}; grow checkpoint_blocks"
+                )
+            return self._write_segment(payload, pages, reason)
+        finally:
+            self._batch_scratch_bytes = scratch
+
+    def _write_segment(self, payload: bytearray, pages: int,
+                       base_reason: str | None) -> int:
+        """Program one segment: a delta (``base_reason`` None) after
+        the chain in its half, a base at the start of the other half."""
+        pages_per_block = self._pages_per_block
+        entries = (
+            self._delta_appended + len(self._delta_ids)
+            if base_reason is None else len(self._directory))
+        if base_reason is None:
+            half, first = self._ckpt_half, self._ckpt_next_page
         else:
-            target = 1 - self._ckpt_half
-            stale = self._half_blocks(target)
-        for block in stale:
-            first_page = block * self._pages_per_block
-            if any(
-                self.flash.is_written(page)
-                for page in range(first_page, first_page + self._pages_per_block)
-            ):
-                self.flash.erase_block(block)
+            if not self._ckpt_region_known:
+                # Fresh store over a device of unknown history: wipe the
+                # whole region so stale segments cannot shadow this one.
+                stale = range(self._region_start_block, self.flash.block_count)
+                self._ckpt_region_known = True
+                half = 0
+            else:
+                half = 1 - self._ckpt_half
+                stale = self._half_blocks(half)
+            for block in stale:
+                first_page = block * pages_per_block
+                if any(
+                    self.flash.is_written(page)
+                    for page in range(first_page, first_page + pages_per_block)
+                ):
+                    self.flash.erase_block(block)
+            first = 0
+        # From the first program to the last the chain on flash is cut
+        # short: if one fails, the next checkpoint must be a base — in
+        # the half this one did not complete in.
+        self._track_delta(base_reason or "reboot")
         self._checkpoint_counter += 1
-        target_blocks = list(self._half_blocks(target))
-        for index, chunk in enumerate(chunks):
-            block = target_blocks[index // self._pages_per_block]
-            page = block * self._pages_per_block + index % self._pages_per_block
-            header = (
+        capacity = self._page_size - _CKPT_HEADER_BYTES
+        page = self._half_blocks(half)[0] * pages_per_block + first
+        for index in range(pages):
+            chunk = payload[index * capacity : (index + 1) * capacity]
+            self.flash.write_page(page + index, (
                 _CKPT_MAGIC
                 + self._checkpoint_counter.to_bytes(8, "big")
                 + index.to_bytes(2, "big")
-                + len(chunks).to_bytes(2, "big")
+                + pages.to_bytes(2, "big")
                 + len(chunk).to_bytes(2, "big")
-            )
-            self.flash.write_page(page, header + chunk)
-        self._ckpt_half = target
+                + chunk
+            ))
+        self._ckpt_half = half
+        self._ckpt_next_page = first + pages
+        self._track_delta(None)
         self._pages_since_checkpoint = 0
         self.checkpoints_written += 1
-        _CHECKPOINTS.inc()
+        kind = "delta" if base_reason is None else "base"
+        _CHECKPOINTS.labels(kind=kind, reason=base_reason or "ok").inc()
+        _CHECKPOINT_PAGES.inc(pages)
         _OBS.events.emit(
-            "store.checkpoint", seq=self._page_sequence,
-            pages=len(chunks), records=len(self._directory),
+            "store.checkpoint", seq=self._page_sequence, segment=kind,
+            reason=base_reason or "ok", pages=pages, records=entries,
         )
-        return len(chunks)
+        return pages
 
-    def _load_latest_checkpoint(self, stats: RecoveryStats) -> dict | None:
-        """Scan the reserved region; returns the newest complete
-        checkpoint (or None) and restores the writer's A/B state."""
+    def _read_checkpoint_chain(self, region_pages: list[int],
+                               stats: RecoveryStats) -> list[bytes]:
+        """Read the reserved region's programmed pages; returns the
+        payloads of the newest complete chain — its base, then the
+        complete deltas that follow it with consecutive ids in the same
+        half, up to the first torn or missing one (empty: no complete
+        base) — and restores the writer: the chain's half, the next
+        free page there as *programmed* (torn pages included; NAND
+        will not take them twice), the segment counter, and whether
+        the next checkpoint may extend the chain."""
+        region_first = self._region_start_block * self._pages_per_block
+        half_pages = self._half_pages
         chunks: dict[int, dict[int, bytes]] = {}
         totals: dict[int, int] = {}
         halves: dict[int, int] = {}
-        half_size = self._checkpoint_blocks // 2
-        for block in range(self._region_start_block, self.flash.block_count):
-            first_page = block * self._pages_per_block
-            for page in range(first_page, first_page + self._pages_per_block):
-                if not self.flash.is_written(page):
-                    continue
-                data = self.flash.read_page(page)
-                stats.checkpoint_pages_read += 1
-                if data[:2] != _CKPT_MAGIC:
-                    continue
-                ckpt_id = int.from_bytes(data[2:10], "big")
-                index = int.from_bytes(data[10:12], "big")
-                total = int.from_bytes(data[12:14], "big")
-                length = int.from_bytes(data[14:16], "big")
-                chunks.setdefault(ckpt_id, {})[index] = data[16 : 16 + length]
-                totals[ckpt_id] = total
-                halves[ckpt_id] = (
-                    0 if block < self._region_start_block + half_size else 1
-                )
+        programmed = [0, 0]  # pages of each half up to its last programmed one
+        for page in region_pages:
+            data = self.flash.read_page(page)
+            stats.checkpoint_pages_read += 1
+            half, offset = divmod(page - region_first, half_pages)
+            programmed[half] = offset + 1
+            if data[:2] != _CKPT_MAGIC:
+                continue
+            segment = int.from_bytes(data[2:10], "big")
+            index = int.from_bytes(data[10:12], "big")
+            length = int.from_bytes(data[14:16], "big")
+            chunks.setdefault(segment, {})[index] = data[16 : 16 + length]
+            totals[segment] = int.from_bytes(data[12:14], "big")
+            halves[segment] = half
         self._ckpt_region_known = True
         self._checkpoint_counter = max(chunks, default=0)
-        complete = [
-            ckpt_id for ckpt_id, got in chunks.items()
-            if len(got) == totals.get(ckpt_id)
+
+        def complete(segment: int, magic: bytes) -> bool:
+            got = chunks.get(segment, {})
+            return (len(got) == totals.get(segment)
+                    and got.get(0, b"")[:4] == magic)
+
+        bases = [
+            segment for segment in chunks if complete(segment, _CKPT_BASE)]
+        if not bases:
+            self._track_delta("reboot" if region_pages else "first")
+            return []
+        linked = [max(bases)]
+        self._ckpt_half = halves[linked[0]]
+        self._ckpt_next_page = programmed[self._ckpt_half]
+        while (complete(linked[-1] + 1, _CKPT_DELTA)
+               and halves[linked[-1] + 1] == self._ckpt_half):
+            linked.append(linked[-1] + 1)
+        self._track_delta(
+            None if linked[-1] == self._checkpoint_counter else "reboot")
+        return [
+            b"".join(chunks[segment][index]
+                     for index in range(totals[segment]))
+            for segment in linked
         ]
-        if not complete:
-            return None
-        latest = max(complete)
-        self._ckpt_half = halves[latest]
-        payload = b"".join(
-            chunks[latest][index] for index in range(totals[latest])
-        )
-        return self._parse_checkpoint(payload)
 
     # -- reboot recovery -------------------------------------------------------
 
@@ -1356,12 +1517,15 @@ class LogStructuredStore:
         (or with ``use_checkpoint=False``) every programmed page is
         read — the seed behaviour, cost visible in the flash counters.
         With a checkpoint region the replay is *incremental*: the
-        newest complete checkpoint restores the directory and zone
-        maps, one probe read per previously known block proves it
-        unchanged (NAND sequence numbers are monotone, so a matching
-        first-page sequence rules out recycling), and only pages
-        written after the checkpoint are replayed. ``last_recovery``
-        records what the reboot cost either way.
+        newest complete base and the complete deltas chained to it
+        restore the directory and zone maps as of the last of them
+        (any prefix of the chain is a state the store was in, so a
+        torn delta costs replay pages, never correctness), one probe
+        read per previously known block proves it unchanged (NAND
+        sequence numbers are monotone, so a matching first-page
+        sequence rules out recycling), and only pages written after
+        that segment are replayed. ``last_recovery`` records what the
+        reboot cost either way.
         """
         store = cls(
             flash, ram_budget_bytes=ram_budget_bytes,
@@ -1374,20 +1538,26 @@ class LogStructuredStore:
         header = cls._PAGE_HEADER_BYTES
         stats = RecoveryStats(mode="full")
         data_page_limit = store._data_block_count * pages_per_block
-        written = [
-            page for page in flash.written_pages() if page < data_page_limit
-        ]
-        checkpoint = None
+        programmed = flash.written_pages()
+        written = [page for page in programmed if page < data_page_limit]
+        segments: list[bytes] = []
         if checkpoint_blocks:
-            checkpoint = store._load_latest_checkpoint(stats)
+            segments = store._read_checkpoint_chain(
+                programmed[len(written):], stats)
+            if segments and not use_checkpoint:
+                # the state is not built from the chain, so no delta
+                # can extend it
+                store._track_delta("reboot")
+                segments = []
         sequenced: list[tuple[int, int, bytes]] = []
-        if checkpoint is not None and use_checkpoint:
+        if segments:
             stats.mode = "checkpoint"
-            stats.checkpoint_seq = checkpoint["seq"]
-            store._directory = checkpoint["directory"]
-            store._live_per_block = checkpoint["live"]
-            store._summaries = checkpoint["summaries"]
-            store._page_sequence = checkpoint["seq"]
+            stats.checkpoint_segments = len(segments)
+            for payload in segments:
+                stats.checkpoint_seq = store._parse_checkpoint(
+                    payload, store._directory, store._live_per_block,
+                    store._summaries)
+            store._page_sequence = stats.checkpoint_seq
             by_block: dict[int, list[int]] = {}
             for page in written:
                 by_block.setdefault(page // pages_per_block, []).append(page)
@@ -1435,6 +1605,10 @@ class LogStructuredStore:
                 for record_id, location in list(store._directory.items()):
                     if location[0] // pages_per_block in stale_blocks:
                         del store._directory[record_id]
+                        if store._delta_ids is not None:
+                            store._delta_ids[record_id] = None
+                if store._delta_blocks is not None:
+                    store._delta_blocks.update(stale_blocks)
         else:
             for page in written:
                 data = flash.read_page(page)
@@ -1480,7 +1654,7 @@ class LogStructuredStore:
             "store.recovery", mode=stats.mode,
             pages_replayed=stats.pages_replayed,
             checkpoint_pages=stats.checkpoint_pages_read,
-            probes=stats.probe_reads,
+            segments=stats.checkpoint_segments, probes=stats.probe_reads,
         )
         return store
 

@@ -14,10 +14,11 @@ blocks, never matching records. Compaction erases a victim block and
 drops its summary; the relocated records rebuild fresh summaries in
 their new blocks at flush time.
 
-Summaries also serve recovery: the directory checkpoint persists them,
+Summaries also serve recovery: checkpoint segments persist them (a
+delta carries those of the blocks touched since the segment before),
 and their (first sequence, page count) fingerprint is how an
-incremental reboot decides whether a block changed since the
-checkpoint (see :meth:`LogStructuredStore.recover`).
+incremental reboot decides whether a block changed since the last
+segment (see :meth:`LogStructuredStore.recover`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .encoding import Record, Value
 # Sentinel distinguishing "field never seen in this block" (prunable
 # for any range) from "field seen but not summarizable" (never prune).
 _ABSENT = object()
+# A NaN fails every comparison, so it passes every range predicate and
+# moves no min/max: a block that holds one must admit every range.
+_EVERY_RANGE = (float("-inf"), float("inf"))
 
 
 class BlockSummary:
@@ -62,6 +66,9 @@ class BlockSummary:
             bounds = self.fields.get(name, _ABSENT)
             if bounds is None:
                 continue  # already unorderable for this block
+            if value != value:
+                self.fields[name] = _EVERY_RANGE
+                continue
             if bounds is _ABSENT:
                 self.fields[name] = (value, value)
                 continue
@@ -85,12 +92,13 @@ class BlockSummary:
         Exactly equivalent to ``note_record({name: v})`` for each value
         in order — including the order-dependent corner cases. Builtin
         ``min``/``max`` keep the *first* extremal element, which is the
-        same tie/NaN behaviour as the sequential strict-compare fold,
-        but only when comparisons are total: any NaN in the slice (or
-        an unorderable mix) drops to the per-value fold. ``clean=True``
-        is the caller asserting the slice holds no ``None``/NaN and one
-        orderable type (the columnar ingest path proves this from its
-        typed arrays), skipping the per-value scans.
+        same tie behaviour as the sequential strict-compare fold, but
+        only when comparisons are total: any NaN in the slice (which
+        widens the bounds to every range) or an unorderable mix drops
+        to the per-value fold. ``clean=True`` is the caller asserting
+        the slice holds no ``None``/NaN and one orderable type (the
+        columnar ingest path proves this from its typed arrays),
+        skipping the per-value scans.
         """
         bounds = self.fields.get(name, _ABSENT)
         if bounds is None:

@@ -223,6 +223,26 @@ class TestLayers:
         rows = ab_layered.layer_rows(self.PARENT, change)
         assert len(rows) == 4 and all(row["clock_free"] for row in rows)
 
+    def test_write_amplification_and_sim_latency_are_clock_free_too(self):
+        units = {"harness.flash_bytes_per_user_byte": "ratio",
+                 "harness.sim_latency_s": "sim_s", "harness.raw_wall_s": "s"}
+
+        def traced(*values):
+            return {"metrics": {
+                name: {"value": value, "unit": unit}
+                for (name, unit), value in zip(units.items(), values)}}
+
+        rows = ab_layered.layer_rows(
+            traced(9.80, 0.25, 13.2), traced(3.67, 0.26, 7.1))
+        assert [(row["metric"], row["clock_free"]) for row in rows] == [
+            ("harness.flash_bytes_per_user_byte", True),
+            ("harness.sim_latency_s", True),
+            ("harness.raw_wall_s", False)]
+        assert ab_layered.format_layers("store_ingest", rows).splitlines()[-2:] \
+            == ["MOVED store_ingest harness.flash_bytes_per_user_byte: "
+                "9.8 -> 3.67",
+                "MOVED store_ingest harness.sim_latency_s: 0.25 -> 0.26"]
+
     def test_identical_runs_report_nothing_moved(self):
         rows = ab_layered.layer_rows(self.PARENT, self.PARENT)
         assert rows == []

@@ -327,6 +327,30 @@ class TestInsertBatchEquivalence:
         assert columnar.inserts == scalar.inserts == count
         self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
 
+    @pytest.mark.parametrize("side", ["last_of_page", "first_of_page"])
+    def test_nan_on_a_page_boundary_widens_the_same_block(self, side):
+        count = 400
+        t = np.arange(count, dtype=np.int64)
+        w = np.linspace(1.0, 2.0, count)
+        ids = [f"n{index:04d}" for index in range(count)]
+        probe = LogStructuredStore(make_flash())
+        probe.insert_batch(ids, ColumnBatch.from_arrays({"t": t, "w": w}))
+        pages = [probe._directory[record_id][0] for record_id in ids[:300]]
+        boundary = next(index for index in range(100, 300)
+                        if pages[index] != pages[index - 1])
+        w[boundary - (side == "last_of_page")] = float("nan")
+        batch = ColumnBatch.from_arrays({"t": t, "w": w})
+        scalar, flash_scalar, columnar, flash_columnar = self._ab_stores()
+        put_all(scalar, ids, batch.rows())
+        columnar.insert_batch(ids, batch)
+        self._assert_equivalent(scalar, flash_scalar, columnar, flash_columnar)
+        nan_id = ids[boundary - (side == "last_of_page")]
+        block = (columnar._directory[nan_id][0]
+                 // flash_columnar.timings.pages_per_block)
+        assert summaries_snapshot(columnar)[block][3]["w"] == ("-inf", "inf")
+        for store in (scalar, columnar):
+            assert nan_id in dict(store.scan_range("w", 50.0, 60.0))
+
     def test_nan_and_signed_zero_columns(self):
         count = 200
         rng = random.Random(17)
@@ -591,11 +615,11 @@ def plan_predicate(rng, depth=0):
         return rng.choice([And, Or])(*children)
     if depth < 2 and roll < 0.45:
         return Not(plan_predicate(rng, depth + 1))
-    # Ranges on ``t`` only: ``w`` holds NaN, which passes every Between
-    # but moves no block's zone-map bounds, so a zonemap:w plan can lose
-    # NaN rows a scan returns — at the parent commit too; its own issue.
     if rng.random() < 0.5:
-        return Between("t", plan_bound(rng), plan_bound(rng))
+        # ``w`` holds NaN, which passes every Between: a zonemap:w plan
+        # must still find those rows
+        return Between(
+            rng.choice(["t", "w"]), plan_bound(rng), plan_bound(rng))
     field = rng.choice(["t", "w", "k"])
     pool = {"t": PLAN_T_VALUES, "w": PLAN_W_VALUES, "k": PLAN_K_VALUES}
     return Eq(field, rng.choice(pool[field]))

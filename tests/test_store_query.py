@@ -218,6 +218,31 @@ class TestQueryExecution:
         assert result.plan == "scan"
         assert len(result) == 1
 
+    def test_zonemap_plan_keeps_the_nan_rows_a_scan_returns(self):
+        """A NaN fails every comparison, so it passes every ``Between``
+        and moves no min/max: its block must admit every range."""
+        small = FlashTimings(
+            page_size=512, pages_per_block=16,
+            read_page_us=25.0, write_page_us=200.0, erase_block_us=1500.0,
+        )
+        rows = [(f"r{i:04d}", {"w": 1000.0 + i}) for i in range(4000)]
+        rows[2500] = ("r2500", {"w": float("nan")})
+        results = {}
+        for zone_maps in (True, False):
+            catalog = Catalog(
+                NandFlash(small, capacity_bytes=1024 * 1024),
+                zone_maps=zone_maps)
+            catalog.collection("m").insert_many(rows)
+            catalog.store.flush()
+            results[zone_maps] = catalog.query(
+                Query("m", where=Between("w", 0.0, 10.0)))
+        assert results[True].plan == "zonemap:w"
+        assert results[False].plan == "scan"
+        assert len(results[True]) == len(results[False]) == 1
+        assert results[True].rows[0]["w"] != results[True].rows[0]["w"]
+        # only the NaN's block was read, not the whole collection
+        assert results[True].flash_reads < results[False].flash_reads / 10
+
     def test_and_picks_selective_index_and_refilters(self):
         result = seeded_catalog().query(
             Query(

@@ -61,7 +61,8 @@ CLOCK_FREE = (
     "catalog.records_examined", "catalog.rows_returned",
     "catalog.examined_per_row", "catalog.plan_share.*",
     "log_store.ram_bytes", "log_store.pages_used",
-    "harness.wire_bytes_per_op",
+    "harness.wire_bytes_per_op", "harness.flash_bytes_per_user_byte",
+    "harness.sim_latency_s",
 )
 
 

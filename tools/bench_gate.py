@@ -13,6 +13,10 @@ metrics against the tracked claims within explicit tolerances:
 * **pages read** — pages per matching row for the index plan and the
   index/scan advantage ratio; catches a broken zone map or index
   before the full bench would.
+* **checkpoint pages** — a day of checkpoints (six-hourly and every 64
+  pages) must program at most 1.25x the pages of one full image of
+  the final directory and recover to the full replay's state; catches
+  a delta that quietly carries the whole directory again.
 * **coordinator wall-seconds per cell** — the flat federated-query
   per-cell wall (loose band: host-dependent) and the coordinator
   tree's root-side per-cell wall, which must stay below the tracked
@@ -107,6 +111,7 @@ def gate_store(gate: Gate, tracked: dict) -> None:
         SMOKE_QUERY_WINDOW_S,
         SMOKE_SAMPLE_PERIOD,
         _day_trace,
+        measure_checkpoint_cadence,
         measure_columnar,
         measure_ingest,
         measure_queries,
@@ -143,6 +148,25 @@ def gate_store(gate: Gate, tracked: dict) -> None:
         f"measured {advantage:.1f}x vs tracked {tracked_advantage:.1f}x "
         f"(allowed >= half)",
         advantage >= tracked_advantage / 2,
+    )
+    cadence = measure_checkpoint_cadence(day, SMOKE_SAMPLE_PERIOD)
+    for name, row in cadence["rows"].items():
+        gate.check(
+            f"store checkpoint pages vs one full image ({name})",
+            f"{row['checkpoint_pages_total']} pages in "
+            f"{row['checkpoints']} checkpoints vs a "
+            f"{row['full_image_pages']}-page image (allowed <= 1.25x)",
+            row["checkpoint_pages_total"] <= 1.25 * row["full_image_pages"],
+        )
+    tracked_cadence = tracked.get("checkpoint_cadence", {})
+    gate.check(
+        "store checkpoint chain recovers to the full replay",
+        f"live {cadence['recovered_identical']}, tracked "
+        f"{tracked_cadence.get('recovered_identical')} (pages within 1.25x: "
+        f"{tracked_cadence.get('total_pages_within_1_25x_full_image')})",
+        cadence["recovered_identical"]
+        and tracked_cadence.get("recovered_identical", False)
+        and tracked_cadence.get("total_pages_within_1_25x_full_image", False),
     )
     gate_store_columnar(gate, tracked, day)
 
