@@ -37,6 +37,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import time
@@ -98,14 +99,15 @@ ROOT_ADDRESS = "fq-root"
 PURPOSES = {"load-forecast", "study"}
 
 
-def _spec(transform: str) -> FedQuerySpec:
+def _spec(transform: str, recipient: str | None = None) -> FedQuerySpec:
     if transform == TRANSFORM_KANON:
         return FedQuerySpec(
             recipient="institute", purpose="study",
             transform=transform, collection="profile", k=5,
         )
     return FedQuerySpec(
-        recipient="utility" if transform == TRANSFORM_EXACT else "institute",
+        recipient=recipient or (
+            "utility" if transform == TRANSFORM_EXACT else "institute"),
         purpose="load-forecast", transform=transform,
         collection="energy", where=Between("hour", 18, 21),
         value_field="watts",
@@ -142,6 +144,30 @@ def _counter_total(metrics, name: str) -> int:
     if labels:
         return sum(labels.values())
     return snapshot["value"]
+
+
+def _tracked_containers() -> int:
+    """Objects the cyclic collector walks, settled: a pass untracks a
+    tuple of untracked things, so a nest of them takes one pass per
+    level."""
+    for _ in range(3):
+        gc.collect()
+    return len(gc.get_objects())
+
+
+def measure_heap_residue(coordinator, fleet) -> float:
+    """GC-tracked containers one more quiet exact query leaves behind,
+    per cell — the census ``tests/test_fedquery.py::TestHeapResidue``
+    pins, on a fleet its earlier queries have warmed. It is what the
+    collector's every later pass pays for this query: O(cells), the
+    same at any ring degree (a round's masks are one record per cell),
+    where the per-(peer, round) memo read 4 + 2k."""
+    before = _tracked_containers()
+    result = coordinator.run(
+        _spec(TRANSFORM_EXACT, recipient="heap-census"), fleet.roster)
+    left = _tracked_containers() - before
+    assert result.outcome == "complete"
+    return left / len(fleet.roster)
 
 
 # -- per-transformation rows --------------------------------------------------
@@ -230,7 +256,7 @@ def measure_transforms(n_cells: int, neighbors: int, seed: int = 0) -> dict:
             if span["name"] == "fedquery.collect"
         ),
     }
-    return {
+    report = {
         "cells": n_cells,
         "masking_neighbors": neighbors,
         "fleet_build_wall_seconds": round(build_wall, 3),
@@ -239,6 +265,10 @@ def measure_transforms(n_cells: int, neighbors: int, seed: int = 0) -> dict:
         "kanon_release": kanon_release,
         "observability": observability,
     }
+    # Last, so the fourth query it runs is in none of the numbers above.
+    rows[0]["heap_containers_per_cell_query"] = round(
+        measure_heap_residue(coordinator, fleet), 3)
+    return report
 
 
 # -- fault matrix -------------------------------------------------------------
@@ -629,6 +659,7 @@ def test_fedquery_scale_smoke():
     assert exact["error_vs_oracle"] < 1e-6
     assert all(count > 0 for count in exact["plan_mix"].values())
     assert sum(exact["plan_mix"].values()) == SMOKE_CELLS
+    assert exact["heap_containers_per_cell_query"] <= 8
 
     dp = by_transform[TRANSFORM_DP]
     assert dp["outcome"] == "complete"
@@ -719,6 +750,8 @@ def test_fedquery_scale_smoke():
         TRANSFORM_EXACT, TRANSFORM_DP, TRANSFORM_KANON
     }
     assert tracked_rows[TRANSFORM_EXACT]["error_vs_oracle"] < 1e-6
+    assert tracked_rows[TRANSFORM_EXACT][
+        "heap_containers_per_cell_query"] <= 8
     assert tracked_rows[TRANSFORM_DP]["error_vs_oracle"] > 0
     for row in tracked_rows.values():
         assert not row["raw_encoding_in_coordinator_view"]

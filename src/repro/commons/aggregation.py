@@ -59,7 +59,6 @@ from ..crypto.keys import KeyRing
 from ..crypto.primitives import (
     KEY_SIZE,
     HmacKey,
-    counter_stream,
     hmac_sha256,
     sha256,
 )
@@ -68,7 +67,6 @@ from ..obs import get_default as _obs_default
 from . import kernels
 
 _FIELD_ELEMENT_BYTES = 16  # one PRIME-field element on the wire
-_MASK_ELEMENT_BYTES = 16  # keystream bytes consumed per mask element
 
 # Synchronous protocols run without a World, so their rounds land in
 # the process-default observability scope (one span + one event per
@@ -83,12 +81,71 @@ _BYTES = _OBS.metrics.counter(
     "agg.bytes", help="aggregation protocol payload bytes")
 # The mask memo's lane, counted once per batch call (never per peer):
 # a row is ``derived`` when it paid its keyed derivation in this call,
-# ``cached`` when the (peer, round) memo already held its seed.
+# ``cached`` when the round's memo record already held its seed.
 _MASK_ROWS = _OBS.metrics.counter(
     "agg.mask_rows", help="pairwise mask rows by where they came from",
     labelnames=("source",))
 _ROWS_DERIVED = _MASK_ROWS.labels(source="derived")
 _ROWS_CACHED = _MASK_ROWS.labels(source="cached")
+
+# Rounds one node's mask memo keeps, oldest evicted first: the smallest
+# power of two above the most rounds a tracked bench masks on one node
+# before any of them can be asked back — ``BENCH_standing.json``'s 240
+# subscriptions closing one window together (counted with the bound
+# lifted; ``docs/protocols.md``, "The round's mask record"). An evicted
+# round costs re-derivation only: masks are a pure function of the
+# pairwise key and the round tag.
+MASK_ROUNDS_RESIDENT_MAX = 256
+_ROUNDS_RESIDENT = _OBS.metrics.gauge(
+    "agg.mask_rounds_resident",
+    help="most rounds any one node's mask memo has held (rounds)")
+_ROUNDS_EVICTED = _OBS.metrics.counter(
+    "agg.mask_rounds_evicted",
+    help="rounds dropped from a full mask memo, oldest first (rounds)")
+
+
+class _RoundMasks:
+    """One round's pairwise masks on one node: a single record.
+
+    Peers sit in first-touch order: ``rows`` maps a peer's name to its
+    row, ``seeds[row]`` is the pair's keyed seed for this round and
+    ``elements[row * width:(row + 1) * width]`` its expansion — one
+    flat seed-major list at the widest width asked so far.
+    """
+
+    __slots__ = ("rows", "seeds", "elements", "width")
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}
+        self.seeds: list[bytes] = []
+        self.elements: list[int] = []
+        self.width = 0
+
+    def grow(self, names: list[str], seeds: list[bytes], count: int,
+             expand: Callable[[list[bytes], int], list[int]]) -> None:
+        """Give the peers ``names`` — not yet in the record, ``seeds``
+        their derived seeds — the next rows, and make every row at
+        least ``count`` wide. Widening re-expands from the kept seeds,
+        no keyed derivation; ``expand(seeds, count)`` returns the flat
+        seed-major elements."""
+        known = len(self.seeds)
+        self.rows.update(zip(names, range(known, known + len(names))))
+        self.seeds += seeds
+        if count > self.width:
+            self.elements = expand(self.seeds, count)
+            self.width = count
+        elif seeds:
+            self.elements += expand(seeds, self.width)
+
+    def row(self, name: str, count: int) -> list[int]:
+        start = self.rows[name] * self.width
+        return self.elements[start:start + count]
+
+
+def _expand_scalar(seeds: list[bytes], count: int) -> list[int]:
+    """The scalar oracle's expansion in the record's flat layout."""
+    return [element for seed in seeds
+            for element in kernels.expand_stream_reference(seed, count)]
 
 
 def _record_round(result: "AggregationResult") -> None:
@@ -176,11 +233,12 @@ class AggregationNode:
         # node (see ``keymgmt.directory.EpochNode``).
         self._mask_keys: dict[str, HmacKey] = {}
         self._preshared: bytes | None = None
-        # Per-(peer, round) keystream cache: seed plus the expanded
-        # field elements. The dropout-recovery round re-reads masks
-        # from here instead of re-deriving them.
+        # The mask memo: round tag -> that round's one record
+        # (:class:`_RoundMasks`), at most ``MASK_ROUNDS_RESIDENT_MAX``
+        # rounds in insertion order. The dropout-recovery round
+        # re-reads masks from here instead of re-deriving them.
         self.cache_masks = cache_masks
-        self._mask_cache: dict[tuple[str, str], tuple[bytes, list[int]]] = {}
+        self._mask_cache: dict[str, _RoundMasks] = {}
 
     @classmethod
     def from_cell(cls, cell) -> "AggregationNode":
@@ -261,6 +319,23 @@ class AggregationNode:
         self._pairwise_cache[peer.name] = key
         return key
 
+    def _round_masks(self, round_tag: str) -> _RoundMasks:
+        """This round's record — the memo's, or a fresh one, which is
+        remembered (evicting the oldest round of a full memo) unless
+        the node was built with ``cache_masks=False``."""
+        cache = self._mask_cache
+        record = cache.get(round_tag)
+        if record is None:
+            record = _RoundMasks()
+            if self.cache_masks:
+                cache[round_tag] = record
+                if len(cache) > MASK_ROUNDS_RESIDENT_MAX:
+                    del cache[next(iter(cache))]
+                    _ROUNDS_EVICTED.inc()
+                elif len(cache) > _ROUNDS_RESIDENT.value:
+                    _ROUNDS_RESIDENT.set(len(cache))
+        return record
+
     def mask_elements(self, peer: "AggregationNode", round_tag: str,
                       count: int) -> list[int]:
         """The first ``count`` shared mask elements for this (peer, round).
@@ -269,27 +344,17 @@ class AggregationNode:
         expansion yields the elements, so asking for B elements costs
         the same single keyed derivation as asking for one. Both ends
         of the pair compute identical values (the pairwise key and the
-        expansion are symmetric).
+        expansion are symmetric). The scalar oracle: same record as
+        :meth:`mask_elements_many`, none of its kernels.
         """
-        cache_key = (peer.name, round_tag)
-        cached = self._mask_cache.get(cache_key)
-        if cached is not None:
-            seed, elements = cached
-            if len(elements) >= count:
-                return elements if len(elements) == count else elements[:count]
-        else:
-            seed = hmac_sha256(
+        record = self._round_masks(round_tag)
+        names, seeds = [], []
+        if peer.name not in record.rows:
+            names, seeds = [peer.name], [hmac_sha256(
                 self._pairwise_key_for(peer), f"mask|{round_tag}".encode()
-            )
-        stream = counter_stream(seed, count * _MASK_ELEMENT_BYTES)
-        elements = [
-            int.from_bytes(stream[offset:offset + _MASK_ELEMENT_BYTES], "big")
-            % shamir.PRIME
-            for offset in range(0, count * _MASK_ELEMENT_BYTES, _MASK_ELEMENT_BYTES)
-        ]
-        if self.cache_masks:
-            self._mask_cache[cache_key] = (seed, elements)
-        return elements
+            )]
+        record.grow(names, seeds, count, _expand_scalar)
+        return record.row(peer.name, count)
 
     def mask_elements_many(
         self,
@@ -300,8 +365,8 @@ class AggregationNode:
         """Mask elements against *every* peer in one batch call.
 
         The vectorized counterpart of calling :meth:`mask_elements`
-        per peer: cached (peer, round) keystreams are reused, every
-        missing one is derived (one HMAC per fresh pair — the keyed
+        per peer: one lookup finds the round's record, every peer it
+        lacks is derived (one HMAC per fresh pair — the keyed
         derivation count is identical to the scalar path, tagged under
         the peer's :class:`~repro.crypto.primitives.HmacKey`) and
         expanded in a single
@@ -309,41 +374,25 @@ class AggregationNode:
         the element lists aligned with ``peers``, bit-for-bit equal to
         the scalar loop.
         """
-        label = f"mask|{round_tag}".encode()
-        cache, mask_keys = self._mask_cache, self._mask_keys
-        rows: list[list[int]] = [[]] * len(peers)
-        fresh: list[int] = []  # indexes into peers/rows still to expand
-        seeds: list[bytes] = []
-        derived = 0
-        for index, peer in enumerate(peers):
-            name = peer.name
-            cached = cache.get((name, round_tag))
-            if cached is not None:
-                seed, elements = cached
-                if len(elements) >= count:
-                    rows[index] = (
-                        elements if len(elements) == count
-                        else elements[:count]
-                    )
-                    continue
-            else:
-                key = mask_keys.get(name)
+        record = self._round_masks(round_tag)
+        rows, mask_keys = record.rows, self._mask_keys
+        fresh = [peer for peer in peers if peer.name not in rows]
+        seeds = []
+        if fresh:
+            label = f"mask|{round_tag}".encode()
+            for peer in fresh:
+                key = mask_keys.get(peer.name)
                 if key is None:
-                    key = mask_keys[name] = HmacKey(
+                    key = mask_keys[peer.name] = HmacKey(
                         self._pairwise_key_for(peer))
-                seed = key.tag(label)
-                derived += 1
-            fresh.append(index)
-            seeds.append(seed)
-        if seeds:
-            expanded = kernels.expand_streams(seeds, count)
-            for index, seed, elements in zip(fresh, seeds, expanded):
-                rows[index] = elements
-                if self.cache_masks:
-                    cache[(peers[index].name, round_tag)] = (seed, elements)
-        _ROWS_DERIVED.inc(derived)
-        _ROWS_CACHED.inc(len(peers) - derived)
-        return rows
+                seeds.append(key.tag(label))
+        # Rows are handed out only once every fresh seed is derived: a
+        # peer without key material raises above and leaves no trace.
+        record.grow([peer.name for peer in fresh], seeds, count,
+                    kernels.expand_streams)
+        _ROWS_DERIVED.inc(len(fresh))
+        _ROWS_CACHED.inc(len(peers) - len(fresh))
+        return [record.row(peer.name, count) for peer in peers]
 
     # -- the mask core: every masked transport goes through these two ---------
 
@@ -406,8 +455,7 @@ class AggregationNode:
         if round_tag is None:
             self._mask_cache.clear()
         else:
-            for key in [k for k in self._mask_cache if k[1] == round_tag]:
-                del self._mask_cache[key]
+            self._mask_cache.pop(round_tag, None)
 
 
 @dataclass

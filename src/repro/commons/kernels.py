@@ -88,24 +88,21 @@ def fold_elements(buffer: bytes) -> list[int]:
     return out
 
 
-def expand_streams(seeds: list[bytes], count: int) -> list[list[int]]:
+def expand_streams(seeds: list[bytes], count: int) -> list[int]:
     """Batch keystream expansion: ``count`` elements for every seed.
 
     One buffer assembly plus one :func:`fold_elements` pass replaces
-    the per-seed, per-element scalar loop.  Bit-for-bit equal to
-    ``[expand_stream_reference(seed, count) for seed in seeds]``.
+    the per-seed, per-element scalar loop.  Returns one flat
+    *seed-major* list — seed ``i``'s elements are
+    ``flat[i * count:(i + 1) * count]`` — which is what a round's mask
+    record keeps; bit-for-bit the concatenation of
+    ``expand_stream_reference(seed, count)`` over ``seeds``.
     """
     if count < 0:
         raise ValueError("element count must be non-negative")
-    if not seeds or count == 0:
-        return [[] for _ in seeds]
     length = count * _ELEMENT_BYTES
-    buffer = b"".join(counter_stream(seed, length) for seed in seeds)
-    flat = fold_elements(buffer)
-    return [
-        flat[index * count:(index + 1) * count]
-        for index in range(len(seeds))
-    ]
+    return fold_elements(
+        b"".join(counter_stream(seed, length) for seed in seeds))
 
 
 # -- modular accumulation ----------------------------------------------------

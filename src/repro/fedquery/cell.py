@@ -198,7 +198,9 @@ class CellQueryAgent:
             self._reply(message["reply_to"], cached)
             return
         spec = FedQuerySpec.from_wire(message["spec"])
-        roster = list(message["roster"])
+        # The plan's own roster, by reference: ``plan_message`` made it
+        # a tuple, and a copy per cell per query is O(N²) a flat query.
+        roster = message["roster"]
         self._egress(tag, spec, message["reply_to"], {
             "roster": roster,
             "round_tag": message.get("round_tag", tag),

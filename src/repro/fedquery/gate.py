@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from typing import Any
 
 from ..commons.aggregation import (
@@ -59,7 +60,7 @@ def dp_noise_share(rng: random.Random, participants: int,
     )
 
 
-def _roster_nodes(directory: Directory, roster: list[str]) -> list[AggregationNode]:
+def _roster_nodes(directory: Directory, roster: Sequence[str]) -> list[AggregationNode]:
     nodes = []
     for name in roster:
         node = directory.get(name)
@@ -72,7 +73,7 @@ def _roster_nodes(directory: Directory, roster: list[str]) -> list[AggregationNo
 def _ring_peers(
     node: AggregationNode,
     directory: Directory,
-    roster: list[str],
+    roster: Sequence[str],
     neighbors: int | None,
     positions: dict[str, int] | None,
     size: int | None,
@@ -135,7 +136,7 @@ def _ring_peers(
 def masked_contribution(
     node: AggregationNode,
     directory: Directory,
-    roster: list[str],
+    roster: Sequence[str],
     round_tag: str,
     value: int,
     neighbors: int | None = None,
@@ -167,7 +168,7 @@ def masked_contribution(
 def masked_contribution_reference(
     node: AggregationNode,
     directory: Directory,
-    roster: list[str],
+    roster: Sequence[str],
     round_tag: str,
     value: int,
     neighbors: int | None = None,
@@ -196,7 +197,7 @@ def masked_contribution_reference(
 def net_recovery_mask(
     node: AggregationNode,
     directory: Directory,
-    roster: list[str],
+    roster: Sequence[str],
     round_tag: str,
     missing: list[str],
     neighbors: int | None = None,
@@ -221,7 +222,7 @@ def net_recovery_mask(
 def net_recovery_mask_reference(
     node: AggregationNode,
     directory: Directory,
-    roster: list[str],
+    roster: Sequence[str],
     round_tag: str,
     missing: list[str],
     neighbors: int | None = None,

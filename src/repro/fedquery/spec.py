@@ -289,10 +289,14 @@ def plan_message(tag: str, spec: FedQuerySpec, roster: list[str],
     and ``global_size`` carries the full roster size — which the cell
     must use for its cohort floor and DP noise calibration, so privacy
     parameters stay global even though the wire message is O(k).
+
+    The message owns its roster as a tuple (a list on the wire): one
+    flat plan goes to every cell by reference, and each cell keeps
+    that one object for a later recovery instead of a copy.
     """
     message = {
         "kind": MSG_PLAN, "tag": tag, "spec": spec.to_wire(),
-        "roster": list(roster), "reply_to": reply_to,
+        "roster": tuple(roster), "reply_to": reply_to,
         "round_tag": round_tag if round_tag is not None else tag,
         "neighbors": neighbors,
     }

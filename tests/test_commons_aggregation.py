@@ -226,6 +226,19 @@ class TestMaskKeystream:
         a.mask_elements(b, "r", 2)
         assert hmac_invocations() - before == 1
 
+    def test_flush_of_one_round_leaves_the_others_cached(self):
+        a, b, c = preshared_nodes(3)
+        for round_tag in ("r", "s"):
+            a.mask_elements_many([b, c], round_tag, 2)
+        kept = a.mask_elements_many([b, c], "s", 2)
+        a.flush_masks("r")
+        a.flush_masks("never-masked")  # nothing to drop, no error
+        before = hmac_invocations()
+        assert a.mask_elements_many([b, c], "s", 2) == kept
+        assert hmac_invocations() - before == 0
+        a.mask_elements_many([b, c], "r", 2)
+        assert hmac_invocations() - before == 2
+
     def test_masks_differ_across_components_and_rounds(self):
         a, b = preshared_nodes(2)
         elements = a.mask_elements(b, "r1", 16)

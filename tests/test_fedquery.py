@@ -1,5 +1,6 @@
 """Federated query engine: wire codec, gate, end-to-end, equivalence."""
 
+import gc
 import random
 
 import pytest
@@ -349,10 +350,15 @@ class TestEngineQuiet:
 class TestMaskMemoLane:
     """``agg.mask_rows{source}``: the mask memo's hit/miss lane."""
 
-    def _run(self, offline):
+    def _run(self, offline, flush_before_recovery=False):
         world, network, fleet = _quiet_fleet(12)
         if offline:
             network.set_online(fleet.roster[5], False)
+        if flush_before_recovery:
+            # Every partial is in within the first second; the collect
+            # deadline (and the recovery round after it) is at 5 s.
+            world.loop.schedule_in(3, lambda: [
+                agent.node.flush_masks() for agent in fleet.agents.values()])
         coordinator = Coordinator(
             world, network, neighbors=4, collect_timeout_s=5,
             recovery_timeout_s=5,
@@ -377,6 +383,63 @@ class TestMaskMemoLane:
         # one row, all from the round memo — no new derivation.
         assert rows == {"cached": 4, "derived": 11 * 4}
         assert hmac_invocations() == 11 * 4
+
+
+    def test_recovery_of_a_dropped_round_rederives_the_same_total(self):
+        kept, _ = self._run(offline=True)
+        get_default().reset()
+        late, rows = self._run(offline=True, flush_before_recovery=True)
+        assert late.outcome == "partial" and late.recovery_rounds == 1
+        assert late.field_total == kept.field_total
+        assert late.value == kept.value
+        # The round is gone from every survivor's memo: the four edges
+        # to the missing cell are derived again, and counted as such.
+        assert rows == {"cached": 0, "derived": 11 * 4 + 4}
+        assert hmac_invocations() == 11 * 4 + 4
+
+
+class TestHeapResidue:
+    """What one quiet query leaves on the heap is O(cells), not
+    O(cells x k): a round's masks are one record per cell whatever the
+    ring degree, and the plan's roster is kept by reference."""
+
+    CELLS = 48
+
+    @staticmethod
+    def _tracked():
+        # A pass untracks a tuple of untracked things, so a nest of
+        # them settles one level per pass; three reads the same twice.
+        for _ in range(3):
+            gc.collect()
+        return len(gc.get_objects())
+
+    def _containers_per_cell(self, neighbors):
+        world, network, fleet = _quiet_fleet(self.CELLS)
+        coordinator = Coordinator(world, network, neighbors=neighbors)
+        for index in range(2):  # warm-up: one-time caches fill here
+            coordinator.run(
+                _evening_spec(recipient=f"warm-{index}"), fleet.roster)
+        before = self._tracked()
+        result = coordinator.run(
+            _evening_spec(recipient="measured"), fleet.roster)
+        left = self._tracked() - before
+        assert result.outcome == "complete"
+        assert result.participants == self.CELLS
+        return left / self.CELLS
+
+    def test_tracked_containers_per_cell_do_not_grow_with_ring_degree(self):
+        residue = {k: self._containers_per_cell(k) for k in (4, 16, 32)}
+        assert residue[4] == residue[16] == residue[32]
+        assert residue[32] <= 8  # the per-(peer, round) memo read 4 + 2k
+
+    def test_cell_keeps_the_plans_roster_by_reference(self):
+        world, network, fleet = _quiet_fleet(6)
+        coordinator = Coordinator(world, network)
+        coordinator.run(_evening_spec(), fleet.roster)
+        rosters = {id(context["roster"])
+                   for agent in fleet.agents.values()
+                   for context in agent._rounds.values()}
+        assert len(rosters) == 1
 
 
 class TestOrchestratorEquivalence:

@@ -8,12 +8,16 @@ seeds, roster sizes, masking degrees, dropout patterns, and both the
 scalar-sum and histogram shapes.
 """
 
+import hashlib
+import hmac
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.commons import kernels
+from repro.commons import aggregation, kernels
 from repro.commons.aggregation import (
     AggregationNode,
     MaskedSum,
@@ -57,10 +61,14 @@ class TestKeystreamKernels:
     def test_expand_streams_matches_reference(self, count):
         rng = random.Random(count * 31 + 5)
         seeds = _seeds(rng, 9)
-        batch = kernels.expand_streams(seeds, count)
-        assert batch == [
+        flat = kernels.expand_streams(seeds, count)
+        # One flat seed-major list: seed i's elements are the i-th run
+        # of ``count``.
+        assert [flat[at * count:(at + 1) * count]
+                for at in range(len(seeds))] == [
             kernels.expand_stream_reference(seed, count) for seed in seeds
         ]
+        assert len(flat) == len(seeds) * count
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fold_elements_matches_bigint_mod(self, seed):
@@ -205,6 +213,177 @@ class TestBatchMaskDerivation:
             "cached": 3 + 8, "derived": 8}
         assert rows_metric.snapshot()["labels"]["derived"] == \
             primitives.hmac_invocations()
+
+
+# -- the per-round mask record, as a state machine ---------------------------
+
+MEMO_TAGS = ["t0", "t1", "t2", "t3", "t4"]
+MEMO_PEERS = 6
+MEMO_BOUND = 3  # rounds resident, patched in: five tags force eviction
+
+_peer = st.integers(0, MEMO_PEERS - 1)
+_tag = st.sampled_from(MEMO_TAGS)
+_width = st.integers(1, 64)
+_memo_ops = st.lists(st.one_of(
+    st.tuples(st.just("many"), _tag,
+              st.lists(_peer, unique=True, max_size=MEMO_PEERS), _width),
+    st.tuples(st.just("one"), _tag, _peer, _width),
+    st.tuples(st.just("pair"), _tag, _peer, st.integers(0, 63)),
+    st.tuples(st.just("flush"), _tag),
+    st.tuples(st.just("flush-all")),
+), max_size=40)
+
+
+class _MemoModel:
+    """What the memo must hold: round tag -> peers touched, oldest
+    round first, at most ``MEMO_BOUND`` rounds. ``caching=False``
+    models a ``cache_masks=False`` node: nothing is ever held."""
+
+    def __init__(self, caching):
+        self.caching = caching
+        self.rounds = {}
+        self.evicted = 0
+
+    def touch(self, tag, names):
+        """The names among ``names`` touched for the first time."""
+        held = self.rounds.get(tag)
+        if held is None:
+            held = set()
+            if self.caching:
+                self.rounds[tag] = held
+                if len(self.rounds) > MEMO_BOUND:
+                    del self.rounds[next(iter(self.rounds))]
+                    self.evicted += 1
+        first = [name for name in names if name not in held]
+        held.update(first)
+        return first
+
+
+class TestRoundMaskRecord:
+    """Random interleavings of every way into the mask memo, against a
+    model of it and the scalar expansion of an independently derived
+    seed."""
+
+    @staticmethod
+    def _seed(node, peer, tag):
+        # Standard-library HMAC: the oracle must not move the counter
+        # the property reads.
+        return hmac.new(node._pairwise_key_for(peer),
+                        f"mask|{tag}".encode(), hashlib.sha256).digest()
+
+    @pytest.mark.parametrize("caching", [True, False])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(ops=_memo_ops)
+    def test_interleavings_match_the_model(self, caching, ops):
+        metrics = get_default().metrics
+        rows_metric = metrics.get("agg.mask_rows")
+        evicted_metric = metrics.get("agg.mask_rounds_evicted")
+        names, directory = _fleet(MEMO_PEERS + 1, prefix="memo")
+        node = AggregationNode._with_group_secret(
+            names[0], SECRET, cache_masks=caching)
+        peers = [directory[name] for name in names[1:]]
+        model = _MemoModel(caching)
+        evicted_before = evicted_metric.snapshot()["value"]
+        bound = aggregation.MASK_ROUNDS_RESIDENT_MAX
+        aggregation.MASK_ROUNDS_RESIDENT_MAX = MEMO_BOUND
+        try:
+            for op in ops:
+                self._step(node, peers, model, rows_metric, op)
+        finally:
+            aggregation.MASK_ROUNDS_RESIDENT_MAX = bound
+        assert evicted_metric.snapshot()["value"] - evicted_before \
+            == model.evicted
+        assert list(node._mask_cache) == list(model.rounds)
+        assert metrics.get("agg.mask_rounds_resident").snapshot()["value"] \
+            <= MEMO_BOUND
+
+    def _step(self, node, peers, model, rows_metric, op):
+        kind = op[0]
+        if kind == "flush":
+            node.flush_masks(op[1])
+            model.rounds.pop(op[1], None)
+            return
+        if kind == "flush-all":
+            node.flush_masks()
+            model.rounds.clear()
+            return
+        tag = op[1]
+        asked = [peers[at] for at in (op[2] if kind == "many" else [op[2]])]
+        first = model.touch(tag, [peer.name for peer in asked])
+        hmacs = primitives.hmac_invocations()
+        rows = dict(rows_metric.snapshot().get(
+            "labels", {"cached": 0, "derived": 0}))
+        if kind == "many":
+            got = node.mask_elements_many(asked, tag, op[3])
+            width = op[3]
+            rows["derived"] += len(first)
+            rows["cached"] += len(asked) - len(first)
+        elif kind == "one":
+            got = [node.mask_elements(asked[0], tag, op[3])]
+            width = op[3]
+        else:
+            got = [[node.pairwise_mask(asked[0], tag, op[3])]]
+            width = op[3] + 1
+        expected = [
+            kernels.expand_stream_reference(self._seed(node, peer, tag), width)
+            for peer in asked
+        ]
+        if kind == "pair":
+            expected = [[expected[0][-1]]]
+        assert got == expected
+        # One keyed derivation per first touch and no other; only the
+        # batch call counts rows, and a node that keeps nothing never
+        # answers ``cached``.
+        assert primitives.hmac_invocations() - hmacs == len(first)
+        assert rows_metric.snapshot().get(
+            "labels", {"cached": 0, "derived": 0}) == rows
+        if not model.caching:
+            assert rows["cached"] == 0
+
+    def test_late_recovery_of_an_evicted_round_rederives_bit_for_bit(
+            self, monkeypatch):
+        """Masks are a pure function of the pairwise key and the round
+        tag: a survivor whose memo has dropped the round answers its
+        recovery with the same term, for one HMAC per edge to the
+        missing."""
+        monkeypatch.setattr(aggregation, "MASK_ROUNDS_RESIDENT_MAX", 2)
+        names, _ = _fleet(9, prefix="late")
+        rows_metric = get_default().metrics.get("agg.mask_rows")
+        missing = {names[4], names[5]}
+
+        def survivors(evict):
+            nodes = [AggregationNode._with_group_secret(name, SECRET)
+                     for name in names]
+            out = []
+            for position, node in enumerate(nodes):
+                if node.name in missing:
+                    continue
+                peers = aggregation._positioned_peers(nodes, position, 4)
+                published = node.masked_vector(position, peers, "late", [7])
+                if evict:
+                    for filler in ("f1", "f2"):
+                        node.masked_vector(position, peers, filler, [0])
+                    assert "late" not in node._mask_cache
+                before = dict(rows_metric.snapshot()["labels"])
+                net = node.unmasking_vector(
+                    position, peers, "late", missing, 1)
+                after = rows_metric.snapshot()["labels"]
+                edges = sum(peer.name in missing for peer, _ in peers)
+                out.append((published, net, edges,
+                            after["derived"] - before["derived"],
+                            after["cached"] - before["cached"]))
+            return out
+
+        kept, evicted = survivors(evict=False), survivors(evict=True)
+        assert [row[:2] for row in kept] == [row[:2] for row in evicted]
+        assert all(derived == 0 and cached == edges
+                   for _, _, edges, derived, cached in kept)
+        assert all(derived == edges and cached == 0
+                   for _, _, edges, derived, cached in evicted)
+        assert sum(edges for _, _, edges, _, _ in evicted) > 0
+        total = kernels.accumulate_columns(
+            [0], [row[0] for row in evicted] + [row[1] for row in evicted], [])
+        assert total == [shamir.encode_signed(7 * 7)]
 
 
 # Roster sizes exercising every graph shape: the 2-cell pair, the

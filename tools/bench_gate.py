@@ -26,6 +26,11 @@ metrics against the tracked claims within explicit tolerances:
   catalog results), keep a healthy live wall speedup, keep the codec
   within a loose wall band of the tracked ns/record, and seal a page
   bundle with exactly 4 keyed HMACs where per-frame sealing costs 4·N.
+* **heap residue** — GC-tracked containers one quiet flat query leaves
+  behind per cell (the collector re-walks them on every later pass):
+  O(1) per cell at any ring degree, within 1.25x of the tracked value;
+  catches a per-(peer, round) or per-cell-per-roster structure coming
+  back.
 * **mask derivations** — HMAC count for a k-regular masked sum must
   equal ``n * k`` exactly; the vectorized kernels must not change how
   often key material is touched.
@@ -67,6 +72,10 @@ WALL_FACTOR = 10.0
 RATE_BAND = 1.5
 # Page counts per row drift slightly with sampling density.
 PAGES_FACTOR = 2.0
+# Tracked containers a query leaves per cell: deterministic, and equal
+# at any scale but for the coordinator's O(1) share, which weighs more
+# per cell on the 45-cell smoke than on the tracked 1,000.
+HEAP_FACTOR = 1.25
 
 
 class Gate:
@@ -308,6 +317,12 @@ def gate_fedquery(gate: Gate, tracked: dict) -> None:
         exact["wall_seconds"] / SMOKE_CELLS,
         tracked_exact["wall_seconds"] / tracked_cells,
         WALL_FACTOR,
+    )
+    gate.max_ratio(
+        "fedquery heap containers per cell per query (flat exact)",
+        exact["heap_containers_per_cell_query"],
+        tracked_exact["heap_containers_per_cell_query"],
+        HEAP_FACTOR,
     )
     gate.check(
         "fedquery flat exact vs oracle",
