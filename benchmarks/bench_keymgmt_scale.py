@@ -7,7 +7,7 @@ activation (asynchronous prekey completions), the per-epoch cost of
 ratcheted rotation, revocation-to-exclusion latency over the untrusted
 network under the quiet control and the ``churning`` fault profile,
 and the bit-for-bit equivalence pin of the fedquery totals against the
-deprecated preshared stopgap. Emits ``BENCH_keymgmt.json`` at the repo
+preshared group-secret build. Emits ``BENCH_keymgmt.json`` at the repo
 root so later PRs can track the trajectory.
 
 Two entry points:

@@ -24,6 +24,7 @@ from repro.commons import (
     is_k_anonymous,
     ncp,
 )
+from repro.sim import SeedSequence
 from repro.workloads import assign_disease, generate_receipts, sweets_share
 
 
@@ -48,7 +49,7 @@ def main() -> None:
                 online=rng.random() < 0.95,
             )
         )
-    coordinator = CommonsCoordinator(members, rng)
+    coordinator = CommonsCoordinator(members, seeds=SeedSequence(11))
 
     # -- DP aggregate for the (less trusted) open-data portal -----------------
     query = GlobalQuery("open-data-portal", "epidemiology", TRANSFORM_DP,

@@ -119,6 +119,8 @@ def run(seed: int = 0, sizes: list[int] | None = None) -> list[Table]:
             world, cloud, nodes, values,
             round_tag=f"async-{window_hours}-{absent_count}",
             deadline=deadline, wake_times=wake_times,
+            # every survivor is back within 7,199 s of the deadline
+            recovery_timeout=7200,
         )
         protocol.start()
         world.loop.run_until(deadline + 4 * 3600)

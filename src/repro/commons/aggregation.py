@@ -50,7 +50,6 @@ and report message/byte/round accounting.
 from __future__ import annotations
 
 import random
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -212,10 +211,6 @@ def _masking_peers(nodes: list["AggregationNode"], position: int,
     return [peer for peer, _ in _positioned_peers(nodes, position, degree)]
 
 
-# One-shot flag for the preshared deprecation notice (tests reset it).
-_PRESHARED_WARNED = [False]
-
-
 class AggregationNode:
     """One participant: a name, a value source, and key material."""
 
@@ -262,35 +257,10 @@ class AggregationNode:
         deployment pays it once per peer, then reuses the key across
         every round). All nodes of a population must share the secret.
 
-        .. deprecated::
-            The hashed group secret is a single point of class break —
-            one leak unmasks every fleet round. New code should obtain
-            nodes from :class:`repro.keymgmt.KeyDirectory`, which does
-            real ring-edge key agreement with epoch rotation and
-            revocation. This constructor keeps working for legacy
-            benches and emits a one-time :class:`DeprecationWarning`.
-        """
-        if not _PRESHARED_WARNED[0]:
-            _PRESHARED_WARNED[0] = True
-            warnings.warn(
-                "AggregationNode.preshared hashes every pairwise key from "
-                "one group secret (a single point of class break); use "
-                "repro.keymgmt.KeyDirectory for agreed, rotatable, "
-                "revocable ring keys",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return cls._with_group_secret(name, group_secret,
-                                      cache_masks=cache_masks)
-
-    @classmethod
-    def _with_group_secret(cls, name: str, group_secret: bytes, *,
-                           cache_masks: bool = True) -> "AggregationNode":
-        """Internal preshared constructor (no deprecation notice).
-
-        The engine still synthesizes preshared stubs on legacy paths
-        (sharded fleets resolving out-of-shard names); those calls are
-        implementation detail, not user-facing API choice.
+        The hashed group secret is a single point of class break — one
+        leak unmasks every fleet round. Deployments that need agreed,
+        rotatable, revocable ring keys obtain nodes from
+        :class:`repro.keymgmt.KeyDirectory` instead.
         """
         node = cls(name, None, cache_masks=cache_masks)
         node._preshared = group_secret

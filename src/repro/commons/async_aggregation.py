@@ -16,22 +16,19 @@ intermediate results)"):
    never showed up, it posts a recovery request; each *submitted* cell
    answers at its next wake-up with the net mask it shared with the
    missing cells (protecting nobody: the missing contributed nothing);
-4. the aggregate completes when all recovery answers are in.
+4. the aggregate completes when every recovery answer of a round is in.
 
-Graceful degradation (``recovery_timeout`` set): recovery runs in
-bounded *rounds*. Each round re-requests net masks from every still-
-active submitter against the full current missing set; a submitter
-that does not answer within the round window is **demoted** — its
-contribution is excluded and it joins the missing set — and a fresh
-round re-requests masks for the enlarged set. The aggregate then
-completes as a *partial* result over the surviving cells (flagged
-``partial=True``) instead of hanging forever. A privacy floor aborts
-the round when fewer than two active cells remain: a "sum" over one
-cell would reveal that cell's value.
-
-With ``recovery_timeout=None`` the legacy strict behaviour is kept:
-no submissions or a survivor that never returns raise
-:class:`~repro.errors.ProtocolError`, and recovery polls indefinitely.
+Recovery runs in bounded *rounds* of ``recovery_timeout`` seconds.
+Each round re-requests net masks from every still-active submitter
+against the full current missing set; a submitter that does not answer
+within the round window is **demoted** — its contribution is excluded
+and it joins the missing set — and a fresh round re-requests masks for
+the enlarged set. The aggregate then completes as a *partial* result
+over the surviving cells (flagged ``partial=True``) instead of hanging
+forever. A round with no submissions, too many recovery rounds, or
+fewer than two active cells left (the privacy floor: a "sum" over one
+cell would reveal that cell's value) is abandoned with a reason in
+``AsyncResult.failure``; nothing raises.
 
 Everything runs on the simulation event loop, so completion time under
 a given availability pattern is a measured output, not an assumption.
@@ -98,7 +95,7 @@ class AsyncMaskedAggregation:
         wake_times: dict[str, list[int]],
         poll_period: int = 300,
         neighbors: int | None = None,
-        recovery_timeout: int | None = None,
+        recovery_timeout: int = 1800,
         max_recovery_rounds: int = 3,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -106,14 +103,15 @@ class AsyncMaskedAggregation:
         an empty list models a cell that never shows up.
         ``neighbors=k`` masks over the k-regular ring graph (see
         :class:`~repro.commons.aggregation.MaskedSum`).
-        ``recovery_timeout`` (seconds) bounds each recovery round and
-        enables demotion/partial fallback; ``retry_policy`` retries
-        transient cloud failures on every mailbox round-trip."""
+        ``recovery_timeout`` (seconds) bounds each recovery round: a
+        submitter that does not answer within it is demoted;
+        ``retry_policy`` retries transient cloud failures on every
+        mailbox round-trip."""
         if len(nodes) < 2:
             raise ConfigurationError("need at least two participants")
         if deadline <= world.now:
             raise ConfigurationError("deadline must be in the future")
-        if recovery_timeout is not None and recovery_timeout < 1:
+        if recovery_timeout < 1:
             raise ConfigurationError("recovery_timeout must be >= 1 second")
         if max_recovery_rounds < 1:
             raise ConfigurationError("max_recovery_rounds must be >= 1")
@@ -137,8 +135,6 @@ class AsyncMaskedAggregation:
         self._active: set[str] = set()
         self._round = 0
         self._round_answers: dict[str, int] = {}
-        self._recovery_needed: set[str] = set()
-        self._recovery_total = 0
 
     # -- mailbox names ------------------------------------------------------
 
@@ -220,30 +216,23 @@ class AsyncMaskedAggregation:
             )
 
     def _answer_recovery(
-        self,
-        node: AggregationNode,
-        missing: list[str],
-        round_index: int | None = None,
+        self, node: AggregationNode, missing: list[str], round_index: int
     ) -> None:
-        if round_index is not None and (
-            round_index != self._round or node.name not in self._active
-        ):
+        if round_index != self._round or node.name not in self._active:
             return  # stale request: a later round superseded this one
         # The term the aggregator adds to cancel the masks ``node``
         # shared with its missing *graph neighbors*.
         net_mask = node.unmasking_vector(
             *self._edges(node), self.round_tag, set(missing), 1
         )[0]
-        body = {"from": node.name, "net_mask": net_mask}
-        if round_index is not None:
-            body["round"] = round_index
+        body = {"from": node.name, "net_mask": net_mask, "round": round_index}
         try:
             self._cloud_post(
                 self._recovery_box, node.name, json.dumps(body).encode()
             )
         except TransientCloudError:
-            # counts as a non-answer; round-close demotes or next poll
-            # never sees it — the fault plane recorded the failure
+            # counts as a non-answer the round close demotes; the
+            # fault plane recorded the failure
             return
         self.result.messages += 1
         self.result.bytes += _FIELD_ELEMENT_BYTES
@@ -292,58 +281,12 @@ class AsyncMaskedAggregation:
             self._finish(kernels.accumulate(self._contributions.values()))
             return
         if not self.result.submitted:
-            if self.recovery_timeout is None:
-                raise ProtocolError("no cell submitted before the deadline")
             self._abandon("no cell submitted before the deadline")
-            return
-        if self.recovery_timeout is None:
-            self._legacy_recovery()
             return
         self._active = set(self.result.submitted)
         self._start_recovery_round()
 
-    # -- strict (legacy) recovery ---------------------------------------------
-
-    def _legacy_recovery(self) -> None:
-        self._recovery_total = kernels.accumulate(self._contributions.values())
-        # ask every submitted cell for its net mask with the missing set
-        self._recovery_needed = set(self.result.submitted)
-        for name in self.result.submitted:
-            node = self._by_name[name]
-            post_deadline = [
-                t for t in sorted(self.wake_times.get(name, ()))
-                if t > self.deadline
-            ]
-            if not post_deadline:
-                raise ProtocolError(
-                    f"survivor {name!r} never returns; recovery impossible"
-                )
-            self.world.loop.schedule_at(
-                post_deadline[0],
-                lambda n=node: self._answer_recovery(n, self.result.missing),
-                label=f"recovery {name}",
-            )
-        self._poll_recovery()
-
-    def _poll_recovery(self) -> None:
-        try:
-            messages = self._cloud_fetch(self._recovery_box)
-        except TransientCloudError:
-            messages = []  # the next poll will pick them up
-        for _, payload in messages:
-            body = json.loads(payload.decode())
-            self._recovery_total = (
-                self._recovery_total + body["net_mask"]
-            ) % shamir.PRIME
-            self._recovery_needed.discard(body["from"])
-        if not self._recovery_needed:
-            self._finish(self._recovery_total)
-            return
-        self.world.loop.schedule_in(
-            self.poll_period, self._poll_recovery, label="recovery poll"
-        )
-
-    # -- bounded (degrading) recovery -------------------------------------------
+    # -- bounded recovery --------------------------------------------------------
 
     def _current_missing(self) -> list[str]:
         return sorted(set(self._order) - self._active)

@@ -17,16 +17,14 @@ facing semantics are unchanged:
 * ``aggregate-exact`` — a certified recipient (the utility receiving
   monthly billing totals) gets the exact masked-sum aggregate.
 
-Randomness: pass ``seeds=`` (a :class:`~repro.sim.rng.SeedSequence`)
-and the whole run — network schedule, retry jitter, every cell's DP
-noise stream — derives from that one root, reproducibly. The legacy
-``rng=`` argument is still accepted: it becomes the shared noise
-source, drawn in deterministic delivery order.
+Randomness: the whole run — network schedule, retry jitter, every
+cell's DP noise stream — derives from one root ``seeds=`` (a
+:class:`~repro.sim.rng.SeedSequence`, ``SeedSequence(0)`` when omitted),
+reproducibly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -104,21 +102,16 @@ class GlobalQueryResult:
 class CommonsCoordinator:
     """Runs global queries over a member population.
 
-    ``rng`` is the legacy shared randomness source (kept for
-    compatibility); prefer ``seeds`` — the whole run then derives from
-    one root seed through the :mod:`repro.sim.rng` stream discipline.
+    Every run derives from ``seeds`` through the :mod:`repro.sim.rng`
+    stream discipline.
     """
 
-    def __init__(self, members: list[CommonsMember],
-                 rng: random.Random | None = None, *,
+    def __init__(self, members: list[CommonsMember], *,
                  seeds: SeedSequence | None = None) -> None:
         if not members:
             raise ConfigurationError("the commons needs at least one member")
         self._members = members
-        self._rng = rng
-        self._seeds = seeds if seeds is not None else (
-            None if rng is not None else SeedSequence(0)
-        )
+        self._seeds = seeds if seeds is not None else SeedSequence(0)
         self._runs = 0
 
     def run(self, query: GlobalQuery) -> GlobalQueryResult:
@@ -181,11 +174,7 @@ class CommonsCoordinator:
     # -- engine plumbing -------------------------------------------------------
 
     def _run_engine(self, query: GlobalQuery, willing: list[CommonsMember]):
-        seed = (
-            self._seeds.child_seed(f"commons-run-{self._runs}")
-            if self._seeds is not None else 0
-        )
-        world = World(seed=seed)
+        world = World(seed=self._seeds.child_seed(f"commons-run-{self._runs}"))
         network = Network(world)
         coordinator = Coordinator(world, network, address="commons-recipient")
         directory = {member.node.name: member.node for member in willing}
@@ -196,9 +185,6 @@ class CommonsCoordinator:
                 purposes={query.purpose},
                 directory=directory,
                 fleet_secret=_FLEET_SECRET,
-                # Legacy mode: every cell draws noise from the caller's
-                # shared rng, in deterministic delivery order.
-                noise_rng=self._rng,
             )
             if not member.online:
                 network.set_online(member.node.name, False)

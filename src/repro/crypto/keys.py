@@ -83,6 +83,9 @@ class KeyRing:
         # rings never take part in X3DH agreement, and the derivation
         # counts against the keyed-derivation oracle.
         self._prekey_secret_cache: int | None = None
+        # ``g^x`` is public; computed once, on first read, since every
+        # fresh pairwise agreement reads the peer's.
+        self._exchange_public_cache: int | None = None
         # Keys imported from other cells through the sharing protocol,
         # indexed by (object_id, version).
         self._imported: dict[tuple[str, int], bytes] = {}
@@ -102,7 +105,9 @@ class KeyRing:
     @property
     def exchange_public(self) -> int:
         """This cell's public Diffie-Hellman element ``g^x``."""
-        return pow(G, self._exchange_secret, P)
+        if self._exchange_public_cache is None:
+            self._exchange_public_cache = pow(G, self._exchange_secret, P)
+        return self._exchange_public_cache
 
     def fingerprint(self) -> bytes:
         """Stable public identifier of this key ring."""

@@ -97,7 +97,6 @@ def run_chaos_scenario(
     objects_per_cell: int = 3,
     ping_period: int = 600,
     retry_policy: RetryPolicy | None = None,
-    recovery_timeout: int | None = 1800,
 ) -> ChaosReport:
     """Run the full stack under ``plan`` for ``horizon`` sim-seconds.
 
@@ -184,7 +183,7 @@ def run_chaos_scenario(
     aggregation = AsyncMaskedAggregation(
         world, cloud, nodes, {name: 10 + i for i, name in enumerate(names)},
         round_tag=f"chaos-{seed}", deadline=deadline, wake_times=wake_times,
-        recovery_timeout=recovery_timeout, retry_policy=retry_policy,
+        retry_policy=retry_policy,
     )
     aggregation.start()
 

@@ -18,7 +18,6 @@ averaged to cancel the noise.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from typing import Any, Protocol
 
@@ -110,7 +109,6 @@ class CellQueryAgent:
         policy: UsagePolicy | None = None,
         directory: dict[str, AggregationNode] | None = None,
         fleet_secret: bytes | None = None,
-        noise_rng: random.Random | None = None,
         latency_ms: float = 20.0,
         bandwidth_bytes_per_s: float = 1e6,
     ) -> None:
@@ -127,9 +125,7 @@ class CellQueryAgent:
         self.directory = directory if directory is not None else {}
         self.directory.setdefault(name, node)
         self.fleet_secret = fleet_secret
-        self._noise_rng = noise_rng if noise_rng is not None else world.rng(
-            f"fedquery.noise.{name}"
-        )
+        self._noise_stream = world.rng(f"fedquery.noise.{name}")
         # tag -> the exact partial message already sent (idempotency).
         self._partials: dict[str, dict[str, Any]] = {}
         # tag -> the round context of a *contributed* partial: what a
@@ -244,7 +240,7 @@ class CellQueryAgent:
                     # shares across all shards sum to one global
                     # Laplace draw — never one draw per shard.
                     contribution += gate.dp_noise_share(
-                        self._noise_rng, participants=global_size,
+                        self._noise_stream, participants=global_size,
                         epsilon=spec.epsilon,
                     )
                 payload = {"masked": gate.masked_contribution(

@@ -31,6 +31,7 @@ from ..infrastructure.network import Network
 from ..sim.world import World
 from ..store.catalog import Catalog
 from .cell import CatalogSource, CellQueryAgent
+from .hierarchy import partition_shards
 from .spec import FedQuerySpec
 
 if TYPE_CHECKING:  # imported lazily at runtime (keymgmt imports commons)
@@ -206,7 +207,7 @@ def _build_cell(
         },
     )
     if node is None:
-        node = AggregationNode._with_group_secret(name, fleet.secret)
+        node = AggregationNode.preshared(name, fleet.secret)
     directory[name] = node
     fleet.agents[name] = CellQueryAgent(
         world, fleet.network, name, node, CatalogSource(catalog),
@@ -309,7 +310,9 @@ def build_fleet_sharded(
     coordinator tree's trust boundaries — a cell never holds the
     global roster; out-of-shard ring neighbors resolve through the
     preshared group secret at masking time — and keeps each build step
-    O(shard). The per-region rosters land in ``Fleet.shard_rosters``.
+    O(shard). The per-region rosters — the contiguous split of
+    :func:`~repro.fedquery.hierarchy.partition_shards`, which the
+    coordinator tree routes by — land in ``Fleet.shard_rosters``.
 
     With ``key_lifecycle=True`` out-of-shard neighbors cannot be
     synthesized (there is no group secret to hash a stub from), so
@@ -317,25 +320,18 @@ def build_fleet_sharded(
     nodes of its members' cross-shard ring neighbors — still O(shard
     + boundary), never the global roster.
     """
-    if shards < 1:
-        raise ValueError("a sharded build needs at least one shard")
     fleet = Fleet(world=world, network=network, secret=secret)
     purposes = purposes if purposes is not None else {"load-forecast"}
     names = [_cell_name(name_prefix, index, size) for index in range(size)]
+    rosters = partition_shards(names, shards)
     nodes = _agreed_nodes(fleet, names, ring_neighbors) if key_lifecycle \
         else {}
-    count = min(shards, size)
-    base, extra = divmod(size, count)
     position = 0
-    for shard in range(count):
-        shard_size = base + (1 if shard < extra else 0)
+    for roster in rosters:
         directory: dict[str, AggregationNode] = {}
-        roster = []
-        for _ in range(shard_size):
-            name = names[position]
+        for name in roster:
             _build_cell(fleet, position, name, directory, purposes, hours,
                         node=nodes.get(name))
-            roster.append(name)
             position += 1
         fleet.shard_rosters.append(roster)
         fleet.directories.append(directory)

@@ -127,7 +127,7 @@ def _ring_peers(
                 raise ProtocolError(
                     f"no key material for roster member {name!r}"
                 )
-            peer = AggregationNode._with_group_secret(name, secret)
+            peer = AggregationNode.preshared(name, secret)
             directory[name] = peer  # cache the stub for later rounds
         peers.append((peer, peer_position))
     return position, peers

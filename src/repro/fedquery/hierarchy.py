@@ -93,6 +93,8 @@ def partition_shards(roster: list[str], regions: int) -> list[list[str]]:
     positions map (shard plus k/2 of boundary zone on either side)
     O(shard) instead of O(N).
     """
+    if regions < 1:
+        raise ConfigurationError("a roster splits into at least one shard")
     count = min(regions, len(roster))
     if count < 1:
         raise ConfigurationError("the roster needs at least one cell")

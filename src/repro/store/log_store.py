@@ -456,8 +456,10 @@ class LogStructuredStore:
                 live[block] = live.get(block, 0) + 1
                 if zone_maps and record is not None:
                     summary.note_record(record)
-            elif old is not None:
-                del directory[record_id]
+            else:
+                summary.tombstones += 1
+                if old is not None:
+                    del directory[record_id]
 
     def _flush_buffer(self) -> None:
         if self._buffer_entries:
@@ -1154,16 +1156,43 @@ class LogStructuredStore:
         _COMPACTIONS.inc()
         return len(used)
 
-    def compact_incremental(self, max_victims: int = 1) -> int:
-        """Victim-block garbage collection: relocate the live records of
-        the emptiest full blocks, erase them, recycle them.
+    def _weight(self, block: int) -> int:
+        """What collecting ``block`` must carry forward: its live
+        records and its delete entries."""
+        summary = self._summaries.get(block)
+        return self._live_per_block.get(block, 0) + (
+            summary.tombstones if summary is not None else 0)
 
-        The classic flash-GC strategy: cost is proportional to the
-        *live* data in the victims (often near zero for churn-heavy
-        workloads) instead of the whole store, at the price of
-        bookkeeping and potentially uneven wear. Returns the number of
-        blocks reclaimed; picking fewer than ``max_victims`` (or none)
-        happens when no full, non-active block exists.
+    def _tombstoned_ids(self, block: int) -> list[str]:
+        """The ids ``block``'s delete entries name that are not live
+        again: a relocated delete would outrank a later re-insert."""
+        summary = self._summaries.get(block)
+        if summary is None or not summary.tombstones:
+            return []
+        first = block * self._pages_per_block
+        ids = {
+            record_id
+            for page in range(first, first + summary.pages)
+            for record_id, kind, _, _, _ in self._page_entries(
+                page, self._read_page(page))
+            if kind == _ENTRY_DELETE
+        }
+        return sorted(ids.difference(self._directory))
+
+    def compact_incremental(self, max_victims: int = 1) -> int:
+        """Victim-block garbage collection: relocate the live records
+        and delete entries of the lightest full blocks, erase them,
+        recycle them.
+
+        The classic flash-GC strategy: cost is proportional to what the
+        victims still carry (often near zero for churn-heavy workloads)
+        instead of the whole store, at the price of bookkeeping and
+        potentially uneven wear. A delete entry is carried like a live
+        record — older versions of its id may sit in other blocks, and
+        a replay without it would bring them back — until a full
+        :meth:`compact` drops every one. Returns the number of blocks
+        reclaimed; picking fewer than ``max_victims`` (or none) happens
+        when no full, non-active block exists.
         """
         self._flush_buffer()
         pages_per_block = self._pages_per_block
@@ -1171,23 +1200,22 @@ class LogStructuredStore:
             block for block in self._used_blocks()
             if block != self._active_block
         ]
-        victims = sorted(
-            candidates, key=lambda block: self._live_per_block.get(block, 0)
-        )[:max_victims]
+        victims = sorted(candidates, key=self._weight)[:max_victims]
         reclaimed = 0
         for victim in victims:
-            live_ids = [
+            live_ids = sorted(
                 record_id
                 for record_id, (page, _, _) in self._directory.items()
                 if page // pages_per_block == victim
-            ]
-            if live_ids:
-                relocated = self.get_many(sorted(live_ids))
-                for record_id, record in zip(sorted(live_ids), relocated):
-                    self._append(
-                        _ENTRY_INSERT, record_id, encode_record(record), record
-                    )
-                self._flush_buffer()
+            )
+            tombstoned = self._tombstoned_ids(victim)
+            for record_id, record in zip(live_ids, self.get_many(live_ids)):
+                self._append(
+                    _ENTRY_INSERT, record_id, encode_record(record), record
+                )
+            for record_id in tombstoned:
+                self._append(_ENTRY_DELETE, record_id, b"")
+            self._flush_buffer()
             self._erase_block(victim)
             self._live_per_block.pop(victim, None)
             self._free_blocks.append(victim)

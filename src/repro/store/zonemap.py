@@ -34,14 +34,18 @@ _EVERY_RANGE = (float("-inf"), float("inf"))
 
 
 class BlockSummary:
-    """Zone map of one flash block: sequences, pages, field bounds."""
+    """Zone map of one flash block: sequences, pages, delete entries,
+    field bounds."""
 
-    __slots__ = ("min_seq", "max_seq", "pages", "fields")
+    __slots__ = ("min_seq", "max_seq", "pages", "tombstones", "fields")
 
     def __init__(self) -> None:
         self.min_seq: int | None = None
         self.max_seq: int | None = None
         self.pages = 0
+        # Delete entries written to this block: incremental GC must
+        # carry them forward, so they weigh like live records.
+        self.tombstones = 0
         # field -> (lo, hi) bounds, or None when the block holds values
         # for the field that cannot be ordered (mixed types): such a
         # field can never be pruned in this block.
@@ -177,6 +181,8 @@ class BlockSummary:
         record: Record = {
             "s": self.min_seq, "S": self.max_seq, "p": self.pages,
         }
+        if self.tombstones:
+            record["d"] = self.tombstones
         for name, bounds in self.fields.items():
             if bounds is None:
                 record["x:" + name] = True
@@ -191,6 +197,7 @@ class BlockSummary:
         summary.min_seq = record["s"]
         summary.max_seq = record["S"]
         summary.pages = record["p"]
+        summary.tombstones = record.get("d", 0)
         for key, value in record.items():
             if key.startswith("x:"):
                 summary.fields[key[2:]] = None

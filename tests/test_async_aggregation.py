@@ -5,13 +5,16 @@ import random
 import pytest
 
 from repro.commons import AggregationNode, AsyncMaskedAggregation
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.infrastructure import CloudProvider, CuriousAdversary
 from repro.sim import World
 
 
 def build(wake_times, values=None, deadline=3600, seed=81, adversary=None,
-          neighbors=None):
+          **options):
+    """One round over standalone nodes; ``options`` (``neighbors``,
+    ``recovery_timeout``, ``max_recovery_rounds``) go to the protocol,
+    whose recovery rounds default to 1800 s windows."""
     world = World(seed=seed)
     cloud = CloudProvider(world, adversary)
     rng = random.Random(seed)
@@ -21,7 +24,7 @@ def build(wake_times, values=None, deadline=3600, seed=81, adversary=None,
     values = values or {node.name: 100 for node in nodes}
     protocol = AsyncMaskedAggregation(
         world, cloud, nodes, values, round_tag="daily-total",
-        deadline=deadline, wake_times=wake_times, neighbors=neighbors,
+        deadline=deadline, wake_times=wake_times, **options,
     )
     return world, cloud, protocol
 
@@ -82,25 +85,37 @@ class TestDropoutRecovery:
 
     def test_completion_time_tracks_slowest_survivor(self):
         wake_times = {"a": [100, 3700], "b": [200, 9000], "c": []}
-        world, cloud, protocol = build(wake_times)
+        # a window that covers b's return 5,400 s after the deadline
+        world, cloud, protocol = build(wake_times, recovery_timeout=5400)
         protocol.start()
         world.loop.run_until(20_000)
         assert protocol.result.complete
+        assert protocol.result.demoted == []
         assert protocol.result.completed_at >= 9000
 
     def test_survivor_that_never_returns_fails_loudly(self):
+        """Survivors that never come back are demoted and the round is
+        abandoned with a reason — the run itself does not raise."""
         wake_times = {"a": [100], "b": [200], "c": []}
         world, cloud, protocol = build(wake_times)
         protocol.start()
-        with pytest.raises(ProtocolError):
-            world.loop.run_until(10_000)
+        world.loop.run_until(10_000)
+        assert not protocol.result.complete
+        assert protocol.result.demoted == ["a", "b"]
+        assert "privacy floor" in protocol.result.failure
+        assert world.obs.metrics.get("agg.async.abandoned").value == 1
 
     def test_nobody_submits_fails_loudly(self):
         wake_times = {"a": [], "b": []}
         world, cloud, protocol = build(wake_times)
         protocol.start()
-        with pytest.raises(ProtocolError):
-            world.loop.run_until(10_000)
+        world.loop.run_until(10_000)
+        assert protocol.result.failure == (
+            "no cell submitted before the deadline"
+        )
+        assert protocol.result.missing == ["a", "b"]
+        [abandoned] = world.obs.events.events("agg.async.abandoned")
+        assert abandoned["reason"] == protocol.result.failure
 
     def test_late_wake_counts_as_missing(self):
         wake_times = {"a": [100, 4000], "b": [200, 4100], "c": [3900, 4200]}
@@ -165,32 +180,14 @@ class TestValidation:
         assert protocol.result.bytes == 4 * 16
 
 
-def build_degrading(wake_times, values=None, deadline=3600, seed=81,
-                    recovery_timeout=1500, max_recovery_rounds=3):
-    world = World(seed=seed)
-    cloud = CloudProvider(world)
-    rng = random.Random(seed)
-    nodes = [
-        AggregationNode.standalone(name, rng) for name in sorted(wake_times)
-    ]
-    values = values or {node.name: 100 for node in nodes}
-    protocol = AsyncMaskedAggregation(
-        world, cloud, nodes, values, round_tag="daily-total",
-        deadline=deadline, wake_times=wake_times,
-        recovery_timeout=recovery_timeout,
-        max_recovery_rounds=max_recovery_rounds,
-    )
-    return world, cloud, protocol
-
-
 class TestGracefulDegradation:
     """recovery_timeout bounds every recovery round: non-answering
     survivors are demoted and the round completes partially instead of
-    hanging forever (the legacy ``recovery_timeout=None`` behaviour)."""
+    hanging forever."""
 
-    def test_no_dropouts_same_total_as_strict_mode(self):
+    def test_no_dropouts_complete_and_not_partial(self):
         wake_times = {"a": [100], "b": [500], "c": [2000]}
-        world, cloud, protocol = build_degrading(
+        world, cloud, protocol = build(
             wake_times, values={"a": 10, "b": 20, "c": 30}
         )
         protocol.start()
@@ -201,7 +198,7 @@ class TestGracefulDegradation:
 
     def test_dropout_recovered_without_demotion(self):
         wake_times = {"a": [100, 4000], "b": [200, 4100], "c": []}
-        world, cloud, protocol = build_degrading(
+        world, cloud, protocol = build(
             wake_times, values={"a": 10, "b": 20, "c": 999}
         )
         protocol.start()
@@ -220,7 +217,7 @@ class TestGracefulDegradation:
             "c": [300],  # submits, never returns
             "d": [],  # never shows up
         }
-        world, cloud, protocol = build_degrading(
+        world, cloud, protocol = build(
             wake_times, values={"a": 10, "b": 20, "c": 999, "d": 999}
         )
         protocol.start()
@@ -235,7 +232,7 @@ class TestGracefulDegradation:
     def test_privacy_floor_abandons_single_survivor(self):
         # only a keeps answering; completing would expose a's bare value
         wake_times = {"a": [100, 4000, 5500, 7000], "b": [200], "c": []}
-        world, cloud, protocol = build_degrading(wake_times)
+        world, cloud, protocol = build(wake_times)
         protocol.start()
         world.loop.run_until(30_000)
         assert not protocol.result.complete
@@ -246,7 +243,7 @@ class TestGracefulDegradation:
         # b answers round 1 then vanishes: every round demotes someone
         # until the budget (1 round here) runs out
         wake_times = {"a": [100, 4000], "b": [200, 4100], "c": []}
-        world, cloud, protocol = build_degrading(
+        world, cloud, protocol = build(
             wake_times, recovery_timeout=100, max_recovery_rounds=1
         )
         # neither a nor b wakes inside the 100 s round window
@@ -257,7 +254,7 @@ class TestGracefulDegradation:
 
     def test_nobody_submits_flagged_not_raised(self):
         wake_times = {"a": [], "b": []}
-        world, cloud, protocol = build_degrading(wake_times)
+        world, cloud, protocol = build(wake_times)
         protocol.start()
         world.loop.run_until(10_000)  # must not raise
         assert not protocol.result.complete
@@ -272,7 +269,7 @@ class TestGracefulDegradation:
             "c": [300],
             "d": [],
         }
-        world, cloud, protocol = build_degrading(wake_times)
+        world, cloud, protocol = build(wake_times)
         protocol.start()
         world.loop.run_until(20_000)
         assert world.obs.metrics.get("agg.async.demoted").value == 1
@@ -283,6 +280,6 @@ class TestGracefulDegradation:
     def test_validation(self):
         wake_times = {"a": [100], "b": [200]}
         with pytest.raises(ConfigurationError):
-            build_degrading(wake_times, recovery_timeout=0)
+            build(wake_times, recovery_timeout=0)
         with pytest.raises(ConfigurationError):
-            build_degrading(wake_times, max_recovery_rounds=0)
+            build(wake_times, max_recovery_rounds=0)

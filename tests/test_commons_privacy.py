@@ -27,6 +27,7 @@ from repro.commons import (
     ncp,
 )
 from repro.errors import ConfigurationError, ProtocolError
+from repro.sim import SeedSequence
 
 
 class TestLaplace:
@@ -212,11 +213,11 @@ class TestCommonsCoordinator:
                     ),
                 )
             )
-        return members, rng
+        return members
 
     def test_exact_aggregate(self):
-        members, rng = self.make_population(opted=1.0)
-        coordinator = CommonsCoordinator(members, rng)
+        members = self.make_population(opted=1.0)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(
             GlobalQuery("utility", "census", TRANSFORM_EXACT)
         )
@@ -224,25 +225,25 @@ class TestCommonsCoordinator:
         assert result.opted_out == 0
 
     def test_opt_out_respected(self):
-        members, rng = self.make_population(opted=1.0)
+        members = self.make_population(opted=1.0)
         members[0].opted_in_purposes.clear()
         members[1].opted_in_purposes.clear()
-        coordinator = CommonsCoordinator(members, rng)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(GlobalQuery("utility", "census", TRANSFORM_EXACT))
         assert result.opted_out == 2
         assert result.value == sum(range(2, 10))
 
     def test_offline_members_counted(self):
-        members, rng = self.make_population(opted=1.0)
+        members = self.make_population(opted=1.0)
         members[3].online = False
-        coordinator = CommonsCoordinator(members, rng)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(GlobalQuery("utility", "census", TRANSFORM_EXACT))
         assert result.offline == 1
         assert result.value == sum(range(10)) - 3
 
     def test_dp_aggregate_is_noisy_but_close(self):
-        members, rng = self.make_population(count=30, opted=1.0)
-        coordinator = CommonsCoordinator(members, rng)
+        members = self.make_population(count=30, opted=1.0)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(
             GlobalQuery("institute", "census", TRANSFORM_DP, epsilon=5.0, scale=1000)
         )
@@ -251,8 +252,8 @@ class TestCommonsCoordinator:
         assert result.value == pytest.approx(true_total, abs=10.0)
 
     def test_kanon_release(self):
-        members, rng = self.make_population(count=20, opted=1.0)
-        coordinator = CommonsCoordinator(members, rng)
+        members = self.make_population(count=20, opted=1.0)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(
             GlobalQuery("institute", "epidemiology", TRANSFORM_KANON, k=4)
         )
@@ -260,8 +261,8 @@ class TestCommonsCoordinator:
         assert is_k_anonymous(result.records, 4)
 
     def test_no_participants_raises(self):
-        members, rng = self.make_population(opted=0.0)
-        coordinator = CommonsCoordinator(members, rng)
+        members = self.make_population(opted=0.0)
+        coordinator = CommonsCoordinator(members)
         with pytest.raises(ProtocolError):
             coordinator.run(GlobalQuery("x", "census", TRANSFORM_EXACT))
 
@@ -271,4 +272,4 @@ class TestCommonsCoordinator:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigurationError):
-            CommonsCoordinator([], random.Random(1))
+            CommonsCoordinator([], seeds=SeedSequence(1))

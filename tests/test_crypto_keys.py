@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto import KeyRing
+from repro.crypto.signing import G, P
 from repro.errors import ConfigurationError, IntegrityError, KeyError_
 
 
@@ -48,6 +49,13 @@ class TestPairwiseAndWrapping:
         assert alice.pairwise_key(bob.exchange_public) == bob.pairwise_key(
             alice.exchange_public
         )
+
+    def test_exchange_public_computed_once(self):
+        """``g^x`` is public and fixed: one modexp per ring, not one per
+        read (a recomputed int this large is a new object each time)."""
+        ring = make_ring()
+        assert ring.exchange_public is ring.exchange_public
+        assert ring.exchange_public == pow(G, ring._exchange_secret, P)
 
     def test_pairwise_keys_distinct_per_pair(self):
         alice, bob, carol = make_ring(1), make_ring(2), make_ring(3)

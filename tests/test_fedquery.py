@@ -335,16 +335,16 @@ class TestEngineQuiet:
             "t1", spec, fleet.roster, "fq-sink", round_tag="rt",
         )
         network.register("fq-sink", lambda sender, payload: None)
-        noise_state = agent._noise_rng.getstate()
+        noise_state = agent._noise_stream.getstate()
         agent._on_plan(message)
         first = dict(agent._partials["t1"])
-        assert agent._noise_rng.getstate() != noise_state
-        drawn_once = agent._noise_rng.getstate()
+        assert agent._noise_stream.getstate() != noise_state
+        drawn_once = agent._noise_stream.getstate()
         agent._on_plan(message)
         assert agent._partials["t1"] == first
         # The DP noise share was drawn exactly once: re-asks cannot be
         # averaged to strip the noise.
-        assert agent._noise_rng.getstate() == drawn_once
+        assert agent._noise_stream.getstate() == drawn_once
 
 
 class TestMaskMemoLane:
@@ -524,8 +524,8 @@ class TestOrchestratorEquivalence:
         assert outcomes[0] == outcomes[1]
 
     def test_adapter_aggregation_accounting_populated(self):
-        members, rng = self._members(5)
-        coordinator = CommonsCoordinator(members, rng)
+        members, _ = self._members(5)
+        coordinator = CommonsCoordinator(members)
         result = coordinator.run(GlobalQuery("u", "census", TRANSFORM_EXACT))
         assert result.aggregation is not None
         assert result.aggregation.protocol == "fedquery"

@@ -230,6 +230,30 @@ class TestShardedBuild:
         assert [len(shard) for shard in sharded.shard_rosters] == [15, 15, 15]
         assert sum(sharded.shard_rosters, []) == sharded.roster
 
+    @pytest.mark.parametrize("size, shards", [
+        (1, 1), (5, 2), (7, 3), (9, 9), (4, 9), (23, 5),
+    ])
+    def test_sharded_build_uses_the_one_partition_rule(self, size, shards):
+        """The builder's shards are the tree's routing split, and its
+        cells are ``build_fleet``'s, flash image and all."""
+        _, _, mono = _flat_fleet(size, hours=4)
+        _, _, sharded = _tree_fleet(size, shards=shards, hours=4)
+        assert sharded.shard_rosters == partition_shards(
+            sharded.roster, shards)
+        assert sharded.roster == mono.roster
+        assert sharded.layouts == mono.layouts
+        for name in mono.roster:
+            built, reference = (
+                fleet.catalogs[name].store for fleet in (sharded, mono))
+            assert built.flash._pages == reference.flash._pages
+            assert list(built.scan()) == list(reference.scan())
+            assert (sharded.agents[name].node._preshared
+                    == mono.agents[name].node._preshared)
+
+    def test_sharded_build_needs_a_shard(self):
+        with pytest.raises(ConfigurationError):
+            _tree_fleet(4, shards=0)
+
     def test_partition_shards_contiguous_and_balanced(self):
         roster = [f"c{index}" for index in range(10)]
         shards = partition_shards(roster, 3)

@@ -279,7 +279,7 @@ class TestRoundMaskRecord:
         rows_metric = metrics.get("agg.mask_rows")
         evicted_metric = metrics.get("agg.mask_rounds_evicted")
         names, directory = _fleet(MEMO_PEERS + 1, prefix="memo")
-        node = AggregationNode._with_group_secret(
+        node = AggregationNode.preshared(
             names[0], SECRET, cache_masks=caching)
         peers = [directory[name] for name in names[1:]]
         model = _MemoModel(caching)
@@ -352,7 +352,7 @@ class TestRoundMaskRecord:
         missing = {names[4], names[5]}
 
         def survivors(evict):
-            nodes = [AggregationNode._with_group_secret(name, SECRET)
+            nodes = [AggregationNode.preshared(name, SECRET)
                      for name in names]
             out = []
             for position, node in enumerate(nodes):

@@ -8,11 +8,9 @@ across a rotation.
 """
 
 import random
-import warnings
 
 import pytest
 
-import repro.commons.aggregation as aggregation
 from repro.commons.aggregation import AggregationNode, MaskedSum
 from repro.crypto import shamir
 from repro.crypto.keys import KeyRing, generate_exchange_keypair
@@ -408,29 +406,10 @@ class TestGateMemoUnderRotation:
 
 
 class TestPresharedDeprecation:
-    """Satellite (b): one warning per process, pointing at keymgmt."""
-
-    def test_preshared_warns_once(self):
-        aggregation._PRESHARED_WARNED[0] = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            AggregationNode.preshared("n0", b"secret")
-            AggregationNode.preshared("n1", b"secret")
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "KeyDirectory" in str(w.message)]
-        assert len(relevant) == 1
-
-    def test_internal_constructor_does_not_warn(self):
-        aggregation._PRESHARED_WARNED[0] = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            AggregationNode._with_group_secret("n0", b"secret")
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
+    """The group-secret constructor is one plain constructor: no
+    warning, no private twin; its nodes still mask and cancel."""
 
     def test_preshared_still_produces_working_nodes(self):
-        aggregation._PRESHARED_WARNED[0] = True
         nodes = [AggregationNode.preshared(f"n{i}", b"s") for i in range(4)]
         values = {node.name: 5 for node in nodes}
         result = MaskedSum().run(nodes, values, round_tag="t")

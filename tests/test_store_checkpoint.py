@@ -278,6 +278,7 @@ def state_of(store):
         store._live_per_block,
         {
             block: (summary.min_seq, summary.max_seq, summary.pages,
+                    summary.tombstones,
                     {name: tuple(map(repr, bounds)) if bounds else bounds
                      for name, bounds in summary.fields.items()})
             for block, summary in sorted(store._summaries.items())
@@ -644,11 +645,6 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
         PROPERTY_TIMINGS, capacity_bytes=1024 * PROPERTY_TIMINGS.page_size)
     store = LogStructuredStore(flash, **options)
     model = {}
-    # A GC that erases a block of delete entries drops tombstones older
-    # versions elsewhere on flash still need (a known replay defect,
-    # see test_gc_of_tombstones_resurrects_at_replay): hold incremental
-    # GC back while a deleted id has not been re-put or fully compacted.
-    tombstoned = set()
 
     def reboot():
         store.flush()
@@ -664,7 +660,6 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
         if kind == "put":
             store.put(op[1], op[2])
             model[op[1]] = op[2]
-            tombstoned.discard(op[1])
         elif kind in ("replace", "delete") and model:
             record_id = sorted(model)[op[1] % len(model)]
             if kind == "replace":
@@ -673,11 +668,9 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
             else:
                 store.delete(record_id)
                 del model[record_id]
-                tombstoned.add(record_id)
         elif kind == "insert_many":
             store.insert_many(op[1])
             model.update(op[1])
-            tombstoned.difference_update(dict(op[1]))
         elif kind == "insert_batch":
             rows = list(dict(op[1]).items())
             store.insert_batch(
@@ -687,37 +680,57 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
                     "w": np.array([r["w"] for _, r in rows]),
                 }))
             model.update(rows)
-            tombstoned.difference_update(dict(rows))
         elif kind == "flush":
             store.flush()
         elif kind == "checkpoint":
             store.checkpoint()
-        elif kind == "compact_incremental" and not tombstoned:
+        elif kind == "compact_incremental":
             store.compact_incremental(max_victims=2)
         elif kind == "compact":
             store.compact()
-            tombstoned.clear()
         elif kind == "reboot":
             store = reboot()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "pre-existing: compact_incremental erases a block of delete entries "
-    "without carrying them forward, so a replay finds the older insert"))
-def test_gc_of_tombstones_resurrects_at_replay():
-    flash = make_flash(64)
+def _tombstone_block(flash):
+    """A store whose block 1 holds nothing but the deletes of a0..a3,
+    whose inserts sit in block 0 beside eight live records — so block 1
+    is the lighter victim."""
     store = LogStructuredStore(flash)
-    for index in range(8):
-        store.put(f"a{index}", {"v": index, "pad": "x" * 60})
+    for index in range(12):
+        store.put(f"a{index}", {"v": index, "pad": "x" * 30})
     store.flush()
     while store._active_offset % TIMINGS.pages_per_block:
         store.put(f"fill{store._page_sequence}", {"pad": "y" * 200})
         store.flush()
-    for index in range(4):  # a block holding nothing but tombstones
+    for index in range(4):
         store.delete(f"a{index}")
         store.flush()
+    return store
+
+
+def test_gc_of_tombstones_does_not_resurrect_at_replay():
+    """Collecting a block of delete entries carries them forward, so a
+    full replay still finds the older inserts deleted."""
+    flash = make_flash(64)
+    store = _tombstone_block(flash)
     store.put("z", {"v": 1})
     store.flush()
     assert store.compact_incremental(max_victims=1) == 1
+    assert store._free_blocks == [1]
     rebooted = LogStructuredStore.recover(flash)
     assert rebooted.record_ids() == store.record_ids()
+
+
+def test_gc_leaves_a_delete_behind_a_reinsert():
+    """A delete entry whose id was put again is not carried forward:
+    the relocated copy would outrank the re-insert at replay."""
+    flash = make_flash(64)
+    store = _tombstone_block(flash)
+    store.put("a0", {"v": 100})
+    store.flush()
+    assert store.compact_incremental(max_victims=1) == 1
+    assert store._free_blocks == [1]
+    rebooted = LogStructuredStore.recover(flash)
+    assert rebooted.record_ids() == store.record_ids()
+    assert store.get("a0") == rebooted.get("a0") == {"v": 100}

@@ -121,7 +121,6 @@ def gate_store(gate: Gate, tracked: dict) -> None:
         SMOKE_SAMPLE_PERIOD,
         _day_trace,
         measure_checkpoint_cadence,
-        measure_columnar,
         measure_ingest,
         measure_queries,
     )
