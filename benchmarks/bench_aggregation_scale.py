@@ -8,8 +8,8 @@ root so later PRs can track the trajectory.
 Two entry points:
 
 * ``pytest -q benchmarks/bench_aggregation_scale.py --benchmark-disable``
-  — the tier-1 smoke run: small populations, asserts the scaling
-  invariants and the JSON schema, writes nothing.
+  — the tier-1 smoke run: small populations (``smoke_report()``), held
+  with the tracked JSON to the ``CLAIMS`` rows, writes nothing.
 * ``PYTHONPATH=src python benchmarks/bench_aggregation_scale.py`` —
   the full run (N up to 2000); rewrites ``BENCH_aggregation.json``.
 
@@ -33,6 +33,11 @@ from repro.commons.aggregation import (
 from repro.crypto import shamir
 from repro.crypto.primitives import hmac_invocations, hmac_sha256
 from repro.obs import get_default
+
+try:
+    from benchmarks.claims import Claim, assert_claims
+except ImportError:  # run as a script: benchmarks/ itself is on sys.path
+    from claims import Claim, assert_claims
 
 OBS = get_default()
 
@@ -349,20 +354,8 @@ def build_report(sizes=FULL_SIZES, neighbors=FULL_NEIGHBORS,
     }
 
 
-def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
-    report = build_report()
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-# -- tier-1 smoke ------------------------------------------------------------
-
-
-def test_aggregation_scale_smoke():
-    """Small-population run of the full pipeline; keeps the bench alive
-    under ``pytest -q benchmarks/bench_aggregation_scale.py
-    --benchmark-disable`` without rewriting the tracked JSON."""
-    report = build_report(
+def smoke_report() -> dict:
+    return build_report(
         sizes=SMOKE_SIZES,
         neighbors=SMOKE_NEIGHBORS,
         histogram_n=SMOKE_HISTOGRAM_N,
@@ -371,63 +364,124 @@ def test_aggregation_scale_smoke():
         resilience_seeds=SMOKE_RESILIENCE_SEEDS,
         resilience_horizon=SMOKE_RESILIENCE_HORIZON,
     )
+
+
+def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
+    report = build_report()
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return report
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def _largest_sparse(report: dict) -> dict:
+    return max((row for row in report["masked_sum"]
+                if row["graph"] != "complete"), key=lambda row: row["n"])
+
+
+def _hmacs_per_node_per_neighbour(report: dict) -> list[float]:
+    """Keyed derivations per node per masking-graph neighbour, every row
+    — the vectorized kernels must touch key material exactly this often."""
+    return sorted({
+        row["hmac_derivations"] / row["n"] / (
+            row["n"] - 1 if row["graph"] == "complete"
+            else report["neighbors"])
+        for row in report["masked_sum"]
+    })
+
+
+def _sparse_over_complete_rate(report: dict) -> float:
+    rates = {(row["n"], row["graph"]): row["nodes_per_sec"]
+             for row in report["masked_sum"]}
+    return min(rates[n, f"k={report['neighbors']}"] / rates[n, "complete"]
+               for n, _ in rates)
+
+
+CLAIMS = (
+    Claim("every masked sum is exact", "egress gate/mask kernels", "count",
+          lambda r: all(row["exact"] for row in r["masked_sum"]), "=="),
+    Claim("one HMAC per node per masking-graph neighbour",
+          "egress gate/mask kernels", "count",
+          _hmacs_per_node_per_neighbour, "==", [1.0]),
+    Claim("wall per mask HMAC, largest k-regular row",
+          "egress gate/mask kernels", "host",
+          lambda r: (_largest_sparse(r)["seconds"]
+                     / _largest_sparse(r)["hmac_derivations"]), "ratio", 10),
+    Claim("k-regular round outpaces the complete graph at every n",
+          "egress gate/mask kernels", "host",
+          _sparse_over_complete_rate, ">", 1.0),
+    Claim("k-regular speedup at the largest n", "egress gate/mask kernels",
+          "host", lambda r: r["speedup_at_max_n"], ">=", 10, sides="tracked"),
+    Claim("every round carries its span timing", "egress gate/mask kernels",
+          "host", lambda r: all(row["span_seconds"] is not None
+                                for row in r["masked_sum"]), "=="),
+    Claim("histogram exact under dropouts", "egress gate/mask kernels",
+          "count", lambda r: r["histogram"]["exact"], "=="),
+    Claim("keystream HMACs within n^2 + n*d", "egress gate/mask kernels",
+          "count", lambda r: r["histogram"]["within_bound"], "=="),
+    Claim("keystream counts match the per-component path",
+          "egress gate/mask kernels", "count",
+          lambda r: r["histogram"]["legacy_matches"], "=="),
+    Claim("keystream derives fewer HMACs than per-component",
+          "egress gate/mask kernels", "count",
+          lambda r: (r["histogram"]["legacy_per_component"]["hmac_derivations"]
+                     / r["histogram"]["keystream"]["hmac_derivations"]),
+          ">", 1),
+    Claim("observability section schema", "egress gate/mask kernels",
+          "count", lambda r: r["observability"]["schema"], "==", 1),
+    Claim("exported counters", "egress gate/mask kernels", "count",
+          lambda r: sorted(r["observability"]["counters"]), "==",
+          ["agg.bytes", "agg.messages", "crypto.hmac.calls"]),
+    Claim("HMAC ledger counts", "crypto primitives", "count",
+          lambda r: r["observability"]["counters"]["crypto.hmac.calls"],
+          ">", 0),
+    Claim("an agg.round span per masked-sum row at least",
+          "egress gate/mask kernels", "count",
+          lambda r: (r["observability"]["spans"]["agg.round"]["count"]
+                     / len(r["masked_sum"])), ">=", 1),
+    Claim("histogram dropouts open a recovery span",
+          "egress gate/mask kernels", "count",
+          lambda r: r["observability"]["spans"]["agg.recovery"]["count"],
+          ">=", 1),
+    Claim("observability overhead rates measured", "egress gate/mask kernels",
+          "host", lambda r: min(
+              r["observability"]["overhead"][key] for key in (
+                  "enabled_nodes_per_sec", "disabled_nodes_per_sec",
+                  "disabled_over_enabled")), ">", 0, sides="live"),
+    Claim("observability costs under 5 % (disabled over enabled rate)",
+          "egress gate/mask kernels", "host",
+          lambda r: r["observability"]["overhead"]["disabled_over_enabled"],
+          ">", 0.95, sides="tracked"),
+    Claim("resilience section schema", "sim loop/network", "count",
+          lambda r: r["resilience"]["schema"], "==", 1),
+    Claim("quiet chaos control clean", "sim loop/network", "count",
+          lambda r: r["resilience"]["no_fault_path_clean"], "=="),
+    Claim("every chaos run converges", "sim loop/network", "count",
+          lambda r: all(row["converged"] for row in r["resilience"]["rows"]),
+          "=="),
+    Claim("no chaos aggregation hangs", "sim loop/network", "count",
+          lambda r: all(row["aggregation"] in ("complete", "partial",
+                                               "abandoned")
+                        for row in r["resilience"]["rows"]), "=="),
+    Claim("faulted chaos profiles inject faults", "sim loop/network", "count",
+          lambda r: min(row["faults_injected"]
+                        for row in r["resilience"]["rows"]
+                        if row["profile"] != "quiet"), ">", 0),
+)
+
+
+# -- tier-1 smoke ------------------------------------------------------------
+
+
+def test_aggregation_scale_smoke():
+    """Small-population run of the full pipeline, held to ``CLAIMS``;
+    keeps the bench alive under ``pytest -q
+    benchmarks/bench_aggregation_scale.py --benchmark-disable`` without
+    rewriting the tracked JSON."""
+    report = smoke_report()
     json.dumps(report)  # must stay serializable
-    assert all(row["exact"] for row in report["masked_sum"])
-    # observability columns: every row carries the protocol's own span
-    # timing, and the section schema is stable for downstream tooling
-    assert all(row["span_seconds"] is not None for row in report["masked_sum"])
-    observability = report["observability"]
-    assert observability["schema"] == 1
-    assert set(observability["counters"]) == {
-        "crypto.hmac.calls", "agg.messages", "agg.bytes"
-    }
-    assert observability["counters"]["crypto.hmac.calls"] > 0
-    assert observability["spans"]["agg.round"]["count"] >= \
-        2 * len(SMOKE_SIZES)  # complete + sparse per size, + overhead runs
-    assert observability["spans"]["agg.recovery"]["count"] >= 1  # histogram dropouts
-    overhead = observability["overhead"]
-    assert set(overhead) >= {
-        "enabled_nodes_per_sec", "disabled_nodes_per_sec",
-        "disabled_over_enabled",
-    }
-    assert overhead["disabled_over_enabled"] > 0
-    hist = report["histogram"]
-    assert hist["exact"] and hist["within_bound"] and hist["legacy_matches"]
-    assert hist["legacy_per_component"]["hmac_derivations"] > \
-        hist["keystream"]["hmac_derivations"]
-    for size in SMOKE_SIZES:
-        by_graph = {
-            row["graph"]: row for row in report["masked_sum"]
-            if row["n"] == size
-        }
-        sparse = by_graph[f"k={SMOKE_NEIGHBORS}"]
-        complete = by_graph["complete"]
-        assert sparse["hmac_derivations"] < complete["hmac_derivations"]
-        assert sparse["nodes_per_sec"] > complete["nodes_per_sec"]
-    # the tracked JSON must exist, parse, and claim the 10x win
-    tracked = json.loads(REPORT_PATH.read_text())
-    assert tracked["benchmark"] == "aggregation_scale"
-    assert tracked["speedup_at_max_n"] >= 10
-    assert tracked["histogram"]["within_bound"]
-    # the tracked observability section must keep the stable schema and
-    # record a sub-5% disabled-mode penalty (acceptance criterion)
-    tracked_obs = tracked["observability"]
-    assert tracked_obs["schema"] == 1
-    assert tracked_obs["counters"]["crypto.hmac.calls"] > 0
-    assert tracked_obs["overhead"]["disabled_over_enabled"] > 0.95
-    # resilience rows: faulted runs degrade gracefully, the fault-free
-    # control rows record nothing (guarded no-fault path)
-    resilience = report["resilience"]
-    assert resilience["no_fault_path_clean"]
-    assert all(row["converged"] for row in resilience["rows"])
-    assert all(row["aggregation"] in ("complete", "partial", "abandoned")
-               for row in resilience["rows"])
-    faulted = [row for row in resilience["rows"] if row["profile"] != "quiet"]
-    assert faulted and all(row["faults_injected"] > 0 for row in faulted)
-    tracked_res = tracked["resilience"]
-    assert tracked_res["schema"] == 1
-    assert tracked_res["no_fault_path_clean"]
-    assert all(row["converged"] for row in tracked_res["rows"])
+    assert_claims(CLAIMS, report, REPORT_PATH)
 
 
 if __name__ == "__main__":

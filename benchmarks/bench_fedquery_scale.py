@@ -28,8 +28,8 @@ Two entry points:
 
 * ``pytest -q benchmarks/bench_fedquery_scale.py --benchmark-disable``
   — the tier-1 smoke run: a small fleet plus a small tree (3 regions
-  x ~50 cells), asserts the invariants and the tracked JSON, writes
-  nothing.
+  x ~50 cells, ``smoke_report()``), held with the tracked JSON to the
+  ``CLAIMS`` rows, writes nothing.
 * ``PYTHONPATH=src python benchmarks/bench_fedquery_scale.py`` — the
   full run (flat 1,000 cells k=32; tree 100,000 cells over 316
   regions); rewrites ``BENCH_fedquery.json``.
@@ -61,6 +61,11 @@ from repro.fedquery.spec import TRANSFORM_DP, TRANSFORM_EXACT, TRANSFORM_KANON
 from repro.infrastructure import Network
 from repro.sim import World
 from repro.store.query import Between
+
+try:
+    from benchmarks.claims import Claim, assert_claims
+except ImportError:  # run as a script: benchmarks/ itself is on sys.path
+    from claims import Claim, assert_claims
 
 REPORT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fedquery.json"
@@ -631,178 +636,227 @@ def build_report(n_cells: int = FULL_CELLS,
     }
 
 
+def smoke_report() -> dict:
+    return build_report(
+        n_cells=SMOKE_CELLS, neighbors=SMOKE_NEIGHBORS,
+        tree_cells=TREE_SMOKE_CELLS, tree_regions=TREE_SMOKE_REGIONS,
+        tree_neighbors=TREE_SMOKE_NEIGHBORS,
+    )
+
+
 def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
     report = build_report()
     path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
+# -- claims -------------------------------------------------------------------
+
+
+def _transform(report: dict, transform: str) -> dict:
+    return next(row for row in report["transforms"]["rows"]
+                if row["transform"] == transform)
+
+
+def _profile(rows: list[dict], profile: str) -> dict:
+    return next(row for row in rows if row["profile"] == profile)
+
+
+def _exact(report: dict) -> dict:
+    return _transform(report, TRANSFORM_EXACT)
+
+
+def _lossy(report: dict) -> dict:
+    return _profile(report["fault_matrix"]["rows"], "lossy")
+
+
+def _tree(report: dict, profile: str = "quiet") -> dict:
+    return _profile(report["hierarchy"]["rows"], profile)
+
+
+CLAIMS = (
+    # the flat coordinator, three transforms over one quiet fleet
+    Claim("every transform completes over every cell",
+          "coordinator + journal", "count",
+          lambda r: all(row["outcome"] == "complete"
+                        and row["participants"] == r["fleet"]["cells"]
+                        for row in r["transforms"]["rows"]), "=="),
+    Claim("all three transforms reported", "egress gate/mask kernels",
+          "count", lambda r: sorted(row["transform"]
+                                    for row in r["transforms"]["rows"]),
+          "==", sorted((TRANSFORM_EXACT, TRANSFORM_DP, TRANSFORM_KANON))),
+    Claim("flat exact error vs the clear-text oracle",
+          "egress gate/mask kernels", "count",
+          lambda r: _exact(r)["error_vs_oracle"], "<", 1e-6),
+    Claim("flat exact messages per cell", "coordinator + journal", "count",
+          lambda r: _exact(r)["messages"] / r["fleet"]["cells"], "same"),
+    Claim("flat exact wall per cell", "coordinator + journal", "host",
+          lambda r: _exact(r)["wall_seconds"] / r["fleet"]["cells"],
+          "ratio", 10),
+    Claim("every plan kind serves the exact query", "catalog/plan", "count",
+          lambda r: min(_exact(r)["plan_mix"].values()), ">", 0),
+    Claim("one plan per participating cell, every transform", "catalog/plan",
+          "count", lambda r: all(sum(row["plan_mix"].values())
+                                 == row["participants"]
+                                 for row in r["transforms"]["rows"]), "=="),
+    Claim("heap containers per cell-query vs tracked", "cell agent", "count",
+          lambda r: _exact(r)["heap_containers_per_cell_query"], "ratio",
+          1.25, why="the coordinator's O(1) share weighs more per cell on "
+          "the 45-cell smoke than on the tracked 1,000"),
+    Claim("heap containers per cell-query", "cell agent", "count",
+          lambda r: _exact(r)["heap_containers_per_cell_query"], "<=", 8,
+          sides="tracked"),
+    Claim("DP noise is in the released value", "egress gate/mask kernels",
+          "count", lambda r: _transform(r, TRANSFORM_DP)["error_vs_oracle"],
+          ">", 0),
+    Claim("kanon release is k-anonymous", "egress gate/mask kernels",
+          "count", lambda r: r["transforms"]["kanon_release"][
+              "is_k_anonymous"], "=="),
+    Claim("flat coordinator cannot open the sealed batches",
+          "egress gate/mask kernels", "count",
+          lambda r: r["transforms"]["kanon_release"][
+              "coordinator_cannot_open"], "=="),
+    Claim("kanon releases every cell's record", "egress gate/mask kernels",
+          "count", lambda r: (r["transforms"]["kanon_release"][
+              "released_records"] == r["fleet"]["cells"]), "=="),
+    Claim("no raw encoding in the flat coordinator's view",
+          "egress gate/mask kernels", "count",
+          lambda r: any(row["raw_encoding_in_coordinator_view"]
+                        for row in (*r["transforms"]["rows"],
+                                    *r["fault_matrix"]["rows"])), "==",
+          False),
+    Claim("fedquery observability schema", "coordinator + journal", "count",
+          lambda r: r["transforms"]["observability"]["schema"], "==", 1),
+    Claim("one fanout and one collect span per query",
+          "coordinator + journal", "count",
+          lambda r: [r["transforms"]["observability"]["fanout_spans"],
+                     r["transforms"]["observability"]["collect_spans"]],
+          "==", [3, 3]),
+    Claim("three plans shipped per cell at least", "coordinator + journal",
+          "count", lambda r: (r["transforms"]["observability"]["metrics"][
+              "fedquery.plans"]["value"] / r["fleet"]["cells"]), ">=", 3),
+    Claim("wire bytes counted", "wire codec", "count",
+          lambda r: r["transforms"]["observability"]["metrics"][
+              "fedquery.bytes"]["value"], ">", 0),
+    Claim("tracked flat fleet size", "coordinator + journal", "count",
+          lambda r: r["fleet"]["cells"], "==", FULL_CELLS, sides="tracked"),
+    # fault matrix
+    Claim("quiet fault control clean", "sim loop/network", "count",
+          lambda r: r["fault_matrix"]["no_fault_path_clean"], "=="),
+    Claim("lossy profile injects faults", "sim loop/network", "count",
+          lambda r: _lossy(r)["faults_injected"], ">", 0),
+    Claim("lossy query ends partial", "coordinator + journal", "count",
+          lambda r: _lossy(r)["outcome"], "==", "partial"),
+    Claim("lossy query demotes at least the offline cells",
+          "coordinator + journal", "count",
+          lambda r: _lossy(r)["demoted"] >= _lossy(r)["offline_cells"] > 0,
+          "=="),
+    Claim("lossy release exact over the survivors",
+          "egress gate/mask kernels", "count",
+          lambda r: _lossy(r)["survivor_exact"], "=="),
+    # crash matrix: the same small, fully seeded run at either scale, so
+    # the live matrix must equal the tracked one and the rows below need
+    # read only the live side
+    Claim("crash matrix equals tracked", "coordinator + journal", "count",
+          lambda r: r["crash_matrix"], "same"),
+    Claim("every crash phase is in the matrix", "coordinator + journal",
+          "count", lambda r: {
+              "flat-quiet", "flat-crash-fanout", "flat-crash-collect",
+              "flat-crash-recover", "tree-quiet", "tree-root-fanout",
+              "tree-root-collect", "tree-root-recover", "tree-region-collect",
+              "tree-region-norestart", "tree-crash-offline",
+          } <= {row["profile"] for row in r["crash_matrix"]["rows"]}, "==",
+          sides="live"),
+    Claim("every crash row crashes and journals", "coordinator + journal",
+          "count", lambda r: all(row["crashes"] >= 1
+                                 and row["journal_records"] > 0
+                                 for row in r["crash_matrix"]["rows"]
+                                 if row["crash_address"] is not None), "==",
+          sides="live"),
+    Claim("crash-free controls clean", "coordinator + journal", "count",
+          lambda r: r["crash_matrix"]["no_crash_clean"], "==", sides="live"),
+    Claim("recovered totals pinned to the crash-free control",
+          "coordinator + journal", "count",
+          lambda r: r["crash_matrix"]["recovered_totals_pinned"], "==",
+          sides="live"),
+    Claim("root failover respawns a dead region", "coordinator + journal",
+          "count", lambda r: r["crash_matrix"]["failover_respawns"], ">=", 1,
+          sides="live"),
+    Claim("crash with offline cells settles survivor-exact",
+          "coordinator + journal", "count",
+          lambda r: r["crash_matrix"]["degraded_survivor_exact"], "==",
+          sides="live"),
+    Claim("no journal or view holds a raw encoding", "coordinator + journal",
+          "count", lambda r: r["crash_matrix"]["raw_leaked"], "==", False,
+          sides="live"),
+    # the coordinator tree
+    Claim("quiet tree control clean", "sim loop/network", "count",
+          lambda r: r["hierarchy"]["no_fault_path_clean"], "=="),
+    Claim("quiet tree answer covers every cell", "coordinator + journal",
+          "count", lambda r: (_tree(r)["participants"]
+                              == r["hierarchy"]["cells"]), "=="),
+    Claim("tree exact error vs the clear-text oracle",
+          "egress gate/mask kernels", "count",
+          lambda r: _tree(r)["error_vs_oracle"], "<", 1e-6),
+    Claim("root exchanges two messages per region", "coordinator + journal",
+          "count", lambda r: (_tree(r)["root_messages"]
+                              / r["hierarchy"]["regions"]), "==", 2),
+    Claim("tree exchanges two messages per cell at least",
+          "coordinator + journal", "count",
+          lambda r: _tree(r)["messages"] / r["hierarchy"]["cells"], ">=", 2),
+    Claim("tree root messages per cell below the flat coordinator's",
+          "coordinator + journal", "count",
+          lambda r: (_tree(r)["root_per_cell_messages"]
+                     / r["hierarchy"]["flat_baseline_per_cell"]["messages"]),
+          "<", 1),
+    Claim("tree root wall per cell below the flat coordinator's",
+          "coordinator + journal", "host",
+          lambda r: (_tree(r)["root_per_cell_wall_ms"]
+                     / r["hierarchy"]["flat_baseline_per_cell"]["wall_ms"]),
+          "<", 1),
+    Claim("no raw encoding in the tree's root or region views",
+          "egress gate/mask kernels", "count",
+          lambda r: (_tree(r)["raw_encoding_in_root_view"]
+                     or _tree(r)["raw_encoding_in_region_views"]
+                     or _tree(r, "offline-cells")[
+                         "raw_encoding_in_root_view"]), "==", False),
+    Claim("tree kanon releases every cell's record",
+          "egress gate/mask kernels", "count",
+          lambda r: (r["hierarchy"]["kanon"]["outcome"] == "complete"
+                     and r["hierarchy"]["kanon"]["released_records"]
+                     == r["hierarchy"]["cells"]), "=="),
+    Claim("tree coordinators cannot open the sealed batches",
+          "egress gate/mask kernels", "count",
+          lambda r: r["hierarchy"]["kanon"]["coordinator_cannot_open"], "=="),
+    Claim("degraded tree ends partial", "coordinator + journal", "count",
+          lambda r: _tree(r, "offline-cells")["outcome"], "==", "partial"),
+    Claim("degraded tree demotes exactly the offline cells",
+          "coordinator + journal", "count",
+          lambda r: (_tree(r, "offline-cells")["demoted"]
+                     == _tree(r, "offline-cells")["offline_cells"] > 0),
+          "=="),
+    Claim("degraded tree release exact over the survivors",
+          "egress gate/mask kernels", "count",
+          lambda r: _tree(r, "offline-cells")["survivor_exact"], "=="),
+    Claim("degraded tree re-asks", "coordinator + journal", "count",
+          lambda r: _tree(r, "offline-cells")["reasks"], ">", 0),
+    Claim("the tree has regions", "coordinator + journal", "count",
+          lambda r: r["hierarchy"]["regions"], ">=", 2),
+    Claim("tracked tree is fleet-scale", "coordinator + journal", "count",
+          lambda r: r["hierarchy"]["cells"], ">=", 100_000, sides="tracked"),
+)
+
+
 # -- tier-1 smoke -------------------------------------------------------------
 
 
 def test_fedquery_scale_smoke():
-    """Small-fleet run of the full pipeline; keeps the bench alive
-    under ``pytest -q benchmarks/bench_fedquery_scale.py
+    """Small-fleet run of the full pipeline, held to ``CLAIMS``; keeps
+    the bench alive under ``pytest -q benchmarks/bench_fedquery_scale.py
     --benchmark-disable`` without rewriting the tracked JSON."""
-    report = build_report(
-        n_cells=SMOKE_CELLS, neighbors=SMOKE_NEIGHBORS,
-        tree_cells=TREE_SMOKE_CELLS, tree_regions=TREE_SMOKE_REGIONS,
-        tree_neighbors=TREE_SMOKE_NEIGHBORS,
-    )
+    report = smoke_report()
     json.dumps(report)  # must stay serializable
-
-    transforms = report["transforms"]
-    by_transform = {row["transform"]: row for row in transforms["rows"]}
-    exact = by_transform[TRANSFORM_EXACT]
-    assert exact["outcome"] == "complete"
-    assert exact["participants"] == SMOKE_CELLS
-    assert exact["error_vs_oracle"] < 1e-6
-    assert all(count > 0 for count in exact["plan_mix"].values())
-    assert sum(exact["plan_mix"].values()) == SMOKE_CELLS
-    assert exact["heap_containers_per_cell_query"] <= 8
-
-    dp = by_transform[TRANSFORM_DP]
-    assert dp["outcome"] == "complete"
-    assert dp["error_vs_oracle"] > 0  # the noise is really in there
-
-    assert by_transform[TRANSFORM_KANON]["outcome"] == "complete"
-    kanon = transforms["kanon_release"]
-    assert kanon["is_k_anonymous"]
-    assert kanon["coordinator_cannot_open"]
-    assert kanon["released_records"] == SMOKE_CELLS
-
-    assert not any(
-        row["raw_encoding_in_coordinator_view"] for row in transforms["rows"]
-    )
-    observability = transforms["observability"]
-    assert observability["schema"] == 1
-    assert observability["fanout_spans"] == 3
-    assert observability["collect_spans"] == 3
-    metrics = observability["metrics"]
-    assert metrics["fedquery.plans"]["value"] >= 3 * SMOKE_CELLS
-    assert metrics["fedquery.bytes"]["value"] > 0
-
-    faults = report["fault_matrix"]
-    assert faults["no_fault_path_clean"]
-    by_profile = {row["profile"]: row for row in faults["rows"]}
-    lossy = by_profile["lossy"]
-    assert lossy["faults_injected"] > 0
-    assert lossy["outcome"] == "partial"
-    assert lossy["demoted"] >= lossy["offline_cells"] > 0
-    assert lossy["survivor_exact"]
-    assert not lossy["raw_encoding_in_coordinator_view"]
-
-    # crash matrix: every crashed coordinator recovers from its
-    # journal; full-survivor totals are pinned bit-for-bit to the
-    # no-crash control; the respawn-less region crash is healed by
-    # root failover; nothing raw ever reaches a journal or a view
-    crashes = report["crash_matrix"]
-    assert crashes["no_crash_clean"]
-    assert crashes["recovered_totals_pinned"]
-    assert crashes["failover_respawns"] >= 1
-    assert crashes["degraded_survivor_exact"]
-    assert not crashes["raw_leaked"]
-    crash_profiles = {row["profile"] for row in crashes["rows"]}
-    assert {
-        "flat-quiet", "flat-crash-fanout", "flat-crash-collect",
-        "flat-crash-recover", "tree-quiet", "tree-root-fanout",
-        "tree-root-collect", "tree-root-recover", "tree-region-collect",
-        "tree-region-norestart", "tree-crash-offline",
-    } <= crash_profiles
-    for row in crashes["rows"]:
-        if row["crash_address"] is not None:
-            assert row["crashes"] >= 1
-            assert row["journal_records"] > 0
-
-    # the small coordinator tree: quiet fault-control at zero faults
-    # and re-asks, sub-linear root, sealed kanon, graceful degradation
-    hierarchy = report["hierarchy"]
-    assert hierarchy["no_fault_path_clean"]
-    assert hierarchy["root_sublinear"]
-    tree_quiet, tree_degraded = hierarchy["rows"]
-    assert tree_quiet["profile"] == "quiet"
-    assert tree_quiet["outcome"] == "complete"
-    assert tree_quiet["participants"] == TREE_SMOKE_CELLS
-    assert tree_quiet["faults_injected"] == 0
-    assert tree_quiet["reasks"] == 0
-    assert tree_quiet["error_vs_oracle"] < 1e-6
-    assert tree_quiet["root_messages"] == 2 * TREE_SMOKE_REGIONS
-    assert tree_quiet["messages"] >= 2 * TREE_SMOKE_CELLS
-    assert not tree_quiet["raw_encoding_in_root_view"]
-    assert not tree_quiet["raw_encoding_in_region_views"]
-    assert hierarchy["kanon"]["outcome"] == "complete"
-    assert hierarchy["kanon"]["coordinator_cannot_open"]
-    assert hierarchy["kanon"]["released_records"] == TREE_SMOKE_CELLS
-    assert tree_degraded["outcome"] == "partial"
-    assert tree_degraded["demoted"] == tree_degraded["offline_cells"] > 0
-    assert tree_degraded["survivor_exact"]
-    assert tree_degraded["reasks"] > 0
-    assert not tree_degraded["raw_encoding_in_root_view"]
-
-    # the tracked JSON must exist, parse, and hold the headline claims
-    tracked = json.loads(REPORT_PATH.read_text())
-    assert tracked["benchmark"] == "fedquery_scale"
-    assert tracked["fleet"]["cells"] == FULL_CELLS
-    tracked_rows = {
-        row["transform"]: row for row in tracked["transforms"]["rows"]
-    }
-    assert set(tracked_rows) == {
-        TRANSFORM_EXACT, TRANSFORM_DP, TRANSFORM_KANON
-    }
-    assert tracked_rows[TRANSFORM_EXACT]["error_vs_oracle"] < 1e-6
-    assert tracked_rows[TRANSFORM_EXACT][
-        "heap_containers_per_cell_query"] <= 8
-    assert tracked_rows[TRANSFORM_DP]["error_vs_oracle"] > 0
-    for row in tracked_rows.values():
-        assert not row["raw_encoding_in_coordinator_view"]
-        assert sum(row["plan_mix"].values()) == row["participants"]
-    assert tracked["transforms"]["kanon_release"]["is_k_anonymous"]
-    assert tracked["transforms"]["observability"]["schema"] == 1
-    tracked_faults = tracked["fault_matrix"]
-    assert tracked_faults["no_fault_path_clean"]
-    tracked_quiet = next(
-        row for row in tracked_faults["rows"] if row["profile"] == "quiet"
-    )
-    assert tracked_quiet["faults_injected"] == 0
-    assert tracked_quiet["reasks"] == 0
-    tracked_lossy = next(
-        row for row in tracked_faults["rows"] if row["profile"] == "lossy"
-    )
-    assert tracked_lossy["faults_injected"] > 0
-    assert tracked_lossy["outcome"] == "partial"
-    assert tracked_lossy["demoted"] > 0
-    assert tracked_lossy["survivor_exact"]
-
-    # the crash matrix runs at the same (small) scale in the smoke and
-    # the full report, and the sim is fully seeded — the tracked
-    # section must equal this run byte for byte
-    assert tracked["crash_matrix"] == crashes
-
-    # the headline tree claims: >=100k cells, root work per cell below
-    # the flat per-cell baseline, exactness, sealed kanon, clean quiet
-    tracked_tree = tracked["hierarchy"]
-    assert tracked_tree["cells"] >= 100_000
-    assert tracked_tree["regions"] >= 2
-    assert tracked_tree["root_sublinear"]
-    assert tracked_tree["no_fault_path_clean"]
-    baseline = tracked_tree["flat_baseline_per_cell"]
-    tracked_tree_quiet = tracked_tree["rows"][0]
-    assert tracked_tree_quiet["outcome"] == "complete"
-    assert tracked_tree_quiet["participants"] == tracked_tree["cells"]
-    assert tracked_tree_quiet["error_vs_oracle"] < 1e-6
-    assert tracked_tree_quiet["faults_injected"] == 0
-    assert tracked_tree_quiet["reasks"] == 0
-    assert tracked_tree_quiet["root_per_cell_messages"] \
-        < baseline["messages"]
-    assert tracked_tree_quiet["root_per_cell_wall_ms"] < baseline["wall_ms"]
-    assert not tracked_tree_quiet["raw_encoding_in_root_view"]
-    assert not tracked_tree_quiet["raw_encoding_in_region_views"]
-    assert tracked_tree["kanon"]["coordinator_cannot_open"]
-    assert tracked_tree["kanon"]["released_records"] == tracked_tree["cells"]
-    tracked_tree_degraded = tracked_tree["rows"][1]
-    assert tracked_tree_degraded["outcome"] == "partial"
-    assert tracked_tree_degraded["demoted"] > 0
-    assert tracked_tree_degraded["survivor_exact"]
+    assert_claims(CLAIMS, report, REPORT_PATH)
 
 
 if __name__ == "__main__":

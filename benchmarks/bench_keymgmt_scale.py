@@ -13,8 +13,8 @@ root so later PRs can track the trajectory.
 Two entry points:
 
 * ``pytest -q benchmarks/bench_keymgmt_scale.py --benchmark-disable``
-  — the tier-1 smoke run: a ~120-cell roster, asserts the invariants
-  and the tracked JSON, writes nothing.
+  — the tier-1 smoke run: a ~120-cell roster (``smoke_report()``),
+  held with the tracked JSON to the ``CLAIMS`` rows, writes nothing.
 * ``PYTHONPATH=src python benchmarks/bench_keymgmt_scale.py`` — the
   full run (10,000 cells, k=8: ~40,000 X3DH agreements); rewrites
   ``BENCH_keymgmt.json``.
@@ -40,6 +40,11 @@ from repro.keymgmt import DirectoryService, KeyClient, KeyDirectory
 from repro.obs import get_default as _global_obs
 from repro.sim import World
 from repro.store.query import Between
+
+try:
+    from benchmarks.claims import Claim, assert_claims
+except ImportError:  # run as a script: benchmarks/ itself is on sys.path
+    from claims import Claim, assert_claims
 
 REPORT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_keymgmt.json"
@@ -326,85 +331,96 @@ def build_report(n_cells: int = FULL_CELLS,
     }
 
 
+def smoke_report() -> dict:
+    return build_report(
+        n_cells=SMOKE_CELLS, neighbors=SMOKE_NEIGHBORS,
+        offline=SMOKE_OFFLINE, epochs=SMOKE_EPOCHS,
+    )
+
+
 def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
     report = build_report()
     path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
+# -- claims -------------------------------------------------------------------
+
+
+def _churning(report: dict) -> dict:
+    return next(row for row in report["revocation"]["rows"]
+                if row["profile"] == "churning")
+
+
+CLAIMS = (
+    # ring-edge agreement over the whole roster
+    Claim("k/2 ring edges per cell", "keymgmt", "count",
+          lambda r: (r["agreement"]["edges"] == r["agreement"]["cells"]
+                     * r["agreement"]["neighbors"] // 2), "=="),
+    Claim("one agreement per edge", "keymgmt", "count",
+          lambda r: r["agreement"]["agreements"] == r["agreement"]["edges"],
+          "=="),
+    Claim("every edge agreed", "keymgmt", "count",
+          lambda r: r["agreement"]["all_edges_agreed"], "=="),
+    Claim("a node issued per cell", "keymgmt", "count",
+          lambda r: (r["agreement"]["nodes_issued"]
+                     == r["agreement"]["cells"]), "=="),
+    Claim("sleeping cells leave edges pending", "keymgmt", "count",
+          lambda r: min(r["agreement"]["pending_before_wake"],
+                        r["agreement"]["async_completions"]), ">", 0),
+    Claim("every pending edge completes on wake", "keymgmt", "count",
+          lambda r: (r["agreement"]["async_completions"]
+                     == r["agreement"]["pending_before_wake"]), "=="),
+    # X3DH cost is per-edge modexp, so the cost per agreement compares
+    # across roster sizes up to host load
+    Claim("wall per agreement", "keymgmt", "host",
+          lambda r: (r["agreement"]["agree_wall_seconds"]
+                     / r["agreement"]["agreements"]), "ratio", 10),
+    Claim("tracked roster is fleet-scale", "keymgmt", "count",
+          lambda r: r["agreement"]["cells"], ">=", 10_000, sides="tracked"),
+    # ratcheted rotation
+    Claim("a rotation row per epoch", "keymgmt", "count",
+          lambda r: [row["epoch"] for row in r["rotation"]], "==",
+          list(range(1, SMOKE_EPOCHS + 1)), sides="live"),
+    Claim("every rotation changes keys", "keymgmt", "count",
+          lambda r: bool(r["rotation"]) and all(
+              row["keys_changed"] for row in r["rotation"]), "=="),
+    Claim("rotation ms per cell", "keymgmt", "host",
+          lambda r: max(row["rotate_ms_per_cell"] for row in r["rotation"]),
+          "ratio", 10),
+    # revocation over the untrusted network
+    Claim("quiet revocation control clean", "keymgmt", "count",
+          lambda r: r["revocation"]["no_fault_path_clean"], "=="),
+    Claim("churning revocation completes", "keymgmt", "count",
+          lambda r: _churning(r)["completed"], "=="),
+    Claim("churning profile injects faults", "sim loop/network", "count",
+          lambda r: _churning(r)["faults_injected"], ">", 0),
+    Claim("churning revocation retries", "keymgmt", "count",
+          lambda r: _churning(r)["retry_attempts"], ">", 0),
+    Claim("churning exclusion latency", "keymgmt", "sim",
+          lambda r: _churning(r)["exclusion_latency_s"], ">", 0),
+    Claim("every survivor excludes the revoked cell", "keymgmt", "count",
+          lambda r: all(row["survivors_excluding_revoked"] == row["survivors"]
+                        for row in r["revocation"]["rows"]), "=="),
+    # the equivalence pin against the preshared build
+    Claim("directory-keyed totals pinned to preshared (flat, rotated, tree)",
+          "keymgmt", "count",
+          lambda r: [r["equivalence"][key] for key in (
+              "flat_pinned", "flat_pinned_after_rotation", "tree_pinned")],
+          "==", [True, True, True]),
+)
+
+
 # -- tier-1 smoke -------------------------------------------------------------
 
 
 def test_keymgmt_scale_smoke():
-    """Small-roster run of the full pipeline; keeps the bench alive
-    under ``pytest -q benchmarks/bench_keymgmt_scale.py
+    """Small-roster run of the full pipeline, held to ``CLAIMS``; keeps
+    the bench alive under ``pytest -q benchmarks/bench_keymgmt_scale.py
     --benchmark-disable`` without rewriting the tracked JSON."""
-    report = build_report(
-        n_cells=SMOKE_CELLS, neighbors=SMOKE_NEIGHBORS,
-        offline=SMOKE_OFFLINE, epochs=SMOKE_EPOCHS,
-    )
+    report = smoke_report()
     json.dumps(report)  # must stay serializable
-
-    agreement = report["agreement"]
-    assert agreement["edges"] == SMOKE_CELLS * SMOKE_NEIGHBORS // 2
-    assert agreement["agreements"] == agreement["edges"]
-    assert agreement["all_edges_agreed"]
-    assert agreement["nodes_issued"] == SMOKE_CELLS
-    assert agreement["pending_before_wake"] > 0
-    assert agreement["async_completions"] == agreement["pending_before_wake"]
-    assert agreement["agreements_per_sec"] > 0
-
-    assert len(report["rotation"]) == SMOKE_EPOCHS
-    for row in report["rotation"]:
-        assert row["keys_changed"]
-        assert row["rotate_ms_per_cell"] >= 0
-
-    revocation = report["revocation"]
-    assert revocation["no_fault_path_clean"]
-    by_profile = {row["profile"]: row for row in revocation["rows"]}
-    churning = by_profile["churning"]
-    assert churning["completed"]
-    assert churning["faults_injected"] > 0
-    assert churning["retry_attempts"] > 0
-    assert churning["exclusion_latency_s"] > 0
-    assert churning["survivors_excluding_revoked"] == churning["survivors"]
-    quiet = by_profile["quiet"]
-    assert quiet["survivors_excluding_revoked"] == quiet["survivors"]
-
-    equivalence = report["equivalence"]
-    assert equivalence["flat_pinned"]
-    assert equivalence["flat_pinned_after_rotation"]
-    assert equivalence["tree_pinned"]
-
-    # the tracked JSON must exist, parse, and hold the headline claims
-    tracked = json.loads(REPORT_PATH.read_text())
-    assert tracked["benchmark"] == "keymgmt_scale"
-    tracked_agreement = tracked["agreement"]
-    assert tracked_agreement["cells"] >= 10_000
-    assert tracked_agreement["edges"] == (
-        tracked_agreement["cells"] * tracked_agreement["neighbors"] // 2
-    )
-    assert tracked_agreement["agreements"] == tracked_agreement["edges"]
-    assert tracked_agreement["all_edges_agreed"]
-    assert tracked_agreement["async_completions"] > 0
-    assert tracked_agreement["agreements_per_sec"] > 0
-    assert len(tracked["rotation"]) >= 1
-    assert all(row["keys_changed"] for row in tracked["rotation"])
-    tracked_revocation = tracked["revocation"]
-    assert tracked_revocation["no_fault_path_clean"]
-    tracked_churning = next(
-        row for row in tracked_revocation["rows"]
-        if row["profile"] == "churning"
-    )
-    assert tracked_churning["completed"]
-    assert tracked_churning["faults_injected"] > 0
-    assert tracked_churning["exclusion_latency_s"] > 0
-    assert (tracked_churning["survivors_excluding_revoked"]
-            == tracked_churning["survivors"])
-    tracked_equivalence = tracked["equivalence"]
-    assert tracked_equivalence["flat_pinned"]
-    assert tracked_equivalence["flat_pinned_after_rotation"]
-    assert tracked_equivalence["tree_pinned"]
+    assert_claims(CLAIMS, report, REPORT_PATH)
 
 
 if __name__ == "__main__":

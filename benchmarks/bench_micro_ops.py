@@ -8,8 +8,9 @@ rounds, embedded queries).
 Two of the rows are *tracked*: :func:`measure_encode_decode` (scalar vs
 columnar record codec) and :func:`measure_hmac_per_page` (per-frame vs
 page-bundled AEAD HMAC counts) feed the ``columnar`` section of
-``BENCH_store.json`` via ``bench_store_scale.py``, and
-``tools/bench_gate.py`` fails CI when they regress.
+``BENCH_store.json`` via ``bench_store_scale.py``, whose claim rows
+(checked by its tier-1 smoke and ``tools/bench_gate.py``) fail when
+they regress.
 """
 
 import math
@@ -152,8 +153,8 @@ def test_hash_join_500x500(benchmark):
 
 # -- tracked micro-op rows ----------------------------------------------------
 #
-# Plain functions (no pytest-benchmark) so bench_store_scale.py and
-# tools/bench_gate.py can import and re-run them. Timings interleave
+# Plain functions (no pytest-benchmark) so bench_store_scale.py can
+# import and run them inside its report. Timings interleave
 # the scalar and columnar sides per repetition and keep the best of
 # each, which is the only stable protocol on a loaded host.
 

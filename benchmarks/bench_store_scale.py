@@ -17,8 +17,8 @@ rides along for the host-side picture.
 Two entry points:
 
 * ``pytest -q benchmarks/bench_store_scale.py --benchmark-disable`` —
-  the tier-1 smoke run: coarser sampling, asserts the scaling
-  invariants and the JSON schema, writes nothing.
+  the tier-1 smoke run: coarser sampling (``smoke_report()``), held
+  with the tracked JSON to the ``CLAIMS`` rows, writes nothing.
 * ``PYTHONPATH=src python benchmarks/bench_store_scale.py`` — the full
   run (1 Hz, 30 days); rewrites ``BENCH_store.json``.
 """
@@ -50,8 +50,10 @@ from repro.workloads.energy import HouseholdSimulator
 
 try:
     from benchmarks import bench_micro_ops as _micro_ops
+    from benchmarks.claims import Claim, assert_claims
 except ImportError:  # run as a script: benchmarks/ itself is on sys.path
     import bench_micro_ops as _micro_ops
+    from claims import Claim, assert_claims
 
 OBS = get_default()
 
@@ -665,7 +667,7 @@ def measure_checkpoint_cadence(day_trace, sample_period: int) -> dict:
     lets ``checkpoint_interval_pages=64`` do it. A checkpoint after
     the first is a delta that costs what changed, so the pages of all
     of them together stay near one full image of the final directory —
-    the bound ``tools/bench_gate.py`` holds them to. Everything but
+    the bound a row of ``CLAIMS`` holds them to. Everything but
     the wall time is deterministic.
     """
     records = day_trace.records()
@@ -877,116 +879,191 @@ def build_report(sample_period: int = FULL_SAMPLE_PERIOD,
     return report
 
 
-def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
-    report = build_report()
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-# -- tier-1 smoke ------------------------------------------------------------
-
-
-def test_store_scale_smoke():
-    """Coarse-sampling run of the full pipeline; keeps the bench alive
-    under ``pytest -q benchmarks/bench_store_scale.py
-    --benchmark-disable`` without rewriting the tracked JSON."""
-    report = build_report(
+def smoke_report() -> dict:
+    return build_report(
         sample_period=SMOKE_SAMPLE_PERIOD,
         month_days=SMOKE_MONTH_DAYS,
         query_window_s=SMOKE_QUERY_WINDOW_S,
         cache_pages=SMOKE_CACHE_PAGES,
         checkpoint_blocks=SMOKE_CKPT_BLOCKS,
     )
+
+
+def write_report(path: pathlib.Path = REPORT_PATH) -> dict:
+    report = build_report()
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return report
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def _cadence(report: dict) -> list[dict]:
+    return list(report["checkpoint_cadence"]["rows"].values())
+
+
+CLAIMS = (
+    # ingest: the batch path against the durable single-record one
+    Claim("batch ingest equals buffered puts on flash, bit for bit",
+          "log store/page codec", "count",
+          lambda r: r["ingest"]["bit_for_bit_batch_equals_buffered_puts"],
+          "=="),
+    Claim("batch ingest at least 5x single-record", "log store/page codec",
+          "device", lambda r: r["ingest"]["batch_speedup_device"], ">=", 5),
+    Claim("batch ingest records/sec", "log store/page codec", "device",
+          lambda r: r["ingest"]["batch"]["records_per_sec_device"], "band",
+          1.5),
+    Claim("a page program carries many records", "log store/page codec",
+          "count", lambda r: (r["ingest"]["records_per_day"]
+                              / r["ingest"]["batch"]["page_writes"]), ">", 1),
+    Claim("month ingest holds every day's records", "log store/page codec",
+          "count", lambda r: (r["ingest"]["batch_month"]["records"]
+                              == r["ingest"]["batch_month"]["days"]
+                              * r["ingest"]["records_per_day"]), "=="),
+    Claim("tracked day is one 1 Hz day", "log store/page codec", "count",
+          lambda r: r["ingest"]["records_per_day"], "==", SECONDS_PER_DAY,
+          sides="tracked"),
+    # the columnar lanes against the single-record reference
+    Claim("columnar ingest equals scalar on flash, bit for bit",
+          "log store/page codec", "count",
+          lambda r: r["columnar"]["ingest"][
+              "bit_for_bit_columnar_equals_scalar"], "=="),
+    Claim("columnar scan rows identical", "log store/page codec", "count",
+          lambda r: r["columnar"]["scan"]["rows_identical"], "=="),
+    Claim("columnar filtered scan rows identical", "log store/page codec",
+          "count", lambda r: r["columnar"]["filtered_scan"]["rows_identical"],
+          "=="),
+    Claim("catalog results identical on both lanes", "catalog/plan", "count",
+          lambda r: all(row["results_identical"] for row in
+                        r["columnar"]["catalog_queries"].values()), "=="),
+    Claim("columnar ingest speedup", "log store/page codec", "host",
+          lambda r: r["columnar"]["ingest"]["speedup_wall"], ">=", 2.5,
+          sides="live"),
+    Claim("columnar scan speedup", "log store/page codec", "host",
+          lambda r: r["columnar"]["scan"]["speedup_wall"], ">=", 2.5,
+          sides="live"),
+    Claim("columnar ingest speedup at full scale", "log store/page codec",
+          "host", lambda r: r["columnar"]["ingest"]["speedup_wall"], ">=", 5,
+          sides="tracked"),
+    Claim("columnar scan speedup at full scale", "log store/page codec",
+          "host", lambda r: r["columnar"]["scan"]["speedup_wall"], ">=", 5,
+          sides="tracked"),
+    Claim("codec bit for bit both ways", "log store/page codec", "count",
+          lambda r: (r["columnar"]["micro_ops"]["encode_bit_for_bit"]
+                     and r["columnar"]["micro_ops"]["decode_rows_identical"]),
+          "=="),
+    Claim("columnar encode ns per record", "log store/page codec", "host",
+          lambda r: r["columnar"]["micro_ops"]["encode_ns_columnar"],
+          "ratio", 10),
+    Claim("columnar decode ns per record", "log store/page codec", "host",
+          lambda r: r["columnar"]["micro_ops"]["decode_ns_columnar"],
+          "ratio", 10),
+    Claim("a page bundle costs 4 HMACs", "crypto primitives", "count",
+          lambda r: r["columnar"]["hmac_per_page"]["bundle_hmacs"], "==", 4),
+    Claim("per-frame sealing costs 4 HMACs a frame", "crypto primitives",
+          "count", lambda r: (r["columnar"]["hmac_per_page"]["per_frame_hmacs"]
+                              / r["columnar"]["hmac_per_page"][
+                                  "frames_per_page"]), "==", 4),
+    Claim("HMAC collapse equals frames per page", "crypto primitives",
+          "count", lambda r: (r["columnar"]["hmac_per_page"]["collapse_factor"]
+                              / r["columnar"]["hmac_per_page"][
+                                  "frames_per_page"]), "==", 1),
+    Claim("page bundle round-trips", "crypto primitives", "count",
+          lambda r: r["columnar"]["hmac_per_page"]["roundtrip_identical"],
+          "=="),
+    # one-hour range query: scan vs zone map vs ordered index
+    Claim("scan, zone map and index return the same rows", "catalog/plan",
+          "count", lambda r: r["queries"]["results_identical"], "=="),
+    Claim("zone map reads fewer pages than a scan", "catalog/plan", "count",
+          lambda r: r["queries"]["zonemap_reads_fewer_than_scan"], "=="),
+    Claim("index reads no more pages than the zone map", "catalog/plan",
+          "count", lambda r: (r["queries"]["index"]["pages_read"]
+                              / r["queries"]["zonemap_skip"]["pages_read"]),
+          "<=", 1),
+    Claim("window query takes the index plan", "catalog/plan", "count",
+          lambda r: r["queries"]["index"]["plan"], "==", "range:t"),
+    Claim("index pages read per row", "catalog/plan", "count",
+          lambda r: r["queries"]["index"]["pages_read"] / r["queries"]["rows"],
+          "ratio", 2, why="pages per row drift with sampling density"),
+    Claim("index pages read per scan page", "catalog/plan", "count",
+          lambda r: (r["queries"]["index"]["pages_read"]
+                     / r["queries"]["scan"]["pages_read"]), "ratio", 2,
+          why="pages per row drift with sampling density"),
+    # page cache and recovery
+    Claim("warm cache reads fewer pages than cold", "log store/page codec",
+          "count", lambda r: r["page_cache"]["warm_cheaper_than_cold"], "=="),
+    Claim("page cache hits", "log store/page codec", "count",
+          lambda r: r["page_cache"]["hit_ratio"], ">", 0),
+    Claim("page cache stays within its pages", "log store/page codec",
+          "count", lambda r: (r["page_cache"]["resident_pages"]
+                              / r["page_cache"]["cache_pages"]), "<=", 1),
+    Claim("checkpointed reboot replays fewer pages", "log store/page codec",
+          "count", lambda r: r["recovery"]["incremental_replays_fewer_pages"],
+          "=="),
+    Claim("checkpointed reboot recovers the full replay's state",
+          "log store/page codec", "count",
+          lambda r: r["recovery"]["recovered_state_identical"], "=="),
+    Claim("reboot modes", "log store/page codec", "count",
+          lambda r: [r["recovery"]["incremental"]["mode"],
+                     r["recovery"]["full_replay"]["mode"]], "==",
+          ["checkpoint", "full"]),
+    Claim("incremental GC reclaims pages", "log store/page codec", "count",
+          lambda r: r["recovery"]["maintenance"]["pages_reclaimed"], ">", 0),
+    # a day of checkpoints at two cadences
+    Claim("checkpoint chain recovers to the full replay",
+          "log store/page codec", "count",
+          lambda r: r["checkpoint_cadence"]["recovered_identical"], "=="),
+    Claim("a day of checkpoints within 1.25x one full image",
+          "log store/page codec", "count",
+          lambda r: max(row["checkpoint_pages_total"] / row["full_image_pages"]
+                        for row in _cadence(r)), "<=", 1.25),
+    Claim("largest checkpoint below one full image", "log store/page codec",
+          "count", lambda r: max(row["checkpoint_pages_max"]
+                                 / row["full_image_pages"]
+                                 for row in _cadence(r)), "<", 1),
+    Claim("one base checkpoint, then only deltas", "log store/page codec",
+          "count", lambda r: all(
+              row["checkpoints_by_kind"] == {
+                  "base|first": 1, "delta|ok": row["checkpoints"] - 1}
+              for row in _cadence(r)), "=="),
+    Claim("three deltas a day at least", "log store/page codec", "count",
+          lambda r: min(row["checkpoints"] - 1 for row in _cadence(r)),
+          ">=", 3),
+    Claim("no checkpoint-region erase", "log store/page codec", "count",
+          lambda r: max(row["region_block_erases"] for row in _cadence(r)),
+          "==", 0),
+    Claim("reboot folds every checkpoint segment", "log store/page codec",
+          "count", lambda r: all(row["reboot"]["checkpoint_segments"]
+                                 == row["checkpoints"]
+                                 for row in _cadence(r)), "=="),
+    # observability and the fault-free control
+    Claim("store observability schema", "log store/page codec", "count",
+          lambda r: r["observability"]["schema"], "==", 1),
+    Claim("store counters move", "log store/page codec", "count",
+          lambda r: min(r["observability"]["metrics"][name]["value"]
+                        for name in ("store.flush", "store.compaction",
+                                     "store.cache.hit", "store.cache.miss",
+                                     "store.recovery_pages")), ">", 0),
+    Claim("quiet vault-push control clean", "sim loop/network", "count",
+          lambda r: r["fault_control"]["no_fault_path_clean"], "=="),
+    Claim("flaky cloud injects faults", "sim loop/network", "count",
+          lambda r: next(row for row in r["fault_control"]["rows"]
+                         if row["profile"] == "flaky")["faults_injected"],
+          ">", 0),
+)
+
+
+# -- tier-1 smoke ------------------------------------------------------------
+
+
+def test_store_scale_smoke():
+    """Coarse-sampling run of the full pipeline, held to ``CLAIMS``;
+    keeps the bench alive under ``pytest -q
+    benchmarks/bench_store_scale.py --benchmark-disable`` without
+    rewriting the tracked JSON."""
+    report = smoke_report()
     json.dumps(report)  # must stay serializable
-
-    ingest = report["ingest"]
-    assert ingest["bit_for_bit_batch_equals_buffered_puts"]
-    assert ingest["meets_5x"] and ingest["batch_speedup_device"] >= 5
-    assert ingest["batch"]["page_writes"] < ingest["records_per_day"]
-    assert ingest["batch_month"]["records"] == (
-        SMOKE_MONTH_DAYS * ingest["records_per_day"]
-    )
-
-    columnar = report["columnar"]
-    assert columnar["ingest"]["bit_for_bit_columnar_equals_scalar"]
-    assert columnar["ingest"]["speedup_wall"] > 2.0
-    assert columnar["scan"]["rows_identical"]
-    assert columnar["scan"]["speedup_wall"] > 2.0
-    assert columnar["filtered_scan"]["rows_identical"]
-    for row in columnar["catalog_queries"].values():
-        assert row["results_identical"]
-    micro = columnar["micro_ops"]
-    assert micro["encode_bit_for_bit"] and micro["decode_rows_identical"]
-    hmac = columnar["hmac_per_page"]
-    assert hmac["per_frame_hmacs"] == 4 * hmac["frames_per_page"]
-    assert hmac["bundle_hmacs"] == 4
-    assert hmac["roundtrip_identical"]
-
-    queries = report["queries"]
-    assert queries["results_identical"]
-    assert queries["zonemap_reads_fewer_than_scan"]
-    assert queries["index"]["pages_read"] <= queries["zonemap_skip"]["pages_read"]
-    assert queries["index"]["plan"] == "range:t"
-
-    cache = report["page_cache"]
-    assert cache["warm_cheaper_than_cold"]
-    assert cache["hit_ratio"] > 0
-    assert cache["resident_pages"] <= cache["cache_pages"]
-
-    recovery = report["recovery"]
-    assert recovery["incremental_replays_fewer_pages"]
-    assert recovery["recovered_state_identical"]
-    assert recovery["incremental"]["mode"] == "checkpoint"
-    assert recovery["full_replay"]["mode"] == "full"
-    assert recovery["maintenance"]["pages_reclaimed"] > 0
-
-    cadence = report["checkpoint_cadence"]
-    assert cadence["recovered_identical"]
-    assert cadence["total_pages_within_1_25x_full_image"]
-    for row in cadence["rows"].values():
-        kinds = row["checkpoints_by_kind"]
-        assert kinds["base|first"] == 1
-        assert kinds["delta|ok"] == row["checkpoints"] - 1 >= 3
-        assert row["region_block_erases"] == 0
-        assert row["reboot"]["checkpoint_segments"] == row["checkpoints"]
-        assert row["checkpoint_pages_max"] < row["full_image_pages"]
-
-    observability = report["observability"]
-    assert observability["schema"] == 1
-    metrics = observability["metrics"]
-    for name in ("store.flush", "store.compaction", "store.cache.hit",
-                 "store.cache.miss", "store.recovery_pages"):
-        assert metrics[name]["value"] > 0, name
-
-    faults = report["fault_control"]
-    assert faults["no_fault_path_clean"]
-    flaky = next(row for row in faults["rows"] if row["profile"] == "flaky")
-    assert flaky["faults_injected"] > 0
-
-    # the tracked JSON must exist, parse, and hold the headline claims
-    tracked = json.loads(REPORT_PATH.read_text())
-    assert tracked["benchmark"] == "store_scale"
-    assert tracked["ingest"]["records_per_day"] == SECONDS_PER_DAY
-    assert tracked["ingest"]["batch_speedup_device"] >= 5
-    assert tracked["ingest"]["bit_for_bit_batch_equals_buffered_puts"]
-    tracked_columnar = tracked["columnar"]
-    assert tracked_columnar["ingest"]["speedup_wall"] >= 5
-    assert tracked_columnar["ingest"]["bit_for_bit_columnar_equals_scalar"]
-    assert tracked_columnar["scan"]["speedup_wall"] >= 5
-    assert tracked_columnar["scan"]["rows_identical"]
-    assert tracked_columnar["hmac_per_page"]["bundle_hmacs"] == 4
-    assert tracked_columnar["hmac_per_page"]["collapse_factor"] == (
-        tracked_columnar["hmac_per_page"]["frames_per_page"]
-    )
-    assert tracked["queries"]["zonemap_reads_fewer_than_scan"]
-    assert tracked["queries"]["results_identical"]
-    assert tracked["recovery"]["incremental_replays_fewer_pages"]
-    assert tracked["recovery"]["recovered_state_identical"]
-    assert tracked["checkpoint_cadence"]["recovered_identical"]
-    assert tracked["checkpoint_cadence"]["total_pages_within_1_25x_full_image"]
-    assert tracked["page_cache"]["hit_ratio"] > 0
-    assert tracked["observability"]["schema"] == 1
-    assert tracked["fault_control"]["no_fault_path_clean"]
+    assert_claims(CLAIMS, report, REPORT_PATH)
 
 
 if __name__ == "__main__":

@@ -115,6 +115,7 @@ def run(seed: int = 0, population: int = 300) -> list[Table]:
     )
     estimates, accounting = secure_quantiles(
         nodes, share_values, [0.25, 0.5, 0.75], low=0.0, high=1.0, buckets=32,
+        neighbors=32,  # the fleet's ring degree; no dropouts, sums exact
     )
     ordered = sorted(share_values.values())
     half_bucket = 1.0 / 32 / 2

@@ -12,8 +12,6 @@ the cumulative histogram with a ±bucket-width error bound.
 
 from __future__ import annotations
 
-import random
-
 from ..errors import ConfigurationError, ProtocolError
 from .aggregation import AggregationNode, AggregationResult, masked_histogram
 
@@ -98,7 +96,6 @@ def secure_median(
     high: float,
     buckets: int = 32,
     online: set[str] | None = None,
-    rng: random.Random | None = None,
 ) -> tuple[float, AggregationResult]:
     """Convenience wrapper: the 0.5-quantile."""
     estimates, accounting = secure_quantiles(

@@ -29,7 +29,7 @@ class AccessContext:
 
 
 class Condition:
-    """Base condition; subclasses are registered for deserialization."""
+    """Base condition; ``condition_from_dict`` rebuilds each kind."""
 
     kind = "base"
 
@@ -147,15 +147,6 @@ class AttributeEquals(Condition):
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "name": self.name, "value": self.value}
-
-
-_REGISTRY: dict[str, type] = {
-    TimeWindow.kind: TimeWindow,
-    HourOfDay.kind: HourOfDay,
-    LocationIn.kind: LocationIn,
-    PurposeIn.kind: PurposeIn,
-    AttributeEquals.kind: AttributeEquals,
-}
 
 
 def condition_from_dict(data: dict[str, Any]) -> Condition:
