@@ -179,6 +179,7 @@ def _build_cell(
     catalog = Catalog(
         NandFlash(TINY_FLASH, TINY_CAPACITY),
         zone_maps=layout != LAYOUT_SCAN,
+        page_cache_bytes=TINY_FLASH.pages_per_block * TINY_FLASH.page_size,
     )
     energy = catalog.collection("energy")
     if layout == LAYOUT_INDEX:

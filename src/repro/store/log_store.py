@@ -29,10 +29,13 @@ Each store decision is written once:
   prune, pages in order, entries by offset) serves ``scan`` /
   ``scan_range`` (per-record decode, the reference) and one chunk
   decoder (pages through :func:`~repro.store.encoding.decode_page`)
-  behind ``scan_batches``, ``fetch_batches`` and ``get_many``; one
-  wrapper names record, page, block and offset on any decode failure.
+  behind ``scan_batches``, ``fetch_batches`` and ``get_many``, which
+  gathers the rows a resident page kept instead of decoding them
+  again; one wrapper names record, page, block and offset on any
+  decode failure. The write buffer answers from the records it holds.
 
-Around them: an optional bounded LRU page cache, per-block zone maps
+Around them: an optional bounded LRU page cache (page images and the
+rows decoded from them, :mod:`~repro.store.page_cache`), per-block zone maps
 (:mod:`~repro.store.zonemap`), and a chain of checkpoint segments (one
 base, then deltas that cost what changed) in a reserved region so a
 reboot replays only the pages written since the last of them.
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import (
     CapacityError,
@@ -66,7 +69,7 @@ from .encoding import (
     lane_plan,
     lane_plan_for_batch,
 )
-from .page_cache import PageCache
+from .page_cache import KeptRow, PageCache
 from .zonemap import BlockSummary
 
 _ENTRY_INSERT = 1
@@ -105,6 +108,33 @@ class _BatchRows:
             self._batch, self._base, self._base + self._count)
 
 
+def _kept_rows(batch: ColumnBatch, start: int, end: int) -> list[KeptRow]:
+    """Rows ``start:end`` of a decoded batch as the page cache keeps
+    them: immutable ``(fields, values)`` pairs, fields sorted like the
+    decoders'. A columnar slice is one zip, not a dict per row."""
+    names = batch.fields
+    if names and not batch.scalar_rows:
+        return list(zip(repeat(names), zip(*(
+            batch.columns[name][start:end] for name in names))))
+    return [(tuple(row), tuple(row.values()))
+            for row in map(batch.row, range(start, end))]
+
+
+def _gathered(rows: list[KeptRow]) -> ColumnBatch:
+    """A fresh batch over kept rows: their columns when every row has
+    the same fields and there are enough of them for the vector lane to
+    pay (the bar :func:`~repro.store.encoding.decode_page` sets), dicts
+    built from them otherwise."""
+    fields = rows[0][0]
+    if len(rows) >= COLUMNAR_MIN_BATCH and all(
+            names is fields or names == fields for names, _ in rows):
+        return ColumnBatch(len(rows), fields, {
+            name: [values[at] for _, values in rows]
+            for at, name in enumerate(fields)})
+    return ColumnBatch.from_records(
+        [dict(zip(names, values)) for names, values in rows])
+
+
 # Store instruments live on the process-default scope (stores have no
 # world). Bind the instruments, not their values: the test fixture
 # resets the registry in place between tests.
@@ -130,10 +160,12 @@ _INGEST_CHUNKS = _OBS.metrics.counter(
          "oversize_frame)")
 _DECODE_ROWS = _OBS.metrics.counter(
     "store.decode.rows", labelnames=("lane",),
-    help="rows the chunk decoder (scans and index fetches) decoded, by "
-         "decode_page lane (scalar = rows that fell back to decode_record)")
+    help="rows the chunk decoder (scans and index fetches) handed out, by "
+         "lane: decoded by decode_page (columnar; scalar = rows that fell "
+         "back to decode_record) or gathered from the page cache (kept)")
 _DECODE_SCALAR = _DECODE_ROWS.labels(lane="scalar")
 _DECODE_COLUMNAR = _DECODE_ROWS.labels(lane="columnar")
+_DECODE_KEPT = _DECODE_ROWS.labels(lane="kept")
 
 _CKPT_MAGIC = b"\xc4\x4b"
 _CKPT_HEADER_BYTES = 16  # magic(2) + id(8) + chunk(2) + total(2) + length(2)
@@ -184,7 +216,7 @@ class LogStructuredStore:
     ``checkpoint_interval_pages`` committed pages; ``zone_maps=False``
     turns off field summaries (block fingerprints are kept regardless —
     incremental recovery needs them); ``integrity_key`` adds one HMAC
-    tag per data page, verified on every page read.
+    tag per data page, verified whenever the page is read from flash.
     """
 
     def __init__(self, flash: NandFlash, ram_budget_bytes: int | None = None,
@@ -229,7 +261,8 @@ class LogStructuredStore:
         self._directory: dict[str, tuple[int, int, int]] = {}
         self._buffer = bytearray()
         # id, kind, payload offset on the page-to-be, payload length,
-        # record (inserts carry theirs: zone maps fold it at the flush)
+        # record (inserts carry a snapshot of theirs: zone maps fold it
+        # at the flush, get serves a copy of it)
         self._buffer_entries: list[
             tuple[str, int, int, int, Record | None]
         ] = []
@@ -258,7 +291,7 @@ class LogStructuredStore:
         self._ram_budget = ram_budget_bytes
         self._batch_scratch_bytes = 0
         # Optional page-granular integrity: one HMAC tag per flushed
-        # data page, RAM-resident, verified on every page read. One
+        # data page, RAM-resident, verified on every read from flash. One
         # MAC amortized over a page's worth of frames instead of one
         # per record — the batched crypto cost model.
         self._integrity_key = integrity_key
@@ -321,8 +354,8 @@ class LogStructuredStore:
 
     @property
     def ram_bytes(self) -> int:
-        """Everything the store holds in RAM (cache pages, in-flight
-        batch scratch and integrity tags included)."""
+        """Everything the store holds in RAM (cache pages and their kept
+        rows, in-flight batch scratch and integrity tags included)."""
         cache = self.page_cache.ram_bytes if self.page_cache is not None else 0
         return (
             self.directory_ram_bytes + self.summaries_ram_bytes + cache
@@ -353,11 +386,22 @@ class LogStructuredStore:
 
     # -- cached device reads --------------------------------------------------
 
-    def _read_page(self, page: int) -> bytes:
-        if self.page_cache is not None:
-            data = self.page_cache.read_page(page)
-        else:
-            data = self.flash.read_page(page)
+    def _read_page(
+        self, page: int,
+    ) -> tuple[bytes, Mapping[int, KeptRow] | None]:
+        """``(image, kept rows)`` of a page: through the page cache when
+        there is one — a resident page is trusted RAM, verified when it
+        was loaded, and brings the rows kept from it — else ``None``
+        for the rows."""
+        if self.page_cache is None:
+            return self._load_page(page), None
+        return self.page_cache.read(page, (
+            self.flash.read_page if self._integrity_key is None
+            else self._load_page))
+
+    def _load_page(self, page: int) -> bytes:
+        """One device read, verified against the page's integrity tag."""
+        data = self.flash.read_page(page)
         if self._integrity_key is not None:
             tag = self._page_tags.get(page)
             if tag is not None and not self._verify_hmac(
@@ -525,8 +569,11 @@ class LogStructuredStore:
     # -- public API ---------------------------------------------------------
 
     def put(self, record_id: str, record: Record) -> None:
-        """Insert or replace the record stored under ``record_id``."""
-        self._append(_ENTRY_INSERT, record_id, encode_record(record), record)
+        """Insert or replace the record stored under ``record_id``. The
+        store keeps a snapshot: changing ``record`` afterwards changes
+        nothing stored."""
+        self._append(
+            _ENTRY_INSERT, record_id, encode_record(record), dict(record))
         self.inserts += 1
 
     def insert_many(self, items: Iterable[tuple[str, Record]]) -> int:
@@ -633,8 +680,8 @@ class LogStructuredStore:
     def _buffer_frames(self, record_ids, records, run, first: int,
                        take: int) -> None:
         """Buffer ``take`` pre-encoded frames of ``run`` that the caller
-        knows fit, with their records (zone maps fold them at the
-        flush, like :meth:`_append`'s entries)."""
+        knows fit, with snapshots of their records (zone maps fold them
+        at the flush, like :meth:`put`'s)."""
         buffer = self._buffer
         entries = self._buffer_entries
         buffered = self._buffered
@@ -646,7 +693,7 @@ class LogStructuredStore:
             buffered[record_id] = len(entries)
             entries.append(
                 (record_id, _ENTRY_INSERT, offset, run.payload_len,
-                 records[index])
+                 dict(records[index]))
             )
             offset += frame_len
         self.inserts += take
@@ -916,11 +963,12 @@ class LogStructuredStore:
         return by_page
 
     def _walk_pages(self, by_page):
-        """The one page walk: pages in order, each read once, its
+        """The one page walk: pages in order, each read once, with the
+        rows kept from it (``None`` unless it was resident) and its
         ``(record_id, offset, length)`` entries in log order."""
         for page in sorted(by_page):
-            yield page, self._read_page(page), sorted(
-                by_page[page], key=itemgetter(1))
+            data, kept = self._read_page(page)
+            yield page, data, kept, sorted(by_page[page], key=itemgetter(1))
 
     def _buffered_tail(self, entry_ids: list[str]) -> list[tuple[str, Record]]:
         """Live records among the ids a scan found buffered at its start."""
@@ -931,12 +979,15 @@ class LogStructuredStore:
 
     def get(self, record_id: str) -> Record:
         """Fetch the latest version of a record (one page read, unless
-        the record is still in the write buffer)."""
+        the record is still in the write buffer: then a copy of the
+        record the buffer holds)."""
         index = self._buffered.get(record_id)
         if index is not None:
-            _, kind, offset, length, _ = self._buffer_entries[index]
+            _, kind, offset, length, record = self._buffer_entries[index]
             if kind == _ENTRY_DELETE:
                 raise NotFoundError(f"no record {record_id!r}")
+            if record is not None:
+                return dict(record)
             offset -= self._PAGE_HEADER_BYTES
             return decode_record(
                 bytes(self._buffer[offset : offset + length]),
@@ -947,7 +998,7 @@ class LogStructuredStore:
             raise NotFoundError(f"no record {record_id!r}")
         page, offset, length = location
         return self._decode_at(
-            self._read_page(page), record_id, page, offset, length)
+            self._read_page(page)[0], record_id, page, offset, length)
 
     def fetch_batches(
         self, record_ids: Iterable[str],
@@ -1023,7 +1074,7 @@ class LogStructuredStore:
         are disabled or ``field`` is ``None``.
         """
         tail = sorted(self._buffered)
-        for page, data, entries in self._walk_pages(
+        for page, data, _, entries in self._walk_pages(
             self._locations_by_page(field, low, high)
         ):
             for record_id, offset, length in entries:
@@ -1062,39 +1113,87 @@ class LogStructuredStore:
         self, by_page: dict[int, list[tuple[str, int, int]]],
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
         """The one chunk decoder: walk ``by_page`` a chunk of pages at
-        a time through :func:`encoding.decode_page`. Chunk size shrinks
-        with the RAM budget headroom so decode scratch stays charged
-        but bounded."""
+        a time. A chunk found resident in the page cache, every page of
+        it, is :meth:`_gather`'s; any other chunk — one page or more
+        read from flash — is one :meth:`_decode`, so a cold walk that
+        meets a few resident pages pays nothing for them. Chunk size
+        shrinks with the RAM budget headroom so decode scratch stays
+        charged but bounded."""
         at_once = self._SCAN_CHUNK_PAGES
         headroom = self._ram_headroom()
         if headroom is not None:
             at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
         walk = self._walk_pages(by_page)
         while chunk := list(islice(walk, at_once)):
-            self._batch_scratch_bytes = 3 * len(chunk) * self._page_size
-            try:
-                record_ids = [
-                    entry[0] for _, _, entries in chunk for entry in entries
-                ]
-                try:
-                    batch = decode_page([
-                        data[offset : offset + length]
-                        for _, data, entries in chunk
-                        for _, offset, length in entries
-                    ])
-                except StorageError:
-                    # Error path only: decode record by record so the
-                    # failure is located like every other read's.
-                    for page, data, entries in chunk:
-                        for record_id, offset, length in entries:
-                            self._decode_at(
-                                data, record_id, page, offset, length)
-                    raise
-            finally:
-                self._batch_scratch_bytes = 0
-            _DECODE_SCALAR.inc(len(batch.scalar_rows))
-            _DECODE_COLUMNAR.inc(batch.count - len(batch.scalar_rows))
-            yield record_ids, batch
+            record_ids = [
+                entry[0] for _, _, _, entries in chunk for entry in entries
+            ]
+            if all(kept is not None for _, _, kept, _ in chunk):
+                yield record_ids, self._gather(chunk)
+            else:
+                yield record_ids, self._decode(chunk)
+
+    def _decode(self, pages) -> ColumnBatch:
+        """One :func:`encoding.decode_page` call over the entries of
+        ``pages`` (walked ``(page, image, kept, entries)``), its
+        scratch charged meanwhile."""
+        self._batch_scratch_bytes = 3 * len(pages) * self._page_size
+        try:
+            batch = decode_page([
+                data[offset : offset + length]
+                for _, data, _, entries in pages
+                for _, offset, length in entries
+            ])
+        except StorageError:
+            # Error path only: decode record by record so the failure is
+            # located like every other read's.
+            for page, data, _, entries in pages:
+                for record_id, offset, length in entries:
+                    self._decode_at(data, record_id, page, offset, length)
+            raise
+        finally:
+            self._batch_scratch_bytes = 0
+        _DECODE_SCALAR.inc(len(batch.scalar_rows))
+        _DECODE_COLUMNAR.inc(batch.count - len(batch.scalar_rows))
+        return batch
+
+    def _gather(self, chunk) -> ColumnBatch:
+        """A chunk of resident pages: the rows kept from them are
+        gathered, the other entries go through one :meth:`_decode`, and
+        what that decoded is handed to the cache to keep. The batch
+        returned is the decoded one when nothing was kept yet, else a
+        fresh one (:func:`_gathered`)."""
+        rows: list[KeptRow | None] = []
+        todo = []  # (page, image, kept, entries) still to decode
+        for page, data, kept, entries in chunk:
+            found = [kept.get(offset) for _, offset, _ in entries]
+            rows += found
+            if None in found:
+                todo.append((page, data, kept, [
+                    entry for entry, row in zip(entries, found)
+                    if row is None]))
+        if not todo:
+            _DECODE_KEPT.inc(len(rows))
+            return _gathered(rows)
+        batch = self._decode(todo)
+        self._keep(todo, batch)
+        if batch.count == len(rows):  # nothing was kept yet
+            return batch
+        _DECODE_KEPT.inc(len(rows) - batch.count)
+        fresh = iter(_kept_rows(batch, 0, batch.count))
+        return _gathered(
+            [next(fresh) if row is None else row for row in rows])
+
+    def _keep(self, pages, batch: ColumnBatch) -> None:
+        """Hand the page cache the rows ``batch`` decoded off resident
+        ``pages`` (in their entries' order)."""
+        position = 0
+        for page, _, _, entries in pages:
+            end = position + len(entries)
+            self.page_cache.keep(page, dict(zip(
+                map(itemgetter(1), entries),
+                _kept_rows(batch, position, end))))
+            position = end
 
     def __len__(self) -> int:
         return len(self.record_ids())
@@ -1174,7 +1273,7 @@ class LogStructuredStore:
             record_id
             for page in range(first, first + summary.pages)
             for record_id, kind, _, _, _ in self._page_entries(
-                page, self._read_page(page))
+                page, self._read_page(page)[0])
             if kind == _ENTRY_DELETE
         }
         return sorted(ids.difference(self._directory))

@@ -622,6 +622,7 @@ OPS = st.one_of(
     st.tuples(st.just("delete"), st.integers(0, 10**6)),
     st.tuples(st.just("insert_many"), ROWS),
     st.tuples(st.just("insert_batch"), ROWS),
+    st.tuples(st.just("read"), st.integers(0, 10**6)),
 )
 
 
@@ -632,14 +633,19 @@ OPS = st.one_of(
     interval=st.sampled_from([None, 3]),
     zone_maps=st.booleans(),
     integrity_key=st.sampled_from([None, b"k" * 32]),
+    page_cache_bytes=st.sampled_from([None, 4 * PROPERTY_TIMINGS.page_size]),
 )
 def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
-                                           zone_maps, integrity_key):
-    """Random histories against a dict: after every reboot the store
-    scans to the model and the chain recovery is the full replay's."""
+                                           zone_maps, integrity_key,
+                                           page_cache_bytes):
+    """Random histories against a dict: every read (a ``get`` and a
+    columnar scan — with a page cache, rows kept across flushes,
+    compactions and reboots) and, after every reboot, a scan match the
+    model, and the chain recovery is the full replay's."""
     options = dict(
         checkpoint_blocks=checkpoint_blocks, zone_maps=zone_maps,
         checkpoint_interval_pages=interval, integrity_key=integrity_key,
+        page_cache_bytes=page_cache_bytes,
     )
     flash = NandFlash(
         PROPERTY_TIMINGS, capacity_bytes=1024 * PROPERTY_TIMINGS.page_size)
@@ -688,6 +694,14 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
             store.compact_incremental(max_victims=2)
         elif kind == "compact":
             store.compact()
+        elif kind == "read":
+            if model:
+                record_id = sorted(model)[op[1] % len(model)]
+                assert store.get(record_id) == model[record_id]
+            scanned = {}
+            for chunk_ids, batch in store.scan_batches():
+                scanned.update(zip(chunk_ids, batch.rows()))
+            assert scanned == model
         elif kind == "reboot":
             store = reboot()
 

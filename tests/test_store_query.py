@@ -28,9 +28,9 @@ TIMINGS = FlashTimings(
 )
 
 
-def make_catalog(pages=512):
+def make_catalog(pages=512, **options):
     flash = NandFlash(TIMINGS, capacity_bytes=pages * TIMINGS.page_size)
-    return Catalog(flash)
+    return Catalog(flash, **options)
 
 
 def seeded_catalog():
@@ -429,9 +429,9 @@ class TestAggregation:
         assert row["avg(v)"] == pytest.approx(sum(values) / len(values))
 
 
-def meter_catalog(indexed, rows=120):
+def meter_catalog(indexed, rows=120, **options):
     """A flushed single-collection catalog of uniform meter rows."""
-    catalog = make_catalog()
+    catalog = make_catalog(**options)
     meter = catalog.collection("m")
     if indexed:
         meter.create_ordered_index("t")
@@ -520,10 +520,64 @@ class TestAggregateLaneIsCounted:
         catalog.query(Query("m", where=window))  # no aggregate: no count
         assert counter_labels("store.query.aggregate") == expected
 
+    def test_a_warm_cache_serves_kept_rows_in_the_same_lanes(self):
+        """Flushed pages are resident: the first read of an entry
+        decodes it and the cache keeps the row, every later read
+        gathers it (the kept lane) — into columns where decode_page
+        would have built them, as scalar rows below its bar."""
+        catalog = meter_catalog(True, page_cache_bytes=64 * TIMINGS.page_size)
+        total = [Aggregate("sum", "w")]
+        window, few = Between("t", 600, 3600), Between("t", 60, 180)
+        results = [catalog.query(Query("m", where=where, aggregates=total))
+                   for where in (window, window, few, few)]
+        assert counter_labels("store.decode.rows") == {
+            "columnar": 51, "scalar": 3, "kept": 51 + 3}
+        assert counter_labels("store.query.aggregate") == {
+            "folded|ok": 2, "materialised|scalar_rows": 2}
+        assert results[0].rows == results[1].rows
+        assert results[2].rows == results[3].rows
+
+
+class TestZoneMapsFoldWhatWasWritten:
+    """The store holds a snapshot of every record it buffers: changing
+    the caller's dict afterwards reaches neither a read nor the zone
+    map the flush folds."""
+
+    def test_put(self):
+        catalog = make_catalog()
+        meter = catalog.collection("m")
+        record = {"t": 5}
+        meter.insert("a", record)
+        record["t"] = 1000
+        catalog.store.flush()
+        assert meter.get("a") == {"t": 5}
+        result = catalog.query(Query("m", where=Between("t", 0, 10)))
+        assert (result.plan, result.rows) == ("zonemap:t", [{"t": 5}])
+
+    def test_insert_many_buffered_tail(self):
+        catalog = make_catalog()
+        meter = catalog.collection("m")
+        rows = [(f"{index:02d}", {"t": index}) for index in range(20)]
+        meter.insert_many(rows)  # one columnar chunk, all in the buffer
+        for _, record in rows:
+            record["t"] += 1000
+        catalog.store.flush()
+        result = catalog.query(Query("m", where=Between("t", 0, 19)))
+        assert result.plan == "zonemap:t"
+        assert result.rows == [{"t": index} for index in range(20)]
+
+
+def cache_contents(cache):
+    """What a page cache holds, by value: images and kept rows."""
+    return {page: (image, dict(cache._rows.get(page, {})))
+            for page, image in cache._pages.items()}
+
 
 class TestResultRowsArePrivate:
     """Rows are built once, from a batch nothing else holds: mutating
-    one result reaches neither a second run nor the page cache."""
+    one result reaches neither a later run nor the page cache — not
+    the run whose rows the cache kept, nor the runs served from them —
+    and a record read out of the write buffer is a copy."""
 
     @pytest.mark.parametrize("where, plan", [
         (Between("t", 600, 3600), "range:t"),       # columnar chunk
@@ -541,16 +595,24 @@ class TestResultRowsArePrivate:
             for index in range(120))
         meter.insert("9999", {"t": 720, "w": 2.0, "tags": "buffered"})
         query = Query("m", where=where)
-        first = catalog.query(query)
-        assert first.plan == plan and first.rows
-        pristine = [dict(row) for row in first.rows]
-        cached = dict(catalog.store.page_cache._pages)
-        for row in first.rows:
-            row["w"] = "mutated"
-            row["extra"] = 1
-            del row["t"]
+        cache = catalog.store.page_cache
+        pristine = None
+        for _ in range(3):  # decode and keep, then gather twice
+            result = catalog.query(query)
+            assert result.plan == plan and result.rows
+            if pristine is None:
+                pristine = [dict(row) for row in result.rows]
+            assert result.rows == pristine
+            held = cache_contents(cache)
+            for row in result.rows:
+                row["w"] = "mutated"
+                row["extra"] = 1
+                del row["t"]
+            assert cache_contents(cache) == held
         assert catalog.query(query).rows == pristine
-        assert catalog.store.page_cache._pages == cached
+        assert counter_labels("store.decode.rows")["kept"] > 0
+        buffered = meter.get("9999")
+        buffered["w"] = "mutated"
         assert meter.get("9999") == {"t": 720, "w": 2.0, "tags": "buffered"}
         assert all(a is not b for a, b in
                    zip(catalog.query(query).rows, catalog.query(query).rows))
