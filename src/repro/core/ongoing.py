@@ -17,6 +17,7 @@ audited as ``stream-revoked``.
 from __future__ import annotations
 
 from ..errors import AccessDenied, ConfigurationError
+from ..policy.conditions import describe
 from .cell import Session, TrustedCell
 
 
@@ -71,18 +72,18 @@ class OngoingUse:
 
     def _recheck(self) -> None:
         context = self.session.context()  # fresh timestamp/location
-        for condition in self._policy.conditions:
-            if not condition.evaluate(context):
-                self._revoked = True
-                self.cell.audit.append(
-                    self.cell.world.now, context.subject, self.object_id,
-                    "stream-revoked", False,
-                    reason=f"ongoing condition failed: {condition.describe()}",
-                )
-                raise AccessDenied(
-                    f"ongoing use of {self.object_id!r} revoked: "
-                    f"{condition.describe()}"
-                )
+        failed = self._policy.failed_condition(context)
+        if failed is None:
+            return
+        self._revoked = True
+        self.cell.audit.append(
+            self.cell.world.now, context.subject, self.object_id,
+            "stream-revoked", False,
+            reason=f"ongoing condition failed: {describe(failed)}",
+        )
+        raise AccessDenied(
+            f"ongoing use of {self.object_id!r} revoked: {describe(failed)}"
+        )
 
     def read_chunk(self) -> bytes:
         """The next chunk, after re-evaluating ongoing conditions.

@@ -54,8 +54,6 @@ from .spec import (
     TRANSFORMS,
     FedQuerySpec,
     plan_kind,
-    predicate_from_wire,
-    predicate_to_wire,
     wire_size,
 )
 
@@ -92,8 +90,6 @@ __all__ = [
     "open_records",
     "open_release",
     "plan_kind",
-    "predicate_from_wire",
-    "predicate_to_wire",
     "recipient_key",
     "run_traffic",
     "seal_records",

@@ -186,18 +186,31 @@ class CellQueryAgent:
         except CellOfflineError:
             pass  # the coordinator's re-ask machinery owns this failure
 
+    def _dropped(self, reason: str) -> None:
+        """Count a message dropped unparsed (the wire is untrusted)."""
+        self.world.obs.metrics.counter(
+            "fedquery.cell.dropped", labelnames=("reason",),
+            help="plan/recover messages a cell could not parse",
+        ).labels(reason=reason).inc()
+
     def _on_plan(self, message: dict[str, Any]) -> None:
-        tag = message["tag"]
-        cached = self._partials.get(tag)
+        try:
+            tag, reply_to = message["tag"], message["reply_to"]
+            cached = self._partials.get(tag)
+            if cached is None:
+                spec = FedQuerySpec.from_wire(message["spec"])
+                # The plan's own roster, by reference: ``plan_message``
+                # made it a tuple, and a copy per cell per query is
+                # O(N²) a flat query.
+                roster = message["roster"]
+        except (KeyError, TypeError, ProtocolError):
+            self._dropped("malformed-plan")
+            return
         if cached is not None:
             # Duplicate delivery or coordinator re-ask: replay verbatim.
-            self._reply(message["reply_to"], cached)
+            self._reply(reply_to, cached)
             return
-        spec = FedQuerySpec.from_wire(message["spec"])
-        # The plan's own roster, by reference: ``plan_message`` made it
-        # a tuple, and a copy per cell per query is O(N²) a flat query.
-        roster = message["roster"]
-        self._egress(tag, spec, message["reply_to"], {
+        self._egress(tag, spec, reply_to, {
             "roster": roster,
             "round_tag": message.get("round_tag", tag),
             "neighbors": message.get("neighbors"),
@@ -272,8 +285,13 @@ class CellQueryAgent:
         self._reply(reply_to, partial)
 
     def _on_recover(self, message: dict[str, Any]) -> None:
-        tag = message["tag"]
-        context = self._rounds.get(tag)
+        try:
+            tag, round_index = message["tag"], message["round"]
+            reply_to, missing = message["reply_to"], set(message["missing"])
+            context = self._rounds.get(tag)
+        except (KeyError, TypeError):
+            self._dropped("malformed-recover")
+            return
         if context is None:
             # Never contributed a value: nothing of ours is in the
             # total, so there is nothing to unmask. Stay silent; the
@@ -281,9 +299,9 @@ class CellQueryAgent:
             return
         net = gate.net_recovery_mask(
             self.node, self.directory, context["roster"],
-            context["round_tag"], list(message["missing"]),
+            context["round_tag"], missing,
             neighbors=context["neighbors"],
             positions=context["positions"], size=context["global_size"],
         )
-        reply = mask_message(tag, self.name, message["round"], net)
-        self._reply(message["reply_to"], reply)
+        reply = mask_message(tag, self.name, round_index, net)
+        self._reply(reply_to, reply)

@@ -2,11 +2,11 @@
 
 A :class:`FedQuerySpec` is the unit the coordinator ships to a fleet:
 one local query (predicate tree + aggregate or projection, reusing the
-:mod:`repro.store.query` types) plus the commons contract — recipient,
-purpose, transformation, privacy parameters. Everything serializes to
-plain JSON-able dicts so a plan can cross the simulated network the
-same way sealed blobs and share offers do (``docs/fedquery.md`` is the
-wire reference).
+:mod:`repro.store.query` types and their wire codec) plus the commons
+contract — recipient, purpose, transformation, privacy parameters.
+Everything serializes to plain JSON-able dicts so a plan can cross the
+simulated network the same way sealed blobs and share offers do
+(``docs/fedquery.md`` is the wire reference).
 
 The transformation names are the canonical ones the orchestrator has
 always used; :mod:`repro.commons.orchestrator` re-exports them from
@@ -23,17 +23,10 @@ from ..errors import ConfigurationError, ProtocolError
 from ..store.query import (
     MATCH_ALL,
     Aggregate,
-    And,
-    Between,
-    Contains,
-    Eq,
-    HasKeyword,
-    Ne,
-    Not,
-    Or,
     Predicate,
     Query,
-    TruePredicate,
+    predicate_from_wire,
+    predicate_to_wire,
 )
 
 TRANSFORM_DP = "aggregate-dp"
@@ -44,73 +37,6 @@ TRANSFORMS = (TRANSFORM_DP, TRANSFORM_KANON, TRANSFORM_EXACT)
 #: Aggregates a cell may compute locally for the numeric transforms.
 #: Only additive functions survive masked summation.
 NUMERIC_AGGREGATES = ("sum", "count")
-
-
-# -- predicate wire codec ----------------------------------------------------
-
-
-def predicate_to_wire(predicate: Predicate) -> dict[str, Any]:
-    """Serialize a predicate tree to a JSON-able dict."""
-    if isinstance(predicate, TruePredicate):
-        return {"op": "all"}
-    if isinstance(predicate, Eq):
-        return {"op": "eq", "field": predicate.field, "value": predicate.value}
-    if isinstance(predicate, Ne):
-        return {"op": "ne", "field": predicate.field, "value": predicate.value}
-    if isinstance(predicate, Between):
-        return {
-            "op": "between", "field": predicate.field,
-            "low": predicate.low, "high": predicate.high,
-        }
-    if isinstance(predicate, Contains):
-        return {
-            "op": "contains", "field": predicate.field,
-            "needle": predicate.needle,
-        }
-    if isinstance(predicate, HasKeyword):
-        return {
-            "op": "keyword", "field": predicate.field,
-            "terms": list(predicate.terms),
-        }
-    if isinstance(predicate, And):
-        return {
-            "op": "and",
-            "children": [predicate_to_wire(child) for child in predicate.children],
-        }
-    if isinstance(predicate, Or):
-        return {
-            "op": "or",
-            "children": [predicate_to_wire(child) for child in predicate.children],
-        }
-    if isinstance(predicate, Not):
-        return {"op": "not", "child": predicate_to_wire(predicate.child)}
-    raise ConfigurationError(
-        f"predicate {type(predicate).__name__} has no wire form"
-    )
-
-
-def predicate_from_wire(data: dict[str, Any]) -> Predicate:
-    """Rebuild a predicate tree from its wire form."""
-    op = data.get("op")
-    if op == "all":
-        return MATCH_ALL
-    if op == "eq":
-        return Eq(data["field"], data["value"])
-    if op == "ne":
-        return Ne(data["field"], data["value"])
-    if op == "between":
-        return Between(data["field"], data.get("low"), data.get("high"))
-    if op == "contains":
-        return Contains(data["field"], data["needle"])
-    if op == "keyword":
-        return HasKeyword(data["field"], tuple(data["terms"]))
-    if op == "and":
-        return And(*[predicate_from_wire(child) for child in data["children"]])
-    if op == "or":
-        return Or(*[predicate_from_wire(child) for child in data["children"]])
-    if op == "not":
-        return Not(predicate_from_wire(data["child"]))
-    raise ProtocolError(f"unknown predicate op {op!r} on the wire")
 
 
 # -- the query spec ----------------------------------------------------------
@@ -204,22 +130,28 @@ class FedQuerySpec:
         return wire
 
     @classmethod
-    def from_wire(cls, data: dict[str, Any]) -> "FedQuerySpec":
-        project = data.get("project")
-        return cls(
-            recipient=data["recipient"],
-            purpose=data["purpose"],
-            transform=data["transform"],
-            collection=data["collection"],
-            where=predicate_from_wire(data["where"]),
-            value_field=data.get("value_field", "value"),
-            aggregate=data.get("aggregate", "sum"),
-            project=tuple(project) if project is not None else None,
-            epsilon=data.get("epsilon", 1.0),
-            k=data.get("k", 5),
-            scale=data.get("scale", 1),
-            min_cohort=data.get("min_cohort", 2),
-        )
+    def from_wire(cls, data: Any) -> "FedQuerySpec":
+        """Rebuild a spec from its wire form; malformed input of any
+        shape raises :class:`ProtocolError` (the wire is untrusted)."""
+        try:
+            project = data.get("project")
+            return cls(
+                recipient=data["recipient"],
+                purpose=data["purpose"],
+                transform=data["transform"],
+                collection=data["collection"],
+                where=predicate_from_wire(data["where"]),
+                value_field=data.get("value_field", "value"),
+                aggregate=data.get("aggregate", "sum"),
+                project=tuple(project) if project is not None else None,
+                epsilon=data.get("epsilon", 1.0),
+                k=data.get("k", 5),
+                scale=data.get("scale", 1),
+                min_cohort=data.get("min_cohort", 2),
+            )
+        except (AttributeError, KeyError, TypeError,
+                ConfigurationError) as exc:
+            raise ProtocolError(f"malformed query spec: {exc}") from exc
 
 
 # -- message kinds -----------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Access & usage control: conditions, UCON-ABC, sticky policies, audit."""
+"""Access & usage control: conditions (store predicates over the access
+context), UCON-ABC, sticky policies, audit."""
 
 from .audit import AuditEntry, AuditLog
 from .conditions import (
     AccessContext,
     AttributeEquals,
-    Condition,
     HourOfDay,
     LocationIn,
     PurposeIn,
     TimeWindow,
-    condition_from_dict,
 )
 from .presets import (
     PackPublisher,
@@ -40,12 +39,10 @@ __all__ = [
     "AuditLog",
     "AccessContext",
     "AttributeEquals",
-    "Condition",
     "HourOfDay",
     "LocationIn",
     "PurposeIn",
     "TimeWindow",
-    "condition_from_dict",
     "PackPublisher",
     "PolicyPack",
     "bind_template",

@@ -20,7 +20,6 @@ from typing import Any
 
 from ..crypto.signing import Signature, SigningKey, VerifyKey
 from ..errors import ConfigurationError, CredentialError, PolicyError
-from .conditions import condition_from_dict
 from .ucon import Grant, Obligation, UsagePolicy
 
 _TEMPLATE_OWNER = "__owner__"  # placeholder bound at store time

@@ -9,17 +9,18 @@ A :class:`UsagePolicy` bundles:
 
 * **Authorizations** — which subjects (by id or by verified attribute)
   hold which rights;
-* **Conditions** — environment predicates from
-  :mod:`repro.policy.conditions`;
+* **Conditions** — store predicates over the access context
+  (:mod:`repro.policy.conditions`), all of which must match;
 * **oBligations** — actions the enforcing cell must perform
   (notify the owner, write an audit record);
 * **Mutability** — a per-subject use budget (the "photo could be
   accessed ten times" of footnote 6).
 
-Policies serialize to a canonical byte form so they can be bound to
-their payload ("cryptographically inseparable") by the sticky-policy
-layer, and evaluated identically by *any* trusted cell — in particular
-by the recipient's cell, which is what makes bypass impossible.
+Policies serialize to a canonical byte form — conditions through the
+store's one predicate codec — so they can be bound to their payload
+("cryptographically inseparable") by the sticky-policy layer, and
+evaluated identically by *any* trusted cell — in particular by the
+recipient's cell, which is what makes bypass impossible.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import PolicyError
+from ..errors import PolicyError, ProtocolError
 from ..obs import get_default as _obs_default
-from .conditions import AccessContext, Condition, condition_from_dict
+from ..store.query import Predicate, predicate_from_wire, predicate_to_wire
+from .conditions import AccessContext, describe
 
 # Policies are evaluated by whichever cell enforces them and carry no
 # world reference, so decisions land in the process-default scope.
@@ -136,9 +138,15 @@ class UsagePolicy:
 
     owner: str
     grants: tuple[Grant, ...] = ()
-    conditions: tuple[Condition, ...] = ()
+    conditions: tuple[Predicate, ...] = ()
     obligations: tuple[Obligation, ...] = ()
     max_uses: int | None = None  # mutability: per-subject budget
+
+    def __post_init__(self) -> None:
+        if self.max_uses is not None and (
+                type(self.max_uses) is not int or self.max_uses < 0):
+            raise PolicyError(
+                f"max_uses must be None or an int >= 0, not {self.max_uses!r}")
 
     # -- evaluation ------------------------------------------------------------
 
@@ -151,6 +159,14 @@ class UsagePolicy:
             if grant.matches(context):
                 rights.update(grant.rights)
         return rights
+
+    def failed_condition(self, context: AccessContext) -> Predicate | None:
+        """The first condition ``context`` fails, or ``None``."""
+        record = context.record()
+        for condition in self.conditions:
+            if not condition.matches(record):
+                return condition
+        return None
 
     def evaluate(
         self, right: str, context: AccessContext, prior_uses: int = 0
@@ -180,9 +196,9 @@ class UsagePolicy:
     ) -> Decision:
         if right not in self.rights_of(context):
             return Decision(False, f"no grant of {right!r} for {context.subject!r}")
-        for condition in self.conditions:
-            if not condition.evaluate(context):
-                return Decision(False, f"condition failed: {condition.describe()}")
+        failed = self.failed_condition(context)
+        if failed is not None:
+            return Decision(False, f"condition failed: {describe(failed)}")
         if self.max_uses is not None and prior_uses >= self.max_uses:
             return Decision(
                 False, f"use budget exhausted ({prior_uses}/{self.max_uses})"
@@ -195,7 +211,8 @@ class UsagePolicy:
         return {
             "owner": self.owner,
             "grants": [grant.to_dict() for grant in self.grants],
-            "conditions": [condition.to_dict() for condition in self.conditions],
+            "conditions": [predicate_to_wire(condition)
+                           for condition in self.conditions],
             "obligations": [obligation.to_dict() for obligation in self.obligations],
             "max_uses": self.max_uses,
         }
@@ -210,7 +227,7 @@ class UsagePolicy:
             owner=data["owner"],
             grants=tuple(Grant.from_dict(grant) for grant in data["grants"]),
             conditions=tuple(
-                condition_from_dict(condition) for condition in data["conditions"]
+                predicate_from_wire(condition) for condition in data["conditions"]
             ),
             obligations=tuple(
                 Obligation.from_dict(obligation) for obligation in data["obligations"]
@@ -224,7 +241,7 @@ class UsagePolicy:
             parsed = json.loads(data.decode())
             return cls.from_dict(parsed)
         except (ValueError, UnicodeDecodeError, KeyError, TypeError,
-                AttributeError) as exc:
+                AttributeError, RecursionError, ProtocolError) as exc:
             # adversary-controlled bytes must surface as a typed policy
             # error, whatever shape the damage takes
             raise PolicyError("malformed policy bytes") from exc

@@ -288,11 +288,6 @@ class ColumnBatch:
             ]
         return [self.row(index) for index in range(self.count)]
 
-    def scalar_indices(self):
-        """Row indexes the vectorized predicate path must re-evaluate
-        per record (sorted)."""
-        return sorted(self.scalar_rows)
-
     def numeric_view(self, name: str):
         """``(kind, array)`` for a pure-numeric column, else ``None``.
 

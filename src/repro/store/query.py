@@ -10,12 +10,13 @@ E8 can report index-vs-scan crossovers.
 
 from __future__ import annotations
 
+import operator as _operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as _np
 
-from ..errors import QueryError
+from ..errors import ConfigurationError, ProtocolError, QueryError
 from ..obs import get_default as _obs_default
 from .encoding import ColumnBatch, Record, Value
 
@@ -55,12 +56,6 @@ class Predicate:
 
     def matches_batch(self, batch: ColumnBatch):
         return None
-
-    def and_(self, other: "Predicate") -> "Predicate":
-        return And(self, other)
-
-    def or_(self, other: "Predicate") -> "Predicate":
-        return Or(self, other)
 
 
 def _eq_mask(batch: ColumnBatch, field: str, value: Value):
@@ -168,6 +163,14 @@ class Between(Predicate):
         return mask
 
 
+def _absent_text_mask(batch: ColumnBatch, field: str):
+    """A text predicate's batch lane: all-False where the field is
+    absent from a columnar batch (None is not a str), else decline."""
+    if batch.fields and field not in batch.fields:
+        return _np.zeros(batch.count, dtype=bool)
+    return None
+
+
 @dataclass(frozen=True)
 class Contains(Predicate):
     """Substring match on a string field (keyword search)."""
@@ -180,11 +183,7 @@ class Contains(Predicate):
         return isinstance(value, str) and self.needle in value
 
     def matches_batch(self, batch: ColumnBatch):
-        if not batch.fields:
-            return None
-        if self.field not in batch.fields:
-            return _np.zeros(batch.count, dtype=bool)  # None is not a str
-        return None
+        return _absent_text_mask(batch, self.field)
 
 
 @dataclass(frozen=True)
@@ -208,53 +207,52 @@ class HasKeyword(Predicate):
         return all(term.lower() in tokens for term in self.terms)
 
     def matches_batch(self, batch: ColumnBatch):
-        if not batch.fields:
-            return None
-        if self.field not in batch.fields:
-            return _np.zeros(batch.count, dtype=bool)  # None is not a str
-        return None
+        return _absent_text_mask(batch, self.field)
 
 
-class And(Predicate):
+class _Junction(Predicate):
+    """A non-empty tuple of child predicates, folded by ``_fold`` per
+    record and ``_combine`` per batch mask; equal (and hashed) by
+    structure, so a tree equals its own wire round trip."""
+
+    _fold: Callable
+    _combine: Callable
+
+    def __init__(self, *children: Predicate) -> None:
+        if not children:
+            raise QueryError(
+                f"{type(self).__name__} requires at least one child")
+        self.children = children
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.children == self.children
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.children))
+
+    def matches(self, record: Record) -> bool:
+        return self._fold(child.matches(record) for child in self.children)
+
+    def matches_batch(self, batch: ColumnBatch):
+        mask = None
+        for child in self.children:
+            child_mask = child.matches_batch(batch)
+            if child_mask is None:
+                return None
+            mask = child_mask if mask is None else self._combine(mask, child_mask)
+        return mask
+
+
+class And(_Junction):
     """Conjunction of child predicates."""
 
-    def __init__(self, *children: Predicate) -> None:
-        if not children:
-            raise QueryError("And requires at least one child")
-        self.children = children
-
-    def matches(self, record: Record) -> bool:
-        return all(child.matches(record) for child in self.children)
-
-    def matches_batch(self, batch: ColumnBatch):
-        mask = None
-        for child in self.children:
-            child_mask = child.matches_batch(batch)
-            if child_mask is None:
-                return None
-            mask = child_mask if mask is None else mask & child_mask
-        return mask
+    _fold, _combine = all, _operator.and_
 
 
-class Or(Predicate):
+class Or(_Junction):
     """Disjunction of child predicates."""
 
-    def __init__(self, *children: Predicate) -> None:
-        if not children:
-            raise QueryError("Or requires at least one child")
-        self.children = children
-
-    def matches(self, record: Record) -> bool:
-        return any(child.matches(record) for child in self.children)
-
-    def matches_batch(self, batch: ColumnBatch):
-        mask = None
-        for child in self.children:
-            child_mask = child.matches_batch(batch)
-            if child_mask is None:
-                return None
-            mask = child_mask if mask is None else mask | child_mask
-        return mask
+    _fold, _combine = any, _operator.or_
 
 
 @dataclass(frozen=True)
@@ -282,6 +280,98 @@ class TruePredicate(Predicate):
 
 
 MATCH_ALL = TruePredicate()
+
+
+# -- wire codec: a federated query's ``where``, a policy's conditions ----------
+
+#: Each op's predicate type and its keys besides ``"op"``, in wire order.
+_WIRE = {
+    "all": (TruePredicate, ()),
+    "eq": (Eq, ("field", "value")),
+    "ne": (Ne, ("field", "value")),
+    "between": (Between, ("field", "low", "high")),
+    "contains": (Contains, ("field", "needle")),
+    "keyword": (HasKeyword, ("field", "terms")),
+    "and": (And, ("children",)),
+    "or": (Or, ("children",)),
+    "not": (Not, ("child",)),
+}
+_WIRE_OPS = {kind: op for op, (kind, _) in _WIRE.items()}
+_WIRE_PARSE = {op: (kind, frozenset(("op", *keys)))
+               for op, (kind, keys) in _WIRE.items()}
+_WIRE_SCALARS = (str, int, float, bool, type(None))
+
+
+def predicate_to_wire(predicate: Predicate) -> dict[str, Any]:
+    """Serialize a predicate tree to a JSON-able dict."""
+    op = _WIRE_OPS.get(type(predicate))
+    if op is None:
+        raise ConfigurationError(
+            f"predicate {type(predicate).__name__} has no wire form")
+    wire: dict[str, Any] = {"op": op}
+    for key in _WIRE[op][1]:
+        value = getattr(predicate, key)
+        if key == "children":
+            value = [predicate_to_wire(child) for child in value]
+        elif key == "child":
+            value = predicate_to_wire(value)
+        elif key == "terms":
+            value = list(value)
+        wire[key] = value
+    return wire
+
+
+def predicate_from_wire(data: Any) -> Predicate:
+    """Rebuild a predicate tree from its wire form.
+
+    The wire is untrusted: anything :func:`predicate_to_wire` could not
+    have written — an unknown op, a missing or extra key, a non-string
+    field, a non-scalar value — raises :class:`ProtocolError`, and
+    nothing else does. A tree that parses re-serialises to the same
+    dict.
+    """
+    try:
+        return _from_wire(data)
+    except RecursionError:
+        raise ProtocolError("predicate nested too deep on the wire") from None
+
+
+def _from_wire(data: Any) -> Predicate:
+    try:
+        op = data["op"]
+        kind, keys = _WIRE_PARSE[op]
+    except (KeyError, TypeError):
+        raise ProtocolError("no known predicate op on the wire") from None
+    if data.keys() != keys:
+        raise ProtocolError(f"predicate op {op!r} takes keys {sorted(keys)}, "
+                            f"got {list(data)}")
+    if kind is Not:
+        return Not(_from_wire(data["child"]))
+    if kind is And or kind is Or:
+        children = data["children"]
+        if type(children) is not list or not children:
+            raise ProtocolError(f"{op!r} children are not a non-empty list")
+        return kind(*map(_from_wire, children))
+    if kind is TruePredicate:
+        return MATCH_ALL
+    field = data["field"]
+    if type(field) is not str:
+        raise ProtocolError(f"predicate field {field!r} is not a string")
+    if kind is HasKeyword:
+        terms = data["terms"]
+        if type(terms) is not list or any(type(t) is not str for t in terms):
+            raise ProtocolError(f"keyword terms {terms!r} are not strings")
+        return HasKeyword(field, tuple(terms))
+    if kind is Contains:
+        needle = data["needle"]
+        if type(needle) is not str:
+            raise ProtocolError(f"contains needle {needle!r} is not a string")
+        return Contains(field, needle)
+    values = (data["low"], data["high"]) if kind is Between else (data["value"],)
+    for value in values:
+        if not isinstance(value, _WIRE_SCALARS):
+            raise ProtocolError(f"predicate value {value!r} is not a scalar")
+    return kind(field, *values)
 
 
 # -- aggregation -------------------------------------------------------------

@@ -29,13 +29,7 @@ from repro.fedquery import (
 )
 from repro.fedquery import gate
 from repro.fedquery.cell import CellQueryAgent, ValueSource
-from repro.fedquery.spec import (
-    plan_kind,
-    plan_message,
-    predicate_from_wire,
-    predicate_to_wire,
-    wire_size,
-)
+from repro.fedquery.spec import plan_kind, plan_message, wire_size
 from repro.infrastructure.network import Network
 from repro.obs import get_default
 from repro.policy.ucon import Grant, RIGHT_AGGREGATE, UsagePolicy
@@ -51,6 +45,8 @@ from repro.store.query import (
     Ne,
     Not,
     Or,
+    predicate_from_wire,
+    predicate_to_wire,
 )
 
 
@@ -345,6 +341,29 @@ class TestEngineQuiet:
         # The DP noise share was drawn exactly once: re-asks cannot be
         # averaged to strip the noise.
         assert agent._noise_stream.getstate() == drawn_once
+
+    def test_malformed_plan_and_recover_are_dropped(self):
+        world, network, fleet = _quiet_fleet(4)
+        name = fleet.roster[0]
+        network.register("fq-sink", lambda sender, payload: None)
+        plan = dict(plan_message("t-bad", _evening_spec(), fleet.roster,
+                                 "fq-sink"))
+        plan["spec"] = dict(plan["spec"], where={"op": "quantum"})
+        network.send("fq-sink", name, plan)
+        world.loop.run_until(world.now + 60)  # the loop survives
+        dropped = world.obs.metrics.get("fedquery.cell.dropped")
+        assert dropped.labels(reason="malformed-plan").value == 1
+        del plan["spec"]
+        network.send("fq-sink", name, plan)
+        network.send("fq-sink", name, {"kind": "fq.recover", "tag": "t-bad"})
+        world.loop.run_until(world.now + 60)
+        assert dropped.labels(reason="malformed-plan").value == 2
+        assert dropped.labels(reason="malformed-recover").value == 1
+        assert "t-bad" not in fleet.agents[name]._partials
+        # The same cell then answers a well-formed plan.
+        result = Coordinator(world, network).run(_evening_spec(), fleet.roster)
+        assert result.outcome == "complete"
+        assert result.participants == 4
 
 
 class TestMaskMemoLane:

@@ -1,5 +1,7 @@
 """Tests for the policy engine: conditions, UCON, sticky, audit."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from repro.policy import (
     TimeWindow,
     UsagePolicy,
     UsageState,
-    condition_from_dict,
     private_policy,
 )
 from repro.policy.ucon import OBLIGATION_NOTIFY_OWNER
@@ -38,45 +39,45 @@ def ctx(subject="bob", timestamp=1000, **kwargs):
 class TestConditions:
     def test_time_window(self):
         window = TimeWindow(not_before=100, not_after=200)
-        assert not window.evaluate(ctx(timestamp=99))
-        assert window.evaluate(ctx(timestamp=100))
-        assert window.evaluate(ctx(timestamp=200))
-        assert not window.evaluate(ctx(timestamp=201))
+        assert not window.matches(ctx(timestamp=99).record())
+        assert window.matches(ctx(timestamp=100).record())
+        assert window.matches(ctx(timestamp=200).record())
+        assert not window.matches(ctx(timestamp=201).record())
 
     def test_time_window_open_ends(self):
-        assert TimeWindow(not_before=100).evaluate(ctx(timestamp=10**9))
-        assert TimeWindow(not_after=100).evaluate(ctx(timestamp=0))
-        assert TimeWindow().evaluate(ctx())
+        assert TimeWindow(not_before=100).matches(ctx(timestamp=10**9).record())
+        assert TimeWindow(not_after=100).matches(ctx(timestamp=0).record())
+        assert TimeWindow().matches(ctx().record())
 
     def test_hour_of_day(self):
         office = HourOfDay(9, 17)
-        assert office.evaluate(ctx(timestamp=10 * SECONDS_PER_HOUR))
-        assert not office.evaluate(ctx(timestamp=18 * SECONDS_PER_HOUR))
-        assert not office.evaluate(ctx(timestamp=17 * SECONDS_PER_HOUR))
+        assert office.matches(ctx(timestamp=10 * SECONDS_PER_HOUR).record())
+        assert not office.matches(ctx(timestamp=18 * SECONDS_PER_HOUR).record())
+        assert not office.matches(ctx(timestamp=17 * SECONDS_PER_HOUR).record())
 
     def test_hour_of_day_wraparound(self):
         night = HourOfDay(22, 6)
-        assert night.evaluate(ctx(timestamp=23 * SECONDS_PER_HOUR))
-        assert night.evaluate(ctx(timestamp=3 * SECONDS_PER_HOUR))
-        assert not night.evaluate(ctx(timestamp=12 * SECONDS_PER_HOUR))
+        assert night.matches(ctx(timestamp=23 * SECONDS_PER_HOUR).record())
+        assert night.matches(ctx(timestamp=3 * SECONDS_PER_HOUR).record())
+        assert not night.matches(ctx(timestamp=12 * SECONDS_PER_HOUR).record())
 
     def test_location(self):
         home = LocationIn(("home", "office"))
-        assert home.evaluate(ctx(location="home"))
-        assert not home.evaluate(ctx(location="cafe"))
-        assert not home.evaluate(ctx())  # unknown location fails closed
+        assert home.matches(ctx(location="home").record())
+        assert not home.matches(ctx(location="cafe").record())
+        assert not home.matches(ctx().record())  # unknown location fails closed
 
     def test_purpose(self):
         billing = PurposeIn(("billing",))
-        assert billing.evaluate(ctx(purpose="billing"))
-        assert not billing.evaluate(ctx(purpose="marketing"))
-        assert not billing.evaluate(ctx())
+        assert billing.matches(ctx(purpose="billing").record())
+        assert not billing.matches(ctx(purpose="marketing").record())
+        assert not billing.matches(ctx().record())
 
     def test_attribute_equals(self):
         family = AttributeEquals("group", "family")
-        assert family.evaluate(ctx(attributes={"group": "family"}))
-        assert not family.evaluate(ctx(attributes={"group": "friends"}))
-        assert not family.evaluate(ctx())
+        assert family.matches(ctx(attributes={"group": "family"}).record())
+        assert not family.matches(ctx(attributes={"group": "friends"}).record())
+        assert not family.matches(ctx().record())
 
     def test_serialization_roundtrip(self):
         conditions = [
@@ -86,13 +87,14 @@ class TestConditions:
             PurposeIn(("billing", "stats")),
             AttributeEquals("role", "insurer"),
         ]
-        for condition in conditions:
-            restored = condition_from_dict(condition.to_dict())
-            assert restored == condition
+        policy = UsagePolicy(owner="alice", conditions=tuple(conditions))
+        assert UsagePolicy.from_bytes(policy.to_bytes()) == policy
 
     def test_unknown_kind_rejected(self):
+        data = UsagePolicy(owner="alice").to_dict()
+        data["conditions"] = [{"kind": "quantum"}]
         with pytest.raises(PolicyError):
-            condition_from_dict({"kind": "quantum"})
+            UsagePolicy.from_bytes(json.dumps(data).encode())
 
 
 class TestUsagePolicy:

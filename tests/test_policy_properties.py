@@ -7,7 +7,9 @@ and contexts, independent of any particular scenario:
 * no grant ever yields a right its rights tuple does not contain;
 * conditions are conjunctive: adding one can only shrink access;
 * mutability is monotone: more prior uses never unlocks access;
-* the owner bypasses grants but never conditions or budgets.
+* the owner bypasses grants but never conditions or budgets;
+* each condition constructor's predicate decides exactly as the
+  condition interpreter it replaced did.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.policy import (
     UsagePolicy,
 )
 from repro.policy.ucon import ALL_RIGHTS
+from repro.sim.clock import SECONDS_PER_HOUR
 
 subjects = st.sampled_from(["alice", "bob", "carol", "dave", "eve"])
 rights = st.lists(
@@ -42,21 +45,30 @@ grants = st.builds(
     ).map(tuple),
 )
 
-conditions = st.one_of(
-    st.builds(
-        TimeWindow,
-        not_before=st.one_of(st.none(), st.integers(0, 10_000)),
-        not_after=st.one_of(st.none(), st.integers(10_000, 100_000)),
-    ),
-    st.builds(HourOfDay, start_hour=st.integers(0, 23),
-              end_hour=st.integers(0, 24)),
-    st.builds(LocationIn, locations=st.lists(
-        st.sampled_from(["home", "office", "cafe"]), max_size=2).map(tuple)),
-    st.builds(PurposeIn, purposes=st.lists(
-        st.sampled_from(["billing", "stats"]), max_size=2).map(tuple)),
-    st.builds(AttributeEquals, name=st.sampled_from(["group", "role"]),
-              value=st.sampled_from(["family", "friend"])),
+# (constructor, its keyword arguments): the equivalence test below
+# needs the arguments; every other test takes the built predicate.
+condition_args = st.one_of(
+    st.tuples(st.just(TimeWindow), st.fixed_dictionaries({
+        "not_before": st.one_of(st.none(), st.integers(0, 10_000)),
+        "not_after": st.one_of(st.none(), st.integers(10_000, 100_000)),
+    })),
+    st.tuples(st.just(HourOfDay), st.fixed_dictionaries({
+        "start_hour": st.integers(0, 23), "end_hour": st.integers(0, 24),
+    })),
+    st.tuples(st.just(LocationIn), st.fixed_dictionaries({
+        "locations": st.lists(st.sampled_from(
+            ["home", "office", "cafe", None]), max_size=2).map(tuple),
+    })),
+    st.tuples(st.just(PurposeIn), st.fixed_dictionaries({
+        "purposes": st.lists(st.sampled_from(
+            ["billing", "stats", None]), max_size=2).map(tuple),
+    })),
+    st.tuples(st.just(AttributeEquals), st.fixed_dictionaries({
+        "name": st.sampled_from(["group", "role"]),
+        "value": st.sampled_from(["family", "friend", None]),
+    })),
 )
+conditions = condition_args.map(lambda pair: pair[0](**pair[1]))
 
 policies = st.builds(
     UsagePolicy,
@@ -143,3 +155,50 @@ def test_evaluation_is_deterministic(policy, context, right):
     first = policy.evaluate(right, context, prior_uses=1)
     second = policy.evaluate(right, context, prior_uses=1)
     assert first == second
+
+
+# -- the reference: the condition interpreter's five ``evaluate`` bodies --
+
+
+def reference_time_window(context, not_before=None, not_after=None):
+    if not_before is not None and context.timestamp < not_before:
+        return False
+    if not_after is not None and context.timestamp > not_after:
+        return False
+    return True
+
+
+def reference_hour_of_day(context, start_hour=0, end_hour=24):
+    hour = (context.timestamp % (24 * SECONDS_PER_HOUR)) // SECONDS_PER_HOUR
+    if start_hour <= end_hour:
+        return start_hour <= hour < end_hour
+    return hour >= start_hour or hour < end_hour
+
+
+def reference_location_in(context, locations=()):
+    return context.location is not None and context.location in locations
+
+
+def reference_purpose_in(context, purposes=()):
+    return context.purpose is not None and context.purpose in purposes
+
+
+def reference_attribute_equals(context, name="", value=None):
+    return context.attributes.get(name) == value
+
+
+REFERENCE = {
+    TimeWindow: reference_time_window,
+    HourOfDay: reference_hour_of_day,
+    LocationIn: reference_location_in,
+    PurposeIn: reference_purpose_in,
+    AttributeEquals: reference_attribute_equals,
+}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(condition_args, contexts)
+def test_compiled_conditions_agree_with_the_reference(args, context):
+    build, kwargs = args
+    assert (build(**kwargs).matches(context.record())
+            == REFERENCE[build](context, **kwargs))
