@@ -166,12 +166,18 @@ _INT64_MIN = -(2**63)
 class ColumnBatch:
     """A batch of decoded records held as per-field columns.
 
-    ``fields`` is the (sorted) schema of the columnar lane; ``columns``
-    maps each field to a list of ``count`` Python values. Rows that did
-    not fit the uniform schema live whole in ``scalar_rows`` (row index
-    -> record); their slots in the column lists hold placeholders that
-    must never be read. ``row(i)`` / ``rows()`` materialize plain
-    records equal to what :func:`decode_record` would have produced.
+    ``fields`` is the (sorted) schema of the columnar lane. A numeric
+    field the batch was built from as an int64/float64 array (by
+    :meth:`from_arrays`, or :func:`decode_page` for a field every clean
+    group decoded as one numeric kind) is held as that array, its
+    :meth:`numeric_view`, and gets its list of Python values in
+    ``columns`` only when :meth:`column` or :meth:`rows` asks for it;
+    every other field is a list of ``count`` values from the start.
+    Rows that did not fit the uniform schema live whole in
+    ``scalar_rows`` (row index -> record); their slots in the columns
+    hold placeholders that must never be read. ``row(i)`` / ``rows()``
+    materialize plain records equal to what :func:`decode_record`
+    would have produced.
     """
 
     __slots__ = ("count", "fields", "columns", "scalar_rows", "_numeric")
@@ -270,22 +276,21 @@ class ColumnBatch:
             return out
         return {name: columns[name][index] for name in self.fields}
 
-    def _materialize_columns(self) -> None:
-        for name in self.fields:
-            if name not in self.columns:
-                self.columns[name] = self._numeric[name][1].tolist()
+    def column(self, name: str) -> list:
+        """Field ``name``'s ``count`` Python values, its list built from
+        its numeric array on the first ask."""
+        column = self.columns.get(name)
+        if column is None:
+            column = self.columns[name] = self._numeric[name][1].tolist()
+        return column
 
     def rows(self) -> list[Record]:
+        names = self.fields
+        columns = list(map(self.column, names))
         if not self.scalar_rows:
-            names = self.fields
             if not names:
                 return [{} for _ in range(self.count)]
-            if len(self.columns) != len(names):
-                self._materialize_columns()
-            return [
-                dict(zip(names, values))
-                for values in zip(*(self.columns[name] for name in names))
-            ]
+            return [dict(zip(names, values)) for values in zip(*columns)]
         return [self.row(index) for index in range(self.count)]
 
     def numeric_view(self, name: str):
@@ -688,29 +693,40 @@ def decode_page(payloads: list[bytes], *,
     first payload's layout after verifying every skeleton byte (field
     counts, name bytes, tags, length prefixes) matches — identical
     skeletons imply identical structure, so only value bytes differ and
-    numeric columns decode in one numpy pass. Rows failing the skeleton
-    check, and groups the vector lane cannot express, fall back to the
-    scalar decoder. The resulting records compare equal to per-record
-    :func:`decode_record`, errors included.
+    numeric columns decode in one numpy pass. A field every clean group
+    decodes as one numeric kind stays the int64/float64 array it
+    decoded to (the batch's :meth:`~ColumnBatch.numeric_view`); Python
+    values are built only for the other fields, or when rows are asked
+    for. Rows failing the skeleton check, and groups the vector lane
+    cannot express, fall back to the scalar decoder. The resulting
+    records compare equal to per-record :func:`decode_record`, errors
+    included.
     """
     count = len(payloads)
     if count < COLUMNAR_MIN_BATCH:
         return ColumnBatch.from_records(
             [decode_record(p, context=context) for p in payloads]
         )
-    by_length: dict[int, list[int]] = {}
-    for index, payload in enumerate(payloads):
-        by_length.setdefault(len(payload), []).append(index)
+    lengths = list(map(len, payloads))
+    by_length: dict[int, object] = {}
+    if lengths.count(lengths[0]) == count:  # one layout: the usual chunk
+        by_length[lengths[0]] = _np.arange(count)
+    else:
+        for index, length in enumerate(lengths):
+            by_length.setdefault(length, []).append(index)
 
     fields: tuple[str, ...] | None = None
-    columns: dict[str, list] = {}
+    columns: dict[str, list] = {}  # fields some clean group holds non-numeric
+    # field -> (kind, row indexes, int64/float64 values) per clean group
+    numeric: dict[str, list[tuple[str, object, object]]] = {}
     scalar_rows: dict[int, Record] = {}
 
     def decode_scalar(indexes) -> None:
-        for index in indexes:
+        for index in indexes.tolist():
             scalar_rows[index] = decode_record(payloads[index], context=context)
 
-    for length, indexes in by_length.items():
+    for length, group in by_length.items():
+        indexes = _np.asarray(group)
         if len(indexes) < COLUMNAR_MIN_BATCH:
             decode_scalar(indexes)
             continue
@@ -723,10 +739,10 @@ def decode_page(payloads: list[bytes], *,
             continue
         if fields is None:
             fields = group_fields
-            columns = {name: [None] * count for name in fields}
-        matrix = _np.frombuffer(
-            b"".join(payloads[i] for i in indexes), dtype=_np.uint8
-        ).reshape(len(indexes), length)
+        matrix = _np.frombuffer(b"".join(
+            payloads if len(by_length) == 1
+            else map(payloads.__getitem__, group)
+        ), dtype=_np.uint8).reshape(len(indexes), length)
         template_arr = _np.frombuffer(template, dtype=_np.uint8)
         value_mask = _np.zeros(length, dtype=bool)
         for _name, kind, offset, value_len in layout:
@@ -734,55 +750,72 @@ def decode_page(payloads: list[bytes], *,
                 value_mask[offset : offset + value_len] = True
         skeleton = _np.flatnonzero(~value_mask)
         ok = (matrix[:, skeleton] == template_arr[skeleton]).all(axis=1)
-        good = _np.flatnonzero(ok)
-        if len(good) < len(indexes):
-            decode_scalar(indexes[i] for i in _np.flatnonzero(~ok).tolist())
-        if not len(good):
-            continue
-        good_rows = matrix[good] if len(good) < len(indexes) else matrix
-        good_indexes = [indexes[i] for i in good.tolist()]
+        if not ok.all():
+            decode_scalar(indexes[~ok])
+            if not ok.any():
+                continue
+            matrix = matrix[ok]
+            indexes = indexes[ok]
         for name, kind, offset, value_len in layout:
-            column = columns[name]
             if kind == "i":
-                values = _int_column_values(
-                    good_rows, offset, value_len).tolist()
-                for index, value in zip(good_indexes, values):
-                    column[index] = value
-            elif kind == "f":
-                values = _np.ascontiguousarray(
-                    good_rows[:, offset : offset + 8]
-                ).view(">f8").ravel().tolist()
-                for index, value in zip(good_indexes, values):
-                    column[index] = value
-            elif kind == "k":
+                numeric.setdefault(name, []).append((kind, indexes, (
+                    _int_column_values(matrix, offset, value_len))))
+                continue
+            if kind == "f":
+                numeric.setdefault(name, []).append((kind, indexes, (
+                    _np.ascontiguousarray(matrix[:, offset : offset + 8])
+                    .view(">f8").ravel().astype(_np.float64))))
+                continue
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = [None] * count
+            if kind == "k":
                 value = first_record[name]
-                for index in good_indexes:
+                for index in indexes.tolist():
                     column[index] = value
-            else:
-                if kind == "s":
-                    try:
-                        for index in good_indexes:
-                            payload = payloads[index]
-                            column[index] = payload[
-                                offset : offset + value_len].decode()
-                    except UnicodeDecodeError as exc:
-                        raise StorageError(
-                            "corrupted text in record encoding"
-                            + (f" [{context}]" if context else "")
-                        ) from exc
-                else:
-                    for index in good_indexes:
+            elif kind == "s":
+                try:
+                    for index in indexes.tolist():
                         payload = payloads[index]
-                        column[index] = payload[offset : offset + value_len]
+                        column[index] = payload[
+                            offset : offset + value_len].decode()
+                except UnicodeDecodeError as exc:
+                    raise StorageError(
+                        "corrupted text in record encoding"
+                        + (f" [{context}]" if context else "")
+                    ) from exc
+            else:
+                for index in indexes.tolist():
+                    payload = payloads[index]
+                    column[index] = payload[offset : offset + value_len]
     if fields is None or len(scalar_rows) == count:
         return ColumnBatch(count, scalar_rows=scalar_rows)
-    # placeholder-fill the slots owned by scalar rows so numeric_view's
-    # type scan never trips over them
-    if scalar_rows:
-        for name in fields:
-            column = columns[name]
-            filler = column[next(
-                i for i in range(count) if i not in scalar_rows)]
+    # A field every clean group decoded as one numeric kind stays the
+    # array it decoded to (0 at scalar rows); any other field is a list.
+    views: dict[str, tuple] = {}
+    for name, parts in numeric.items():
+        if name not in columns and len({kind for kind, _, _ in parts}) == 1:
+            kind, indexes, values = parts[0]
+            if len(indexes) < count:
+                values = _np.zeros(count, dtype=values.dtype)
+                for _, indexes, part in parts:
+                    values[indexes] = part
+            views[name] = (kind, values)
+            continue
+        column = columns.get(name)
+        if column is None:
+            column = columns[name] = [None] * count
+        for _, indexes, values in parts:
+            for index, value in zip(indexes.tolist(), values.tolist()):
+                column[index] = value
+    # placeholder-fill the slots scalar rows own in list columns so
+    # numeric_view's type scan never trips over them
+    if scalar_rows and columns:
+        first = next(i for i in range(count) if i not in scalar_rows)
+        for column in columns.values():
+            filler = column[first]
             for index in scalar_rows:
                 column[index] = filler
-    return ColumnBatch(count, fields, columns, scalar_rows)
+    batch = ColumnBatch(count, fields, columns, scalar_rows)
+    batch._numeric.update(views)
+    return batch

@@ -14,7 +14,9 @@ Each store decision is written once:
   data page reaches flash (allocate, sequence, program, cache, summary,
   integrity tag, directory apply, flush counter, checkpoint trigger)
   and ``_apply_entries`` is what a page's entries do to the directory,
-  the live counts and the zone map, at commit and at replay alike.
+  its page members (each page's live entries, which ``_erase_block``
+  drops with the block), the live counts and the zone map, at commit
+  and at replay alike.
   Those same places record what the next checkpoint delta must carry:
   ``_apply_entries`` (and its ``append_only`` bulk form in
   ``_commit_frame_runs``) the ids it added, replaced or deleted,
@@ -25,8 +27,8 @@ Each store decision is written once:
   ``insert_batch``) runs one chunk loop whose one lane decision sends
   a chunk through the columnar frame encoder or through ``put`` — the
   flash image is the same, bit for bit.
-* **read path** — one page walk (group the directory by page, zone-map
-  prune, pages in order, entries by offset) serves ``scan`` /
+* **read path** — one page walk (the pages of the blocks the zone maps
+  admit, in order, each page's live entries in log order) serves ``scan`` /
   ``scan_range`` (per-record decode, the reference) and one chunk
   decoder (pages through :func:`~repro.store.encoding.decode_page`)
   behind ``scan_batches``, ``fetch_batches`` and ``get_many``, which
@@ -44,10 +46,10 @@ reboot replays only the pages written since the last of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, ne
 from struct import Struct
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import (
     CapacityError,
@@ -108,6 +110,18 @@ class _BatchRows:
             self._batch, self._base, self._base + self._count)
 
 
+#: A page's live entries in log order: its record ids and, in parallel,
+#: their directory locations ``(page, offset, length)``.
+_PageEntries = tuple[Sequence[str], Sequence[tuple[int, int, int]]]
+
+
+def _split_members(members: tuple) -> _PageEntries:
+    """A page's member tuple ``(*ids, *locations)`` as ``(ids,
+    locations)``."""
+    half = len(members) // 2
+    return members[:half], members[half:]
+
+
 def _kept_rows(batch: ColumnBatch, start: int, end: int) -> list[KeptRow]:
     """Rows ``start:end`` of a decoded batch as the page cache keeps
     them: immutable ``(fields, values)`` pairs, fields sorted like the
@@ -115,7 +129,7 @@ def _kept_rows(batch: ColumnBatch, start: int, end: int) -> list[KeptRow]:
     names = batch.fields
     if names and not batch.scalar_rows:
         return list(zip(repeat(names), zip(*(
-            batch.columns[name][start:end] for name in names))))
+            batch.column(name)[start:end] for name in names))))
     return [(tuple(row), tuple(row.values()))
             for row in map(batch.row, range(start, end))]
 
@@ -259,6 +273,14 @@ class LogStructuredStore:
         self.checkpoints_written = 0
         # id -> (page, offset, length); None means deleted
         self._directory: dict[str, tuple[int, int, int]] = {}
+        # page -> the directory's entries on it, in log order, as one
+        # flat tuple (*ids, *locations) of the directory's own objects:
+        # the page walk's input, kept by every directory change. Flat,
+        # because the collector stops tracking such a tuple once it has
+        # seen it; a pair of lists per page stays tracked, and it made
+        # store_ingest pay a third more young-generation collections
+        # and full ones in its tail.
+        self._page_members: dict[int, tuple] = {}
         self._buffer = bytearray()
         # id, kind, payload offset on the page-to-be, payload length,
         # record (inserts carry a snapshot of theirs: zone maps fold it
@@ -307,12 +329,14 @@ class LogStructuredStore:
     # -- RAM accounting -----------------------------------------------------
 
     _DIRECTORY_ENTRY_BYTES = 48  # id hash + location tuple, order of magnitude
+    _MEMBER_ENTRY_BYTES = 8  # a reference to the entry from its page's members
     _BUFFER_ENTRY_BYTES = 24  # entry tuple + buffered-id slot
     _DELTA_ENTRY_BYTES = 16  # one tracked id or block: hash + reference
 
     @property
     def directory_ram_bytes(self) -> int:
-        """Approximate RAM held by the directory *plus* the unflushed
+        """Approximate RAM held by the directory and its page members
+        (one reference per directory entry) *plus* the unflushed
         page buffer and its entry table — buffered-but-unflushed data
         counts against the budget exactly like flushed directory
         entries, so the bound cannot be dodged by never flushing —
@@ -320,7 +344,8 @@ class LogStructuredStore:
         the next checkpoint delta, bounded by what was applied since
         the last segment and released when it is written."""
         held = (
-            len(self._directory) * self._DIRECTORY_ENTRY_BYTES
+            len(self._directory)
+            * (self._DIRECTORY_ENTRY_BYTES + self._MEMBER_ENTRY_BYTES)
             + len(self._buffer)
             + len(self._buffer_entries) * self._BUFFER_ENTRY_BYTES
         )
@@ -465,7 +490,8 @@ class LogStructuredStore:
     def _apply_entries(self, page: int, summary: BlockSummary,
                        entries) -> None:
         """The one directory apply: what a page's log entries do to the
-        directory, the live counts and the zone map, in log order.
+        directory, its page members, the live counts and the zone map,
+        in log order.
 
         ``entries`` yields ``(record_id, kind, offset, length, record)``
         with ``offset`` the payload's position on the page; a ``None``
@@ -481,9 +507,18 @@ class LogStructuredStore:
         live = self._live_per_block
         zone_maps = self._zone_maps
         delta_ids = self._delta_ids
+        members = self._page_members
+        # the page's members so far (a fused commit applies it in parts)
+        ids, locations = ([], []) if page not in members else map(
+            list, _split_members(members[page]))
         for record_id, kind, offset, length, record in entries:
             old = directory.get(record_id)
             if old is not None:  # retire the superseded version
+                if old[0] == page:
+                    at = ids.index(record_id)
+                    del ids[at], locations[at]
+                else:
+                    self._drop_member(old[0], record_id)
                 old_block = old[0] // pages_per_block
                 remaining = live.get(old_block, 0) - 1
                 if remaining > 0:
@@ -496,7 +531,9 @@ class LogStructuredStore:
             elif delta_ids is not None and kind == _ENTRY_INSERT:
                 self._delta_appended += 1
             if kind == _ENTRY_INSERT:
-                directory[record_id] = (page, offset, length)
+                location = directory[record_id] = (page, offset, length)
+                ids.append(record_id)
+                locations.append(location)
                 live[block] = live.get(block, 0) + 1
                 if zone_maps and record is not None:
                     summary.note_record(record)
@@ -504,6 +541,23 @@ class LogStructuredStore:
                 summary.tombstones += 1
                 if old is not None:
                     del directory[record_id]
+        if ids:
+            members[page] = (*ids, *locations)
+        elif page in members:
+            del members[page]
+
+    def _drop_member(self, page: int, record_id: str) -> None:
+        """Take a superseded or deleted id off its page's members (a
+        page left with no live entry drops out)."""
+        members = self._page_members[page]
+        half = len(members) // 2
+        if half == 1:
+            del self._page_members[page]
+            return
+        at = members.index(record_id)
+        self._page_members[page] = (
+            members[:at] + members[at + 1 : half + at]
+            + members[half + at + 1 :])
 
     def _flush_buffer(self) -> None:
         if self._buffer_entries:
@@ -710,13 +764,15 @@ class LogStructuredStore:
         """
         usable = self._page_size - self._PAGE_HEADER_BYTES
         directory = self._directory
+        page_members = self._page_members
         live = self._live_per_block
         self._batch_scratch_bytes = 48 * len(records) + sum(
             2 * len(run.blob) for run in runs)
         # The directory apply's single specialisation: when no id in
         # the chunk collides with the directory, the write buffer, or
-        # another chunk id, nothing is retired — the directory takes a
-        # C-speed bulk update per run slice, not a per-record loop.
+        # another chunk id, nothing is retired — the directory and the
+        # page's members take a C-speed bulk update per run slice, not
+        # a per-record loop.
         unique = set(record_ids)
         append_only = (
             len(unique) == len(record_ids)
@@ -758,6 +814,8 @@ class LogStructuredStore:
             def apply_parts(page, summary, parts) -> None:
                 offset = self._PAGE_HEADER_BYTES
                 on_page = 0
+                if append_only:
+                    page_ids, page_locations = [], []
                 for run, start_in, take in parts:
                     base = run.start + start_in
                     ids = record_ids[base : base + take]
@@ -766,8 +824,11 @@ class LogStructuredStore:
                         value_at, value_at + take * run.frame_len,
                         run.frame_len)
                     if append_only:
-                        directory.update(zip(ids, zip(
-                            repeat(page), offsets, repeat(run.payload_len))))
+                        locations = list(zip(
+                            repeat(page), offsets, repeat(run.payload_len)))
+                        directory.update(zip(ids, locations))
+                        page_ids.extend(ids)
+                        page_locations.extend(locations)
                         self._delta_appended += take
                     else:
                         self._apply_entries(page, summary, zip(
@@ -776,6 +837,7 @@ class LogStructuredStore:
                     offset += take * run.frame_len
                     on_page += take
                 if append_only:
+                    page_members[page] = (*page_ids, *page_locations)
                     block = page // self._pages_per_block
                     live[block] = live.get(block, 0) + on_page
                 self.inserts += on_page
@@ -942,9 +1004,10 @@ class LogStructuredStore:
             ) from error
 
     def _locations_by_page(self, field: str | None = None,
-                           low: Value = None, high: Value = None):
-        """Group flash-resident directory entries by page, dropping the
-        pages of blocks whose zone map proves no record can satisfy
+                           low: Value = None, high: Value = None,
+                           ) -> dict[int, _PageEntries]:
+        """The flash-resident entries of each page, leaving out
+        the pages of blocks whose zone map proves no record can satisfy
         ``low <= record[field] <= high`` (one ``admits`` verdict per
         block: it is a pure function of the block summary)."""
         rejected: set[int] = set()
@@ -955,20 +1018,27 @@ class LogStructuredStore:
             }
         pages_per_block = self._pages_per_block
         buffered = self._buffered
-        by_page: dict[int, list[tuple[str, int, int]]] = {}
-        for record_id, (page, offset, length) in self._directory.items():
-            if record_id in buffered or page // pages_per_block in rejected:
+        by_page: dict[int, _PageEntries] = {}
+        for page, members in self._page_members.items():
+            if page // pages_per_block in rejected:
                 continue
-            by_page.setdefault(page, []).append((record_id, offset, length))
+            ids, locations = _split_members(members)
+            if buffered and not buffered.keys().isdisjoint(ids):
+                ids = [record_id for record_id in ids
+                       if record_id not in buffered]
+                if not ids:
+                    continue
+                locations = list(map(self._directory.get, ids))
+            by_page[page] = ids, locations
         return by_page
 
-    def _walk_pages(self, by_page):
+    def _walk_pages(self, by_page: dict[int, _PageEntries]):
         """The one page walk: pages in order, each read once, with the
         rows kept from it (``None`` unless it was resident) and its
-        ``(record_id, offset, length)`` entries in log order."""
+        entries in log order: ``(page, image, kept, ids, locations)``."""
         for page in sorted(by_page):
             data, kept = self._read_page(page)
-            yield page, data, kept, sorted(by_page[page], key=itemgetter(1))
+            yield page, data, kept, *by_page[page]
 
     def _buffered_tail(self, entry_ids: list[str]) -> list[tuple[str, Record]]:
         """Live records among the ids a scan found buffered at its start."""
@@ -1015,7 +1085,7 @@ class LogStructuredStore:
         """
         buffered = self._buffered
         directory = self._directory
-        by_page: dict[int, list[tuple[str, int, int]]] = {}
+        by_page: dict[int, _PageEntries] = {}
         tail: list[tuple[str, Record]] = []
         for record_id in record_ids:
             if record_id in buffered:
@@ -1024,8 +1094,16 @@ class LogStructuredStore:
             location = directory.get(record_id)
             if location is None:
                 raise NotFoundError(f"no record {record_id!r}")
-            by_page.setdefault(location[0], []).append(
-                (record_id, location[1], location[2]))
+            entries = by_page.get(location[0])
+            if entries is None:
+                entries = by_page[location[0]] = ([], [])
+            entries[0].append(record_id)
+            entries[1].append(location)
+        for ids, locations in by_page.values():
+            if locations != sorted(locations):  # into log order
+                pairs = sorted(zip(locations, ids))
+                locations[:] = map(itemgetter(0), pairs)
+                ids[:] = map(itemgetter(1), pairs)
         chunks = list(self._decode_chunks(by_page))
         if tail:
             chunks.append(self._tail_chunk(tail))
@@ -1074,10 +1152,10 @@ class LogStructuredStore:
         are disabled or ``field`` is ``None``.
         """
         tail = sorted(self._buffered)
-        for page, data, _, entries in self._walk_pages(
+        for page, data, _, ids, locations in self._walk_pages(
             self._locations_by_page(field, low, high)
         ):
-            for record_id, offset, length in entries:
+            for record_id, (_, offset, length) in zip(ids, locations):
                 yield record_id, self._decode_at(
                     data, record_id, page, offset, length)
         yield from self._buffered_tail(tail)
@@ -1110,7 +1188,7 @@ class LogStructuredStore:
         return list(tail_ids), ColumnBatch.from_records(list(records))
 
     def _decode_chunks(
-        self, by_page: dict[int, list[tuple[str, int, int]]],
+        self, by_page: dict[int, _PageEntries],
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
         """The one chunk decoder: walk ``by_page`` a chunk of pages at
         a time. A chunk found resident in the page cache, every page of
@@ -1126,29 +1204,29 @@ class LogStructuredStore:
         walk = self._walk_pages(by_page)
         while chunk := list(islice(walk, at_once)):
             record_ids = [
-                entry[0] for _, _, _, entries in chunk for entry in entries
+                record_id for _, _, _, ids, _ in chunk for record_id in ids
             ]
-            if all(kept is not None for _, _, kept, _ in chunk):
+            if all(kept is not None for _, _, kept, _, _ in chunk):
                 yield record_ids, self._gather(chunk)
             else:
                 yield record_ids, self._decode(chunk)
 
     def _decode(self, pages) -> ColumnBatch:
         """One :func:`encoding.decode_page` call over the entries of
-        ``pages`` (walked ``(page, image, kept, entries)``), its
+        ``pages`` (walked ``(page, image, kept, ids, locations)``), its
         scratch charged meanwhile."""
         self._batch_scratch_bytes = 3 * len(pages) * self._page_size
         try:
             batch = decode_page([
                 data[offset : offset + length]
-                for _, data, _, entries in pages
-                for _, offset, length in entries
+                for _, data, _, _, locations in pages
+                for _, offset, length in locations
             ])
         except StorageError:
             # Error path only: decode record by record so the failure is
             # located like every other read's.
-            for page, data, _, entries in pages:
-                for record_id, offset, length in entries:
+            for page, data, _, ids, locations in pages:
+                for record_id, (_, offset, length) in zip(ids, locations):
                     self._decode_at(data, record_id, page, offset, length)
             raise
         finally:
@@ -1164,14 +1242,14 @@ class LogStructuredStore:
         returned is the decoded one when nothing was kept yet, else a
         fresh one (:func:`_gathered`)."""
         rows: list[KeptRow | None] = []
-        todo = []  # (page, image, kept, entries) still to decode
-        for page, data, kept, entries in chunk:
-            found = [kept.get(offset) for _, offset, _ in entries]
+        todo = []  # (page, image, kept, ids, locations) still to decode
+        for page, data, kept, ids, locations in chunk:
+            found = [kept.get(location[1]) for location in locations]
             rows += found
             if None in found:
-                todo.append((page, data, kept, [
-                    entry for entry, row in zip(entries, found)
-                    if row is None]))
+                missing = [at for at, row in enumerate(found) if row is None]
+                todo.append((page, data, kept, [ids[at] for at in missing],
+                             [locations[at] for at in missing]))
         if not todo:
             _DECODE_KEPT.inc(len(rows))
             return _gathered(rows)
@@ -1188,10 +1266,10 @@ class LogStructuredStore:
         """Hand the page cache the rows ``batch`` decoded off resident
         ``pages`` (in their entries' order)."""
         position = 0
-        for page, _, _, entries in pages:
-            end = position + len(entries)
+        for page, _, _, _, locations in pages:
+            end = position + len(locations)
             self.page_cache.keep(page, dict(zip(
-                map(itemgetter(1), entries),
+                map(itemgetter(1), locations),
                 _kept_rows(batch, position, end))))
             position = end
 
@@ -1214,16 +1292,17 @@ class LogStructuredStore:
         ]
 
     def _erase_block(self, block: int) -> None:
-        """Erase one data block and drop its zone map (the page cache
-        invalidates itself through the device's erase listener)."""
+        """Erase one data block and drop its zone map and its pages'
+        members — page numbers are reused — (the page cache invalidates
+        itself through the device's erase listener)."""
         self.flash.erase_block(block)
         self._summaries.pop(block, None)
         if self._delta_blocks is not None:
             self._delta_blocks.add(block)
-        if self._page_tags:
-            first_page = block * self._pages_per_block
-            for page in range(first_page, first_page + self._pages_per_block):
-                self._page_tags.pop(page, None)
+        first_page = block * self._pages_per_block
+        for page in range(first_page, first_page + self._pages_per_block):
+            self._page_members.pop(page, None)
+            self._page_tags.pop(page, None)
 
     def compact(self) -> int:
         """Full compaction: stage the live set in RAM, erase every used
@@ -1301,11 +1380,14 @@ class LogStructuredStore:
         ]
         victims = sorted(candidates, key=self._weight)[:max_victims]
         reclaimed = 0
+        members = self._page_members
         for victim in victims:
+            first = victim * pages_per_block
             live_ids = sorted(
                 record_id
-                for record_id, (page, _, _) in self._directory.items()
-                if page // pages_per_block == victim
+                for page in range(first, first + pages_per_block)
+                if page in members
+                for record_id in _split_members(members[page])[0]
             )
             tombstoned = self._tombstoned_ids(victim)
             for record_id, record in zip(live_ids, self.get_many(live_ids)):
@@ -1742,6 +1824,8 @@ class LogStructuredStore:
                 sequenced.append(
                     (int.from_bytes(data[:header], "big"), page, data)
                 )
+        # the folded directory's page members, once; the replay keeps them
+        store._group_page_members()
         sequenced.sort()
         for sequence, page, data in sequenced:
             store._replay_page(page, data, sequence)
@@ -1784,6 +1868,20 @@ class LogStructuredStore:
             segments=stats.checkpoint_segments, probes=stats.probe_reads,
         )
         return store
+
+    def _group_page_members(self) -> None:
+        """Page members from the directory alone: its ids grouped by
+        page, in offset (log) order. Reboot recovery's one rebuild."""
+        directory = self._directory
+        ids = sorted(directory, key=directory.__getitem__)  # page, offset
+        locations = list(map(directory.__getitem__, ids))
+        pages = list(map(itemgetter(0), locations))
+        starts = list(compress(
+            range(len(pages)), map(ne, pages, chain((None,), pages))))
+        self._page_members = {
+            pages[start]: (*ids[start:end], *locations[start:end])
+            for start, end in zip(starts, starts[1:] + [len(pages)])
+        }
 
     def _replay_page(self, page: int, data: bytes, sequence: int) -> None:
         """Apply one programmed page's log entries, parsed back off its

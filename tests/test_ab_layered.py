@@ -243,6 +243,38 @@ class TestLayers:
                 "9.8 -> 3.67",
                 "MOVED store_ingest harness.sim_latency_s: 0.25 -> 0.26"]
 
+    def test_decode_lane_and_message_counts_are_clock_free(self):
+        counts = {
+            "encoding.scalar_fallback_share": "ratio",
+            "sim.events_per_op": "count",
+            "coordinator.reasks": "count",
+            "coordinator.recovery_rounds": "count",
+            "coordinator.demoted": "count",
+            "hierarchy.root_messages_per_op": "count",
+            "hierarchy.respawns": "count",
+            "journal.records_at_end": "count",
+            "standing.windows_settled": "count",
+            "standing.messages_per_window": "count",
+            "standing.examined_per_window_per_cell": "count",
+            "trace.spans_per_op": "count",
+            "trace.targets_missing": "count",
+        }
+        clocked = {
+            "hierarchy.degraded_op_ms": "ms", "standing.close_tick_ms": "ms",
+            "harness.samples": "count", "harness.gc_collections": "count",
+        }
+
+        def traced(value):
+            return {"metrics": {
+                name: {"value": value, "unit": unit}
+                for name, unit in {**counts, **clocked}.items()}}
+
+        rows = ab_layered.layer_rows(traced(1.0), traced(2.0))
+        assert {row["metric"]: row["clock_free"] for row in rows} == {
+            **dict.fromkeys(counts, True), **dict.fromkeys(clocked, False)}
+        assert ab_layered.format_layers("tree_mixed", rows).splitlines()[-1] \
+            == "MOVED tree_mixed trace.targets_missing: 1.0 -> 2.0"
+
     def test_identical_runs_report_nothing_moved(self):
         rows = ab_layered.layer_rows(self.PARENT, self.PARENT)
         assert rows == []

@@ -145,8 +145,10 @@ class TestRamAccounting:
         buffered = store.directory_ram_bytes
         store.flush()
         flushed = store.directory_ram_bytes
-        assert buffered > LogStructuredStore._DIRECTORY_ENTRY_BYTES
-        assert flushed == LogStructuredStore._DIRECTORY_ENTRY_BYTES
+        entry = (LogStructuredStore._DIRECTORY_ENTRY_BYTES
+                 + LogStructuredStore._MEMBER_ENTRY_BYTES)
+        assert buffered > entry
+        assert flushed == entry
 
     def test_batch_ingest_respects_budget(self):
         store = LogStructuredStore(make_flash(), ram_budget_bytes=400)

@@ -286,6 +286,19 @@ def state_of(store):
     )
 
 
+def page_members_of(directory):
+    """A fresh grouping of a directory by page: each page's ids, then
+    their locations, in offset (log) order."""
+    grouped = {}
+    for record_id, location in sorted(directory.items(),
+                                      key=lambda item: item[1]):
+        ids, locations = grouped.setdefault(location[0], ([], []))
+        ids.append(record_id)
+        locations.append(location)
+    return {page: (*ids, *locations)
+            for page, (ids, locations) in grouped.items()}
+
+
 def region_pages(flash, checkpoint_blocks=CKPT_BLOCKS):
     first = (flash.block_count - checkpoint_blocks) * TIMINGS.pages_per_block
     return [page for page in flash.written_pages() if page >= first]
@@ -545,7 +558,8 @@ class TestCheckpointAccounting:
 
     def test_tracking_is_charged_and_released_at_every_segment(self):
         rows = [(f"r{index:03d}", {"t": index}) for index in range(200)]
-        directory_bytes = 200 * LogStructuredStore._DIRECTORY_ENTRY_BYTES
+        directory_bytes = 200 * (LogStructuredStore._DIRECTORY_ENTRY_BYTES
+                                 + LogStructuredStore._MEMBER_ENTRY_BYTES)
         # fits the directory, its zone maps and a page of buffer, but
         # not 200 tracked ids on top
         budget = directory_bytes + 2400
@@ -638,10 +652,12 @@ OPS = st.one_of(
 def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
                                            zone_maps, integrity_key,
                                            page_cache_bytes):
-    """Random histories against a dict: every read (a ``get`` and a
+    """Random histories against a dict: every read (a ``get``, a
     columnar scan — with a page cache, rows kept across flushes,
-    compactions and reboots) and, after every reboot, a scan match the
-    model, and the chain recovery is the full replay's."""
+    compactions and reboots — and a zone-map-hinted one) and, after
+    every reboot, a scan match the model, the chain recovery is the
+    full replay's, and after every op the page members are a fresh
+    grouping of the directory (pages are reused after an erase)."""
     options = dict(
         checkpoint_blocks=checkpoint_blocks, zone_maps=zone_maps,
         checkpoint_interval_pages=interval, integrity_key=integrity_key,
@@ -702,8 +718,19 @@ def test_any_history_recovers_to_the_model(ops, checkpoint_blocks, interval,
             for chunk_ids, batch in store.scan_batches():
                 scanned.update(zip(chunk_ids, batch.rows()))
             assert scanned == model
+            low = op[1] % 2001 - 1000
+            high = low + 400
+            hinted, returned = {}, 0
+            for chunk_ids, batch in store.scan_batches("t", low, high):
+                hinted.update(zip(chunk_ids, batch.rows()))
+                returned += len(chunk_ids)
+            assert returned == len(hinted)  # each id once
+            assert hinted.items() <= model.items()  # live rows only
+            assert {record_id: record for record_id, record in model.items()
+                    if low <= record["t"] <= high}.items() <= hinted.items()
         elif kind == "reboot":
             store = reboot()
+        assert store._page_members == page_members_of(store._directory)
 
 
 def _tombstone_block(flash):

@@ -173,6 +173,119 @@ class TestCodecEquivalence:
         assert batch.count == 0 and batch.rows() == []
 
 
+def list_columns(batch):
+    """``batch`` with every field a list of its rows' values (a scalar
+    row's slot holding the first columnar row's), so its
+    ``numeric_view`` takes the list path: ``np.fromiter`` over the
+    decoded values."""
+    rows = batch.rows()
+    scalar = batch.scalar_rows
+    filler = rows[next(i for i in range(batch.count) if i not in scalar)]
+    return ColumnBatch(batch.count, batch.fields, {
+        name: [(filler if index in scalar else rows[index])[name]
+               for index in range(batch.count)]
+        for name in batch.fields}, scalar)
+
+
+def assert_same_numeric_views(batch, reference):
+    """Same verdict per field; same kind, dtype and bits at the columnar
+    rows wherever there is a view."""
+    columnar = np.array([index not in batch.scalar_rows
+                         for index in range(batch.count)])
+    for name in FIELD_POOL + ["v", "absent"]:
+        view, expected = batch.numeric_view(name), reference.numeric_view(name)
+        assert (view is None) == (expected is None), name
+        if view is not None:
+            (kind, values), (expected_kind, expected_values) = view, expected
+            assert kind == expected_kind and len(values) == batch.count
+            assert values.dtype == expected_values.dtype
+            assert (values[columnar].tobytes()
+                    == expected_values[columnar].tobytes()), name
+
+
+def decoded_chunk_cases(rng):
+    """Payload chunks for every way decode_page groups a chunk."""
+    small = [{"t": rng.randint(0, 100), "w": rng.uniform(-5, 5)}
+             for _ in range(40)]
+    yield "one group", small
+    yield "several int lengths", [
+        {"t": rng.choice([5, 300, 70_000, 2**40, -(2**50)]),
+         "w": rng.uniform(-5, 5)} for _ in range(120)]
+    yield "a group below the bar", small + [{"t": 2**40, "w": 1.0}] * 5
+    yield "a skeleton mismatch", small + [{"x": 1, "w": 2.0}] * 20
+    yield "an int over 8 bytes", small + [{"t": INT64_HI + 1, "w": 0.5}] * 20
+    yield "int in one group, float in another", (
+        [{"v": rng.randint(0, 100)} for _ in range(20)]
+        + [{"v": rng.uniform(-5, 5)} for _ in range(20)])
+    yield "int in one group, None in another", (
+        [{"v": rng.randint(0, 100)} for _ in range(20)] + [{"v": None}] * 20)
+    yield "bools", [{"v": rng.random() < 0.5, "t": 1} for _ in range(30)]
+    yield "NaN and signed zeros", [
+        {"w": rng.choice([float("nan"), 0.0, -0.0, float("inf")])}
+        for _ in range(30)]
+    for trial in range(60):
+        yield f"random mix {trial}", random_batch_records(
+            rng, rng.randint(COLUMNAR_MIN_BATCH, 120))
+
+
+class TestDecodePageNumericViews:
+    """A clean numeric field leaves decode_page as the array it decoded
+    to; its view, its rows and its kept rows are what the list path
+    gives."""
+
+    def test_views_and_rows_match_the_list_path(self):
+        rng = random.Random(29)
+        groupings = set()
+        for case, records in decoded_chunk_cases(rng):
+            payloads = [encode_record(record) for record in records]
+            batch = decode_page(payloads)
+            # re-encoding is the NaN- and bool-safe value oracle
+            assert [encode_record(row) for row in batch.rows()] == [
+                encode_record(decode_record(payload))
+                for payload in payloads], case
+            if not batch.fields or len(batch.scalar_rows) == batch.count:
+                continue
+            groupings.add((len(set(map(len, payloads))) > 1,
+                           bool(batch.scalar_rows)))
+            assert_same_numeric_views(
+                decode_page(payloads), list_columns(batch))
+        # one- and multi-group chunks, each with and without scalar rows
+        assert groupings == {(False, False), (False, True),
+                             (True, False), (True, True)}
+
+    def test_clean_numeric_fields_stay_arrays_until_rows_are_asked(self):
+        payloads = [encode_record({"t": index, "w": index / 4, "unit": "W"})
+                    for index in range(40)]
+        batch = decode_page(payloads)
+        assert set(batch.columns) == {"unit"}
+        assert batch.numeric_view("t")[0] == "i"
+        assert batch.row(3) == {"t": 3, "unit": "W", "w": 0.75}
+        assert set(batch.columns) == {"unit"}
+        assert batch.rows() == [decode_record(p) for p in payloads]
+        assert set(batch.columns) == {"t", "unit", "w"}
+
+    def test_a_warm_read_gathers_what_a_lazy_batch_kept(self):
+        store = LogStructuredStore(
+            make_flash(), page_cache_bytes=128 * TIMINGS.page_size)
+        rng = random.Random(5)
+        store.insert_many(
+            (f"r{index:03d}", {"t": index * 7, "w": rng.uniform(-3, 3)})
+            for index in range(200))
+        store.flush()
+
+        def scanned():
+            return [(record_id, row)
+                    for chunk_ids, batch in store.scan_batches()
+                    for record_id, row in zip(chunk_ids, batch.rows())]
+
+        before = counter_labels("store.decode.rows").get("kept", 0)
+        cold = scanned()
+        assert counter_labels("store.decode.rows").get("kept", 0) == before
+        warm = scanned()
+        assert counter_labels("store.decode.rows")["kept"] == before + 200
+        assert cold == warm == list(store.scan())
+
+
 # -- vectorized predicates ----------------------------------------------------
 
 

@@ -55,12 +55,21 @@ Run = dict[str, Any]
 
 #: The seed of the one traced run per side that ``--layers`` compares.
 LAYERS_SEED = 2013
-#: Per-layer metrics no host clock feeds: equal seeds give equal values.
+#: Per-layer metrics no host clock feeds: equal seeds give equal values
+#: (two ``--trace 1`` runs of every workload at ``LAYERS_SEED`` repeat
+#: each of them exactly; a pattern never covers an ``ms``/``s`` metric,
+#: see :func:`layer_rows`). ``harness.samples`` and
+#: ``harness.gc_collections`` repeat too but are left out: they count
+#: ops, or the allocations of ops, that a run's time budget may cut.
 CLOCK_FREE = (
     "flash.*", "page_cache.*", "network.*", "crypto.hmac_calls", "*_calls",
     "catalog.records_examined", "catalog.rows_returned",
     "catalog.examined_per_row", "catalog.plan_share.*",
     "log_store.ram_bytes", "log_store.pages_used",
+    "encoding.scalar_fallback_share", "sim.events_per_op",
+    "coordinator.reasks", "coordinator.recovery_rounds",
+    "coordinator.demoted", "hierarchy.*", "journal.records_at_end",
+    "standing.*", "trace.spans_per_op", "trace.targets_missing",
     "harness.wire_bytes_per_op", "harness.flash_bytes_per_user_byte",
     "harness.sim_latency_s",
 )
