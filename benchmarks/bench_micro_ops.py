@@ -22,6 +22,7 @@ import pytest
 from repro.commons import AggregationNode, MaskedSum
 from repro.core import TrustedCell
 from repro.crypto import KeyRing, open_sealed, seal
+from repro.fedquery.gate import open_records, seal_records
 from repro.hardware import SMARTPHONE, FlashTimings, NandFlash
 from repro.policy import DataEnvelope, private_policy
 from repro.sim import World
@@ -43,6 +44,19 @@ def test_seal_1kb(benchmark):
 def test_open_1kb(benchmark):
     blob = seal(KEY, PAYLOAD)
     benchmark(open_sealed, KEY, blob)
+
+
+#: A ``records-kanon`` cell's batch: two projected rows, ~110 B of JSON —
+#: the size each seal on the kanon egress covers (~14 CTR blocks).
+KANON_ROWS = [
+    {"qi_age": 41, "qi_zip": 75013, "sector": "health"},
+    {"qi_age": 29, "qi_zip": 75020, "sector": "retail"},
+]
+
+
+def test_seal_records_kanon_batch(benchmark):
+    blob_hex = benchmark(seal_records, KEY, KANON_ROWS, "q-kanon", "cell-0000")
+    assert open_records(KEY, blob_hex) == KANON_ROWS
 
 
 def test_sign(benchmark, ring):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+import struct
 
 from ..errors import ConfigurationError
 from ..obs import get_default as _obs_default
@@ -29,6 +30,7 @@ from ..obs import get_default as _obs_default
 _MASK32 = 0xFFFFFFFF
 _XTEA_DELTA = 0x9E3779B9
 _XTEA_ROUNDS = 32  # 32 cycles = 64 Feistel rounds, the standard choice
+_CTR_MAX_BLOCKS = 1 << 32  # the 4-byte counter's range
 
 BLOCK_SIZE = 8  # bytes
 KEY_SIZE = 16  # bytes
@@ -85,24 +87,53 @@ def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 
     The counter block is ``nonce (4 bytes) || counter (4 bytes)``; a
     nonce must never be reused with the same key (the envelope layer
-    guarantees this by deriving a fresh key per object version).
+    guarantees this by deriving a fresh key per object version), and
+    the 4-byte counter caps one keystream at 2**32 blocks.
+
+    Every counter block is encrypted in one pass: block ``i`` is a
+    64-bit lane of one Python integer per XTEA word (block 0 in the
+    most significant lane, so the words unpack with one big-endian
+    ``to_bytes``), and each Feistel half-round is a few big-integer
+    operations over all lanes. A lane holds a 32-bit word and every
+    intermediate stays below 2**38, so no carry leaves its lane. The
+    ``>> 5`` does pull the next lane's low 5 bits into bits 59-63, but
+    carries only move up and bits 38-58 stay clear, so they never reach
+    the low 32 bits and the half-round's ``& low32`` drops them. The
+    bytes are :func:`xtea_encrypt_block`'s on each counter block, which
+    stays as the per-block reference.
     """
     if len(nonce) != 4:
         raise ConfigurationError("CTR nonce must be 4 bytes")
     if length < 0:
         raise ConfigurationError("keystream length must be non-negative")
-    blocks = []
-    for counter in range((length + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        counter_block = nonce + counter.to_bytes(4, "big")
-        blocks.append(xtea_encrypt_block(key, counter_block))
-    return b"".join(blocks)[:length]
+    n_blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
+    if n_blocks > _CTR_MAX_BLOCKS:
+        raise ConfigurationError(
+            f"keystream of {length} bytes needs {n_blocks} counter blocks; "
+            f"the 4-byte counter allows {_CTR_MAX_BLOCKS}"
+        )
+    k = _key_schedule(key)
+    ones = int.from_bytes(b"\x00\x00\x00\x00\x00\x00\x00\x01" * n_blocks, "big")
+    low32 = _MASK32 * ones
+    v0 = int.from_bytes(nonce, "big") * ones
+    v1 = int.from_bytes(struct.pack(f">{n_blocks}Q", *range(n_blocks)), "big")
+    total = 0
+    for _round in range(_XTEA_ROUNDS):
+        ka = (total + k[total & 3]) * ones
+        total = (total + _XTEA_DELTA) & _MASK32
+        kb = (total + k[(total >> 11) & 3]) * ones
+        v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ ka)) & low32
+        v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ kb)) & low32
+    return ((v0 << 32) | v1).to_bytes(n_blocks * BLOCK_SIZE, "big")[:length]
 
 
 def ctr_crypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt or decrypt ``data`` in CTR mode (the operation is its own
     inverse)."""
     stream = ctr_keystream(key, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        len(data), "big"
+    )
 
 
 # The HMAC call count lives in the process-default metrics registry

@@ -997,6 +997,10 @@ def open_release(
     rows in roster order, and runs the same Mondrian ``k_anonymize``
     the legacy orchestrator ran — by default auto-detecting the
     ``qi_``-prefixed quasi-identifiers exactly as the orchestrator did.
+
+    Raises :class:`~repro.errors.IntegrityError` if any batch fails to
+    open — forged, truncated, or not even hex (the coordinator relays
+    the blobs): the recipient must treat that as evidence of tampering.
     """
     if result.sealed_records is None:
         raise ProtocolError("result carries no sealed records")

@@ -35,7 +35,7 @@ from ..commons.aggregation import (
 from ..commons.dp import gamma_noise_share, laplace_scale
 from ..crypto import aead, shamir
 from ..crypto.primitives import KEY_SIZE, sha256
-from ..errors import ProtocolError
+from ..errors import IntegrityError, ProtocolError
 from .spec import FedQuerySpec
 
 Directory = dict[str, AggregationNode]
@@ -280,6 +280,15 @@ def seal_records(key: bytes, rows: list[dict[str, Any]], tag: str,
 
 
 def open_records(key: bytes, blob_hex: str) -> list[dict[str, Any]]:
-    """Recipient-side: verify and decrypt one cell's sealed batch."""
-    blob = aead.SealedBlob.from_bytes(bytes.fromhex(blob_hex))
+    """Recipient-side: verify and decrypt one cell's sealed batch.
+
+    The hex is relayed by the untrusted coordinator, so a blob that is
+    not hex at all raises :class:`IntegrityError`, as a truncated or
+    forged one does: evidence of tampering, not a malformed request.
+    """
+    try:
+        raw = bytes.fromhex(blob_hex)
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError("sealed record batch is not hex") from exc
+    blob = aead.SealedBlob.from_bytes(raw)
     return json.loads(aead.open_sealed(key, blob).decode())

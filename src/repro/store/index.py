@@ -15,10 +15,15 @@ approximated for budget checks on low-end profiles.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Iterable
 
 from ..errors import QueryError
 from .encoding import Value
+
+#: An ordered-index entry ``(value, record_id)``'s sort value: range
+#: bounds bisect on it alone, whatever the ids sort as.
+_entry_value = itemgetter(0)
 
 
 class HashIndex:
@@ -143,15 +148,15 @@ class OrderedIndex:
         if low is None:
             start = 0
         elif include_low:
-            start = bisect.bisect_left(self._entries, (low,))
+            start = bisect.bisect_left(self._entries, low, key=_entry_value)
         else:
-            start = bisect.bisect_right(self._entries, (low, "￿" * 8))
+            start = bisect.bisect_right(self._entries, low, key=_entry_value)
         if high is None:
             stop = len(self._entries)
         elif include_high:
-            stop = bisect.bisect_right(self._entries, (high, "￿" * 8))
+            stop = bisect.bisect_right(self._entries, high, key=_entry_value)
         else:
-            stop = bisect.bisect_left(self._entries, (high,))
+            stop = bisect.bisect_left(self._entries, high, key=_entry_value)
         return [record_id for _, record_id in self._entries[start:stop]]
 
     def minimum(self) -> Value:

@@ -1,7 +1,9 @@
 """Tests for crypto primitives: XTEA, CTR, HMAC, HKDF, AEAD."""
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
@@ -97,6 +99,122 @@ class TestCtr:
            st.binary(min_size=4, max_size=4))
     def test_involution_property(self, data, key, nonce):
         assert ctr_crypt(key, nonce, ctr_crypt(key, nonce, data)) == data
+
+
+def keystream_reference(key, nonce, length):
+    """One :func:`xtea_encrypt_block` per counter block, then truncate."""
+    blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
+    stream = b"".join(
+        xtea_encrypt_block(key, nonce + counter.to_bytes(4, "big"))
+        for counter in range(blocks)
+    )
+    return stream[:length]
+
+
+def crypt_reference(key, nonce, data):
+    """Byte-wise XOR with the reference keystream."""
+    stream = keystream_reference(key, nonce, len(data))
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def extreme_or_random(size):
+    """All-0x00 and all-0xFF (the largest carries in every lane), or random."""
+    return st.one_of(
+        st.sampled_from([bytes(size), b"\xff" * size]),
+        st.binary(min_size=size, max_size=size),
+    )
+
+
+#: Every length up to 8 blocks, plus exactly 1, 2 and 4,097 blocks.
+LENGTHS = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.sampled_from([BLOCK_SIZE, 2 * BLOCK_SIZE, 4097 * BLOCK_SIZE]),
+)
+
+#: Computed with the per-block keystream loop the lanes replaced:
+#: ``ctr_keystream(bytes(range(16)), bytes.fromhex("fffffffe"), 1024)``.
+KEYSTREAM_1KIB = bytes.fromhex("""
+    540113dbd84dc9de1c263b5167679478aff9ece98ddc1af298cb8e33a6004635
+    dd9e53a7f8d240f573386752c51f25cf6fda6739faee1cca40d78c29ff316c65
+    e0a5e0ad3a64b25b2bb73899be7b90bf96d094b90e7f9b1a2a3c1f608ab22e5c
+    0715a0ae9c478c47f953a5271e40bb7f4211759bebd4cf8a27a7e200e702cfbc
+    a9253ae3dedd591bd54f43fb2d495e1b543a174b62be71e13fc7d8ad4ffa2e5b
+    af2674e73e0065d1f33f2142f8ad3b8b87fa54da740668fab38673bf690d1fdd
+    15b1b0ffed0c9bd6971b367833e3d38712c57e6f8bd8e0722c7ff4406e02ba2f
+    48564124b6ea65fc7cf825053789fafa57953b79927ba86f1b12765d33a5a4ad
+    3d6a4b360efe6a780e373e40a5acffab7d5809e2e32ad01e446518eeece91948
+    5cbc338d67bb8b55d3337e582cde81b014ccd83dd91c2844f11e5a80197d6cb4
+    3d16d7d10534ff3d5bb33c427a73bc00e0ded984ab40ab7a9db6bcf450b3e17e
+    7c3eac9a0a10e0bdedea8a2aa5c8564123a27227cf18bf3b325b8102a36938d8
+    94e97fd4e9794695bfd782931f801e12710896e3f4eae178823416e93e03f963
+    e140a4d8ffb034239cf3cb3bd83570543dbd558e9b9d1093320f8ae80510db66
+    ef0db41e156bfb0d3a439e5b0eff7f75ceb26eeae6e99c15a2a65c1f9eff4470
+    221b5a53170f073c98cefc09cadc889583d30f215e7fe264f5141c26a9cc3f63
+    6dcb5cff336a978c12820518721715b3e318ef2c48780656e546ed42c683bc2f
+    b6e341163ea8c8dfd195ec29a5ece35a5bfd5cf9bd1b332e4bf684f02e87e867
+    afe6d1526a8a56945c6e9ac65ec8ddb78e22bded080e005ea3689cf323564b34
+    2697fb131b00f1ac701466fcc5b0d6eadfa49843f0b6e22c1b9a18b0b96a4705
+    e3e1a67b89b5463ccc3566a9a61ffd15dc332ddefe4d02cebaa3ac37cf015086
+    e0d5c7050359f93d509838afb9555e1e8b4d7d19b694d2131577d843c17f1889
+    47ff5598e5b89530b8b0838a230c792a065920e61062fe11209d4326ac31f98f
+    e64aa9799f48d2a9585dc1d051e21460d6155fe590405290dbbe98bf758ea271
+    1bddb2f0e0002d37b28017ed9e8469d5e9a29cc4f69e7bb60455f5fdff09c5bc
+    389d07421c6522c82f7e4cdbc0d4cf283558a74def703b3f5d4232175e661052
+    c6873e0d28c04a9f7f5d65c55de0dd615d50438c95faadbf67066e7263498f1a
+    bc114695497a6576690401035bdacb303083c3d1657d90716027facf99538843
+    9f2a2097616ea16412d6cc24be584a9a97d992a802c1efe10d2481889e782ccb
+    6b03bd50bb5d8bc572a6dd780d68fb826085df71dd806274d75b88e6296e32be
+    b616afffc6774430540f361896d318bd086b25e50cc5b1cb6af42df3e64f6e69
+    d3d86461e80f829aaf3858c0d06580a5fdfaab71a2753adcf5bceb942b60bc9d
+""")
+
+#: ``seal(bytes(range(16)), bytes(range(112)), b"policy:kanon",
+#: b"round-7").to_bytes()`` under the same per-block loop: a sealed
+#: batch the size a kanon egress sends.
+SEALED_112B = bytes.fromhex("""
+    0000000c706f6c6963793a6b616e6f6e0000000495691e5a000000709173b94d
+    baa4caeb6f688bcb7650e006b61e868b8518621fdc3b82a814d3eb63f1171916
+    c3e5b669dea9bac81eb0b03ba92970c50d57bca43d98f951e9f7e21afe599d35
+    8a855ce64071b5e85cd8503e0933ef1d83fc66e46ea36612f06d8a58b587dfb9
+    dd82c54b27a1c0bad816264b00000020e93c92bb0659f8cb6d5dddf871281e90
+    ba40d604132da7476451cc2a9c8702a4
+""")
+
+
+class TestCtrLanes:
+    """The lane-parallel keystream against references that do not use it."""
+
+    @settings(deadline=None)
+    @given(extreme_or_random(KEY_SIZE), extreme_or_random(4), LENGTHS)
+    @example(bytes(KEY_SIZE), bytes(4), 4097 * BLOCK_SIZE)
+    @example(b"\xff" * KEY_SIZE, b"\xff" * 4, 4097 * BLOCK_SIZE)
+    def test_keystream_equals_per_block_reference(self, key, nonce, length):
+        assert ctr_keystream(key, nonce, length) == keystream_reference(key, nonce, length)
+
+    @settings(deadline=None)
+    @given(extreme_or_random(KEY_SIZE), extreme_or_random(4), LENGTHS,
+           st.randoms(use_true_random=False))
+    def test_crypt_equals_bytewise_xor_reference(self, key, nonce, length, rng):
+        data = rng.randbytes(length)
+        assert ctr_crypt(key, nonce, data) == crypt_reference(key, nonce, data)
+
+    def test_known_answer_keystream(self):
+        stream = ctr_keystream(bytes(range(16)), bytes.fromhex("fffffffe"), 1024)
+        assert stream == KEYSTREAM_1KIB
+
+    def test_known_answer_sealed_blob(self):
+        blob = seal(bytes(range(16)), bytes(range(112)), b"policy:kanon", b"round-7")
+        assert blob.to_bytes() == SEALED_112B
+
+    def test_counter_overflow_rejected_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError):
+            ctr_keystream(KEY, bytes(4), (2**32 + 1) * BLOCK_SIZE)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bad_key_size_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ctr_keystream(b"short", bytes(4), 8)
 
 
 class TestMacAndKdf:

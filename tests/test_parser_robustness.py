@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import SealedBlob, Signature, hkdf, seal
 from repro.errors import IntegrityError, PolicyError, ProtocolError, StorageError
-from repro.fedquery import TRANSFORM_EXACT, FedQuerySpec
+from repro.fedquery import TRANSFORM_EXACT, FedQuerySpec, gate
 from repro.policy import (
     RIGHT_READ,
     AccessContext,
@@ -296,3 +296,32 @@ class TestPredicateCodec:
         except ProtocolError:
             return
         assert spec.to_wire()["where"] == wire["where"]
+
+
+class TestSealedRecordBatch:
+    """``gate.open_records`` parses hex the untrusted coordinator relays."""
+
+    ROWS = [{"qi_age": 41, "diagnosis": "flu"}]
+
+    def test_roundtrip(self):
+        blob_hex = gate.seal_records(KEY, self.ROWS, "q1", "cell-0")
+        assert gate.open_records(KEY, blob_hex) == self.ROWS
+
+    @pytest.mark.parametrize("blob_hex", ["zz", "abc", "00 0g", "\u0661\u0662", 7, None])
+    def test_malformed_hex_is_integrity_evidence(self, blob_hex):
+        with pytest.raises(IntegrityError):
+            gate.open_records(KEY, blob_hex)
+
+    def test_truncated_and_mutated_blobs_are_integrity_evidence(self):
+        blob_hex = gate.seal_records(KEY, self.ROWS, "q1", "cell-0")
+        with pytest.raises(IntegrityError):
+            gate.open_records(KEY, blob_hex[:-2])
+        flipped = blob_hex[:-1] + ("0" if blob_hex[-1] != "0" else "1")
+        with pytest.raises(IntegrityError):
+            gate.open_records(KEY, flipped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=64))
+    def test_arbitrary_text_raises_integrity_error(self, blob_hex):
+        with pytest.raises(IntegrityError):
+            gate.open_records(KEY, blob_hex)

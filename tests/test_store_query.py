@@ -89,6 +89,28 @@ class TestOrderedIndex:
             index.add(record_id, value)
         assert index.range(10, 30, include_low=False, include_high=False) == ["b"]
 
+    @pytest.mark.parametrize("include_low", [True, False])
+    @pytest.mark.parametrize("include_high", [True, False])
+    def test_bounds_hold_for_ids_sorting_after_any_string_sentinel(
+        self, include_low, include_high
+    ):
+        # Ids that sort after a run of U+FFFF: nine of them, and a
+        # collection name starting in the astral plane.
+        exact = ["m/b", "\uffff" * 9, "\U0001d52aeter/a"]
+        index = OrderedIndex("t")
+        for record_id, value in [("a", 4), ("z", 6)] + [(i, 5) for i in exact]:
+            index.add(record_id, value)
+        both = include_low and include_high
+        assert index.range(
+            5, 5, include_low=include_low, include_high=include_high
+        ) == (exact if both else [])
+        assert index.range(None, 5, include_high=include_high) == (
+            ["a"] + (exact if include_high else [])
+        )
+        assert index.range(5, None, include_low=include_low) == (
+            (exact if include_low else []) + ["z"]
+        )
+
     def test_min_max(self):
         index = OrderedIndex("t")
         index.add("a", 5)
