@@ -22,6 +22,7 @@ import pytest
 from repro.commons import AggregationNode, MaskedSum
 from repro.core import TrustedCell
 from repro.crypto import KeyRing, open_sealed, seal
+from repro.fedquery import gate
 from repro.fedquery.gate import open_records, seal_records
 from repro.hardware import SMARTPHONE, FlashTimings, NandFlash
 from repro.policy import DataEnvelope, private_policy
@@ -298,3 +299,32 @@ def test_masked_sum_20_nodes(benchmark):
         protocol.run(nodes, values, round_tag=f"round-{next(counter)}")
 
     benchmark(one_round)
+
+
+def _preshared_roster(size: int) -> tuple[list[str], dict]:
+    names = [f"cell-{position:04d}" for position in range(size)]
+    return names, {name: AggregationNode.preshared(name, b"micro-ops")
+                   for name in names}
+
+
+def test_masked_contribution_400_cells_k32(benchmark):
+    """One cell's ring-masked contribution, the shape a flat fedquery
+    op pays once per cell: 32 fresh (pair, round) seeds, one element
+    each. Every call takes a fresh round tag — a reused tag hits the
+    mask memo and times a lookup, not a derivation."""
+    names, directory = _preshared_roster(400)
+    node = directory[names[200]]
+    tags: list[str] = []
+
+    def one_contribution():
+        tags.append(f"round-{len(tags)}")
+        return gate.masked_contribution(
+            node, directory, names, tags[-1], 4242, neighbors=32)
+
+    one_contribution()  # warm the pairwise keys
+    masked = benchmark(one_contribution)
+    # The scalar oracle on its own nodes, so it reads no memo the
+    # batch call wrote.
+    _, oracle = _preshared_roster(400)
+    assert masked == gate.masked_contribution_reference(
+        oracle[names[200]], oracle, names, tags[-1], 4242, neighbors=32)

@@ -337,32 +337,36 @@ class AggregationNode:
         The vectorized counterpart of calling :meth:`mask_elements`
         per peer: one lookup finds the round's record, every peer it
         lacks is derived (one HMAC per fresh pair — the keyed
-        derivation count is identical to the scalar path, tagged under
-        the peer's :class:`~repro.crypto.primitives.HmacKey`) and
+        derivation count is identical to the scalar path, every fresh
+        peer's :class:`~repro.crypto.primitives.HmacKey` tagged in one
+        :meth:`~repro.crypto.primitives.HmacKey.tag_many` call) and
         expanded in a single
         :func:`~repro.commons.kernels.expand_streams` pass.  Returns
-        the element lists aligned with ``peers``, bit-for-bit equal to
-        the scalar loop.
+        the element lists aligned with ``peers``, sliced off the
+        record in one pass, bit-for-bit equal to the scalar loop.
         """
         record = self._round_masks(round_tag)
         rows, mask_keys = record.rows, self._mask_keys
         fresh = [peer for peer in peers if peer.name not in rows]
         seeds = []
         if fresh:
-            label = f"mask|{round_tag}".encode()
+            keys = []
             for peer in fresh:
                 key = mask_keys.get(peer.name)
                 if key is None:
                     key = mask_keys[peer.name] = HmacKey(
                         self._pairwise_key_for(peer))
-                seeds.append(key.tag(label))
+                keys.append(key)
+            seeds = HmacKey.tag_many(keys, f"mask|{round_tag}".encode())
         # Rows are handed out only once every fresh seed is derived: a
         # peer without key material raises above and leaves no trace.
         record.grow([peer.name for peer in fresh], seeds, count,
                     kernels.expand_streams)
         _ROWS_DERIVED.inc(len(fresh))
         _ROWS_CACHED.inc(len(peers) - len(fresh))
-        return [record.row(peer.name, count) for peer in peers]
+        elements, width = record.elements, record.width
+        starts = [rows[peer.name] * width for peer in peers]
+        return [elements[start:start + count] for start in starts]
 
     # -- the mask core: every masked transport goes through these two ---------
 

@@ -532,12 +532,6 @@ class TrustedCell:
         except KeyError:
             raise NotFoundError(f"no series {name!r} on {self.name!r}") from None
 
-    def series_length(self, name: str) -> int:
-        try:
-            return len(self._series[name])
-        except KeyError:
-            raise NotFoundError(f"no series {name!r} on {self.name!r}") from None
-
     def read_series(
         self,
         session: Session,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import struct
+from collections.abc import Sequence
 
 from ..errors import ConfigurationError
 from ..obs import get_default as _obs_default
@@ -156,30 +157,57 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return _hmac.new(key, message, hashlib.sha256).digest()
 
 
+# RFC 2104's two pads as ``bytes.translate`` tables (the standard
+# library ``hmac`` module's ``trans_36`` / ``trans_5C``): XOR-ing a
+# padded key with a pad is one C call.
+_SHA256_BLOCK = 64  # bytes
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
 class HmacKey:
     """HMAC-SHA256 under one key, for many messages.
 
     :func:`hmac_sha256` re-hashes both padded-key blocks on every call
     (four SHA-256 compressions for a short message). A long-lived key
     — a ring edge's pairwise key, tagged once per round — is absorbed
-    here once, into a standard-library HMAC object; :meth:`tag` copies
-    that state and pays only the two compressions that depend on the
-    message. Tags are :func:`hmac_sha256`'s, and every tag counts once
-    on ``crypto.hmac.calls``, so the derivation oracle cannot tell the
+    here once, into two SHA-256 states: the RFC 2104 inner
+    (K ⊕ ipad) and outer (K ⊕ opad) blocks, a key longer than the
+    64-byte block hashed first, a shorter one zero-padded. A tag
+    copies both states and pays only the two compressions that depend
+    on the message, all in ``hashlib`` C calls. Tags are
+    :func:`hmac_sha256`'s (the standard library ``hmac`` module, the
+    oracle that pins this one), and every tag counts once on
+    ``crypto.hmac.calls``, so the derivation oracle cannot tell the
     two apart.
     """
 
-    __slots__ = ("_keyed",)
+    __slots__ = ("_inner", "_outer")
 
     def __init__(self, key: bytes) -> None:
-        self._keyed = _hmac.new(key, digestmod=hashlib.sha256)
+        if len(key) > _SHA256_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_SHA256_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
 
     def tag(self, message: bytes) -> bytes:
         """HMAC-SHA256 tag of ``message`` under this key."""
-        _HMAC_CALLS.value += 1
-        keyed = self._keyed.copy()
-        keyed.update(message)
-        return keyed.digest()
+        return HmacKey.tag_many((self,), message)[0]
+
+    @staticmethod
+    def tag_many(keys: Sequence[HmacKey], message: bytes) -> list[bytes]:
+        """The tag of ``message`` under each of ``keys``, in order —
+        ``len(keys)`` HMACs, counted on ``crypto.hmac.calls`` at once."""
+        _HMAC_CALLS.value += len(keys)
+        tags = []
+        for key in keys:
+            inner = key._inner.copy()
+            inner.update(message)
+            outer = key._outer.copy()
+            outer.update(inner.digest())
+            tags.append(outer.digest())
+        return tags
 
 
 def hmac_invocations() -> int:

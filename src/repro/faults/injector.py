@@ -275,15 +275,3 @@ class FaultInjector:
             return  # already respawned (e.g. by the tree root)
         self._events.emit("crash.restart", address=address)
         endpoint.restart()
-
-    def crash_downtime_s(self) -> int:
-        """Worst-case seconds of planned coordinator downtime.
-
-        Horizon slack for crash-aware endpoints: each planned crash
-        costs its restart delay (a respawn-less crash costs nothing
-        here — the root revives the region within its own ladder,
-        which the caller's horizon already covers).
-        """
-        return sum(
-            spec.restart_after_s or 0 for spec in self.plan.crashes
-        )

@@ -144,17 +144,6 @@ class Fleet:
             total += float(result.scalar())
         return total
 
-    def local_rows(self, spec: FedQuerySpec,
-                   roster: list[str] | None = None) -> list[dict]:
-        """Oracle record release: every cell's matching rows, in roster
-        order (what a ``records-kanon`` release decrypts to)."""
-        names = roster if roster is not None else self.roster
-        rows: list[dict] = []
-        for name in names:
-            result = self.catalogs[name].query(spec.local_query())
-            rows.extend(result.rows)
-        return rows
-
 
 def _cell_name(name_prefix: str, position: int, size: int) -> str:
     """``cell-0042``-style names; padding widens past 10k cells so the

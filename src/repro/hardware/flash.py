@@ -101,13 +101,6 @@ class NandFlash:
         """Register ``callback(block)`` to run on every block erase."""
         self._erase_listeners.append(callback)
 
-    def remove_erase_listener(self, callback) -> None:
-        """Unregister a previously added erase callback (idempotent)."""
-        try:
-            self._erase_listeners.remove(callback)
-        except ValueError:
-            pass
-
     def erase_block(self, block: int) -> None:
         """Erase a whole block, freeing its pages for rewriting."""
         if not 0 <= block < self.block_count:

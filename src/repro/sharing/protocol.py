@@ -37,7 +37,6 @@ from ..core.cell import Session, TrustedCell
 from ..crypto.aead import SealedBlob, open_sealed, seal
 from ..errors import AccessDenied, CredentialError, ProtocolError
 from ..infrastructure.cloud import CloudProvider
-from ..policy.sticky import DataEnvelope
 from ..policy.ucon import RIGHT_SHARE, Grant, UsagePolicy
 from ..sync.vault import VaultClient
 
@@ -285,8 +284,3 @@ def introduce_cells(*cells: TrustedCell) -> None:
         for other in cells:
             if other is not cell:
                 cell.registry.enroll_principal(other.principal)
-
-
-def fetch_envelope(envelope_bytes: bytes) -> DataEnvelope:
-    """Parse envelope bytes fetched out-of-band (utility for tests)."""
-    return DataEnvelope.from_bytes(envelope_bytes)

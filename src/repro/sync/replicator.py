@@ -21,7 +21,7 @@ on the event loop so the object does not have to wait a full period.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigurationError, TransientCloudError
@@ -38,13 +38,6 @@ class ReplicationStats:
     push_failures: int = 0  # transient failures absorbed (object kept dirty)
     deferred_retries: int = 0  # backoff retries scheduled on the loop
     max_staleness: int = 0  # seconds a dirty object waited, worst case
-    staleness_samples: list[int] = field(default_factory=list)
-
-    @property
-    def mean_staleness(self) -> float:
-        if not self.staleness_samples:
-            return 0.0
-        return sum(self.staleness_samples) / len(self.staleness_samples)
 
 
 class Replicator:
@@ -180,7 +173,6 @@ class Replicator:
         self._retry_attempts.pop(object_id, None)
         now = self.cell.world.now
         waited = now - self._dirty_since.pop(object_id, now)
-        self.stats.staleness_samples.append(waited)
         self.stats.max_staleness = max(self.stats.max_staleness, waited)
         self._staleness_metric.observe(waited)
         return True
@@ -198,7 +190,6 @@ class Replicator:
                 self._pushed_versions[object_id] = envelope.version
             self._retry_attempts.pop(object_id, None)
             waited = now - self._dirty_since.pop(object_id, now)
-            self.stats.staleness_samples.append(waited)
             self.stats.max_staleness = max(self.stats.max_staleness, waited)
             self._staleness_metric.observe(waited)
         for object_id, reason in report.failed.items():

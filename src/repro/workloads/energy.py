@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
-from ..store.timeseries import TimeSeries, persist_series, series_record_id
+from ..store.timeseries import TimeSeries, series_record_id
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ class DayTrace:
             (series_record_id(timestamp), {"t": int(timestamp), "w": float(watts)})
             for timestamp, watts in self.series.samples()
         ]
-
-
-def ingest_day_trace(collection, trace: DayTrace, *, batch: bool = True) -> int:
-    """Persist one day's meter trace into a catalog collection.
-
-    ``batch=True`` is the page-coalescing hot path
-    (``Collection.insert_many``); ``batch=False`` is the one-record-at-
-    a-time baseline. Returns the number of samples ingested.
-    """
-    return persist_series(collection, trace.series, batch=batch)
 
 
 class HouseholdSimulator:

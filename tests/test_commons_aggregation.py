@@ -239,6 +239,21 @@ class TestMaskKeystream:
         a.mask_elements_many([b, c], "r", 2)
         assert hmac_invocations() - before == 2
 
+    def test_peer_without_key_material_leaves_no_trace(self):
+        """Every fresh key is resolved before any seed is tagged: a
+        keyless peer after a good one raises with no HMAC paid and no
+        row kept, so the good peer's seed is derived afresh later."""
+        a, b = make_nodes(2)
+        keyless = AggregationNode("keyless", None)
+        before = hmac_invocations()
+        with pytest.raises(AttributeError):
+            a.mask_elements_many([b, keyless], "r", 1)
+        assert hmac_invocations() == before
+        rows = a.mask_elements_many([b], "r", 1)
+        assert hmac_invocations() - before == 1
+        same_keys_as_a = make_nodes(2)[0]
+        assert rows == [same_keys_as_a.mask_elements(b, "r", 1)]
+
     def test_masks_differ_across_components_and_rounds(self):
         a, b = preshared_nodes(2)
         elements = a.mask_elements(b, "r1", 16)

@@ -285,6 +285,39 @@ class TestHmacKey:
     def test_equivalence_property(self, key, message):
         assert HmacKey(key).tag(message) == hmac_sha256(key, message)
 
+    # RFC 4231 HMAC-SHA256 known answers: test cases 1, 2 and 6 (a
+    # 131-byte key, longer than the block, is hashed first).
+    RFC_4231 = (
+        (b"\x0b" * 20, b"Hi There",
+         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+        (b"Jefe", b"what do ya want for nothing?",
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+        (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    )
+
+    @pytest.mark.parametrize("key,message,expected", RFC_4231,
+                             ids=["case-1", "case-2", "case-6"])
+    def test_rfc_4231_known_answers(self, key, message, expected):
+        assert HmacKey(key).tag(message).hex() == expected
+        assert HmacKey.tag_many([HmacKey(key)], message)[0].hex() == expected
+
+    @pytest.mark.parametrize("lengths", [(), (0, 16, 32, 64, 65, 200)])
+    def test_tag_many_equals_hmac_sha256_per_key(self, lengths):
+        keys = [bytes((11 * index + length) % 256 for index in range(length))
+                for length in lengths]
+        for message in self.MESSAGES:
+            expected = [hmac_sha256(key, message) for key in keys]
+            assert HmacKey.tag_many([HmacKey(key) for key in keys], message) == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 32])
+    def test_tag_many_counts_once_per_key(self, count):
+        before = hmac_invocations()
+        keys = [HmacKey(bytes([index]) * 16) for index in range(count)]
+        assert hmac_invocations() == before  # absorbing keys is free
+        HmacKey.tag_many(keys, b"mask|round")
+        assert hmac_invocations() == before + count
+
 
 class TestAead:
     def test_roundtrip(self):
