@@ -149,9 +149,6 @@ class AsyncMaskedAggregation:
     # -- resilient mailbox I/O ----------------------------------------------
 
     def _cloud_post(self, mailbox: str, sender: str, payload: bytes) -> None:
-        if self.retry_policy is None:
-            self.cloud.post_message(mailbox, sender, payload)
-            return
         retry_call(
             lambda: self.cloud.post_message(mailbox, sender, payload),
             policy=self.retry_policy, obs=self.world.obs,
@@ -159,8 +156,6 @@ class AsyncMaskedAggregation:
         )
 
     def _cloud_fetch(self, mailbox: str) -> list[tuple[str, bytes]]:
-        if self.retry_policy is None:
-            return self.cloud.fetch_messages(mailbox)
         return retry_call(
             lambda: self.cloud.fetch_messages(mailbox),
             policy=self.retry_policy, obs=self.world.obs,

@@ -243,40 +243,11 @@ class TrustedCell:
         policy pack's template for ``kind`` (bound to the session
         subject), falling back to owner-only.
         """
-        if policy is None:
-            policy = self._default_policy(session.subject, kind)
-        version = 1
-        if self.catalog.collection("objects").contains(object_id):
-            version = self.catalog.collection("objects").get(object_id)["version"] + 1
-        key = self.tee.keys.object_key(object_id, version)
-        envelope = DataEnvelope.create(key, object_id, version, payload, policy)
-        self._envelopes[object_id] = envelope
-        metadata = ObjectMetadata(
-            object_id=object_id,
-            owner=policy.owner,
-            version=version,
-            kind=kind,
-            size=len(payload),
-            created_at=self.world.now,
-            keywords=keywords,
+        return self._store(
+            session, object_id, policy, kind, keywords, len(payload),
+            lambda key, version, policy: DataEnvelope.create(
+                key, object_id, version, payload, policy),
         )
-        self.catalog.collection("objects").insert(
-            object_id,
-            {
-                "owner": metadata.owner,
-                "version": metadata.version,
-                "kind": metadata.kind,
-                "size": metadata.size,
-                "created_at": metadata.created_at,
-                "keywords": metadata.keywords,
-            },
-        )
-        self.audit.append(
-            self.world.now, session.subject, object_id, "store", True,
-            reason=f"v{version}",
-        )
-        self.tee.charge_cpu(len(payload))
-        return metadata
 
     def store_frames(
         self,
@@ -297,27 +268,49 @@ class TrustedCell:
         like any other object afterwards: it is pushed, fetched,
         version-anchored and policy-checked as one unit.
         """
+        return self._store(
+            session, object_id, policy, kind, keywords,
+            sum(len(frame) for frame in frames),
+            lambda key, version, policy: DataEnvelope.create_bundle(
+                key, object_id, version, frames, policy),
+            suffix=f" bundle[{len(frames)}]",
+        )
+
+    def _store(
+        self,
+        session: Session,
+        object_id: str,
+        policy: UsagePolicy | None,
+        kind: str,
+        keywords: str,
+        size: int,
+        seal: Callable[[bytes, int, UsagePolicy], DataEnvelope],
+        suffix: str = "",
+    ) -> ObjectMetadata:
+        """The one store routine: version, seal, catalog, audit, charge.
+
+        ``seal(key, version, policy)`` builds the envelope; the public
+        store calls differ only in it, the object's ``size`` and the
+        audit reason's ``suffix``.
+        """
         if policy is None:
             policy = self._default_policy(session.subject, kind)
+        objects = self.catalog.collection("objects")
         version = 1
-        if self.catalog.collection("objects").contains(object_id):
-            version = self.catalog.collection("objects").get(object_id)["version"] + 1
+        if objects.contains(object_id):
+            version = objects.get(object_id)["version"] + 1
         key = self.tee.keys.object_key(object_id, version)
-        envelope = DataEnvelope.create_bundle(
-            key, object_id, version, frames, policy
-        )
-        self._envelopes[object_id] = envelope
-        total_bytes = sum(len(frame) for frame in frames)
+        self._envelopes[object_id] = seal(key, version, policy)
         metadata = ObjectMetadata(
             object_id=object_id,
             owner=policy.owner,
             version=version,
             kind=kind,
-            size=total_bytes,
+            size=size,
             created_at=self.world.now,
             keywords=keywords,
         )
-        self.catalog.collection("objects").insert(
+        objects.insert(
             object_id,
             {
                 "owner": metadata.owner,
@@ -330,9 +323,9 @@ class TrustedCell:
         )
         self.audit.append(
             self.world.now, session.subject, object_id, "store", True,
-            reason=f"v{version} bundle[{len(frames)}]",
+            reason=f"v{version}{suffix}",
         )
-        self.tee.charge_cpu(total_bytes)
+        self.tee.charge_cpu(size)
         return metadata
 
     def adopt_policy_pack(self, pack, publisher_key) -> None:

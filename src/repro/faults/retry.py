@@ -117,7 +117,7 @@ def _retry_instruments(obs):
 def retry_call(
     fn: Callable[[], T],
     *,
-    policy: RetryPolicy,
+    policy: RetryPolicy | None,
     obs,
     rng: random.Random | None = None,
     operation: str = "op",
@@ -127,11 +127,15 @@ def retry_call(
 
     The first attempt runs bare — a clean call records no metrics, no
     events, no span. On exhaustion the *last* transient error is
-    re-raised, after ``retry.exhausted`` is recorded.
+    re-raised, after ``retry.exhausted`` is recorded. With no
+    ``policy`` the bare attempt is the only one: its transient error
+    is re-raised as is, and nothing is recorded.
     """
     try:
         return fn()
     except transient as error:
+        if policy is None:
+            raise
         first_error = error
     attempts_metric, exhausted_metric, backoff_metric = _retry_instruments(obs)
     error = first_error

@@ -66,7 +66,6 @@ from .journal import (
     REC_MASK_REPORT,
     REC_PARTIAL,
     REC_REPORT,
-    REC_START,
     QueryJournal,
 )
 from .spec import (
@@ -117,9 +116,11 @@ class RegionalCoordinator(Coordinator):
     message instead of :meth:`run`, collection settles into a
     ``fq.shard_partial`` report instead of a combine, and recovery is
     triggered by the root's **global** missing list and settles into a
-    ``fq.shard_mask`` report. Both reports are cached and replayed
-    verbatim when the root re-asks, so the root's retry ladder is
-    idempotent.
+    ``fq.shard_mask`` report. A run is dropped at each report: the
+    journal is then the region's only memory of the shard. A root
+    re-ask resends the journaled report, and the root's recover request
+    rebuilds the run with :meth:`_restore_state` — the restart path —
+    so the root's retry ladder is idempotent.
     """
 
     _EVENTS = "fedquery.shard"
@@ -128,11 +129,23 @@ class RegionalCoordinator(Coordinator):
                  address: str, **kwargs: Any) -> None:
         super().__init__(world, network, address=address, **kwargs)
         self.region = region
-        # tag -> (root address, message): idempotent replay caches.
-        self._sent: dict[str, tuple[str, dict[str, Any]]] = {}
-        self._mask_sent: dict[str, tuple[str, dict[str, Any]]] = {}
-        # tag -> the region's coordinator_view (leakage audit surface).
-        self.views: dict[str, list[Any]] = {}
+
+    @property
+    def views(self) -> dict[str, list[Any]]:
+        """tag -> the region's coordinator_view (leakage audit surface):
+        its cells' OK masked payloads and net masks, read off the
+        journal in append order."""
+        return {
+            tag: [
+                record["payload"] if record["type"] == REC_PARTIAL
+                else record["net_mask"]
+                for record in records
+                if record["type"] == REC_MASK or (
+                    record["type"] == REC_PARTIAL
+                    and record["status"] == STATUS_OK)
+            ]
+            for tag, records in self.journal.by_tag().items()
+        }
 
     # -- inbound ---------------------------------------------------------------
 
@@ -151,12 +164,12 @@ class RegionalCoordinator(Coordinator):
 
     def _on_shard_plan(self, message: dict[str, Any]) -> None:
         tag = message["tag"]
-        if tag in self._sent:
-            root, reply = self._sent[tag]
-            self._send_up(root, reply)  # root re-ask: replay verbatim
+        records = self.journal.of(tag)
+        if records:
+            # A root re-ask: resend the journaled report — or, still
+            # collecting, leave the reply to the settle.
+            self._resend(records, REC_REPORT)
             return
-        if tag in self._active:
-            return  # still collecting; the settle will reply
         state = self._place(
             _RunState(
                 tag, FedQuerySpec.from_wire(message["spec"]),
@@ -185,8 +198,6 @@ class RegionalCoordinator(Coordinator):
             position: name for name, position in state.positions.items()
         }
         state.root = root
-        state.recover_targets = []
-        state.reported = (0, 0, 0)
         return state
 
     def _start_record(self, state: _RunState) -> dict[str, Any]:
@@ -254,16 +265,21 @@ class RegionalCoordinator(Coordinator):
         })
         if state.phase != "report":
             return  # the journal hook crashed us mid-append
-        self._sent[state.tag] = (state.root, reply)
-        state.reported = (state.messages, state.bytes, state.reasks)
-        self.views[state.tag] = state.view
         self._events.emit(
             "fedquery.shard.settle", tag=state.tag, region=self.region,
             participants=len(ok), reasks=state.reasks,
         )
         self._send_up(state.root, reply)
-        if not state.spec.numeric:
-            del self._active[state.tag]  # record shards have no recovery
+        del self._active[state.tag]  # the journal answers from here on
+
+    def _resend(self, records: list[dict[str, Any]], kind: str) -> bool:
+        """Resend the reply of the ``kind`` report (REC_REPORT or
+        REC_MASK_REPORT) journaled in ``records``, if there is one."""
+        for record in records:
+            if record["type"] == kind:
+                self._send_up(records[0]["root"], record["reply"])
+                return True
+        return False
 
     def _send_up(self, root: str, message: dict[str, Any]) -> None:
         # Root-level traffic is billed by the root (both directions),
@@ -279,15 +295,17 @@ class RegionalCoordinator(Coordinator):
 
     def _on_shard_recover(self, message: dict[str, Any]) -> None:
         tag = message["tag"]
-        if tag in self._mask_sent:
-            root, reply = self._mask_sent[tag]
-            self._send_up(root, reply)
-            return
-        state = self._active.get(tag)
-        if state is None or state.phase != "report":
-            return  # unknown tag, or recovery already in flight
+        if tag in self._active:
+            return  # still collecting, or recovery already in flight
+        records = self.journal.of(tag)
+        if not records or self._resend(records, REC_MASK_REPORT):
+            return  # unknown tag, or a root re-ask of the mask report
+        state = self._restore_state(records[0], records)
+        if state.phase != "done" or not state.spec.numeric:
+            return  # not reported, or a record shard: no recovery
         state.missing = list(message["missing"])
         state.recover_targets = self._relevant_survivors(state)
+        self._active[tag] = state
         self._start_recovery(state)
 
     def _relevant_survivors(self, state: _RunState) -> list[str]:
@@ -335,34 +353,16 @@ class RegionalCoordinator(Coordinator):
         if state.phase == "crashed":
             return  # the journal hook crashed us mid-append
         state.phase = "done"
-        self._mask_sent[state.tag] = (state.root, reply)
         self._send_up(state.root, reply)
         del self._active[state.tag]
 
-    # -- crash and restart -----------------------------------------------------
-
-    def _replay_journal(self) -> None:
-        # Regions never write ``done`` records: their terminal states
-        # are the two cached upward reports, which the root's re-ask
-        # ladder replays. Restore the caches, then resume whatever was
-        # still mid-flight.
-        for tag, records in self.journal.by_tag().items():
-            start = records[0]
-            if start["type"] != REC_START:
-                continue
-            report = next(
-                (r for r in records if r["type"] == REC_REPORT), None)
-            mask_report = next(
-                (r for r in records if r["type"] == REC_MASK_REPORT), None)
-            if report is not None:
-                self._sent[tag] = (start["root"], report["reply"])
-            if mask_report is not None:
-                self._mask_sent[tag] = (start["root"], mask_report["reply"])
-                continue  # terminal for this region
-            self._revive(records)
+    # -- a run rebuilt from its records ----------------------------------------
 
     def _restore_state(self, start: dict[str, Any],
                        records: list[dict[str, Any]]) -> _RunState:
+        """Rebuild a shard's run from its records, on a restart or a
+        root recover request. A reported run that is not recovering
+        comes back ``done``: a restart leaves it in the journal."""
         state = self._place(
             super()._restore_state(start, records),
             start["positions"], start["global_size"], start["root"],
@@ -370,7 +370,7 @@ class RegionalCoordinator(Coordinator):
         report = next((r for r in records if r["type"] == REC_REPORT), None)
         if report is not None:
             # The report snapshot is the authoritative accounting at
-            # settle time; outbound ships lost to the crash are not in
+            # settle time; outbound ships lost to a crash are not in
             # the journal, so rebuild from the snapshot plus the
             # journaled post-report mask traffic. Deltas in the mask
             # report stay non-negative by construction.
@@ -382,20 +382,13 @@ class RegionalCoordinator(Coordinator):
             state.reasks = reply["reasks"]
             state.reported = (
                 reply["messages"], reply["bytes"], reply["reasks"])
-            self.views[state.tag] = state.view
             if state.phase == "collect":
-                # Record shards have no recovery: they end at the report.
-                state.phase = "report" if state.spec.numeric else "done"
+                state.phase = "done"
+        if any(r["type"] == REC_MASK_REPORT for r in records):
+            state.phase = "done"
         if state.phase == "recover":
             state.recover_targets = self._relevant_survivors(state)
         return state
-
-    def _resume(self, state: _RunState) -> None:
-        if state.phase != "report":
-            super()._resume(state)
-        # Otherwise: settled and reported, waiting on the root's
-        # recover list. The root's re-ask ladder replays the cached
-        # report — there is nothing for this region to send.
 
 
 class _RootClock:
@@ -610,8 +603,8 @@ class HierarchicalCoordinator(Coordinator):
 
         The root's retry ladder is the failure detector — a region that
         missed its shard deadline and is found crashed is restarted
-        here, replays its own journal, and answers the re-ask from its
-        caches or by re-collecting.
+        here, replays its own journal, and answers the re-ask from that
+        journal or by re-collecting.
         """
         endpoint = self._region_at[child]
         if not endpoint.crashed:

@@ -11,9 +11,10 @@ standing coordinator) and keymgmt's ``DirectoryService`` append a
 record *before* acting on the event it describes, and on restart
 rebuild their run state from the journal alone and resume. The
 coordinator folds replayed records through the same edges its live
-handlers use. Children's idempotent cached replies (DP noise drawn
-once per query, masks and shard reports replayed byte-for-byte) make
-the resumed re-asks bit-for-bit safe.
+handlers use. Children's idempotent replies (DP noise drawn once per
+query, cells' masks replayed byte-for-byte, regions' shard reports
+resent from their own journals) make the resumed re-asks bit-for-bit
+safe.
 
 Privacy contract — the journal is **untrusted storage**: it may only
 ever hold what already crossed the egress gate. Records carry masked
@@ -63,6 +64,9 @@ class QueryJournal:
     def __init__(self, on_append: Callable[[int, dict], None] | None = None
                  ) -> None:
         self._records: list[dict[str, Any]] = []
+        # tag -> its records, append order: grouped as they are appended,
+        # so a revival reads only its own tag's records.
+        self._tags: dict[str, list[dict[str, Any]]] = {}
         self.on_append = on_append
 
     def __len__(self) -> int:
@@ -82,6 +86,7 @@ class QueryJournal:
             ) from error
         index = len(self._records)
         self._records.append(normalized)
+        self._tags.setdefault(normalized["tag"], []).append(normalized)
         if self.on_append is not None:
             self.on_append(index, normalized)
         return index
@@ -90,19 +95,13 @@ class QueryJournal:
         """A copy of every record, in append order."""
         return list(self._records)
 
+    def of(self, tag: str) -> list[dict[str, Any]]:
+        """A copy of ``tag``'s records, in append order."""
+        return list(self._tags.get(tag, ()))
+
     def by_tag(self) -> dict[str, list[dict[str, Any]]]:
         """Records grouped by query tag, append order preserved."""
-        grouped: dict[str, list[dict[str, Any]]] = {}
-        for record in self._records:
-            grouped.setdefault(record["tag"], []).append(record)
-        return grouped
-
-    def finished(self, tag: str) -> bool:
-        """True when ``tag`` reached a terminal ``done`` record."""
-        return any(
-            record["tag"] == tag and record["type"] == REC_DONE
-            for record in self._records
-        )
+        return {tag: list(records) for tag, records in self._tags.items()}
 
 
 def journal_elements(journal: QueryJournal) -> set[int]:

@@ -79,9 +79,6 @@ class VaultClient:
     # -- resilient cloud I/O ---------------------------------------------------
 
     def _cloud_put(self, key: str, data: bytes) -> None:
-        if self.retry_policy is None:
-            self.cloud.put_object(key, data)
-            return
         retry_call(
             lambda: self.cloud.put_object(key, data),
             policy=self.retry_policy, obs=self._obs, rng=self._retry_rng,
@@ -89,8 +86,6 @@ class VaultClient:
         )
 
     def _cloud_get(self, key: str) -> bytes:
-        if self.retry_policy is None:
-            return self.cloud.get_object(key)
         # NotFoundError is NOT transient: a miss (or an adversarial
         # drop) must surface immediately so the anchor check can file it
         return retry_call(

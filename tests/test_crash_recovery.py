@@ -204,10 +204,10 @@ class TestCrashAfterEveryJournalRecord:
 
     # -- the same property one level up: the tree's root ---------------------
 
-    def _run_tree(self, crash_index=None):
+    def _run_tree(self, crash_index=None, region=None):
         """One query over 12 cells / 3 regions / k=4 with the last cell
-        offline; the root dies right after journal append
-        ``crash_index`` and restarts 30 s later."""
+        offline; the root — or region ``region`` — dies right after its
+        journal append ``crash_index`` and restarts 30 s later."""
         from repro.fedquery import QueryJournal
 
         holder = {}
@@ -216,18 +216,24 @@ class TestCrashAfterEveryJournalRecord:
             if index != crash_index:
                 return
             world.loop.schedule_at(
-                world.now, holder["root"].crash, label="test.crash")
+                world.now, holder["victim"].crash, label="test.crash")
             world.loop.schedule_in(
-                30.0, holder["root"].restart, label="test.restart")
+                30.0, holder["victim"].restart, label="test.restart")
 
-        world, fleet, holder["root"] = _small_fleet(
-            "tree", journal=QueryJournal(on_append=crash_after),
-            horizon_slack_s=300,
-        )
-        result = holder["root"].run(self._spec(), fleet.roster)
-        return fleet, holder["root"], result
+        if region is None:
+            world, fleet, root = _small_fleet(
+                "tree", journal=QueryJournal(on_append=crash_after),
+                horizon_slack_s=300,
+            )
+            holder["victim"] = root
+        else:
+            world, fleet, root = _small_fleet("tree", horizon_slack_s=300)
+            holder["victim"] = root.regions[region]
+            holder["victim"].journal.on_append = crash_after
+        result = root.run(self._spec(), fleet.roster)
+        return fleet, root, result
 
-    def test_crash_after_each_root_record_always_recovers(self):
+    def _assert_tree_property(self, region=None):
         from repro.crypto import shamir
         from repro.fedquery import journal_elements
 
@@ -236,11 +242,10 @@ class TestCrashAfterEveryJournalRecord:
         survivors = fleet.roster[:-1]
         assert result.outcome == "partial"
         assert result.demoted == fleet.roster[-1:]
-        records, reference_total = len(reference.journal), result.field_total
-        # start + a partial per region + recover + their masks + done
-        assert records > 2 * len(reference.regions)
+        victim = reference if region is None else reference.regions[region]
+        records, reference_total = len(victim.journal), result.field_total
         for crash_index in range(records):
-            fleet, root, result = self._run_tree(crash_index)
+            fleet, root, result = self._run_tree(crash_index, region)
             assert result.outcome == "partial", crash_index
             assert result.demoted == fleet.roster[-1:], crash_index
             assert result.field_total == reference_total, crash_index
@@ -255,6 +260,21 @@ class TestCrashAfterEveryJournalRecord:
             for journal in [root.journal] + [
                     region.journal for region in root.regions]:
                 assert not raw & journal_elements(journal), crash_index
+            # settled: no region still holds the shard's run
+            assert not any(r._active for r in root.regions), crash_index
+        return reference, records
+
+    def test_crash_after_each_root_record_always_recovers(self):
+        reference, records = self._assert_tree_property()
+        # start + a partial per region + recover + their masks + done
+        assert records > 2 * len(reference.regions)
+
+    def test_crash_after_each_region_record_always_recovers(self):
+        reference, _ = self._assert_tree_property(region=0)
+        # the sweep dies after every kind of record a region writes
+        assert {record["type"] for record in
+                reference.regions[0].journal.records()} == {
+            "start", "partial", "report", "recover", "mask", "mask_report"}
 
 
 def _small_fleet(topology, seed=41, **coordinator_options):

@@ -264,6 +264,20 @@ class TestRetryCall:
         exhausted = world.obs.metrics.get("retry.exhausted")
         assert exhausted.labels(op="t.op").value == 1
 
+    def test_no_policy_is_one_bare_attempt(self):
+        world, calls, flaky = self.make(failures=1)
+        with pytest.raises(TransientCloudError):
+            retry_call(flaky, policy=None, obs=world.obs, operation="t.op")
+        assert calls["n"] == 1
+        for name in ("retry.attempts", "retry.exhausted",
+                     "retry.backoff_seconds"):
+            assert world.obs.metrics.get(name) is None
+        assert not [event for event in world.obs.events.events()
+                    if event["kind"].startswith("retry.")]
+        assert world.obs.tracer.spans("retry") == []
+        world, calls, flaky = self.make(failures=0)
+        assert retry_call(flaky, policy=None, obs=world.obs) == "ok"
+
     def test_non_transient_error_not_retried(self):
         world, calls, flaky = self.make(failures=2, exc=ValueError)
         with pytest.raises(ValueError):

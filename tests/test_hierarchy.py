@@ -329,3 +329,48 @@ class TestOneStateMachine:
                 == flat_result.records_examined
             assert tree_result.field_total == flat_result.field_total
         assert tree_result.field_total is not None
+
+
+class TestRegionLifecycle:
+    """A region holds a shard run only while it collects or recovers it;
+    after its report the region's journal answers the root."""
+
+    def test_quiet_queries_leave_no_region_run_behind(self):
+        world, network, fleet = _tree_fleet(40, shards=3)
+        root = _tree(world, network, 3)
+        for _ in range(3):
+            result = root.run(_sum_spec(), fleet.roster)
+            assert result.outcome == "complete"
+            assert result.recovery_rounds == 0
+        assert [region._active for region in root.regions] == [{}, {}, {}]
+
+    @pytest.mark.parametrize("lost, offline", [
+        ("fq.shard_partial", False),
+        ("fq.shard_mask", True),
+    ])
+    def test_reasked_region_answers_from_its_journal(self, lost, offline):
+        def run(drop):
+            world, network, fleet = _tree_fleet(40, shards=3)
+            if offline:
+                network.set_online(fleet.roster[-1], False)
+            root = _tree(world, network, 3)
+            region = root.regions[0]
+            send_up, dropped = region._send_up, []
+
+            def lossy(address, message):
+                if drop and message["kind"] == lost and not dropped:
+                    dropped.append(message)  # lost on the way up
+                    return
+                send_up(address, message)
+
+            region._send_up = lossy
+            return root, dropped, root.run(_sum_spec(), fleet.roster)
+
+        _, _, control = run(drop=False)
+        root, dropped, result = run(drop=True)
+        assert dropped
+        assert result.reasks > control.reasks
+        assert result.outcome == control.outcome
+        assert result.demoted == control.demoted
+        assert result.field_total == control.field_total
+        assert [region._active for region in root.regions] == [{}, {}, {}]
