@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.commons import AggregationNode, MaskedSum
+from repro.commons.aggregation import ring_neighbor_positions
 from repro.core import TrustedCell
 from repro.crypto import KeyRing, open_sealed, seal
 from repro.fedquery import gate
@@ -328,3 +329,29 @@ def test_masked_contribution_400_cells_k32(benchmark):
     _, oracle = _preshared_roster(400)
     assert masked == gate.masked_contribution_reference(
         oracle[names[200]], oracle, names, tags[-1], 4242, neighbors=32)
+
+
+def test_masked_contribution_400_cells_k32_windowed(benchmark):
+    """The same contribution in the tree's shape: the cell holds only
+    its ring window (its 32 neighbors and itself) with their global
+    ``positions`` and the global roster ``size``, as a regional
+    coordinator's plan ships it. Fresh round tag per call; the result
+    must be the flat path's."""
+    names, directory = _preshared_roster(400)
+    node = directory[names[200]]
+    window = sorted(ring_neighbor_positions(200, 400, 32) + [200])
+    roster = [names[at] for at in window]
+    positions = {names[at]: at for at in window}
+    tags: list[str] = []
+
+    def one_contribution():
+        tags.append(f"round-{len(tags)}")
+        return gate.masked_contribution(
+            node, directory, roster, tags[-1], 4242, neighbors=32,
+            positions=positions, size=400)
+
+    one_contribution()  # warm the pairwise keys
+    masked = benchmark(one_contribution)
+    _, flat = _preshared_roster(400)
+    assert masked == gate.masked_contribution(
+        flat[names[200]], flat, names, tags[-1], 4242, neighbors=32)

@@ -50,8 +50,9 @@ and report message/byte/round accounting.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from ..crypto import shamir
 from ..crypto.keys import KeyRing
@@ -139,6 +140,11 @@ class _RoundMasks:
     def row(self, name: str, count: int) -> list[int]:
         start = self.rows[name] * self.width
         return self.elements[start:start + count]
+
+
+_name_of = attrgetter("name")
+_peer_of = itemgetter(0)  # of a ``(peer, peer position)`` edge
+_position_of = itemgetter(1)
 
 
 def _expand_scalar(seeds: list[bytes], count: int) -> list[int]:
@@ -234,6 +240,9 @@ class AggregationNode:
         # re-reads masks from here instead of re-deriving them.
         self.cache_masks = cache_masks
         self._mask_cache: dict[str, _RoundMasks] = {}
+        # The last masking ring this node was asked for (see
+        # :meth:`masking_ring`): ``((position, size, degree), ring)``.
+        self._ring: tuple = (None, ())
 
     @classmethod
     def from_cell(cls, cell) -> "AggregationNode":
@@ -289,6 +298,25 @@ class AggregationNode:
         self._pairwise_cache[peer.name] = key
         return key
 
+    def masking_ring(self, position: int, size: int,
+                     degree: int | None) -> tuple[int, ...]:
+        """The roster positions this node masks against from
+        ``position`` in a roster of ``size`` (every other one when
+        ``degree`` is ``None``, else its ring), in ascending order.
+
+        Remembered, one ring per node — the last one asked, at most
+        ``size - 1`` ints: a fleet cell masks from the same position of
+        the same-sized roster query after query, so the ring is built
+        once, not per query. Positions only, no names or keys, so
+        nothing in it can go stale when the roster's names or key
+        material change.
+        """
+        key, ring = self._ring
+        if key != (position, size, degree):
+            ring = tuple(_masking_positions(position, size, degree))
+            self._ring = ((position, size, degree), ring)
+        return ring
+
     def _round_masks(self, round_tag: str) -> _RoundMasks:
         """This round's record — the memo's, or a fresh one, which is
         remembered (evicting the oldest round of a full memo) unless
@@ -326,6 +354,46 @@ class AggregationNode:
         record.grow(names, seeds, count, _expand_scalar)
         return record.row(peer.name, count)
 
+    def _filled(
+        self,
+        round_tag: str,
+        names: list[str],
+        peers: list["AggregationNode"],
+        count: int,
+    ) -> tuple[_RoundMasks, list[int]]:
+        """This round's record, holding a row at least ``count`` wide
+        for every one of ``peers`` (``names`` are their names, aligned),
+        and their rows in it — the one fill path of the batch calls.
+
+        One lookup finds the record; every peer it lacks is derived —
+        one HMAC per fresh pair, the keyed derivation count of the
+        scalar path, every fresh peer's
+        :class:`~repro.crypto.primitives.HmacKey` tagged in one
+        :meth:`~repro.crypto.primitives.HmacKey.tag_many` call — and
+        expanded in a single :func:`~repro.commons.kernels.expand_streams`
+        pass. A peer node is read only to build the key of a pair this
+        node never masked before.
+        """
+        record = self._round_masks(round_tag)
+        rows = record.rows
+        fresh = [name for name in names if name not in rows]
+        seeds = []
+        if fresh:
+            keys = list(map(self._mask_keys.get, fresh))
+            if not all(keys):  # a pair this node never masked before
+                peer_of = dict(zip(names, peers))
+                for at, name in enumerate(fresh):
+                    if keys[at] is None:
+                        keys[at] = self._mask_keys[name] = HmacKey(
+                            self._pairwise_key_for(peer_of[name]))
+            seeds = HmacKey.tag_many(keys, f"mask|{round_tag}".encode())
+        # Rows are handed out only once every fresh seed is derived: a
+        # peer without key material raises above and leaves no trace.
+        record.grow(fresh, seeds, count, kernels.expand_streams)
+        _ROWS_DERIVED.inc(len(fresh))
+        _ROWS_CACHED.inc(len(names) - len(fresh))
+        return record, list(map(rows.__getitem__, names))
+
     def mask_elements_many(
         self,
         peers: list["AggregationNode"],
@@ -335,40 +403,18 @@ class AggregationNode:
         """Mask elements against *every* peer in one batch call.
 
         The vectorized counterpart of calling :meth:`mask_elements`
-        per peer: one lookup finds the round's record, every peer it
-        lacks is derived (one HMAC per fresh pair — the keyed
-        derivation count is identical to the scalar path, every fresh
-        peer's :class:`~repro.crypto.primitives.HmacKey` tagged in one
-        :meth:`~repro.crypto.primitives.HmacKey.tag_many` call) and
-        expanded in a single
-        :func:`~repro.commons.kernels.expand_streams` pass.  Returns
-        the element lists aligned with ``peers``, sliced off the
-        record in one pass, bit-for-bit equal to the scalar loop.
+        per peer, through the round's one fill path
+        (:meth:`_filled`). Returns the element lists aligned with
+        ``peers``, sliced off the record, bit-for-bit equal to the
+        scalar loop. The mask core does not call it: it reads the
+        record's flat list in place.
         """
-        record = self._round_masks(round_tag)
-        rows, mask_keys = record.rows, self._mask_keys
-        fresh = [peer for peer in peers if peer.name not in rows]
-        seeds = []
-        if fresh:
-            keys = []
-            for peer in fresh:
-                key = mask_keys.get(peer.name)
-                if key is None:
-                    key = mask_keys[peer.name] = HmacKey(
-                        self._pairwise_key_for(peer))
-                keys.append(key)
-            seeds = HmacKey.tag_many(keys, f"mask|{round_tag}".encode())
-        # Rows are handed out only once every fresh seed is derived: a
-        # peer without key material raises above and leaves no trace.
-        record.grow([peer.name for peer in fresh], seeds, count,
-                    kernels.expand_streams)
-        _ROWS_DERIVED.inc(len(fresh))
-        _ROWS_CACHED.inc(len(peers) - len(fresh))
+        record, rows = self._filled(
+            round_tag, list(map(_name_of, peers)), peers, count)
         elements, width = record.elements, record.width
-        starts = [rows[peer.name] * width for peer in peers]
-        return [elements[start:start + count] for start in starts]
+        return [elements[row * width:row * width + count] for row in rows]
 
-    # -- the mask core: every masked transport goes through these two ---------
+    # -- the mask core: every masked transport goes through these -------------
 
     def masked_vector(
         self,
@@ -380,21 +426,54 @@ class AggregationNode:
         """``base`` plus this node's pairwise masks, component-wise.
 
         ``position`` is this node's roster position and ``peers`` the
-        ``(peer, peer position)`` edges of its masking graph. The one
-        sign convention: of the two ends of an edge, the lower position
-        adds the shared mask and the higher subtracts it, so the masks
-        of every pair that both contribute cancel in the aggregator's
-        sum. One keyed derivation per fresh (pair, round) covers every
-        component (width 1 for a sum, B for a B-bucket histogram).
+        ``(peer, peer position)`` edges of its masking graph: the edge
+        list form of :meth:`masked_ring`, which does the work.
         """
-        rows = self.mask_elements_many(
-            [peer for peer, _ in peers], round_tag, len(base)
-        )
-        return kernels.accumulate_columns(
-            base,
-            [row for (_, at), row in zip(peers, rows) if position < at],
-            [row for (_, at), row in zip(peers, rows) if position > at],
-        )
+        nodes = list(map(_peer_of, peers))
+        return self.masked_ring(
+            position, list(map(_name_of, nodes)), nodes,
+            list(map(_position_of, peers)), round_tag, base)
+
+    def masked_ring(
+        self,
+        position: int,
+        names: list[str],
+        peers: list["AggregationNode"],
+        peer_positions: Sequence[int],
+        round_tag: str,
+        base: list[int],
+    ) -> list[int]:
+        """:meth:`masked_vector` over parallel lists: each of ``peers``,
+        named ``names[i]``, sits at roster position
+        ``peer_positions[i]`` — the form a caller that already holds
+        the names and positions (the fedquery gate) passes without
+        building an edge list.
+
+        The one sign convention: of the two ends of an edge, the lower
+        position adds the shared mask and the higher subtracts it, so
+        the masks of every pair that both contribute cancel in the
+        aggregator's sum. One keyed derivation per fresh (pair, round)
+        covers every component (width 1 for a sum, B for a B-bucket
+        histogram).
+
+        Component ``c`` of a peer's row is ``elements[row * stride +
+        c]`` of the round's record, whose stride is the widest width
+        asked of the round so far — at least ``len(base)``. Each
+        component is one :func:`~repro.commons.kernels.signed_accumulate`
+        over the record, no row copied out.
+        """
+        record, rows = self._filled(round_tag, names, peers, len(base))
+        elements, stride = record.elements, record.width
+        plus, minus = [], []
+        for row, at in zip(rows, peer_positions):
+            (plus if position < at else minus).append(row * stride)
+        return [
+            kernels.signed_accumulate(
+                value,
+                [elements[start + component] for start in plus],
+                [elements[start + component] for start in minus])
+            for component, value in enumerate(base)
+        ]
 
     def unmasking_vector(
         self,

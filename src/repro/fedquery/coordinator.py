@@ -113,6 +113,10 @@ class FedQueryResult:
         return self.outcome == OUTCOME_ABANDONED
 
 
+#: What a REC_DONE record journals of a result, in field order.
+_RESULT_FIELDS = tuple(
+    entry.name for entry in dataclasses.fields(FedQueryResult))
+
 _PENDING = "pending"
 _DEMOTED = "demoted"
 
@@ -974,7 +978,9 @@ class Coordinator:
         # between the two republishes from the journal on restart.
         self.journal.append({
             "type": REC_DONE, "tag": state.tag, "outcome": outcome,
-            "result": dataclasses.asdict(result),
+            # Shallow: the journal's JSON round-trip copies it anyway.
+            "result": {name: getattr(result, name)
+                       for name in _RESULT_FIELDS},
         })
         if self._crashed:
             return  # died after the durable record; restart republishes

@@ -30,7 +30,6 @@ from ..commons.aggregation import (
     AggregationNode,
     _effective_degree,
     _masking_peers,
-    _masking_positions,
 )
 from ..commons.dp import gamma_noise_share, laplace_scale
 from ..crypto import aead, shamir
@@ -77,16 +76,21 @@ def _ring_peers(
     neighbors: int | None,
     positions: dict[str, int] | None,
     size: int | None,
-) -> tuple[int, list[tuple[AggregationNode, int]]]:
-    """A cell's roster position and the ``(peer, position)`` edges of
-    its masking graph — the one roster→peer resolution.
+) -> tuple[int, list[str], list[AggregationNode], tuple[int, ...]]:
+    """A cell's roster position and its masking graph's peers — their
+    names, nodes and positions, aligned — the one roster→peer
+    resolution.
 
     The hierarchical path ships each cell only a *window* of the
     global roster — its k ring-neighbors plus itself — with their
     global ``positions`` and the global roster ``size``; a flat roster
     is the same case with every position on board. Masks and signs
     computed from those positions are identical either way, so shard
-    partial sums compose to the flat global total.
+    partial sums compose to the flat global total. The ring's
+    positions are the node's remembered ring
+    (:meth:`~repro.commons.aggregation.AggregationNode.masking_ring`);
+    its names and key material are read from this call's roster and
+    directory.
     """
     if positions is not None and size is None:
         raise ProtocolError("windowed masking needs the global size")
@@ -95,8 +99,8 @@ def _ring_peers(
             name_at, size = roster, len(roster)
             position = roster.index(node.name)
         else:
-            name_at = {at: name for name, at in positions.items()}
             position = positions[node.name]
+            name_at = dict(zip(positions.values(), positions))
     except (ValueError, KeyError):
         raise ProtocolError(
             f"cell {node.name!r} is not on the roster"
@@ -106,31 +110,34 @@ def _ring_peers(
         raise ProtocolError(
             "windowed masking needs a k-regular graph (neighbors < size-1)"
         )
-    secret = node._preshared
-    peers = []
-    # Only the names the cell masks against are looked up.
-    for peer_position in _masking_positions(position, size, degree):
-        try:
-            name = name_at[peer_position]
-        except KeyError:
-            raise ProtocolError(
-                f"no roster window entry for ring position {peer_position}"
-            ) from None
-        peer = directory.get(name)
-        if peer is None:
-            # Preshared fleets can synthesize key material for any
-            # name, so a peer absent from this cell's (possibly
-            # shard-local) directory still resolves. Directory-issued
-            # nodes cannot (and must not — a missing name means no
-            # agreed edge).
-            if secret is None:
-                raise ProtocolError(
-                    f"no key material for roster member {name!r}"
-                )
-            peer = AggregationNode.preshared(name, secret)
-            directory[name] = peer  # cache the stub for later rounds
-        peers.append((peer, peer_position))
-    return position, peers
+    ring = node.masking_ring(position, size, degree)
+    try:
+        # Only the names the cell masks against are looked up.
+        names = [name_at[at] for at in ring]
+    except KeyError as missing:
+        raise ProtocolError(
+            f"no roster window entry for ring position {missing.args[0]}"
+        ) from None
+    peers = list(map(directory.get, names))
+    if not all(peers):
+        peers = [peer or _stub_peer(node, directory, name)
+                 for peer, name in zip(peers, names)]
+    return position, names, peers, ring
+
+
+def _stub_peer(node: AggregationNode, directory: Directory,
+               name: str) -> AggregationNode:
+    """Key material for a ring peer absent from ``directory``.
+
+    Preshared fleets can synthesize it for any name, so a peer absent
+    from this cell's (possibly shard-local) directory still resolves;
+    the stub is cached there for later rounds. Directory-issued nodes
+    cannot (and must not — a missing name means no agreed edge).
+    """
+    if node._preshared is None:
+        raise ProtocolError(f"no key material for roster member {name!r}")
+    peer = directory[name] = AggregationNode.preshared(name, node._preshared)
+    return peer
 
 
 def masked_contribution(
@@ -148,7 +155,7 @@ def masked_contribution(
 
     Signs follow roster position exactly as :class:`MaskedSum` follows
     node-list position — both call the one mask core,
-    :meth:`AggregationNode.masked_vector` — so the masks of every
+    :meth:`AggregationNode.masked_ring` — so the masks of every
     online pair cancel in the coordinator's sum. A roster of one has
     no peers: the "mask" is just the field encoding.
 
@@ -157,11 +164,12 @@ def masked_contribution(
     over the full roster. The per-element scalar loop survives as
     :func:`masked_contribution_reference`.
     """
-    position, peers = _ring_peers(
+    position, names, peers, ring = _ring_peers(
         node, directory, roster, neighbors, positions, size
     )
-    return node.masked_vector(
-        position, peers, round_tag, [shamir.encode_signed(value)]
+    return node.masked_ring(
+        position, names, peers, ring, round_tag,
+        [shamir.encode_signed(value)],
     )[0]
 
 
@@ -211,11 +219,11 @@ def net_recovery_mask(
     :meth:`AggregationNode.unmasking_vector`. Accepts the same
     ``positions``/``size`` window form as :func:`masked_contribution`.
     """
-    position, peers = _ring_peers(
+    position, _, peers, ring = _ring_peers(
         node, directory, roster, neighbors, positions, size
     )
     return node.unmasking_vector(
-        position, peers, round_tag, set(missing), 1
+        position, list(zip(peers, ring)), round_tag, set(missing), 1
     )[0]
 
 

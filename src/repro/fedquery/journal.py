@@ -37,6 +37,7 @@ import json
 from typing import Any, Callable
 
 from ..errors import ProtocolError
+from .spec import compact_json
 
 #: Record types shared by the fedquery coordinators. The directory
 #: service defines its own small vocabulary; the journal itself is
@@ -77,9 +78,7 @@ class QueryJournal:
         if "type" not in record or "tag" not in record:
             raise ProtocolError("journal records need 'type' and 'tag'")
         try:
-            normalized = json.loads(
-                json.dumps(record, separators=(",", ":"))
-            )
+            normalized = json.loads(compact_json(record))
         except (TypeError, ValueError) as error:
             raise ProtocolError(
                 f"unjournalable record {record.get('type')!r}: {error}"

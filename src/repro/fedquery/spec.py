@@ -356,6 +356,12 @@ def shard_mask_message(tag: str, sender: str, region: int, *,
     })
 
 
+#: Compact JSON (``json.dumps(..., separators=(",", ":"))``), with the
+#: encoder built once instead of on every call: the wire codec sizes
+#: every message and the journal normalises every record through it.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def wire_size(message: dict[str, Any]) -> int:
     """Serialized (compact JSON) size of a message, for network billing.
 
@@ -365,7 +371,7 @@ def wire_size(message: dict[str, Any]) -> int:
     """
     size = getattr(message, "wire_bytes", None)
     if size is None:
-        size = len(json.dumps(message, separators=(",", ":")).encode())
+        size = len(compact_json(message).encode())
         if isinstance(message, WireMessage):
             message.wire_bytes = size
     return size

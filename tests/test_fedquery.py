@@ -1,5 +1,6 @@
 """Federated query engine: wire codec, gate, end-to-end, equivalence."""
 
+import dataclasses
 import gc
 import random
 
@@ -24,12 +25,19 @@ from repro.fedquery import (
     TRANSFORM_KANON,
     Coordinator,
     FedQuerySpec,
+    HierarchicalCoordinator,
     build_fleet,
+    build_fleet_sharded,
     open_release,
 )
 from repro.fedquery import gate
 from repro.fedquery.cell import CellQueryAgent, ValueSource
-from repro.fedquery.spec import plan_kind, plan_message, wire_size
+from repro.fedquery.spec import (
+    compact_json,
+    plan_kind,
+    plan_message,
+    wire_size,
+)
 from repro.infrastructure.network import Network
 from repro.obs import get_default
 from repro.policy.ucon import Grant, RIGHT_AGGREGATE, UsagePolicy
@@ -364,6 +372,60 @@ class TestEngineQuiet:
         result = Coordinator(world, network).run(_evening_spec(), fleet.roster)
         assert result.outcome == "complete"
         assert result.participants == 4
+
+
+class TestDoneRecord:
+    """A REC_DONE record journals the result's fields shallowly (the
+    journal's JSON round-trip copies them); what it holds must be what
+    ``dataclasses.asdict`` gave, in the same order."""
+
+    @staticmethod
+    def _assert_journaled_as_asdict(journal, result):
+        done = [record for record in journal.of(result.tag)
+                if record["type"] == "done"]
+        assert len(done) == 1
+        assert compact_json(done[0]["result"]) == \
+            compact_json(dataclasses.asdict(result))
+        return done[0]["result"]
+
+    @pytest.mark.parametrize("transform", [
+        TRANSFORM_EXACT, TRANSFORM_DP, TRANSFORM_KANON])
+    def test_flat_results(self, transform):
+        world, network, fleet = _quiet_fleet(12)
+        coordinator = Coordinator(world, network, neighbors=4)
+        if transform == TRANSFORM_KANON:
+            spec = FedQuerySpec(
+                recipient="epi", purpose="study", transform=transform,
+                collection="profile", k=3,
+            )
+        else:
+            spec = _evening_spec(recipient="institute", transform=transform,
+                                 epsilon=5.0)
+        result = coordinator.run(spec, fleet.roster)
+        assert result.outcome == "complete" and result.coordinator_view
+        if transform == TRANSFORM_KANON:
+            assert result.sealed_records
+        self._assert_journaled_as_asdict(coordinator.journal, result)
+
+    def test_tree_root_result_with_its_own_share(self):
+        world = World(seed=5)
+        network = Network(world)
+        fleet = build_fleet_sharded(world, network, 40, shards=4,
+                                    purposes={"load-forecast"})
+        root = HierarchicalCoordinator(world, network, regions=4,
+                                       neighbors=4)
+        result = root.run(_evening_spec(), fleet.roster)
+        assert result.outcome == "complete"
+        assert result.regions == 4
+        assert result.root_messages and result.root_bytes
+        # The root stamps its own wall time on the result after the
+        # record is journaled, so the record holds the field's default.
+        assert result.root_wall_seconds > 0
+        journaled = self._assert_journaled_as_asdict(
+            root.journal,
+            dataclasses.replace(result, root_wall_seconds=0.0))
+        assert journaled["regions"] == 4
+        assert journaled["root_messages"] == result.root_messages
 
 
 class TestMaskMemoLane:

@@ -534,6 +534,158 @@ class TestGateKernelEquivalence:
                 node, missing_peer, names, "tag-dh", [names[1]], neighbors=2)
 
 
+def _window(names, name, size, degree):
+    """The hierarchical plan's roster window for ``name``: its ring
+    neighbors plus itself, with their global positions."""
+    position = names.index(name)
+    window = sorted(ring_neighbor_positions(position, size, degree)
+                    + [position])
+    return [names[at] for at in window], {names[at]: at for at in window}
+
+
+class TestRingResolution:
+    """The error and stub paths of the gate's one roster->peer
+    resolution, on the flat and the windowed roster forms."""
+
+    def test_window_missing_a_ring_position_names_it(self):
+        names, directory = _fleet(40)
+        node = directory[names[20]]
+        roster, positions = _window(names, names[20], 40, 8)
+        del positions[names[23]]
+        roster.remove(names[23])
+        with pytest.raises(ProtocolError,
+                           match="no roster window entry for ring position 23$"):
+            gate.masked_contribution(
+                node, directory, roster, "tag-hole", 5, neighbors=8,
+                positions=positions, size=40)
+        with pytest.raises(ProtocolError, match="ring position 23$"):
+            gate.net_recovery_mask(
+                node, directory, roster, "tag-hole", [names[19]],
+                neighbors=8, positions=positions, size=40)
+
+    def test_a_failed_resolution_leaves_no_row_in_the_memo(self):
+        names, directory = _fleet(40)
+        node = directory[names[20]]
+        roster, positions = _window(names, names[20], 40, 8)
+        del positions[names[17]]
+        before = primitives.hmac_invocations()
+        with pytest.raises(ProtocolError, match="ring position 17$"):
+            gate.masked_contribution(
+                node, directory, roster, "tag-clean", 5, neighbors=8,
+                positions=positions, size=40)
+        assert primitives.hmac_invocations() == before
+        record = node._mask_cache.get("tag-clean")
+        assert record is None or not record.rows
+        # The repaired window then masks bit-for-bit like the flat path.
+        _, positions = _window(names, names[20], 40, 8)
+        assert gate.masked_contribution(
+            node, {}, roster, "tag-clean", 5, neighbors=8,
+            positions=positions, size=40,
+        ) == gate.masked_contribution_reference(
+            AggregationNode.preshared(names[20], SECRET),
+            _fleet(40)[1], names, "tag-clean", 5, neighbors=8)
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_missing_preshared_peer_gets_a_cached_stub(self, windowed):
+        names, full = _fleet(40)
+        name = names[0]  # the ring wraps: peers at both ends of the roster
+        node = full[name]
+        directory = {name: node}
+        form = {}
+        roster = names
+        if windowed:
+            roster, positions = _window(names, name, 40, 8)
+            form = {"positions": positions, "size": 40}
+        expected = gate.masked_contribution_reference(
+            AggregationNode.preshared(name, SECRET), _fleet(40)[1], names,
+            "tag-stub", 9, neighbors=8)
+        assert gate.masked_contribution(
+            node, directory, roster, "tag-stub", 9, neighbors=8, **form,
+        ) == expected
+        ring = [names[at] for at in ring_neighbor_positions(0, 40, 8)]
+        assert sorted(directory) == sorted(ring + [name])
+        stubs = {peer: directory[peer] for peer in ring}
+        assert all(stub.name == peer and stub is not full[peer]
+                   for peer, stub in stubs.items())
+        # Later rounds resolve the cached stubs, not fresh ones.
+        gate.net_recovery_mask(
+            node, directory, roster, "tag-stub", [ring[0]], neighbors=8,
+            **form)
+        assert all(directory[peer] is stub for peer, stub in stubs.items())
+
+
+def _expected_vector(names, name, tag, base, degree, missing=None):
+    """Component-wise scalar oracle of ``masked_vector`` (or, with
+    ``missing``, of ``unmasking_vector``) on fresh nodes: stdlib-HMAC
+    seeds and the reference expansion, one element at a time."""
+    nodes = {peer: AggregationNode.preshared(peer, SECRET) for peer in names}
+    node, position = nodes[name], names.index(name)
+    out = list(base)
+    for at in ring_neighbor_positions(position, len(names), degree):
+        peer = nodes[names[at]]
+        if missing is not None and peer.name not in missing:
+            continue
+        sign = 1 if position < at else -1
+        if missing is not None:
+            sign = -sign
+        for component in range(len(out)):
+            out[component] = (out[component] + sign * node.pairwise_mask(
+                peer, tag, component)) % shamir.PRIME
+    return out
+
+
+class TestWidenedRecordReads:
+    """The mask core reads the round record by its stride — the widest
+    width asked of the round so far — not by the width it is asked
+    now: a record widened by an earlier width-5 ask must answer later
+    narrower asks bit for bit, half of its peers cached and half
+    fresh."""
+
+    SIZE, DEGREE, TAG = 30, 8, "tag-wide"
+
+    def _half_warm(self):
+        names, directory = _fleet(self.SIZE)
+        name = names[11]
+        node = directory[name]
+        position = names.index(name)
+        peers = [(directory[names[at]], at) for at in
+                 ring_neighbor_positions(position, self.SIZE, self.DEGREE)]
+        # Widen: half the ring asked at width 5 first.
+        node.masked_vector(position, peers[::2], self.TAG, [0] * 5)
+        record = node._mask_cache[self.TAG]
+        assert record.width == 5 and len(record.rows) == len(peers[::2])
+        return names, directory, node, position, peers
+
+    def test_narrow_contributions_read_the_wide_record(self):
+        names, directory, node, position, peers = self._half_warm()
+        value = 1234
+        before = primitives.hmac_invocations()
+        masked = gate.masked_contribution(
+            node, directory, names, self.TAG, value, neighbors=self.DEGREE)
+        # Only the cold half paid a keyed derivation.
+        assert primitives.hmac_invocations() - before == len(peers[1::2])
+        assert masked == gate.masked_contribution_reference(
+            AggregationNode.preshared(names[11], SECRET), _fleet(self.SIZE)[1],
+            names, self.TAG, value, neighbors=self.DEGREE)
+        assert node._mask_cache[self.TAG].width == 5
+        base = [shamir.encode_signed(value), 7]
+        assert node.masked_vector(position, peers, self.TAG, base) == \
+            _expected_vector(names, names[11], self.TAG, base, self.DEGREE)
+
+    def test_narrow_unmasking_reads_the_wide_record(self):
+        names, directory, node, position, peers = self._half_warm()
+        missing = [names[at] for _, at in peers[:3]] + [names[0]]
+        assert gate.net_recovery_mask(
+            node, directory, names, self.TAG, missing, neighbors=self.DEGREE,
+        ) == gate.net_recovery_mask_reference(
+            AggregationNode.preshared(names[11], SECRET), _fleet(self.SIZE)[1],
+            names, self.TAG, missing, neighbors=self.DEGREE)
+        assert node.unmasking_vector(
+            position, peers, self.TAG, set(missing), 2,
+        ) == _expected_vector(names, names[11], self.TAG, [0, 0],
+                              self.DEGREE, missing=set(missing))
+
+
 def _masked_round(size, neighbors, dropouts, seed, width=None):
     """One masked round (batch path) checked against the plain sum."""
     rng = random.Random(seed)

@@ -125,7 +125,8 @@ class TestWireSize:
     def test_sizing_twice_serialises_once(self, name):
         message = _built_messages()[name]
         with mock.patch.object(
-                spec_module.json, "dumps", wraps=json.dumps) as dumps:
+                spec_module, "compact_json",
+                wraps=spec_module.compact_json) as dumps:
             first = wire_size(message)
             assert wire_size(message) == first
         assert dumps.call_count == 1
@@ -142,7 +143,8 @@ class TestWireSize:
     def test_a_plain_dict_is_serialised_every_time(self):
         message = dict(plan_message("t", SPEC, ROSTER, "coord"))
         with mock.patch.object(
-                spec_module.json, "dumps", wraps=json.dumps) as dumps:
+                spec_module, "compact_json",
+                wraps=spec_module.compact_json) as dumps:
             assert wire_size(message) == wire_size(message)
         assert dumps.call_count == 2
 
