@@ -371,7 +371,8 @@ def wire_size(message: dict[str, Any]) -> int:
     """
     size = getattr(message, "wire_bytes", None)
     if size is None:
-        size = len(compact_json(message).encode())
+        # ``ensure_ascii`` (on by default): one character is one byte
+        size = len(compact_json(message))
         if isinstance(message, WireMessage):
             message.wire_bytes = size
     return size

@@ -10,20 +10,19 @@ deterministic tie-breaker.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
 from .clock import SimClock
 
 
-@dataclass(order=True)
+@dataclass
 class _ScheduledEvent:
     timestamp: int
-    sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[[], Any]
+    label: str = ""
+    cancelled: bool = False
 
 
 class EventHandle:
@@ -54,7 +53,9 @@ class EventLoop:
 
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self._queue: list[_ScheduledEvent] = []
+        # (timestamp, sequence, event): the sequence is unique, so heap
+        # comparisons stay on the two ints and never reach the event.
+        self._queue: list[tuple[int, int, _ScheduledEvent]] = []
         self._sequence = 0
         self._events_executed = 0
 
@@ -66,7 +67,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def schedule_at(
         self, timestamp: int, callback: Callable[[], Any], label: str = ""
@@ -76,9 +77,9 @@ class EventLoop:
             raise ConfigurationError(
                 f"cannot schedule event at {timestamp}, now is {self.clock.now}"
             )
-        event = _ScheduledEvent(int(timestamp), self._sequence, callback, label)
+        event = _ScheduledEvent(int(timestamp), callback, label)
+        heapq.heappush(self._queue, (event.timestamp, self._sequence, event))
         self._sequence += 1
-        heapq.heappush(self._queue, event)
         return EventHandle(event)
 
     def schedule_in(
@@ -104,7 +105,8 @@ class EventLoop:
         if period <= 0:
             raise ConfigurationError("period must be positive")
         start = self.clock.now + period if first_at is None else first_at
-        event = _ScheduledEvent(int(start), self._sequence, lambda: None, label)
+        event = _ScheduledEvent(int(start), lambda: None, label)
+        heapq.heappush(self._queue, (event.timestamp, self._sequence, event))
         self._sequence += 1
         handle = EventHandle(event)
 
@@ -116,7 +118,6 @@ class EventLoop:
                 self.schedule_at(self.clock.now + period, fire, label)
 
         event.callback = fire
-        heapq.heappush(self._queue, event)
         return handle
 
     def run_until(self, timestamp: int, max_events: int | None = None) -> int:
@@ -127,12 +128,13 @@ class EventLoop:
         against runaway self-rescheduling loops in tests.
         """
         executed = 0
-        while self._queue and self._queue[0].timestamp <= timestamp:
-            event = heapq.heappop(self._queue)
+        while self._queue and self._queue[0][0] <= timestamp:
+            entry = heapq.heappop(self._queue)
+            event = entry[2]
             if event.cancelled:
                 continue
             if max_events is not None and executed >= max_events:
-                heapq.heappush(self._queue, event)
+                heapq.heappush(self._queue, entry)
                 break
             self.clock.advance_to(event.timestamp)
             event.callback()
@@ -150,7 +152,7 @@ class EventLoop:
         """Run until the queue is empty (bounded by ``max_events``)."""
         executed = 0
         while self._queue and executed < max_events:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self.clock.advance_to(event.timestamp)

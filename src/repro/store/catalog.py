@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import lt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..errors import ConfigurationError, NotFoundError, QueryError
 from ..hardware.flash import NandFlash
@@ -44,14 +44,19 @@ class Collection:
 
     # -- index management -----------------------------------------------------
 
+    def _rows(self) -> Iterator[tuple[str, Record]]:
+        """``(full_id, record)`` over the collection's live records —
+        what ``scan()`` yields of them, in its order — decoding no other
+        collection's rows: the one walk an index backfill reads."""
+        for chunk_ids, batch in self._store.scan_batches(prefix=self._prefix):
+            yield from zip(chunk_ids, batch.rows())
+
     def create_hash_index(self, field: str) -> None:
         """Declare an equality index on ``field`` (backfills existing rows)."""
         if field in self._hash_indexes:
             raise ConfigurationError(f"hash index on {field!r} already exists")
         index = HashIndex(field)
-        for record_id, record in self._store.scan():
-            if not record_id.startswith(self._prefix):
-                continue
+        for record_id, record in self._rows():
             if field in record:
                 index.add(record_id, record[field])
         self._hash_indexes[field] = index
@@ -61,9 +66,7 @@ class Collection:
         if field in self._ordered_indexes:
             raise ConfigurationError(f"ordered index on {field!r} already exists")
         index = OrderedIndex(field)
-        for record_id, record in self._store.scan():
-            if not record_id.startswith(self._prefix):
-                continue
+        for record_id, record in self._rows():
             if record.get(field) is not None:
                 index.add(record_id, record[field])
         self._ordered_indexes[field] = index
@@ -74,9 +77,7 @@ class Collection:
         if field in self._keyword_indexes:
             raise ConfigurationError(f"keyword index on {field!r} already exists")
         index = KeywordIndex(field)
-        for record_id, record in self._store.scan():
-            if not record_id.startswith(self._prefix):
-                continue
+        for record_id, record in self._rows():
             if field in record:
                 index.add(record_id, record[field])
         self._keyword_indexes[field] = index
@@ -292,7 +293,7 @@ def _index_candidates(fetched) -> BatchCandidates:
     ascending = True
     previous = ""
     for chunk_ids, batch in fetched:
-        chunks.append((None, batch))
+        chunks.append(batch)
         ascending = ascending and previous < chunk_ids[0] and all(
             map(lt, chunk_ids, islice(chunk_ids, 1, None)))
         previous = chunk_ids[-1]
@@ -352,21 +353,11 @@ class Catalog:
         flash = self.store.flash
 
         def batch_chunks(field=None, low=None, high=None):
-            """Prefix-filtered (keep, batch) chunks off the columnar
-            scan — the row set, in the order, ``scan_range`` yields."""
-            prefix = collection._prefix
-            chunks = []
-            for chunk_ids, batch in self.store.scan_batches(field, low, high):
-                keep = [
-                    index for index, full_id in enumerate(chunk_ids)
-                    if full_id.startswith(prefix)
-                ]
-                if not keep:
-                    continue
-                if len(keep) == len(chunk_ids):
-                    keep = None
-                chunks.append((keep, batch))
-            return BatchCandidates(chunks)
+            """The collection's chunks off the columnar scan — its rows,
+            in the order ``scan_range`` yields them."""
+            return BatchCandidates([
+                batch for _, batch in self.store.scan_batches(
+                    field, low, high, collection._prefix)])
 
         def fetch_candidates(predicate: Predicate):
             before = flash.reads

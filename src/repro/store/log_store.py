@@ -28,7 +28,8 @@ Each store decision is written once:
   a chunk through the columnar frame encoder or through ``put`` — the
   flash image is the same, bit for bit.
 * **read path** — one page walk (the pages of the blocks the zone maps
-  admit, in order, each page's live entries in log order) serves ``scan`` /
+  admit, in order, each page's live entries in log order; under a
+  collection's id prefix, only that collection's) serves ``scan`` /
   ``scan_range`` (per-record decode, the reference) and one chunk
   decoder (pages through :func:`~repro.store.encoding.decode_page`)
   behind ``scan_batches``, ``fetch_batches`` and ``get_many``, which
@@ -1005,11 +1006,15 @@ class LogStructuredStore:
 
     def _locations_by_page(self, field: str | None = None,
                            low: Value = None, high: Value = None,
+                           prefix: str | None = None,
                            ) -> dict[int, _PageEntries]:
         """The flash-resident entries of each page, leaving out
         the pages of blocks whose zone map proves no record can satisfy
         ``low <= record[field] <= high`` (one ``admits`` verdict per
-        block: it is a pure function of the block summary)."""
+        block: it is a pure function of the block summary). With a
+        ``prefix``, only the entries whose ids start with it: a page
+        left with none stays in, to be read and counted like the
+        rest."""
         rejected: set[int] = set()
         if self._zone_maps and field is not None:
             rejected = {
@@ -1029,6 +1034,11 @@ class LogStructuredStore:
                 if not ids:
                     continue
                 locations = list(map(self._directory.get, ids))
+            if prefix is not None:
+                wanted = list(map(str.startswith, ids, repeat(prefix)))
+                if not all(wanted):
+                    ids = list(compress(ids, wanted))
+                    locations = list(compress(locations, wanted))
             by_page[page] = ids, locations
         return by_page
 
@@ -1164,6 +1174,7 @@ class LogStructuredStore:
 
     def scan_batches(
         self, field: str | None = None, low: Value = None, high: Value = None,
+        prefix: str | None = None,
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
         """Columnar scan: yield ``(record_ids, ColumnBatch)`` chunks.
 
@@ -1172,11 +1183,15 @@ class LogStructuredStore:
         decodes a chunk of pages at a time through
         :func:`encoding.decode_page`, so uniform frames become column
         slices instead of per-record dicts. The buffered tail arrives
-        as one final scalar batch.
+        as one final scalar batch. With a ``prefix``, only the records
+        whose ids start with it: the admitted pages are read all the
+        same, but no other record is decoded, and no chunk is empty.
         """
-        tail = sorted(self._buffered)
+        tail = sorted(self._buffered) if prefix is None else sorted(
+            record_id for record_id in self._buffered
+            if record_id.startswith(prefix))
         yield from self._decode_chunks(
-            self._locations_by_page(field, low, high))
+            self._locations_by_page(field, low, high, prefix))
         tail_rows = self._buffered_tail(tail)
         if tail_rows:
             yield self._tail_chunk(tail_rows)
@@ -1194,14 +1209,15 @@ class LogStructuredStore:
         a time. A chunk found resident in the page cache, every page of
         it, is :meth:`_gather`'s; any other chunk — one page or more
         read from flash — is one :meth:`_decode`, so a cold walk that
-        meets a few resident pages pays nothing for them. Chunk size
-        shrinks with the RAM budget headroom so decode scratch stays
-        charged but bounded."""
+        meets a few resident pages pays nothing for them. A page with no
+        entries (all of them outside a scan's prefix) is read and then
+        passed over. Chunk size shrinks with the RAM budget headroom so
+        decode scratch stays charged but bounded."""
         at_once = self._SCAN_CHUNK_PAGES
         headroom = self._ram_headroom()
         if headroom is not None:
             at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
-        walk = self._walk_pages(by_page)
+        walk = filter(itemgetter(3), self._walk_pages(by_page))
         while chunk := list(islice(walk, at_once)):
             record_ids = [
                 record_id for _, _, _, ids, _ in chunk for record_id in ids

@@ -466,13 +466,12 @@ class BatchCandidates:
     """Candidate rows delivered as columnar chunks: the one shape
     :func:`execute` takes, whatever the plan.
 
-    ``chunks`` is a list of ``(keep, batch)`` pairs: ``batch`` is a
-    :class:`ColumnBatch` and ``keep`` the row indexes to consider
-    (``None`` = every row). Matching rows come back in chunk order
-    unless ``ids`` is given: one list of record ids per chunk (aligned
-    with the batch's rows), by which the matches are then sorted — the
-    index plans' ascending-id contract, passed only when the chunks do
-    not already ascend.
+    ``chunks`` is a list of :class:`ColumnBatch` chunks of the
+    collection's rows, every row a candidate. Matching rows come back
+    in chunk order unless ``ids`` is given: one list of record ids per
+    chunk (aligned with the batch's rows), by which the matches are
+    then sorted — the index plans' ascending-id contract, passed only
+    when the chunks do not already ascend.
     """
 
     __slots__ = ("chunks", "ids")
@@ -495,15 +494,6 @@ _AGGREGATE_LANES = {
 }
 
 
-def _hits(keep, mask):
-    """Row indexes (an array, candidate order) of a chunk that pass
-    its mask."""
-    if keep is None:
-        return _np.flatnonzero(mask)
-    keep = _np.asarray(keep)
-    return keep[mask[keep]]
-
-
 def _in_id_order(candidates: BatchCandidates, hits, values: list) -> list:
     """``values`` — one per hit, in chunk order (``hits`` holds each
     chunk's matching row indexes) — sorted by record id when the
@@ -523,16 +513,16 @@ def _filter_batches(where: Predicate, candidates: BatchCandidates,
     matching row materialised exactly once."""
     matched: list[Record] = []
     hits = []
-    for (keep, batch), mask in zip(candidates.chunks, masks):
+    for batch, mask in zip(candidates.chunks, masks):
         scalar_rows = batch.scalar_rows
         row = batch.row
         if mask is not None and not scalar_rows:
-            hits.append(chunk_hits := _hits(keep, mask).tolist())
+            hits.append(chunk_hits := _np.flatnonzero(mask).tolist())
             matched.extend(batch.rows() if len(chunk_hits) == batch.count
                            else map(row, chunk_hits))
             continue
         hits.append(chunk_hits := [])
-        for index in range(batch.count) if keep is None else keep:
+        for index in range(batch.count):
             if mask is None or index in scalar_rows:
                 record = row(index)  # the vector lane declined this row
                 if not where.matches(record):
@@ -551,14 +541,14 @@ def _fold_decline(query: Query, chunks, masks) -> str | None:
     can fold off the columns)."""
     if query.group_by is not None:
         return "group_by"
-    for (_, batch), mask in zip(chunks, masks):
+    for batch, mask in zip(chunks, masks):
         if batch.scalar_rows:
             return "scalar_rows"
         if mask is None:
             return "predicate"
     for aggregate in query.aggregates:  # views cost a column pass: last
         if aggregate.function != "count" and not all(
-                batch.numeric_view(aggregate.field) for _, batch in chunks):
+                batch.numeric_view(aggregate.field) for batch in chunks):
             return "non_numeric"  # absent, mixed-type or bool column
     return None
 
@@ -569,14 +559,14 @@ def _fold_batches(query: Query, candidates: BatchCandidates,
     slices: the values :meth:`Aggregate.compute` would pull out of the
     materialised rows, in the same order, through the same fold."""
     chunks = candidates.chunks
-    hits = [_hits(keep, mask) for (keep, _), mask in zip(chunks, masks)]
+    hits = list(map(_np.flatnonzero, masks))
     row = {}
     for aggregate in query.aggregates:
         if aggregate.function == "count":
             row[aggregate.label] = float(sum(map(len, hits)))
             continue
         values: list[float] = []
-        for (_, batch), chunk_hits in zip(chunks, hits):
+        for batch, chunk_hits in zip(chunks, hits):
             kind, column = batch.numeric_view(aggregate.field)
             picked = column[chunk_hits].tolist()
             values.extend(picked if kind == "f" else map(float, picked))
@@ -618,11 +608,8 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
         plan = "scan"
     chunks = candidates.chunks
     where = query.where
-    masks = []
-    examined = 0
-    for keep, batch in chunks:
-        masks.append(where.matches_batch(batch))
-        examined += batch.count if keep is None else len(keep)
+    masks = [where.matches_batch(batch) for batch in chunks]
+    examined = sum(batch.count for batch in chunks)
 
     if query.aggregates:
         decline = _fold_decline(query, chunks, masks)

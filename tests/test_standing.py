@@ -721,6 +721,61 @@ class TestWindowFeed:
         retained = metric(world, "fedquery.standing.feed_rows")["labels"]
         assert set(retained.values()) == {0}
 
+    def test_a_close_decodes_only_each_feeds_collection(self, monkeypatch):
+        """A cell interleaves both stream collections in one log; at a
+        close, the ``energy_stream`` feed's pull decodes no
+        ``employment`` row and the reverse, and every window total
+        still equals the one-shot query bit for bit."""
+        from repro.store.catalog import Catalog
+        from repro.store.log_store import LogStructuredStore
+
+        decoded = {}  # collection queried -> collections of rows decoded
+        querying = []
+        query, decode = Catalog.query, LogStructuredStore._decode
+
+        def tracking_query(catalog, spec):
+            querying.append(spec.collection)
+            try:
+                return query(catalog, spec)
+            finally:
+                querying.pop()
+
+        def spying_decode(store, pages):
+            if querying:
+                decoded.setdefault(querying[-1], set()).update(
+                    record_id.split("/")[0]
+                    for _, _, _, ids, _ in pages for record_id in ids)
+            return decode(store, pages)
+
+        monkeypatch.setattr(Catalog, "query", tracking_query)
+        monkeypatch.setattr(LogStructuredStore, "_decode", spying_decode)
+        specs = [energy_spec(), self.HOURS]
+        window = window_clause()
+        world, network, fleet = feed_fleet(n_cells=4, units=UNITS)
+        coordinator = StandingCoordinator(world, network)
+        subs = [coordinator.subscribe(spec, fleet.roster, window)
+                for spec in specs]
+        world.loop.run_until(window.window_span_s(0)[1] + 5)
+        own = {"energy_stream": {"energy_stream"},
+               "employment": {"employment"}}
+        assert decoded == own  # the first close
+        coordinator.drive()
+        assert decoded == own  # and every later one
+        monkeypatch.undo()
+
+        world2, network2, fleet2 = feed_fleet(n_cells=4, units=UNITS)
+        world2.loop.run_until(WINDOWS * WIDTH_S + 10)
+        oneshot = Coordinator(world2, network2, address="fq-oneshot")
+        for sub, spec in zip(subs, specs):
+            assert sub.complete
+            for index in range(WINDOWS):
+                expected = oneshot.run(
+                    window.windowed_spec(spec, index), fleet2.roster)
+                standing = sub.results[index]
+                assert standing.outcome == expected.outcome == "complete"
+                assert (standing.value, standing.field_total) \
+                    == (expected.value, expected.field_total)
+
     def test_feed_counters_survive_an_in_place_reset(self):
         """``obs.reset()`` zeroes instruments in place (what
         ``tests/conftest.py`` does to the default scope); the feed binds

@@ -847,6 +847,13 @@ class TestEveryPlanSamePipeline:
             len(store._locations_by_page(*hint)),
         )
 
+    @staticmethod
+    def _buffered_rows(catalog):
+        """The collection's live rows a scan takes from the write buffer."""
+        store = catalog.store
+        return sum(full_id.startswith("meter/") and store.contains(full_id)
+                   for full_id in store._buffered)
+
     @settings(max_examples=24, deadline=None, derandomize=True)
     @given(rng=st.randoms(use_true_random=False), ragged=st.booleans(),
            buffered=st.booleans())
@@ -869,10 +876,17 @@ class TestEveryPlanSamePipeline:
             for name, catalog in catalogs.items():
                 query = Query("meter", where=where)
                 cost = self._expected_cost(catalog, query)
+                before = decoded_rows()
                 result = catalog.query(query)
                 assert canonical(result.rows) == canonical(python_rows), (
                     name, where)
                 assert (result.records_examined, result.flash_reads) == cost
+                if result.plan.split(":")[0] in ("zonemap", "scan"):
+                    # no ``other`` row is decoded: every row the store
+                    # decoded was examined (buffered rows are not decoded)
+                    assert decoded_rows() - before == (
+                        result.records_examined
+                        - self._buffered_rows(catalog)), (name, where)
                 if result.plan.split(":")[0] in ("range", "index"):
                     ids = [row["id"] for row in result.rows]
                     assert ids == sorted(ids), (name, where)
@@ -895,6 +909,70 @@ class TestEveryPlanSamePipeline:
             Query("meter", where=predicates[0])).plan == "range:t"
         assert catalogs["index"].query(
             Query("meter", where=predicates[2])).plan == "index:k"
+
+
+class TestIndexBackfill:
+    """An index declared over existing rows reads the collection's own
+    rows only, and ends as it would had it been declared first."""
+
+    @staticmethod
+    def _catalog(declare_first):
+        catalog = Catalog(make_flash(1024))
+        meter = catalog.collection("meter")
+        if declare_first:
+            TestIndexBackfill._declare(meter)
+        other = catalog.collection("other")
+        for part in range(3):  # the collections interleave on pages
+            other.insert_many((f"o{part}-{number}", {
+                "t": number, "k": "a", "note": "other row"})
+                for number in range(20))
+            meter.insert_many((f"m{part}-{number}", {
+                "t": 20 * part + number, "k": "abc"[number % 3],
+                "note": ("beach", "dune walk", "tide")[number % 3]})
+                for number in range(20))
+        catalog.store.flush()
+        meter.insert("m0-5", {"t": 99, "k": "z", "note": "new"})
+        meter.delete("m1-7")
+        meter.insert_many((f"m9-{number}", {"t": -number, "k": "b"})
+                          for number in range(2))
+        return catalog, meter
+
+    @staticmethod
+    def _declare(meter):
+        meter.create_hash_index("k")
+        meter.create_ordered_index("t")
+        meter.create_keyword_index("note")
+
+    def test_backfill_equals_incremental_and_decodes_own_rows_only(self):
+        catalog, meter = self._catalog(declare_first=False)
+        store = catalog.store
+        assert {"meter/m0-5", "meter/m1-7", "meter/m9-0"} <= set(store._buffered)
+        assert list(meter._rows()) == [
+            (full_id, record) for full_id, record in store.scan()
+            if full_id.startswith("meter/")]
+        flushed = 3 * 20 - 2  # the replaced and deleted rows are buffered
+        for create, field in ((meter.create_hash_index, "k"),
+                              (meter.create_ordered_index, "t"),
+                              (meter.create_keyword_index, "note")):
+            before = decoded_rows()
+            create(field)
+            assert decoded_rows() - before == flushed, field
+        _, reference = self._catalog(declare_first=True)
+        assert meter._hash_indexes["k"]._buckets \
+            == reference._hash_indexes["k"]._buckets
+        assert meter._ordered_indexes["t"]._entries \
+            == reference._ordered_indexes["t"]._entries
+        assert meter._keyword_indexes["note"]._postings \
+            == reference._keyword_indexes["note"]._postings
+        for value in ("a", "b", "c", "z"):
+            assert meter._hash_indexes["k"].lookup(value) \
+                == reference._hash_indexes["k"].lookup(value)
+        for low, high in ((None, None), (-1, 10), (15, 45), (90, 100)):
+            assert meter._ordered_indexes["t"].range(low, high) \
+                == reference._ordered_indexes["t"].range(low, high)
+        for term in ("beach", "dune", "walk", "new", "other"):
+            assert meter._keyword_indexes["note"].lookup(term) \
+                == reference._keyword_indexes["note"].lookup(term)
 
 
 # -- failures: located corruption, consistent partial ingest -------------------
@@ -1053,6 +1131,11 @@ def counter_labels(name):
     snapshot = get_default().metrics.get(name).snapshot()
     return {key: value for key, value in snapshot.get("labels", {}).items()
             if value}
+
+
+def decoded_rows():
+    """Rows the chunk decoder has handed out, whatever the lane."""
+    return sum(counter_labels("store.decode.rows").values())
 
 
 def agreement(collection, field="t"):

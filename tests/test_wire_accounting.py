@@ -169,6 +169,19 @@ class TestWireSize:
         # json escapes non-ASCII, so characters == bytes; the keymgmt
         # copy that skipped ``.encode()`` read the same number.
 
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_non_ascii_recipient_and_rows_size_in_bytes(self, plain):
+        """The size is the encoded byte count, not a character count
+        that happens to match: a non-ASCII recipient and row values
+        (an astral character among them) included."""
+        message = plan_message("t", KANON, ROSTER, "coord")
+        message["rows"] = [{"city": "orléans", "note": "café 東京"},
+                           {"city": "zürich", "mood": "\U0001F642"}]
+        if plain:
+            message = dict(message)
+        assert wire_size(message) == len(
+            json.dumps(message, separators=(",", ":")).encode())
+
     def test_spec_wire_form_is_built_once_per_spec(self):
         spec = FedQuerySpec("r", "p", TRANSFORM_DP, "c")
         assert spec.to_wire() is spec.to_wire()
