@@ -65,6 +65,7 @@ from ..crypto.primitives import (
 from ..errors import ConfigurationError, ProtocolError
 from ..obs import get_default as _obs_default
 from . import kernels
+from .kernels import _SEED_BYTES  # one HMAC-SHA256 tag: a round's seed
 
 _FIELD_ELEMENT_BYTES = 16  # one PRIME-field element on the wire
 
@@ -105,52 +106,38 @@ _ROUNDS_EVICTED = _OBS.metrics.counter(
 
 
 class _RoundMasks:
-    """One round's pairwise masks on one node: a single record.
+    """One round's pairwise masks on one node: its seeds, nothing more.
 
     Peers sit in first-touch order: ``rows`` maps a peer's name to its
-    row, ``seeds[row]`` is the pair's keyed seed for this round and
-    ``elements[row * width:(row + 1) * width]`` its expansion — one
-    flat seed-major list at the widest width asked so far.
+    row and ``seeds[row * 32:(row + 1) * 32]`` is the pair's keyed seed
+    for this round, all in one ``bytes``. Readers expand the rows they
+    ask for on each call, so a settled round holds 32 B per peer plus
+    its row index, however wide it was asked.
     """
 
-    __slots__ = ("rows", "seeds", "elements", "width")
+    __slots__ = ("rows", "seeds")
 
     def __init__(self) -> None:
         self.rows: dict[str, int] = {}
-        self.seeds: list[bytes] = []
-        self.elements: list[int] = []
-        self.width = 0
+        self.seeds = b""
 
-    def grow(self, names: list[str], seeds: list[bytes], count: int,
-             expand: Callable[[list[bytes], int], list[int]]) -> None:
+    def grow(self, names: list[str], seeds: list[bytes]) -> None:
         """Give the peers ``names`` — not yet in the record, ``seeds``
-        their derived seeds — the next rows, and make every row at
-        least ``count`` wide. Widening re-expands from the kept seeds,
-        no keyed derivation; ``expand(seeds, count)`` returns the flat
-        seed-major elements."""
-        known = len(self.seeds)
+        their derived seeds — the next rows."""
+        known = len(self.rows)
         self.rows.update(zip(names, range(known, known + len(names))))
-        self.seeds += seeds
-        if count > self.width:
-            self.elements = expand(self.seeds, count)
-            self.width = count
-        elif seeds:
-            self.elements += expand(seeds, self.width)
+        self.seeds += b"".join(seeds)
 
-    def row(self, name: str, count: int) -> list[int]:
-        start = self.rows[name] * self.width
-        return self.elements[start:start + count]
+    def seeds_of(self, names: list[str]) -> list[bytes]:
+        """The seeds of ``names``' rows, aligned with ``names``."""
+        rows, seeds = self.rows, self.seeds
+        starts = [rows[name] * _SEED_BYTES for name in names]
+        return [seeds[start:start + _SEED_BYTES] for start in starts]
 
 
 _name_of = attrgetter("name")
 _peer_of = itemgetter(0)  # of a ``(peer, peer position)`` edge
 _position_of = itemgetter(1)
-
-
-def _expand_scalar(seeds: list[bytes], count: int) -> list[int]:
-    """The scalar oracle's expansion in the record's flat layout."""
-    return [element for seed in seeds
-            for element in kernels.expand_stream_reference(seed, count)]
 
 
 def _record_round(result: "AggregationResult") -> None:
@@ -346,38 +333,34 @@ class AggregationNode:
         :meth:`mask_elements_many`, none of its kernels.
         """
         record = self._round_masks(round_tag)
-        names, seeds = [], []
         if peer.name not in record.rows:
-            names, seeds = [peer.name], [hmac_sha256(
+            record.grow([peer.name], [hmac_sha256(
                 self._pairwise_key_for(peer), f"mask|{round_tag}".encode()
-            )]
-        record.grow(names, seeds, count, _expand_scalar)
-        return record.row(peer.name, count)
+            )])
+        [seed] = record.seeds_of([peer.name])
+        return kernels.expand_stream_reference(seed, count)
 
     def _filled(
         self,
         round_tag: str,
         names: list[str],
         peers: list["AggregationNode"],
-        count: int,
-    ) -> tuple[_RoundMasks, list[int]]:
-        """This round's record, holding a row at least ``count`` wide
-        for every one of ``peers`` (``names`` are their names, aligned),
-        and their rows in it — the one fill path of the batch calls.
+    ) -> list[bytes]:
+        """The round's seeds for every one of ``peers`` (``names`` are
+        their names, aligned), recorded in this round's record — the
+        one fill path of the batch calls.
 
         One lookup finds the record; every peer it lacks is derived —
         one HMAC per fresh pair, the keyed derivation count of the
         scalar path, every fresh peer's
         :class:`~repro.crypto.primitives.HmacKey` tagged in one
-        :meth:`~repro.crypto.primitives.HmacKey.tag_many` call — and
-        expanded in a single :func:`~repro.commons.kernels.expand_streams`
-        pass. A peer node is read only to build the key of a pair this
-        node never masked before.
+        :meth:`~repro.crypto.primitives.HmacKey.tag_many` call. A peer
+        node is read only to build the key of a pair this node never
+        masked before.
         """
         record = self._round_masks(round_tag)
         rows = record.rows
         fresh = [name for name in names if name not in rows]
-        seeds = []
         if fresh:
             keys = list(map(self._mask_keys.get, fresh))
             if not all(keys):  # a pair this node never masked before
@@ -386,13 +369,13 @@ class AggregationNode:
                     if keys[at] is None:
                         keys[at] = self._mask_keys[name] = HmacKey(
                             self._pairwise_key_for(peer_of[name]))
-            seeds = HmacKey.tag_many(keys, f"mask|{round_tag}".encode())
-        # Rows are handed out only once every fresh seed is derived: a
-        # peer without key material raises above and leaves no trace.
-        record.grow(fresh, seeds, count, kernels.expand_streams)
+            # Rows are recorded only once every fresh seed is derived: a
+            # peer without key material raises here and leaves no trace.
+            record.grow(fresh, HmacKey.tag_many(
+                keys, f"mask|{round_tag}".encode()))
         _ROWS_DERIVED.inc(len(fresh))
         _ROWS_CACHED.inc(len(names) - len(fresh))
-        return record, list(map(rows.__getitem__, names))
+        return record.seeds_of(names)
 
     def mask_elements_many(
         self,
@@ -404,15 +387,15 @@ class AggregationNode:
 
         The vectorized counterpart of calling :meth:`mask_elements`
         per peer, through the round's one fill path
-        (:meth:`_filled`). Returns the element lists aligned with
-        ``peers``, sliced off the record, bit-for-bit equal to the
-        scalar loop. The mask core does not call it: it reads the
-        record's flat list in place.
+        (:meth:`_filled`): the asked rows are expanded in a single
+        :func:`~repro.commons.kernels.expand_streams` pass. Returns the
+        element lists aligned with ``peers``, bit-for-bit equal to the
+        scalar loop.
         """
-        record, rows = self._filled(
-            round_tag, list(map(_name_of, peers)), peers, count)
-        elements, width = record.elements, record.width
-        return [elements[row * width:row * width + count] for row in rows]
+        elements = kernels.expand_streams(self._filled(
+            round_tag, list(map(_name_of, peers)), peers), count)
+        return [elements[row * count:(row + 1) * count]
+                for row in range(len(peers))]
 
     # -- the mask core: every masked transport goes through these -------------
 
@@ -456,17 +439,17 @@ class AggregationNode:
         covers every component (width 1 for a sum, B for a B-bucket
         histogram).
 
-        Component ``c`` of a peer's row is ``elements[row * stride +
-        c]`` of the round's record, whose stride is the widest width
-        asked of the round so far — at least ``len(base)``. Each
-        component is one :func:`~repro.commons.kernels.signed_accumulate`
-        over the record, no row copied out.
+        The asked rows are expanded ``len(base)`` wide from their seeds
+        in one :func:`~repro.commons.kernels.expand_streams` pass; each
+        component is then one
+        :func:`~repro.commons.kernels.signed_accumulate` over it.
         """
-        record, rows = self._filled(round_tag, names, peers, len(base))
-        elements, stride = record.elements, record.width
+        width = len(base)
+        elements = kernels.expand_streams(
+            self._filled(round_tag, names, peers), width)
         plus, minus = [], []
-        for row, at in zip(rows, peer_positions):
-            (plus if position < at else minus).append(row * stride)
+        for row, at in enumerate(peer_positions):
+            (plus if position < at else minus).append(row * width)
         return [
             kernels.signed_accumulate(
                 value,

@@ -76,8 +76,8 @@ def expand_streams(seeds: list[bytes], count: int) -> list[int]:
 
     One comprehension over every seed's stream. Returns one flat
     *seed-major* list — seed ``i``'s elements are
-    ``flat[i * count:(i + 1) * count]`` — which is what a round's mask
-    record keeps; bit-for-bit the concatenation of
+    ``flat[i * count:(i + 1) * count]`` — which is what the mask core
+    reads; bit-for-bit the concatenation of
     ``expand_stream_reference(seed, count)`` over ``seeds``.
     """
     if count < 0:

@@ -301,6 +301,10 @@ class Coordinator:
         self._events = world.obs.events
         self._tracer = world.obs.tracer
         self._instruments(world.obs.metrics)
+        self.journal.gauge = world.obs.metrics.gauge(
+            "journal.bytes", help="write-ahead journal size (text bytes)",
+            labelnames=("coordinator",)).labels(coordinator=address)
+        self.journal.gauge.set(self.journal.bytes)
 
     # -- what this level calls things, and who times it ------------------------
 

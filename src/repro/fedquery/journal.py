@@ -24,11 +24,12 @@ never a raw encoding. :func:`journal_elements` extracts every numeric
 payload a journal holds so tests can intersect it with the fleet's raw
 encodings and assert the intersection is empty.
 
-Records are normalized through JSON on append. That is deliberate, not
-cosmetic: replay then reconstructs state only from what a real durable
-log would have held (tuples come back as lists, keys as strings, no
-live-object aliasing), and a non-serializable payload — the shape a
-leak would take — fails loudly at append time, not at restart time.
+Records are kept as the compact JSON text a durable log would hold,
+encoded once on append and decoded on every read. That is deliberate:
+replay reconstructs state only from what a real log would have held
+(tuples come back as lists, keys as strings), every read is a fresh
+object that aliases nothing, and a non-serializable payload — the
+shape a leak would take — fails loudly at append time, not at restart.
 """
 
 from __future__ import annotations
@@ -56,51 +57,62 @@ class QueryJournal:
     """An append-only, in-memory stand-in for a durable coordinator log.
 
     ``on_append(index, record)`` is the durability hook: it fires after
-    the record is persisted, so a crash raised from inside it models a
-    process dying right after the disk write — the record survives,
-    everything the handler would have done next is lost. The
-    crash-after-every-record property test drives exactly that.
+    the record is persisted, with the record decoded from its text, so
+    a crash raised from inside it models a process dying right after
+    the disk write — the record survives, everything the handler would
+    have done next is lost. The crash-after-every-record property test
+    drives exactly that.
+
+    ``bytes`` is the sum of the records' text lengths (no compaction
+    yet); ``gauge``, if a coordinator binds one, follows it.
     """
 
     def __init__(self, on_append: Callable[[int, dict], None] | None = None
                  ) -> None:
-        self._records: list[dict[str, Any]] = []
-        # tag -> its records, append order: grouped as they are appended,
-        # so a revival reads only its own tag's records.
-        self._tags: dict[str, list[dict[str, Any]]] = {}
+        self._texts: list[str] = []
+        # tag -> its records' texts, append order: grouped as they are
+        # appended, so a revival reads only its own tag's records.
+        self._tags: dict[str, list[str]] = {}
+        self.bytes = 0
+        self.gauge: Any = None
         self.on_append = on_append
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._texts)
 
     def append(self, record: dict[str, Any]) -> int:
         """Durably append one record; returns its index."""
         if "type" not in record or "tag" not in record:
             raise ProtocolError("journal records need 'type' and 'tag'")
         try:
-            normalized = json.loads(compact_json(record))
+            text = compact_json(record)
         except (TypeError, ValueError) as error:
             raise ProtocolError(
                 f"unjournalable record {record.get('type')!r}: {error}"
             ) from error
-        index = len(self._records)
-        self._records.append(normalized)
-        self._tags.setdefault(normalized["tag"], []).append(normalized)
+        index = len(self._texts)
+        self._texts.append(text)
+        self._tags.setdefault(record["tag"], []).append(text)
+        self.bytes += len(text)
+        if self.gauge is not None:
+            self.gauge.set(self.bytes)
         if self.on_append is not None:
-            self.on_append(index, normalized)
+            self.on_append(index, json.loads(text))
         return index
 
     def records(self) -> list[dict[str, Any]]:
-        """A copy of every record, in append order."""
-        return list(self._records)
+        """Every record, decoded afresh, in append order."""
+        return list(map(json.loads, self._texts))
 
     def of(self, tag: str) -> list[dict[str, Any]]:
-        """A copy of ``tag``'s records, in append order."""
-        return list(self._tags.get(tag, ()))
+        """``tag``'s records, decoded afresh, in append order."""
+        return list(map(json.loads, self._tags.get(tag, ())))
 
     def by_tag(self) -> dict[str, list[dict[str, Any]]]:
-        """Records grouped by query tag, append order preserved."""
-        return {tag: list(records) for tag, records in self._tags.items()}
+        """Records grouped by query tag, decoded afresh, append order
+        preserved."""
+        return {tag: list(map(json.loads, texts))
+                for tag, texts in self._tags.items()}
 
 
 def journal_elements(journal: QueryJournal) -> set[int]:

@@ -1,9 +1,11 @@
 """``tools/ab_layered.py``: medians, win counts and bound verdicts from
-canned run results — no benchmark runs inside tier-1."""
+canned run results — no benchmark runs inside tier-1 (the heap census
+runs a toy stand-in script)."""
 
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -287,3 +289,53 @@ class TestLayers:
         assert row["metric"] == "sim.loop_self_ms"
         assert row["ratio"] != row["ratio"]  # NaN: nothing to divide by
         assert "nan" in ab_layered.format_layers("flat_quiet", [row])
+
+
+#: A stand-in for the benchmark's ``run.py``: builds ``KEEP`` kB that
+#: live past the workload, ``DROP`` kB that do not, releases its heap
+#: with ``gc.unfreeze()`` like the runner, frees ``KEEP`` and prints a
+#: result line.
+TOY_RUN = """
+import gc, json, sys
+from payload import allocate
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+world = allocate({keep})
+allocate({drop})
+gc.unfreeze()
+del world
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {{}}, "argv": args}}))
+"""
+# 991 bytes of payload + 33 of object header: 1 kB per object.
+PAYLOAD = "def allocate(kb):\n    return [bytes(991) for _ in range(kb)]\n"
+
+
+class TestHeap:
+    def _tree(self, root, keep, drop=2048):
+        root.mkdir()
+        (root / "run.py").write_text(TOY_RUN.format(keep=keep, drop=drop))
+        (root / "payload.py").write_text(PAYLOAD)
+        return root
+
+    def test_the_census_is_taken_when_the_workload_releases_its_heap(
+            self, tmp_path):
+        tree = self._tree(tmp_path / "parent", keep=3072)
+        heap = ab_layered.run_heap(
+            tree, [sys.executable, "run.py"], "toy", 5, 0.5)
+        # Alive at gc.unfreeze(), freed later: counted. Freed before it
+        # (the 2 MB ``drop``): not. Named relative to the checkout.
+        assert 3.0 <= heap["payload.py"] / (1 << 20) < 3.05
+        assert all(not name.startswith(str(tree)) for name in heap)
+
+    def test_parent_beside_change_largest_first(self, tmp_path):
+        command = [sys.executable, "run.py"]
+        parent = ab_layered.run_heap(
+            self._tree(tmp_path / "parent", keep=3072), command, "toy", 5, 1)
+        change = ab_layered.run_heap(
+            self._tree(tmp_path / "change", keep=1024), command, "toy", 5, 1)
+        report = ab_layered.format_heap("toy", parent, change, top=1)
+        lines = report.splitlines()
+        assert lines[0].startswith(
+            f"heap: toy --seed {ab_layered.LAYERS_SEED}")
+        assert lines[3] == "| payload.py | 3.0 | 1.0 | -2.0 |"
+        assert lines[4].startswith("| (all files) |") and len(lines) == 5

@@ -340,6 +340,24 @@ class TestRoundMaskRecord:
         if not model.caching:
             assert rows["cached"] == 0
 
+    def test_a_round_record_holds_its_seeds_and_row_index_only(self):
+        """The record's byte bound: a k = 32 round keeps one ``bytes``
+        of exactly 32·k seed bytes plus its row index — no per-seed
+        objects, no expanded elements, whatever width was asked."""
+        k, tag = 32, "bound"
+        names, directory = _fleet(k + 1, prefix="bound")
+        node = directory[names[0]]
+        peers = [(directory[name], at)
+                 for at, name in enumerate(names[1:], 1)]
+        node.masked_vector(0, peers, tag, [1, 2, 3])
+        record = node._mask_cache[tag]
+        assert not hasattr(record, "__dict__")
+        assert set(record.__slots__) == {"rows", "seeds"}
+        assert type(record.seeds) is bytes and len(record.seeds) == 32 * k
+        assert record.rows == {name: row for row, name in enumerate(names[1:])}
+        assert record.seeds == b"".join(
+            self._seed(node, directory[name], tag) for name in names[1:])
+
     def test_late_recovery_of_an_evicted_round_rederives_bit_for_bit(
             self, monkeypatch):
         """Masks are a pure function of the pairwise key and the round
@@ -635,10 +653,9 @@ def _expected_vector(names, name, tag, base, degree, missing=None):
 
 
 class TestWidenedRecordReads:
-    """The mask core reads the round record by its stride — the widest
-    width asked of the round so far — not by the width it is asked
-    now: a record widened by an earlier width-5 ask must answer later
-    narrower asks bit for bit, half of its peers cached and half
+    """A round record first asked at width 5 keeps only its seeds, and
+    must answer later narrower asks bit for bit — each row re-expanded
+    at the width asked now — half of its peers cached and half
     fresh."""
 
     SIZE, DEGREE, TAG = 30, 8, "tag-wide"
@@ -653,7 +670,8 @@ class TestWidenedRecordReads:
         # Widen: half the ring asked at width 5 first.
         node.masked_vector(position, peers[::2], self.TAG, [0] * 5)
         record = node._mask_cache[self.TAG]
-        assert record.width == 5 and len(record.rows) == len(peers[::2])
+        assert len(record.seeds) == 32 * len(peers[::2]) \
+            and len(record.rows) == len(peers[::2])
         return names, directory, node, position, peers
 
     def test_narrow_contributions_read_the_wide_record(self):
@@ -667,7 +685,7 @@ class TestWidenedRecordReads:
         assert masked == gate.masked_contribution_reference(
             AggregationNode.preshared(names[11], SECRET), _fleet(self.SIZE)[1],
             names, self.TAG, value, neighbors=self.DEGREE)
-        assert node._mask_cache[self.TAG].width == 5
+        assert len(node._mask_cache[self.TAG].seeds) == 32 * len(peers)
         base = [shamir.encode_signed(value), 7]
         assert node.masked_vector(position, peers, self.TAG, base) == \
             _expected_vector(names, names[11], self.TAG, base, self.DEGREE)

@@ -29,6 +29,18 @@ per-layer metric whose value differs (parent, change, ratio) and,
 apart, the host-clock-free counters among them — those must not move
 unless the change meant them to. It never changes the exit status.
 
+``--heap`` adds a memory budget the way ``--layers`` explains wall
+time: one more ``--trace 0`` run per side and workload at
+``LAYERS_SEED``, with ``tracemalloc`` started before the benchmark
+imports anything and one snapshot taken when the runner releases the
+workload's heap (its ``gc.unfreeze()`` after the last op, while the
+world built in set-up is still alive; at exit if it never does). It
+prints the MB still allocated per source file, parent beside change,
+largest first. Under ``tracemalloc`` a run is slower and so completes
+fewer ops than a timed one: the census says *where* the memory is, the
+timed pairs' ``peak_rss_mb`` says how much. It never changes the exit
+status either.
+
 The benchmark is only ever *run*: nothing under ``benchmarks/layered``
 is imported or edited, and the bounds are read from the change
 checkout's ``BENCHMARK.json``.
@@ -73,6 +85,41 @@ CLOCK_FREE = (
     "harness.wire_bytes_per_op", "harness.flash_bytes_per_user_byte",
     "harness.sim_latency_s",
 )
+
+
+#: Runs the benchmark's script (``argv[2:]``) under ``tracemalloc`` and
+#: writes ``{source file: bytes allocated}`` at the snapshot to
+#: ``argv[1]``; files under the checkout are named relative to it.
+HEAP_PROBE = """
+import gc, json, os, runpy, sys, tracemalloc
+out, script = sys.argv[1], sys.argv[2]
+sys.argv = sys.argv[2:]
+sizes = {}
+
+def census():
+    if sizes:
+        return
+    here = os.getcwd() + os.sep
+    for stat in tracemalloc.take_snapshot().statistics("filename"):
+        name = stat.traceback[0].filename
+        sizes[name[len(here):] if name.startswith(here) else name] = stat.size
+
+unfreeze = gc.unfreeze
+
+def census_then_unfreeze():
+    census()
+    unfreeze()
+
+gc.unfreeze = census_then_unfreeze
+tracemalloc.start()
+try:
+    runpy.run_path(script, run_name="__main__")
+finally:
+    census()
+    tracemalloc.stop()
+    with open(out, "w") as handle:
+        json.dump(sizes, handle)
+"""
 
 
 # -- running -----------------------------------------------------------------
@@ -142,6 +189,17 @@ def run_pairs(parent: pathlib.Path, change: pathlib.Path,
                       f"{_value(result, 'ops_per_s'):.4g}",
                       file=sys.stderr, flush=True)
     return results
+
+
+def run_heap(tree: pathlib.Path, command: list[str], workload: str,
+             seed: int, seconds: float) -> dict[str, int]:
+    """One benchmark run in ``tree`` under :data:`HEAP_PROBE`; the
+    bytes still allocated per source file at the workload's exit."""
+    with tempfile.TemporaryDirectory(prefix="ab_heap_") as scratch:
+        out = pathlib.Path(scratch) / "heap.json"
+        run_once(tree, [command[0], "-c", HEAP_PROBE, str(out), *command[1:]],
+                 workload, seed, seconds)
+        return json.loads(out.read_text())
 
 
 # -- summarising -------------------------------------------------------------
@@ -294,6 +352,28 @@ def format_layers(workload: str, rows: list[dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+def format_heap(workload: str, parent: dict[str, int],
+                change: dict[str, int], top: int = 12) -> str:
+    """The ``top`` source files holding the most memory on either
+    side, in MB, and every file's total."""
+    mb = 1 << 20
+    files = sorted(set(parent) | set(change), key=lambda name: -max(
+        parent.get(name, 0), change.get(name, 0)))[:top]
+    lines = [
+        f"heap: {workload} --seed {LAYERS_SEED}, MB allocated at workload "
+        "exit by source file (tracemalloc)",
+        "| file | parent | change | change - parent |",
+        "|---|---|---|---|",
+    ]
+    rows = [(name, parent.get(name, 0), change.get(name, 0))
+            for name in files]
+    rows.append(("(all files)", sum(parent.values()), sum(change.values())))
+    lines += [f"| {name} | {before / mb:.1f} | {after / mb:.1f} "
+              f"| {(after - before) / mb:+.1f} |"
+              for name, before, after in rows]
+    return "\n".join(lines)
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -313,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--layers", action="store_true",
                         help="then one traced run per side: the per-layer "
                              "metrics that differ")
+    parser.add_argument("--heap", action="store_true",
+                        help="then one tracemalloc run per side: MB "
+                             "allocated by source file at workload exit")
     args = parser.parse_args(argv)
     with checkout(args.parent) as parent, checkout(args.change) as change:
         benchmark = json.loads((change / "BENCHMARK.json").read_text())
@@ -330,13 +413,22 @@ def main(argv: list[str] | None = None) -> int:
                 for tree in (parent, change)
             ]
             layers[workload] = layer_rows(*traced)
+        heaps = {
+            workload: [run_heap(tree, benchmark["command"], workload,
+                                LAYERS_SEED, benchmark["run_seconds"])
+                       for tree in (parent, change)]
+            for workload in (workloads if args.heap else [])
+        }
     rows = summarise(results, benchmark)
     if args.out:
         pathlib.Path(args.out).write_text(json.dumps(
-            {"results": results, "rows": rows, "layers": layers}, indent=1))
+            {"results": results, "rows": rows, "layers": layers,
+             "heaps": heaps}, indent=1))
     print(format_table(rows))
     for workload, differing in layers.items():
         print(format_layers(workload, differing))
+    for workload, sides in heaps.items():
+        print(format_heap(workload, *sides))
     problems = flags(rows) + failures(results)
     for line in problems:
         print("FLAG", line)
