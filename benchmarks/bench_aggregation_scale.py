@@ -25,6 +25,7 @@ import json
 import pathlib
 import time
 
+from repro.bench.claims import Claim, assert_claims
 from repro.commons.aggregation import (
     AggregationNode,
     MaskedSum,
@@ -33,11 +34,6 @@ from repro.commons.aggregation import (
 from repro.crypto import shamir
 from repro.crypto.primitives import hmac_invocations, hmac_sha256
 from repro.obs import get_default
-
-try:
-    from benchmarks.claims import Claim, assert_claims
-except ImportError:  # run as a script: benchmarks/ itself is on sys.path
-    from claims import Claim, assert_claims
 
 OBS = get_default()
 

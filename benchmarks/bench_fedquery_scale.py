@@ -42,6 +42,7 @@ import json
 import pathlib
 import time
 
+from repro.bench.claims import Claim, assert_claims
 from repro.commons.anonymize import is_k_anonymous
 from repro.crypto import shamir
 from repro.errors import IntegrityError
@@ -61,11 +62,6 @@ from repro.fedquery.spec import TRANSFORM_DP, TRANSFORM_EXACT, TRANSFORM_KANON
 from repro.infrastructure import Network
 from repro.sim import World
 from repro.store.query import Between
-
-try:
-    from benchmarks.claims import Claim, assert_claims
-except ImportError:  # run as a script: benchmarks/ itself is on sys.path
-    from claims import Claim, assert_claims
 
 REPORT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fedquery.json"

@@ -26,6 +26,7 @@ import json
 import pathlib
 import time
 
+from repro.bench.claims import Claim, assert_claims
 from repro.crypto.keys import KeyRing
 from repro.faults import FaultInjector, FaultPlan
 from repro.fedquery import (
@@ -40,11 +41,6 @@ from repro.keymgmt import DirectoryService, KeyClient, KeyDirectory
 from repro.obs import get_default as _global_obs
 from repro.sim import World
 from repro.store.query import Between
-
-try:
-    from benchmarks.claims import Claim, assert_claims
-except ImportError:  # run as a script: benchmarks/ itself is on sys.path
-    from claims import Claim, assert_claims
 
 REPORT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_keymgmt.json"

@@ -34,6 +34,7 @@ import json
 import pathlib
 import time
 
+from repro.bench.claims import Claim, assert_claims
 from repro.crypto import shamir
 from repro.faults import FaultInjector, FaultPlan
 from repro.fedquery import (
@@ -55,11 +56,6 @@ from repro.fedquery.spec import (
 )
 from repro.infrastructure import Network
 from repro.sim import World
-
-try:
-    from benchmarks.claims import Claim, assert_claims
-except ImportError:  # run as a script: benchmarks/ itself is on sys.path
-    from claims import Claim, assert_claims
 
 REPORT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_standing.json"

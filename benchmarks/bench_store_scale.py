@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from repro.bench.claims import Claim, assert_claims
 from repro.hardware import SMART_TOKEN, SMARTPHONE, NandFlash
 from repro.obs import get_default
 from repro.store import (
@@ -50,10 +51,8 @@ from repro.workloads.energy import HouseholdSimulator
 
 try:
     from benchmarks import bench_micro_ops as _micro_ops
-    from benchmarks.claims import Claim, assert_claims
 except ImportError:  # run as a script: benchmarks/ itself is on sys.path
     import bench_micro_ops as _micro_ops
-    from claims import Claim, assert_claims
 
 OBS = get_default()
 

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .bench import ALL_EXPERIMENTS, print_tables
+from .bench import ALL_EXPERIMENTS, check, print_tables
 
 _DESCRIPTIONS = {
     "E1": "Figure 1 walkthrough: every arrow executed, invariants checked",
@@ -51,15 +51,15 @@ def _run(names: list[str]) -> int:
         tables = module.run()
         elapsed = time.time() - start
         print_tables(tables)
-        checker = getattr(module, "shape_holds", None) or getattr(
-            module, "all_invariants_hold"
-        )
-        ok = checker(tables)
-        print(f"{name}: paper-shape predicate "
-              f"{'HOLDS' if ok else 'FAILED'} ({elapsed:.1f}s)")
+        verdicts = check(module, tables)
+        failed = [verdict for verdict in verdicts if not verdict.ok]
+        for verdict in failed:
+            print(verdict.line())
+        print(f"{name}: {'FAILED' if failed else 'HOLDS'} — "
+              f"{len(verdicts) - len(failed)}/{len(verdicts)} claim rows "
+              f"({elapsed:.1f}s)")
         print()
-        if not ok:
-            failures += 1
+        failures += bool(failed)
     return failures
 
 

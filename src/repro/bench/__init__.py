@@ -1,9 +1,13 @@
 """Experiment harness: one runner per derived experiment (E1-E15).
 
 Each ``eNN_*`` module exposes ``run(...) -> list[Table]`` producing the
-rows quoted in ``EXPERIMENTS.md``, and ``shape_holds(tables) -> bool``
-encoding the paper's qualitative claim as a machine-checkable
-predicate. The ``benchmarks/`` directory wires both into pytest.
+rows quoted in ``EXPERIMENTS.md``, and ``CLAIMS``: the paper's
+qualitative claims over those tables as :class:`~.claims.Claim` rows,
+which :func:`check` evaluates; each verdict's ``line()`` reads e.g.
+``PASS  E6  threat model  count  a central breach leaks 100x more at
+every budget: live 2500 (>= 100)``. ``benchmarks/bench_experiments.py``
+runs every experiment, writes its tables to ``benchmarks/results/`` and
+asserts its rows.
 """
 
 from . import (
@@ -23,6 +27,7 @@ from . import (
     e14_fedquery,
     e15_standing,
 )
+from .claims import Verdict, evaluate
 from .tables import Table, print_tables
 
 ALL_EXPERIMENTS = {
@@ -43,4 +48,12 @@ ALL_EXPERIMENTS = {
     "E15": e15_standing,
 }
 
-__all__ = ["Table", "print_tables", "ALL_EXPERIMENTS"]
+
+def check(module, tables: list[Table]) -> list[Verdict]:
+    """Every claim row of experiment ``module`` over its live tables."""
+    name = next(key for key, value in ALL_EXPERIMENTS.items()
+                if value is module)
+    return evaluate(name, module.CLAIMS, tables)
+
+
+__all__ = ["Table", "print_tables", "ALL_EXPERIMENTS", "check"]

@@ -1,28 +1,32 @@
-"""The claim rows of the tracked benches, and the one evaluator.
+"""Claim rows, and the one evaluator.
 
-Each tracked bench (the five ``benchmarks/bench_*`` modules that write a
-``BENCH_*.json``) declares what it claims once, as a ``CLAIMS`` tuple of
-:class:`Claim` rows beside the ``measure_*`` code they read, and builds
-its smoke-size report with ``smoke_report()``. The bench's tier-1 smoke
-and ``tools/bench_gate.py`` both hand that report and the tracked file
-to :func:`evaluate`, so a threshold lives in exactly one place.
+What the reproduction claims is declared once, as ``CLAIMS`` tuples of
+:class:`Claim` rows: by each experiment ``repro.bench.eNN_*`` over its
+own tables, a row speaking for one paper concept (:data:`CONCEPTS`),
+evaluated by :func:`repro.bench.check`; and by each tracked bench (the
+five ``benchmarks/bench_*`` modules that write a ``BENCH_*.json``) over
+its smoke report and tracked file, a row speaking for one layer
+(:data:`LAYERS`), evaluated by :func:`evaluate_tracked` from the bench's
+tier-1 smoke and ``tools/bench_gate.py``. Both end in :func:`evaluate`,
+so a threshold lives in exactly one place.
 
-A row reads one value with ``read`` — from the smoke report (*live*),
+A row reads one value with ``read`` — from the live report (*live*),
 from the tracked file (*tracked*), or from both, since they share a
 schema — and its ``rule`` says what that value must satisfy:
 
 * ``same`` / ``band`` / ``ratio`` hold the live value to the tracked one:
   equal, within ``tolerance``x either way, or at most ``tolerance``x;
 * ``==`` / ``>=`` / ``>`` / ``<=`` / ``<`` hold the value of each side
-  named by ``sides`` to ``tolerance`` itself.
+  named by ``sides`` to ``tolerance`` itself. An experiment has no
+  tracked report, so its rows read the live tables alone.
 
-Every row names the layer it speaks for and the clock its value was
-read from, and the clock limits the rule. ``count`` (deterministic,
+Every row names what it speaks for and the clock its value was read
+from, and the clock limits the rule. ``count`` (deterministic,
 clock-free) and ``sim`` rows are exact unless ``why`` says otherwise;
 ``device`` rows are held to the tracked value by a band; ``host`` rows
 hold per-unit costs (per record, per HMAC, per agreement, per cell, per
 delta) to at most 10x the tracked cost, since CI hosts are loaded
-arbitrarily.
+arbitrarily. No experiment table holds a host time.
 """
 
 from __future__ import annotations
@@ -38,6 +42,17 @@ LAYERS = (
     "sim loop/network", "wire codec", "coordinator + journal", "cell agent",
     "catalog/plan", "log store/page codec", "egress gate/mask kernels",
     "crypto primitives", "keymgmt",
+)
+# The paper's own vocabulary (PAPER.md section 1), which an experiment
+# row speaks for: its threat model, the six functions of a full-fledged
+# cell, the five requirements and the motivating scenario.
+CONCEPTS = (
+    "threat model",
+    "acquire/sync data", "metadata/query", "crypto protection",
+    "access/usage control", "accountability", "distributed computation",
+    "controlled collection", "secure private store", "secure sharing",
+    "secure usage", "shared commons",
+    "motivating scenario",
 )
 CLOCKS = ("count", "sim", "device", "host")
 
@@ -60,7 +75,7 @@ class Claim:
     name: str
     layer: str
     clock: str
-    read: Callable[[dict], Any]
+    read: Callable[[Any], Any]
     rule: str
     tolerance: Any = True  # a bounded rule's bound, or a paired factor
     sides: str = "both"  # which reports a bounded rule reads
@@ -68,7 +83,7 @@ class Claim:
 
     def __post_init__(self) -> None:
         problem = None
-        if self.layer not in LAYERS:
+        if self.layer not in LAYERS + CONCEPTS:
             problem = f"unknown layer {self.layer!r}"
         elif self.clock not in CLOCKS:
             problem = f"unknown clock {self.clock!r}"
@@ -89,7 +104,7 @@ class Claim:
         if problem:
             raise ValueError(f"claim {self.name!r}: {problem}")
 
-    def check(self, live: dict, tracked: dict) -> tuple[bool, str]:
+    def check(self, live: Any, tracked: dict | None) -> tuple[bool, str]:
         if self.rule in PAIRED:
             got, want = self.read(live), self.read(tracked)
             ok = PAIRED[self.rule](got, want, self.tolerance)
@@ -99,7 +114,8 @@ class Claim:
                         f"({self.rule} {self.tolerance:g}x)")
         values = [(side, self.read(report))
                   for side, report in (("live", live), ("tracked", tracked))
-                  if self.sides in (side, "both")]
+                  if self.sides in (side, "both")
+                  and (report is not None or self.sides == side)]
         ok = all(BOUNDED[self.rule](value, self.tolerance)
                  for _, value in values)
         shown = ", ".join(f"{side} {_show(value)}" for side, value in values)
@@ -120,27 +136,34 @@ class Verdict:
                 f"{self.detail}")
 
 
-def evaluate(claims, report: dict,
-             tracked_path: pathlib.Path) -> list[Verdict]:
-    """Every row of ``claims`` against ``report`` and the tracked file."""
-    bench = tracked_path.stem.removeprefix("BENCH_")
-    tracked = json.loads(tracked_path.read_text())
-    if tracked.get("benchmark") != report["benchmark"]:
-        raise ValueError(f"{tracked_path.name} is not the tracked file of "
-                         f"{report['benchmark']!r}")
+def evaluate(bench: str, claims, live: Any,
+             tracked: dict | None = None) -> list[Verdict]:
+    """Every row of ``claims`` against the live report (and the tracked
+    one, for the rows that read it)."""
     verdicts = []
     for claim in claims:
         try:
-            ok, detail = claim.check(report, tracked)
+            ok, detail = claim.check(live, tracked)
         except Exception as error:  # a missing field fails its row
             ok, detail = False, f"unreadable: {error!r}"
         verdicts.append(Verdict(bench, claim, ok, detail))
     return verdicts
 
 
+def evaluate_tracked(claims, report: dict,
+                     tracked_path: pathlib.Path) -> list[Verdict]:
+    """A tracked bench's rows against its smoke report and tracked file."""
+    tracked = json.loads(tracked_path.read_text())
+    if tracked.get("benchmark") != report["benchmark"]:
+        raise ValueError(f"{tracked_path.name} is not the tracked file of "
+                         f"{report['benchmark']!r}")
+    return evaluate(tracked_path.stem.removeprefix("BENCH_"), claims,
+                    report, tracked)
+
+
 def assert_claims(claims, report: dict, tracked_path: pathlib.Path) -> None:
     failed = [verdict.line()
-              for verdict in evaluate(claims, report, tracked_path)
+              for verdict in evaluate_tracked(claims, report, tracked_path)
               if not verdict.ok]
     assert not failed, "\n".join(failed)
 

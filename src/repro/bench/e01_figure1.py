@@ -25,7 +25,8 @@ from ..sim.world import World
 from ..sync.terminal import UntrustedTerminal
 from ..sync.vault import VaultClient
 from ..workloads.records import generate_pay_slips
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell
 
 
 def run(seed: int = 0, metered_days: int = 1) -> list[Table]:
@@ -180,7 +181,19 @@ def run(seed: int = 0, metered_days: int = 1) -> list[Table]:
     return [traffic, invariants]
 
 
-def all_invariants_hold(tables: list[Table]) -> bool:
-    """True iff every invariant row of the E1 output holds."""
-    invariants = tables[1]
-    return all(invariants.column("holds"))
+# One row per architecture invariant, naming the paper concept it checks.
+CLAIMS = tuple(
+    Claim(invariant, concept, "count", cell(1, invariant, "holds"), "==")
+    for invariant, concept in (
+        ("cloud observed zero plaintext bytes", "crypto protection"),
+        ("shared photo readable on recipient cell", "secure sharing"),
+        ("share import succeeded", "secure sharing"),
+        ("household denied raw 1s meter feed", "controlled collection"),
+        ("terminal keeps no residue", "secure usage"),
+        ("utility verifies certified monthly feed", "controlled collection"),
+        ("audit chains verify on all cells", "accountability"),
+        ("honest cloud never convicted", "threat model"),
+        ("recipient's audit trail reaches the owner and chain-verifies",
+         "accountability"),
+    )
+)

@@ -9,6 +9,7 @@ consumption change for players against a no-game control group.
 from __future__ import annotations
 
 from ..apps.social_game import run_season
+from .claims import Claim
 from .tables import Table
 
 
@@ -36,8 +37,16 @@ def run(seed: int = 0, rounds: int = 45, cohorts: int = 3) -> list[Table]:
     return [table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
+def _off_25_percent(tables: list[Table]) -> float:
+    """How far the players' mean cut lands from 25 %, in points."""
     players = tables[0].column("players reduction %")
-    advantage = tables[0].column("player advantage pp")
-    mean_players = sum(players) / len(players)
-    return 15.0 <= mean_players <= 35.0 and all(a > 0 for a in advantage)
+    return abs(sum(players) / len(players) - 25.0)
+
+
+CLAIMS = (
+    Claim("players cut 25 % within 10 points", "motivating scenario",
+          "count", _off_25_percent, "<=", 10.0),
+    Claim("every cohort's players beat its controls", "motivating scenario",
+          "count", lambda tables: min(tables[0].column("player advantage pp")),
+          ">", 0),
+)

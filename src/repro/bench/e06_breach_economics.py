@@ -12,6 +12,7 @@ magnitude higher against the central store for any realistic budget.
 from __future__ import annotations
 
 from ..attacks.economics import breach_economics
+from .claims import Claim
 from .tables import Table
 
 POPULATION = 100_000
@@ -54,7 +55,9 @@ def run(seed: int = 0) -> list[Table]:
     return [table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    penalties = tables[0].column("centralization penalty x")
-    # at every budget the central architecture leaks >= 100x more
-    return all(penalty >= 100 for penalty in penalties)
+CLAIMS = (
+    Claim("a central breach leaks 100x more at every budget", "threat model",
+          "count",
+          lambda tables: min(tables[0].column("centralization penalty x")),
+          ">=", 100),
+)

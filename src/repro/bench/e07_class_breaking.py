@@ -15,6 +15,7 @@ jumps to 100% at k=1 under the shared master.
 from __future__ import annotations
 
 from ..attacks.economics import class_breaking_exposure
+from .claims import Claim
 from .tables import Table
 
 
@@ -44,15 +45,27 @@ def run(seed: int = 0, cells: int = 8, objects_per_cell: int = 3) -> list[Table]
     return [table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    table = tables[0]
-    per_cell = {}
-    shared = {}
-    for row in table.rows:
-        regime, breached, _, _, exposure = row
-        (per_cell if regime == "per-cell-master" else shared)[breached] = exposure
-    linear_containment = all(
-        abs(per_cell[k] - 100.0 * k / 8) < 1e-6 for k in (0, 1, 2, 4)
-    )
-    class_break = shared[1] == 100.0 and shared[4] == 100.0 and shared[0] == 0.0
-    return linear_containment and class_break
+def _exposure(tables: list[Table], regime: str) -> dict[int, float]:
+    """``{cells breached: exposure %}`` under one key regime."""
+    return {row[1]: row[4] for row in tables[0].rows if row[0] == regime}
+
+
+def _per_cell_excess(tables: list[Table]) -> float:
+    exposure = _exposure(tables, "per-cell-master")
+    return max(abs(exposure[k] - 100.0 * k / 8) for k in (0, 1, 2, 4))
+
+
+def _shared(breached: int):
+    return lambda tables: _exposure(tables, "shared-master")[breached]
+
+
+CLAIMS = (
+    Claim("per-cell keys expose only the breached cells' share",
+          "threat model", "count", _per_cell_excess, "<", 1e-6),
+    Claim("no breach, no exposure under a shared master", "threat model",
+          "count", _shared(0), "==", 0.0),
+    Claim("one breach exposes all under a shared master", "threat model",
+          "count", _shared(1), "==", 100.0),
+    Claim("four breaches expose all under a shared master", "threat model",
+          "count", _shared(4), "==", 100.0),
+)

@@ -19,6 +19,7 @@ from ..hardware.flash import NandFlash
 from ..hardware.profiles import HOME_GATEWAY, SMART_TOKEN, SMARTPHONE, HardwareProfile
 from ..store.catalog import Catalog
 from ..store.query import Between, Eq, Query
+from .claims import Claim
 from .tables import Table
 
 PROFILES = (SMART_TOKEN, SMARTPHONE, HOME_GATEWAY)
@@ -155,22 +156,31 @@ def run(seed: int = 0, records: int = 1000) -> list[Table]:
     return [table, crossover, gc_table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    table = tables[0]
-    by_key = {
-        (row[0], row[1]): row[4] for row in table.rows
-    }  # latency ms column
-    token_scan = by_key[("smart-token", "scan (size = 37)")]
-    token_point = by_key[("smart-token", "point (kind = bill)")]
-    gateway_scan = by_key[("home-gateway", "scan (size = 37)")]
-    crossover = tables[1]
-    wins = crossover.column("index wins")
-    gc = tables[2]
-    gc_times = dict(zip(gc.column("strategy"), gc.column("GC time ms")))
-    return (
-        token_point < token_scan / 2  # indexes matter on the token
-        and gateway_scan < token_scan  # better hardware is faster
-        and wins[0]  # selective range: index wins
-        and not wins[-1]  # full-range: scan wins (no index benefit)
-        and gc_times["incremental"] < gc_times["full"]  # GC pays off on churn
-    )
+def _over_token_scan(profile: str, query: str):
+    """One query's latency over the smart token's scan latency."""
+    def read(tables: list[Table]) -> float:
+        latency = {(row[0], row[1]): row[4] for row in tables[0].rows}
+        return (latency[profile, query]
+                / latency["smart-token", "scan (size = 37)"])
+    return read
+
+
+def _gc_ratio(tables: list[Table]) -> float:
+    gc_ms = {row[0]: row[1] for row in tables[2].rows}
+    return gc_ms["incremental"] / gc_ms["full"]
+
+
+CLAIMS = (
+    Claim("a token point lookup costs under half its scan", "metadata/query",
+          "device", _over_token_scan("smart-token", "point (kind = bill)"),
+          "<", 0.5),
+    Claim("the home gateway scans faster than the token", "metadata/query",
+          "device", _over_token_scan("home-gateway", "scan (size = 37)"),
+          "<", 1),
+    Claim("a selective range: the index wins", "metadata/query", "count",
+          lambda tables: tables[1].column("index wins")[0], "=="),
+    Claim("the full range: the scan wins", "metadata/query", "count",
+          lambda tables: tables[1].column("index wins")[-1], "==", False),
+    Claim("incremental GC pays off on churn", "secure private store",
+          "device", _gc_ratio, "<", 1),
+)

@@ -24,7 +24,8 @@ from ..commons.aggregation import (
 )
 from ..crypto import shamir
 from ..crypto.primitives import hmac_invocations
-from .tables import Table
+from .claims import Claim
+from .tables import Table, where
 
 
 def _population(size: int, seed: int):
@@ -225,42 +226,46 @@ def run(seed: int = 0, sizes: list[int] | None = None) -> list[Table]:
             traffic_table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    scale = tables[0]
-    availability = tables[1]
-    asynchronous = tables[2]
-    graph = tables[3]
-    traffic = tables[4]
-    # per-link byte accounting must sum to the network total, and every
-    # 16-byte field element must be billed (messages * 16 == bytes)
-    link_rows = [row for row in traffic.rows if row[0] != "TOTAL"]
-    total_row = next(row for row in traffic.rows if row[0] == "TOTAL")
-    if sum(row[2] for row in link_rows) != total_row[2]:
-        return False
-    if any(row[1] * 16 != row[2] for row in link_rows):
-        return False
-    if not all(scale.column("exact")):
-        return False
-    if not all(availability.column("exact over online set")):
-        return False
-    if not all(asynchronous.column("exact over online set")):
-        return False
-    # sparse masking graphs must stay exact while cutting derivations:
-    # for each N, hmacs(k=8) < hmacs(k=32) < hmacs(complete)
-    if not all(graph.column("exact")):
-        return False
-    for size in {row[0] for row in graph.rows}:
-        by_graph = {row[1]: row[2] for row in graph.rows if row[0] == size}
-        if not by_graph["k=8"] < by_graph["k=32"] < by_graph["complete"]:
-            return False
-    # masked messages grow with N only linearly in the no-dropout case...
-    masked_rows = [row for row in scale.rows if row[1] == "masked"]
-    messages = [row[2] for row in masked_rows]
-    sizes = [row[0] for row in masked_rows]
-    linear_masked = all(m == n for m, n in zip(messages, sizes))
-    # ...but dropout recovery costs extra messages (visible at low availability)
-    masked_availability = [row for row in availability.rows if row[1] == "masked"]
-    recovery_grows = (
-        masked_availability[-1][2] > masked_availability[0][2]
-    )
-    return linear_masked and recovery_grows
+def _link_bytes_over_total(tables: list[Table]) -> int:
+    links = [row[2] for row in tables[4].rows if row[0] != "TOTAL"]
+    return sum(links) - tables[4].lookup("TOTAL", "bytes")
+
+
+def _graph_out_of_order(tables: list[Table]) -> list[int]:
+    """The sizes N at which k=8 < k=32 < complete derivations fails."""
+    derivations: dict[int, dict[str, int]] = {}
+    for size, graph, hmacs, *_ in tables[3].rows:
+        derivations.setdefault(size, {})[graph] = hmacs
+    return [size for size, by in derivations.items()
+            if not by["k=8"] < by["k=32"] < by["complete"]]
+
+
+def _recovery_messages(tables: list[Table]) -> int:
+    """Masked messages at the lowest availability over the highest."""
+    masked = [row[2] for row in tables[1].rows if row[1] == "masked"]
+    return masked[-1] - masked[0]
+
+
+CLAIMS = (
+    Claim("links sum to the network total", "distributed computation",
+          "count", _link_bytes_over_total, "==", 0),
+    Claim("every link bills 16 B a message", "distributed computation",
+          "count", where(4, lambda row: row["link"] != "TOTAL"
+                         and row["messages"] * 16 != row["bytes"]), "==", []),
+    Claim("exact at full availability", "distributed computation", "count",
+          where(0, lambda row: not row["exact"]), "==", []),
+    Claim("exact over the online set", "distributed computation", "count",
+          where(1, lambda row: not row["exact over online set"]), "==", []),
+    Claim("async exact over the online set", "distributed computation",
+          "count", where(2, lambda row: not row["exact over online set"]),
+          "==", []),
+    Claim("every masking graph is exact", "distributed computation",
+          "count", where(3, lambda row: not row["exact"]), "==", []),
+    Claim("derivations: k=8 < k=32 < complete", "distributed computation",
+          "count", _graph_out_of_order, "==", []),
+    Claim("masked: N messages for N cells", "distributed computation",
+          "count", where(0, lambda row: row["protocol"] == "masked"
+                         and row["messages"] != row["N"]), "==", []),
+    Claim("dropout recovery costs messages", "distributed computation",
+          "count", _recovery_messages, ">", 0),
+)

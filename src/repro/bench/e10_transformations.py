@@ -19,7 +19,8 @@ import random
 from ..commons.anonymize import is_k_anonymous, k_anonymize, ncp
 from ..commons.dp import central_dp_sum, distributed_dp_sum, dp_mean_absolute_error
 from ..workloads.records import assign_disease, generate_receipts, sweets_share
-from .tables import Table
+from .claims import Claim
+from .tables import Table, where
 
 
 def _population(size: int, seed: int) -> list[dict]:
@@ -133,20 +134,46 @@ def run(seed: int = 0, population: int = 300) -> list[Table]:
     return [kanon_table, signal, dp_table, quantile_table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    kanon, signal, dp, quantiles = tables
-    if not all(quantiles.column("error <= half bucket")):
-        return False
-    losses = kanon.column("NCP information loss")
-    loss_monotone = all(a <= b + 1e-9 for a, b in zip(losses, losses[1:]))
-    all_anonymous = all(kanon.column("k-anonymous"))
-    means = signal.column("mean sweets share")
-    epidemiology_signal = means[0] < means[1]  # diabetics buy fewer sweets
-    central = dp.column("central MAE")
-    distributed = dp.column("distributed MAE")
-    error_decreases = all(a >= b for a, b in zip(central, central[1:]))
-    modes_match = all(
-        abs(c - d) / max(c, 1e-9) < 0.5 for c, d in zip(central, distributed)
-    )
-    return (loss_monotone and all_anonymous and epidemiology_signal
-            and error_decreases and modes_match)
+def _steps_where(table: int, column: str, broken):
+    """The keys at which ``broken(previous, value)`` flags ``column``."""
+    def read(tables: list[Table]) -> list:
+        rows = tables[table]
+        keys, values = rows.column(rows.columns[0]), rows.column(column)
+        return [key for key, before, after in zip(keys[1:], values, values[1:])
+                if broken(before, after)]
+    return read
+
+
+def _worst_mode_gap(tables: list[Table]) -> float:
+    """Distributed vs central DP error, relative to the central error."""
+    dp = tables[2]
+    return max(abs(central - distributed) / max(central, 1e-9)
+               for central, distributed in
+               zip(dp.column("central MAE"), dp.column("distributed MAE")))
+
+
+def _sweets_gap(tables: list[Table]) -> float:
+    """Diabetics' mean sweets share minus everyone else's."""
+    share = {row[0]: row[2] for row in tables[1].rows}
+    return share["diabetes"] - share["none"]
+
+
+CLAIMS = (
+    Claim("secure quantiles land within half a bucket", "shared commons",
+          "count", where(3, lambda row: not row["error <= half bucket"]),
+          "==", []),
+    Claim("information loss never falls as k grows", "shared commons",
+          "count", _steps_where(0, "NCP information loss",
+                                lambda before, after: before > after + 1e-9),
+          "==", []),
+    Claim("every release is k-anonymous", "shared commons", "count",
+          where(0, lambda row: not row["k-anonymous"]), "==", []),
+    Claim("the release keeps the epidemiology signal", "shared commons",
+          "count", _sweets_gap, "<", 0),
+    Claim("central DP error never grows with epsilon", "shared commons",
+          "count", _steps_where(2, "central MAE",
+                                lambda before, after: before < after),
+          "==", []),
+    Claim("distributed noise within 50 % of central", "shared commons",
+          "count", _worst_mode_gap, "<", 0.5),
+)

@@ -24,7 +24,8 @@ from ..infrastructure.adversary import Adversary, WeaklyMaliciousAdversary
 from ..infrastructure.cloud import CloudProvider
 from ..sim.world import World
 from ..sync.vault import VaultClient
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell
 
 
 def _run_campaign(adversary, seed: int, objects: int = 20,
@@ -107,17 +108,27 @@ def run(seed: int = 0) -> list[Table]:
     return [table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    table = tables[0]
-    by_label = {row[0]: row for row in table.rows}
-    honest = by_label["honest"]
-    if honest[4] or honest[1] != 0 or honest[2] != 0:
-        return False  # false accusation or phantom attacks
-    for label in ("tamper 5%", "rollback 5%", "drop 5%", "mixed 3+3+3%"):
-        row = by_label[label]
-        attempts, detections, corrupted, convicted = row[1], row[2], row[3], row[4]
-        if corrupted != 0:
-            return False  # corrupted data must never be released
-        if attempts > 0 and not convicted:
-            return False  # any attack campaign must end in conviction
-    return True
+def _campaigns_where(test):
+    """The attack campaigns whose row ``test`` flags."""
+    def read(tables: list[Table]) -> list[str]:
+        table = tables[0]
+        rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
+        return [label for label in ("tamper 5%", "rollback 5%", "drop 5%",
+                                    "mixed 3+3+3%") if test(rows[label])]
+    return read
+
+
+CLAIMS = (
+    Claim("the honest cloud is never convicted", "threat model", "count",
+          cell(0, "honest", "convicted"), "==", False),
+    Claim("the honest cloud mounts no attack", "threat model", "count",
+          cell(0, "honest", "attack attempts"), "==", 0),
+    Claim("no phantom detection on the honest cloud", "threat model",
+          "count", cell(0, "honest", "detections"), "==", 0),
+    Claim("no campaign releases corrupted data", "threat model", "count",
+          _campaigns_where(lambda row: row["corrupted data released"] != 0),
+          "==", []),
+    Claim("every attack campaign ends in conviction", "accountability",
+          "count", _campaigns_where(lambda row: row["attack attempts"] > 0
+                                    and not row["convicted"]), "==", []),
+)

@@ -31,7 +31,8 @@ from ..policy.ucon import (
     UsagePolicy,
 )
 from ..sim.world import World
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell
 
 WINDOW_END = 366 * 86400  # "in the course of 2012"
 
@@ -162,19 +163,29 @@ def run(seed: int = 0, subjects: int = 20, attempts_per_subject: int = 15
     return [correctness, overhead, ablation]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    correctness = tables[0]
-    values = dict(zip(correctness.column("measure"), correctness.column("value")))
-    ablation = tables[2]
-    swap_outcomes = ablation.column("policy swap lets attacker read")
-    detection = ablation.column("tampering detected")
-    return (
-        values["reads granted"] == values["expected granted (subjects x 10)"]
-        and values["denied after window"] == 1
-        and values["owner notifications"] == values["reads granted"]
-        and values["audit read entries"]
-        == values["reads granted"] + values["denied by use budget"] + 1
-        and values["audit chain verifies"]
-        and swap_outcomes == [True, False]  # unbound falls, bound holds
-        and detection == [False, True]
-    )
+def _values(read):
+    """``read`` over the correctness table as a ``{measure: value}`` dict."""
+    return lambda tables: read(dict(tables[0].rows))
+
+
+CLAIMS = (
+    Claim("every allowed read is granted", "access/usage control", "count",
+          _values(lambda v: v["reads granted"]
+                  - v["expected granted (subjects x 10)"]), "==", 0),
+    Claim("one read denied after the window", "access/usage control",
+          "count", cell(0, "denied after window", "value"), "==", 1),
+    Claim("the owner hears of every read", "accountability", "count",
+          _values(lambda v: v["owner notifications"] - v["reads granted"]),
+          "==", 0),
+    Claim("every read attempt is audited once", "accountability", "count",
+          _values(lambda v: v["audit read entries"] - v["reads granted"]
+                  - v["denied by use budget"] - 1), "==", 0),
+    Claim("the audit chain verifies", "accountability", "count",
+          cell(0, "audit chain verifies", "value"), "=="),
+    Claim("a swap lets the attacker read only unbound", "secure usage",
+          "count", lambda tables: tables[2].column(
+              "policy swap lets attacker read"), "==", [True, False]),
+    Claim("only the sealed policy detects tampering", "secure usage",
+          "count", lambda tables: tables[2].column("tampering detected"),
+          "==", [False, True]),
+)

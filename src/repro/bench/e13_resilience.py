@@ -34,7 +34,8 @@ from ..faults.scenario import (
     run_chaos_scenario,
     run_crash_scenario,
 )
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell, where
 
 #: Fault profiles of the matrix; ``quiet`` is the control row.
 def _profiles(seed: int, n_cells: int) -> dict[str, FaultPlan]:
@@ -52,7 +53,7 @@ def _agg_outcome(report) -> str:
         return "partial" if report.agg_partial else "complete"
     if report.agg_failure is not None:
         return "abandoned"
-    return "hung"  # must never appear: the shape check rejects it
+    return "hung"  # must never appear: a claim row rejects it
 
 
 def run(seed: int = 0, seeds: tuple[int, ...] = (1, 2, 4),
@@ -135,40 +136,38 @@ def _crash_table(seed: int) -> Table:
     return table
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    table = tables[0]
-    rows = list(zip(
-        table.column("profile"), table.column("converged"),
-        table.column("aggregation"), table.column("faults injected"),
-        table.column("retries"),
-    ))
-    faulty_rows = [r for r in rows if r[0] != "quiet"]
-    quiet_rows = [r for r in rows if r[0] == "quiet"]
-    churn_holds = (
-        all(converged for _, converged, _, _, _ in rows)
-        and all(outcome in ("complete", "partial", "abandoned")
-                for _, _, outcome, _, _ in rows)
-        and all(faults > 0 for _, _, _, faults, _ in faulty_rows)
-        and all(faults == 0 and retries == 0
-                for _, _, _, faults, retries in quiet_rows)
-    )
-    crash = tables[1]
-    crash_rows = list(zip(
-        crash.column("scenario"), crash.column("outcome"),
-        crash.column("total pinned"), crash.column("crashes"),
-        crash.column("respawns"), crash.column("raw leaked"),
-    ))
-    by_label = {r[0]: r for r in crash_rows}
-    crash_holds = (
-        all(crashes == 0 and outcome == "complete" and pinned
-            for label, outcome, pinned, crashes, _, _ in crash_rows
-            if "control" in label)
-        and all(crashes >= 1 and outcome == "complete" and pinned
-                for label, outcome, pinned, crashes, _, _ in crash_rows
-                if "control" not in label and "offline" not in label)
-        and by_label["tree region, no restart"][4] >= 1
-        and by_label["tree region + 2 offline"][1] == "partial"
-        and by_label["tree region + 2 offline"][2]  # survivor-exact
-        and not any(leaked for *_, leaked in crash_rows)
-    )
-    return churn_holds and crash_holds
+def _recovered(row: dict) -> bool:
+    return row["outcome"] == "complete" and row["total pinned"]
+
+
+def _crashed(scenario: str) -> bool:
+    return "control" not in scenario and "offline" not in scenario
+
+
+CLAIMS = (
+    Claim("every replicator converges", "acquire/sync data", "count",
+          where(0, lambda row: not row["converged"]), "==", []),
+    Claim("every aggregation terminates", "distributed computation", "count",
+          where(0, lambda row: row["aggregation"] not in (
+              "complete", "partial", "abandoned")), "==", []),
+    Claim("every fault profile injects faults", "distributed computation",
+          "count", where(0, lambda row: row["profile"] != "quiet"
+                         and not row["faults injected"] > 0), "==", []),
+    Claim("quiet: no fault, no retry", "distributed computation", "count",
+          where(0, lambda row: row["profile"] == "quiet" and not (
+              row["faults injected"] == 0 and row["retries"] == 0)), "==", []),
+    Claim("controls: no crash, complete", "distributed computation", "count",
+          where(1, lambda row: "control" in row["scenario"] and not (
+              row["crashes"] == 0 and _recovered(row))), "==", []),
+    Claim("a crash recovers its control", "distributed computation", "count",
+          where(1, lambda row: _crashed(row["scenario"]) and not (
+              row["crashes"] >= 1 and _recovered(row))), "==", []),
+    Claim("a dead region is respawned", "distributed computation", "count",
+          cell(1, "tree region, no restart", "respawns"), ">=", 1),
+    Claim("offline cells: partial", "distributed computation", "count",
+          cell(1, "tree region + 2 offline", "outcome"), "==", "partial"),
+    Claim("offline cells: survivor-exact", "distributed computation",
+          "count", cell(1, "tree region + 2 offline", "total pinned"), "=="),
+    Claim("no journal holds a raw encoding", "threat model", "count",
+          where(1, lambda row: row["raw leaked"]), "==", []),
+)

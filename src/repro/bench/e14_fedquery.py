@@ -33,7 +33,8 @@ from ..fedquery.spec import (
 from ..infrastructure.network import Network
 from ..sim.world import World
 from ..store.query import Between
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell, where
 
 #: Fault profiles of the degradation matrix; ``quiet`` is the control.
 PROFILES = ("quiet", "lossy")
@@ -144,42 +145,42 @@ def run(seed: int = 0, n_cells: int = 60) -> list[Table]:
     return [transforms, degradation]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    transforms, degradation = tables
-    by_transform = dict(zip(
-        transforms.column("transform"), zip(
-            transforms.column("outcome"), transforms.column("error"),
-            transforms.column("raw leaked"),
-        ),
-    ))
-    exact_outcome, exact_error, _ = by_transform[TRANSFORM_EXACT]
-    dp_outcome, dp_error, _ = by_transform[TRANSFORM_DP]
-    kanon_outcome, _, _ = by_transform[TRANSFORM_KANON]
-    # The exact row queries the energy collection, where the fleet's
-    # layouts rotate: its plan mix must cover all three kinds.
-    exact_index = transforms.column("transform").index(TRANSFORM_EXACT)
-    plans_cover_all_layouts = all(
-        transforms.column(column)[exact_index] > 0
-        for column in ("index", "zonemap", "scan")
-    )
-    fault_rows = dict(zip(
-        degradation.column("profile"), zip(
-            degradation.column("outcome"), degradation.column("reasks"),
-            degradation.column("faults injected"),
-            degradation.column("survivor-exact"),
-        ),
-    ))
-    quiet_outcome, quiet_reasks, quiet_faults, quiet_exact = \
-        fault_rows["quiet"]
-    lossy_outcome, _, lossy_faults, lossy_exact = fault_rows["lossy"]
-    return (
-        exact_outcome == "complete" and exact_error < 1e-6
-        and dp_outcome == "complete" and dp_error > 0
-        and kanon_outcome == "complete"
-        and not any(transforms.column("raw leaked"))
-        and plans_cover_all_layouts
-        and quiet_outcome == "complete" and quiet_reasks == 0
-        and quiet_faults == 0 and quiet_exact
-        and lossy_outcome in ("complete", "partial")
-        and lossy_faults > 0 and lossy_exact
-    )
+def _plans_unused(tables: list[Table]) -> list[str]:
+    """The plan kinds the exact query's mix never used."""
+    return [plan for plan in ("index", "zonemap", "scan")
+            if not tables[0].lookup(TRANSFORM_EXACT, plan) > 0]
+
+
+# The exact row queries the energy collection, where the fleet's
+# layouts rotate: its plan mix must cover all three kinds.
+CLAIMS = (
+    Claim("the exact query completes", "distributed computation", "count",
+          cell(0, TRANSFORM_EXACT, "outcome"), "==", "complete"),
+    Claim("the exact query matches the oracle", "distributed computation",
+          "count", cell(0, TRANSFORM_EXACT, "error"), "<", 1e-6),
+    Claim("the dp query completes", "shared commons", "count",
+          cell(0, TRANSFORM_DP, "outcome"), "==", "complete"),
+    Claim("the dp query is noisy", "shared commons", "count",
+          cell(0, TRANSFORM_DP, "error"), ">", 0),
+    Claim("the kanon release completes", "shared commons", "count",
+          cell(0, TRANSFORM_KANON, "outcome"), "==", "complete"),
+    Claim("no coordinator view holds a raw encoding", "threat model",
+          "count", where(0, lambda row: row["raw leaked"]), "==", []),
+    Claim("the exact plan mix covers every layout", "metadata/query",
+          "count", _plans_unused, "==", []),
+    Claim("the quiet control completes", "distributed computation",
+          "count", cell(1, "quiet", "outcome"), "==", "complete"),
+    Claim("the quiet control re-asks no cell", "distributed computation",
+          "count", cell(1, "quiet", "reasks"), "==", 0),
+    Claim("the quiet control injects no fault", "distributed computation",
+          "count", cell(1, "quiet", "faults injected"), "==", 0),
+    Claim("the quiet control is exact", "distributed computation", "count",
+          cell(1, "quiet", "survivor-exact"), "=="),
+    Claim("lossy: complete or partial", "distributed computation", "count",
+          lambda tables: tables[1].lookup("lossy", "outcome") in (
+              "complete", "partial"), "=="),
+    Claim("lossy: faults injected", "distributed computation", "count",
+          cell(1, "lossy", "faults injected"), ">", 0),
+    Claim("lossy: exact over the survivors", "distributed computation",
+          "count", cell(1, "lossy", "survivor-exact"), "=="),
+)

@@ -33,7 +33,8 @@ from ..fedquery import (
 from ..fedquery.spec import TRANSFORM_DP, TRANSFORM_EXACT, TRANSFORM_KANON
 from ..infrastructure.network import Network
 from ..sim.world import World
-from .tables import Table
+from .claims import Claim
+from .tables import Table, cell, where
 
 WINDOWS = 3
 WIDTH_S = 900
@@ -192,7 +193,7 @@ def run(seed: int = 0, n_cells: int = 12, tenants: int = 16) -> list[Table]:
         title=f"E15: multi-tenant standing traffic ({tenants} tenants, "
               f"{n_cells} cells, quiet net)",
         columns=["tenants", "windows settled", "complete subs",
-                 "reasks", "messages/window", "windows/s"],
+                 "reasks", "messages/window"],
     )
     world, network, fleet = _standing_fleet(seed + 2, n_cells)
     coordinator = StandingCoordinator(world, network)
@@ -201,7 +202,6 @@ def run(seed: int = 0, n_cells: int = 12, tenants: int = 16) -> list[Table]:
         report.subscriptions, report.windows_settled,
         report.complete_subscriptions, report.reasks,
         round(report.messages_per_window, 1),
-        round(report.windows_per_second, 1),
     )
     tenants_table.add_note(
         "mixed energy + employment tenants (exact/dp/kanon mix) against "
@@ -210,38 +210,47 @@ def run(seed: int = 0, n_cells: int = 12, tenants: int = 16) -> list[Table]:
     return [transforms, crash, tenants_table]
 
 
-def shape_holds(tables: list[Table]) -> bool:
-    transforms, crash, tenants_table = tables
-    by_transform = dict(zip(
-        transforms.column("transform"), zip(
-            transforms.column("settled"),
-            transforms.column("complete windows"),
-            transforms.column("pinned"),
-            transforms.column("dp windows noisy"),
-            transforms.column("raw leaked"),
-        ),
-    ))
-    exact = by_transform[TRANSFORM_EXACT]
-    dp = by_transform[TRANSFORM_DP]
-    kanon = by_transform[TRANSFORM_KANON]
-    crash_rows = dict(zip(
-        crash.column("profile"), zip(
-            crash.column("settled"), crash.column("pinned to control"),
-            crash.column("max lag s"),
-        ),
-    ))
-    quiet = crash_rows["quiet"]
-    crashed = crash_rows["crash+restart"]
-    return (
-        exact[0] == WINDOWS and exact[1] == WINDOWS and exact[2]
-        and dp[0] == WINDOWS and dp[3] == WINDOWS
-        and kanon[0] == WINDOWS and kanon[2]
-        and not any(transforms.column("raw leaked"))
-        and quiet[0] == WINDOWS and quiet[2] == 0
-        and crashed[0] == WINDOWS and crashed[1] and crashed[2] > 0
-        and tenants_table.column("windows settled")[0]
-        == tenants_table.column("tenants")[0] * WINDOWS
-        and tenants_table.column("complete subs")[0]
-        == tenants_table.column("tenants")[0]
-        and tenants_table.column("reasks")[0] == 0
-    )
+def _tenants_short(column: str, per_tenant: int = 1):
+    """How far the multi-tenant row's ``column`` falls short of
+    ``per_tenant`` for every tenant."""
+    def read(tables: list[Table]) -> int:
+        row = dict(zip(tables[2].columns, tables[2].rows[0]))
+        return row["tenants"] * per_tenant - row[column]
+    return read
+
+
+CLAIMS = (
+    Claim("every exact window settles", "distributed computation", "count",
+          cell(0, TRANSFORM_EXACT, "settled"), "==", WINDOWS),
+    Claim("every exact window completes", "distributed computation",
+          "count", cell(0, TRANSFORM_EXACT, "complete windows"), "==",
+          WINDOWS),
+    Claim("exact windows equal one-shot queries", "distributed computation",
+          "count", cell(0, TRANSFORM_EXACT, "pinned"), "=="),
+    Claim("every dp window settles", "shared commons", "count",
+          cell(0, TRANSFORM_DP, "settled"), "==", WINDOWS),
+    Claim("every dp window draws fresh noise", "shared commons", "count",
+          cell(0, TRANSFORM_DP, "dp windows noisy"), "==", WINDOWS),
+    Claim("every kanon window settles", "shared commons", "count",
+          cell(0, TRANSFORM_KANON, "settled"), "==", WINDOWS),
+    Claim("every kanon window releases sealed records", "shared commons",
+          "count", cell(0, TRANSFORM_KANON, "pinned"), "=="),
+    Claim("no journal holds a raw window encoding", "threat model", "count",
+          where(0, lambda row: row["raw leaked"]), "==", []),
+    Claim("quiet: every window settles", "distributed computation", "count",
+          cell(1, "quiet", "settled"), "==", WINDOWS),
+    Claim("quiet: every window settles on time", "distributed computation",
+          "sim", cell(1, "quiet", "max lag s"), "==", 0),
+    Claim("crash: every window settles", "distributed computation", "count",
+          cell(1, "crash+restart", "settled"), "==", WINDOWS),
+    Claim("crash: windows equal the control's", "distributed computation",
+          "count", cell(1, "crash+restart", "pinned to control"), "=="),
+    Claim("crash: the downtime's window is late", "distributed computation",
+          "sim", cell(1, "crash+restart", "max lag s"), ">", 0),
+    Claim("every tenant settles every window", "distributed computation",
+          "count", _tenants_short("windows settled", WINDOWS), "==", 0),
+    Claim("every tenant's subscription completes", "distributed computation",
+          "count", _tenants_short("complete subs"), "==", 0),
+    Claim("multi-tenant traffic re-asks no cell", "distributed computation",
+          "count", lambda tables: tables[2].column("reasks")[0], "==", 0),
+)

@@ -1,7 +1,7 @@
 """Consolidated experiment report generation.
 
 ``python -m repro report`` runs every experiment and writes one
-markdown file with all tables and shape verdicts — the artifact to
+markdown file with all tables and claim-row verdicts — the artifact to
 attach to a reproduction claim.
 """
 
@@ -10,14 +10,14 @@ from __future__ import annotations
 import pathlib
 import time
 
-from . import ALL_EXPERIMENTS
+from . import ALL_EXPERIMENTS, check
 from .tables import Table
 
 _HEADER = """# Trusted Cells reproduction — consolidated experiment report
 
 Generated by `python -m repro report`. Every experiment's tables are
 reproduced verbatim below, together with the machine-checked verdict of
-its paper-shape predicate. See `EXPERIMENTS.md` for interpretation and
+each of its claim rows. See `EXPERIMENTS.md` for interpretation and
 `DESIGN.md` for the experiment-to-claim mapping.
 """
 
@@ -44,7 +44,7 @@ def generate_report(
 ) -> dict[str, bool]:
     """Run experiments and write the markdown report.
 
-    Returns ``{experiment: shape_verdict}``.
+    Returns ``{experiment: every claim row held}``.
     """
     names = experiments or list(ALL_EXPERIMENTS)
     sections = [_HEADER]
@@ -54,15 +54,16 @@ def generate_report(
         started = time.time()
         tables = module.run()
         elapsed = time.time() - started
-        checker = getattr(module, "shape_holds", None) or getattr(
-            module, "all_invariants_hold"
-        )
-        verdicts[name] = checker(tables)
+        rows = check(module, tables)
+        verdicts[name] = all(row.ok for row in rows)
         sections.append(f"\n## {name}\n")
         sections.append(
-            f"Shape predicate: **{'HOLDS' if verdicts[name] else 'FAILED'}** "
+            f"Claim rows: **{'HOLDS' if verdicts[name] else 'FAILED'}** "
             f"(ran in {elapsed:.1f}s)\n"
         )
+        sections.append("```")
+        sections.extend(row.line() for row in rows)
+        sections.append("```\n")
         for table in tables:
             sections.append(_table_to_markdown(table))
             sections.append("")

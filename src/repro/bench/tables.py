@@ -9,7 +9,7 @@ exactly what the code computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import ConfigurationError
 
@@ -55,6 +55,14 @@ class Table:
             raise ConfigurationError(f"no column {name!r}") from None
         return [row[index] for row in self.rows]
 
+    def lookup(self, key: Any, column: str) -> Any:
+        """``column``'s value in the first row whose first cell is ``key``."""
+        for first, value in zip(self.column(self.columns[0]),
+                                self.column(column)):
+            if first == key:
+                return value
+        raise ConfigurationError(f"no row {key!r}")
+
     def render(self) -> str:
         cells = [[_format_cell(value) for value in row] for row in self.rows]
         widths = [
@@ -86,3 +94,19 @@ def print_tables(tables: list[Table]) -> None:
     for table in tables:
         print(table.render())
         print()
+
+
+def cell(table: int, key: Any, column: str) -> Callable[[list[Table]], Any]:
+    """A claim row's read: ``column`` of the row keyed ``key``."""
+    return lambda tables: tables[table].lookup(key, column)
+
+
+def where(table: int, test: Callable[[dict[str, Any]], Any]
+          ) -> Callable[[list[Table]], list[Any]]:
+    """A claim row's read: the first cell of every row ``test`` flags,
+    the row given as a ``{column: value}`` dict."""
+    def read(tables: list[Table]) -> list[Any]:
+        rows = tables[table]
+        return [row[0] for row in rows.rows
+                if test(dict(zip(rows.columns, row)))]
+    return read

@@ -62,8 +62,7 @@ class Fleet:
     agents: dict[str, CellQueryAgent] = field(default_factory=dict)
     catalogs: dict[str, Catalog] = field(default_factory=dict)
     layouts: dict[str, str] = field(default_factory=dict)
-    # Sharded builds only: the contiguous per-region rosters (empty for
-    # a monolithic build).
+    # The contiguous per-region rosters (one for a flat build).
     shard_rosters: list[list[str]] = field(default_factory=list)
     # Key-lifecycle builds only: the fleet's key directory, the live
     # directory dicts its agents resolve peers through (one per shard,
@@ -95,8 +94,8 @@ class Fleet:
         active = directory.roster()
         positions = {name: index for index, name in enumerate(active)}
         degree = _effective_degree(len(active), self.ring_neighbors)
-        rosters = self.shard_rosters or [list(self.agents)]
-        for shard_roster, shard_directory in zip(rosters, self.directories):
+        for shard_roster, shard_directory in zip(self.shard_rosters,
+                                                 self.directories):
             shard_directory.clear()
             for name in shard_roster:
                 node = nodes.get(name)
@@ -245,36 +244,15 @@ def build_fleet(
 ) -> Fleet:
     """Build ``size`` store-backed cells registered on ``network``.
 
-    Layouts rotate ``index`` / ``zonemap`` / ``scan`` by position.
-    Watts values and demographics are drawn from per-cell world
-    streams, so the fleet is a pure function of the world seed.
-    All cells share one fleet-wide directory — the monolithic build
-    the flat coordinator wants; very large fleets should use
-    :func:`build_fleet_sharded` instead.
-
-    With ``key_lifecycle=True`` the cells mask from a
-    :class:`~repro.keymgmt.KeyDirectory` instead of the preshared
-    group secret: ring-edge keys are agreed (X3DH over prekey bundles)
-    at ``ring_neighbors`` degree, and ``Fleet.advance_epoch`` /
-    ``Fleet.revoke`` become available. Queries should then use the
-    same ``neighbors=ring_neighbors`` degree — a cell holds keys for
-    its agreed ring edges only. ``secret`` is still used for sealed
-    ``records-kanon`` recipient keys.
+    The one-shard :func:`build_fleet_sharded`: every cell shares one
+    fleet-wide directory, the build the flat coordinator wants; very
+    large fleets should use more shards.
     """
-    fleet = Fleet(world=world, network=network, secret=secret)
-    purposes = purposes if purposes is not None else {"load-forecast"}
-    names = [_cell_name(name_prefix, position, size)
-             for position in range(size)]
-    nodes = _agreed_nodes(fleet, names, ring_neighbors) if key_lifecycle \
-        else {}
-    directory: dict[str, AggregationNode] = {}
-    for position, name in enumerate(names):
-        _build_cell(
-            fleet, position, name, directory, purposes, hours,
-            node=nodes.get(name),
-        )
-    fleet.directories = [directory]
-    return fleet
+    return build_fleet_sharded(
+        world, network, size, shards=1, purposes=purposes, hours=hours,
+        secret=secret, name_prefix=name_prefix, key_lifecycle=key_lifecycle,
+        ring_neighbors=ring_neighbors,
+    )
 
 
 def build_fleet_sharded(
@@ -290,21 +268,30 @@ def build_fleet_sharded(
     key_lifecycle: bool = False,
     ring_neighbors: int | None = 32,
 ) -> Fleet:
-    """Build a large fleet as a fan-out of ``shards`` shard builds.
+    """Build a fleet as a fan-out of ``shards`` shard builds.
 
-    Cells are identical to :func:`build_fleet`'s (same names, same
-    seeded stores — the two builds are interchangeable cell for cell);
-    what changes is the wiring: each contiguous shard gets its **own**
-    key-material directory holding only that shard's nodes, instead of
-    one monolithic fleet-wide dict every cell shares. That matches the
-    coordinator tree's trust boundaries — a cell never holds the
-    global roster; out-of-shard ring neighbors resolve through the
-    preshared group secret at masking time — and keeps each build step
-    O(shard). The per-region rosters — the contiguous split of
-    :func:`~repro.fedquery.hierarchy.partition_shards`, which the
-    coordinator tree routes by — land in ``Fleet.shard_rosters``.
+    Layouts rotate ``index`` / ``zonemap`` / ``scan`` by position.
+    Watts values and demographics are drawn from per-cell world
+    streams, so the fleet is a pure function of the world seed, and the
+    cells are the same whatever ``shards`` is (same names, same seeded
+    stores). What the shard count changes is the wiring: each
+    contiguous shard gets its **own** key-material directory holding
+    only that shard's nodes, instead of one fleet-wide dict every cell
+    shares. That matches the coordinator tree's trust boundaries — a
+    cell never holds the global roster; out-of-shard ring neighbors
+    resolve through the preshared group secret at masking time — and
+    keeps each build step O(shard). The per-region rosters — the
+    contiguous split of :func:`~repro.fedquery.hierarchy.partition_shards`,
+    which the coordinator tree routes by — land in ``Fleet.shard_rosters``.
 
-    With ``key_lifecycle=True`` out-of-shard neighbors cannot be
+    With ``key_lifecycle=True`` the cells mask from a
+    :class:`~repro.keymgmt.KeyDirectory` instead of the preshared
+    group secret: ring-edge keys are agreed (X3DH over prekey bundles)
+    at ``ring_neighbors`` degree, and ``Fleet.advance_epoch`` /
+    ``Fleet.revoke`` become available. Queries should then use the
+    same ``neighbors=ring_neighbors`` degree — a cell holds keys for
+    its agreed ring edges only. ``secret`` is still used for sealed
+    ``records-kanon`` recipient keys. Out-of-shard neighbors cannot be
     synthesized (there is no group secret to hash a stub from), so
     each shard's dict is pre-seeded with the directory-issued epoch
     nodes of its members' cross-shard ring neighbors — still O(shard
@@ -325,7 +312,8 @@ def build_fleet_sharded(
             position += 1
         fleet.shard_rosters.append(roster)
         fleet.directories.append(directory)
-    if key_lifecycle:
-        # Seed every shard's boundary neighbors at the current epoch.
+    if key_lifecycle and len(rosters) > 1:
+        # Seed every shard's boundary neighbors at the current epoch (one
+        # shard has no boundary: its dict already holds every neighbor).
         fleet.refresh_keys()
     return fleet

@@ -1,21 +1,12 @@
-"""``benchmarks/claims.py``: the rules, the row checks and the failure
+"""``repro.bench.claims``: the rules, the row checks and the failure
 line, on canned reports — no bench runs here."""
 
-import importlib.util
 import json
-import pathlib
-import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_claims", ROOT / "benchmarks" / "claims.py")
-claims = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = claims  # dataclasses resolve their module by name
-_spec.loader.exec_module(claims)
-Claim = claims.Claim
+from repro.bench import claims
+from repro.bench.claims import Claim
 
 TRACKED = {
     "benchmark": "toy_scale",
@@ -56,7 +47,8 @@ ROWS = (
 
 def _verdicts(report, tracked_path):
     return {verdict.claim.name: verdict
-            for verdict in claims.evaluate(ROWS, report, tracked_path)}
+            for verdict in claims.evaluate_tracked(ROWS, report,
+                                                   tracked_path)}
 
 
 class TestVerdicts:
@@ -96,7 +88,8 @@ class TestVerdicts:
                          lambda r: r["records"], ">=", 500, sides=sides)
 
         def ok(sides):
-            return claims.evaluate((row(sides),), _live(), tracked_path)[0].ok
+            return claims.evaluate_tracked((row(sides),), _live(),
+                                           tracked_path)[0].ok
 
         assert not ok("live") and ok("tracked") and not ok("both")
 
@@ -108,7 +101,20 @@ class TestVerdicts:
 
     def test_another_bench_s_tracked_file_is_refused(self, tracked_path):
         with pytest.raises(ValueError, match="not the tracked file"):
-            claims.evaluate(ROWS, _live(benchmark="other"), tracked_path)
+            claims.evaluate_tracked(ROWS, _live(benchmark="other"),
+                                    tracked_path)
+
+    def test_without_a_tracked_report_a_row_reads_the_live_one(self):
+        tracked_only = Claim("records", "log store/page codec", "count",
+                             lambda r: r["records"], ">=", 500,
+                             sides="tracked")
+        verdicts = claims.evaluate("E0", ROWS + (tracked_only,), _live())
+        by_name = {verdict.claim.name: verdict for verdict in verdicts}
+        assert by_name["exact"].ok
+        assert by_name["exact"].detail == "live True (== True)"
+        assert not by_name["matrix equals tracked"].ok
+        assert not by_name["records"].ok
+        assert by_name["records"].detail.startswith("unreadable")
 
 
 class TestTheClockSetsTheRule:

@@ -7,7 +7,7 @@ the experiment code paths.
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, Table
+from repro.bench import ALL_EXPERIMENTS, Table, check
 from repro.bench import (
     e01_figure1,
     e06_breach_economics,
@@ -15,6 +15,7 @@ from repro.bench import (
     e08_embedded_query,
     e12_usage_control,
 )
+from repro.bench.claims import BOUNDED, CONCEPTS, Claim
 from repro.errors import ConfigurationError
 
 
@@ -69,10 +70,12 @@ class TestExperimentCatalog:
     def test_every_experiment_has_run_and_checker(self):
         for module in ALL_EXPERIMENTS.values():
             assert callable(module.run)
-            checker = getattr(module, "shape_holds", None) or getattr(
-                module, "all_invariants_hold", None
-            )
-            assert callable(checker)
+            assert module.CLAIMS, module.__name__
+            for claim in module.CLAIMS:
+                assert isinstance(claim, Claim)
+                assert claim.layer in CONCEPTS, claim.name
+                assert claim.clock in ("count", "sim", "device"), claim.name
+                assert claim.rule in BOUNDED, claim.name
 
 
 class TestFastExperimentSmoke:
@@ -80,11 +83,12 @@ class TestFastExperimentSmoke:
 
     def test_e01(self):
         tables = e01_figure1.run(seed=1)
-        assert e01_figure1.all_invariants_hold(tables)
+        assert all(verdict.ok for verdict in check(e01_figure1, tables))
 
     def test_e06(self):
         tables = e06_breach_economics.run()
-        assert e06_breach_economics.shape_holds(tables)
+        assert all(verdict.ok
+                   for verdict in check(e06_breach_economics, tables))
 
     def test_e07(self):
         tables = e07_class_breaking.run(cells=4, objects_per_cell=2)
@@ -103,3 +107,34 @@ class TestFastExperimentSmoke:
         tables = e12_usage_control.run(subjects=5, attempts_per_subject=12)
         values = dict(zip(tables[0].column("measure"), tables[0].column("value")))
         assert values["reads granted"] == 50
+
+
+class TestClaimRowsBite:
+    """Doctor one cell of a real table: exactly the row over it fails,
+    and its line names the experiment, the paper concept and the clock."""
+
+    @pytest.mark.parametrize("name, kwargs, at, value, row, concept, clock", [
+        ("E1", {"seed": 1}, (1, 4, 1), False, "terminal keeps no residue",
+         "secure usage", "count"),
+        ("E6", {}, (0, 0, 3), 99.0,
+         "a central breach leaks 100x more at every budget", "threat model",
+         "count"),
+        ("E7", {}, (0, 2, 4), 37.5,
+         "per-cell keys expose only the breached cells' share",
+         "threat model", "count"),
+        ("E8", {}, (2, 1, 1), 60.0, "incremental GC pays off on churn",
+         "secure private store", "device"),
+    ])
+    def test_a_doctored_cell_fails_exactly_its_row(
+            self, name, kwargs, at, value, row, concept, clock):
+        module = ALL_EXPERIMENTS[name]
+        tables = module.run(**kwargs)
+        assert all(verdict.ok for verdict in check(module, tables))
+        table, index, column = at
+        tables[table].rows[index][column] = value
+        failed = [verdict for verdict in check(module, tables)
+                  if not verdict.ok]
+        assert [verdict.claim.name for verdict in failed] == [row]
+        line = failed[0].line()
+        assert line.startswith(f"FAIL  {name} ")
+        assert f" {concept} " in line and f" {clock} " in line

@@ -1,18 +1,21 @@
 #!/usr/bin/env python
-"""Bench-regression gate: every tracked bench's claim rows, one line each.
+"""Claim gate: every claim row of the tracked benches and experiments.
 
 The tracked ``BENCH_*.json`` files at the repo root record full-scale
 runs that are too slow for CI. Each bench module that writes one
-declares what it claims as ``CLAIMS`` rows (``benchmarks/claims.py``)
+declares what it claims as ``CLAIMS`` rows (``repro.bench.claims``)
 and builds its cheap smoke-size report with ``smoke_report()``; the
 bench's tier-1 smoke evaluates the same rows against the same report.
-This script owns no check and no tolerance: it builds each smoke report
-once, evaluates the rows, and prints
-``PASS|FAIL  bench  layer  clock  name: detail`` per row, so a failure
-names the layer and the clock behind it.
+Each experiment E1-E15 declares its paper claims the same way, over
+its own tables. This script owns no check and no tolerance: it builds
+each smoke report and runs each experiment once, evaluates the rows,
+and prints ``PASS|FAIL  bench  layer  clock  name: detail`` per row,
+so a failure names the bench or experiment, the layer or paper
+requirement, and the clock behind it.
 
 Exit status 0 means every row held; 1 means a regression (or a bench
-whose smoke run or tracked file could not be read). Run from anywhere:
+or experiment that crashed, or a tracked file that could not be read).
+Run from anywhere:
 
     python tools/bench_gate.py
 """
@@ -29,7 +32,8 @@ for entry in (str(ROOT), str(ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from benchmarks.claims import evaluate  # noqa: E402
+from repro.bench import ALL_EXPERIMENTS, check  # noqa: E402
+from repro.bench.claims import evaluate_tracked  # noqa: E402
 
 BENCHES = (
     "bench_store_scale", "bench_aggregation_scale", "bench_fedquery_scale",
@@ -37,16 +41,27 @@ BENCHES = (
 )
 
 
+def _bench_rows(name: str):
+    bench = importlib.import_module(f"benchmarks.{name}")
+    return evaluate_tracked(
+        bench.CLAIMS, bench.smoke_report(), bench.REPORT_PATH)
+
+
+def _experiment_rows(name: str):
+    module = ALL_EXPERIMENTS[name]
+    return check(module, module.run())
+
+
 def main() -> int:
     failed = 0
-    for name in BENCHES:
+    runs = [(name, _bench_rows) for name in BENCHES]
+    runs += [(name, _experiment_rows) for name in ALL_EXPERIMENTS]
+    for name, rows in runs:
         started = time.perf_counter()
         try:
-            bench = importlib.import_module(f"benchmarks.{name}")
-            verdicts = evaluate(
-                bench.CLAIMS, bench.smoke_report(), bench.REPORT_PATH)
-        except Exception as error:  # a crash in a bench IS a regression
-            print(f"FAIL  {name}: smoke run crashed: {error!r}")
+            verdicts = rows(name)
+        except Exception as error:  # a crash in a run IS a regression
+            print(f"FAIL  {name}: run crashed: {error!r}")
             failed += 1
             continue
         for verdict in verdicts:
