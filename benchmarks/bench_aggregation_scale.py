@@ -2,8 +2,10 @@
 
 Measures masked-sum throughput (nodes/sec) and keyed-derivation counts
 across population sizes and masking graphs, plus the histogram
-keystream collapse, and emits ``BENCH_aggregation.json`` at the repo
-root so later PRs can track the trajectory.
+keystream collapse and the chaos matrix (E13's measurement,
+``repro.bench.e13_resilience.measure_resilience``), and emits
+``BENCH_aggregation.json`` at the repo root so later PRs can track the
+trajectory.
 
 Two entry points:
 
@@ -26,6 +28,7 @@ import pathlib
 import time
 
 from repro.bench.claims import Claim, assert_claims
+from repro.bench.e13_resilience import measure_resilience
 from repro.commons.aggregation import (
     AggregationNode,
     MaskedSum,
@@ -259,64 +262,6 @@ SMOKE_RESILIENCE_SEEDS = (1, 2)
 SMOKE_RESILIENCE_HORIZON = 4 * 3600
 
 
-def _resilience_section(seeds, n_cells: int = 4,
-                        horizon: int = FULL_RESILIENCE_HORIZON) -> dict:
-    """Chaos rows for the tracked JSON: the full stack per fault
-    profile, with the fault/retry counter totals each run recorded.
-
-    Each run owns a fresh ``World`` (its own observability scope), so
-    the totals are per-row, not cumulative across the matrix. The
-    ``quiet`` rows are the control: with the injector idle they must
-    record zero faults and zero retries — that is the guarded
-    no-fault-path claim, the fault plane's analogue of the
-    observability overhead ratio above.
-    """
-    from repro.faults import FaultPlan
-    from repro.faults.scenario import cell_addresses, run_chaos_scenario
-
-    def plan_for(profile: str, seed: int) -> "FaultPlan":
-        if profile == "quiet":
-            return FaultPlan.quiet(seed=seed)
-        if profile == "lossy":
-            return FaultPlan.lossy(seed=seed)
-        return FaultPlan.stormy(seed=seed, addresses=cell_addresses(n_cells))
-
-    rows = []
-    for profile in ("quiet", "lossy", "stormy+churn"):
-        for seed in seeds:
-            report = run_chaos_scenario(
-                seed, plan_for(profile, seed), n_cells=n_cells,
-                horizon=horizon,
-            )
-            rows.append({
-                "profile": profile,
-                "seed": seed,
-                "converged": report.converged,
-                "aggregation": (
-                    ("partial" if report.agg_partial else "complete")
-                    if report.agg_complete
-                    else ("abandoned" if report.agg_failure else "hung")
-                ),
-                "faults_injected": report.faults_injected,
-                "fault_counts": report.fault_counts,
-                "retry_attempts": report.retry_attempts,
-                "retry_exhausted": report.retry_exhausted,
-                "push_failures": report.push_failures,
-                "max_staleness_s": report.max_staleness,
-            })
-    control = [row for row in rows if row["profile"] == "quiet"]
-    return {
-        "schema": 1,
-        "n_cells": n_cells,
-        "horizon_s": horizon,
-        "rows": rows,
-        "no_fault_path_clean": all(
-            row["faults_injected"] == 0 and row["retry_attempts"] == 0
-            and row["push_failures"] == 0 for row in control
-        ),
-    }
-
-
 def build_report(sizes=FULL_SIZES, neighbors=FULL_NEIGHBORS,
                  histogram_n=FULL_HISTOGRAM_N,
                  histogram_buckets=FULL_HISTOGRAM_BUCKETS,
@@ -344,7 +289,7 @@ def build_report(sizes=FULL_SIZES, neighbors=FULL_NEIGHBORS,
             histogram_n, histogram_buckets, include_legacy=include_legacy
         ),
         "observability": _observability_section(min(sizes), neighbors),
-        "resilience": _resilience_section(
+        "resilience": measure_resilience(
             resilience_seeds, horizon=resilience_horizon
         ),
     }

@@ -38,7 +38,7 @@ from repro.fedquery import (
 )
 from repro.infrastructure import Network
 from repro.keymgmt import DirectoryService, KeyClient, KeyDirectory
-from repro.obs import get_default as _global_obs
+from repro.obs import Counter, get_default as _global_obs
 from repro.sim import World
 from repro.store.query import Between
 
@@ -67,17 +67,6 @@ EQUIV_FLAT_CELLS = 24
 EQUIV_TREE_CELLS = 60
 EQUIV_TREE_SHARDS = 3
 EQUIV_NEIGHBORS = 8
-
-
-def _counter_total(metrics, name: str) -> int:
-    metric = metrics.get(name)
-    if metric is None:
-        return 0
-    snapshot = metric.snapshot()
-    labels = snapshot.get("labels")
-    if labels:
-        return sum(labels.values())
-    return snapshot["value"]
 
 
 # -- ring-edge agreement ------------------------------------------------------
@@ -113,23 +102,23 @@ def measure_lifecycle(n_cells: int, neighbors: int, offline: int,
         )
     enroll_wall = time.perf_counter() - enroll_started
 
-    agreements_before = _counter_total(metrics, "keymgmt.agreements")
+    agreements_before = Counter.total(metrics, "keymgmt.agreements")
     agree_started = time.perf_counter()
     directory.activate()
     agree_wall = time.perf_counter() - agree_started
-    agreements = (_counter_total(metrics, "keymgmt.agreements")
+    agreements = (Counter.total(metrics, "keymgmt.agreements")
                   - agreements_before)
     edges = len(directory.edges())
     pending_before_wake = sum(
         len(directory.pending_peers(f"cell-{i:05d}")) for i in sleepers
     )
 
-    async_before = _counter_total(metrics, "keymgmt.async_completions")
+    async_before = Counter.total(metrics, "keymgmt.async_completions")
     wake_started = time.perf_counter()
     for i in sorted(sleepers):
         directory.set_online(f"cell-{i:05d}", True)
     wake_wall = time.perf_counter() - wake_started
-    async_completions = (_counter_total(metrics, "keymgmt.async_completions")
+    async_completions = (Counter.total(metrics, "keymgmt.async_completions")
                          - async_before)
 
     issue_started = time.perf_counter()
@@ -228,8 +217,8 @@ def measure_revocation(n_cells: int, neighbors: int, horizon: int,
             "retry_attempts": status.retry_index,
             "exhausted": status.exhausted,
             "acks": status.acks,
-            "notices_sent": _counter_total(metrics, "keymgmt.notices"),
-            "faults_injected": _counter_total(metrics, "faults.injected"),
+            "notices_sent": Counter.total(metrics, "keymgmt.notices"),
+            "faults_injected": Counter.total(metrics, "faults.injected"),
             "survivors_excluding_revoked": sum(
                 1 for name in survivors
                 if "cell-0003" in clients[name].excluded

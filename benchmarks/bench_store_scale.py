@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.bench.claims import Claim, assert_claims
 from repro.hardware import SMART_TOKEN, SMARTPHONE, NandFlash
-from repro.obs import get_default
+from repro.obs import Counter, get_default
 from repro.store import (
     Aggregate,
     Between,
@@ -788,17 +788,6 @@ def _observability_section() -> dict:
     }
 
 
-def _counter_total(metrics, name: str) -> int:
-    metric = metrics.get(name)
-    if metric is None:
-        return 0
-    snapshot = metric.snapshot()
-    labels = snapshot.get("labels")
-    if labels:
-        return sum(labels.values())
-    return snapshot["value"]
-
-
 def _fault_control_section(n_objects: int = 6, seed: int = 11) -> dict:
     """Batch vault push under quiet and flaky cloud fault profiles.
 
@@ -840,8 +829,8 @@ def _fault_control_section(n_objects: int = 6, seed: int = 11) -> dict:
             "pushed": len(report.pushed),
             "failed": len(report.failed),
             "manifest_writes": vault.manifest_seq,
-            "faults_injected": _counter_total(metrics, "faults.injected"),
-            "retry_attempts": _counter_total(metrics, "retry.attempts"),
+            "faults_injected": Counter.total(metrics, "faults.injected"),
+            "retry_attempts": Counter.total(metrics, "retry.attempts"),
         })
     quiet_row = rows[0]
     return {

@@ -37,6 +37,7 @@ from ..commons.async_aggregation import AsyncMaskedAggregation
 from ..core import TrustedCell
 from ..hardware import SMART_TOKEN
 from ..infrastructure import CloudProvider, Network
+from ..obs.metrics import Counter
 from ..sim.world import World
 from ..sync import Replicator, VaultClient
 from .injector import FaultInjector
@@ -76,16 +77,6 @@ class ChaosReport:
         return self.converged and (
             self.agg_complete or self.agg_failure is not None
         )
-
-
-def _counter_total(metrics, name: str) -> int:
-    counter = metrics.get(name)
-    if counter is None:
-        return 0
-    total = counter.value
-    for child in getattr(counter, "_children", {}).values():
-        total += child.value
-    return int(total)
 
 
 def run_chaos_scenario(
@@ -208,8 +199,8 @@ def run_chaos_scenario(
         pings_received=sum(pings.values()),
         faults_injected=injector.injected_total,
         fault_counts=dict(injector.counts),
-        retry_attempts=_counter_total(metrics, "retry.attempts"),
-        retry_exhausted=_counter_total(metrics, "retry.exhausted"),
+        retry_attempts=Counter.total(metrics, "retry.attempts"),
+        retry_exhausted=Counter.total(metrics, "retry.exhausted"),
         push_failures=sum(r.stats.push_failures for r in replicators),
         max_staleness=max(r.stats.max_staleness for r in replicators),
     )
@@ -347,9 +338,9 @@ def run_crash_scenario(
         "reasks": result.reasks,
         "recovery_rounds": result.recovery_rounds,
         "crashes": injector.counts.get("crash", 0),
-        "respawns": _counter_total(metrics, "fedquery.tree.respawns"),
+        "respawns": Counter.total(metrics, "fedquery.tree.respawns"),
         "faults_injected": injector.injected_total,
-        "retry_attempts": _counter_total(metrics, "retry.attempts"),
+        "retry_attempts": Counter.total(metrics, "retry.attempts"),
         "journal_records": sum(len(journal) for journal in journals),
         "survivor_exact": (
             result.value is not None

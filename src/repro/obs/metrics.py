@@ -86,6 +86,16 @@ class Counter:
             }
         return data
 
+    @staticmethod
+    def total(metrics: "MetricsRegistry", name: str) -> int:
+        """Counter ``name``'s own count plus every label set's; 0 when
+        ``metrics`` has registered no such counter (nothing counted)."""
+        counter = metrics.get(name)
+        if counter is None:
+            return 0
+        return int(counter.value + sum(
+            child.value for child in counter._children.values()))
+
 
 class Gauge:
     """A value that can go up and down (queue depth, staleness, ...)."""

@@ -12,6 +12,7 @@ from repro.errors import CellOfflineError, ConfigurationError
 from repro.infrastructure.network import Network
 from repro.obs import (
     EXPORT_SCHEMA_VERSION,
+    Counter,
     Observability,
     get_default,
 )
@@ -51,6 +52,19 @@ class TestMetricsRegistry:
         assert obs.metrics.snapshot()["by.outcome"]["labels"] == {
             "fail": 1, "ok": 2,
         }
+
+    def test_counter_total(self):
+        obs = Observability()
+        metrics = obs.metrics
+        assert Counter.total(metrics, "never.registered") == 0
+        metrics.counter("plain").inc(3)
+        assert Counter.total(metrics, "plain") == 3
+        labelled = metrics.counter("by.kind", labelnames=("kind",))
+        labelled.labels(kind="loss").inc(2)
+        labelled.labels(kind="churn").inc(5)
+        assert Counter.total(metrics, "by.kind") == 7
+        labelled.inc()  # a bump on the parent counts beside its children
+        assert Counter.total(metrics, "by.kind") == 8
 
     def test_wrong_labels_raise(self):
         obs = Observability()
