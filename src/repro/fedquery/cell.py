@@ -18,6 +18,7 @@ averaged to cancel the noise.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from typing import Any, Protocol
 
@@ -125,7 +126,8 @@ class CellQueryAgent:
         self.directory = directory if directory is not None else {}
         self.directory.setdefault(name, node)
         self.fleet_secret = fleet_secret
-        self._noise_stream = world.rng(f"fedquery.noise.{name}")
+        # The DP noise stream, made by the first draw (_noise_stream).
+        self._noise: random.Random | None = None
         # tag -> the exact partial message already sent (idempotency).
         self._partials: dict[str, dict[str, Any]] = {}
         # tag -> the round context of a *contributed* partial: what a
@@ -140,6 +142,16 @@ class CellQueryAgent:
             latency_ms=latency_ms,
             bandwidth_bytes_per_s=bandwidth_bytes_per_s,
         )
+
+    @property
+    def _noise_stream(self) -> random.Random:
+        """This cell's ``fedquery.noise.{name}`` stream. A stream is
+        seeded from its name alone, so making it at the first DP draw
+        gives the draws making it here would: a cell that only ever
+        answers exact or record queries holds no generator state."""
+        if self._noise is None:
+            self._noise = self.world.rng(f"fedquery.noise.{self.name}")
+        return self._noise
 
     # -- participation ---------------------------------------------------------
 
@@ -215,7 +227,10 @@ class CellQueryAgent:
             "round_tag": message.get("round_tag", tag),
             "neighbors": message.get("neighbors"),
             # Hierarchical plans ship a roster *window* plus global
-            # positions and the global roster size.
+            # positions and the global roster size. Kept by reference
+            # as the roster is: a region ships one window object per
+            # cell for as long as its shard layout holds, so all of
+            # this cell's contexts share it.
             "positions": message.get("positions"),
             "global_size": message.get("global_size", len(roster)),
         }, lambda: self.source.run_local(spec))

@@ -80,6 +80,8 @@ from .spec import (
     shard_partial_message,
     shard_plan_message,
     shard_recover_message,
+    size_windowed_plan,
+    window_bytes,
     wire_size,
 )
 
@@ -121,6 +123,13 @@ class RegionalCoordinator(Coordinator):
     re-ask resends the journaled report, and the root's recover request
     rebuilds the run with :meth:`_restore_state` — the restart path —
     so the root's retry ladder is idempotent.
+
+    The region remembers one shard *layout* — its cells' ring windows,
+    see :meth:`_window` — keyed by what places a shard on the ring
+    (global size, degree, the zone's positions). A run whose shard
+    plan places it where the last one was reuses the windows; any
+    other placement starts a new layout. Like ``_active`` it is lost
+    at a crash and rebuilt by the first run placed after it.
     """
 
     _EVENTS = "fedquery.shard"
@@ -129,6 +138,12 @@ class RegionalCoordinator(Coordinator):
                  address: str, **kwargs: Any) -> None:
         super().__init__(world, network, address=address, **kwargs)
         self.region = region
+        # ``(key, {cell: window})`` of the last shard placed (see _place).
+        self._layout: tuple = (None, {})
+
+    def crash(self) -> None:
+        super().crash()
+        self._layout = (None, {})
 
     @property
     def views(self) -> dict[str, list[Any]]:
@@ -198,6 +213,11 @@ class RegionalCoordinator(Coordinator):
             position: name for name, position in state.positions.items()
         }
         state.root = root
+        key = (state.global_size, state.neighbors, state.positions)
+        if self._layout[0] != key:
+            self._layout = (key, {})
+        state.windows = self._layout[1]
+        state.plan_base = None  # see size_windowed_plan
         return state
 
     def _start_record(self, state: _RunState) -> dict[str, Any]:
@@ -219,21 +239,38 @@ class RegionalCoordinator(Coordinator):
 
     # -- windowed fan-out ------------------------------------------------------
 
+    def _window(self, state: _RunState,
+                child: str) -> tuple[tuple[str, ...], dict[str, int], int]:
+        """``child``'s ring window in the run's layout: the cell and its
+        ring neighbors in global order, ``{name: global position}`` for
+        them, and :func:`window_bytes` of the two. Built the first time
+        a run of the layout asks, then shared by every later run, plan
+        and re-ask — and, by reference, by the cell's round contexts."""
+        window = state.windows.get(child)
+        if window is None:
+            position = state.positions[child]
+            ring = ring_neighbor_positions(
+                position, state.global_size,
+                _effective_degree(state.global_size, state.neighbors),
+            ) + [position]
+            ring.sort()
+            names = tuple(state.name_at[entry] for entry in ring)
+            positions = {state.name_at[entry]: entry for entry in ring}
+            window = state.windows[child] = (
+                names, positions, window_bytes(names, positions))
+        return window
+
     def _plan_for(self, state: _RunState, child: str) -> dict[str, Any]:
-        """An O(k) plan: the cell's ring window, with global positions."""
-        position = state.positions[child]
-        degree = _effective_degree(state.global_size, state.neighbors)
-        window = ring_neighbor_positions(
-            position, state.global_size, degree
-        ) + [position]
-        window.sort()
-        return plan_message(
-            state.tag, state.spec,
-            [state.name_at[entry] for entry in window], self.address,
+        """An O(k) plan: the cell's ring window, with global positions,
+        sized from the run's base and the window's remembered bytes."""
+        names, positions, size = self._window(state, child)
+        plan = plan_message(
+            state.tag, state.spec, names, self.address,
             round_tag=state.round_tag, neighbors=state.neighbors,
-            positions={state.name_at[entry]: entry for entry in window},
-            global_size=state.global_size,
+            positions=positions, global_size=state.global_size,
         )
+        state.plan_base = size_windowed_plan(plan, size, state.plan_base)
+        return plan
 
     # -- settle: report the shard partial upward -------------------------------
 
@@ -312,17 +349,13 @@ class RegionalCoordinator(Coordinator):
         # Only survivors whose ring neighborhood intersects the missing
         # set are asked; everyone else's net mask is identically zero,
         # so skipping them is bit-for-bit free and keeps recovery
-        # traffic proportional to the damage, not the fleet.
+        # traffic proportional to the damage, not the fleet. (A
+        # survivor's window holds the survivor too, never missing.)
         missing = set(state.missing)
-        degree = _effective_degree(state.global_size, state.neighbors)
-        targets = []
-        for name in state.ok_children():
-            ring = ring_neighbor_positions(
-                state.positions[name], state.global_size, degree
-            )
-            if any(state.name_at.get(entry) in missing for entry in ring):
-                targets.append(name)
-        return targets
+        return [
+            name for name in state.ok_children()
+            if not missing.isdisjoint(self._window(state, name)[0])
+        ]
 
     def _recover_targets(self, state: _RunState) -> list[str]:
         return state.recover_targets

@@ -224,7 +224,13 @@ def plan_message(tag: str, spec: FedQuerySpec, roster: list[str],
 
     The message owns its roster as a tuple (a list on the wire): one
     flat plan goes to every cell by reference, and each cell keeps
-    that one object for a later recovery instead of a copy.
+    that one object for a later recovery instead of a copy. A window's
+    ``roster`` tuple and ``positions`` map are shipped by reference
+    too: a region builds them once per shard layout
+    (:meth:`RegionalCoordinator._window
+    <repro.fedquery.hierarchy.RegionalCoordinator._window>`), and
+    every plan of that layout, and every cell's round context, shares
+    them. Like the message, they are read-only.
     """
     message = {
         "kind": MSG_PLAN, "tag": tag, "spec": spec.to_wire(),
@@ -233,7 +239,7 @@ def plan_message(tag: str, spec: FedQuerySpec, roster: list[str],
         "neighbors": neighbors,
     }
     if positions is not None:
-        message["positions"] = dict(positions)
+        message["positions"] = positions
     if global_size is not None:
         message["global_size"] = global_size
     return WireMessage(message)
@@ -376,6 +382,31 @@ def wire_size(message: dict[str, Any]) -> int:
         if isinstance(message, WireMessage):
             message.wire_bytes = size
     return size
+
+
+def window_bytes(roster: tuple[str, ...], positions: dict[str, int]) -> int:
+    """What a roster window adds to a windowed plan's compact JSON:
+    the text of its ``roster`` and ``positions`` values. A region
+    measures each window once per shard layout, not once per plan."""
+    return len(compact_json(roster)) + len(compact_json(positions))
+
+
+def size_windowed_plan(plan: WireMessage, window: int,
+                       base: int | None) -> int:
+    """Give a windowed plan its size from its parts; return ``base``.
+
+    A windowed plan's compact JSON is its run's *base* — every field
+    but the window's two values, the same for every plan of one run —
+    plus its window's :func:`window_bytes` (``window``). ``base`` is
+    what an earlier call for the same run returned; ``None`` measures
+    it from this plan, once. The plan leaves carrying its size, so
+    :func:`wire_size` answers from the slot and nothing serialises the
+    run's other plans.
+    """
+    if base is None:
+        base = len(compact_json(plan)) - window
+    plan.wire_bytes = base + window
+    return base
 
 
 def plan_kind(plan: str) -> str:

@@ -324,8 +324,11 @@ class TestHeap:
             tree, [sys.executable, "run.py"], "toy", 5, 0.5)
         # Alive at gc.unfreeze(), freed later: counted. Freed before it
         # (the 2 MB ``drop``): not. Named relative to the checkout.
-        assert 3.0 <= heap["payload.py"] / (1 << 20) < 3.05
-        assert all(not name.startswith(str(tree)) for name in heap)
+        assert 3.0 <= heap["files"]["payload.py"] / (1 << 20) < 3.05
+        # By line: the one line of ``allocate`` that builds the list.
+        assert 3.0 <= heap["lines"]["payload.py:2"] / (1 << 20) < 3.05
+        assert all(not name.startswith(str(tree))
+                   for group in heap.values() for name in group)
 
     def test_parent_beside_change_largest_first(self, tmp_path):
         command = [sys.executable, "run.py"]
@@ -333,9 +336,42 @@ class TestHeap:
             self._tree(tmp_path / "parent", keep=3072), command, "toy", 5, 1)
         change = ab_layered.run_heap(
             self._tree(tmp_path / "change", keep=1024), command, "toy", 5, 1)
-        report = ab_layered.format_heap("toy", parent, change, top=1)
+        report = ab_layered.format_heap(
+            "toy", parent, change, top=1, top_lines=1)
         lines = report.splitlines()
         assert lines[0].startswith(
             f"heap: toy --seed {ab_layered.LAYERS_SEED}")
         assert lines[3] == "| payload.py | 3.0 | 1.0 | -2.0 |"
-        assert lines[4].startswith("| (all files) |") and len(lines) == 5
+        assert lines[4].startswith("| (all files) |")
+        assert lines[7] == "| payload.py:2 | 3.0 | 1.0 | -2.0 |"
+        assert len(lines) == 8
+
+    def test_lines_under_files_largest_on_either_side_first(self):
+        mb = 1 << 20
+        parent = {
+            "files": {"spec.py": 16 * mb, "rng.py": 4 * mb},
+            "lines": {"spec.py:236": 15 * mb, "spec.py:231": 1 * mb,
+                      "rng.py:37": 4 * mb},
+        }
+        change = {
+            "files": {"spec.py": 1 * mb, "cell.py": 2 * mb},
+            "lines": {"spec.py:231": 1 * mb, "cell.py:140": 2 * mb},
+        }
+        lines = ab_layered.format_heap(
+            "tree_mixed", parent, change, top=2, top_lines=3).splitlines()
+        assert lines[1:6] == [
+            "| file | parent | change | change - parent |",
+            "|---|---|---|---|",
+            "| spec.py | 16.0 | 1.0 | -15.0 |",
+            "| rng.py | 4.0 | 0.0 | -4.0 |",
+            "| (all files) | 20.0 | 3.0 | -17.0 |",
+        ]
+        # A line gone from the change reads 0 there; one new to it, 0
+        # in the parent; only the three largest of either side show.
+        assert lines[6:] == [
+            "| line | parent | change | change - parent |",
+            "|---|---|---|---|",
+            "| spec.py:236 | 15.0 | 0.0 | -15.0 |",
+            "| rng.py:37 | 4.0 | 0.0 | -4.0 |",
+            "| cell.py:140 | 0.0 | 2.0 | +2.0 |",
+        ]

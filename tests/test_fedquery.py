@@ -330,6 +330,21 @@ class TestEngineQuiet:
         assert result.value is None
         assert result.floored == 3
 
+    def test_noise_stream_is_made_by_the_first_dp_draw(self):
+        world, network, fleet = _quiet_fleet(6)
+        coordinator = Coordinator(world, network)
+        exact = coordinator.run(_evening_spec(), fleet.roster)
+        assert exact.outcome == "complete"
+        assert all(agent._noise is None for agent in fleet.agents.values())
+        spec = _evening_spec(transform=TRANSFORM_DP, epsilon=1.0, scale=1000)
+        assert coordinator.run(spec, fleet.roster).outcome == "complete"
+        for name, agent in fleet.agents.items():
+            # A stream is a function of its name: made now, it holds
+            # the state one made at construction would after one draw.
+            fresh = world.rng(f"fedquery.noise.{name}")
+            gate.dp_noise_share(fresh, participants=6, epsilon=1.0)
+            assert agent._noise.getstate() == fresh.getstate()
+
     def test_duplicate_plan_replays_cached_partial(self):
         world, network, fleet = _quiet_fleet(4)
         name = fleet.roster[0]

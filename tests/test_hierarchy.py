@@ -374,3 +374,22 @@ class TestRegionLifecycle:
         assert result.demoted == control.demoted
         assert result.field_total == control.field_total
         assert [region._active for region in root.regions] == [{}, {}, {}]
+
+    def test_a_cell_keeps_its_regions_window_by_reference(self):
+        world, network, fleet = _tree_fleet(40, shards=3)
+        root = _tree(world, network, 3)
+        for index in range(2):
+            result = root.run(_sum_spec(), fleet.roster,
+                              round_tag=f"q{index}")
+            assert result.outcome == "complete"
+        name = fleet.roster[20]
+        first, second = fleet.agents[name]._rounds.values()
+        region = next(region for region in root.regions
+                      if name in region._layout[1])
+        names, positions, _ = region._layout[1][name]
+        assert first["roster"] is second["roster"] is names
+        assert first["positions"] is second["positions"] is positions
+        assert positions == {
+            cell: at for at, cell in enumerate(fleet.roster)
+            if abs(at - 20) <= 4
+        }

@@ -335,3 +335,122 @@ class TestSharedPlan:
         assert built[0] == built[1] and built[0] is not built[1]
         assert result.value == pytest.approx(
             fleet.ground_truth(SPEC), abs=1e-6)
+
+
+
+def _capture_plans(monkeypatch):
+    """``(cell, plan)`` for every ``fq.plan`` the network is asked to
+    send, in order."""
+    shipped = []
+    real_send = Network.send
+
+    def capturing(network, source, destination, payload, **kwargs):
+        if isinstance(payload, dict) and payload.get("kind") == "fq.plan":
+            shipped.append((destination, payload))
+        return real_send(network, source, destination, payload, **kwargs)
+
+    monkeypatch.setattr(Network, "send", capturing)
+    return shipped
+
+
+def _assert_sized_as_serialised(shipped):
+    assert shipped
+    for _, plan in shipped:
+        assert plan.wire_bytes == len(spec_module.compact_json(plan))
+
+
+def _tree_root(world, network):
+    return HierarchicalCoordinator(
+        world, network, regions=3, neighbors=8, retry_policy=FAST_RETRIES,
+        region_retry_policy=FAST_RETRIES, region_collect_timeout_s=5,
+        region_recovery_timeout_s=5,
+    )
+
+
+class TestEveryShippedPlanIsItsJson:
+    """A windowed plan's size is composed from its run's base and its
+    window's remembered bytes, never serialised per cell: every plan
+    that leaves a coordinator must still size as its compact JSON."""
+
+    def test_flat_quiet(self, monkeypatch):
+        shipped = _capture_plans(monkeypatch)
+        _, _, _, result = _flat_run(offline=False)
+        assert result.outcome == "complete"
+        _assert_sized_as_serialised(shipped)
+
+    @pytest.mark.parametrize("offline", [False, True])
+    def test_tree(self, monkeypatch, offline):
+        shipped = _capture_plans(monkeypatch)
+        _, result = _tree_run(offline=offline)
+        assert result.outcome == ("partial" if offline else "complete")
+        assert len(shipped) == 36 + result.reasks == 36 + offline
+        _assert_sized_as_serialised(shipped)
+
+    def test_region_crashed_mid_collect_and_restarted(self, monkeypatch):
+        shipped = _capture_plans(monkeypatch)
+        world = World(seed=11)
+        network = Network(world)
+        fleet = build_fleet_sharded(world, network, 36, shards=3)
+        offline = fleet.roster[5]  # in region 0's shard: a re-ask
+        network.set_online(offline, False)
+        root = _tree_root(world, network)
+        region = root.regions[0]
+        crashed = []
+
+        def crash_after_third_partial(index, record):
+            if record["type"] == "partial" and not crashed \
+                    and sum(r["type"] == "partial"
+                            for r in region.journal.records()) == 3:
+                crashed.append(len(shipped))
+                region.crash()
+                assert region._layout == (None, {})
+                world.loop.schedule_in(2, region.restart)
+
+        region.journal.on_append = crash_after_third_partial
+        result = root.run(SPEC, fleet.roster)
+        assert crashed and result.outcome == "partial"
+        assert result.demoted == [offline]
+        survivors = [name for name in fleet.roster if name != offline]
+        assert result.value == pytest.approx(
+            fleet.ground_truth(SPEC, survivors), abs=1e-6)
+        # The restart re-ships from a rebuilt layout, not the lost one.
+        before = dict(shipped[:crashed[0]])
+        resumed = shipped[crashed[0]:]
+        assert resumed and all(
+            plan["reply_to"] == region.address
+            and plan["positions"] is not before[cell]["positions"]
+            and plan["positions"] == before[cell]["positions"]
+            for cell, plan in resumed)
+        _assert_sized_as_serialised(shipped)
+
+    def test_one_root_two_rosters(self, monkeypatch):
+        shipped = _capture_plans(monkeypatch)
+        rosters = []
+
+        def both(coordinator_for):
+            world = World(seed=11)
+            network = Network(world)
+            fleet = build_fleet_sharded(world, network, 36, shards=3)
+            rosters[:] = [fleet.roster, fleet.roster[:7] + fleet.roster[8:]]
+            coordinator = coordinator_for(world, network)
+            return fleet, [
+                coordinator.run(SPEC, roster, round_tag=f"q{index}")
+                for index, roster in enumerate(rosters)
+            ]
+
+        fleet, tree = both(_tree_root)
+        windowed = shipped[:]
+        _, flat = both(lambda world, network: Coordinator(
+            world, network, neighbors=8))
+        for index, roster in enumerate(rosters):
+            assert tree[index].outcome == flat[index].outcome == "complete"
+            assert tree[index].field_total == flat[index].field_total
+            assert tree[index].value == pytest.approx(
+                fleet.ground_truth(SPEC, roster), abs=1e-6)
+        # Dropping a cell moved every later cell's global position: the
+        # second query ships from a new layout.
+        assert len(windowed) == 36 + 35
+        moved = [plan for cell, plan in windowed if cell == fleet.roster[20]]
+        assert [plan["global_size"] for plan in moved] == [36, 35]
+        assert moved[0]["positions"] != moved[1]["positions"]
+        _assert_sized_as_serialised(shipped)

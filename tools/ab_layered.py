@@ -36,10 +36,12 @@ imports anything and one snapshot taken when the runner releases the
 workload's heap (its ``gc.unfreeze()`` after the last op, while the
 world built in set-up is still alive; at exit if it never does). It
 prints the MB still allocated per source file, parent beside change,
-largest first. Under ``tracemalloc`` a run is slower and so completes
-fewer ops than a timed one: the census says *where* the memory is, the
-timed pairs' ``peak_rss_mb`` says how much. It never changes the exit
-status either.
+largest first, and under it the same for the largest single source
+lines (``file:line``, where each block was allocated). Under
+``tracemalloc`` a run is slower and so completes fewer ops than a
+timed one: the census says *where* the memory is, the timed pairs'
+``peak_rss_mb`` says how much. It never changes the exit status
+either.
 
 The benchmark is only ever *run*: nothing under ``benchmarks/layered``
 is imported or edited, and the bounds are read from the change
@@ -88,21 +90,29 @@ CLOCK_FREE = (
 
 
 #: Runs the benchmark's script (``argv[2:]``) under ``tracemalloc`` and
-#: writes ``{source file: bytes allocated}`` at the snapshot to
-#: ``argv[1]``; files under the checkout are named relative to it.
+#: writes ``{"files": {source file: bytes allocated}, "lines":
+#: {"file:line": bytes allocated}}`` at the snapshot to ``argv[1]``;
+#: files under the checkout are named relative to it.
 HEAP_PROBE = """
 import gc, json, os, runpy, sys, tracemalloc
 out, script = sys.argv[1], sys.argv[2]
 sys.argv = sys.argv[2:]
-sizes = {}
+sizes = {"files": {}, "lines": {}}
 
 def census():
-    if sizes:
+    if sizes["files"]:
         return
     here = os.getcwd() + os.sep
-    for stat in tracemalloc.take_snapshot().statistics("filename"):
-        name = stat.traceback[0].filename
-        sizes[name[len(here):] if name.startswith(here) else name] = stat.size
+    snapshot = tracemalloc.take_snapshot()
+    for group, key in (("files", "filename"), ("lines", "lineno")):
+        for stat in snapshot.statistics(key):
+            frame = stat.traceback[0]
+            name = frame.filename
+            if name.startswith(here):
+                name = name[len(here):]
+            if key == "lineno":
+                name = f"{name}:{frame.lineno}"
+            sizes[group][name] = stat.size
 
 unfreeze = gc.unfreeze
 
@@ -192,9 +202,10 @@ def run_pairs(parent: pathlib.Path, change: pathlib.Path,
 
 
 def run_heap(tree: pathlib.Path, command: list[str], workload: str,
-             seed: int, seconds: float) -> dict[str, int]:
+             seed: int, seconds: float) -> dict[str, dict[str, int]]:
     """One benchmark run in ``tree`` under :data:`HEAP_PROBE`; the
-    bytes still allocated per source file at the workload's exit."""
+    bytes still allocated at the workload's exit, per source file
+    (``"files"``) and per source line (``"lines"``)."""
     with tempfile.TemporaryDirectory(prefix="ab_heap_") as scratch:
         out = pathlib.Path(scratch) / "heap.json"
         run_once(tree, [command[0], "-c", HEAP_PROBE, str(out), *command[1:]],
@@ -352,26 +363,42 @@ def format_layers(workload: str, rows: list[dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def format_heap(workload: str, parent: dict[str, int],
-                change: dict[str, int], top: int = 12) -> str:
-    """The ``top`` source files holding the most memory on either
-    side, in MB, and every file's total."""
-    mb = 1 << 20
-    files = sorted(set(parent) | set(change), key=lambda name: -max(
+def _largest(parent: dict[str, int], change: dict[str, int],
+             top: int) -> list[tuple[str, int, int]]:
+    """``(name, parent, change)`` for the ``top`` names holding the most
+    on either side, largest first."""
+    names = sorted(set(parent) | set(change), key=lambda name: -max(
         parent.get(name, 0), change.get(name, 0)))[:top]
-    lines = [
+    return [(name, parent.get(name, 0), change.get(name, 0))
+            for name in names]
+
+
+def format_heap(workload: str, parent: dict[str, dict[str, int]],
+                change: dict[str, dict[str, int]], top: int = 12,
+                top_lines: int = 10) -> str:
+    """The ``top`` source files holding the most memory on either
+    side, in MB, and every file's total; under them the ``top_lines``
+    source lines holding the most, in the same columns."""
+    mb = 1 << 20
+
+    def table(rows: list[tuple[str, int, int]]) -> list[str]:
+        return [f"| {name} | {before / mb:.1f} | {after / mb:.1f} "
+                f"| {(after - before) / mb:+.1f} |"
+                for name, before, after in rows]
+
+    files = _largest(parent["files"], change["files"], top)
+    files.append(("(all files)", sum(parent["files"].values()),
+                  sum(change["files"].values())))
+    return "\n".join([
         f"heap: {workload} --seed {LAYERS_SEED}, MB allocated at workload "
         "exit by source file (tracemalloc)",
         "| file | parent | change | change - parent |",
         "|---|---|---|---|",
-    ]
-    rows = [(name, parent.get(name, 0), change.get(name, 0))
-            for name in files]
-    rows.append(("(all files)", sum(parent.values()), sum(change.values())))
-    lines += [f"| {name} | {before / mb:.1f} | {after / mb:.1f} "
-              f"| {(after - before) / mb:+.1f} |"
-              for name, before, after in rows]
-    return "\n".join(lines)
+        *table(files),
+        "| line | parent | change | change - parent |",
+        "|---|---|---|---|",
+        *table(_largest(parent["lines"], change["lines"], top_lines)),
+    ])
 
 
 # -- entry point -------------------------------------------------------------
