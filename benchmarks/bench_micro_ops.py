@@ -167,6 +167,33 @@ def test_hash_join_500x500(benchmark):
     benchmark(execute_join, catalog, join)
 
 
+def _decoded_meter_chunk(count: int):
+    """A fresh ``decode_page`` batch of ``count`` ``{slot, t, w}`` rows
+    (numeric views, no Python values yet), as pytest-benchmark setup
+    arguments: every round builds its rows from a cold batch."""
+    from repro.store.encoding import decode_page, encode_record
+
+    payloads = [encode_record({"slot": index % 48, "t": 1_000_000 + index,
+                               "w": index / 8}) for index in range(count)]
+    return lambda: ((decode_page(payloads),), {})
+
+
+def test_column_batch_rows_2048x3(benchmark):
+    """A full scan's chunk: every row of 2,048 three-field records."""
+    rows = benchmark.pedantic(lambda batch: batch.rows(), rounds=100,
+                              setup=_decoded_meter_chunk(2048))
+    assert len(rows) == 2048
+
+
+def test_column_batch_rows_at_4_of_22(benchmark):
+    """A fleet cell's exact query: 4 hits in its 22-row chunk, the
+    shape a zone-map or scan plan hands ``rows_at`` hundreds of times
+    per federated query."""
+    rows = benchmark.pedantic(lambda batch: batch.rows_at([2, 9, 10, 17]),
+                              rounds=2000, setup=_decoded_meter_chunk(22))
+    assert [row["slot"] for row in rows] == [2, 9, 10, 17]
+
+
 # -- tracked micro-op rows ----------------------------------------------------
 #
 # Plain functions (no pytest-benchmark) so bench_store_scale.py can

@@ -132,27 +132,31 @@ class Collection:
         mid-batch, the indexes still follow exactly the leading records
         it took (``inserts`` counts them) before the error propagates.
         """
-        items = [(self._full_id(record_id), record) for record_id, record in items]
+        prefix = self._prefix
+        items = [(prefix + record_id, record) for record_id, record in items]
+        store = self._store
         replaced: dict[str, Record] = {}
-        for full_id, _ in items:
-            if full_id not in replaced and self._store.contains(full_id):
-                replaced[full_id] = self._store.get(full_id)
-        before = self._store.inserts
+        live = store.live_ids(full_id for full_id, _ in items)
+        if live:  # read in batch order, first occurrence each
+            for full_id in dict.fromkeys(
+                    full_id for full_id, _ in items if full_id in live):
+                replaced[full_id] = store.get(full_id)
+        before = store.inserts
         try:
-            return self._store.insert_many(items)
+            return store.insert_many(items)
         finally:
-            self._index_many(items[: self._store.inserts - before], replaced)
+            self._index_many(items[: store.inserts - before], replaced)
 
     def _index_many(self, items: list[tuple[str, Record]],
                     replaced: dict[str, Record]) -> None:
         """Bulk index maintenance for records the store has taken;
         ``replaced`` holds the versions they superseded."""
-        pending: dict[str, Record] = {}
-        for full_id, record in items:
-            previous = pending.get(full_id, replaced.get(full_id))
-            if previous is not None:
+        # Last version per id; an earlier one in the batch was never
+        # indexed, so only the stored versions it supersedes are removed.
+        pending = dict(items)
+        for full_id, previous in replaced.items():
+            if full_id in pending:
                 self._unindex(full_id, previous)
-            pending[full_id] = record
         for field, index in self._hash_indexes.items():
             index.add_many(
                 (full_id, record[field])

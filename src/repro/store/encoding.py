@@ -28,6 +28,7 @@ Two encode/decode paths share this format, same pattern as
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as _np
@@ -163,6 +164,38 @@ COLUMNAR_MIN_BATCH = 16
 _INT64_MIN = -(2**63)
 
 
+@functools.cache
+def _row_builder(width: int):
+    """``build(names, columns, indexes)`` for records of ``width``
+    fields: one comprehension over a fixed-key dict display,
+    ``[{n0: c0[at], ...} for at in indexes]``, compiled on the first
+    ask for this width.
+
+    The source is made from ``width`` alone: field names arrive as
+    values in ``names``, so no name ever enters compiled text, whatever
+    characters it holds or whatever identifier it spells.
+    """
+    names = "".join(f"n{at}, " for at in range(width))
+    columns = "".join(f"c{at}, " for at in range(width))
+    display = ", ".join(f"n{at}: c{at}[at]" for at in range(width))
+    namespace: dict = {}
+    exec(compile(
+        f"def build(names, columns, indexes):\n"
+        f"    ({names}) = names\n"
+        f"    ({columns}) = columns\n"
+        f"    return [{{{display}}} for at in indexes]\n",
+        f"<rows of width {width}>", "exec"), namespace)
+    return namespace["build"]
+
+
+def build_rows(names: tuple[str, ...], columns, indexes) -> list[Record]:
+    """A fresh record per row index in ``indexes``: ``dict(zip(names,
+    values))`` with ``values`` that row's item of each of ``columns``
+    (one per name, indexable by row), keys in ``names`` order. Built by
+    the one compiled comprehension for ``len(names)`` fields."""
+    return _row_builder(len(names))(names, columns, indexes)
+
+
 class ColumnBatch:
     """A batch of decoded records held as per-field columns.
 
@@ -171,13 +204,14 @@ class ColumnBatch:
     :meth:`from_arrays`, or :func:`decode_page` for a field every clean
     group decoded as one numeric kind) is held as that array, its
     :meth:`numeric_view`, and gets its list of Python values in
-    ``columns`` only when :meth:`column` or :meth:`rows` asks for it;
+    ``columns`` only when :meth:`column` asks for it;
     every other field is a list of ``count`` values from the start.
     Rows that did not fit the uniform schema live whole in
     ``scalar_rows`` (row index -> record); their slots in the columns
-    hold placeholders that must never be read. ``row(i)`` / ``rows()``
-    materialize plain records equal to what :func:`decode_record`
-    would have produced.
+    hold placeholders that must never be read. ``row(i)``, ``rows()``
+    and ``rows_at(indexes)`` materialize plain records equal to what
+    :func:`decode_record` would have produced; the last two build them
+    through :func:`build_rows`.
     """
 
     __slots__ = ("count", "fields", "columns", "scalar_rows", "_numeric")
@@ -254,14 +288,16 @@ class ColumnBatch:
                     f"const field {name!r}: unsupported type "
                     f"{type(value).__name__}")
             columns[name] = [value] * count
-        # Numeric columns stay as their arrays; the Python value lists
-        # materialize lazily (``row``/``rows``) so the fused ingest
-        # path never pays a whole-column ``tolist``.
+        # Numeric columns stay as their arrays until a row or a column
+        # is asked for, so the fused ingest path never pays a
+        # whole-column ``tolist``.
         batch = cls(count, tuple(sorted(set(columns) | set(numeric))), columns)
         batch._numeric.update(numeric)
         return batch
 
     def row(self, index: int) -> Record:
+        """Row ``index`` alone; :meth:`rows` / :meth:`rows_at` build
+        many at once."""
         if index in self.scalar_rows:
             return self.scalar_rows[index]
         columns = self.columns
@@ -285,13 +321,31 @@ class ColumnBatch:
         return column
 
     def rows(self) -> list[Record]:
-        names = self.fields
-        columns = list(map(self.column, names))
-        if not self.scalar_rows:
-            if not names:
-                return [{} for _ in range(self.count)]
-            return [dict(zip(names, values)) for values in zip(*columns)]
-        return [self.row(index) for index in range(self.count)]
+        """Every row, in order: what ``row(i)`` gives for each ``i``,
+        built in one :func:`build_rows` pass off the :meth:`column`
+        lists (built first, so a batch with scalar rows reads them in
+        :meth:`row` too, not one numpy scalar per value)."""
+        columns = list(map(self.column, self.fields))
+        if self.scalar_rows:
+            return [self.row(index) for index in range(self.count)]
+        return build_rows(self.fields, columns, range(self.count))
+
+    def rows_at(self, indexes) -> list[Record]:
+        """The rows at ``indexes``, in their order: what ``row(i)``
+        gives for each ``i``, built in one :func:`build_rows` pass.
+
+        A field reads its Python list when one is built, else its
+        numeric array through a ``memoryview``, whose items are plain
+        ``int`` / ``float``: unlike :meth:`rows`, no whole-column list
+        is built for a few rows, and no numpy scalar is made per value.
+        """
+        if self.scalar_rows:
+            return list(map(self.row, indexes))
+        columns, numeric = self.columns, self._numeric
+        return build_rows(self.fields, [
+            memoryview(numeric[name][1])
+            if (column := columns.get(name)) is None else column
+            for name in self.fields], indexes)
 
     def numeric_view(self, name: str):
         """``(kind, array)`` for a pure-numeric column, else ``None``.

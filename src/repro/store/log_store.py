@@ -976,6 +976,21 @@ class LogStructuredStore:
             return self._buffer_entries[index][1] == _ENTRY_INSERT
         return record_id in self._directory
 
+    def live_ids(self, record_ids: Iterable[str]) -> set[str]:
+        """The ids among ``record_ids`` that :meth:`contains` answers
+        true for, in set operations rather than one probe per id: a
+        buffered entry (a delete not yet flushed included) overrides
+        the directory."""
+        wanted = set(record_ids)
+        live = self._directory.keys() & wanted
+        buffered = self._buffered
+        for record_id in buffered.keys() & wanted:
+            if self._buffer_entries[buffered[record_id]][1] == _ENTRY_INSERT:
+                live.add(record_id)
+            else:
+                live.discard(record_id)
+        return live
+
     def flush(self) -> None:
         """Force buffered entries to flash (partial page write)."""
         self._flush_buffer()

@@ -518,8 +518,7 @@ def _filter_batches(where: Predicate, candidates: BatchCandidates,
         row = batch.row
         if mask is not None and not scalar_rows:
             hits.append(chunk_hits := _np.flatnonzero(mask).tolist())
-            matched.extend(batch.rows() if len(chunk_hits) == batch.count
-                           else map(row, chunk_hits))
+            matched.extend(batch.rows_at(chunk_hits))
             continue
         hits.append(chunk_hits := [])
         for index in range(batch.count):

@@ -116,6 +116,54 @@ class TestCatalogInsertMany:
         ):
             assert sequential.query(query).rows == batched.query(query).rows
 
+    @pytest.mark.parametrize("history", [
+        "fresh", "replaces_flushed", "replaces_buffered",
+        "deleted_in_buffer", "repeats_in_batch",
+    ])
+    def test_index_state_equals_the_insert_loops(self, history):
+        """Every index holds exactly what an ``insert`` loop leaves,
+        whether the batch takes the ``dict(items)`` shortcut (nothing
+        replaced, no id repeated) or the per-record loop."""
+        batch = [(f"i{index:03d}", {"kind": f"k{index % 3}", "t": index,
+                                    "note": "alpha beta"})
+                 for index in range(40)]
+        before = [("i005", {"kind": "old", "t": -5, "note": "gamma"}),
+                  ("i006", {"kind": "old", "t": -6})]
+        if history == "repeats_in_batch":
+            batch += [("i007", {"kind": "k9", "t": 777, "note": "delta"}),
+                      ("i007", {"kind": "k8", "t": 778})]
+
+        def seeded(use_batch):
+            catalog = Catalog(make_flash())
+            items = catalog.collection("items")
+            items.create_hash_index("kind")
+            items.create_ordered_index("t")
+            items.create_keyword_index("note")
+            if history != "fresh" and history != "repeats_in_batch":
+                for record_id, record in before:
+                    items.insert(record_id, record)
+                if history != "replaces_buffered":
+                    catalog.store.flush()
+                if history == "deleted_in_buffer":
+                    items.delete("i005")
+            if use_batch:
+                items.insert_many(batch)
+            else:
+                for record_id, record in batch:
+                    items.insert(record_id, record)
+            return items
+
+        def state(items):
+            return (
+                {value: sorted(ids) for value, ids in
+                 items._hash_indexes["kind"]._buckets.items()},
+                items._ordered_indexes["t"]._entries,
+                {term: sorted(ids) for term, ids in
+                 items._keyword_indexes["note"]._postings.items()},
+            )
+
+        assert state(seeded(True)) == state(seeded(False))
+
     def test_indexes_updated_for_latest_batch_version(self):
         catalog = self._seeded(use_batch=True)
         result = catalog.query(

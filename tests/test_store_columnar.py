@@ -57,6 +57,8 @@ from repro.store import (
 from repro.store.encoding import (
     COLUMNAR_MIN_BATCH,
     ColumnBatch,
+    _row_builder,
+    build_rows,
     decode_page,
     encode_records,
 )
@@ -284,6 +286,115 @@ class TestDecodePageNumericViews:
         warm = scanned()
         assert counter_labels("store.decode.rows")["kept"] == before + 200
         assert cold == warm == list(store.scan())
+
+
+# -- the row builder ----------------------------------------------------------
+
+#: Field names that would break a builder whose compiled text held them:
+#: its own argument and variable names, keywords, quotes, braces,
+#: backslashes, whitespace, the empty name and non-ASCII.
+ADVERSARIAL_NAMES = [
+    "v0", "v1", "n0", "n1", "rows", "names", "build", "lambda", "for", "in",
+    "'", '"', "}", "{", "{n0: v0}", ")", "\\", "a b", "x\ny", "", "é",
+    "名前", "#",
+]
+WIDE = 300
+
+row_field_names = st.one_of(
+    st.sampled_from(ADVERSARIAL_NAMES),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+
+
+@st.composite
+def row_batches(draw):
+    """``(batch, reference)``: a lazy ``from_arrays`` batch or a
+    ``decode_page`` one (numeric fields as views once the chunk clears
+    the vector lane's bar) of ``width`` fields, and the rows
+    ``dict(zip(fields, values))`` builds from the values it was made
+    of."""
+    width = draw(st.sampled_from([*range(13), WIDE]))
+    if width == WIDE:
+        names = [f"field {at}" for at in range(WIDE)]
+    else:
+        names = draw(st.lists(row_field_names, min_size=width,
+                              max_size=width, unique=True))
+    kinds = {name: draw(st.sampled_from("ifc")) for name in names}
+    count = draw(st.integers(0, 2 * COLUMNAR_MIN_BATCH + 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name, kind in kinds.items():
+        if kind == "i":
+            columns[name] = [rng.choice([rng.randint(-300, 300), INT64_HI,
+                                         INT64_LO]) for _ in range(count)]
+        elif kind == "f":
+            columns[name] = [rng.choice([rng.uniform(-5, 5), -0.0, 1e300])
+                             for _ in range(count)]
+        else:
+            columns[name] = [rng.choice([None, True, "W", b"\x00", ""])] * count
+    fields = tuple(sorted(names))
+    reference = [dict(zip(fields, values))
+                 for values in zip(*(columns[name] for name in fields))]
+    if not fields:
+        reference = [{} for _ in range(count)]
+    if draw(st.booleans()):
+        order = draw(st.sampled_from("=><"))  # the producer's byte order
+        batch = ColumnBatch.from_arrays(
+            {name: np.array(columns[name], dtype=np.dtype(
+                np.int64 if kind == "i" else np.float64).newbyteorder(order))
+             for name, kind in kinds.items() if kind != "c"},
+            consts={name: columns[name][0] if count else None
+                    for name, kind in kinds.items() if kind == "c"},
+            count=count)
+    else:
+        batch = decode_page([encode_record(row) for row in reference])
+    return batch, reference
+
+
+def assert_rows_are(rows, reference):
+    """Same keys in the same order, same values of the same Python types
+    (never a numpy scalar), and a distinct object per row."""
+    assert [list(row) for row in rows] == [list(row) for row in reference]
+    assert [list(map(type, row.values())) for row in rows] == [
+        list(map(type, row.values())) for row in reference]
+    # re-encoding tells 0.0 from -0.0
+    assert list(map(encode_record, rows)) == list(
+        map(encode_record, reference))
+    assert len(set(map(id, rows))) == len(rows)
+
+
+class TestRowBuilder:
+    """``rows()`` and ``rows_at()`` build what ``dict(zip(fields,
+    values))`` builds, whatever the width and the field names."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=row_batches(), picks=st.sampled_from(
+        ["empty", "single", "all", "some"]), data=st.data())
+    def test_rows_and_rows_at_equal_dict_zip(self, case, picks, data):
+        batch, reference = case
+        rows = batch.rows()
+        assert_rows_are(rows, reference)
+        count = len(reference)
+        if picks == "empty" or not count:
+            indexes = []
+        elif picks == "single":
+            indexes = [data.draw(st.integers(0, count - 1))]
+        elif picks == "all":
+            indexes = list(range(count))
+        else:
+            indexes = sorted(data.draw(st.sets(
+                st.integers(0, count - 1), max_size=count)))
+        picked = batch.rows_at(indexes)
+        assert_rows_are(picked, [reference[at] for at in indexes])
+        if not batch.scalar_rows:  # built afresh on every call
+            assert not {*map(id, rows)} & {*map(id, picked)}
+            assert not {*map(id, rows)} & {*map(id, batch.rows())}
+
+    def test_one_builder_per_width_whatever_the_names(self):
+        build_rows(("a", "b"), [[1], [2]], [0])
+        before = _row_builder.cache_info()
+        rows = build_rows(("}", "v0"), [[1, 3], [2.5, None]], [1, 0])
+        assert _row_builder.cache_info().misses == before.misses
+        assert rows == [{"}": 3, "v0": None}, {"}": 1, "v0": 2.5}]
 
 
 # -- vectorized predicates ----------------------------------------------------

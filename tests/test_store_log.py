@@ -244,6 +244,27 @@ class TestPropertyBased:
         for key, record in model.items():
             assert store.get(key) == record
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "c", "d", "e"]),
+        st.sampled_from(["put", "delete", "flush"])), max_size=40))
+    def test_live_ids_answers_contains(self, operations):
+        """``live_ids`` is the ``contains`` probe per id, whether the
+        latest word on an id is on flash or in the write buffer — a
+        buffered delete of a flushed record included."""
+        store = make_store(pages=256)
+        probe = ["a", "b", "c", "d", "e", "absent"]
+        for step, (key, action) in enumerate(operations):
+            if action == "put":
+                store.put(key, {"step": step})
+            elif action == "delete" and store.contains(key):
+                store.delete(key)
+            elif action == "flush":
+                store.flush()
+            assert store.live_ids(probe) == {
+                key for key in probe if store.contains(key)}
+            assert store.live_ids(iter(probe)) == set(store.record_ids())
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(

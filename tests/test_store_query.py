@@ -599,25 +599,47 @@ class TestResultRowsArePrivate:
     """Rows are built once, from a batch nothing else holds: mutating
     one result reaches neither a later run nor the page cache — not
     the run whose rows the cache kept, nor the runs served from them —
-    and a record read out of the write buffer is a copy."""
+    and a record read out of the write buffer is a copy. Every plan,
+    over a store that decodes each run afresh and over one that serves
+    later runs from the rows its cache kept."""
 
-    @pytest.mark.parametrize("where, plan", [
+    PLANS = [
         (Between("t", 600, 3600), "range:t"),       # columnar chunk
         (Between("t", 60, 180), "range:t"),         # scalar rows
-        (Between("w", 1.0, 9.0), "zonemap:w"),
-        (Ne("w", -1.0), "scan"),
-    ])
+        (Between("w", 1.0, 9.0), "zonemap:w"),      # part of a chunk
+        (Ne("w", -1.0), "scan"),                    # every row of a chunk
+    ]
+    INDEX_PLAN = (Eq("tags", "a"), "index:tags")
+
+    @pytest.mark.parametrize("where, plan", PLANS)
     def test_mutating_a_result_changes_nothing_else(self, where, plan):
+        self.mutate_and_rerun(where, plan, cached=True)
+
+    @pytest.mark.parametrize("where, plan", PLANS + [INDEX_PLAN])
+    def test_a_cold_store_hands_out_fresh_rows_too(self, where, plan):
+        self.mutate_and_rerun(where, plan, cached=False)
+
+    def test_an_index_plan_served_from_kept_rows(self):
+        self.mutate_and_rerun(*self.INDEX_PLAN, cached=True)
+
+    @staticmethod
+    def mutate_and_rerun(where, plan, cached):
         flash = NandFlash(TIMINGS, capacity_bytes=512 * TIMINGS.page_size)
-        catalog = Catalog(flash, page_cache_bytes=64 * TIMINGS.page_size)
+        catalog = Catalog(flash, page_cache_bytes=(
+            64 * TIMINGS.page_size if cached else None))
         meter = catalog.collection("m")
         meter.create_ordered_index("t")
+        meter.create_hash_index("tags")
         meter.insert_many(
             (f"{index:04d}", {"t": index * 60, "w": index / 8, "tags": "a"})
             for index in range(120))
         meter.insert("9999", {"t": 720, "w": 2.0, "tags": "buffered"})
         query = Query("m", where=where)
         cache = catalog.store.page_cache
+
+        def cached_rows():
+            return None if cache is None else cache_contents(cache)
+
         pristine = None
         for _ in range(3):  # decode and keep, then gather twice
             result = catalog.query(query)
@@ -625,14 +647,15 @@ class TestResultRowsArePrivate:
             if pristine is None:
                 pristine = [dict(row) for row in result.rows]
             assert result.rows == pristine
-            held = cache_contents(cache)
+            held = cached_rows()
             for row in result.rows:
                 row["w"] = "mutated"
                 row["extra"] = 1
                 del row["t"]
-            assert cache_contents(cache) == held
+            assert cached_rows() == held
         assert catalog.query(query).rows == pristine
-        assert counter_labels("store.decode.rows")["kept"] > 0
+        assert (counter_labels("store.decode.rows").get("kept", 0) > 0) \
+            == cached
         buffered = meter.get("9999")
         buffered["w"] = "mutated"
         assert meter.get("9999") == {"t": 720, "w": 2.0, "tags": "buffered"}
