@@ -183,7 +183,7 @@ class CellQueryAgent:
         elif kind == MSG_RECOVER:
             self._on_recover(payload)
         elif kind == MSG_SUB:
-            # Standing subscription: installs the incremental window
+            # Standing subscription: installs the standing window
             # runtime (lazy import keeps the commons anchor intact).
             from .standing import handle_subscription
 

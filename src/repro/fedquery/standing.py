@@ -8,13 +8,14 @@ eligibility counts every reporting period. This module compiles a
 
 * Cell side — each subscribed cell does its standing work once per
   close, not once per tenant: one loop event per distinct close time
-  walks the cell's live subscriptions, and all of them read the rows
-  that arrived since the last close from one shared **window feed**
-  per ``(collection, time_field, field_seconds)`` — a single store
-  pull per cell per close. Numeric tenants push their matching rows
-  through an *incremental* window over the bounded-memory
-  :mod:`repro.streams` operators; record tenants release the window's
-  rows. At every window close the cell re-evaluates its opt-in and
+  walks the cell's live subscriptions, and all of them read their
+  windows off one shared **window feed** per ``(collection,
+  time_field, field_seconds)``, which pulls the rows that arrived
+  since the last close — a single store pull per cell per close.
+  Every tenant evaluates its window over those rows the way the
+  one-shot query does: numeric tenants with the store's
+  ``Aggregate``, record tenants by releasing the matching rows. At
+  every window close the cell re-evaluates its opt-in and
   UCON policy, re-checks the cohort floor, and releases only an
   egress-gated *delta*: a masked field element under a **fresh
   per-window round tag** (so mask keystreams never repeat across
@@ -33,10 +34,9 @@ eligibility counts every reporting period. This module compiles a
 
 Bit-for-bit contract: a standing ``aggregate-exact`` subscription's
 per-window total equals re-running the equivalent one-shot windowed
-``FedQuerySpec`` on the same data. This holds because the incremental
-path pushes matched rows through :class:`~repro.streams.operators.
-WindowAggregate` in the store's matched order and accumulates
-left-to-right from int 0 — exactly ``Aggregate.compute`` — and
+``FedQuerySpec`` on the same data. This holds because a close runs
+the spec's ``Aggregate.compute`` — the one-shot query's own fold —
+over the window's matched rows in the store's matched order, and
 requires only that rows are ingested in event-time order (the
 **ordered-ingest contract**: the traffic generator's; a row older than
 a feed's watermark is never seen — see :class:`_WindowFeed` and
@@ -53,8 +53,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CellOfflineError, ConfigurationError, ProtocolError
-from ..store.query import And, Between, Predicate, TruePredicate
-from ..streams import Sample, StreamPipeline, WindowAggregate
+from ..store.query import Aggregate, And, Between, Predicate, TruePredicate
 from .coordinator import Coordinator, FedQueryResult, _RunState
 from .journal import REC_DONE
 from .spec import (
@@ -230,7 +229,9 @@ class StandingCoordinator(Coordinator):
         self._subscriptions: dict[str, StandingSubscription] = {}
         # window tag -> (subscription tag, window index)
         self._window_of: dict[str, tuple[str, int]] = {}
-        # Deliveries that beat their window's open event (defensive).
+        # Deliveries that beat their window's open event: a restart in
+        # a close's own second can re-arm the open behind the cells'
+        # zero-delay partials.
         self._early: dict[str, list[tuple[str, Any]]] = {}
         metrics = self.world.obs.metrics
         self._windows_metric = metrics.counter(
@@ -466,9 +467,10 @@ class _CellStanding:
     tick arms the next close of every subscription it walked, so a
     cell holds at most one pending event per distinct upcoming close,
     never ``windows x subscriptions``) walks the live subscriptions in
-    install order, and all of them read the rows that arrived since
-    the last close from the shared :class:`_WindowFeed` of their
-    ``(collection, time_field, field_seconds)``.
+    install order, and all of them read their windows off the shared
+    :class:`_WindowFeed` of their ``(collection, time_field,
+    field_seconds)``, which pulls the rows that arrived since the last
+    close once.
 
     A subscription's runtime is released when its last window closes;
     a feed goes with its last reader.
@@ -654,15 +656,13 @@ class _CellSubscription:
     """One cell's runtime for one subscription: everything that is
     per-(subscription, window) and nothing that can be shared.
 
-    Numeric tenants keep a :class:`~repro.streams.StreamPipeline` with
-    a single :class:`~repro.streams.WindowAggregate`; at every close
-    they read the feed rows their ``cursor`` has not covered yet,
-    filter them with their own ``spec.where.matches`` and push them
-    through the window operator in store-matched order.
-    ``records-kanon`` tenants are not incremental: they release the
-    closing window's rows, filtered and projected. Either way the
-    close goes out through ``CellQueryAgent._egress`` under the
-    window's own tag and round tag.
+    At every close a tenant reads the closing window's rows off the
+    feed and keeps those its own ``spec.where`` matches: a numeric
+    tenant returns the spec's ``Aggregate.compute`` over them (the
+    store's own aggregate, the one the one-shot query runs), a
+    ``records-kanon`` tenant the rows, projected. Either way the close
+    goes out through ``CellQueryAgent._egress`` under the window's own
+    tag and round tag.
     """
 
     def __init__(self, agent: "CellQueryAgent", message: dict[str, Any],
@@ -684,15 +684,11 @@ class _CellSubscription:
         }
         self._next = 0  # the next window to close
         # The lowest time unit this subscription can still need from
-        # the feed: what its pipeline has not consumed, and never below
-        # the start of its next window.
+        # the feed: the start of its next window.
         self.cursor = window.origin_s // window.field_seconds
-        self._pipeline: StreamPipeline | None = None
-        if spec.numeric:
-            self._pipeline = StreamPipeline([WindowAggregate(
-                window.width_s, slide=window.slide,
-                aggregate=spec.aggregate, origin=window.origin_s,
-            )])
+        # The store's own aggregate, the one the one-shot query runs.
+        self._aggregate = (Aggregate(spec.aggregate, spec.value_field)
+                           if spec.numeric else None)
         feed.readers.append(self)
 
     @property
@@ -724,41 +720,21 @@ class _CellSubscription:
             }, partial(self._window_local, index))
         # Answered, declined or replayed: no later window reaches below
         # the next window's start, so the feed may let go of it.
-        self.cursor = max(self.cursor, self.window.window_bounds(index + 1)[0])
+        self.cursor = self.window.window_bounds(index + 1)[0]
 
     def _window_local(self, index: int) -> tuple[Any, str, int]:
-        """Window ``index``'s local result, read off the shared feed."""
-        window, spec = self.window, self.spec
-        start_s, end_s = window.window_span_s(index)
-        low, high = window.window_bounds(index)
-        if self._pipeline is None:
-            rows, plan, examined = self.feed.read(low, high + 1)
-            fields = spec.project
-            return [
-                dict(row) if fields is None
-                else {name: row.get(name) for name in fields}
-                for row in rows if spec.where.matches(row)
-            ], plan, examined
-        rows, plan, examined = self.feed.read(self.cursor, high + 1)
-        self.cursor = max(self.cursor, high + 1)
-        pipeline = self._pipeline
-        count_all = spec.aggregate == "count"
-        for row in rows:
-            if not spec.where.matches(row):
-                continue
-            timestamp = int(row[window.time_field]) * window.field_seconds
-            if count_all:
-                pipeline.push(Sample(timestamp, 1.0))
-                continue
-            value = row.get(spec.value_field)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float)):
-                continue  # Aggregate.compute's exact filter
-            pipeline.push(Sample(timestamp, float(value)))
-        closed = pipeline.close_until(end_s)
-        value = next(
-            (sample.value for sample in closed
-             if sample.timestamp == start_s),
-            0.0,  # an empty window is a 0.0 sum/count, like the store
-        )
-        return value, plan, examined
+        """Window ``index``'s local result, read off the shared feed:
+        the spec's aggregate or projection over the window's rows that
+        its predicate matches, in store-matched order."""
+        low, high = self.window.window_bounds(index)
+        rows, plan, examined = self.feed.read(low, high + 1)
+        spec = self.spec
+        matched = [row for row in rows if spec.where.matches(row)]
+        if self._aggregate is not None:
+            return self._aggregate.compute(matched), plan, examined
+        fields = spec.project
+        return [
+            dict(row) if fields is None
+            else {name: row.get(name) for name in fields}
+            for row in matched
+        ], plan, examined

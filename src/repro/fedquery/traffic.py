@@ -58,7 +58,7 @@ def seed_stream_data(
     ``origin_s + (u+1) * field_seconds`` — i.e. strictly before any
     window closing at that boundary — and units are scheduled in
     ascending order, so every store's append order is event-time
-    monotone: the contract that pins the incremental window totals to
+    monotone: the contract that pins the standing window totals to
     the one-shot query bit-for-bit.
 
     Cells are opted in to every employment purpose here (the energy

@@ -118,9 +118,6 @@ class Network:
         self._bandwidth[address] = bandwidth_bytes_per_s
         self._queues[address] = []
 
-    def is_registered(self, address: str) -> bool:
-        return address in self._handlers
-
     def is_online(self, address: str) -> bool:
         return self._online.get(address, False)
 

@@ -18,7 +18,6 @@ from .operators import (
     StreamPipeline,
     ThresholdEvents,
     Transform,
-    WindowAggregate,
     WindowMean,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "StreamPipeline",
     "ThresholdEvents",
     "Transform",
-    "WindowAggregate",
     "WindowMean",
 ]

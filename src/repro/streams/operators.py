@@ -49,16 +49,6 @@ class StreamOperator:
         """Emit whatever a final partial window holds."""
         return []
 
-    def close_until(self, timestamp: int) -> list[Sample]:
-        """Emit every window that ends at or before ``timestamp``.
-
-        Time-driven closing for windowed operators: a quiet window must
-        still close when the clock crosses its boundary, without waiting
-        for a later sample to push it shut. Stateless operators have
-        nothing to close.
-        """
-        return []
-
 
 class Downsample(StreamOperator):
     """Keep one sample every ``factor`` inputs (decimation)."""
@@ -199,102 +189,6 @@ class Transform(StreamOperator):
         return [Sample(sample.timestamp, self.function(sample.value))]
 
 
-_WINDOW_AGGREGATES = ("sum", "count", "mean")
-
-
-class WindowAggregate(StreamOperator):
-    """Boundary-aligned tumbling/sliding window aggregate.
-
-    Window ``w`` spans ``[origin + w*slide, origin + w*slide + width)``
-    in stream time; ``slide is None`` means tumbling (``slide = width``).
-    Each pushed sample is accumulated into every open window covering
-    its timestamp; a window is emitted as ``Sample(window_start, value)``
-    once the clock passes its end — either because a later sample
-    arrives (:meth:`push`) or because :meth:`close_until` is called at a
-    window boundary. Windows that saw no samples emit nothing, so a
-    caller treats an absent window as 0.0 (sum/count over nothing).
-
-    Sums accumulate left-to-right from int 0, matching the store's
-    ``Aggregate.compute`` exactly — so a window fed the same matched
-    rows in the same order reproduces the one-shot query total
-    bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        slide: int | None = None,
-        aggregate: str = "sum",
-        origin: int = 0,
-    ) -> None:
-        if width < 1:
-            raise ConfigurationError("window width must be >= 1")
-        slide = width if slide is None else slide
-        if not 1 <= slide <= width:
-            raise ConfigurationError("slide must be in [1, width]")
-        if aggregate not in _WINDOW_AGGREGATES:
-            raise ConfigurationError(
-                f"unknown window aggregate {aggregate!r}"
-            )
-        self.width = width
-        self.slide = slide
-        self.aggregate = aggregate
-        self.origin = origin
-        # at most ceil(width/slide) windows are open at once
-        self.state_bytes = 24 + 24 * (-(-width // slide))
-        self._open: dict[int, tuple[float, int]] = {}
-        self._closed_until = 0  # windows [0, _closed_until) already emitted
-
-    def _window_start(self, index: int) -> int:
-        return self.origin + index * self.slide
-
-    def _covering(self, timestamp: int) -> range:
-        offset = timestamp - self.origin
-        if offset < 0:
-            return range(0)
-        last = offset // self.slide
-        first = max(0, -(-(offset - self.width + 1) // self.slide))
-        return range(first, last + 1)
-
-    def _emit(self, index: int) -> list[Sample]:
-        total, count = self._open.pop(index, (0, 0))
-        if count == 0:
-            return []
-        if self.aggregate == "count":
-            value = float(count)
-        elif self.aggregate == "mean":
-            value = float(total) / count
-        else:
-            value = float(total)
-        return [Sample(self._window_start(index), value)]
-
-    def close_until(self, timestamp: int) -> list[Sample]:
-        emitted: list[Sample] = []
-        index = self._closed_until
-        while self._window_start(index) + self.width <= timestamp:
-            emitted.extend(self._emit(index))
-            index += 1
-        self._closed_until = index
-        return emitted
-
-    def push(self, sample: Sample) -> list[Sample]:
-        emitted = self.close_until(sample.timestamp)
-        for index in self._covering(sample.timestamp):
-            if index < self._closed_until:
-                continue
-            total, count = self._open.get(index, (0, 0))
-            self._open[index] = (total + sample.value, count + 1)
-        return emitted
-
-    def flush(self) -> list[Sample]:
-        emitted: list[Sample] = []
-        for index in sorted(self._open):
-            emitted.extend(self._emit(index))
-        self._closed_until = 0
-        self._open.clear()
-        return emitted
-
-
 class StreamPipeline:
     """A chain of operators with a static RAM bound.
 
@@ -359,26 +253,6 @@ class StreamPipeline:
             for element in pending:
                 routed.extend(operator.push(element))
             routed.extend(operator.flush())
-            pending = routed
-        self.samples_out += len(pending)
-        if pending:
-            _SAMPLES.labels(stage="out").inc(len(pending))
-        return pending
-
-    def close_until(self, timestamp: int) -> list[Sample]:
-        """Close every window ending at or before ``timestamp``.
-
-        Routed like :meth:`flush`: upstream closes pass through the
-        downstream operators as ordinary pushes before each operator
-        contributes its own closes, so boundary-driven window emissions
-        still traverse the precision/rate stages.
-        """
-        pending: list[Sample] = []
-        for operator in self.operators:
-            routed: list[Sample] = []
-            for element in pending:
-                routed.extend(operator.push(element))
-            routed.extend(operator.close_until(timestamp))
             pending = routed
         self.samples_out += len(pending)
         if pending:

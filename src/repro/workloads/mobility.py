@@ -40,10 +40,6 @@ class Trip:
     def distance_km(self) -> float:
         return max(0, len(self.points) - 1) * CityMap.EDGE_KM
 
-    @property
-    def end_time(self) -> int:
-        return self.points[-1].timestamp if self.points else self.start_time
-
 
 class CityMap:
     """A grid city with a rectangular priced zone in the centre."""

@@ -1,6 +1,7 @@
 """Tests for standing federated queries (windowed subscriptions)."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -315,6 +316,53 @@ class TestCrashRecovery:
         assert len(sub.results) == WINDOWS
         assert sub.complete
         assert all(lag == 0 for lag in sub.settle_lag_s.values())
+
+    def test_partials_that_beat_the_reopened_window_are_held_back(
+            self, monkeypatch):
+        """Down at window 0's close, the coordinator restarts in that
+        same second before the cells' close ticks, crashes again after
+        them and restarts before their zero-delay partials land: the
+        partials reach a live coordinator whose re-armed open event is
+        still pending. It holds them back and the open replays them, so
+        the window settles as the quiet path would."""
+        window = window_clause()
+        spec = energy_spec()
+        world, network, fleet = standing_fleet()
+        coordinator = StandingCoordinator(
+            world, network, horizon_slack_s=2000)
+        sub = coordinator.subscribe(spec, fleet.roster, window)
+        _, close_s = window.window_span_s(0)
+        held = []
+        open_window = StandingCoordinator._open_window
+
+        def probing_open(self, sub_tag, index):
+            held.append((index, len(self._early.get(
+                window_tag(sub_tag, index), ()))))
+            open_window(self, sub_tag, index)
+
+        def restart_twice():
+            coordinator.restart()
+            world.loop.schedule_in(0, coordinator.restart)
+
+        monkeypatch.setattr(StandingCoordinator, "_open_window", probing_open)
+        world.loop.schedule_at(close_s - 100, coordinator.crash)
+        world.loop.schedule_at(close_s, restart_twice)  # before the ticks
+        world.loop.run_until(10)  # the cells install and arm their ticks
+        world.loop.schedule_at(close_s, coordinator.crash)  # after them
+        coordinator.drive()
+        assert (0, len(fleet.roster)) in held
+        assert sub.complete and coordinator._early == {}
+
+        world2, network2, fleet2 = standing_fleet()
+        world2.loop.run_until(close_s + 10)
+        expected = Coordinator(world2, network2, address="fq-oneshot").run(
+            window.windowed_spec(spec, 0), fleet2.roster)
+        result, quiet = sub.results[0], sub.results[1]
+        assert result.outcome == quiet.outcome == "complete"
+        assert (result.value, result.field_total) \
+            == (expected.value, expected.field_total)
+        assert result.reasks == 0 and sub.settle_lag_s[0] == 0
+        assert result.messages == quiet.messages == len(fleet.roster)
 
 
 class TestTraffic:
@@ -796,3 +844,77 @@ class TestWindowFeed:
         assert set(metric(world, "fedquery.standing.feed_pulls")["labels"]) \
             <= {"index", "zonemap", "scan"}
         assert metric(world, "fedquery.standing.rows_consumed")["value"] > 0
+
+
+# -- awkward value fields ---------------------------------------------------------
+
+#: What a value field can hold across rows (``"missing"`` stands for a
+#: row without the field); the numeric aggregates skip all but the int
+#: and the float.
+AWKWARD = (7, 2.5, True, None, "12.5", "missing")
+
+
+def awkward_fleet(seed=0, n_cells=6, units=FEED_UNITS):
+    """A fleet whose ``awkward`` rows cycle through :data:`AWKWARD` in
+    their ``v`` field, each cell from its own offset, ingested in
+    event-time order one sim second before each unit's boundary."""
+    world = World(seed=seed)
+    network = Network(world)
+    fleet = build_fleet(world, network, n_cells)
+    for position, name in enumerate(fleet.roster):
+        collection = fleet.catalogs[name].collection("awkward")
+        for unit in range(units):
+            row = {"t": unit}
+            value = AWKWARD[(unit + position) % len(AWKWARD)]
+            if value != "missing":
+                row["v"] = value
+            world.loop.schedule_in(
+                (unit + 1) * FIELD_SECONDS - 1,
+                partial(collection.insert, f"a{unit}", row),
+                label=f"awkward ingest {name} u{unit}")
+    return world, network, fleet
+
+
+class TestAwkwardValueFields:
+    """A standing window runs the store's own aggregate: over a value
+    field holding ints, floats, bools, nulls, numeric strings and
+    absent fields it settles to exactly the one-shot windowed query."""
+
+    def test_sum_and_count_pinned_to_oneshot(self):
+        specs = [energy_spec(recipient=f"u-{aggregate}",
+                             collection="awkward", value_field="v",
+                             aggregate=aggregate)
+                 for aggregate in ("sum", "count")]
+        clauses = [window_clause(windows=4),
+                   window_clause(windows=10, slide_s=300)]
+        tenants = [(spec, clause) for spec in specs for clause in clauses]
+        world, network, fleet = awkward_fleet()
+        coordinator = StandingCoordinator(world, network)
+        subs = [coordinator.subscribe(spec, fleet.roster, clause)
+                for spec, clause in tenants]
+        coordinator.drive()
+
+        world2, network2, fleet2 = awkward_fleet()
+        world2.loop.run_until(FEED_UNITS * FIELD_SECONDS + 10)
+        oneshot = Coordinator(world2, network2, address="fq-oneshot")
+        units_per_window = WIDTH_S // FIELD_SECONDS
+        for sub, (spec, clause) in zip(subs, tenants):
+            assert sub.complete
+            for index in range(clause.windows):
+                expected = oneshot.run(
+                    clause.windowed_spec(spec, index), fleet2.roster)
+                standing = sub.results[index]
+                assert standing.outcome == expected.outcome == "complete"
+                assert (standing.value, standing.field_total) \
+                    == (expected.value, expected.field_total)
+                # and both skip what is not an int or a float
+                low, high = clause.window_bounds(index)
+                cells = [[AWKWARD[(unit + position) % len(AWKWARD)]
+                          for unit in range(low, high + 1)]
+                         for position in range(len(fleet.roster))]
+                if spec.aggregate == "count":
+                    truth = len(fleet.roster) * units_per_window
+                else:
+                    truth = sum(value for values in cells for value in values
+                                if type(value) in (int, float))
+                assert standing.value == pytest.approx(truth, abs=1e-9)

@@ -20,7 +20,6 @@ from repro.streams import (
     StreamPipeline,
     ThresholdEvents,
     Transform,
-    WindowAggregate,
     WindowMean,
 )
 
@@ -211,68 +210,6 @@ class TestStoreAndForward:
         queue.offer(Sample(1, 2.0))
         assert queue.stats.forwarded == 2
         assert queue.stats.buffered == 1
-
-
-class TestWindowAggregate:
-    def test_tumbling_sum(self):
-        out = StreamPipeline([WindowAggregate(3)]).process(
-            samples([1, 2, 3, 4, 5, 6])
-        )
-        assert [(s.timestamp, s.value) for s in out] == [(0, 6.0), (3, 15.0)]
-
-    def test_count_and_mean(self):
-        stream = samples([2, 4, 6, 8])
-        count = StreamPipeline([WindowAggregate(2, aggregate="count")])
-        mean = StreamPipeline([WindowAggregate(2, aggregate="mean")])
-        assert [s.value for s in count.process(stream)] == [2.0, 2.0]
-        assert [s.value for s in mean.process(stream)] == [3.0, 7.0]
-
-    def test_sliding_windows_overlap(self):
-        operator = WindowAggregate(4, slide=2)
-        out = StreamPipeline([operator]).process(samples([1, 1, 1, 1, 1, 1]))
-        # windows [0,4) [2,6) [4,8): the first two close, flush emits
-        # the rest
-        assert [(s.timestamp, s.value) for s in out] == [
-            (0, 4.0), (2, 4.0), (4, 2.0),
-        ]
-
-    def test_close_until_emits_boundary_windows(self):
-        operator = WindowAggregate(3)
-        pipeline = StreamPipeline([operator])
-        assert pipeline.push(Sample(0, 5.0)) == []
-        assert pipeline.close_until(2) == []  # window [0,3) still open
-        assert pipeline.close_until(3) == [Sample(0, 5.0)]
-        assert pipeline.close_until(3) == []  # idempotent
-
-    def test_empty_windows_emit_nothing(self):
-        operator = WindowAggregate(2)
-        pipeline = StreamPipeline([operator])
-        pipeline.push(Sample(0, 1.0))
-        pipeline.push(Sample(7, 1.0))  # skips windows [2,4) and [4,6)
-        assert pipeline.close_until(8) == [Sample(6, 1.0)]
-
-    def test_late_sample_for_closed_window_ignored(self):
-        pipeline = StreamPipeline([WindowAggregate(2)])
-        pipeline.push(Sample(0, 1.0))
-        assert pipeline.close_until(2) == [Sample(0, 1.0)]
-        pipeline.push(Sample(1, 99.0))  # its window already closed
-        assert pipeline.close_until(4) == []
-
-    def test_origin_offsets_windows(self):
-        operator = WindowAggregate(2, origin=10)
-        pipeline = StreamPipeline([operator])
-        pipeline.push(Sample(5, 99.0))  # before the origin: no window
-        pipeline.push(Sample(10, 1.0))
-        pipeline.push(Sample(11, 2.0))
-        assert pipeline.close_until(12) == [Sample(10, 3.0)]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WindowAggregate(0)
-        with pytest.raises(ConfigurationError):
-            WindowAggregate(2, slide=3)
-        with pytest.raises(ConfigurationError):
-            WindowAggregate(2, aggregate="median")
 
 
 class TestObsInstrumentation:
