@@ -25,10 +25,10 @@ from repro.core import TrustedCell
 from repro.crypto import KeyRing, open_sealed, seal
 from repro.fedquery import gate
 from repro.fedquery.gate import open_records, seal_records
-from repro.hardware import SMARTPHONE, FlashTimings, NandFlash
+from repro.hardware import SMART_TOKEN, SMARTPHONE, FlashTimings, NandFlash
 from repro.policy import DataEnvelope, private_policy
 from repro.sim import World
-from repro.store import Catalog, Eq, Query
+from repro.store import Aggregate, Between, Catalog, Eq, Query
 
 KEY = bytes(range(16))
 PAYLOAD = b"x" * 1024
@@ -165,6 +165,43 @@ def test_hash_join_500x500(benchmark):
     catalog.store.flush()
     join = JoinQuery("receipts", "visits", "person", "person")
     benchmark(execute_join, catalog, join)
+
+
+def test_warm_fleet_cell_sum_4_hours(benchmark):
+    """A fleet cell's exact query on a warm page cache: 24 hourly rows
+    and a profile row on tiny flash under a one-block cache, the last
+    3 records still in the write buffer, summing a 4-hour window."""
+    from repro.fedquery import build_fleet
+    from repro.infrastructure.network import Network
+
+    world = World(seed=1)
+    fleet = build_fleet(world, Network(world), 3)
+    catalog = fleet.catalogs[fleet.roster[0]]  # the indexed layout
+    query = Query("energy", where=Between("hour", 8, 11),
+                  aggregates=[Aggregate("sum", "watts")])
+    catalog.query(query)  # keep the rows it decodes
+    result = benchmark(catalog.query, query)
+    assert result.plan == "range:hour"
+
+
+def test_warm_sum_3600_rows(benchmark):
+    """An hour of 1 Hz meter rows, every page of it resident in the
+    page cache: the warm aggregate gathers each chunk from kept rows."""
+    from repro.workloads.energy import HouseholdSimulator
+
+    records = HouseholdSimulator(
+        random.Random(2013), sample_period=1).simulate_day(0).records()
+    page = SMART_TOKEN.flash.page_size
+    catalog = Catalog(NandFlash(SMART_TOKEN.flash, capacity_bytes=1024 * page),
+                      page_cache_bytes=128 * page)
+    meter = catalog.collection("meter")
+    meter.create_ordered_index("t")
+    meter.insert_many(records[:7200])
+    query = Query("meter", where=Between("t", 1800, 5399),
+                  aggregates=[Aggregate("sum", "w")])
+    catalog.query(query)  # keep the rows it decodes
+    result = benchmark(catalog.query, query)
+    assert result.plan == "range:t" and len(result.rows) == 1
 
 
 def _decoded_meter_chunk(count: int):

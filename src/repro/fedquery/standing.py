@@ -233,6 +233,10 @@ class StandingCoordinator(Coordinator):
         # a close's own second can re-arm the open behind the cells'
         # zero-delay partials.
         self._early: dict[str, list[tuple[str, Any]]] = {}
+        # Window tags whose open event was armed at or after their
+        # close: the cells' partials may have gone to a coordinator
+        # that was down, so the open pulls what it has not heard.
+        self._late_opens: set[str] = set()
         metrics = self.world.obs.metrics
         self._windows_metric = metrics.counter(
             "fedquery.windows", help="standing windows by terminal outcome",
@@ -319,24 +323,29 @@ class StandingCoordinator(Coordinator):
             self._window_of[window_tag(sub.tag, index)] = (sub.tag, index)
 
     def _arm_windows(self, sub: StandingSubscription) -> None:
+        now = self.world.now
         for index in range(sub.window.windows):
             wtag = window_tag(sub.tag, index)
             if index in sub.results or wtag in self._active:
                 continue
             _, end_s = sub.window.window_span_s(index)
+            if end_s <= now:
+                self._late_opens.add(wtag)
             self.world.loop.schedule_in(
-                max(0, end_s - self.world.now),
+                max(0, end_s - now),
                 lambda tag=sub.tag, i=index: self._open_window(tag, i),
                 label=f"fq window open {wtag}",
             )
 
     def _open_window(self, sub_tag: str, index: int) -> None:
+        wtag = window_tag(sub_tag, index)
+        late = wtag in self._late_opens
+        self._late_opens.discard(wtag)  # a restart arms it again
         if self._crashed:
             return
         sub = self._subscriptions.get(sub_tag)
         if sub is None or index in sub.results:
             return
-        wtag = window_tag(sub_tag, index)
         if wtag in self._active:
             return  # re-armed twice across a restart
         state = self._new_state(
@@ -346,20 +355,20 @@ class StandingCoordinator(Coordinator):
         self._admit(state)
         if self._notify_phase(state, "fanout"):
             return  # crashed opening the window; restart re-opens it
-        _, end_s = sub.window.window_span_s(index)
-        if self.world.now > end_s:
-            # Late open (the close slid past during coordinator
-            # downtime): pull the window partials instead of waiting
-            # for the collect deadline. Subscribed cells replay their
-            # cached window delta verbatim; cells that never saw the
-            # subscription compute the equivalent one-shot windowed
-            # query — the same value bit-for-bit.
-            for name in sub.roster:
-                self._ship(state, name)
         for sender, payload in self._early.pop(wtag, []):
             super()._on_message(sender, payload)
         if state.phase != "collect":
             return  # an early partial already settled the window
+        if late:
+            # Armed at or after the close (the coordinator was down
+            # across it): pull the partials not heard yet instead of
+            # waiting for the collect deadline. Subscribed cells replay
+            # their cached window delta verbatim; cells that never saw
+            # the subscription compute the equivalent one-shot windowed
+            # query — the same value bit-for-bit.
+            for name in sub.roster:
+                if not state.resolved(name):
+                    self._ship(state, name)
         self._arm_collect(state)
 
     def _route_result(self, wtag: str) -> None:

@@ -227,7 +227,8 @@ class ColumnBatch:
 
     @classmethod
     def from_records(cls, records: list[Record]) -> "ColumnBatch":
-        """A fully scalar batch (used when vectorization is off)."""
+        """A fully scalar batch whose rows are ``records`` themselves
+        (held, not copied)."""
         return cls(len(records), scalar_rows=dict(enumerate(records)))
 
     @classmethod

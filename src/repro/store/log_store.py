@@ -72,7 +72,7 @@ from .encoding import (
     lane_plan,
     lane_plan_for_batch,
 )
-from .page_cache import KeptRow, PageCache
+from .page_cache import PageCache
 from .zonemap import BlockSummary
 
 _ENTRY_INSERT = 1
@@ -121,33 +121,6 @@ def _split_members(members: tuple) -> _PageEntries:
     locations)``."""
     half = len(members) // 2
     return members[:half], members[half:]
-
-
-def _kept_rows(batch: ColumnBatch, start: int, end: int) -> list[KeptRow]:
-    """Rows ``start:end`` of a decoded batch as the page cache keeps
-    them: immutable ``(fields, values)`` pairs, fields sorted like the
-    decoders'. A columnar slice is one zip, not a dict per row."""
-    names = batch.fields
-    if names and not batch.scalar_rows:
-        return list(zip(repeat(names), zip(*(
-            batch.column(name)[start:end] for name in names))))
-    return [(tuple(row), tuple(row.values()))
-            for row in map(batch.row, range(start, end))]
-
-
-def _gathered(rows: list[KeptRow]) -> ColumnBatch:
-    """A fresh batch over kept rows: their columns when every row has
-    the same fields and there are enough of them for the vector lane to
-    pay (the bar :func:`~repro.store.encoding.decode_page` sets), dicts
-    built from them otherwise."""
-    fields = rows[0][0]
-    if len(rows) >= COLUMNAR_MIN_BATCH and all(
-            names is fields or names == fields for names, _ in rows):
-        return ColumnBatch(len(rows), fields, {
-            name: [values[at] for _, values in rows]
-            for at, name in enumerate(fields)})
-    return ColumnBatch.from_records(
-        [dict(zip(names, values)) for names, values in rows])
 
 
 # Store instruments live on the process-default scope (stores have no
@@ -414,11 +387,11 @@ class LogStructuredStore:
 
     def _read_page(
         self, page: int,
-    ) -> tuple[bytes, Mapping[int, KeptRow] | None]:
-        """``(image, kept rows)`` of a page: through the page cache when
-        there is one — a resident page is trusted RAM, verified when it
-        was loaded, and brings the rows kept from it — else ``None``
-        for the rows."""
+    ) -> tuple[bytes, Mapping[int, Record] | None]:
+        """``(image, kept records)`` of a page: through the page cache
+        when there is one — a resident page is trusted RAM, verified
+        when it was loaded, and brings the records kept from it — else
+        ``None`` for the records."""
         if self.page_cache is None:
             return self._load_page(page), None
         return self.page_cache.read(page, (
@@ -1267,12 +1240,12 @@ class LogStructuredStore:
         return batch
 
     def _gather(self, chunk) -> ColumnBatch:
-        """A chunk of resident pages: the rows kept from them are
-        gathered, the other entries go through one :meth:`_decode`, and
-        what that decoded is handed to the cache to keep. The batch
-        returned is the decoded one when nothing was kept yet, else a
-        fresh one (:func:`_gathered`)."""
-        rows: list[KeptRow | None] = []
+        """A chunk of resident pages: the records kept from them are
+        read, the other entries go through one :meth:`_decode` whose
+        rows the cache keeps, and the batch returned holds a copy of
+        every row, in log order — a kept record never leaves the
+        cache."""
+        rows: list[Record | None] = []
         todo = []  # (page, image, kept, ids, locations) still to decode
         for page, data, kept, ids, locations in chunk:
             found = [kept.get(location[1]) for location in locations]
@@ -1281,27 +1254,22 @@ class LogStructuredStore:
                 missing = [at for at, row in enumerate(found) if row is None]
                 todo.append((page, data, kept, [ids[at] for at in missing],
                              [locations[at] for at in missing]))
-        if not todo:
-            _DECODE_KEPT.inc(len(rows))
-            return _gathered(rows)
-        batch = self._decode(todo)
-        self._keep(todo, batch)
-        if batch.count == len(rows):  # nothing was kept yet
-            return batch
-        _DECODE_KEPT.inc(len(rows) - batch.count)
-        fresh = iter(_kept_rows(batch, 0, batch.count))
-        return _gathered(
-            [next(fresh) if row is None else row for row in rows])
+        decoded = self._decode(todo).rows() if todo else []
+        _DECODE_KEPT.inc(len(rows) - len(decoded))
+        if decoded:
+            self._keep(todo, decoded)
+            fresh = iter(decoded)
+            rows = [next(fresh) if row is None else row for row in rows]
+        return ColumnBatch.from_records(list(map(dict, rows)))
 
-    def _keep(self, pages, batch: ColumnBatch) -> None:
-        """Hand the page cache the rows ``batch`` decoded off resident
+    def _keep(self, pages, rows: list[Record]) -> None:
+        """Hand the page cache the ``rows`` decoded off resident
         ``pages`` (in their entries' order)."""
         position = 0
         for page, _, _, _, locations in pages:
             end = position + len(locations)
             self.page_cache.keep(page, dict(zip(
-                map(itemgetter(1), locations),
-                _kept_rows(batch, position, end))))
+                map(itemgetter(1), locations), rows[position:end])))
             position = end
 
     def __len__(self) -> int:

@@ -7,14 +7,15 @@ keeps the most recently used pages in RAM under a configurable byte
 budget, so repeated access stops paying device cost — the MILo-DB move
 the 1 Hz Linky vertical needs.
 
-An entry is a page's image plus the rows already decoded from it while
-it was resident (payload offset -> :data:`KeptRow`, immutable), so the
-next query of those entries gathers rows instead of decoding bytes.
+An entry is a page's image plus the records already decoded from it
+while it was resident (payload offset -> record): records the cache
+owns; copies go out, so the next query of those entries copies rows
+instead of decoding bytes.
 Rows are kept on the second touch only — the page must already be
 resident when it is read: the write-allocated page of a flush, or a
 page read again (the store's chunk decoder asks it of every page of a
 chunk) — so a one-pass scan keeps nothing and pays nothing for it.
-Kept rows are charged :data:`KEPT_VALUE_BYTES` per value beside the
+Kept records are charged :data:`KEPT_VALUE_BYTES` per field beside the
 page images, and the one byte bound covers both: the LRU evicts an
 image and its rows together.
 
@@ -38,14 +39,13 @@ flash device's own counters.
 from __future__ import annotations
 
 from collections import OrderedDict
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ..errors import ConfigurationError
 from ..hardware.flash import NandFlash
 from ..obs import get_default as _obs_default
-from .encoding import Value
+from .encoding import Record
 
 _OBS = _obs_default()
 _CACHE_HITS = _OBS.metrics.counter(
@@ -53,31 +53,28 @@ _CACHE_HITS = _OBS.metrics.counter(
 _CACHE_MISSES = _OBS.metrics.counter(
     "store.cache.miss", help="page reads that went to the flash device")
 
-#: RAM charged per kept value: one 64-bit slot, as a decoded column
-#: holds it. A ``str``/``bytes`` value is a slot referencing its bytes
-#: in the page image, which is resident and charged beside it.
+#: RAM charged per field of a kept record: one 64-bit slot, as a
+#: decoded column holds it. A ``str``/``bytes`` value is a slot
+#: referencing its bytes in the page image, which is resident and
+#: charged beside it.
 KEPT_VALUE_BYTES = 8
 
-#: A kept row: its sorted field names and their values, both immutable
-#: (rows decoded together share one names tuple).
-KeptRow = tuple[tuple[str, ...], tuple[Value, ...]]
-
 # what a hit on a page with nothing kept yet brings
-_NONE_KEPT: Mapping[int, KeptRow] = MappingProxyType({})
+_NONE_KEPT: Mapping[int, Record] = MappingProxyType({})
 
 
-def _rows_bytes(rows) -> int:
-    return KEPT_VALUE_BYTES * sum(map(len, map(itemgetter(1), rows)))
+def _rows_bytes(records) -> int:
+    return KEPT_VALUE_BYTES * sum(map(len, records))
 
 
 class PageCache:
-    """LRU cache of page images and their kept rows, bounded by
+    """LRU cache of page images and their kept records, bounded by
     ``capacity_bytes``.
 
-    Reads route through :meth:`read` (:meth:`read_page` for the image
-    alone); the store write-allocates freshly flushed pages via
-    :meth:`note_write`, so a query right after a flush is warm, and
-    hands the rows it decoded off a resident page to :meth:`keep`.
+    Reads route through :meth:`read`; the store write-allocates freshly
+    flushed pages via :meth:`note_write`, so a query right after a flush
+    is warm, and hands the records it decoded off a resident page to
+    :meth:`keep`.
     Block erases invalidate eagerly via the device's erase listener.
     """
 
@@ -90,7 +87,7 @@ class PageCache:
         # The LRU runs over the images; a page's kept rows (by payload
         # offset) live beside them, and only once there are some.
         self._pages: OrderedDict[int, bytes] = OrderedDict()
-        self._rows: dict[int, dict[int, KeptRow]] = {}
+        self._rows: dict[int, dict[int, Record]] = {}
         self._row_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -101,10 +98,10 @@ class PageCache:
     # -- read path ----------------------------------------------------------
 
     def read(self, page: int, load: Callable[[int], bytes],
-             ) -> tuple[bytes, Mapping[int, KeptRow] | None]:
-        """``(image, kept rows)``. A hit costs no device read and brings
-        the rows kept from the page (read-only: add to them through
-        :meth:`keep`); a miss takes the image from ``load(page)`` — the
+             ) -> tuple[bytes, Mapping[int, Record] | None]:
+        """``(image, kept records)``. A hit costs no device read and
+        brings the records kept from the page (the cache's own: read
+        them, copy what goes out, add through :meth:`keep`); a miss takes the image from ``load(page)`` — the
         device read, verified by the caller — makes it resident, and
         brings ``None``: nothing decoded off this read may be kept."""
         image = self._pages.get(page)
@@ -119,19 +116,16 @@ class PageCache:
         self._insert(page, image)
         return image, None
 
-    def read_page(self, page: int) -> bytes:
-        """The page image, from cache if resident (no device cost)."""
-        return self.read(page, self.flash.read_page)[0]
-
     def note_write(self, page: int, data: bytes) -> None:
         """Write-allocate a freshly programmed page (padded image)."""
         self._insert(page, data.ljust(self._page_size, b"\xff"))
 
-    def keep(self, page: int, rows: dict[int, KeptRow]) -> None:
-        """Keep rows decoded off resident ``page``, by payload offset.
-        Less recently used entries are evicted to make room; rows that
-        cannot fit beside their own page's image are not kept, nor are
-        the rows of a page evicted since it was read."""
+    def keep(self, page: int, rows: dict[int, Record]) -> None:
+        """Keep records decoded off resident ``page``, by payload
+        offset; the cache owns them from here on. Less recently used
+        entries are evicted to make room; records that cannot fit beside
+        their own page's image are not kept, nor are the records of a
+        page evicted since it was read."""
         if page not in self._pages:
             return
         kept = self._rows.get(page)

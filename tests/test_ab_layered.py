@@ -375,3 +375,61 @@ class TestHeap:
             "| rng.py:37 | 4.0 | 0.0 | -4.0 |",
             "| cell.py:140 | 0.0 | 2.0 | +2.0 |",
         ]
+
+
+#: A stand-in for the benchmark's ``run.py`` that counts on the real
+#: process-default registry, as a workload does, then exits through
+#: ``sys.exit`` like the runner: ``{scale}`` kept rows, twice as many
+#: columnar ones, one materialised aggregate, ``{scale}`` cache hits.
+TOY_LANES_RUN = """
+import json, sys
+sys.path[:0] = [{src!r}]
+import repro.commons, repro.store
+from repro.obs import get_default
+metrics = get_default().metrics
+metrics.get("store.decode.rows").labels(lane="kept").inc({scale})
+metrics.get("store.decode.rows").labels(lane="columnar").inc(2 * {scale})
+metrics.get("store.query.aggregate").labels(
+    lane="materialised", reason="scalar_rows").inc()
+metrics.get("store.cache.hit").inc({scale})
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {{}}}}))
+sys.exit(0)
+"""
+
+
+class TestLanes:
+    def _tree(self, root, scale):
+        root.mkdir()
+        (root / "run.py").write_text(TOY_LANES_RUN.format(
+            src=str(ROOT / "src"), scale=scale))
+        return root
+
+    def test_the_counters_are_read_at_the_runs_exit(self, tmp_path):
+        lanes = ab_layered.run_lanes(
+            self._tree(tmp_path / "parent", 7), [sys.executable, "run.py"],
+            "toy", 5, 1)
+        assert set(lanes) == set(ab_layered.LANE_COUNTERS)
+        assert lanes["store.decode.rows"]["kept"] == 7
+        assert lanes["store.decode.rows"]["columnar"] == 14
+        assert lanes["store.query.aggregate"]["materialised|scalar_rows"] == 1
+        assert lanes["store.cache.hit"] == {"": 7}
+        assert lanes["store.cache.miss"] == {"": 0}
+        assert not any(lanes["agg.mask_rows"].values())
+
+    def test_parent_beside_change_only_labels_that_counted(self, tmp_path):
+        command = [sys.executable, "run.py"]
+        parent, change = (
+            ab_layered.run_lanes(self._tree(tmp_path / side, scale),
+                                 command, "toy", 5, 1)
+            for side, scale in (("parent", 3), ("change", 5)))
+        lines = ab_layered.format_lanes("toy", parent, change).splitlines()
+        assert lines[0].startswith(
+            f"lanes: toy --trace 0 --seed {ab_layered.LAYERS_SEED}")
+        assert lines[3:] == [
+            "| store.decode.rows | columnar | 6 | 10 | +4 |",
+            "| store.decode.rows | kept | 3 | 5 | +2 |",
+            "| store.query.aggregate | materialised\\|scalar_rows | 1 | 1 "
+            "| +0 |",
+            "| store.cache.hit |  | 3 | 5 | +2 |",
+        ]

@@ -364,6 +364,35 @@ class TestCrashRecovery:
         assert result.reasks == 0 and sub.settle_lag_s[0] == 0
         assert result.messages == quiet.messages == len(fleet.roster)
 
+    def test_a_restart_in_the_close_second_pulls_the_dropped_partials(self):
+        """Down at window 0's close, the coordinator restarts in that
+        same second after the cells' close ticks, so their zero-delay
+        partials went to a dead address. The window was armed at its
+        close: it opens late and pulls them, settling within a second
+        instead of after the collect deadline."""
+        window = window_clause()
+        spec = energy_spec()
+        world, network, fleet = standing_fleet()
+        coordinator = StandingCoordinator(
+            world, network, horizon_slack_s=2000)
+        sub = coordinator.subscribe(spec, fleet.roster, window)
+        _, close_s = window.window_span_s(0)
+        world.loop.schedule_at(close_s - 100, coordinator.crash)
+        world.loop.run_until(10)  # the cells install and arm their ticks
+        world.loop.schedule_at(  # after the ticks and their deliveries
+            close_s, lambda: world.loop.schedule_in(0, coordinator.restart))
+        coordinator.drive()
+
+        world2, network2, fleet2 = standing_fleet()
+        world2.loop.run_until(close_s + 10)
+        expected = Coordinator(world2, network2, address="fq-oneshot").run(
+            window.windowed_spec(spec, 0), fleet2.roster)
+        result = sub.results[0]
+        assert sub.settle_lag_s[0] <= 1
+        assert result.outcome == "complete"
+        assert (result.value, result.field_total) \
+            == (expected.value, expected.field_total)
+
 
 class TestTraffic:
     def test_multi_tenant_mix_settles_clean(self):

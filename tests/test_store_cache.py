@@ -33,9 +33,9 @@ class TestPageCacheCore:
     def test_hit_skips_device_read(self):
         flash = seeded_flash()
         cache = PageCache(flash, 8 * TIMINGS.page_size)
-        first = cache.read_page(3)
+        first = cache.read(3, flash.read_page)[0]
         reads_after_miss = flash.reads
-        second = cache.read_page(3)
+        second = cache.read(3, flash.read_page)[0]
         assert first == second == flash._pages[3].ljust(256, b"\xff")
         assert flash.reads == reads_after_miss  # hit: no device cost
         assert cache.hits == 1 and cache.misses == 1
@@ -44,33 +44,34 @@ class TestPageCacheCore:
         flash = seeded_flash()
         cache = PageCache(flash, 4 * TIMINGS.page_size)
         for page in range(6):
-            cache.read_page(page)
+            cache.read(page, flash.read_page)
         assert len(cache) == 4
         assert cache.ram_bytes <= 4 * TIMINGS.page_size
         # 0 and 1 were least recently used: re-reading them misses
         before = flash.reads
-        cache.read_page(0)
+        cache.read(0, flash.read_page)
         assert flash.reads == before + 1
         # 5 is resident: hit
         before = flash.reads
-        cache.read_page(5)
+        cache.read(5, flash.read_page)
         assert flash.reads == before
 
     def test_erase_invalidates_cached_block(self):
         flash = seeded_flash()
         cache = PageCache(flash, 16 * TIMINGS.page_size)
-        stale = cache.read_page(0)
+        stale = cache.read(0, flash.read_page)[0]
         assert stale != b"\xff" * 256
         flash.erase_block(0)
         assert cache.invalidations > 0
-        assert cache.read_page(0) == b"\xff" * 256  # fresh, not stale
+        # fresh, not stale
+        assert cache.read(0, flash.read_page)[0] == b"\xff" * 256
 
     def test_note_write_matches_device_padding(self):
         flash = make_flash()
         cache = PageCache(flash, 4 * TIMINGS.page_size)
         flash.write_page(0, b"abc")
         cache.note_write(0, b"abc")
-        assert cache.read_page(0) == flash._pages[0]
+        assert cache.read(0, flash.read_page)[0] == flash._pages[0]
         assert cache.hits == 1  # write-allocate made the read warm
 
 

@@ -232,8 +232,8 @@ def decoded_chunk_cases(rng):
 
 class TestDecodePageNumericViews:
     """A clean numeric field leaves decode_page as the array it decoded
-    to; its view, its rows and its kept rows are what the list path
-    gives."""
+    to; its view, its rows and the records the page cache keeps of
+    them (its ``rows()``) are what the list path gives."""
 
     def test_views_and_rows_match_the_list_path(self):
         rng = random.Random(29)

@@ -545,8 +545,10 @@ class TestAggregateLaneIsCounted:
     def test_a_warm_cache_serves_kept_rows_in_the_same_lanes(self):
         """Flushed pages are resident: the first read of an entry
         decodes it and the cache keeps the row, every later read
-        gathers it (the kept lane) — into columns where decode_page
-        would have built them, as scalar rows below its bar."""
+        gathers a copy of it (the kept lane). A gathered batch is
+        scalar rows whatever its size, so every aggregate over the
+        resident pages materialises, the first included, where a read
+        from flash folds off decode_page's columns."""
         catalog = meter_catalog(True, page_cache_bytes=64 * TIMINGS.page_size)
         total = [Aggregate("sum", "w")]
         window, few = Between("t", 600, 3600), Between("t", 60, 180)
@@ -555,7 +557,7 @@ class TestAggregateLaneIsCounted:
         assert counter_labels("store.decode.rows") == {
             "columnar": 51, "scalar": 3, "kept": 51 + 3}
         assert counter_labels("store.query.aggregate") == {
-            "folded|ok": 2, "materialised|scalar_rows": 2}
+            "materialised|scalar_rows": 4}
         assert results[0].rows == results[1].rows
         assert results[2].rows == results[3].rows
 
@@ -661,3 +663,75 @@ class TestResultRowsArePrivate:
         assert meter.get("9999") == {"t": 720, "w": 2.0, "tags": "buffered"}
         assert all(a is not b for a, b in
                    zip(catalog.query(query).rows, catalog.query(query).rows))
+
+
+SMALL_PAGES = FlashTimings(
+    page_size=512, pages_per_block=8,
+    read_page_us=25.0, write_page_us=250.0, erase_block_us=1500.0,
+)
+METER_ROWS = st.fixed_dictionaries(
+    {"t": st.integers(0, 400), "w": st.floats(-50, 50, allow_nan=False),
+     "tags": st.sampled_from(["a", "b"])},
+    optional={"on": st.booleans()})  # a second schema: scalar rows
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("insert"), st.lists(METER_ROWS, min_size=1,
+                                          max_size=30)),
+    st.just(("flush",)),
+    st.tuples(st.just("t"), st.integers(0, 400), st.integers(0, 400)),
+    st.tuples(st.just("w"), st.floats(-50, 50), st.floats(-50, 50)),
+    st.tuples(st.just("tags"), st.sampled_from(["a", "b"])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ops=st.lists(CACHE_OPS, min_size=5, max_size=40))
+def test_half_kept_chunks_hand_out_private_rows_in_twin_order(ops):
+    """A cached catalog against an uncached twin under random inserts,
+    flushes and ranged or indexed queries. A narrow query keeps part of
+    a resident page's rows, so a wider one later gathers a chunk whose
+    entries are partly kept and partly decoded now: every result equals
+    the twin's, in the same order, and no row object is shared between
+    two results or with the cache (mutating one reaches neither)."""
+    catalogs = []
+    for cache_bytes in (6 * SMALL_PAGES.page_size, None):
+        catalog = Catalog(NandFlash(
+            SMALL_PAGES, capacity_bytes=256 * SMALL_PAGES.page_size),
+            page_cache_bytes=cache_bytes)
+        meter = catalog.collection("m")
+        meter.create_ordered_index("t")
+        meter.create_hash_index("tags")
+        catalogs.append(catalog)
+    cached, twin = catalogs
+    cache = cached.store.page_cache
+    inserted, previous = 0, []
+    for kind, *args in ops:
+        if kind == "insert":
+            items = [(f"{inserted + at:04d}", row)
+                     for at, row in enumerate(args[0])]
+            inserted += len(items)
+            for catalog in catalogs:
+                catalog.collection("m").insert_many(
+                    (record_id, dict(row)) for record_id, row in items)
+            continue
+        if kind == "flush":
+            for catalog in catalogs:
+                catalog.store.flush()
+            continue
+        where = Eq("tags", args[0]) if kind == "tags" \
+            else Between(kind, min(args), max(args))
+        result, expected = (catalog.query(Query("m", where=where))
+                            for catalog in catalogs)
+        assert result.plan == expected.plan
+        assert result.rows == expected.rows
+        kept = {id(record) for records in cache._rows.values()
+                for record in records.values()}
+        handed = set(map(id, result.rows))
+        assert len(handed) == len(result.rows)
+        assert handed.isdisjoint(kept)
+        assert handed.isdisjoint(map(id, previous))
+        held = cache_contents(cache)
+        for row in result.rows:
+            row.clear()
+            row["mutated"] = True
+        assert cache_contents(cache) == held
+        previous = result.rows  # alive, so no id is reused

@@ -43,6 +43,15 @@ timed one: the census says *where* the memory is, the timed pairs'
 ``peak_rss_mb`` says how much. It never changes the exit status
 either.
 
+``--lanes`` adds the "did the traffic take the lane we think" table:
+one more ``--trace 0`` run per side and workload at ``LAYERS_SEED``
+that, at exit, reads the process-default lane counters
+(``LANE_COUNTERS``: decode lanes, aggregate lanes and why, ingest
+lanes and why, mask-row sources, page-cache hits and misses) and
+prints every label's count, parent beside change. No host clock feeds
+them: two runs of one side at one seed repeat each count. It never
+changes the exit status.
+
 The benchmark is only ever *run*: nothing under ``benchmarks/layered``
 is imported or edited, and the bounds are read from the change
 checkout's ``BENCHMARK.json``.
@@ -132,6 +141,37 @@ finally:
 """
 
 
+#: The process-default counters ``--lanes`` reads: which lane a store
+#: read, aggregate, ingest chunk and mask row took, and why.
+LANE_COUNTERS = (
+    "store.decode.rows", "store.query.aggregate", "store.ingest.chunks",
+    "agg.mask_rows", "store.cache.hit", "store.cache.miss",
+)
+
+#: Runs the benchmark's script (``argv[3:]``) and at its exit writes
+#: the process-default counters named in ``argv[2]`` (comma-separated)
+#: to ``argv[1]``: ``{name: {label: count}}``, labels keyed as the
+#: registry's snapshot keys them, an unlabelled counter's count under
+#: ``""``.
+LANES_PROBE = """
+import json, runpy, sys
+out, names, script = sys.argv[1], sys.argv[2].split(","), sys.argv[3]
+sys.argv = sys.argv[3:]
+try:
+    runpy.run_path(script, run_name="__main__")
+finally:
+    from repro.obs import get_default
+    counts = {}
+    for name in names:
+        counter = get_default().metrics.get(name)
+        if counter is not None:
+            snapshot = counter.snapshot()
+            counts[name] = snapshot.get("labels") or {"": snapshot["value"]}
+    with open(out, "w") as handle:
+        json.dump(counts, handle)
+"""
+
+
 # -- running -----------------------------------------------------------------
 
 
@@ -201,16 +241,33 @@ def run_pairs(parent: pathlib.Path, change: pathlib.Path,
     return results
 
 
+def run_probe(tree: pathlib.Path, command: list[str], probe: str,
+              probe_args: list[str], workload: str, seed: int,
+              seconds: float) -> Any:
+    """One benchmark run in ``tree`` under ``probe`` (a program that
+    takes its output path, then ``probe_args``, then the benchmark's
+    script and arguments); what the probe wrote, parsed."""
+    with tempfile.TemporaryDirectory(prefix="ab_probe_") as scratch:
+        out = pathlib.Path(scratch) / "probe.json"
+        run_once(tree, [command[0], "-c", probe, str(out), *probe_args,
+                        *command[1:]], workload, seed, seconds)
+        return json.loads(out.read_text())
+
+
 def run_heap(tree: pathlib.Path, command: list[str], workload: str,
              seed: int, seconds: float) -> dict[str, dict[str, int]]:
     """One benchmark run in ``tree`` under :data:`HEAP_PROBE`; the
     bytes still allocated at the workload's exit, per source file
     (``"files"``) and per source line (``"lines"``)."""
-    with tempfile.TemporaryDirectory(prefix="ab_heap_") as scratch:
-        out = pathlib.Path(scratch) / "heap.json"
-        run_once(tree, [command[0], "-c", HEAP_PROBE, str(out), *command[1:]],
-                 workload, seed, seconds)
-        return json.loads(out.read_text())
+    return run_probe(tree, command, HEAP_PROBE, [], workload, seed, seconds)
+
+
+def run_lanes(tree: pathlib.Path, command: list[str], workload: str,
+              seed: int, seconds: float) -> dict[str, dict[str, float]]:
+    """One benchmark run in ``tree`` under :data:`LANES_PROBE`: each of
+    :data:`LANE_COUNTERS` by label at the run's exit."""
+    return run_probe(tree, command, LANES_PROBE, [",".join(LANE_COUNTERS)],
+                     workload, seed, seconds)
 
 
 # -- summarising -------------------------------------------------------------
@@ -401,6 +458,27 @@ def format_heap(workload: str, parent: dict[str, dict[str, int]],
     ])
 
 
+def format_lanes(workload: str, parent: dict[str, dict[str, float]],
+                 change: dict[str, dict[str, float]]) -> str:
+    """Every label of :data:`LANE_COUNTERS` that counted on either
+    side: parent beside change."""
+    lines = [
+        f"lanes: {workload} --trace 0 --seed {LAYERS_SEED}, process-default "
+        "counters at exit",
+        "| counter | label | parent | change | change - parent |",
+        "|---|---|---|---|---|",
+    ]
+    for name in LANE_COUNTERS:
+        before, after = parent.get(name, {}), change.get(name, {})
+        for label in sorted(set(before) | set(after)):
+            old, new = before.get(label, 0), after.get(label, 0)
+            if old or new:
+                cell = label.replace("|", "\\|")  # label keys join with |
+                lines.append(f"| {name} | {cell} | {old:.15g} | {new:.15g} "
+                             f"| {new - old:+.15g} |")
+    return "\n".join(lines)
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -423,6 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--heap", action="store_true",
                         help="then one tracemalloc run per side: MB "
                              "allocated by source file at workload exit")
+    parser.add_argument("--lanes", action="store_true",
+                        help="then one more run per side: the store and "
+                             "mask lane counters at exit")
     args = parser.parse_args(argv)
     with checkout(args.parent) as parent, checkout(args.change) as change:
         benchmark = json.loads((change / "BENCHMARK.json").read_text())
@@ -446,16 +527,24 @@ def main(argv: list[str] | None = None) -> int:
                        for tree in (parent, change)]
             for workload in (workloads if args.heap else [])
         }
+        lanes = {
+            workload: [run_lanes(tree, benchmark["command"], workload,
+                                 LAYERS_SEED, benchmark["run_seconds"])
+                       for tree in (parent, change)]
+            for workload in (workloads if args.lanes else [])
+        }
     rows = summarise(results, benchmark)
     if args.out:
         pathlib.Path(args.out).write_text(json.dumps(
             {"results": results, "rows": rows, "layers": layers,
-             "heaps": heaps}, indent=1))
+             "heaps": heaps, "lanes": lanes}, indent=1))
     print(format_table(rows))
     for workload, differing in layers.items():
         print(format_layers(workload, differing))
     for workload, sides in heaps.items():
         print(format_heap(workload, *sides))
+    for workload, sides in lanes.items():
+        print(format_lanes(workload, *sides))
     problems = flags(rows) + failures(results)
     for line in problems:
         print("FLAG", line)
