@@ -739,10 +739,92 @@ def _int_column_values(matrix, offset: int, length: int):
     return values
 
 
-def decode_page(payloads: list[bytes], *,
+class ChunkPayloads:
+    """A chunk's record payloads, in order, as segments: a list of
+    payload ``bytes``, or a 2-D ``uint8`` array whose rows are payloads
+    of one length (a run of like frames read off the page images in one
+    strided view). ``len()`` counts payloads, so :func:`decode_page`
+    groups and counts them as it would the same payloads listed one by
+    one."""
+
+    __slots__ = ("segments", "count")
+
+    def __init__(self, segments: list) -> None:
+        self.segments = segments
+        self.count = sum(map(len, segments))
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _payload_bytes(parts):
+    """Each payload of ``parts`` (payload lists and row arrays) as
+    ``bytes``, in order."""
+    for part in parts:
+        if isinstance(part, _np.ndarray):
+            yield from map(_np.ndarray.tobytes, part)
+        else:
+            yield from part
+
+
+def _length_groups(segments) -> dict[int, tuple[object, list]]:
+    """``{length: (indexes, parts)}`` over a chunk's segments: the
+    payload indexes of each length, ascending, and the parts holding
+    those payloads in the same order (payload lists and row arrays)."""
+    groups: dict[int, tuple[list, list]] = {}
+    start = 0
+    for segment in segments:
+        size = len(segment)
+        if not size:
+            continue
+        if isinstance(segment, _np.ndarray):
+            by_length = {segment.shape[1]: (None, segment)}
+        else:
+            lengths = list(map(len, segment))
+            if lengths.count(lengths[0]) == size:  # one layout: the usual
+                by_length = {lengths[0]: (None, segment)}
+            else:
+                local: dict[int, list[int]] = {}
+                for index, length in enumerate(lengths):
+                    local.setdefault(length, []).append(index)
+                by_length = {
+                    length: (at, list(map(segment.__getitem__, at)))
+                    for length, at in local.items()}
+        for length, (at, part) in by_length.items():
+            indexes, parts = groups.setdefault(length, ([], []))
+            indexes.append(_np.arange(start, start + size) if at is None
+                           else _np.asarray(at) + start)
+            parts.append(part)
+        start += size
+    return {
+        length: (indexes[0] if len(indexes) == 1
+                 else _np.concatenate(indexes), parts)
+        for length, (indexes, parts) in groups.items()}
+
+
+def _row_matrix(parts, length: int):
+    """The ``(rows, length)`` byte matrix of a length group's parts."""
+    blocks = [
+        part if isinstance(part, _np.ndarray)
+        else _np.frombuffer(b"".join(part), dtype=_np.uint8).reshape(
+            len(part), length)
+        for part in parts]
+    return blocks[0] if len(blocks) == 1 else _np.concatenate(blocks)
+
+
+def _value_slices(matrix, offset: int, length: int) -> list[bytes]:
+    """``matrix[:, offset:offset+length]`` as one ``bytes`` per row."""
+    if not length:
+        return [b""] * len(matrix)
+    blob = matrix[:, offset : offset + length].tobytes()
+    return [blob[at : at + length] for at in range(0, len(blob), length)]
+
+
+def decode_page(payloads: list[bytes] | ChunkPayloads, *,
                 context: str | None = None) -> ColumnBatch:
-    """Batch :func:`decode_record` over one page's (or chunk's) payload
-    slices.
+    """Batch :func:`decode_record` over one page's (or chunk's) payloads:
+    a list of payload slices, or a :class:`ChunkPayloads` whose runs of
+    like frames arrive as row arrays.
 
     Payloads are grouped by length; each group is decoded against its
     first payload's layout after verifying every skeleton byte (field
@@ -757,18 +839,13 @@ def decode_page(payloads: list[bytes], *,
     records compare equal to per-record :func:`decode_record`, errors
     included.
     """
+    segments = (payloads.segments if isinstance(payloads, ChunkPayloads)
+                else [payloads])
     count = len(payloads)
     if count < COLUMNAR_MIN_BATCH:
-        return ColumnBatch.from_records(
-            [decode_record(p, context=context) for p in payloads]
-        )
-    lengths = list(map(len, payloads))
-    by_length: dict[int, object] = {}
-    if lengths.count(lengths[0]) == count:  # one layout: the usual chunk
-        by_length[lengths[0]] = _np.arange(count)
-    else:
-        for index, length in enumerate(lengths):
-            by_length.setdefault(length, []).append(index)
+        return ColumnBatch.from_records([
+            decode_record(p, context=context)
+            for p in _payload_bytes(segments)])
 
     fields: tuple[str, ...] | None = None
     columns: dict[str, list] = {}  # fields some clean group holds non-numeric
@@ -776,28 +853,24 @@ def decode_page(payloads: list[bytes], *,
     numeric: dict[str, list[tuple[str, object, object]]] = {}
     scalar_rows: dict[int, Record] = {}
 
-    def decode_scalar(indexes) -> None:
-        for index in indexes.tolist():
-            scalar_rows[index] = decode_record(payloads[index], context=context)
+    def decode_scalar(indexes, rows) -> None:
+        for index, payload in zip(indexes.tolist(), rows):
+            scalar_rows[index] = decode_record(payload, context=context)
 
-    for length, group in by_length.items():
-        indexes = _np.asarray(group)
+    for length, (indexes, parts) in _length_groups(segments).items():
         if len(indexes) < COLUMNAR_MIN_BATCH:
-            decode_scalar(indexes)
+            decode_scalar(indexes, _payload_bytes(parts))
             continue
-        template = payloads[indexes[0]]
+        template = next(_payload_bytes(parts[:1]))
         first_record = decode_record(template, context=context)
         layout = _template_layout(template, first_record)
         group_fields = tuple(sorted(first_record))
         if layout is None or (fields is not None and group_fields != fields):
-            decode_scalar(indexes)
+            decode_scalar(indexes, _payload_bytes(parts))
             continue
         if fields is None:
             fields = group_fields
-        matrix = _np.frombuffer(b"".join(
-            payloads if len(by_length) == 1
-            else map(payloads.__getitem__, group)
-        ), dtype=_np.uint8).reshape(len(indexes), length)
+        matrix = _row_matrix(parts, length)
         template_arr = _np.frombuffer(template, dtype=_np.uint8)
         value_mask = _np.zeros(length, dtype=bool)
         for _name, kind, offset, value_len in layout:
@@ -806,7 +879,7 @@ def decode_page(payloads: list[bytes], *,
         skeleton = _np.flatnonzero(~value_mask)
         ok = (matrix[:, skeleton] == template_arr[skeleton]).all(axis=1)
         if not ok.all():
-            decode_scalar(indexes[~ok])
+            decode_scalar(indexes[~ok], _payload_bytes([matrix[~ok]]))
             if not ok.any():
                 continue
             matrix = matrix[ok]
@@ -828,21 +901,18 @@ def decode_page(payloads: list[bytes], *,
                 value = first_record[name]
                 for index in indexes.tolist():
                     column[index] = value
-            elif kind == "s":
+                continue
+            values = _value_slices(matrix, offset, value_len)
+            if kind == "s":
                 try:
-                    for index in indexes.tolist():
-                        payload = payloads[index]
-                        column[index] = payload[
-                            offset : offset + value_len].decode()
+                    values = [value.decode() for value in values]
                 except UnicodeDecodeError as exc:
                     raise StorageError(
                         "corrupted text in record encoding"
                         + (f" [{context}]" if context else "")
                     ) from exc
-            else:
-                for index in indexes.tolist():
-                    payload = payloads[index]
-                    column[index] = payload[offset : offset + value_len]
+            for index, value in zip(indexes.tolist(), values):
+                column[index] = value
     if fields is None or len(scalar_rows) == count:
         return ColumnBatch(count, scalar_rows=scalar_rows)
     # A field every clean group decoded as one numeric kind stays the

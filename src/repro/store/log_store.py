@@ -46,11 +46,15 @@ reboot replays only the pages written since the last of them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter, ne
+from functools import lru_cache
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import eq, itemgetter, le, mul, ne
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as _np
 
 from ..errors import (
     CapacityError,
@@ -62,6 +66,7 @@ from ..hardware.flash import NandFlash
 from ..obs import get_default as _obs_default
 from .encoding import (
     COLUMNAR_MIN_BATCH,
+    ChunkPayloads,
     ColumnBatch,
     Record,
     Value,
@@ -77,6 +82,20 @@ from .zonemap import BlockSummary
 
 _ENTRY_INSERT = 1
 _ENTRY_DELETE = 2
+#: A data page's header: its sequence number.
+_PAGE_HEADER_BYTES = 8
+#: A log frame's bytes besides its id and payload: kind (1), id length
+#: (2) and payload length (2).
+_FRAME_FIXED_BYTES = 5
+# fields of a directory location (page, offset, length) and of a walked
+# page (page, image, kept, ids, locations)
+_OFFSET, _LENGTH = itemgetter(1), itemgetter(2)
+_PAGE, _IMAGE, _LOCATIONS = itemgetter(0), itemgetter(1), itemgetter(4)
+_LAST = itemgetter(-1)
+#: Entries below which a chunk, or a run of like pages in it, is sliced
+#: record by record: one strided view costs a dozen numpy calls, which
+#: slicing this many payloads costs too.
+STRIDED_MIN_ROWS = 64
 
 
 class _BatchRows:
@@ -154,6 +173,191 @@ _DECODE_ROWS = _OBS.metrics.counter(
 _DECODE_SCALAR = _DECODE_ROWS.labels(lane="scalar")
 _DECODE_COLUMNAR = _DECODE_ROWS.labels(lane="columnar")
 _DECODE_KEPT = _DECODE_ROWS.labels(lane="kept")
+_DECODE_PAGES = _OBS.metrics.counter(
+    "store.decode.pages", labelnames=("gather", "reason"),
+    help="pages the chunk decoder read payloads off, by how: strided (ok: "
+         "a run of like pages in one strided view) or sliced, one slice "
+         "per entry, and why (small_chunk|small_run|partial_page|"
+         "mixed_lengths|header_mismatch)")
+_PAGES_STRIDED = _DECODE_PAGES.labels(gather="strided", reason="ok")
+_PAGES_SLICED = {
+    reason: _DECODE_PAGES.labels(gather="sliced", reason=reason)
+    for reason in ("small_chunk", "small_run", "partial_page",
+                   "mixed_lengths", "header_mismatch")}
+
+
+# -- the chunk decoder's page gather -------------------------------------------
+
+
+def _slices(pages) -> list[bytes]:
+    """The payloads of walked ``pages``' entries, one slice each."""
+    return [data[offset : offset + length]
+            for _, data, _, _, locations in pages
+            for _, offset, length in locations]
+
+
+def _payloads(pages, members) -> list[bytes] | ChunkPayloads:
+    """The payloads of walked ``pages``' entries, in log order, for
+    :func:`encoding.decode_page`: each run of consecutive like pages of
+    one shape (:func:`_like_shape`) holding at least
+    :data:`STRIDED_MIN_ROWS` entries as one strided view of its joined
+    images, any other page sliced record by record — and, when no run
+    is, the plain list of slices.
+
+    Only a page whose entries are all of its live entries (``members``,
+    the store's page members) can be like: that is one length compare a
+    page, for the whole chunk at once. Each stretch of such pages is
+    then proven like in one pass; only a stretch that fails it is
+    looked at page by page."""
+    if sum(map(len, map(_LOCATIONS, pages))) < STRIDED_MIN_ROWS:
+        _PAGES_SLICED["small_chunk"].inc(len(pages))
+        return _slices(pages)
+    whole = map(eq, map(len, map(members.get, map(_PAGE, pages), repeat(()))),
+                map(mul, map(len, map(_LOCATIONS, pages)), repeat(2)))
+    segments: list = []  # in log order: row arrays, lists of slices
+    sliced: list[bytes] = []  # payloads sliced since the last view
+    reasons: dict[str, int] = {}
+
+    def gather(run, shape) -> None:
+        nonlocal sliced
+        if sum(map(len, map(_LOCATIONS, run))) < STRIDED_MIN_ROWS:
+            reasons["small_run"] = reasons.get("small_run", 0) + len(run)
+            sliced += _slices(run)
+            return
+        if sliced:
+            segments.append(sliced)
+            sliced = []
+        segments.extend(_strided_rows(run, shape))
+
+    for is_whole, stretch in groupby(zip(whole, pages), key=itemgetter(0)):
+        stretch = list(map(itemgetter(1), stretch))
+        if not is_whole:  # an entry superseded, deleted or not asked for
+            reasons["partial_page"] = (
+                reasons.get("partial_page", 0) + len(stretch))
+            sliced += _slices(stretch)
+            continue
+        shape = _like_shape(stretch)
+        if shape is not None:
+            gather(stretch, shape)
+            continue
+        run: list = []  # page by page: runs of one shape
+        for entry in stretch:
+            page_shape = _like_shape((entry,))
+            if page_shape is not None and page_shape == shape:
+                run.append(entry)
+                continue
+            if run:
+                gather(run, shape)
+            run, shape = [entry], page_shape
+            if page_shape is not None:
+                continue
+            run = []
+            lengths = list(map(_LENGTH, entry[4]))
+            reason = ("mixed_lengths" if lengths.count(lengths[0])
+                      != len(lengths) else "partial_page")
+            reasons[reason] = reasons.get(reason, 0) + 1
+            sliced += _slices((entry,))
+        if run:
+            gather(run, shape)
+    for reason, count in reasons.items():
+        _PAGES_SLICED[reason].inc(count)
+    if not segments:
+        return sliced
+    if sliced:
+        segments.append(sliced)
+    return ChunkPayloads(segments)
+
+
+def _like_shape(pages):
+    """``(first offset, payload length, image size)`` when every one of
+    walked ``pages`` — each holding all of its page's live entries — is
+    like in that one shape, else ``None``.
+
+    A page is like when its entries' offsets run ``first + i · stride``,
+    with ``stride`` the first offset past the page header plus the
+    payload length (the frames, back to back from the page's first one),
+    its last entry has the first one's length and its frames fit its
+    image. All pages are checked at once, with C-level ``map`` and
+    ``==`` over the directory's own location tuples against one cached
+    tuple of offsets per entry count: no Python loop over pages or
+    entries. What the frames say — each page's first frame is the first
+    entry's, every frame an insert of that id length and payload length
+    — :func:`_strided_rows` checks."""
+    location_lists = list(map(_LOCATIONS, pages))
+    _, offset, length = location_lists[0][0]
+    stride = offset - _PAGE_HEADER_BYTES + length
+    counts = list(map(len, location_lists))
+    size = len(pages[0][1])
+    if (offset - _PAGE_HEADER_BYTES < _FRAME_FIXED_BYTES
+            or _PAGE_HEADER_BYTES + max(counts) * stride > size
+            or list(map(len, map(_IMAGE, pages))).count(size) != len(pages)
+            or list(map(_LENGTH, map(_LAST, location_lists))).count(length)
+            != len(pages)
+            or list(map(tuple, map(map, repeat(_OFFSET), location_lists)))
+            != list(map(_strided_offsets, repeat(offset), repeat(stride),
+                        counts))):
+        return None
+    return offset, length, size
+
+
+@lru_cache(maxsize=1024)
+def _strided_offsets(first: int, stride: int, count: int) -> tuple[int, ...]:
+    """``(first, first + stride, …)``, ``count`` of them: where the
+    payloads of a page of like frames sit (a page's shape, not its
+    number, so one tuple serves every page of that shape)."""
+    return tuple(range(first, first + count * stride, stride))
+
+
+@lru_cache(maxsize=256)
+def _frame_header(id_length: int, length: int):
+    """The header bytes every frame of a like page repeats (kind, id
+    length, payload length) as a read-only ``uint8`` array."""
+    return _np.frombuffer(bytes([_ENTRY_INSERT, id_length >> 8,
+                                 id_length & 0xFF, length >> 8,
+                                 length & 0xFF]), dtype=_np.uint8)
+
+
+def _strided_rows(run, shape) -> list:
+    """The payload rows of a ``run`` of like pages (walked entries) as
+    segments for :class:`~repro.store.encoding.ChunkPayloads`: one
+    strided view of their joined images (each page's live frames as
+    rows), every row's frame header checked in numpy — an insert of the
+    id length and payload length the shape implies, so each page's first
+    frame is its first entry's. A page whose headers do not all match is
+    sliced instead."""
+    offset, length, size = shape
+    header = offset - _PAGE_HEADER_BYTES
+    stride = header + length
+    counts = list(map(len, map(_LOCATIONS, run)))
+    most = max(counts)
+    frames = _np.frombuffer(
+        b"".join(map(_IMAGE, run)), dtype=_np.uint8,
+    ).reshape(len(run), size)[
+        :, _PAGE_HEADER_BYTES : _PAGE_HEADER_BYTES + most * stride,
+    ].reshape(len(run), most, stride)
+    if counts.count(most) == len(run):
+        frames = frames.reshape(len(run) * most, stride)
+    else:  # each page's live frames, page by page
+        frames = frames[_np.arange(most) < _np.array(counts)[:, None]]
+    matches = (frames[:, [0, 1, 2, header - 2, header - 1]]
+               == _frame_header(header - _FRAME_FIXED_BYTES, length)).all(
+                   axis=1)
+    if matches.all():
+        _PAGES_STRIDED.inc(len(run))
+        return [frames[:, header:]]
+    segments = []
+    starts = [0, *accumulate(counts[:-1])]
+    for entry, match, start, count in zip(
+            run, _np.logical_and.reduceat(matches, starts).tolist(), starts,
+            counts):
+        if match:
+            _PAGES_STRIDED.inc()
+            segments.append(frames[start : start + count, header:])
+        else:
+            _PAGES_SLICED["header_mismatch"].inc()
+            segments.append(_slices((entry,)))
+    return segments
+
 
 _CKPT_MAGIC = b"\xc4\x4b"
 _CKPT_HEADER_BYTES = 16  # magic(2) + id(8) + chunk(2) + total(2) + length(2)
@@ -414,7 +618,7 @@ class LogStructuredStore:
 
     # -- the write path ---------------------------------------------------------
 
-    _PAGE_HEADER_BYTES = 8
+    _PAGE_HEADER_BYTES = _PAGE_HEADER_BYTES
 
     def _note_page(self, page: int, page_data: bytes,
                    sequence: int) -> BlockSummary:
@@ -1013,20 +1217,24 @@ class LogStructuredStore:
         buffered = self._buffered
         by_page: dict[int, _PageEntries] = {}
         for page, members in self._page_members.items():
-            if page // pages_per_block in rejected:
+            if rejected and page // pages_per_block in rejected:
                 continue
-            ids, locations = _split_members(members)
+            half = len(members) // 2  # _split_members, inline: every page
+            ids, locations = members[:half], members[half:]
             if buffered and not buffered.keys().isdisjoint(ids):
                 ids = [record_id for record_id in ids
                        if record_id not in buffered]
                 if not ids:
                     continue
                 locations = list(map(self._directory.get, ids))
-            if prefix is not None:
+            # Ids under a prefix form one interval of the string order:
+            # when the least and the greatest start with it, all do.
+            if prefix is not None and not (
+                    min(ids).startswith(prefix)
+                    and max(ids).startswith(prefix)):
                 wanted = list(map(str.startswith, ids, repeat(prefix)))
-                if not all(wanted):
-                    ids = list(compress(ids, wanted))
-                    locations = list(compress(locations, wanted))
+                ids = list(compress(ids, wanted))
+                locations = list(compress(locations, wanted))
             by_page[page] = ids, locations
         return by_page
 
@@ -1081,27 +1289,27 @@ class LogStructuredStore:
         scalar batch. An unknown (or deleted-in-buffer) id raises
         :class:`NotFoundError` before any page is read.
         """
-        buffered = self._buffered
-        directory = self._directory
-        by_page: dict[int, _PageEntries] = {}
+        ids = list(record_ids)
         tail: list[tuple[str, Record]] = []
-        for record_id in record_ids:
-            if record_id in buffered:
-                tail.append((record_id, self.get(record_id)))
-                continue
-            location = directory.get(record_id)
-            if location is None:
-                raise NotFoundError(f"no record {record_id!r}")
-            entries = by_page.get(location[0])
-            if entries is None:
-                entries = by_page[location[0]] = ([], [])
-            entries[0].append(record_id)
-            entries[1].append(location)
-        for ids, locations in by_page.values():
-            if locations != sorted(locations):  # into log order
-                pairs = sorted(zip(locations, ids))
-                locations[:] = map(itemgetter(0), pairs)
-                ids[:] = map(itemgetter(1), pairs)
+        buffered = self._buffered
+        if buffered and not buffered.keys().isdisjoint(ids):
+            tail = [(record_id, self.get(record_id))
+                    for record_id in ids if record_id in buffered]
+            ids = [record_id for record_id in ids if record_id not in buffered]
+        locations = list(map(self._directory.get, ids))
+        if None in locations:
+            raise NotFoundError(f"no record {ids[locations.index(None)]!r}")
+        if not all(map(le, locations, islice(locations, 1, None))):
+            order = sorted(range(len(ids)), key=locations.__getitem__)
+            ids = list(map(ids.__getitem__, order))  # into log order
+            locations = list(map(locations.__getitem__, order))
+        by_page: dict[int, _PageEntries] = {}
+        start = 0
+        while start < len(locations):  # one slice per page run
+            page = locations[start][0]
+            end = bisect_left(locations, (page + 1,), start)
+            by_page[page] = ids[start:end], locations[start:end]
+            start = end
         chunks = list(self._decode_chunks(by_page))
         if tail:
             chunks.append(self._tail_chunk(tail))
@@ -1221,11 +1429,7 @@ class LogStructuredStore:
         scratch charged meanwhile."""
         self._batch_scratch_bytes = 3 * len(pages) * self._page_size
         try:
-            batch = decode_page([
-                data[offset : offset + length]
-                for _, data, _, _, locations in pages
-                for _, offset, length in locations
-            ])
+            batch = decode_page(_payloads(pages, self._page_members))
         except StorageError:
             # Error path only: decode record by record so the failure is
             # located like every other read's.

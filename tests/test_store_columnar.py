@@ -56,6 +56,7 @@ from repro.store import (
 )
 from repro.store.encoding import (
     COLUMNAR_MIN_BATCH,
+    ChunkPayloads,
     ColumnBatch,
     _row_builder,
     build_rows,
@@ -254,6 +255,39 @@ class TestDecodePageNumericViews:
         # one- and multi-group chunks, each with and without scalar rows
         assert groupings == {(False, False), (False, True),
                              (True, False), (True, True)}
+
+    def test_chunk_payloads_decode_as_the_listed_payloads(self):
+        """A chunk handed over as segments — runs of equal-length
+        payloads as row arrays (strided views among them), the rest as
+        payload lists — decodes to the rows, scalar rows and numeric
+        views of the same payloads listed one by one."""
+        rng = random.Random(31)
+        for case, records in decoded_chunk_cases(rng):
+            payloads = [encode_record(record) for record in records]
+            segments, at = [], 0
+            while at < len(payloads):
+                end = min(len(payloads), at + rng.randint(1, 40))
+                part = payloads[at:end]
+                if rng.random() < 0.6 and len(set(map(len, part))) == 1:
+                    rows = np.frombuffer(b"".join(part), dtype=np.uint8)
+                    rows = rows.reshape(len(part), len(part[0]))
+                    if rng.random() < 0.5:  # a strided view of wider rows
+                        wide = np.zeros((len(part), len(part[0]) + 3),
+                                        dtype=np.uint8)
+                        wide[:, 3:] = rows
+                        rows = wide[:, 3:]
+                    part = rows
+                segments.append(part)
+                at = end
+            chunk = ChunkPayloads(segments)
+            assert len(chunk) == len(payloads)
+            batch, reference = decode_page(chunk), decode_page(payloads)
+            assert [encode_record(row) for row in batch.rows()] == [
+                encode_record(row) for row in reference.rows()], case
+            assert batch.scalar_rows.keys() == reference.scalar_rows.keys()
+            if batch.fields and len(batch.scalar_rows) < batch.count:
+                assert_same_numeric_views(
+                    decode_page(chunk), decode_page(payloads))
 
     def test_clean_numeric_fields_stay_arrays_until_rows_are_asked(self):
         payloads = [encode_record({"t": index, "w": index / 4, "unit": "W"})
@@ -1185,6 +1219,208 @@ class TestGetManyOverTheChunkDecoder:
              if tight._directory[record_id][0] == page]
             for page in sorted({tight._directory[i][0] for i in ids})]
 
+    def test_ids_out_of_page_order_duplicates_and_a_buffered_id(self):
+        store = self._store()
+        store.put("r050", {"t": 50, "w": -2.0})     # buffered replace
+        ids = ["r110", "r002", "r050", "r061", "r002", "r001", "r110", "r060"]
+        located = sorted(
+            (store._directory[record_id], record_id)
+            for record_id in ids if record_id != "r050")
+        reads = store.flash.reads
+        chunks = store.fetch_batches(ids)
+        assert store.flash.reads - reads == len(
+            {location[0] for location, _ in located})
+        # flash-resident ids in log order, repeats kept, each chunk page
+        # by page; the buffered id last, as one scalar batch
+        *flushed, (tail_ids, tail) = chunks
+        assert [record_id for chunk_ids, _ in flushed
+                for record_id in chunk_ids] == [
+            record_id for _, record_id in located]
+        assert tail_ids == ["r050"] and tail.rows() == [{"t": 50, "w": -2.0}]
+        assert store.get_many(ids) == [store.get(record_id) for record_id in ids]
+
+
+class TestPrefixPageWalk:
+    """A collection prefix is tested once per page (its least and
+    greatest id) and per id only when a page mixes collections."""
+
+    NEIGHBOURS = ["meter/", "meter/a", "meter0/x", "metes/y", "meter.z",
+                  "meter", "mete", "meter/zz", "m"]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_scan_batches_under_a_prefix_is_the_filtered_scan(self, rng):
+        store = LogStructuredStore(make_flash())
+        ids = [rng.choice(self.NEIGHBOURS) + rng.choice(["", "1", "/2", "0"])
+               for _ in range(rng.randint(1, 60))]
+        store.insert_many(
+            (record_id, {"t": at, "w": at / 8}) for at, record_id in
+            enumerate(dict.fromkeys(ids)))
+        if rng.random() < 0.5:
+            store.flush()
+        for prefix in ("meter/", "meter", "metes/", "q"):
+            before = decoded_rows()
+            rows = [(chunk_ids[at], batch.row(at))
+                    for chunk_ids, batch in store.scan_batches(prefix=prefix)
+                    for at in range(batch.count)]
+            expected = [(record_id, record)
+                        for record_id, record in store.scan()
+                        if record_id.startswith(prefix)]
+            assert rows == expected, prefix
+            # no foreign row is decoded (buffered rows are not decoded)
+            assert decoded_rows() - before == sum(
+                record_id not in store._buffered for record_id, _ in expected)
+
+
+def rows_of(chunks):
+    """``(record_id, record)`` per row of ``(record_ids, batch)`` chunks."""
+    return [(chunk_ids[at], batch.row(at))
+            for chunk_ids, batch in chunks for at in range(batch.count)]
+
+
+def page_gathers():
+    """``store.decode.pages`` counts so far, by ``gather|reason``."""
+    return counter_labels("store.decode.pages")
+
+
+class TestStridedPageGather:
+    """A page of like frames is decoded off one strided view of the
+    page images; a page that does not prove it is sliced record by
+    record, with its reason. Rows are the same either way."""
+
+    @staticmethod
+    def _uniform(store, prefix, count, width=4):
+        """``count`` records of one payload length, flushed."""
+        store.insert_many(
+            (f"{prefix}{at:0{width}d}",
+             {"t": 1000 + at, "s": b"\x01\x00\x05"})
+            for at in range(count))
+        store.flush()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_any_history_reads_as_scan_and_get(self, rng):
+        flash = make_flash(2048)
+        cache = rng.choice([None, 6 * TIMINGS.page_size])
+        store = LogStructuredStore(flash, page_cache_bytes=cache)
+        self._uniform(store, "bulk/", 160)
+        strided = page_gathers().get("strided|ok", 0)
+        assert rows_of(store.scan_batches()) == list(store.scan())
+        assert page_gathers()["strided|ok"] > strided  # the lane is taken
+        for step in range(rng.randint(4, 14)):
+            live = store.record_ids()
+            action = rng.random()
+            if action < 0.3:
+                width = rng.randint(1, 6)
+                store.insert_many(
+                    (f"b{step}/{at:0{width}d}",
+                     {"t": rng.randint(-300, 300), "w": at / 3}
+                     if rng.random() < 0.8 else {"note": "x" * (at % 3)})
+                    for at in range(rng.randint(1, 40)))
+            elif action < 0.5 and live:                 # supersede
+                record_id = rng.choice(live)
+                store.put(record_id, {"t": step, "w": -1.0})
+            elif action < 0.65 and live:
+                store.delete(rng.choice(live))
+            elif action < 0.75:
+                store.put(f"p{step}", {"t": step})
+            elif action < 0.85:
+                store.flush()
+                store.compact_incremental()
+            elif action < 0.95:
+                store.flush()
+                store = LogStructuredStore.recover(
+                    flash, page_cache_bytes=cache)
+            else:
+                store.flush()
+        # a fresh run of like pages beside whatever the history left
+        self._uniform(store, "last/", 120)
+        strided = page_gathers()["strided|ok"]
+        reference = list(store.scan())
+        assert rows_of(store.scan_batches()) == reference
+        assert page_gathers()["strided|ok"] > strided
+        assert rows_of(store.scan_batches("t", -50, 50)) == list(
+            store.scan_range("t", -50, 50))
+        live = store.record_ids()
+        ids = rng.sample(live, min(len(live), 30)) + live[:3]
+        assert store.get_many(ids) == [store.get(record_id) for record_id in ids]
+        in_log_order = [record_id for _, record_id in sorted(
+            (store._directory[record_id], record_id) for record_id in ids
+            if record_id not in store._buffered)]
+        assert rows_of(store.fetch_batches(ids)) == [
+            (record_id, store.get(record_id)) for record_id in in_log_order
+            + [record_id for record_id in ids if record_id in store._buffered]]
+
+    def _planted(self, ids):
+        """A store whose one page holds exactly ``ids``' frames, all of
+        one payload length (each carries bytes that read like a frame
+        header: kind 1, id length 2), after 100 uniform frames of the
+        same first offset and payload length: one run of like pages."""
+        store = LogStructuredStore(make_flash())
+        self._uniform(store, "", 100, width=2)
+        for at, record_id in enumerate(ids):
+            store.put(record_id, {"t": 1000 + at, "s": b"\x01\x00\x02"})
+        store.flush()
+        pages = {store._directory[record_id][0] for record_id in ids}
+        assert len(pages) == 1
+        return store
+
+    def test_a_page_off_its_stride_between_first_and_last_is_sliced(self):
+        # ids of 2, 1 and 3 bytes: the last payload sits whole strides
+        # after the first, the middle ones do not
+        store = self._planted(["aa", "b", "ccc", "dd", "ee", "ff"])
+        reference = list(store.scan())
+        assert rows_of(store.scan_batches()) == reference
+        gathers = page_gathers()
+        assert gathers["sliced|partial_page"] == 1
+        assert gathers["strided|ok"] >= 1
+        assert "sliced|header_mismatch" not in gathers
+
+    def test_a_page_with_a_superseded_middle_entry_is_sliced(self):
+        store = LogStructuredStore(make_flash())
+        self._uniform(store, "u", 150)
+        page, members = next(
+            (page, members) for page, members
+            in sorted(store._page_members.items()) if len(members) >= 6)
+        middle = members[1]
+        store.put(middle, store.get(middle))        # superseded in place
+        store.flush()
+        assert rows_of(store.scan_batches()) == list(store.scan())
+        assert page_gathers()["sliced|partial_page"] == 1
+        assert page_gathers()["strided|ok"] >= 1
+
+    def test_a_frame_header_that_does_not_match_is_sliced(self):
+        store = LogStructuredStore(make_flash())
+        self._uniform(store, "u", 150)
+        reference = list(store.scan())
+        page = min(store._page_members)
+        image = bytearray(store.flash._pages[page])
+        _, offset, _ = store._directory[store._page_members[page][1]]
+        image[offset - 1] ^= 0x40    # the second frame's payload length
+        store.flash._pages[page] = bytes(image)
+        assert rows_of(store.scan_batches()) == reference
+        assert page_gathers()["sliced|header_mismatch"] == 1
+
+    def test_every_page_gather_is_counted_with_its_reason(self):
+        store = LogStructuredStore(make_flash())
+        self._uniform(store, "u", 40)
+        list(store.scan_batches())
+        assert page_gathers() == {"sliced|small_chunk": 7}
+        store = LogStructuredStore(make_flash())
+        self._uniform(store, "u", 150)
+        pages = len(store._page_members)
+        get_default().reset()
+        list(store.scan_batches())
+        assert page_gathers() == {"strided|ok": pages}
+        store.put("v0", {"t": 1, "s": b"\x01"})     # a shorter payload
+        store.put("v1", {"t": 1, "s": b"\x01\x00\x05\x00"})
+        store.flush()
+        self._uniform(store, "w", 20, width=2)      # a run of 4 pages
+        get_default().reset()
+        list(store.scan_batches())
+        assert page_gathers() == {
+            "strided|ok": pages, "sliced|mixed_lengths": 1,
+            "sliced|small_run": 4}
 
 class TestIndexPlanFailures:
     """One flipped byte in a page an index query touches."""

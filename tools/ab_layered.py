@@ -46,9 +46,9 @@ either.
 ``--lanes`` adds the "did the traffic take the lane we think" table:
 one more ``--trace 0`` run per side and workload at ``LAYERS_SEED``
 that, at exit, reads the process-default lane counters
-(``LANE_COUNTERS``: decode lanes, aggregate lanes and why, ingest
-lanes and why, mask-row sources, page-cache hits and misses) and
-prints every label's count, parent beside change. No host clock feeds
+(``LANE_COUNTERS``: decode lanes, page gathers and why, aggregate
+lanes and why, ingest lanes and why, mask-row sources, page-cache hits
+and misses) and prints every label's count, parent beside change. No host clock feeds
 them: two runs of one side at one seed repeat each count. It never
 changes the exit status.
 
@@ -144,8 +144,9 @@ finally:
 #: The process-default counters ``--lanes`` reads: which lane a store
 #: read, aggregate, ingest chunk and mask row took, and why.
 LANE_COUNTERS = (
-    "store.decode.rows", "store.query.aggregate", "store.ingest.chunks",
-    "agg.mask_rows", "store.cache.hit", "store.cache.miss",
+    "store.decode.rows", "store.decode.pages", "store.query.aggregate",
+    "store.ingest.chunks", "agg.mask_rows", "store.cache.hit",
+    "store.cache.miss",
 )
 
 #: Runs the benchmark's script (``argv[3:]``) and at its exit writes
