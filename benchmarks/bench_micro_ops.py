@@ -231,6 +231,51 @@ def test_column_batch_rows_at_4_of_22(benchmark):
     assert [row["slot"] for row in rows] == [2, 9, 10, 17]
 
 
+#: Two days of 1 Hz ``{slot, t, w}`` meter rows: ~5,700 pages.
+METER_ROWS = 2 * 86_400
+
+
+@pytest.fixture(scope="module")
+def meter_store():
+    """A smart-token store of :data:`METER_ROWS` meter rows under the
+    ``meter/`` prefix, ingested as one column batch, no page cache."""
+    import numpy as np
+
+    from repro.store import LogStructuredStore
+    from repro.store.encoding import ColumnBatch
+
+    page = SMART_TOKEN.flash.page_size
+    store = LogStructuredStore(
+        NandFlash(SMART_TOKEN.flash, capacity_bytes=6400 * page))
+    t = np.arange(METER_ROWS, dtype=np.int64)
+    store.insert_batch(
+        [f"meter/{at:08d}" for at in range(METER_ROWS)],
+        ColumnBatch.from_arrays({
+            "slot": t % 86_400 // 1800, "t": t,
+            "w": np.random.default_rng(2013).uniform(0.0, 3000.0, METER_ROWS),
+        }))
+    store.flush()
+    return store
+
+
+def test_scan_batches_prefixed_meter_store(benchmark, meter_store):
+    """A collection's full scan: every page walked, its members taken
+    as kept, each run of like pages decoded off one strided view."""
+    chunks = benchmark.pedantic(
+        lambda: list(meter_store.scan_batches(prefix="meter/")), rounds=5)
+    assert sum(len(chunk_ids) for chunk_ids, _ in chunks) == METER_ROWS
+
+
+def test_fetch_batches_21600_ids(benchmark, meter_store):
+    """An index plan's fetch of six hours of ids: cut into one group
+    per page, whole pages taken as kept."""
+    ids = [f"meter/{at:08d}" for at in range(36_000, 57_600)]
+    chunks = benchmark.pedantic(
+        lambda: meter_store.fetch_batches(ids), rounds=10)
+    assert [record_id for chunk_ids, _ in chunks
+            for record_id in chunk_ids] == ids
+
+
 # -- tracked micro-op rows ----------------------------------------------------
 #
 # Plain functions (no pytest-benchmark) so bench_store_scale.py can

@@ -46,11 +46,10 @@ reboot replays only the pages written since the last of them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import eq, itemgetter, le, mul, ne
+from operator import eq, is_, itemgetter, le, ne
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -87,11 +86,12 @@ _PAGE_HEADER_BYTES = 8
 #: A log frame's bytes besides its id and payload: kind (1), id length
 #: (2) and payload length (2).
 _FRAME_FIXED_BYTES = 5
-# fields of a directory location (page, offset, length) and of a walked
-# page (page, image, kept, ids, locations)
+# fields of a directory location (page, offset, length), of a page's
+# members (see _page_entry) and of a walked page (page, image, kept,
+# members)
 _OFFSET, _LENGTH = itemgetter(1), itemgetter(2)
-_PAGE, _IMAGE, _LOCATIONS = itemgetter(0), itemgetter(1), itemgetter(4)
-_LAST = itemgetter(-1)
+_SHAPE = itemgetter(0)
+_PAGE, _IMAGE, _MEMBERS = itemgetter(0), itemgetter(1), itemgetter(3)
 #: Entries below which a chunk, or a run of like pages in it, is sliced
 #: record by record: one strided view costs a dozen numpy calls, which
 #: slicing this many payloads costs too.
@@ -130,16 +130,95 @@ class _BatchRows:
             self._batch, self._base, self._base + self._count)
 
 
-#: A page's live entries in log order: its record ids and, in parallel,
-#: their directory locations ``(page, offset, length)``.
-_PageEntries = tuple[Sequence[str], Sequence[tuple[int, int, int]]]
+def _page_entry(ids: Sequence[str], offsets: Sequence[int],
+                lengths: Sequence[int], shape=None) -> tuple:
+    """A page's members: its live entries in log order, kept as the
+    page walk reads them — one flat tuple ``(shape, least, greatest,
+    *ids, *offsets, *lengths)``: the page's stride shape
+    (:func:`_shape`, unless the caller knows it), its least and greatest
+    id, then its record ids, payload offsets and payload lengths. Built
+    whole whenever a page's entries change, never changed in place, so
+    a scan hands it out as it is. Flat, and of strings and ints only:
+    the collector stops tracking it on its first look, and a page costs
+    it one new object, not one per field — a tuple of tuples cost
+    ``store_ingest`` a third more young-generation collections."""
+    if shape is None:
+        shape = _shape(offsets, lengths)
+    return (shape, min(ids), max(ids), *ids, *offsets, *lengths)
 
 
-def _split_members(members: tuple) -> _PageEntries:
-    """A page's member tuple ``(*ids, *locations)`` as ``(ids,
-    locations)``."""
-    half = len(members) // 2
-    return members[:half], members[half:]
+def _count(members: tuple) -> int:
+    """How many entries ``members`` holds."""
+    return (len(members) - 3) // 3
+
+
+def _ids(members: tuple) -> tuple:
+    """The record ids of ``members``, in log order."""
+    return members[3 : 3 + _count(members)]
+
+
+def _entries(members: tuple) -> tuple[tuple, tuple, tuple]:
+    """``(ids, offsets, lengths)`` of ``members``, in log order."""
+    count = _count(members)
+    return (members[3 : 3 + count], members[3 + count : 3 + 2 * count],
+            members[3 + 2 * count :])
+
+
+def _shape(offsets: Sequence[int], lengths: Sequence[int]) -> int | str:
+    """A page's stride shape, :func:`_like` ``(first offset, payload
+    length)`` when its entries are its like frames from its first one on
+    — their offsets run ``first + i · stride``, with ``stride`` the first
+    offset past the page header plus the payload length, and the last
+    entry has the first one's length — else why not, a
+    :data:`_PAGES_SLICED` reason. What the frames say (each an insert of
+    that id length and payload length) :func:`_strided_rows` checks on
+    the image."""
+    first, length = offsets[0], lengths[0]
+    stride = first - _PAGE_HEADER_BYTES + length
+    if (first - _PAGE_HEADER_BYTES >= _FRAME_FIXED_BYTES
+            and lengths[-1] == length
+            and tuple(offsets) == tuple(range(
+                first, first + len(offsets) * stride, stride))):
+        return _like(first, length)
+    return _unlike(lengths)
+
+
+def _like(first: int, length: int) -> int:
+    """The shape of a page of like frames: its first payload offset and
+    its payload length, packed in one int (``first << 16 | length``; a
+    payload length is a u16) — an int is no container, so a page's flat
+    members stay untracked from the collector's first look, where a
+    pair in them would keep them tracked until its second."""
+    return first << 16 | length
+
+
+def _unlike(lengths) -> str:
+    """Why a page's entries are not read as one stride, from their
+    lengths."""
+    return ("mixed_lengths" if lengths.count(lengths[0]) != len(lengths)
+            else "partial_page")
+
+
+def _partial(ids: Iterable[str], offsets: Iterable[int],
+             lengths: Iterable[int]) -> tuple:
+    """Some of a page's entries, in log order, laid out like its members
+    with the shape ``partial_page`` and no id bounds: a page read in
+    part is sliced."""
+    return ("partial_page", None, None, *ids, *offsets, *lengths)
+
+
+def _subset(members: tuple, wanted) -> tuple:
+    """The entries of ``members`` that ``wanted`` flags, in log order:
+    ``members`` itself when all are, ``()`` when none is, else
+    :func:`_partial`."""
+    wanted = list(wanted)
+    if all(wanted):
+        return members
+    if not any(wanted):
+        return ()
+    ids, offsets, lengths = _entries(members)
+    return _partial(compress(ids, wanted), compress(offsets, wanted),
+                    compress(lengths, wanted))
 
 
 # Store instruments live on the process-default scope (stores have no
@@ -192,73 +271,56 @@ _PAGES_SLICED = {
 def _slices(pages) -> list[bytes]:
     """The payloads of walked ``pages``' entries, one slice each."""
     return [data[offset : offset + length]
-            for _, data, _, _, locations in pages
-            for _, offset, length in locations]
+            for _, data, _, members in pages
+            for offset, length in zip(*_entries(members)[1:])]
 
 
-def _payloads(pages, members) -> list[bytes] | ChunkPayloads:
+def _payloads(pages) -> list[bytes] | ChunkPayloads:
     """The payloads of walked ``pages``' entries, in log order, for
-    :func:`encoding.decode_page`: each run of consecutive like pages of
-    one shape (:func:`_like_shape`) holding at least
-    :data:`STRIDED_MIN_ROWS` entries as one strided view of its joined
-    images, any other page sliced record by record — and, when no run
-    is, the plain list of slices.
+    :func:`encoding.decode_page`: each run of consecutive pages of one
+    stride shape holding at least :data:`STRIDED_MIN_ROWS` entries as
+    one strided view of its joined images, any other page sliced record
+    by record — and, when no run is, the plain list of slices.
 
-    Only a page whose entries are all of its live entries (``members``,
-    the store's page members) can be like: that is one length compare a
-    page, for the whole chunk at once. Each stretch of such pages is
-    then proven like in one pass; only a stretch that fails it is
-    looked at page by page."""
-    if sum(map(len, map(_LOCATIONS, pages))) < STRIDED_MIN_ROWS:
+    The proof is the shape each page's members carry, recorded when they
+    were built (:func:`_shape`): a run is consecutive equal shapes, one
+    C-level ``groupby`` over the chunk. A page read in part carries
+    ``partial_page`` instead, and a page that is not like its reason."""
+    entries = list(map(_MEMBERS, pages))
+    if sum(map(_count, entries)) < STRIDED_MIN_ROWS:
         _PAGES_SLICED["small_chunk"].inc(len(pages))
         return _slices(pages)
-    whole = map(eq, map(len, map(members.get, map(_PAGE, pages), repeat(()))),
-                map(mul, map(len, map(_LOCATIONS, pages)), repeat(2)))
     segments: list = []  # in log order: row arrays, lists of slices
     sliced: list[bytes] = []  # payloads sliced since the last view
     reasons: dict[str, int] = {}
-
-    def gather(run, shape) -> None:
-        nonlocal sliced
-        if sum(map(len, map(_LOCATIONS, run))) < STRIDED_MIN_ROWS:
+    for shape, run in groupby(zip(map(_SHAPE, entries), pages),
+                              key=itemgetter(0)):
+        run = list(map(itemgetter(1), run))
+        if type(shape) is str:
+            reasons[shape] = reasons.get(shape, 0) + len(run)
+            sliced += _slices(run)
+            continue
+        counts = list(map(_count, map(_MEMBERS, run)))
+        offset, length = shape >> 16, shape & 0xFFFF
+        size = len(run[0][1])
+        # a device image is page-sized and holds its frames, so this
+        # holds for any page a commit wrote
+        if (list(map(len, map(_IMAGE, run))).count(size) != len(run)
+                or _PAGE_HEADER_BYTES + max(counts) * (
+                    offset - _PAGE_HEADER_BYTES + length) > size):
+            for entry in run:
+                reason = _unlike(_entries(entry[3])[2])
+                reasons[reason] = reasons.get(reason, 0) + 1
+            sliced += _slices(run)
+            continue
+        if sum(counts) < STRIDED_MIN_ROWS:
             reasons["small_run"] = reasons.get("small_run", 0) + len(run)
             sliced += _slices(run)
-            return
+            continue
         if sliced:
             segments.append(sliced)
             sliced = []
-        segments.extend(_strided_rows(run, shape))
-
-    for is_whole, stretch in groupby(zip(whole, pages), key=itemgetter(0)):
-        stretch = list(map(itemgetter(1), stretch))
-        if not is_whole:  # an entry superseded, deleted or not asked for
-            reasons["partial_page"] = (
-                reasons.get("partial_page", 0) + len(stretch))
-            sliced += _slices(stretch)
-            continue
-        shape = _like_shape(stretch)
-        if shape is not None:
-            gather(stretch, shape)
-            continue
-        run: list = []  # page by page: runs of one shape
-        for entry in stretch:
-            page_shape = _like_shape((entry,))
-            if page_shape is not None and page_shape == shape:
-                run.append(entry)
-                continue
-            if run:
-                gather(run, shape)
-            run, shape = [entry], page_shape
-            if page_shape is not None:
-                continue
-            run = []
-            lengths = list(map(_LENGTH, entry[4]))
-            reason = ("mixed_lengths" if lengths.count(lengths[0])
-                      != len(lengths) else "partial_page")
-            reasons[reason] = reasons.get(reason, 0) + 1
-            sliced += _slices((entry,))
-        if run:
-            gather(run, shape)
+        segments.extend(_strided_rows(run, (offset, length, size), counts))
     for reason, count in reasons.items():
         _PAGES_SLICED[reason].inc(count)
     if not segments:
@@ -266,46 +328,6 @@ def _payloads(pages, members) -> list[bytes] | ChunkPayloads:
     if sliced:
         segments.append(sliced)
     return ChunkPayloads(segments)
-
-
-def _like_shape(pages):
-    """``(first offset, payload length, image size)`` when every one of
-    walked ``pages`` — each holding all of its page's live entries — is
-    like in that one shape, else ``None``.
-
-    A page is like when its entries' offsets run ``first + i · stride``,
-    with ``stride`` the first offset past the page header plus the
-    payload length (the frames, back to back from the page's first one),
-    its last entry has the first one's length and its frames fit its
-    image. All pages are checked at once, with C-level ``map`` and
-    ``==`` over the directory's own location tuples against one cached
-    tuple of offsets per entry count: no Python loop over pages or
-    entries. What the frames say — each page's first frame is the first
-    entry's, every frame an insert of that id length and payload length
-    — :func:`_strided_rows` checks."""
-    location_lists = list(map(_LOCATIONS, pages))
-    _, offset, length = location_lists[0][0]
-    stride = offset - _PAGE_HEADER_BYTES + length
-    counts = list(map(len, location_lists))
-    size = len(pages[0][1])
-    if (offset - _PAGE_HEADER_BYTES < _FRAME_FIXED_BYTES
-            or _PAGE_HEADER_BYTES + max(counts) * stride > size
-            or list(map(len, map(_IMAGE, pages))).count(size) != len(pages)
-            or list(map(_LENGTH, map(_LAST, location_lists))).count(length)
-            != len(pages)
-            or list(map(tuple, map(map, repeat(_OFFSET), location_lists)))
-            != list(map(_strided_offsets, repeat(offset), repeat(stride),
-                        counts))):
-        return None
-    return offset, length, size
-
-
-@lru_cache(maxsize=1024)
-def _strided_offsets(first: int, stride: int, count: int) -> tuple[int, ...]:
-    """``(first, first + stride, …)``, ``count`` of them: where the
-    payloads of a page of like frames sit (a page's shape, not its
-    number, so one tuple serves every page of that shape)."""
-    return tuple(range(first, first + count * stride, stride))
 
 
 @lru_cache(maxsize=256)
@@ -317,8 +339,9 @@ def _frame_header(id_length: int, length: int):
                                  length & 0xFF]), dtype=_np.uint8)
 
 
-def _strided_rows(run, shape) -> list:
-    """The payload rows of a ``run`` of like pages (walked entries) as
+def _strided_rows(run, shape, counts: list[int]) -> list:
+    """The payload rows of a ``run`` of like pages (walked entries,
+    ``counts`` of them each) as
     segments for :class:`~repro.store.encoding.ChunkPayloads`: one
     strided view of their joined images (each page's live frames as
     rows), every row's frame header checked in numpy — an insert of the
@@ -328,7 +351,6 @@ def _strided_rows(run, shape) -> list:
     offset, length, size = shape
     header = offset - _PAGE_HEADER_BYTES
     stride = header + length
-    counts = list(map(len, map(_LOCATIONS, run)))
     most = max(counts)
     frames = _np.frombuffer(
         b"".join(map(_IMAGE, run)), dtype=_np.uint8,
@@ -451,9 +473,9 @@ class LogStructuredStore:
         self.checkpoints_written = 0
         # id -> (page, offset, length); None means deleted
         self._directory: dict[str, tuple[int, int, int]] = {}
-        # page -> the directory's entries on it, in log order, as one
-        # flat tuple (*ids, *locations) of the directory's own objects:
-        # the page walk's input, kept by every directory change. Flat,
+        # page -> its members (_page_entry): the directory's entries on
+        # it in log order, as the page walk reads them, rebuilt whole by
+        # every directory change. One flat tuple of ids and ints,
         # because the collector stops tracking such a tuple once it has
         # seen it; a pair of lists per page stays tracked, and it made
         # store_ingest pay a third more young-generation collections
@@ -687,14 +709,14 @@ class LogStructuredStore:
         delta_ids = self._delta_ids
         members = self._page_members
         # the page's members so far (a fused commit applies it in parts)
-        ids, locations = ([], []) if page not in members else map(
-            list, _split_members(members[page]))
+        ids, offsets, lengths = ([], [], []) if page not in members else map(
+            list, _entries(members[page]))
         for record_id, kind, offset, length, record in entries:
             old = directory.get(record_id)
             if old is not None:  # retire the superseded version
                 if old[0] == page:
                     at = ids.index(record_id)
-                    del ids[at], locations[at]
+                    del ids[at], offsets[at], lengths[at]
                 else:
                     self._drop_member(old[0], record_id)
                 old_block = old[0] // pages_per_block
@@ -709,9 +731,10 @@ class LogStructuredStore:
             elif delta_ids is not None and kind == _ENTRY_INSERT:
                 self._delta_appended += 1
             if kind == _ENTRY_INSERT:
-                location = directory[record_id] = (page, offset, length)
+                directory[record_id] = (page, offset, length)
                 ids.append(record_id)
-                locations.append(location)
+                offsets.append(offset)
+                lengths.append(length)
                 live[block] = live.get(block, 0) + 1
                 if zone_maps and record is not None:
                     summary.note_record(record)
@@ -720,22 +743,22 @@ class LogStructuredStore:
                 if old is not None:
                     del directory[record_id]
         if ids:
-            members[page] = (*ids, *locations)
+            members[page] = _page_entry(ids, offsets, lengths)
         elif page in members:
             del members[page]
 
     def _drop_member(self, page: int, record_id: str) -> None:
-        """Take a superseded or deleted id off its page's members (a
-        page left with no live entry drops out)."""
-        members = self._page_members[page]
-        half = len(members) // 2
-        if half == 1:
+        """Take a superseded or deleted id off its page's members: a
+        new entry, its shape and bounds those of what is left (a page
+        left with no live entry drops out)."""
+        ids, offsets, lengths = _entries(self._page_members[page])
+        if len(ids) == 1:
             del self._page_members[page]
             return
-        at = members.index(record_id)
-        self._page_members[page] = (
-            members[:at] + members[at + 1 : half + at]
-            + members[half + at + 1 :])
+        at = ids.index(record_id)
+        self._page_members[page] = _page_entry(
+            ids[:at] + ids[at + 1 :], offsets[:at] + offsets[at + 1 :],
+            lengths[:at] + lengths[at + 1 :])
 
     def _flush_buffer(self) -> None:
         if self._buffer_entries:
@@ -993,7 +1016,7 @@ class LogStructuredStore:
                 offset = self._PAGE_HEADER_BYTES
                 on_page = 0
                 if append_only:
-                    page_ids, page_locations = [], []
+                    page_ids, page_offsets, page_lengths = [], [], []
                 for run, start_in, take in parts:
                     base = run.start + start_in
                     ids = record_ids[base : base + take]
@@ -1002,11 +1025,12 @@ class LogStructuredStore:
                         value_at, value_at + take * run.frame_len,
                         run.frame_len)
                     if append_only:
-                        locations = list(zip(
-                            repeat(page), offsets, repeat(run.payload_len)))
-                        directory.update(zip(ids, locations))
-                        page_ids.extend(ids)
-                        page_locations.extend(locations)
+                        offsets = list(offsets)  # one int each, shared
+                        directory.update(zip(ids, zip(
+                            repeat(page), offsets, repeat(run.payload_len))))
+                        page_ids += ids
+                        page_offsets += offsets
+                        page_lengths += repeat(run.payload_len, take)
                         self._delta_appended += take
                     else:
                         self._apply_entries(page, summary, zip(
@@ -1015,7 +1039,13 @@ class LogStructuredStore:
                     offset += take * run.frame_len
                     on_page += take
                 if append_only:
-                    page_members[page] = (*page_ids, *page_locations)
+                    # one run's frames, back to back from the page's
+                    # first: like by construction
+                    run = parts[0][0]
+                    page_members[page] = _page_entry(
+                        page_ids, page_offsets, page_lengths,
+                        _like(self._PAGE_HEADER_BYTES + run.payload_offset,
+                              run.payload_len) if len(parts) == 1 else None)
                     block = page // self._pages_per_block
                     live[block] = live.get(block, 0) + on_page
                 self.inserts += on_page
@@ -1199,52 +1229,53 @@ class LogStructuredStore:
     def _locations_by_page(self, field: str | None = None,
                            low: Value = None, high: Value = None,
                            prefix: str | None = None,
-                           ) -> dict[int, _PageEntries]:
-        """The flash-resident entries of each page, leaving out
-        the pages of blocks whose zone map proves no record can satisfy
-        ``low <= record[field] <= high`` (one ``admits`` verdict per
-        block: it is a pure function of the block summary). With a
-        ``prefix``, only the entries whose ids start with it: a page
-        left with none stays in, to be read and counted like the
-        rest."""
+                           ) -> dict[int, tuple]:
+        """The flash-resident entries of each page — its members, as
+        they are kept, unless some are buffered or outside ``prefix`` —
+        leaving out the pages of blocks whose zone map proves no record
+        can satisfy ``low <= record[field] <= high`` (one ``admits``
+        verdict per block: it is a pure function of the block summary).
+        With a ``prefix``, only the entries whose ids start with it: a
+        page left with none stays in, as ``()``, to be read and counted
+        like the rest."""
         rejected: set[int] = set()
         if self._zone_maps and field is not None:
             rejected = {
                 block for block, summary in self._summaries.items()
                 if not summary.admits(field, low, high)
             }
-        pages_per_block = self._pages_per_block
         buffered = self._buffered
-        by_page: dict[int, _PageEntries] = {}
+        if not rejected and not buffered and prefix is None:
+            return dict(self._page_members)
+        pages_per_block = self._pages_per_block
+        by_page: dict[int, tuple] = {}
         for page, members in self._page_members.items():
             if rejected and page // pages_per_block in rejected:
                 continue
-            half = len(members) // 2  # _split_members, inline: every page
-            ids, locations = members[:half], members[half:]
-            if buffered and not buffered.keys().isdisjoint(ids):
-                ids = [record_id for record_id in ids
-                       if record_id not in buffered]
-                if not ids:
-                    continue
-                locations = list(map(self._directory.get, ids))
+            _, least, greatest = members[:3]
             # Ids under a prefix form one interval of the string order:
-            # when the least and the greatest start with it, all do.
-            if prefix is not None and not (
-                    min(ids).startswith(prefix)
-                    and max(ids).startswith(prefix)):
-                wanted = list(map(str.startswith, ids, repeat(prefix)))
-                ids = list(compress(ids, wanted))
-                locations = list(compress(locations, wanted))
-            by_page[page] = ids, locations
+            # when the page's least and greatest start with it, all do.
+            all_in = prefix is None or (least.startswith(prefix)
+                                        and greatest.startswith(prefix))
+            if buffered and not buffered.keys().isdisjoint(_ids(members)):
+                members = _subset(members, [
+                    record_id not in buffered
+                    for record_id in _ids(members)])
+                if not members:
+                    continue
+            if not all_in:
+                members = _subset(members, map(
+                    str.startswith, _ids(members), repeat(prefix)))
+            by_page[page] = members
         return by_page
 
-    def _walk_pages(self, by_page: dict[int, _PageEntries]):
+    def _walk_pages(self, by_page: dict[int, tuple]):
         """The one page walk: pages in order, each read once, with the
         rows kept from it (``None`` unless it was resident) and its
-        entries in log order: ``(page, image, kept, ids, locations)``."""
+        entries in log order: ``(page, image, kept, members)``."""
         for page in sorted(by_page):
             data, kept = self._read_page(page)
-            yield page, data, kept, *by_page[page]
+            yield page, data, kept, by_page[page]
 
     def _buffered_tail(self, entry_ids: list[str]) -> list[tuple[str, Record]]:
         """Live records among the ids a scan found buffered at its start."""
@@ -1303,13 +1334,24 @@ class LogStructuredStore:
             order = sorted(range(len(ids)), key=locations.__getitem__)
             ids = list(map(ids.__getitem__, order))  # into log order
             locations = list(map(locations.__getitem__, order))
-        by_page: dict[int, _PageEntries] = {}
-        start = 0
-        while start < len(locations):  # one slice per page run
-            page = locations[start][0]
-            end = bisect_left(locations, (page + 1,), start)
-            by_page[page] = ids[start:end], locations[start:end]
-            start = end
+        pages = list(map(_PAGE, locations))
+        starts = list(compress(  # where each page's run of ids starts
+            range(len(pages)), map(ne, pages, chain((None,), pages))))
+        repeated = set(compress(  # pages an id was asked of twice
+            islice(pages, 1, None),
+            map(eq, locations, islice(locations, 1, None))))
+        # a page asked for whole, each entry once, is its members as kept
+        members = self._page_members
+        by_page: dict[int, tuple] = {}
+        for start, end in zip(starts, [*starts[1:], len(ids)]):
+            page = pages[start]
+            if end - start == _count(members[page]) and page not in repeated:
+                by_page[page] = members[page]
+                continue
+            page_locations = locations[start:end]
+            by_page[page] = _partial(
+                ids[start:end], map(_OFFSET, page_locations),
+                map(_LENGTH, page_locations))
         chunks = list(self._decode_chunks(by_page))
         if tail:
             chunks.append(self._tail_chunk(tail))
@@ -1358,10 +1400,10 @@ class LogStructuredStore:
         are disabled or ``field`` is ``None``.
         """
         tail = sorted(self._buffered)
-        for page, data, _, ids, locations in self._walk_pages(
+        for page, data, _, members in self._walk_pages(
             self._locations_by_page(field, low, high)
         ):
-            for record_id, (_, offset, length) in zip(ids, locations):
+            for record_id, offset, length in zip(*_entries(members)):
                 yield record_id, self._decode_at(
                     data, record_id, page, offset, length)
         yield from self._buffered_tail(tail)
@@ -1399,7 +1441,7 @@ class LogStructuredStore:
         return list(tail_ids), ColumnBatch.from_records(list(records))
 
     def _decode_chunks(
-        self, by_page: dict[int, _PageEntries],
+        self, by_page: dict[int, tuple],
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
         """The one chunk decoder: walk ``by_page`` a chunk of pages at
         a time. A chunk found resident in the page cache, every page of
@@ -1413,28 +1455,27 @@ class LogStructuredStore:
         headroom = self._ram_headroom()
         if headroom is not None:
             at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
-        walk = filter(itemgetter(3), self._walk_pages(by_page))
+        walk = filter(_MEMBERS, self._walk_pages(by_page))
         while chunk := list(islice(walk, at_once)):
-            record_ids = [
-                record_id for _, _, _, ids, _ in chunk for record_id in ids
-            ]
-            if all(kept is not None for _, _, kept, _, _ in chunk):
+            record_ids = list(chain.from_iterable(
+                map(_ids, map(_MEMBERS, chunk))))
+            if all(kept is not None for _, _, kept, _ in chunk):
                 yield record_ids, self._gather(chunk)
             else:
                 yield record_ids, self._decode(chunk)
 
     def _decode(self, pages) -> ColumnBatch:
         """One :func:`encoding.decode_page` call over the entries of
-        ``pages`` (walked ``(page, image, kept, ids, locations)``), its
-        scratch charged meanwhile."""
+        ``pages`` (walked ``(page, image, kept, members)``), its scratch
+        charged meanwhile."""
         self._batch_scratch_bytes = 3 * len(pages) * self._page_size
         try:
-            batch = decode_page(_payloads(pages, self._page_members))
+            batch = decode_page(_payloads(pages))
         except StorageError:
             # Error path only: decode record by record so the failure is
             # located like every other read's.
-            for page, data, _, ids, locations in pages:
-                for record_id, (_, offset, length) in zip(ids, locations):
+            for page, data, _, members in pages:
+                for record_id, offset, length in zip(*_entries(members)):
                     self._decode_at(data, record_id, page, offset, length)
             raise
         finally:
@@ -1450,14 +1491,13 @@ class LogStructuredStore:
         every row, in log order — a kept record never leaves the
         cache."""
         rows: list[Record | None] = []
-        todo = []  # (page, image, kept, ids, locations) still to decode
-        for page, data, kept, ids, locations in chunk:
-            found = [kept.get(location[1]) for location in locations]
+        todo = []  # (page, image, kept, members) still to decode
+        for page, data, kept, members in chunk:
+            found = list(map(kept.get, _entries(members)[1]))
             rows += found
             if None in found:
-                missing = [at for at, row in enumerate(found) if row is None]
-                todo.append((page, data, kept, [ids[at] for at in missing],
-                             [locations[at] for at in missing]))
+                todo.append((page, data, kept, _subset(
+                    members, map(is_, found, repeat(None)))))
         decoded = self._decode(todo).rows() if todo else []
         _DECODE_KEPT.inc(len(rows) - len(decoded))
         if decoded:
@@ -1470,10 +1510,10 @@ class LogStructuredStore:
         """Hand the page cache the ``rows`` decoded off resident
         ``pages`` (in their entries' order)."""
         position = 0
-        for page, _, _, _, locations in pages:
-            end = position + len(locations)
-            self.page_cache.keep(page, dict(zip(
-                map(itemgetter(1), locations), rows[position:end])))
+        for page, _, _, members in pages:
+            offsets = _entries(members)[1]
+            end = position + len(offsets)
+            self.page_cache.keep(page, dict(zip(offsets, rows[position:end])))
             position = end
 
     def __len__(self) -> int:
@@ -1590,7 +1630,7 @@ class LogStructuredStore:
                 record_id
                 for page in range(first, first + pages_per_block)
                 if page in members
-                for record_id in _split_members(members[page])[0]
+                for record_id in _ids(members[page])
             )
             tombstoned = self._tombstoned_ids(victim)
             for record_id, record in zip(live_ids, self.get_many(live_ids)):
@@ -2079,10 +2119,14 @@ class LogStructuredStore:
         ids = sorted(directory, key=directory.__getitem__)  # page, offset
         locations = list(map(directory.__getitem__, ids))
         pages = list(map(itemgetter(0), locations))
+        offsets = list(map(_OFFSET, locations))
+        lengths = list(map(_LENGTH, locations))
         starts = list(compress(
             range(len(pages)), map(ne, pages, chain((None,), pages))))
         self._page_members = {
-            pages[start]: (*ids[start:end], *locations[start:end])
+            pages[start]: _page_entry(
+                tuple(ids[start:end]), tuple(offsets[start:end]),
+                tuple(lengths[start:end]))
             for start, end in zip(starts, starts[1:] + [len(pages)])
         }
 

@@ -803,6 +803,7 @@ class TestWindowFeed:
         close, the ``energy_stream`` feed's pull decodes no
         ``employment`` row and the reverse, and every window total
         still equals the one-shot query bit for bit."""
+        from repro.store import log_store
         from repro.store.catalog import Catalog
         from repro.store.log_store import LogStructuredStore
 
@@ -821,7 +822,8 @@ class TestWindowFeed:
             if querying:
                 decoded.setdefault(querying[-1], set()).update(
                     record_id.split("/")[0]
-                    for _, _, _, ids, _ in pages for record_id in ids)
+                    for _, _, _, members in pages
+                    for record_id in log_store._ids(members))
             return decode(store, pages)
 
         monkeypatch.setattr(Catalog, "query", tracking_query)

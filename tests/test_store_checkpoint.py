@@ -287,16 +287,30 @@ def state_of(store):
 
 
 def page_members_of(directory):
-    """A fresh grouping of a directory by page: each page's ids, then
-    their locations, in offset (log) order."""
+    """A fresh grouping of a directory by page, one flat tuple a page:
+    its stride shape — ``first offset << 16 | length`` when its payloads
+    sit one frame apart from the page's first frame on, else why not —
+    its least and greatest id, then its ids, payload offsets and payload
+    lengths in offset (log) order."""
     grouped = {}
-    for record_id, location in sorted(directory.items(),
-                                      key=lambda item: item[1]):
-        ids, locations = grouped.setdefault(location[0], ([], []))
-        ids.append(record_id)
-        locations.append(location)
-    return {page: (*ids, *locations)
-            for page, (ids, locations) in grouped.items()}
+    for record_id, (page, offset, length) in sorted(
+            directory.items(), key=lambda item: item[1]):
+        grouped.setdefault(page, []).append((record_id, offset, length))
+    header = LogStructuredStore._PAGE_HEADER_BYTES
+    members = {}
+    for page, entries in grouped.items():
+        ids, offsets, lengths = map(tuple, zip(*entries))
+        first, length = offsets[0], lengths[0]
+        stride = first - header + length
+        like = (first - header >= 5 and lengths[-1] == length
+                and all(offset == first + at * stride
+                        for at, offset in enumerate(offsets)))
+        shape = (first << 16 | length if like
+                 else "mixed_lengths" if len(set(lengths)) > 1
+                 else "partial_page")
+        members[page] = (shape, min(ids), max(ids), *ids, *offsets,
+                         *lengths)
+    return members
 
 
 def region_pages(flash, checkpoint_blocks=CKPT_BLOCKS):

@@ -17,6 +17,7 @@ record encoding — it distinguishes ``1``/``1.0``/``True``, ``0.0`` and
 ``-0.0``, and is deterministic for NaN.
 """
 
+import gc
 import math
 import random
 
@@ -63,6 +64,7 @@ from repro.store.encoding import (
     decode_page,
     encode_records,
 )
+from repro.store.log_store import _ids
 from repro.store.query import MATCH_ALL, And, Contains, Ne, Not, Or
 from repro.store.zonemap import BlockSummary
 
@@ -1368,21 +1370,30 @@ class TestStridedPageGather:
     def test_a_page_off_its_stride_between_first_and_last_is_sliced(self):
         # ids of 2, 1 and 3 bytes: the last payload sits whole strides
         # after the first, the middle ones do not
-        store = self._planted(["aa", "b", "ccc", "dd", "ee", "ff"])
+        ids = ["aa", "b", "ccc", "dd", "ee", "ff"]
+        store = self._planted(ids)
         reference = list(store.scan())
         assert rows_of(store.scan_batches()) == reference
         gathers = page_gathers()
         assert gathers["sliced|partial_page"] == 1
         assert gathers["strided|ok"] >= 1
         assert "sliced|header_mismatch" not in gathers
+        # a drop proves the page again: left with its first frame, it is
+        # like the run before it and read in it
+        for record_id in ids[1:]:
+            store.delete(record_id)
+        store.flush()
+        get_default().reset()
+        assert rows_of(store.scan_batches()) == list(store.scan())
+        assert page_gathers() == {"strided|ok": len(store._page_members)}
 
     def test_a_page_with_a_superseded_middle_entry_is_sliced(self):
         store = LogStructuredStore(make_flash())
         self._uniform(store, "u", 150)
         page, members = next(
             (page, members) for page, members
-            in sorted(store._page_members.items()) if len(members) >= 6)
-        middle = members[1]
+            in sorted(store._page_members.items()) if len(members) >= 3 + 9)
+        middle = members[4]                         # the second id
         store.put(middle, store.get(middle))        # superseded in place
         store.flush()
         assert rows_of(store.scan_batches()) == list(store.scan())
@@ -1395,7 +1406,7 @@ class TestStridedPageGather:
         reference = list(store.scan())
         page = min(store._page_members)
         image = bytearray(store.flash._pages[page])
-        _, offset, _ = store._directory[store._page_members[page][1]]
+        _, offset, _ = store._directory[store._page_members[page][4]]
         image[offset - 1] ^= 0x40    # the second frame's payload length
         store.flash._pages[page] = bytes(image)
         assert rows_of(store.scan_batches()) == reference
@@ -1421,6 +1432,73 @@ class TestStridedPageGather:
         assert page_gathers() == {
             "strided|ok": pages, "sliced|mixed_lengths": 1,
             "sliced|small_run": 4}
+
+
+class TestPageMembers:
+    """Each page's members are kept as the page walk reads them and are
+    handed out as they are: a later write builds a page a new entry and
+    never changes one a walk holds."""
+
+    @staticmethod
+    def _store(flash=None):
+        store = LogStructuredStore(flash or make_flash())
+        store.insert_many((f"u{at:04d}", {"t": at, "s": b"\x01\x00"})
+                          for at in range(150))          # the fused commit
+        for at in range(12):
+            store.put(f"p{at:02d}", {"t": at})          # the put loop
+        store.flush()
+        return store
+
+    def test_a_walk_keeps_the_members_it_was_handed(self):
+        store = self._store()
+        by_page = store._locations_by_page()
+        assert all(by_page[page] is members
+                   for page, members in store._page_members.items())
+        held = {page: repr(members) for page, members in by_page.items()}
+        first, second, *rest = sorted(by_page)
+        superseded, deleted = _ids(by_page[first])[1], _ids(
+            by_page[second])[-1]
+        store.put(superseded, {"t": -1, "s": b"\x02\x00"})
+        store.delete(deleted)
+        store.flush()
+        store.put(_ids(by_page[first])[0], {"t": -2})  # buffered only
+        assert {page: repr(members)
+                for page, members in by_page.items()} == held
+        assert store._page_members[first] is not by_page[first]
+        assert store._page_members[second] is not by_page[second]
+        assert _ids(store._page_members[first]) == tuple(
+            record_id for record_id in _ids(by_page[first])
+            if record_id != superseded)
+        assert all(store._page_members[page] is by_page[page]
+                   for page in rest)
+        for members in store._page_members.values():   # nothing to mutate
+            ids = _ids(members)
+            assert type(members) is tuple
+            assert all(type(field) in (str, int) for field in members)
+            assert members[1:3] == (min(ids), max(ids))
+        assert rows_of(store.scan_batches()) == list(store.scan())
+
+    def test_no_page_entry_is_tracked_by_the_collector(self):
+        def tracked(store):
+            gc.collect()
+            assert store._page_members
+            return [page for page, members in store._page_members.items()
+                    if gc.is_tracked(members)]
+
+        flash = make_flash()
+        store = self._store(flash)
+        assert tracked(store) == []
+        store.put("u0003", {"t": -1, "s": b"\x02\x00"})  # supersede
+        store.delete("u0100")
+        store.put("q", {"t": 1})
+        store.flush()
+        assert tracked(store) == []
+        store.insert_many((f"u{at:04d}", {"t": -at, "s": b"\x03\x00"})
+                          for at in range(0, 150, 2))  # supersedes, batched
+        store.flush()
+        assert tracked(store) == []
+        assert tracked(LogStructuredStore.recover(flash)) == []
+
 
 class TestIndexPlanFailures:
     """One flipped byte in a page an index query touches."""
