@@ -5,9 +5,9 @@ hundreds of concurrent durable subscriptions, mixed energy and
 employment tenants, against one store-backed fleet on one simulated
 network — and records the rows the "continuous analytics" claim
 needs: windows settled per second, coordinator messages and bytes per
-window per subscription, store queries per cell per window close (the
-shared window feed: one per stream collection, whatever the tenant
-count), the transform mix, a quiet fault-control row
+window per subscription, store queries per cell (rows are pushed to
+the shared window feeds at ingest: none at a close, one backfill per
+feed per cell, whatever the tenant count), the transform mix, a quiet fault-control row
 that must sit at zero faults and zero re-asks, and a leakage audit
 proving the write-ahead journal holds only gate-transformed window
 deltas (masked field elements and sealed blobs — never a raw window
@@ -115,14 +115,17 @@ CLAIMS = (
           "coordinator + journal", "count",
           lambda r: (r["multi_tenant"]["messages_per_window_per_subscription"]
                      / r["multi_tenant"]["cells"]), "==", 1),
-    Claim("one store pull per stream collection per cell per close",
-          "cell agent", "count",
-          lambda r: (r["multi_tenant"]["store_queries_per_cell_per_close"]
-                     / len(r["multi_tenant"]["domain_mix"])), "==", 1),
-    # 5x, not 10x: the tracked 0.466 ms per delta is ~2.5x the smoke's
-    # (0.18-0.21 ms on a quiet 2-vCPU host, where the full 240 x 6 x 36
-    # run costs 0.28 ms), so 10x would let a 25x slowdown through; 5x
-    # still leaves the smoke ~12x headroom for a loaded CI host
+    Claim("no store pull at a close", "cell agent", "count",
+          lambda r: r["multi_tenant"]["store_pulls_at_close_per_cell"],
+          "==", 0),
+    Claim("one backfill pull per feed per cell", "cell agent", "count",
+          lambda r: r["multi_tenant"]["backfills_per_feed_per_cell"],
+          "==", 1),
+    # 5x, not 10x: the tracked 0.132 ms per delta (closes read the
+    # pushed window feeds, never the store) is about the smoke's
+    # (0.125 ms on a busy 2-vCPU host), so 10x would let a 10x slowdown
+    # through; 5x still leaves the smoke ~5x headroom for a loaded CI
+    # host
     Claim("wall per cell-window delta", "coordinator + journal", "host",
           lambda r: (r["multi_tenant"]["wall_seconds"]
                      / _cell_window_deltas(r["multi_tenant"])), "ratio", 5),

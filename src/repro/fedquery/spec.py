@@ -414,11 +414,12 @@ def plan_kind(plan: str) -> str:
 
     ``index:f``/``range:f``/``keyword:f`` all answered from an index;
     ``zonemap:f`` pruned blocks without one; ``scan`` read everything.
-    ``memory`` marks a value-backed source with no store behind it.
+    ``memory`` marks a value-backed source with no store behind it, and
+    ``feed`` a standing window close read off its cell's window feed.
     """
     head = plan.split(":", 1)[0]
     if head in ("index", "range", "keyword"):
         return "index"
-    if head in ("zonemap", "scan", "memory"):
+    if head in ("zonemap", "scan", "memory", "feed"):
         return head
     return "scan"

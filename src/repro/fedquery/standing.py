@@ -10,9 +10,9 @@ eligibility counts every reporting period. This module compiles a
   close, not once per tenant: one loop event per distinct close time
   walks the cell's live subscriptions, and all of them read their
   windows off one shared **window feed** per ``(collection,
-  time_field, field_seconds)``, which pulls the rows that arrived
-  since the last close — a single store pull per cell per close.
-  Every tenant evaluates its window over those rows the way the
+  time_field, field_seconds)``, which the collection pushes every
+  write to as it is ingested — a close reads its feed, never the
+  store. Every tenant evaluates its window over those rows the way the
   one-shot query does: numeric tenants with the store's
   ``Aggregate``, record tenants by releasing the matching rows. At
   every window close the cell re-evaluates its opt-in and
@@ -36,13 +36,14 @@ Bit-for-bit contract: a standing ``aggregate-exact`` subscription's
 per-window total equals re-running the equivalent one-shot windowed
 ``FedQuerySpec`` on the same data. This holds because a close runs
 the spec's ``Aggregate.compute`` — the one-shot query's own fold —
-over the window's matched rows in the store's matched order, and
-requires only that rows are ingested in event-time order (the
-**ordered-ingest contract**: the traffic generator's; a row older than
-a feed's watermark is never seen — see :class:`_WindowFeed` and
-``docs/fedquery.md``). What a cell retains for all of this is bounded
-by the widest live window (the feed's **retention bound**), and a
-subscription's cell runtime is released with its last window.
+over the window's live matched rows in log order, and requires that
+rows are ingested in event-time order (the **ordered-ingest
+contract**: the traffic generator's; a row that arrives for a window
+already closed is counted on ``fedquery.standing.late_rows`` — see
+:class:`_WindowFeed` and ``docs/fedquery.md``). What a cell retains
+for all of this is bounded by the rows from its lowest reader cursor
+up (the feed's **retention bound**), and a subscription's cell runtime
+is released with its last window.
 """
 
 from __future__ import annotations
@@ -53,17 +54,19 @@ from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CellOfflineError, ConfigurationError, ProtocolError
-from ..store.query import Aggregate, And, Between, Predicate, TruePredicate
+from ..store.catalog import Catalog
+from ..store.encoding import Record
+from ..store.query import (
+    Aggregate,
+    And,
+    Between,
+    Predicate,
+    Query,
+    TruePredicate,
+)
 from .coordinator import Coordinator, FedQueryResult, _RunState
 from .journal import REC_DONE
-from .spec import (
-    MSG_SUB,
-    TRANSFORM_KANON,
-    FedQuerySpec,
-    WireMessage,
-    plan_kind,
-    wire_size,
-)
+from .spec import MSG_SUB, FedQuerySpec, WireMessage, plan_kind, wire_size
 
 if TYPE_CHECKING:
     from .cell import CellQueryAgent
@@ -161,10 +164,14 @@ def sub_message(tag: str, spec: FedQuerySpec, window: WindowClause,
     masks under ``f"{round_base}|w{i}"``); it must be unique per
     subscription or two tenants sharing a recipient and purpose would
     reuse keystreams across different values.
+
+    Like :func:`~repro.fedquery.spec.plan_message`, the message owns
+    its roster as a tuple (a list on the wire), which every subscribed
+    cell keeps by reference; read-only.
     """
     return WireMessage({
         "kind": MSG_SUB, "tag": tag, "spec": spec.to_wire(),
-        "window": window.to_wire(), "roster": list(roster),
+        "window": window.to_wire(), "roster": tuple(roster),
         "reply_to": reply_to, "round_base": round_base,
         "neighbors": neighbors,
     })
@@ -461,7 +468,12 @@ class StandingCoordinator(Coordinator):
 
 def handle_subscription(agent: "CellQueryAgent",
                         message: dict[str, Any]) -> None:
-    """Install a standing subscription on a cell (MSG_SUB handler)."""
+    """Install a standing subscription on a cell (MSG_SUB handler).
+    A window feed is fed by its cell's store: a cell with none behind
+    it drops the subscription."""
+    if not isinstance(getattr(agent.source, "catalog", None), Catalog):
+        agent._dropped("sub-without-store")
+        return
     if agent._standing is None:
         agent._standing = _CellStanding(agent)
     agent._standing.install(message)
@@ -478,8 +490,7 @@ class _CellStanding:
     never ``windows x subscriptions``) walks the live subscriptions in
     install order, and all of them read their windows off the shared
     :class:`_WindowFeed` of their ``(collection, time_field,
-    field_seconds)``, which pulls the rows that arrived since the last
-    close once.
+    field_seconds)``, which holds the rows pushed to it at ingest.
 
     A subscription's runtime is released when its last window closes;
     a feed goes with its last reader.
@@ -487,6 +498,7 @@ class _CellStanding:
 
     def __init__(self, agent: "CellQueryAgent") -> None:
         self.agent = agent
+        self.catalog: Catalog = agent.source.catalog
         # Live subscriptions by tag, in install order.
         self.subscriptions: dict[str, _CellSubscription] = {}
         self.feeds: dict[tuple[str, str, int], _WindowFeed] = {}
@@ -495,11 +507,19 @@ class _CellStanding:
         metrics = agent.world.obs.metrics
         self.pulls = metrics.counter(
             "fedquery.standing.feed_pulls",
-            help="window-feed store pulls by plan kind",
+            help="window-feed backfills from the store by plan kind",
             labelnames=("plan",))
         self.examined = metrics.counter(
             "fedquery.standing.feed_rows_examined",
-            help="store records examined by window-feed pulls")
+            help="store records examined by window-feed backfills")
+        self.pushed = metrics.counter(
+            "fedquery.standing.rows_pushed",
+            help="rows window feeds took at ingest")
+        self.late = metrics.counter(
+            "fedquery.standing.late_rows",
+            help="rows that arrived below a feed's floor (trimmed) or "
+                 "inside a window a reader had closed (closed)",
+            labelnames=("reason",))
         self.consumed = metrics.counter(
             "fedquery.standing.rows_consumed",
             help="feed rows read by subscriptions (before their own "
@@ -552,113 +572,124 @@ class _CellStanding:
             if feed.readers:
                 retained += feed.trim()
             else:
+                feed.release()
                 del self.feeds[key]
         self._retained.set(retained)
 
 
-@dataclass
-class _Pull:
-    """One store pull: the rows of time units ``[low, high)`` in
-    store-matched order, with the plan accounting of the query."""
-
-    low: int
-    high: int
-    rows: list[dict[str, Any]]
-    plan: str
-    examined: int
-
-
 class _WindowFeed:
-    """The rows of one ``(collection, time_field, field_seconds)`` that
-    a cell's live subscriptions can still need, fetched once.
+    """The live rows of one ``(collection, time_field, field_seconds)``
+    that a cell's subscriptions can still need, pushed at ingest.
 
-    The feed covers a contiguous range of time units ``[low, high)``
-    as a list of :class:`_Pull` segments. A read up to ``end > high``
-    makes ONE ``source.run_local`` pull of ``Between(time_field, high,
-    end-1)`` — no tenant predicate, no projection, so the store's plan
-    selection rides zone maps and range indexes on the time field — and
-    every other subscription closing at that boundary reads the same
-    rows. A reader whose range starts below ``low`` (a subscription
-    installed after its first windows ended) extends the same feed
-    downward with one more pull.
+    The feed's first read backfills it: ONE ``Catalog.query`` of
+    ``Between(time_field, floor, None)`` — no tenant predicate, no
+    projection, so the plan rides zone maps and range indexes on the
+    time field — for the rows already stored. From then on the feed is
+    one of the collection's write feeds (:meth:`Collection.add_feed
+    <repro.store.catalog.Collection.add_feed>`): every insert, batch
+    insert and delete through the collection reaches it once the store
+    and the indexes have taken it, so no close reads the store. A
+    reader whose range starts below what the feed covers (a
+    subscription installed after its first windows ended) extends it
+    downward with one more query. A write that goes around the
+    collection is not seen, just as the indexes do not see it.
 
-    **Ordered-ingest contract.** Rows must be ingested in event-time
-    order: a row whose time unit is below ``high`` when it arrives is
-    never seen by the feed, and the store-matched order of the pulls is
-    the one-shot windowed query's only under that order.
+    The feed holds the live rows of time units ``[low, ...)`` by record
+    id, in log order (the backfilled rows first, as the store returned
+    them): a write of an id it holds replaces that row and moves it to
+    the end, as the log does; a delete removes it.
+
+    **Ordered-ingest contract**, checked where rows arrive: a row whose
+    time unit is below ``low`` is counted as ``trimmed`` on
+    ``fedquery.standing.late_rows`` and not kept; a row inside a window
+    some reader has already closed is counted as ``closed`` and kept,
+    so every reader that has not closed that window sees it.
 
     **Retention bound.** :meth:`trim` (after every close tick) drops
-    everything below the lowest reader cursor; a reader's cursor never
-    trails the start of its next window, so the feed holds at most the
-    rows of the widest live window.
+    everything below the lowest reader cursor, so the feed holds the
+    rows from the lowest reader cursor up to the newest arrival; a
+    reader's cursor is the start of its next window.
     """
 
     def __init__(self, runtime: _CellStanding, collection: str,
                  time_field: str) -> None:
         self.runtime = runtime
+        self.collection = collection
         self.time_field = time_field
         self.readers: list[_CellSubscription] = []
-        self._fetch = FedQuerySpec(
-            recipient="window-feed", purpose="window-feed",
-            transform=TRANSFORM_KANON, collection=collection,
-        )
-        # Contiguous and ascending: covers [pulls[0].low, pulls[-1].high).
-        self._pulls: list[_Pull] = []
+        # The lowest time unit the rows cover; None until the first
+        # read backfills the feed and it starts listening.
+        self.low: int | None = None
+        self._above: Between | None = None  # units >= low
+        self._below: Between | None = None  # units < low
+        self._rows: dict[str, Record] = {}
 
-    def _pull(self, low: int, high: int) -> _Pull:
+    def _backfill(self, low: int, high: int | None) -> dict[str, Record]:
+        """The stored live rows of time units ``[low, high]``, by id."""
         runtime = self.runtime
-        rows, plan, examined = runtime.agent.source.run_local(
-            dataclasses.replace(
-                self._fetch, where=Between(self.time_field, low, high - 1)))
-        runtime.pulls.labels(plan=plan_kind(plan)).inc()
-        runtime.examined.inc(examined)
-        return _Pull(low, high, rows, plan, examined)
+        result = runtime.catalog.query(Query(
+            self.collection, Between(self.time_field, low, high),
+            with_ids=True))
+        runtime.pulls.labels(plan=plan_kind(result.plan)).inc()
+        runtime.examined.inc(result.records_examined)
+        return dict(zip(result.ids, result.rows))
 
-    def read(self, low: int,
-             high: int) -> tuple[list[dict[str, Any]], str, int]:
-        """The rows of time units ``[low, high)`` in store-matched
-        order, plus the plan and the records examined by the pull(s)
-        that covered the range (the last pull's plan when several did).
+    def _cover(self, low: int) -> None:
+        self.low = low
+        self._above = Between(self.time_field, low, None)
+        self._below = Between(self.time_field, None, low - 1)
+
+    def read(self, low: int, high: int) -> list[Record]:
+        """The live rows of time units ``[low, high]`` in log order.
         Returned rows are shared between readers: copy, never mutate."""
-        if high <= low:
-            return [], "none", 0
-        pulls = self._pulls
-        if not pulls:
-            pulls.append(self._pull(low, high))
-        else:
-            if low < pulls[0].low:
-                pulls.insert(0, self._pull(low, pulls[0].low))
-            if high > pulls[-1].high:
-                pulls.append(self._pull(pulls[-1].high, high))
-        rows: list[dict[str, Any]] = []
-        plan, examined = "none", 0
-        for pull in pulls:
-            if pull.high <= low or pull.low >= high:
-                continue
-            plan = pull.plan
-            examined += pull.examined
-            if low <= pull.low and pull.high <= high:
-                rows.extend(pull.rows)
-            else:
-                within = Between(self.time_field, low, high - 1)
-                rows.extend(row for row in pull.rows if within.matches(row))
+        if self.low is None:
+            floor = min(low, *(reader.cursor for reader in self.readers))
+            self._rows = self._backfill(floor, None)
+            self._cover(floor)
+            self.runtime.catalog.collection(self.collection).add_feed(self)
+        elif low < self.low:
+            self._rows = {**self._backfill(low, self.low - 1), **self._rows}
+            self._cover(low)
+        within = Between(self.time_field, low, high)
+        rows = [row for row in self._rows.values() if within.matches(row)]
         self.runtime.consumed.inc(len(rows))
-        return rows, plan, examined
+        return rows
+
+    def written(self, record_id: str, record: Record) -> None:
+        """A write through the collection (:class:`WriteFeed
+        <repro.store.catalog.WriteFeed>`): the feed keeps a snapshot,
+        as the store does."""
+        rows = self._rows
+        rows.pop(record_id, None)
+        runtime = self.runtime
+        if self._above.matches(record):
+            rows[record_id] = dict(record)
+            runtime.pushed.inc()
+            if any(reader.closed is not None and reader.closed.matches(record)
+                   for reader in self.readers):
+                runtime.late.labels(reason="closed").inc()
+        elif self._below.matches(record):
+            runtime.late.labels(reason="trimmed").inc()
+
+    def deleted(self, record_id: str) -> None:
+        self._rows.pop(record_id, None)
 
     def trim(self) -> int:
         """Drop what no reader can still need; returns rows retained."""
         floor = min(reader.cursor for reader in self.readers)
-        kept = []
-        for pull in self._pulls:
-            if pull.high <= floor:
-                continue
-            if pull.low < floor:
-                within = Between(self.time_field, floor, None)
-                pull = dataclasses.replace(pull, low=floor, rows=[
-                    row for row in pull.rows if within.matches(row)])
-            kept.append(pull)
-        self._pulls = kept
-        return sum(len(pull.rows) for pull in kept)
+        if self.low is not None and floor > self.low:
+            self._cover(floor)
+            above = self._above
+            self._rows = {record_id: row
+                          for record_id, row in self._rows.items()
+                          if above.matches(row)}
+        return len(self._rows)
+
+    def release(self) -> None:
+        """Stop listening: the feed's last reader is gone."""
+        if self.low is not None:
+            self.runtime.catalog.collection(self.collection).remove_feed(
+                self)
 
 
 class _CellSubscription:
@@ -685,16 +716,19 @@ class _CellSubscription:
         self.round_base = message["round_base"]
         self.reply_to = message["reply_to"]
         # The masking context every window shares; each close adds its
-        # own round tag.
+        # own round tag. The roster by reference: ``sub_message`` made
+        # it a tuple, and a copy per cell per subscription is O(N²).
+        roster = message["roster"]
         self._context = {
-            "roster": list(message["roster"]),
-            "neighbors": message.get("neighbors"),
-            "positions": None, "global_size": len(message["roster"]),
+            "roster": roster, "neighbors": message.get("neighbors"),
+            "positions": None, "global_size": len(roster),
         }
         self._next = 0  # the next window to close
         # The lowest time unit this subscription can still need from
         # the feed: the start of its next window.
         self.cursor = window.origin_s // window.field_seconds
+        # The time units of the windows closed so far (None: none yet).
+        self.closed: Between | None = None
         # The store's own aggregate, the one the one-shot query runs.
         self._aggregate = (Aggregate(spec.aggregate, spec.value_field)
                            if spec.numeric else None)
@@ -730,20 +764,23 @@ class _CellSubscription:
         # Answered, declined or replayed: no later window reaches below
         # the next window's start, so the feed may let go of it.
         self.cursor = self.window.window_bounds(index + 1)[0]
+        self.closed = Between(self.window.time_field,
+                              self.window.window_bounds(0)[0],
+                              self.window.window_bounds(index)[1])
 
     def _window_local(self, index: int) -> tuple[Any, str, int]:
         """Window ``index``'s local result, read off the shared feed:
         the spec's aggregate or projection over the window's rows that
-        its predicate matches, in store-matched order."""
-        low, high = self.window.window_bounds(index)
-        rows, plan, examined = self.feed.read(low, high + 1)
+        its predicate matches, in log order. Plan ``feed``; examined is
+        the window rows read off it."""
+        rows = self.feed.read(*self.window.window_bounds(index))
         spec = self.spec
         matched = [row for row in rows if spec.where.matches(row)]
         if self._aggregate is not None:
-            return self._aggregate.compute(matched), plan, examined
+            return self._aggregate.compute(matched), "feed", len(rows)
         fields = spec.project
         return [
             dict(row) if fields is None
             else {name: row.get(name) for name in fields}
             for row in matched
-        ], plan, examined
+        ], "feed", len(rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Protocol
 
 from ..errors import ConfigurationError, NotFoundError, QueryError
 from ..hardware.flash import NandFlash
@@ -32,6 +32,17 @@ from .query import (
 )
 
 
+class WriteFeed(Protocol):
+    """What :meth:`Collection.add_feed` takes: told of each write, by
+    collection-local record id, after the store and indexes took it."""
+
+    def written(self, record_id: str, record: Record) -> None:
+        """``record`` now stands under ``record_id`` (new or replaced)."""
+
+    def deleted(self, record_id: str) -> None:
+        """``record_id`` no longer stands."""
+
+
 class Collection:
     """One named record collection with optional secondary indexes."""
 
@@ -41,6 +52,7 @@ class Collection:
         self._hash_indexes: dict[str, HashIndex] = {}
         self._ordered_indexes: dict[str, OrderedIndex] = {}
         self._keyword_indexes: dict[str, KeywordIndex] = {}
+        self._feeds: list[WriteFeed] = []
 
     # -- index management -----------------------------------------------------
 
@@ -98,6 +110,19 @@ class Collection:
             + sum(index.ram_bytes for index in self._keyword_indexes.values())
         )
 
+    # -- write feeds ----------------------------------------------------------
+
+    def add_feed(self, feed: WriteFeed) -> None:
+        """Tell ``feed`` of every later write through this collection:
+        :meth:`insert`, :meth:`insert_many` and :meth:`delete` call it
+        once the store and the indexes have taken the write. A write
+        that goes around the collection (straight to the log store)
+        reaches no feed, just as it reaches no index."""
+        self._feeds.append(feed)
+
+    def remove_feed(self, feed: WriteFeed) -> None:
+        self._feeds.remove(feed)
+
     # -- record lifecycle ---------------------------------------------------
 
     @property
@@ -117,6 +142,8 @@ class Collection:
         if previous is not None:
             self._unindex(full_id, previous)
         self._index(full_id, record)
+        for feed in self._feeds:
+            feed.written(record_id, record)
 
     def insert_many(self, items: Iterable[tuple[str, Record]]) -> int:
         """Batch insert: one pass through the store's page-coalescing
@@ -130,7 +157,8 @@ class Collection:
         instead of insorting each posting. Returns the number of
         records appended to the log. If the store refuses a record
         mid-batch, the indexes still follow exactly the leading records
-        it took (``inserts`` counts them) before the error propagates.
+        it took (``inserts`` counts them) before the error propagates;
+        so do the write feeds.
         """
         prefix = self._prefix
         items = [(prefix + record_id, record) for record_id, record in items]
@@ -145,7 +173,11 @@ class Collection:
         try:
             return store.insert_many(items)
         finally:
-            self._index_many(items[: store.inserts - before], replaced)
+            taken = store.inserts - before
+            self._index_many(items[:taken], replaced)
+            for feed in self._feeds:
+                for full_id, record in items[:taken]:
+                    feed.written(full_id[len(prefix):], record)
 
     def _index_many(self, items: list[tuple[str, Record]],
                     replaced: dict[str, Record]) -> None:
@@ -192,6 +224,8 @@ class Collection:
             raise NotFoundError(f"no record {record_id!r} in {self.name!r}")
         self._unindex(full_id, self._store.get(full_id))
         self._store.delete(full_id)
+        for feed in self._feeds:
+            feed.deleted(record_id)
 
     def _index(self, full_id: str, record: Record) -> None:
         for field, index in self._hash_indexes.items():
@@ -291,8 +325,7 @@ class Collection:
 def _index_candidates(fetched) -> BatchCandidates:
     """An index fetch's ``(record_ids, batch)`` chunks as candidates.
     Index plans return rows in ascending id order: when the log does
-    not already hold them that way, ``execute`` gets the ids to sort
-    by."""
+    not already hold them that way, ``execute`` sorts by the ids."""
     chunks = []
     ascending = True
     previous = ""
@@ -301,8 +334,8 @@ def _index_candidates(fetched) -> BatchCandidates:
         ascending = ascending and previous < chunk_ids[0] and all(
             map(lt, chunk_ids, islice(chunk_ids, 1, None)))
         previous = chunk_ids[-1]
-    return BatchCandidates(chunks, None if ascending else [
-        chunk_ids for chunk_ids, _ in fetched])
+    return BatchCandidates(chunks, [chunk_ids for chunk_ids, _ in fetched],
+                           by_id=not ascending)
 
 
 class Catalog:
@@ -359,9 +392,10 @@ class Catalog:
         def batch_chunks(field=None, low=None, high=None):
             """The collection's chunks off the columnar scan — its rows,
             in the order ``scan_range`` yields them."""
-            return BatchCandidates([
-                batch for _, batch in self.store.scan_batches(
-                    field, low, high, collection._prefix)])
+            scanned = list(self.store.scan_batches(
+                field, low, high, collection._prefix))
+            return BatchCandidates([batch for _, batch in scanned],
+                                   [chunk_ids for chunk_ids, _ in scanned])
 
         def fetch_candidates(predicate: Predicate):
             before = flash.reads
@@ -387,6 +421,9 @@ class Catalog:
             return batch_chunks(), flash.reads - before
 
         result = execute(query, fetch_candidates, fetch_all)
+        if result.ids is not None:  # collection-local, as inserted
+            start = len(collection._prefix)
+            result.ids = [full_id[start:] for full_id in result.ids]
         if self.profile is not None:
             # Abstract CPU accounting: one op per record examined.
             self.profile.cpu_seconds(result.records_examined)

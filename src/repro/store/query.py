@@ -438,6 +438,9 @@ class Query:
     order_by: str | None = None
     descending: bool = False
     limit: int | None = None
+    #: Also return each matched row's record id (``QueryResult.ids``):
+    #: rows as matched, so no aggregates, ordering or limit.
+    with_ids: bool = False
 
 
 @dataclass
@@ -448,6 +451,9 @@ class QueryResult:
     plan: str  # "index:<field>", "range:<field>" or "scan"
     records_examined: int
     flash_reads: int
+    #: The record id of each row, aligned with ``rows``, for a
+    #: ``with_ids`` query (``None`` otherwise).
+    ids: list[str] | None = None
 
     def __iter__(self):
         return iter(self.rows)
@@ -467,18 +473,21 @@ class BatchCandidates:
     :func:`execute` takes, whatever the plan.
 
     ``chunks`` is a list of :class:`ColumnBatch` chunks of the
-    collection's rows, every row a candidate. Matching rows come back
-    in chunk order unless ``ids`` is given: one list of record ids per
-    chunk (aligned with the batch's rows), by which the matches are
-    then sorted — the index plans' ascending-id contract, passed only
-    when the chunks do not already ascend.
+    collection's rows, every row a candidate. ``ids``, when the fetch
+    kept them, holds one list of record ids per chunk (aligned with the
+    batch's rows): what a ``with_ids`` query hands back beside its
+    rows. Matching rows come back in chunk order unless ``by_id`` is
+    set: then they are sorted by those ids — the index plans'
+    ascending-id contract, asked for only when the chunks do not
+    already ascend.
     """
 
-    __slots__ = ("chunks", "ids")
+    __slots__ = ("chunks", "ids", "by_id")
 
-    def __init__(self, chunks, ids=None) -> None:
+    def __init__(self, chunks, ids=None, *, by_id: bool = False) -> None:
         self.chunks = chunks
         self.ids = ids
+        self.by_id = by_id
 
 
 _AGGREGATE_LANE = _obs_default().metrics.counter(
@@ -494,23 +503,29 @@ _AGGREGATE_LANES = {
 }
 
 
+def _hit_ids(candidates: BatchCandidates, hits) -> list[str]:
+    """The record id of every hit, in chunk order (``hits`` holds each
+    chunk's matching row indexes)."""
+    return [chunk_ids[index]
+            for chunk_ids, chunk_hits in zip(candidates.ids, hits)
+            for index in chunk_hits]
+
+
 def _in_id_order(candidates: BatchCandidates, hits, values: list) -> list:
-    """``values`` — one per hit, in chunk order (``hits`` holds each
-    chunk's matching row indexes) — sorted by record id when the
-    candidates ask for that."""
-    if candidates.ids is None:
+    """``values`` — one per hit, in chunk order — sorted by record id
+    when the candidates ask for that."""
+    if not candidates.by_id:
         return values
-    ids = [chunk_ids[index]
-           for chunk_ids, chunk_hits in zip(candidates.ids, hits)
-           for index in chunk_hits]
+    ids = _hit_ids(candidates, hits)
     return [values[at] for at in sorted(range(len(ids)), key=ids.__getitem__)]
 
 
 def _filter_batches(where: Predicate, candidates: BatchCandidates,
-                    masks: list) -> list[Record]:
+                    masks: list, with_ids: bool = False) -> list:
     """``[r for r in rows if where.matches(r)]`` over columnar chunks
     (``masks`` holds each chunk's ``matches_batch`` verdict), every
-    matching row materialised exactly once."""
+    matching row materialised exactly once; ``(record_id, row)`` pairs
+    instead ``with_ids``."""
     matched: list[Record] = []
     hits = []
     for batch, mask in zip(candidates.chunks, masks):
@@ -532,6 +547,8 @@ def _filter_batches(where: Predicate, candidates: BatchCandidates,
                 continue
             chunk_hits.append(index)
             matched.append(record)
+    if with_ids:
+        matched = list(zip(_hit_ids(candidates, hits), matched))
     return _in_id_order(candidates, hits, matched)
 
 
@@ -601,6 +618,11 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
     supplied by the catalog. The rows handed back are this query's own:
     each was built once, from a batch nothing else holds.
     """
+    if query.with_ids and (query.aggregates or query.order_by is not None
+                           or query.limit is not None):
+        raise QueryError(
+            "a with_ids query returns rows as matched: no aggregates, "
+            "order_by or limit")
     candidates, plan, flash_reads = fetch_candidates(query.where)
     if candidates is None:
         candidates, flash_reads = fetch_all()
@@ -609,6 +631,7 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
     where = query.where
     masks = [where.matches_batch(batch) for batch in chunks]
     examined = sum(batch.count for batch in chunks)
+    ids = None
 
     if query.aggregates:
         decline = _fold_decline(query, chunks, masks)
@@ -622,12 +645,16 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
     else:
         # Order and limit on full records, then project, so a query may
         # sort by a field it does not return.
-        rows = _apply_order_limit(
-            _filter_batches(where, candidates, masks), query)
+        rows = _filter_batches(where, candidates, masks, query.with_ids)
+        if query.with_ids:
+            ids = [record_id for record_id, _ in rows]
+            rows = [record for _, record in rows]
+        rows = _apply_order_limit(rows, query)
         if query.project is not None:
             rows = [_project(record, query.project) for record in rows]
     return QueryResult(
-        rows=rows, plan=plan, records_examined=examined, flash_reads=flash_reads
+        rows=rows, plan=plan, records_examined=examined,
+        flash_reads=flash_reads, ids=ids,
     )
 
 

@@ -4,6 +4,8 @@ import json
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.commons.anonymize import is_k_anonymous
 from repro.errors import ConfigurationError
@@ -32,7 +34,7 @@ from repro.fedquery.spec import (
 from repro.fedquery.standing import sub_message
 from repro.infrastructure.network import Network
 from repro.sim.world import World
-from repro.store.query import Between
+from repro.store.query import Between, Query
 
 WIDTH_S = 900
 FIELD_SECONDS = 300
@@ -497,8 +499,25 @@ class TestOneEgress:
         closed = self._window_partial(spec, index, **cell)
         planned = self._plan_partial(spec, index, **cell)
         assert closed["status"] == planned["status"] == status
-        assert json.dumps(closed, sort_keys=True) \
-            == json.dumps(planned, sort_keys=True)
+
+        def egress(partial):  # all but the store accounting
+            return json.dumps({key: value for key, value in partial.items()
+                               if key not in ("plan", "examined")},
+                              sort_keys=True)
+
+        assert egress(closed) == egress(planned)
+        # A close reads its window off the feed: plan ``feed``, and the
+        # window's rows (before the tenant predicate) as examined.
+        low, high = window_clause().window_bounds(index)
+        world, _, fleet = standing_fleet()
+        world.loop.run_until(window_clause().window_span_s(index)[1])
+        window_rows = len(fleet.catalogs[fleet.roster[1]].query(
+            Query(spec.collection, Between("t", low, high))))
+        assert window_rows > 0
+        assert (closed["plan"], closed["examined"]) == (
+            ("feed", window_rows) if status == "ok" else ("none", 0))
+        if status != "ok":
+            assert (planned["plan"], planned["examined"]) == ("none", 0)
 
     def test_dp_share_is_drawn_once_per_cell_and_window(self, monkeypatch):
         draws = []
@@ -558,12 +577,16 @@ def feed_pulls(world):
 
 
 class TestWindowFeed:
-    """One store pull per cell per feed per close, whatever the number
-    of tenants; every per-(subscription, window) guarantee unchanged."""
+    """Rows are pushed to one feed per cell per stream collection at
+    ingest, whatever the number of tenants: one store backfill per feed
+    per cell, no store read at a close; every per-(subscription,
+    window) guarantee unchanged."""
 
     @pytest.mark.parametrize("tenants", [1, 4, 16])
     def test_store_queries_per_close_follow_feeds_not_tenants(
             self, tenants, monkeypatch):
+        """Each cell backfills each feed once, at its first read
+        (window 0's close); every later close queries no store."""
         from repro.store.catalog import Catalog
 
         calls = []
@@ -586,12 +609,16 @@ class TestWindowFeed:
             before = len(calls)
             world.loop.run_until(window.window_span_s(index)[1] + 5)
             closing = calls[before:]
+            if index:
+                assert closing == []
+                continue
             assert len(closing) == feeds * len(fleet.roster)
             assert all(closing.count(id(catalog)) == feeds
                        for catalog in fleet.catalogs.values())
         coordinator.drive()
         assert all(sub.complete for sub in subs)
-        assert feed_pulls(world) == len(calls)
+        assert feed_pulls(world) == len(calls) == feeds * len(fleet.roster)
+        assert metric(world, "fedquery.standing.rows_pushed")["value"] > 0
 
     MIXED = (
         # spec, clause overrides
@@ -697,8 +724,12 @@ class TestWindowFeed:
                         window_clause(windows=10, slide_s=300))
         world.loop.run_until(2 * WIDTH_S + 50)
         feed = agent._standing.feeds["employment", "t", FIELD_SECONDS]
-        assert feed._pulls and feed._pulls[0].low > 0
+        assert feed.low is not None and feed.low > 0  # backfilled, trimmed
         before = feed_pulls(world)
+        extended = []
+        backfill = feed._backfill
+        feed._backfill = lambda low, high: (
+            extended.append((low, high)) or backfill(low, high))
         self._subscribe(network, fleet, agent, self.SUB_B, self.HOURS, clause)
         world.loop.run_until(2 * WIDTH_S + 60)
         # windows 0 and 1 closed at once, off the same feed, for ONE
@@ -707,6 +738,8 @@ class TestWindowFeed:
             "employment", "t", FIELD_SECONDS] is feed
         assert len(feed.readers) == 2
         assert feed_pulls(world) == before + 1
+        assert extended == [(0, feed.low - 1)]
+        assert feed.low == min(reader.cursor for reader in feed.readers)
         world.loop.run_until(4 * WIDTH_S + 5)
         late = {m["tag"]: m["payload"] for m in inbox
                 if m["tag"].startswith(self.SUB_B)}
@@ -858,22 +891,30 @@ class TestWindowFeed:
     def test_feed_counters_survive_an_in_place_reset(self):
         """``obs.reset()`` zeroes instruments in place (what
         ``tests/conftest.py`` does to the default scope); the feed binds
-        instruments, not values, so it keeps counting afterwards."""
+        instruments, not values, so it keeps counting afterwards: every
+        row window 1 ingests is pushed to its feed."""
         window = window_clause()
         world, network, fleet = feed_fleet(n_cells=4, units=UNITS)
         coordinator = StandingCoordinator(world, network)
         for spec in tenant_specs(4):
             coordinator.subscribe(spec, fleet.roster, window)
         world.loop.run_until(WIDTH_S + 5)
-        first = feed_pulls(world)
-        assert first == 2 * len(fleet.roster)
+        assert feed_pulls(world) == 2 * len(fleet.roster)  # the backfills
+        assert set(metric(world, "fedquery.standing.feed_pulls")["labels"]) \
+            <= {"index", "zonemap", "scan"}
         assert metric(
             world, "fedquery.standing.feed_rows_examined")["value"] > 0
         world.obs.reset()
         world.loop.run_until(2 * WIDTH_S + 5)
-        assert feed_pulls(world) == first
-        assert set(metric(world, "fedquery.standing.feed_pulls")["labels"]) \
-            <= {"index", "zonemap", "scan"}
+        low, high = window.window_bounds(1)
+        ingested = sum(
+            len(catalog.query(Query(collection, Between("t", low, high))))
+            for catalog in fleet.catalogs.values()
+            for collection in ("energy_stream", "employment"))
+        assert ingested > len(fleet.roster)
+        assert metric(world, "fedquery.standing.rows_pushed")["value"] \
+            == ingested
+        assert feed_pulls(world) == 0  # no close read the store
         assert metric(world, "fedquery.standing.rows_consumed")["value"] > 0
 
 
@@ -949,3 +990,156 @@ class TestAwkwardValueFields:
                     truth = sum(value for values in cells for value in values
                                 if type(value) in (int, float))
                 assert standing.value == pytest.approx(truth, abs=1e-9)
+
+
+# -- push at ingest: late rows and the live-rows property ----------------------
+
+
+class TestLateRows:
+    """A row that arrives below a feed's floor, or inside a window some
+    reader has closed, is counted by reason; one inside a still-open
+    window is kept, so every reader that has not closed it sees it."""
+
+    def test_planted_late_rows_are_counted_and_open_windows_see_them(self):
+        clause = window_clause(windows=8, slide_s=300)  # windows [i, i+2]
+        spec = energy_spec()
+        world, network, fleet = feed_fleet()
+        coordinator = StandingCoordinator(world, network)
+        sub = coordinator.subscribe(spec, fleet.roster, clause)
+        # windows 0 and 1 have closed: cursor (the floor) at unit 2,
+        # closed units [0, 3]
+        world.loop.run_until(WIDTH_S + FIELD_SECONDS + 5)
+        assert set(sub.results) == {0, 1}
+        for catalog in fleet.catalogs.values():
+            stream = catalog.collection("energy_stream")
+            stream.insert("late-trimmed", {"t": 1, "watts": 1000.5})
+            stream.insert("late-closed", {"t": 3, "watts": 2000.5})
+            stream.insert("early", {"t": 5, "watts": 4000.5})
+        late = metric(world, "fedquery.standing.late_rows")["labels"]
+        cells = len(fleet.roster)
+        assert late == {"trimmed": cells, "closed": cells}
+        coordinator.drive()
+        assert sub.complete
+
+        # every window still open at the plant is the one-shot query
+        # over the store that now holds the planted rows...
+        oneshot = Coordinator(world, network, address="fq-oneshot")
+        quiet_world, quiet_network, quiet_fleet = feed_fleet()
+        quiet_world.loop.run_until(FEED_UNITS * FIELD_SECONDS + 10)
+        quiet = Coordinator(quiet_world, quiet_network, address="fq-quiet")
+        for index in range(2, clause.windows):
+            wspec = clause.windowed_spec(spec, index)
+            expected = oneshot.run(wspec, fleet.roster)
+            assert (sub.results[index].value, sub.results[index].field_total) \
+                == (expected.value, expected.field_total)
+            # ...and the windows holding units 3 and 5 moved
+            low, high = clause.window_bounds(index)
+            moved = low <= 3 <= high or low <= 5 <= high
+            assert moved == (
+                expected.value != quiet.run(wspec, quiet_fleet.roster).value)
+
+
+PROPERTY_STREAMS = ("stream_a", "stream_b")
+
+property_op = st.tuples(
+    st.sampled_from(("insert", "insert_many", "delete", "late_sub")),
+    st.sampled_from(PROPERTY_STREAMS),
+    # (record id, time unit, value): a small id pool, so writes
+    # supersede; any unit, so rows arrive late
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, FEED_UNITS - 1),
+                       st.integers(-50, 50)), min_size=1, max_size=3),
+    st.integers(0, 500),  # sim seconds to run after the op
+)
+
+
+def _canonical(rows):
+    return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(property_op, max_size=30))
+def test_every_close_reads_the_live_rows_of_its_window(ops):
+    """Inserts, batch inserts, supersedes and deletes on two interleaved
+    stream collections, between tumbling and sliding closes and a late
+    subscriber: every close's rows are, as a multiset, the live rows a
+    store query of its window returns at that moment, and its aggregate
+    is the one-shot windowed query's."""
+    from repro.fedquery.standing import _CellSubscription, _WindowFeed
+
+    world = World(seed=0)
+    network = Network(world)
+    fleet = build_fleet(world, network, 2)
+    network.register("sink", lambda sender, payload: None)
+    agent = fleet.agents[fleet.roster[0]]
+    catalog = fleet.catalogs[fleet.roster[0]]
+    for name in fleet.roster:
+        for stream in PROPERTY_STREAMS:
+            fleet.catalogs[name].collection(stream)
+
+    def tenant(recipient, stream, aggregate="sum", **clause):
+        return (energy_spec(recipient=recipient, collection=stream,
+                            value_field="v", aggregate=aggregate),
+                window_clause(**clause))
+
+    def subscribe(index, spec, clause):
+        tag = f"sub{index}|{spec.recipient}|{spec.purpose}"
+        message = sub_message(tag, spec, clause, fleet.roster, "sink",
+                              round_base=tag)
+        network.send("sink", agent.name, message,
+                     size_bytes=wire_size(message))
+
+    tenants = [
+        tenant("u-tumbling", "stream_a", windows=4),
+        tenant("u-sliding", "stream_b", windows=10, slide_s=300),
+        tenant("u-count", "stream_b", aggregate="count", windows=4),
+    ]
+    late = tenant("u-late", "stream_a", windows=10, slide_s=300)
+    read, local = _WindowFeed.read, _CellSubscription._window_local
+    closes = []
+
+    def checked_read(feed, low, high):
+        rows = read(feed, low, high)
+        stored = feed.runtime.catalog.query(
+            Query(feed.collection, Between("t", low, high)))
+        assert _canonical(rows) == _canonical(stored.rows)
+        return rows
+
+    def checked_local(sub, index):
+        result = local(sub, index)
+        oneshot = sub.feed.runtime.catalog.query(
+            sub.window.windowed_spec(sub.spec, index).local_query())
+        assert result[0] == oneshot.scalar()
+        closes.append((sub.tag, index))
+        return result
+
+    _WindowFeed.read, _CellSubscription._window_local = \
+        checked_read, checked_local
+    try:
+        for index, (spec, clause) in enumerate(tenants):
+            subscribe(index, spec, clause)
+        world.loop.run_until(1)
+        for kind, stream, items, advance in ops:
+            collection = catalog.collection(stream)
+            rows = [(f"r{key}", {"t": unit, "v": value})
+                    for key, unit, value in items]
+            if kind == "insert":
+                for record_id, row in rows:
+                    collection.insert(record_id, row)
+            elif kind == "insert_many":
+                collection.insert_many(rows)
+            elif kind == "delete":
+                for record_id, _ in rows:
+                    if collection.contains(record_id):
+                        collection.delete(record_id)
+            elif late is not None:
+                subscribe(len(tenants), *late)
+                late = None
+            world.loop.run_until(world.now + advance)
+        world.loop.run_until(FEED_UNITS * FIELD_SECONDS + 10)
+    finally:
+        _WindowFeed.read, _CellSubscription._window_local = read, local
+    assert len({tag for tag, _ in closes}) >= len(tenants)
+    # every feed stopped listening with its last reader
+    assert not agent._standing.feeds
+    assert all(not catalog.collection(stream)._feeds
+               for stream in PROPERTY_STREAMS)

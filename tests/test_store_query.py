@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, NotFoundError, QueryError
+from repro.errors import (
+    ConfigurationError,
+    NotFoundError,
+    QueryError,
+    StorageError,
+)
 from repro.hardware import FlashTimings, NandFlash
 from repro.obs import get_default
 from repro.store import (
@@ -208,6 +213,87 @@ class TestCollectionCrud:
         catalog = seeded_catalog()
         with pytest.raises(ConfigurationError):
             catalog.collection("documents").create_hash_index("kind")
+
+
+class _RecordingFeed:
+    def __init__(self):
+        self.seen = []
+
+    def written(self, record_id, record):
+        self.seen.append(("written", record_id, dict(record)))
+
+    def deleted(self, record_id):
+        self.seen.append(("deleted", record_id))
+
+
+class TestWriteFeeds:
+    def test_every_write_through_the_collection_reaches_its_feeds(self):
+        catalog = seeded_catalog()
+        documents = catalog.collection("documents")
+        feed = _RecordingFeed()
+        documents.add_feed(feed)
+        catalog.collection("other").insert("x", {"kind": "photo"})
+        documents.insert("d9", {"kind": "mail"})
+        documents.insert_many([("d1", {"kind": "bill"}), ("d8", {"v": 1}),
+                               ("d8", {"v": 2})])
+        documents.delete("d3")
+        assert feed.seen == [
+            ("written", "d9", {"kind": "mail"}),
+            ("written", "d1", {"kind": "bill"}),
+            ("written", "d8", {"v": 1}),
+            ("written", "d8", {"v": 2}),
+            ("deleted", "d3"),
+        ]
+        documents.remove_feed(feed)
+        documents.insert("d10", {"kind": "mail"})
+        assert len(feed.seen) == 5
+
+    def test_a_refused_write_reaches_no_feed(self):
+        catalog = make_catalog()
+        items = catalog.collection("items")
+        feed = _RecordingFeed()
+        items.add_feed(feed)
+        oversize = {"blob": "x" * 4 * TIMINGS.page_size}
+        with pytest.raises(StorageError):
+            items.insert("big", oversize)
+        with pytest.raises(StorageError):
+            items.insert_many([("a", {"v": 1}), ("big", oversize)])
+        # the batch's leading record was taken, so it was told
+        assert feed.seen == [("written", "a", {"v": 1})]
+        assert items.contains("a") and not items.contains("big")
+
+
+class TestQueryIds:
+    @pytest.mark.parametrize("where, plan", [
+        (Eq("kind", "photo"), "index:kind"),
+        (Between("timestamp", 200, 450), "range:timestamp"),
+        (Between("size", 0, 2500), "zonemap:size"),
+        (Contains("title", "beach"), "scan"),
+    ])
+    def test_ids_align_with_rows_on_every_plan(self, where, plan):
+        catalog = seeded_catalog()
+        documents = catalog.collection("documents")
+        documents.insert("d2", {"kind": "photo", "timestamp": 260,
+                                "size": 900, "title": "beach again"})
+        result = catalog.query(Query("documents", where=where, with_ids=True))
+        plain = catalog.query(Query("documents", where=where))
+        assert result.plan == plain.plan == plan
+        assert result.rows == plain.rows and result.rows
+        assert result.ids is not None and len(result.ids) == len(result.rows)
+        assert [documents.get(record_id) for record_id in result.ids] \
+            == result.rows
+        assert plain.ids is None
+
+    def test_ids_refuse_what_reorders_or_folds(self):
+        catalog = seeded_catalog()
+        for query in (
+            Query("documents", with_ids=True, limit=2),
+            Query("documents", with_ids=True, order_by="size"),
+            Query("documents", with_ids=True,
+                  aggregates=[Aggregate("sum", "size")]),
+        ):
+            with pytest.raises(QueryError):
+                catalog.query(query)
 
 
 class TestQueryExecution:
