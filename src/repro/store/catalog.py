@@ -8,7 +8,8 @@ declared hash- or range-indexed, and queries route through
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from operator import lt
 from typing import Iterable, Iterator, Protocol
 
@@ -48,6 +49,7 @@ class Collection:
 
     def __init__(self, name: str, store: LogStructuredStore) -> None:
         self.name = name
+        self._prefix = f"{name}/"
         self._store = store
         self._hash_indexes: dict[str, HashIndex] = {}
         self._ordered_indexes: dict[str, OrderedIndex] = {}
@@ -124,10 +126,6 @@ class Collection:
         self._feeds.remove(feed)
 
     # -- record lifecycle ---------------------------------------------------
-
-    @property
-    def _prefix(self) -> str:
-        return f"{self.name}/"
 
     def _full_id(self, record_id: str) -> str:
         return self._prefix + record_id
@@ -322,22 +320,6 @@ class Collection:
         return None
 
 
-def _index_candidates(fetched) -> BatchCandidates:
-    """An index fetch's ``(record_ids, batch)`` chunks as candidates.
-    Index plans return rows in ascending id order: when the log does
-    not already hold them that way, ``execute`` sorts by the ids."""
-    chunks = []
-    ascending = True
-    previous = ""
-    for chunk_ids, batch in fetched:
-        chunks.append(batch)
-        ascending = ascending and previous < chunk_ids[0] and all(
-            map(lt, chunk_ids, islice(chunk_ids, 1, None)))
-        previous = chunk_ids[-1]
-    return BatchCandidates(chunks, [chunk_ids for chunk_ids, _ in fetched],
-                           by_id=not ascending)
-
-
 class Catalog:
     """A set of collections sharing one flash device and RAM budget."""
 
@@ -387,40 +369,7 @@ class Catalog:
         if query.collection not in self._collections:
             raise QueryError(f"unknown collection {query.collection!r}")
         collection = self._collections[query.collection]
-        flash = self.store.flash
-
-        def batch_chunks(field=None, low=None, high=None):
-            """The collection's chunks off the columnar scan — its rows,
-            in the order ``scan_range`` yields them."""
-            scanned = list(self.store.scan_batches(
-                field, low, high, collection._prefix))
-            return BatchCandidates([batch for _, batch in scanned],
-                                   [chunk_ids for chunk_ids, _ in scanned])
-
-        def fetch_candidates(predicate: Predicate):
-            before = flash.reads
-            ids, plan = collection._candidate_ids(predicate)
-            if ids is not None:
-                candidates = _index_candidates(self.store.fetch_batches(ids))
-                return candidates, plan, flash.reads - before
-            # No index applies; before surrendering to a full scan, try
-            # zone-map block pruning on a range/equality constraint. The
-            # pruned scan yields a block-granular superset that
-            # execute() re-filters, exactly like index candidates.
-            hint = (
-                collection._range_hint(predicate)
-                if self.store.zone_maps_enabled else None
-            )
-            if hint is None:
-                return None, "scan", 0
-            chunks = batch_chunks(*hint)
-            return chunks, f"zonemap:{hint[0]}", flash.reads - before
-
-        def fetch_all():
-            before = flash.reads
-            return batch_chunks(), flash.reads - before
-
-        result = execute(query, fetch_candidates, fetch_all)
+        result = execute(query, partial(self._candidates, collection))
         if result.ids is not None:  # collection-local, as inserted
             start = len(collection._prefix)
             result.ids = [full_id[start:] for full_id in result.ids]
@@ -428,3 +377,32 @@ class Catalog:
             # Abstract CPU accounting: one op per record examined.
             self.profile.cpu_seconds(result.records_examined)
         return result
+
+    def _candidates(self, collection: Collection, predicate: Predicate,
+                    ) -> tuple[BatchCandidates, str, int]:
+        """``(candidates, plan, flash_reads)`` of ``predicate`` over
+        ``collection``: an index's ids fetched, else the blocks a range
+        or equality constraint lets the zone maps admit, else all, each
+        scan in ``scan_range``'s order (``execute`` re-filters)."""
+        store = self.store
+        before = store.flash.reads
+        ids, plan = collection._candidate_ids(predicate)
+        if ids is not None:
+            fetched = store.fetch_batches(ids)
+        else:
+            hint = (collection._range_hint(predicate)
+                    if store.zone_maps_enabled else None)
+            if hint is not None:
+                plan = f"zonemap:{hint[0]}"
+            fetched = store.scan_batches(*hint or (None,) * 3,
+                                         collection._prefix)
+        fetched = list(fetched)
+        chunk_ids = [record_ids for record_ids, _ in fetched]
+        chunks = [batch for _, batch in fetched]
+        # Index plans return rows in ascending id order: when the log
+        # does not already hold them that way, execute sorts by the ids.
+        by_id = ids is not None and not all(map(
+            lt, chain.from_iterable(chunk_ids),
+            islice(chain.from_iterable(chunk_ids), 1, None)))
+        return (BatchCandidates(chunks, chunk_ids, by_id=by_id), plan,
+                store.flash.reads - before)

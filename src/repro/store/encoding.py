@@ -207,29 +207,34 @@ class ColumnBatch:
     ``columns`` only when :meth:`column` asks for it;
     every other field is a list of ``count`` values from the start.
     Rows that did not fit the uniform schema live whole in
-    ``scalar_rows`` (row index -> record); their slots in the columns
-    hold placeholders that must never be read. ``row(i)``, ``rows()``
-    and ``rows_at(indexes)`` materialize plain records equal to what
-    :func:`decode_record` would have produced; the last two build them
-    through :func:`build_rows`.
+    ``scalar_rows`` (row index -> record, in row order when all are);
+    their column slots hold placeholders never to be read. ``row(i)``,
+    ``rows()`` and ``rows_at(indexes)`` hand out a scalar row as held
+    (a ``lent`` batch's is another's: a caller copies one it keeps)
+    and build any other as :func:`decode_record` would (the last two
+    through :func:`build_rows`).
     """
 
-    __slots__ = ("count", "fields", "columns", "scalar_rows", "_numeric")
+    __slots__ = ("count", "fields", "columns", "scalar_rows", "lent",
+                 "_numeric")
 
     def __init__(self, count: int, fields: tuple[str, ...] = (),
                  columns: dict[str, list] | None = None,
-                 scalar_rows: dict[int, Record] | None = None) -> None:
+                 scalar_rows: dict[int, Record] | None = None,
+                 lent: bool = False) -> None:
         self.count = count
         self.fields = tuple(fields)
         self.columns = columns if columns is not None else {}
         self.scalar_rows = scalar_rows if scalar_rows is not None else {}
+        self.lent = lent
         self._numeric: dict[str, tuple | None] = {}
 
     @classmethod
-    def from_records(cls, records: list[Record]) -> "ColumnBatch":
+    def from_records(cls, records: list[Record], lent=False) -> "ColumnBatch":
         """A fully scalar batch whose rows are ``records`` themselves
         (held, not copied)."""
-        return cls(len(records), scalar_rows=dict(enumerate(records)))
+        return cls(len(records), scalar_rows=dict(enumerate(records)),
+                   lent=lent)
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, object],
@@ -914,7 +919,7 @@ def decode_page(payloads: list[bytes] | ChunkPayloads, *,
             for index, value in zip(indexes.tolist(), values):
                 column[index] = value
     if fields is None or len(scalar_rows) == count:
-        return ColumnBatch(count, scalar_rows=scalar_rows)
+        return ColumnBatch.from_records([scalar_rows[i] for i in range(count)])
     # A field every clean group decoded as one numeric kind stays the
     # array it decoded to (0 at scalar rows); any other field is a list.
     views: dict[str, tuple] = {}

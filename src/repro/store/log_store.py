@@ -46,6 +46,7 @@ reboot replays only the pages written since the last of them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
@@ -92,6 +93,7 @@ _FRAME_FIXED_BYTES = 5
 _OFFSET, _LENGTH = itemgetter(1), itemgetter(2)
 _SHAPE = itemgetter(0)
 _PAGE, _IMAGE, _MEMBERS = itemgetter(0), itemgetter(1), itemgetter(3)
+_ID, _RECORD = itemgetter(0), itemgetter(4)  # of a write-buffer entry
 #: Entries below which a chunk, or a run of like pages in it, is sliced
 #: record by record: one strided view costs a dozen numpy calls, which
 #: slicing this many payloads costs too.
@@ -1204,13 +1206,7 @@ class LogStructuredStore:
 
     def record_ids(self) -> list[str]:
         """All live record ids (buffered writes included), sorted."""
-        ids = set(self._directory)
-        for entry_id, index in self._buffered.items():
-            if self._buffer_entries[index][1] == _ENTRY_INSERT:
-                ids.add(entry_id)
-            else:
-                ids.discard(entry_id)
-        return sorted(ids)
+        return sorted(self.live_ids(chain(self._directory, self._buffered)))
 
     # -- the read path ----------------------------------------------------------
 
@@ -1244,8 +1240,11 @@ class LogStructuredStore:
                 block for block, summary in self._summaries.items()
                 if not summary.admits(field, low, high)
             }
-        buffered = self._buffered
-        if not rejected and not buffered and prefix is None:
+        buffered, directory = self._buffered, self._directory
+        # the pages of the flushed entries some buffered one shadows
+        shadowed = {directory[record_id][0]
+                    for record_id in directory.keys() & buffered.keys()}
+        if not rejected and not shadowed and prefix is None:
             return dict(self._page_members)
         pages_per_block = self._pages_per_block
         by_page: dict[int, tuple] = {}
@@ -1253,36 +1252,37 @@ class LogStructuredStore:
             if rejected and page // pages_per_block in rejected:
                 continue
             _, least, greatest = members[:3]
-            # Ids under a prefix form one interval of the string order:
-            # when the page's least and greatest start with it, all do.
-            all_in = prefix is None or (least.startswith(prefix)
-                                        and greatest.startswith(prefix))
-            if buffered and not buffered.keys().isdisjoint(_ids(members)):
+            if page in shadowed:
                 members = _subset(members, [
                     record_id not in buffered
                     for record_id in _ids(members)])
                 if not members:
                     continue
-            if not all_in:
-                members = _subset(members, map(
+            # Ids under a prefix form one interval of the string order:
+            # all of a page's do when its least and greatest do, none
+            # does when both lie on one side of it.
+            if prefix is None or (least.startswith(prefix)
+                                  and greatest.startswith(prefix)):
+                by_page[page] = members
+            elif greatest < prefix or (least > prefix
+                                       and not least.startswith(prefix)):
+                by_page[page] = ()
+            else:
+                by_page[page] = _subset(members, map(
                     str.startswith, _ids(members), repeat(prefix)))
-            by_page[page] = members
         return by_page
 
-    def _walk_pages(self, by_page: dict[int, tuple]):
-        """The one page walk: pages in order, each read once, with the
-        rows kept from it (``None`` unless it was resident) and its
-        entries in log order: ``(page, image, kept, members)``."""
-        for page in sorted(by_page):
-            data, kept = self._read_page(page)
-            yield page, data, kept, by_page[page]
-
-    def _buffered_tail(self, entry_ids: list[str]) -> list[tuple[str, Record]]:
-        """Live records among the ids a scan found buffered at its start."""
-        return [
-            (entry_id, self.get(entry_id))
-            for entry_id in entry_ids if self.contains(entry_id)
-        ]
+    def _buffered_tail(self, prefix: str | None = None,
+                       ) -> tuple[list[str], list[Record]]:
+        """``(ids, records)``: the buffer's live entries (under
+        ``prefix``) in log order, its own snapshots, not copies."""
+        entries = self._buffer_entries
+        if len(self._buffered) < len(entries):  # some id written twice
+            entries = list(map(entries.__getitem__,
+                               sorted(self._buffered.values())))
+        live = [entry for entry in entries if entry[1] == _ENTRY_INSERT
+                and (prefix is None or entry[0].startswith(prefix))]
+        return list(map(_ID, live)), list(map(_RECORD, live))
 
     def get(self, record_id: str) -> Record:
         """Fetch the latest version of a record (one page read, unless
@@ -1290,16 +1290,10 @@ class LogStructuredStore:
         record the buffer holds)."""
         index = self._buffered.get(record_id)
         if index is not None:
-            _, kind, offset, length, record = self._buffer_entries[index]
+            _, kind, _, _, record = self._buffer_entries[index]
             if kind == _ENTRY_DELETE:
                 raise NotFoundError(f"no record {record_id!r}")
-            if record is not None:
-                return dict(record)
-            offset -= self._PAGE_HEADER_BYTES
-            return decode_record(
-                bytes(self._buffer[offset : offset + length]),
-                context="write buffer",
-            )
+            return dict(record)
         location = self._directory.get(record_id)
         if location is None:
             raise NotFoundError(f"no record {record_id!r}")
@@ -1317,15 +1311,20 @@ class LogStructuredStore:
         arrive like :meth:`scan_batches` chunks — each page read once,
         pages in order, entries in log order, through the same chunk
         decoder — and records still in the write buffer as one final
-        scalar batch. An unknown (or deleted-in-buffer) id raises
-        :class:`NotFoundError` before any page is read.
+        scalar batch of the buffer's snapshots. An unknown (or
+        deleted-in-buffer) id raises :class:`NotFoundError` before any
+        page is read. A ``lent`` batch's rows: whoever returns one copies it.
         """
         ids = list(record_ids)
-        tail: list[tuple[str, Record]] = []
+        tail_ids: list[str] = []
         buffered = self._buffered
         if buffered and not buffered.keys().isdisjoint(ids):
-            tail = [(record_id, self.get(record_id))
-                    for record_id in ids if record_id in buffered]
+            tail_ids = [record_id for record_id in ids if record_id in buffered]
+            tail = [self._buffer_entries[buffered[record_id]]
+                    for record_id in tail_ids]
+            if deleted := [entry[0] for entry in tail
+                           if entry[1] == _ENTRY_DELETE]:
+                raise NotFoundError(f"no record {deleted[0]!r}")
             ids = [record_id for record_id in ids if record_id not in buffered]
         locations = list(map(self._directory.get, ids))
         if None in locations:
@@ -1335,35 +1334,40 @@ class LogStructuredStore:
             ids = list(map(ids.__getitem__, order))  # into log order
             locations = list(map(locations.__getitem__, order))
         pages = list(map(_PAGE, locations))
-        starts = list(compress(  # where each page's run of ids starts
-            range(len(pages)), map(ne, pages, chain((None,), pages))))
         repeated = set(compress(  # pages an id was asked of twice
             islice(pages, 1, None),
-            map(eq, locations, islice(locations, 1, None))))
+            map(eq, locations, islice(locations, 1, None)),
+        )) if len(set(ids)) < len(ids) else ()
         # a page asked for whole, each entry once, is its members as kept
         members = self._page_members
         by_page: dict[int, tuple] = {}
-        for start, end in zip(starts, [*starts[1:], len(ids)]):
-            page = pages[start]
-            if end - start == _count(members[page]) and page not in repeated:
+        start = 0
+        for page in dict.fromkeys(pages):  # each page's run of ids
+            end = bisect_right(pages, page, start)
+            if (end - start == _count(members[page])
+                    and page not in repeated):
                 by_page[page] = members[page]
-                continue
-            page_locations = locations[start:end]
-            by_page[page] = _partial(
-                ids[start:end], map(_OFFSET, page_locations),
-                map(_LENGTH, page_locations))
+            else:
+                page_locations = locations[start:end]
+                by_page[page] = _partial(
+                    ids[start:end], map(_OFFSET, page_locations),
+                    map(_LENGTH, page_locations))
+            start = end
         chunks = list(self._decode_chunks(by_page))
-        if tail:
-            chunks.append(self._tail_chunk(tail))
+        if tail_ids:
+            chunks.append((tail_ids, ColumnBatch.from_records(
+                list(map(_RECORD, tail)), lent=True)))
         return chunks
 
     def get_many(self, record_ids: list[str]) -> list[Record]:
         """Fetch several records, reading each flash page at most once:
         :meth:`fetch_batches` unpacked into request order (a repeated
-        id repeats its record)."""
+        id repeats its record), a copy of each lent row."""
         results: dict[str, Record] = {}
         for chunk_ids, batch in self.fetch_batches(record_ids):
-            results.update(zip(chunk_ids, batch.rows()))
+            rows = batch.rows()
+            results.update(zip(chunk_ids, map(dict, rows) if batch.lent
+                               else rows))
         return [results[record_id] for record_id in record_ids]
 
     def scan(self) -> Iterator[tuple[str, Record]]:
@@ -1397,16 +1401,17 @@ class LogStructuredStore:
         high`` are never read. Yields a *superset* of the matching
         records (block granularity) — callers re-filter, exactly as
         they re-filter index candidates. A plain scan when zone maps
-        are disabled or ``field`` is ``None``.
+        are disabled or ``field`` is ``None``. The records still in the
+        write buffer come last, in log order, each a copy.
         """
-        tail = sorted(self._buffered)
-        for page, data, _, members in self._walk_pages(
-            self._locations_by_page(field, low, high)
-        ):
+        tail_ids, tail = self._buffered_tail()
+        for page, members in sorted(
+                self._locations_by_page(field, low, high).items()):
+            data = self._read_page(page)[0]
             for record_id, offset, length in zip(*_entries(members)):
                 yield record_id, self._decode_at(
                     data, record_id, page, offset, length)
-        yield from self._buffered_tail(tail)
+        yield from zip(tail_ids, map(dict, tail))
 
     _SCAN_CHUNK_PAGES = 64
 
@@ -1421,41 +1426,35 @@ class LogStructuredStore:
         decodes a chunk of pages at a time through
         :func:`encoding.decode_page`, so uniform frames become column
         slices instead of per-record dicts. The buffered tail arrives
-        as one final scalar batch. With a ``prefix``, only the records
-        whose ids start with it: the admitted pages are read all the
-        same, but no other record is decoded, and no chunk is empty.
+        as one final scalar batch, in log order. With a ``prefix``, only
+        the records whose ids start with it: the admitted pages are read
+        all the same, but no other record is decoded, and no chunk is
+        empty. A ``lent`` batch's rows: whoever returns one copies it.
         """
-        tail = sorted(self._buffered) if prefix is None else sorted(
-            record_id for record_id in self._buffered
-            if record_id.startswith(prefix))
+        tail_ids, tail = self._buffered_tail(prefix)
         yield from self._decode_chunks(
             self._locations_by_page(field, low, high, prefix))
-        tail_rows = self._buffered_tail(tail)
-        if tail_rows:
-            yield self._tail_chunk(tail_rows)
-
-    @staticmethod
-    def _tail_chunk(rows: list[tuple[str, Record]]):
-        """Write-buffer records as a scalar ``(record_ids, batch)``."""
-        tail_ids, records = zip(*rows)
-        return list(tail_ids), ColumnBatch.from_records(list(records))
+        if tail_ids:
+            yield tail_ids, ColumnBatch.from_records(tail, lent=True)
 
     def _decode_chunks(
         self, by_page: dict[int, tuple],
     ) -> Iterator[tuple[list[str], ColumnBatch]]:
-        """The one chunk decoder: walk ``by_page`` a chunk of pages at
-        a time. A chunk found resident in the page cache, every page of
-        it, is :meth:`_gather`'s; any other chunk — one page or more
-        read from flash — is one :meth:`_decode`, so a cold walk that
-        meets a few resident pages pays nothing for them. A page with no
-        entries (all of them outside a scan's prefix) is read and then
-        passed over. Chunk size shrinks with the RAM budget headroom so
-        decode scratch stays charged but bounded."""
+        """The one chunk decoder: walk ``by_page``, pages in order, a
+        chunk of pages at a time. A chunk found resident in the page
+        cache, every page of it, is :meth:`_gather`'s; any other chunk
+        is one :meth:`_decode`, so a cold walk that meets a few resident
+        pages pays nothing for them. A page with no entries (all of them
+        outside a scan's prefix) is read and then passed over. Chunk
+        size shrinks with the RAM budget headroom so decode scratch
+        stays charged but bounded."""
         at_once = self._SCAN_CHUNK_PAGES
         headroom = self._ram_headroom()
         if headroom is not None:
             at_once = max(1, min(at_once, headroom // (4 * self._page_size)))
-        walk = filter(_MEMBERS, self._walk_pages(by_page))
+        read = self._read_page
+        walk = filter(_MEMBERS, ((page, *read(page), by_page[page])
+                                 for page in sorted(by_page)))
         while chunk := list(islice(walk, at_once)):
             record_ids = list(chain.from_iterable(
                 map(_ids, map(_MEMBERS, chunk))))
@@ -1487,9 +1486,8 @@ class LogStructuredStore:
     def _gather(self, chunk) -> ColumnBatch:
         """A chunk of resident pages: the records kept from them are
         read, the other entries go through one :meth:`_decode` whose
-        rows the cache keeps, and the batch returned holds a copy of
-        every row, in log order — a kept record never leaves the
-        cache."""
+        rows the cache keeps, and the batch holds them all in log
+        order, lent: the cache's own records."""
         rows: list[Record | None] = []
         todo = []  # (page, image, kept, members) still to decode
         for page, data, kept, members in chunk:
@@ -1504,7 +1502,7 @@ class LogStructuredStore:
             self._keep(todo, decoded)
             fresh = iter(decoded)
             rows = [next(fresh) if row is None else row for row in rows]
-        return ColumnBatch.from_records(list(map(dict, rows)))
+        return ColumnBatch.from_records(rows, lent=True)
 
     def _keep(self, pages, rows: list[Record]) -> None:
         """Hand the page cache the ``rows`` decoded off resident

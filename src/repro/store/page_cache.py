@@ -9,8 +9,8 @@ the 1 Hz Linky vertical needs.
 
 An entry is a page's image plus the records already decoded from it
 while it was resident (payload offset -> record): records the cache
-owns; copies go out, so the next query of those entries copies rows
-instead of decoding bytes.
+owns and lends (a scan reads them in place; the store copies the rows
+it returns), so the next query of those entries skips the decode.
 Rows are kept on the second touch only — the page must already be
 resident when it is read: the write-allocated page of a flush, or a
 page read again (the store's chunk decoder asks it of every page of a

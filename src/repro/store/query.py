@@ -404,13 +404,11 @@ class Aggregate:
     def compute(self, records: list[Record]) -> float:
         if self.function == "count":
             return float(len(records))
-        values: list[float] = []
-        for record in records:
-            value = record.get(self.field)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            values.append(float(value))
-        return self.fold(values)
+        field = self.field
+        return self.fold([
+            float(value) for record in records
+            if isinstance(value := record.get(field), (int, float))
+            and not isinstance(value, bool)])
 
     def fold(self, values: list[float]) -> float:
         """The aggregate of the field's numeric ``values``, in order."""
@@ -521,32 +519,43 @@ def _in_id_order(candidates: BatchCandidates, hits, values: list) -> list:
 
 
 def _filter_batches(where: Predicate, candidates: BatchCandidates,
-                    masks: list, with_ids: bool = False) -> list:
+                    masks: list, with_ids: bool = False,
+                    copy: bool = False) -> list:
     """``[r for r in rows if where.matches(r)]`` over columnar chunks
-    (``masks`` holds each chunk's ``matches_batch`` verdict), every
-    matching row materialised exactly once; ``(record_id, row)`` pairs
-    instead ``with_ids``."""
+    (``masks``: each chunk's ``matches_batch`` verdict), a columnar row
+    built once, a scalar one read as held (a lent one copied ``copy``);
+    ``(record_id, row)`` pairs instead ``with_ids``."""
     matched: list[Record] = []
-    hits = []
+    hits = [] if with_ids or candidates.by_id else None  # only if read
+    matches = where.matches
     for batch, mask in zip(candidates.chunks, masks):
         scalar_rows = batch.scalar_rows
-        row = batch.row
-        if mask is not None and not scalar_rows:
-            hits.append(chunk_hits := _np.flatnonzero(mask).tolist())
-            matched.extend(batch.rows_at(chunk_hits))
-            continue
-        hits.append(chunk_hits := [])
-        for index in range(batch.count):
-            if mask is None or index in scalar_rows:
-                record = row(index)  # the vector lane declined this row
-                if not where.matches(record):
-                    continue
-            elif mask[index]:
-                record = row(index)
+        if len(scalar_rows) == batch.count:  # no column: one pass
+            if hits is None:
+                found = [row for row in scalar_rows.values() if matches(row)]
             else:
-                continue
-            chunk_hits.append(index)
-            matched.append(record)
+                chunk_hits = [index for index, row in scalar_rows.items()
+                              if matches(row)]
+                found = map(scalar_rows.__getitem__, chunk_hits)
+            matched += map(dict, found) if copy and batch.lent else found
+        elif mask is not None and not scalar_rows:
+            chunk_hits = _np.flatnonzero(mask).tolist()
+            matched += batch.rows_at(chunk_hits)
+        else:
+            chunk_hits = []
+            for index in range(batch.count):
+                if mask is None or index in scalar_rows:
+                    record = batch.row(index)  # the vector lane declined it
+                    if not matches(record):
+                        continue
+                elif mask[index]:
+                    record = batch.row(index)
+                else:
+                    continue
+                chunk_hits.append(index)
+                matched.append(record)
+        if hits is not None:
+            hits.append(chunk_hits)
     if with_ids:
         matched = list(zip(_hit_ids(candidates, hits), matched))
     return _in_id_order(candidates, hits, matched)
@@ -591,10 +600,6 @@ def _fold_batches(query: Query, candidates: BatchCandidates,
     return row
 
 
-def _project(record: Record, fields: list[str]) -> dict[str, Any]:
-    return {name: record.get(name) for name in fields}
-
-
 def _apply_order_limit(rows: list[dict[str, Any]], query: Query) -> list[dict[str, Any]]:
     if query.order_by is not None:
         rows = sorted(
@@ -607,30 +612,32 @@ def _apply_order_limit(rows: list[dict[str, Any]], query: Query) -> list[dict[st
     return rows
 
 
-def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
+def execute(query: Query, fetch) -> QueryResult:
     """Run ``query`` against a collection.
 
-    ``fetch_candidates(predicate)`` returns ``(candidates, plan,
-    flash_reads)`` where ``candidates`` is a :class:`BatchCandidates`
+    ``fetch(predicate)``, supplied by the catalog, returns
+    ``(candidates, plan, flash_reads)``: a :class:`BatchCandidates`
     that may hold a superset, filtered again here (indexes and zone
-    maps are pre-filters), or ``None`` when no plan applies;
-    ``fetch_all()`` returns every record the same way. Both are
-    supplied by the catalog. The rows handed back are this query's own:
-    each was built once, from a batch nothing else holds.
+    maps are pre-filters), the plan that fetched it and the pages it
+    read. A batch's scalar rows are lent (the page cache's kept
+    records, the write buffer's snapshots): predicates and aggregates
+    read them in place, and only a row handed back as it is is copied,
+    so the rows handed back are this query's own.
     """
     if query.with_ids and (query.aggregates or query.order_by is not None
                            or query.limit is not None):
         raise QueryError(
             "a with_ids query returns rows as matched: no aggregates, "
             "order_by or limit")
-    candidates, plan, flash_reads = fetch_candidates(query.where)
-    if candidates is None:
-        candidates, flash_reads = fetch_all()
-        plan = "scan"
+    candidates, plan, flash_reads = fetch(query.where)
     chunks = candidates.chunks
     where = query.where
-    masks = [where.matches_batch(batch) for batch in chunks]
-    examined = sum(batch.count for batch in chunks)
+    masks = []
+    examined = 0
+    for batch in chunks:  # a batch with no column is filtered row by row
+        examined += batch.count
+        masks.append(None if len(batch.scalar_rows) == batch.count
+                     else where.matches_batch(batch))
     ids = None
 
     if query.aggregates:
@@ -645,13 +652,15 @@ def execute(query: Query, fetch_candidates, fetch_all) -> QueryResult:
     else:
         # Order and limit on full records, then project, so a query may
         # sort by a field it does not return.
-        rows = _filter_batches(where, candidates, masks, query.with_ids)
+        rows = _filter_batches(where, candidates, masks, query.with_ids,
+                               copy=query.project is None)
         if query.with_ids:
             ids = [record_id for record_id, _ in rows]
             rows = [record for _, record in rows]
         rows = _apply_order_limit(rows, query)
         if query.project is not None:
-            rows = [_project(record, query.project) for record in rows]
+            rows = [{name: record.get(name) for name in query.project}
+                    for record in rows]
     return QueryResult(
         rows=rows, plan=plan, records_examined=examined,
         flash_reads=flash_reads, ids=ids,

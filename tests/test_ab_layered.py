@@ -433,3 +433,79 @@ class TestLanes:
             "| +0 |",
             "| store.cache.hit |  | 3 | 5 | +2 |",
         ]
+
+
+#: A stand-in for the benchmark: a ``src/repro`` module, a harness
+#: whose ``Sampler.sample`` times each op, and a runner that does
+#: ``{setup}`` calls of set-up work before ``{ops}`` sampled ops.
+TOY_OPCODES_FILES = {
+    "src/repro/__init__.py": "",
+    "src/repro/toy.py": (
+        "def work(n):\n"
+        "    total = 0\n"
+        "    for value in range(n):\n"
+        "        total += {{value: value}}[value]\n"
+        "    return sorted({{str(v) for v in range(n)}}), total\n"
+    ),
+    "harness.py": (
+        "class Sampler:\n"
+        "    def sample(self, call, ops=1):\n"
+        "        return call()\n"
+    ),
+    "run.py": (
+        "import json, sys\n"
+        "sys.path[:0] = ['src', '.']\n"
+        "from harness import Sampler\n"
+        "from repro.toy import work\n"
+        "for _ in range({setup}):\n"
+        "    work(50)\n"
+        "sampler = Sampler()\n"
+        "for op in range({ops}):\n"
+        "    sampler.sample(lambda: work(10 + op % 2))\n"
+        "print(json.dumps({{'correct': True, 'attempted': {ops}, "
+        "'failed': 0, 'metrics': {{}}}}))\n"
+    ),
+}
+
+
+class TestOpcodes:
+    def _tree(self, root, setup=3, ops=4):
+        for name, text in TOY_OPCODES_FILES.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text.format(setup=setup, ops=ops))
+        return root
+
+    def test_two_runs_of_one_tree_count_the_same(self, tmp_path):
+        tree = self._tree(tmp_path / "tree")
+        command = [sys.executable, "run.py"]
+        first, second = (ab_layered.run_opcodes(tree, command, "toy", 5)
+                         for _ in range(2))
+        assert first == second
+        assert set(first) == {"src/repro/toy.py"}
+        assert first["src/repro/toy.py"] > 0
+
+    def test_only_the_sampled_ops_count_per_op(self, tmp_path):
+        command = [sys.executable, "run.py"]
+        few, many = (
+            ab_layered.run_opcodes(
+                self._tree(tmp_path / name, setup=setup, ops=ops),
+                command, "toy", 5)
+            for name, setup, ops in (("few", 1, 4), ("many", 9, 8)))
+        # set-up is not counted; each pair of ops (10 and 11 items)
+        # costs the same, so the per-op figure holds
+        assert few == many
+
+    def test_parent_beside_change_with_the_total(self):
+        lines = ab_layered.format_opcodes(
+            "toy", {"src/repro/a.py": 300.0, "src/repro/b.py": 100.0},
+            {"src/repro/a.py": 150.0, "src/repro/c.py": 20.0},
+        ).splitlines()
+        assert lines[0].startswith(
+            f"opcodes: toy --trace 0 --seed {ab_layered.LAYERS_SEED}")
+        assert lines[3:] == [
+            "| src/repro/a.py | 300 | 150 | 0.500 |",
+            "| src/repro/b.py | 100 | 0 | 0.000 |",
+            "| src/repro/c.py | 0 | 20 | new |",
+            "| (all files) | 400 | 170 | 0.425 |",
+        ]

@@ -44,6 +44,7 @@ from repro.policy.ucon import Grant, RIGHT_AGGREGATE, UsagePolicy
 from repro.sim.rng import SeedSequence
 from repro.sim.world import World
 from repro.store.query import (
+    Aggregate,
     And,
     Between,
     Contains,
@@ -53,6 +54,7 @@ from repro.store.query import (
     Ne,
     Not,
     Or,
+    Query,
     predicate_from_wire,
     predicate_to_wire,
 )
@@ -536,6 +538,99 @@ class TestHeapResidue:
                    for agent in fleet.agents.values()
                    for context in agent._rounds.values()}
         assert len(rosters) == 1
+
+
+def _counted(name, label=None):
+    snapshot = get_default().metrics.get(name).snapshot()
+    return snapshot["value"] if label is None \
+        else snapshot.get("labels", {}).get(label, 0)
+
+
+class TestFleetCellReadCounters:
+    """What a fleet cell's small queries read, pinned per query to the
+    figures the read path gave before its scalar lane was flattened:
+    the plan, the rows examined, the flash reads, the page-cache hits
+    and misses, the rows each decode lane handed out and the aggregate
+    lane — on every layout, the profile's prefix scan (the k-anonymous
+    release's query) and a cold cache included. A faster path must read
+    the same pages and rows."""
+
+    SUM = [Aggregate("sum", "watts")]
+    QUERIES = [  # (label, query); "cold" clears the page cache first
+        ("first", Query("energy", where=Between("hour", 3, 6),
+                        aggregates=SUM)),
+        ("again", Query("energy", where=Between("hour", 3, 6),
+                        aggregates=SUM)),
+        ("buffered", Query("energy", where=Between("hour", 20, 23),
+                           aggregates=SUM)),
+        ("rows", Query("energy", where=Between("hour", 5, 9),
+                       project=["hour"])),
+        ("profile", Query("profile")),
+        ("cold", Query("energy", where=Between("hour", 0, 23),
+                       aggregates=SUM)),
+        ("warm", Query("energy", where=Between("hour", 0, 23),
+                       aggregates=SUM)),
+    ]
+    # per layout, per query: plan, examined, flash reads, cache hits,
+    # cache misses, decoded rows kept / columnar / scalar, aggregates
+    # materialised for scalar rows, rows returned
+    EXPECTED = {
+        "index": [
+            ("range:hour", 4, 0, 1, 0, 0, 0, 4, 1, 1),
+            ("range:hour", 4, 0, 1, 0, 4, 0, 0, 1, 1),
+            ("range:hour", 4, 0, 1, 0, 0, 0, 2, 1, 1),
+            ("range:hour", 5, 0, 2, 0, 2, 0, 3, 0, 5),
+            ("scan", 1, 0, 3, 0, 0, 0, 0, 0, 1),
+            ("range:hour", 24, 3, 0, 3, 0, 22, 0, 1, 1),
+            ("range:hour", 24, 0, 3, 0, 0, 22, 0, 1, 1),
+        ],
+        "zonemap": [
+            ("zonemap:hour", 24, 0, 3, 0, 0, 22, 0, 1, 1),
+            ("zonemap:hour", 24, 0, 3, 0, 22, 0, 0, 1, 1),
+            ("zonemap:hour", 24, 0, 3, 0, 22, 0, 0, 1, 1),
+            ("zonemap:hour", 24, 0, 3, 0, 22, 0, 0, 0, 5),
+            ("scan", 1, 0, 3, 0, 0, 0, 0, 0, 1),
+            ("zonemap:hour", 24, 3, 0, 3, 0, 22, 0, 1, 1),
+            ("zonemap:hour", 24, 0, 3, 0, 0, 22, 0, 1, 1),
+        ],
+        "scan": [
+            ("scan", 24, 0, 3, 0, 0, 22, 0, 1, 1),
+            ("scan", 24, 0, 3, 0, 22, 0, 0, 1, 1),
+            ("scan", 24, 0, 3, 0, 22, 0, 0, 1, 1),
+            ("scan", 24, 0, 3, 0, 22, 0, 0, 0, 5),
+            ("scan", 1, 0, 3, 0, 0, 0, 0, 0, 1),
+            ("scan", 24, 3, 0, 3, 0, 22, 0, 1, 1),
+            ("scan", 24, 0, 3, 0, 0, 22, 0, 1, 1),
+        ],
+    }
+
+    @staticmethod
+    def _counters():
+        return (
+            _counted("store.cache.hit"), _counted("store.cache.miss"),
+            _counted("store.decode.rows", "kept"),
+            _counted("store.decode.rows", "columnar"),
+            _counted("store.decode.rows", "scalar"),
+            _counted("store.query.aggregate", "materialised|scalar_rows"),
+        )
+
+    def test_every_layout_reads_the_pages_and_rows_it_read(self):
+        _, _, fleet = _quiet_fleet(6, seed=2013)
+        assert sorted(fleet.layouts.values()) == sorted(
+            ["index", "zonemap", "scan"] * 2)
+        for name in fleet.roster:
+            catalog = fleet.catalogs[name]
+            seen = []
+            for label, query in self.QUERIES:
+                if label == "cold":
+                    catalog.store.page_cache.clear()
+                before = self._counters()
+                result = catalog.query(query)
+                moved = tuple(after - start for after, start in zip(
+                    self._counters(), before))
+                seen.append((result.plan, result.records_examined,
+                             result.flash_reads, *moved, len(result.rows)))
+            assert seen == self.EXPECTED[fleet.layouts[name]], name
 
 
 class TestOrchestratorEquivalence:

@@ -821,3 +821,146 @@ def test_half_kept_chunks_hand_out_private_rows_in_twin_order(ops):
             row["mutated"] = True
         assert cache_contents(cache) == held
         previous = result.rows  # alive, so no id is reused
+
+
+class TestBufferedTailInLogOrder:
+    """The rows still in the write buffer come back in log order, after
+    the flushed ones, on every scan — ids ``s8`` … ``s11`` sort as 10,
+    11, 8, 9 but were written 8, 9, 10, 11 — so a float sum over a
+    window still in the buffer folds in the order a standing close
+    folds it (the log's), bit for bit."""
+
+    # floats whose sum depends on the order they are folded in
+    W = {8: 1e16, 9: 1.0, 10: 1.0, 11: -1e16}
+
+    def catalog(self):
+        catalog = make_catalog()
+        meter = catalog.collection("m")
+        for t, w in self.W.items():
+            meter.insert(f"s{t}", {"t": t, "w": w})
+        return catalog
+
+    def assert_log_order(self, catalog):
+        window, every = Between("t", 8, 11), Ne("w", -1.0)
+        for where, plan in ((window, "zonemap:t"), (every, "scan")):
+            result = catalog.query(Query("m", where=where, with_ids=True))
+            assert result.plan == plan
+            assert [row["t"] for row in result.rows] == [8, 9, 10, 11]
+            assert result.ids == ["s8", "s9", "s10", "s11"]
+        assert [record["t"] for _, record in catalog.store.scan_range(
+            "t", 8, 11)] == [8, 9, 10, 11]
+
+    def test_before_and_after_a_flush(self):
+        catalog = self.catalog()
+        assert catalog.store.record_ids() == [
+            "m/s10", "m/s11", "m/s8", "m/s9"]
+        self.assert_log_order(catalog)
+        catalog.store.flush()
+        self.assert_log_order(catalog)
+
+    def test_a_rewritten_id_moves_to_the_end(self):
+        catalog = self.catalog()
+        catalog.collection("m").insert("s9", {"t": 9, "w": 1.0})
+        result = catalog.query(Query("m", where=Ne("w", -1.0)))
+        assert [row["t"] for row in result.rows] == [8, 10, 11, 9]
+
+    def test_a_buffered_float_sum_folds_in_log_order(self):
+        catalog = self.catalog()
+        result = catalog.query(Query("m", where=Between("t", 8, 11),
+                                     aggregates=[Aggregate("sum", "w")]))
+        assert result.plan == "zonemap:t"
+        in_log_order = float(sum(self.W[t] for t in (8, 9, 10, 11)))
+        by_id = float(sum(self.W[t] for t in (10, 11, 8, 9)))
+        assert in_log_order != by_id  # the order shows in the bits
+        assert result.scalar() == in_log_order
+
+
+class TestCopiesGoOutAtTheBoundary:
+    """A batch lends its scalar rows — the page cache's kept records,
+    the write buffer's snapshots — and whoever returns rows copies
+    them: a predicate or an aggregate reads them in place and changes
+    nothing, and mutating what ``get_many``, a ``with_ids`` query or a
+    projected query returned reaches neither the cache nor the buffer,
+    nor a second run's rows."""
+
+    BUFFERED = {"t": 720, "w": 2.0, "tags": "buffered"}
+
+    def catalog(self):
+        flash = NandFlash(TIMINGS, capacity_bytes=512 * TIMINGS.page_size)
+        catalog = Catalog(flash, page_cache_bytes=64 * TIMINGS.page_size)
+        meter = catalog.collection("m")
+        meter.create_ordered_index("t")
+        meter.insert_many(
+            (f"{index:04d}", {"t": index * 60, "w": index / 8, "tags": "a"})
+            for index in range(120))
+        meter.insert("9999", dict(self.BUFFERED))
+        for _ in range(2):  # decode and keep, then gather
+            catalog.query(Query("m", where=Ne("w", -1.0)))
+        assert counter_labels("store.decode.rows").get("kept", 0) > 0
+        return catalog
+
+    def assert_untouched(self, catalog, held):
+        assert cache_contents(catalog.store.page_cache) == held
+        assert catalog.collection("m").get("9999") == self.BUFFERED
+
+    @staticmethod
+    def mutate(rows):
+        for row in rows:
+            row.clear()
+            row["mutated"] = True
+
+    def test_an_aggregate_reads_kept_and_buffered_rows_in_place(self):
+        catalog = self.catalog()
+        held = cache_contents(catalog.store.page_cache)
+        rows = catalog.query(Query("m", where=Ne("w", -1.0))).rows
+        for where in (Between("t", 0, 7200), Ne("w", -1.0)):
+            result = catalog.query(Query("m", where=where, aggregates=[
+                Aggregate("sum", "w"), Aggregate("max", "t")]))
+            matched = [row for row in rows if where.matches(row)]
+            assert result.rows == [{
+                "sum(w)": Aggregate("sum", "w").compute(matched),
+                "max(t)": Aggregate("max", "t").compute(matched)}]
+        self.assert_untouched(catalog, held)
+
+    def test_a_mutated_get_many_result(self):
+        catalog = self.catalog()
+        meter = catalog.collection("m")
+        held = cache_contents(catalog.store.page_cache)
+        ids = ["0003", "9999", "0100", "0003"]
+        expected = [meter.get(record_id) for record_id in ids]
+        first, second = meter.get_many(ids), meter.get_many(ids)
+        assert first == second == expected
+        assert all(a is not b for a, b in zip(first, second))
+        self.mutate(first)
+        self.assert_untouched(catalog, held)
+        assert meter.get_many(ids) == expected
+
+    @pytest.mark.parametrize("query", [
+        Query("m", where=Ne("w", -1.0), with_ids=True),
+        Query("m", where=Between("t", 600, 3600), with_ids=True),
+        Query("m", where=Ne("w", -1.0), project=["t", "tags"]),
+        Query("m", where=Eq("tags", "buffered")),  # one row: the kanon shape
+    ])
+    def test_a_mutated_result(self, query):
+        catalog = self.catalog()
+        held = cache_contents(catalog.store.page_cache)
+        first, second = catalog.query(query), catalog.query(query)
+        assert first.rows == second.rows and first.ids == second.ids
+        assert all(a is not b for a, b in zip(first.rows, second.rows))
+        expected = [dict(row) for row in first.rows]
+        self.mutate(first.rows)
+        self.assert_untouched(catalog, held)
+        assert catalog.query(query).rows == expected
+
+    def test_only_the_cache_and_the_buffer_lend_rows(self):
+        """A resident chunk and the buffered tail are lent (copied where
+        returned); a chunk decoded off flash is the reader's own, so no
+        one copies its rows a second time."""
+        store = self.catalog().store
+        ids = ["m/0003", "m/0100", "m/9999"]
+        for reads in (lambda: store.fetch_batches(ids),
+                      lambda: store.scan_batches(prefix="m/")):
+            list(reads())  # resident again: the next read gathers
+            assert [batch.lent for _, batch in reads()] == [True, True]
+            store.page_cache.clear()
+            assert [batch.lent for _, batch in reads()] == [False, True]

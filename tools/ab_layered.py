@@ -52,6 +52,19 @@ and misses) and prints every label's count, parent beside change. No host clock 
 them: two runs of one side at one seed repeat each count. It never
 changes the exit status.
 
+``--opcodes`` adds the host-clock-free ruler for "did this add work
+to a small op": one more ``--trace 0`` run per side and workload at
+``LAYERS_SEED`` and ``--seconds`` ``OPCODE_SECONDS`` (one op group of
+each workload), under a counter of the bytecodes each ``src/repro``
+file executes inside the harness's timed calls (``Sampler.sample``:
+set-up and the oracle checks between ops are not counted) —
+``f_trace_opcodes`` under ``sys.settrace`` up to Python 3.11,
+``sys.monitoring`` instruction events from 3.12 — with
+``PYTHONHASHSEED=0``. It prints bytecodes per op (the run's
+``attempted``) for each file, parent beside change. Counts repeat
+exactly for one tree at one seed on one interpreter; they go to stdout
+and ``--out`` only. It never changes the exit status.
+
 The benchmark is only ever *run*: nothing under ``benchmarks/layered``
 is imported or edited, and the bounds are read from the change
 checkout's ``BENCHMARK.json``.
@@ -63,6 +76,7 @@ import argparse
 import contextlib
 import fnmatch
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -173,6 +187,109 @@ finally:
 """
 
 
+#: ``--seconds`` of the ``--opcodes`` run: every workload's op-group
+#: count rounds to one, so the run is a fixed op sequence (a counted run
+#: is tens of times slower than a timed one).
+OPCODE_SECONDS = 1.2
+
+#: Runs the benchmark's script (``argv[2:]``) and writes ``{file:
+#: bytecodes}`` to ``argv[1]``: the bytecodes each file under
+#: ``src/repro`` of the working directory executed while a
+#: ``Sampler.sample`` call of the harness (a ``sample`` defined in a
+#: ``harness.py``) was running, files named relative to the checkout.
+OPCODES_PROBE = """
+import json, os, runpy, sys
+out, script = sys.argv[1], sys.argv[2]
+sys.argv = sys.argv[2:]
+here = os.getcwd() + os.sep
+source = os.path.join(here, "src", "repro") + os.sep
+counts = {}
+inside = [0]  # Sampler.sample calls running
+
+def is_sample(code):
+    return (code.co_name == "sample"
+            and os.path.basename(code.co_filename) == "harness.py")
+
+if hasattr(sys, "monitoring"):
+    monitoring = sys.monitoring
+    events = monitoring.events
+    tool = monitoring.PROFILER_ID
+    monitoring.use_tool_id(tool, "ab_layered opcodes")
+    counted = set()
+
+    def started(code, offset):
+        if is_sample(code):
+            inside[0] += 1
+            monitoring.set_local_events(tool, code, events.PY_RETURN)
+            return None
+        if not code.co_filename.startswith(source):
+            return monitoring.DISABLE
+        if not inside[0]:
+            return None
+        if code not in counted:
+            counted.add(code)
+            counts.setdefault(code.co_filename[len(here):], 0)
+            monitoring.set_local_events(tool, code, events.INSTRUCTION)
+        return monitoring.DISABLE
+
+    def left(code, offset, value):  # a return, or any frame's unwind
+        if is_sample(code):
+            inside[0] -= 1
+
+    def instruction(code, offset):
+        if inside[0]:
+            counts[code.co_filename[len(here):]] += 1
+
+    monitoring.register_callback(tool, events.PY_START, started)
+    monitoring.register_callback(tool, events.PY_RETURN, left)
+    monitoring.register_callback(tool, events.PY_UNWIND, left)
+    monitoring.register_callback(tool, events.INSTRUCTION, instruction)
+    monitoring.set_events(tool, events.PY_START | events.PY_UNWIND)
+    stop = lambda: monitoring.set_events(tool, 0)
+else:
+    counters = {}
+
+    def counter(name):
+        cell = counters.get(name)
+        if cell is None:
+            cell = counters[name] = [0]
+
+            def count(frame, event, arg):
+                if event == "opcode":
+                    cell[0] += 1
+                return count
+            cell.append(count)
+        return cell[1]
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if is_sample(code):
+            inside[0] += 1
+
+            def left(frame, event, arg):
+                if event == "return":
+                    inside[0] -= 1
+                return left
+            return left
+        if not inside[0] or not code.co_filename.startswith(source):
+            return None
+        frame.f_trace_opcodes = True
+        return counter(code.co_filename[len(here):])
+
+    def stop():
+        sys.settrace(None)
+        for name, cell in counters.items():
+            counts[name] = cell[0]
+    sys.settrace(trace)
+try:
+    runpy.run_path(script, run_name="__main__")
+finally:
+    stop()
+    with open(out, "w") as handle:
+        json.dump(counts, handle)
+"""
+
+
 # -- running -----------------------------------------------------------------
 
 
@@ -202,12 +319,15 @@ def checkout(target: str) -> Iterator[pathlib.Path]:
 
 
 def run_once(tree: pathlib.Path, command: list[str], workload: str,
-             seed: int, seconds: float, trace: int = 0) -> Run:
-    """One benchmark run in ``tree``; its parsed result."""
+             seed: int, seconds: float, trace: int = 0,
+             env: dict[str, str] | None = None) -> Run:
+    """One benchmark run in ``tree`` (``env`` added to this process's
+    environment); its parsed result."""
     finished = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False,
+        env=None if env is None else {**os.environ, **env},
     )
     lines = finished.stdout.strip().splitlines()
     if finished.returncode != 0 or not lines:
@@ -244,15 +364,17 @@ def run_pairs(parent: pathlib.Path, change: pathlib.Path,
 
 def run_probe(tree: pathlib.Path, command: list[str], probe: str,
               probe_args: list[str], workload: str, seed: int,
-              seconds: float) -> Any:
+              seconds: float, env: dict[str, str] | None = None) -> Any:
     """One benchmark run in ``tree`` under ``probe`` (a program that
     takes its output path, then ``probe_args``, then the benchmark's
-    script and arguments); what the probe wrote, parsed."""
+    script and arguments); what the probe wrote, parsed, and the run's
+    result."""
     with tempfile.TemporaryDirectory(prefix="ab_probe_") as scratch:
         out = pathlib.Path(scratch) / "probe.json"
-        run_once(tree, [command[0], "-c", probe, str(out), *probe_args,
-                        *command[1:]], workload, seed, seconds)
-        return json.loads(out.read_text())
+        result = run_once(tree, [command[0], "-c", probe, str(out),
+                                 *probe_args, *command[1:]],
+                          workload, seed, seconds, env=env)
+        return json.loads(out.read_text()), result
 
 
 def run_heap(tree: pathlib.Path, command: list[str], workload: str,
@@ -260,7 +382,8 @@ def run_heap(tree: pathlib.Path, command: list[str], workload: str,
     """One benchmark run in ``tree`` under :data:`HEAP_PROBE`; the
     bytes still allocated at the workload's exit, per source file
     (``"files"``) and per source line (``"lines"``)."""
-    return run_probe(tree, command, HEAP_PROBE, [], workload, seed, seconds)
+    return run_probe(
+        tree, command, HEAP_PROBE, [], workload, seed, seconds)[0]
 
 
 def run_lanes(tree: pathlib.Path, command: list[str], workload: str,
@@ -268,7 +391,20 @@ def run_lanes(tree: pathlib.Path, command: list[str], workload: str,
     """One benchmark run in ``tree`` under :data:`LANES_PROBE`: each of
     :data:`LANE_COUNTERS` by label at the run's exit."""
     return run_probe(tree, command, LANES_PROBE, [",".join(LANE_COUNTERS)],
-                     workload, seed, seconds)
+                     workload, seed, seconds)[0]
+
+
+def run_opcodes(tree: pathlib.Path, command: list[str], workload: str,
+                seed: int, seconds: float = OPCODE_SECONDS,
+                ) -> dict[str, float]:
+    """One benchmark run in ``tree`` under :data:`OPCODES_PROBE`, with
+    ``PYTHONHASHSEED=0``: bytecodes per op (the run's ``attempted``)
+    executed in each ``src/repro`` file inside the harness's timed
+    calls."""
+    counts, result = run_probe(tree, command, OPCODES_PROBE, [], workload,
+                               seed, seconds, env={"PYTHONHASHSEED": "0"})
+    ops = result["attempted"]
+    return {name: count / ops for name, count in counts.items() if count}
 
 
 # -- summarising -------------------------------------------------------------
@@ -459,6 +595,23 @@ def format_heap(workload: str, parent: dict[str, dict[str, int]],
     ])
 
 
+def format_opcodes(workload: str, parent: dict[str, float],
+                   change: dict[str, float]) -> str:
+    """Bytecodes per op by ``src/repro`` file, most on either side
+    first, parent beside change, and their total."""
+    rows = _largest(parent, change, len(set(parent) | set(change)))
+    rows.append(("(all files)", sum(parent.values()), sum(change.values())))
+    return "\n".join([
+        f"opcodes: {workload} --trace 0 --seed {LAYERS_SEED} --seconds "
+        f"{OPCODE_SECONDS:g}, bytecodes per op by source file",
+        "| file | parent | change | change / parent |",
+        "|---|---|---|---|",
+        *(f"| {name} | {before:.0f} | {after:.0f} | "
+          + (f"{after / before:.3f}" if before else "new") + " |"
+          for name, before, after in rows),
+    ])
+
+
 def format_lanes(workload: str, parent: dict[str, dict[str, float]],
                  change: dict[str, dict[str, float]]) -> str:
     """Every label of :data:`LANE_COUNTERS` that counted on either
@@ -505,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lanes", action="store_true",
                         help="then one more run per side: the store and "
                              "mask lane counters at exit")
+    parser.add_argument("--opcodes", action="store_true",
+                        help="then one short counted run per side: "
+                             "bytecodes per op by src/repro file")
     args = parser.parse_args(argv)
     with checkout(args.parent) as parent, checkout(args.change) as change:
         benchmark = json.loads((change / "BENCHMARK.json").read_text())
@@ -534,11 +690,18 @@ def main(argv: list[str] | None = None) -> int:
                        for tree in (parent, change)]
             for workload in (workloads if args.lanes else [])
         }
+        opcodes = {
+            workload: [run_opcodes(tree, benchmark["command"], workload,
+                                   LAYERS_SEED)
+                       for tree in (parent, change)]
+            for workload in (workloads if args.opcodes else [])
+        }
     rows = summarise(results, benchmark)
     if args.out:
         pathlib.Path(args.out).write_text(json.dumps(
             {"results": results, "rows": rows, "layers": layers,
-             "heaps": heaps, "lanes": lanes}, indent=1))
+             "heaps": heaps, "lanes": lanes, "opcodes": opcodes},
+            indent=1))
     print(format_table(rows))
     for workload, differing in layers.items():
         print(format_layers(workload, differing))
@@ -546,6 +709,8 @@ def main(argv: list[str] | None = None) -> int:
         print(format_heap(workload, *sides))
     for workload, sides in lanes.items():
         print(format_lanes(workload, *sides))
+    for workload, sides in opcodes.items():
+        print(format_opcodes(workload, *sides))
     problems = flags(rows) + failures(results)
     for line in problems:
         print("FLAG", line)
